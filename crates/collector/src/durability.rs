@@ -19,7 +19,6 @@ const DEAD_LETTER_VERSION: u8 = 1;
 /// lives in, the checkpoint cadence, and what recovery found at startup.
 #[derive(Debug)]
 pub(crate) struct Durability {
-    pub(crate) dir: PathBuf,
     pub(crate) wal: Wal,
     pub(crate) checkpoint_every: u64,
     pub(crate) rounds_since_checkpoint: u64,
@@ -52,7 +51,6 @@ impl Durability {
         Ok((
             db,
             Durability {
-                dir: dir.to_owned(),
                 wal,
                 checkpoint_every: checkpoint_every.max(1),
                 rounds_since_checkpoint: 0,
@@ -62,38 +60,57 @@ impl Durability {
     }
 }
 
-/// Atomically persists the dead-letter queue next to the WAL, so queries
+/// The dead-letter queue as persisted next to the WAL, so queries
 /// deferred by the breaker/dead-letter logic survive a restart.
 ///
 /// Format: `magic "SPDL" | u8 version | u32 count | entries | u64 fnv`,
 /// each entry `u64 shard | u64 query | u32 attempts | u64 eligible_at`.
-pub(crate) fn save_dead_letters(dir: &Path, letters: &[DeadLetter]) -> Result<(), TsError> {
-    let mut out = Vec::with_capacity(9 + letters.len() * 28);
-    out.extend_from_slice(DEAD_LETTER_MAGIC);
-    out.push(DEAD_LETTER_VERSION);
-    out.extend_from_slice(&(letters.len() as u32).to_le_bytes());
-    for d in letters {
-        out.extend_from_slice(&(d.shard as u64).to_le_bytes());
-        out.extend_from_slice(&(d.query as u64).to_le_bytes());
-        out.extend_from_slice(&d.attempts.to_le_bytes());
-        out.extend_from_slice(&d.eligible_at.to_le_bytes());
-    }
-    let sum = fnv64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    // Temp + fsync + rename via the shared helper: a rename without the
-    // fsync (the old code here) can surface as an empty file after a
-    // power loss, which is exactly what the durability lint now rejects.
-    atomic_write(&dead_letter_path(dir), &out)
+#[derive(Debug)]
+pub(crate) struct DeadLetterFile {
+    path: PathBuf,
+    /// The bytes the file is known to hold; `None` until a save or a
+    /// clean load has established them.
+    persisted: Option<Vec<u8>>,
 }
 
-/// Loads the persisted dead-letter queue. A missing, truncated, or
-/// corrupt file yields an empty queue — dead letters are an optimization
-/// (deferred retries), so a damaged file must never block recovery.
-pub(crate) fn load_dead_letters(dir: &Path) -> Vec<DeadLetter> {
-    let Ok(bytes) = std::fs::read(dead_letter_path(dir)) else {
-        return Vec::new();
-    };
-    parse_dead_letters(&bytes).unwrap_or_default()
+impl DeadLetterFile {
+    /// Loads the persisted queue from `dir`. A missing, truncated, or
+    /// corrupt file yields an empty queue — dead letters are an
+    /// optimization (deferred retries), so a damaged file must never
+    /// block recovery.
+    pub(crate) fn open(dir: &Path) -> (DeadLetterFile, Vec<DeadLetter>) {
+        let path = dir.join("deadletters.bin");
+        let (persisted, letters) = std::fs::read(&path)
+            .ok()
+            .and_then(|bytes| parse_dead_letters(&bytes).map(|letters| (Some(bytes), letters)))
+            .unwrap_or_default();
+        (DeadLetterFile { path, persisted }, letters)
+    }
+
+    /// Atomically persists `letters`, unless the file already holds
+    /// exactly that queue — round after round it does, and it is empty.
+    pub(crate) fn save(&mut self, letters: &[DeadLetter]) -> Result<(), TsError> {
+        let mut out = Vec::with_capacity(17 + letters.len() * 28);
+        out.extend_from_slice(DEAD_LETTER_MAGIC);
+        out.push(DEAD_LETTER_VERSION);
+        out.extend_from_slice(&(letters.len() as u32).to_le_bytes());
+        for d in letters {
+            out.extend_from_slice(&(d.shard as u64).to_le_bytes());
+            out.extend_from_slice(&(d.query as u64).to_le_bytes());
+            out.extend_from_slice(&d.attempts.to_le_bytes());
+            out.extend_from_slice(&d.eligible_at.to_le_bytes());
+        }
+        let sum = fnv64(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        if self.persisted.as_ref() != Some(&out) {
+            // Temp + fsync + rename via the shared helper: a rename
+            // without the fsync can surface as an empty file after a
+            // power loss, which is what the durability lint rejects.
+            atomic_write(&self.path, &out)?;
+            self.persisted = Some(out);
+        }
+        Ok(())
+    }
 }
 
 fn parse_dead_letters(bytes: &[u8]) -> Option<Vec<DeadLetter>> {
@@ -121,10 +138,6 @@ fn parse_dead_letters(bytes: &[u8]) -> Option<Vec<DeadLetter>> {
     Some(letters)
 }
 
-fn dead_letter_path(dir: &Path) -> PathBuf {
-    dir.join("deadletters.bin")
-}
-
 /// FNV-1a, the workspace's stock dependency-free checksum.
 fn fnv64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -147,25 +160,23 @@ mod tests {
         p
     }
 
+    fn letter(shard: usize, query: usize, attempts: u32, eligible_at: u64) -> DeadLetter {
+        DeadLetter {
+            shard,
+            query,
+            attempts,
+            eligible_at,
+        }
+    }
+
     #[test]
     fn dead_letters_roundtrip() {
         let dir = tempdir("roundtrip");
-        let letters = vec![
-            DeadLetter {
-                shard: 3,
-                query: 17,
-                attempts: 2,
-                eligible_at: 9,
-            },
-            DeadLetter {
-                shard: 0,
-                query: 1,
-                attempts: 4,
-                eligible_at: 30,
-            },
-        ];
-        save_dead_letters(&dir, &letters).unwrap();
-        let loaded = load_dead_letters(&dir);
+        let (mut file, loaded) = DeadLetterFile::open(&dir);
+        assert!(loaded.is_empty(), "missing file");
+        file.save(&[letter(3, 17, 2, 9), letter(0, 1, 4, 30)])
+            .unwrap();
+        let (mut file, loaded) = DeadLetterFile::open(&dir);
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].shard, 3);
         assert_eq!(loaded[0].query, 17);
@@ -173,38 +184,57 @@ mod tests {
         assert_eq!(loaded[0].eligible_at, 9);
         assert_eq!(loaded[1].eligible_at, 30);
         // Saving an empty queue truncates the persisted one.
-        save_dead_letters(&dir, &[]).unwrap();
-        assert!(load_dead_letters(&dir).is_empty());
+        file.save(&[]).unwrap();
+        assert!(DeadLetterFile::open(&dir).1.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_unchanged_queue_is_not_rewritten() {
+        let dir = tempdir("unchanged");
+        let (mut file, _) = DeadLetterFile::open(&dir);
+        // The first save of a process always writes, even an empty queue.
+        file.save(&[]).unwrap();
+        let path = dir.join("deadletters.bin");
+        assert!(path.exists());
+        // Saving the same queue again leaves the file alone: removing it
+        // behind the writer's back shows whether a write happened.
+        std::fs::remove_file(&path).unwrap();
+        file.save(&[]).unwrap();
+        assert!(!path.exists(), "equal bytes must skip the atomic write");
+        file.save(&[letter(1, 2, 3, 4)]).unwrap();
+        assert_eq!(DeadLetterFile::open(&dir).1.len(), 1);
+        // A reopened file knows what it holds and skips the same way.
+        let (mut reopened, letters) = DeadLetterFile::open(&dir);
+        std::fs::remove_file(&path).unwrap();
+        reopened.save(&letters).unwrap();
+        assert!(!path.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_or_missing_files_yield_an_empty_queue() {
         let dir = tempdir("corrupt");
-        assert!(load_dead_letters(&dir).is_empty(), "missing file");
-        save_dead_letters(
-            &dir,
-            &[DeadLetter {
-                shard: 1,
-                query: 2,
-                attempts: 3,
-                eligible_at: 4,
-            }],
-        )
-        .unwrap();
-        let path = dead_letter_path(&dir);
+        let (mut file, loaded) = DeadLetterFile::open(&dir);
+        assert!(loaded.is_empty(), "missing file");
+        file.save(&[letter(1, 2, 3, 4)]).unwrap();
+        let path = dir.join("deadletters.bin");
         let mut bytes = std::fs::read(&path).unwrap();
         for i in 0..bytes.len() {
             bytes[i] ^= 0xFF;
             std::fs::write(&path, &bytes).unwrap();
             assert!(
-                load_dead_letters(&dir).is_empty(),
+                DeadLetterFile::open(&dir).1.is_empty(),
                 "flip at byte {i} must not parse"
             );
             bytes[i] ^= 0xFF;
         }
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(load_dead_letters(&dir).is_empty(), "truncated file");
+        assert!(DeadLetterFile::open(&dir).1.is_empty(), "truncated file");
+        // A damaged file is unknown content: the next save rewrites it.
+        let (mut file, _) = DeadLetterFile::open(&dir);
+        file.save(&[]).unwrap();
+        assert!(parse_dead_letters(&std::fs::read(&path).unwrap()).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

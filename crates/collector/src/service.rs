@@ -11,7 +11,7 @@
 
 use crate::accounts::AccountPool;
 use crate::advisor_collector::AdvisorCollector;
-use crate::durability::{load_dead_letters, save_dead_letters, Durability};
+use crate::durability::{DeadLetterFile, Durability};
 use crate::error::CollectError;
 use crate::health::{Dataset, DatasetStatus, RoundHealth};
 use crate::planner::{PlanStats, PlannerStrategy, QueryPlanner};
@@ -178,6 +178,8 @@ pub struct CollectorService {
     advisor_breaker: CircuitBreaker,
     price_breaker: CircuitBreaker,
     dead_letters: Vec<DeadLetter>,
+    /// Where the queue is persisted when the service runs durably.
+    dead_letter_file: Option<DeadLetterFile>,
     /// Price records collected but not yet durably stored (the store
     /// throttled the write); flushed with the next successful sweep so a
     /// storage hiccup delays price data instead of losing it.
@@ -317,10 +319,12 @@ impl CollectorService {
             .or_else(|| sharded.as_ref().map(|s| s.recovery()));
         let start_tick = recovery.and_then(|r| r.last_tick).unwrap_or(0);
         let clock = ManualClock::new(start_tick);
-        let dead_letters = match (&durability, &sharded) {
-            (Some(d), _) => load_dead_letters(&d.dir),
-            (None, Some(s)) => load_dead_letters(s.root()),
-            (None, None) => Vec::new(),
+        let (dead_letter_file, dead_letters) = match &config.wal_dir {
+            Some(dir) => {
+                let (file, letters) = DeadLetterFile::open(dir);
+                (Some(file), letters)
+            }
+            None => (None, Vec::new()),
         };
         if let Some(r) = recovery {
             // Every recovered series becomes a tracked key as of the last
@@ -341,6 +345,7 @@ impl CollectorService {
             advisor_breaker: CircuitBreaker::new(3, 8),
             price_breaker: CircuitBreaker::new(3, 8),
             dead_letters,
+            dead_letter_file,
             pending_price: Vec::new(),
             last_health: None,
             metrics,
@@ -637,8 +642,10 @@ impl CollectorService {
     /// postpones the rotation to the next round (the log still holds
     /// everything); a crash fault surfaces as the round's error.
     fn maintain_durability(&mut self) -> Result<(), CollectError> {
+        if let Some(file) = &mut self.dead_letter_file {
+            file.save(&self.dead_letters)?;
+        }
         if let Some(s) = &mut self.sharded {
-            save_dead_letters(s.root(), &self.dead_letters)?;
             // Per-shard checkpoint crashes are absorbed inside the
             // archive (that shard alone degrades); only a root-manifest
             // failure — outside every fault domain — is round-fatal.
@@ -648,7 +655,6 @@ impl CollectorService {
         let Some(d) = &mut self.durability else {
             return Ok(());
         };
-        save_dead_letters(&d.dir, &self.dead_letters)?;
         d.rounds_since_checkpoint += 1;
         if d.rounds_since_checkpoint >= d.checkpoint_every {
             match d.wal.checkpoint(&self.db) {
@@ -814,6 +820,12 @@ impl CollectorService {
                 s.bytes_appended,
             );
             m.counter_set(
+                "spotlake_wal_records_elided_total",
+                "Records committed without being logged: writing them leaves the store unchanged.",
+                &[],
+                s.records_elided,
+            );
+            m.counter_set(
                 "spotlake_wal_checkpoints_total",
                 "Checkpoint snapshots rotated.",
                 &[],
@@ -977,18 +989,16 @@ impl CollectorService {
             &mut health.sps.retries,
         ) {
             Ok(commit) => {
-                let stored: &[Record] = commit.partial.as_deref().unwrap_or(&outcome.records);
-                for r in stored {
-                    self.quality.observe("sps", &record_key(r), tick);
-                }
-                stats.sps_records = stored.len();
+                let stored =
+                    commit.observe_committed(&mut self.quality, "sps", &outcome.records, tick);
+                stats.sps_records = stored;
                 stats.records_written += commit.written;
-                health.sps.records = stored.len();
+                health.sps.records = stored;
                 health.shards_failed += commit.shard_failures.len();
                 if health.sps.error.is_none() {
                     health.sps.error = commit.first_failure();
                 }
-                let lost_everything = stored.is_empty() && !outcome.records.is_empty();
+                let lost_everything = stored == 0 && !outcome.records.is_empty();
                 if (outcome.records.is_empty() && !failing.is_empty()) || lost_everything {
                     health.sps.status = DatasetStatus::Failed;
                     self.sps_breaker.record_failure(tick);
@@ -1045,19 +1055,20 @@ impl CollectorService {
                     Ok(commit) => {
                         // Score and savings share a key; the monitor
                         // dedupes same-tick observations.
-                        let stored: &[Record] =
-                            commit.partial.as_deref().unwrap_or(&outcome.records);
-                        for r in stored {
-                            self.quality.observe("advisor", &record_key(r), tick);
-                        }
-                        stats.advisor_records = stored.len();
+                        let stored = commit.observe_committed(
+                            &mut self.quality,
+                            "advisor",
+                            &outcome.records,
+                            tick,
+                        );
+                        stats.advisor_records = stored;
                         stats.records_written += commit.written;
-                        health.advisor.records = stored.len();
+                        health.advisor.records = stored;
                         health.shards_failed += commit.shard_failures.len();
                         if health.advisor.error.is_none() {
                             health.advisor.error = commit.first_failure();
                         }
-                        if stored.is_empty() && !outcome.records.is_empty() {
+                        if stored == 0 && !outcome.records.is_empty() {
                             // Every shard refused its slice: nothing of
                             // this dataset landed this round.
                             health.advisor.status = DatasetStatus::Failed;
@@ -1131,18 +1142,16 @@ impl CollectorService {
                         // The price API only reports *changes*; a clean
                         // sweep therefore refreshes every key the monitor
                         // has ever seen, not just the changed ones.
-                        let stored: &[Record] = commit.partial.as_deref().unwrap_or(&records);
-                        for r in stored {
-                            self.quality.observe("price", &record_key(r), tick);
-                        }
-                        stats.price_records = stored.len();
+                        let stored =
+                            commit.observe_committed(&mut self.quality, "price", &records, tick);
+                        stats.price_records = stored;
                         stats.records_written += commit.written;
-                        health.price.records = stored.len();
+                        health.price.records = stored;
                         health.shards_failed += commit.shard_failures.len();
                         if health.price.error.is_none() {
                             health.price.error = commit.first_failure();
                         }
-                        if stored.is_empty() && !records.is_empty() {
+                        if stored == 0 && !records.is_empty() {
                             health.price.status = DatasetStatus::Failed;
                             self.price_breaker.record_failure(tick);
                         } else {
@@ -1340,11 +1349,9 @@ fn record_recovery_observations(
 struct CommitResult {
     /// Points the store accepted (change-point tables skip repeats).
     written: usize,
-    /// The records that actually committed when the sharded archive
-    /// dropped some shards' batches; `None` means the whole input batch
-    /// committed (the single-WAL and in-memory paths are all-or-nothing).
-    partial: Option<Vec<Record>>,
-    /// Shards that refused or failed their batch (sharded archive only).
+    /// Shards that refused or failed their slice of the batch (sharded
+    /// archive only; the single-WAL and in-memory paths are
+    /// all-or-nothing). Every record outside these regions committed.
     shard_failures: Vec<spotlake_timestream::ShardHealthRow>,
 }
 
@@ -1352,7 +1359,6 @@ impl CommitResult {
     fn all(written: usize) -> CommitResult {
         CommitResult {
             written,
-            partial: None,
             shard_failures: Vec::new(),
         }
     }
@@ -1363,16 +1369,43 @@ impl CommitResult {
             .first()
             .map(|f| format!("shard {}/{}: {}", f.dataset, f.region, f.detail))
     }
+
+    /// Feeds the quality monitor every record of `batch` that committed
+    /// — all of it, minus the slices of failed shards — and returns how
+    /// many that was.
+    fn observe_committed(
+        &self,
+        quality: &mut QualityMonitor,
+        dataset: &str,
+        batch: &[Record],
+        tick: u64,
+    ) -> usize {
+        let dropped = |r: &Record| {
+            let region = ShardKey::region_of(r);
+            self.shard_failures.iter().any(|f| f.region == region)
+        };
+        let mut committed = 0;
+        for r in batch {
+            // No failed shard (the usual round): no region to look up.
+            if !self.shard_failures.is_empty() && dropped(r) {
+                continue;
+            }
+            quality.observe(dataset, &record_key(r), tick);
+            committed += 1;
+        }
+        committed
+    }
 }
 
-/// Commits a batch durably: append to the WAL (retrying transient disk
-/// faults within the round's budget), then apply in memory. The apply
-/// bypasses the store's write-throttle — once a frame is fsynced the
-/// batch *is* committed, and memory must match what replay would
-/// rebuild. With a sharded archive the batch fans out per region and a
-/// failed shard drops only its own slice — never an `Err` — so partial
-/// storage degrades the dataset instead of killing the round. Without
-/// durability configured this is [`write_with_retry`], unchanged.
+/// Commits a batch durably through [`Wal::commit`]: log the records that
+/// change state (retrying transient disk faults within the round's
+/// budget), then apply them in memory past the store's write-throttle.
+/// With a sharded archive the batch fans out per region and a failed
+/// shard drops only its own slice — never an `Err` — so partial storage
+/// degrades the dataset instead of killing the round. Without durability
+/// configured this is [`write_with_retry`], unchanged.
+///
+/// [`Wal::commit`]: spotlake_timestream::Wal::commit
 #[allow(clippy::too_many_arguments)]
 fn commit_with_retry(
     db: &mut Database,
@@ -1391,7 +1424,6 @@ fn commit_with_retry(
         *retries += out.retries as usize;
         return Ok(CommitResult {
             written: out.written,
-            partial: Some(out.committed),
             shard_failures: out.failures,
         });
     }
@@ -1401,18 +1433,11 @@ fn commit_with_retry(
         )?));
     };
     let options = db.table(table)?.options();
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match d.wal.append(table, options, tick, records) {
-            Ok(()) => break,
-            Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
-                *retries += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(CommitResult::all(db.apply_committed(table, records)?))
+    let (committed, wal_retries) =
+        d.wal
+            .commit(db, table, options, tick, records, policy.max_attempts);
+    *retries += wal_retries as usize;
+    Ok(CommitResult::all(committed?.stored))
 }
 
 /// The shard keys a fresh sharded archive starts with: every enabled
@@ -1789,7 +1814,22 @@ mod tests {
         service.run(&mut cloud, 3).unwrap();
         let committed = service.database().point_count();
         let wal = service.wal_stats().unwrap();
-        assert!(wal.frames_appended >= 9, "3 rounds × 3 datasets");
+        // A frame holds what changes state. Dense SPS logs every round;
+        // the change-point datasets log their first sighting and then
+        // only changes: rounds 2 and 3 repeat the advisor's 8 records
+        // (2 types × 2 regions × score and savings) and offer no new
+        // price, so neither writes a frame.
+        assert_eq!(wal.frames_appended, 5, "3 sps + 1 advisor + 1 price");
+        assert_eq!(wal.records_elided, 16, "the advisor's repeats");
+        // ...which /metrics can answer for: fewer WAL bytes, and why.
+        let scrape = service.metrics().render();
+        assert!(scrape.contains("spotlake_wal_frames_appended_total 5"));
+        assert!(scrape.contains("spotlake_wal_records_elided_total 16"));
+        // The store still counts every offered record: an elided one is
+        // submitted and deduped, exactly as a skipped one always was.
+        let store = service.database().metrics().render();
+        assert!(store.contains("spotlake_store_records_submitted_total{table=\"advisor\"} 24"));
+        assert!(store.contains("spotlake_store_records_deduped_total{table=\"advisor\"} 16"));
         assert!(wal.checkpoints >= 1, "checkpoint_every=2 fired");
         assert!(!wal.dead);
         drop(service);

@@ -458,6 +458,12 @@ pub const METRIC_FAMILIES: &[MetricFamilyDef] = &[
         help: "Frames appended to the write-ahead log",
     },
     MetricFamilyDef {
+        name: "spotlake_wal_records_elided_total",
+        kind: Counter,
+        layer: "wal",
+        help: "Records committed without being logged because they leave the store unchanged",
+    },
+    MetricFamilyDef {
         name: "spotlake_wal_size_bytes",
         kind: Gauge,
         layer: "wal",

@@ -7,6 +7,7 @@ use crate::query::{Aggregate, Query, Row, WindowRow};
 use crate::record::Record;
 use crate::table::{Table, TableOptions};
 use spotlake_obs::{QueryCtx, Registry};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -147,15 +148,7 @@ impl Database {
             );
             return Err(TsError::Throttled);
         }
-        let tbl = self.table_mut(table)?;
-        let mut stored = 0;
-        for r in records {
-            if tbl.write(r)? {
-                stored += 1;
-            }
-        }
-        self.record_write_metrics(table, records.len() as u64, stored as u64);
-        Ok(stored)
+        self.apply_committed(table, records)
     }
 
     /// Writes a batch that is already durable — appended to a write-ahead
@@ -167,23 +160,63 @@ impl Database {
     /// # Errors
     ///
     /// Returns [`TsError::NoSuchTable`] or [`TsError::BadRecord`].
-    pub fn apply_committed(&mut self, table: &str, records: &[Record]) -> Result<usize, TsError> {
+    pub fn apply_committed<R: Borrow<Record>>(
+        &mut self,
+        table: &str,
+        records: &[R],
+    ) -> Result<usize, TsError> {
+        self.apply_logged(table, records, records.len())
+    }
+
+    /// Applies the `logged` records of a batch that *offered* `offered`:
+    /// the rest were left out of the frame by [`Database::delta`] because
+    /// writing them changes nothing. The write families count the offered
+    /// batch — an elided record is submitted and deduped, exactly as if
+    /// the table had skipped it — so `/metrics` does not depend on how
+    /// little the log had to carry.
+    pub(crate) fn apply_logged<R: Borrow<Record>>(
+        &mut self,
+        table: &str,
+        logged: &[R],
+        offered: usize,
+    ) -> Result<usize, TsError> {
         let tbl = self.table_mut(table)?;
+        let mut key = String::new();
         let mut stored = 0;
-        for r in records {
-            if tbl.write(r)? {
+        for r in logged {
+            if tbl.write_keyed(r.borrow(), &mut key)? {
                 stored += 1;
             }
         }
-        self.record_write_metrics(table, records.len() as u64, stored as u64);
+        self.record_write_metrics(table, offered as u64, stored as u64);
         Ok(stored)
+    }
+
+    /// The records of a batch a durable commit must log: those that can
+    /// change `table` (see [`Table::delta`]). A table this database does
+    /// not hold yet is empty, so nothing is left out.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TsError::BadRecord`] if any record of the batch is
+    /// invalid.
+    pub(crate) fn delta<'a, R: Borrow<Record>>(
+        &self,
+        table: &str,
+        options: TableOptions,
+        records: &'a [R],
+    ) -> Result<Vec<&'a Record>, TsError> {
+        match self.tables.get(table) {
+            Some(t) => t.delta(records),
+            None => Table::new(options).delta(records),
+        }
     }
 
     /// Updates the `spotlake_store_*` write families after a successful
     /// batch. Deduped records are those a change-point table skipped as
     /// repeats of the series' current value — the dataset's own
     /// compression, which the ratio gauge tracks cumulatively.
-    fn record_write_metrics(&mut self, table: &str, submitted: u64, stored: u64) {
+    pub(crate) fn record_write_metrics(&mut self, table: &str, submitted: u64, stored: u64) {
         let labels = [("table", table)];
         let m = &self.metrics;
         m.counter_add(

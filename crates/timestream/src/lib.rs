@@ -75,4 +75,4 @@ pub use shard::{
     ShardState, ShardVerdict, ShardedArchive,
 };
 pub use table::{Table, TableOptions, WriteMode};
-pub use wal::{Wal, WalStats};
+pub use wal::{Committed, Wal, WalStats};

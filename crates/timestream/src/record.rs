@@ -82,7 +82,16 @@ impl Record {
 
 /// Builds the canonical series key for a measure + sorted dimensions.
 pub(crate) fn series_key(measure: &str, dims: &[(String, String)]) -> String {
-    let mut key = String::with_capacity(
+    let mut key = String::new();
+    write_series_key(&mut key, measure, dims);
+    key
+}
+
+/// [`series_key`] into a caller-owned buffer (cleared first), so a batch
+/// builds every key in one allocation.
+pub(crate) fn write_series_key(key: &mut String, measure: &str, dims: &[(String, String)]) {
+    key.clear();
+    key.reserve(
         measure.len()
             + dims
                 .iter()
@@ -96,7 +105,6 @@ pub(crate) fn series_key(measure: &str, dims: &[(String, String)]) -> String {
         key.push('=');
         key.push_str(v);
     }
-    key
 }
 
 #[cfg(test)]

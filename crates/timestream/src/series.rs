@@ -56,16 +56,16 @@ impl Series {
     /// Inserts only if the value differs from the latest point's value
     /// (*change-point mode*). Returns `true` if stored.
     pub(crate) fn insert_changepoint(&mut self, time: u64, value: f64) -> bool {
-        match self.points.last() {
-            Some(&(last_t, last_v)) if time >= last_t => {
-                if last_v == value {
-                    false
-                } else {
-                    self.insert(time, value)
-                }
-            }
-            _ => self.insert(time, value),
-        }
+        self.changepoint_may_store(time, value) && self.insert(time, value)
+    }
+
+    /// Whether [`Series::insert_changepoint`] could change the series.
+    /// `false` is exact — the point repeats the latest value at or after
+    /// its time, so the insert is a no-op — which is what lets the WAL
+    /// leave such a record out of a frame. `true` is conservative: an
+    /// out-of-order point is decided by the insert itself.
+    pub(crate) fn changepoint_may_store(&self, time: u64, value: f64) -> bool {
+        !matches!(self.points.last(), Some(&(last_t, last_v)) if time >= last_t && last_v == value)
     }
 
     pub(crate) fn points(&self) -> &[(u64, f64)] {

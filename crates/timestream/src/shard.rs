@@ -36,7 +36,10 @@
 //!
 //! Commits fan out to shards with bounded parallelism; a crash fault in
 //! one shard fails only that shard's batch for the round — the round
-//! itself, and every other shard, proceed.
+//! itself, and every other shard, proceed. A shard's watermark advances
+//! only with a frame: a batch that changes nothing in the shard logs
+//! nothing ([`crate::Wal::commit`]), so there is nothing newer for
+//! recovery to find and nothing for the manifest to promise.
 
 use crate::codec::{self, Cursor};
 use crate::crc::crc32;
@@ -46,16 +49,18 @@ use crate::iofault::IoFaultPlan;
 use crate::record::Record;
 use crate::recovery::{fsck, recover, RecoveryReport};
 use crate::table::TableOptions;
-use crate::wal::{Wal, WalStats};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::wal::{Committed, Wal, WalStats};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SPSM";
 const MANIFEST_VERSION: u8 = 1;
 const MANIFEST_FILE: &str = "shards.map";
 const QUARANTINE_FILE: &str = "QUARANTINE";
-/// Shards whose batches are appended concurrently per commit wave.
-const COMMIT_PARALLELISM: usize = 4;
+/// Shards whose frames (or checkpoints) are in flight at once. Eight
+/// keeps the disk busy while one thread merges; one thread per shard
+/// finishes no sooner and costs a malloc arena each in resident memory.
+const IN_FLIGHT: usize = 8;
 
 /// Identifies one fault domain: a dataset (table) in one region.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -82,6 +87,12 @@ impl ShardKey {
             return None;
         }
         Some(ShardKey::new(dataset, region))
+    }
+
+    /// The region whose shard owns `record`: its `region` dimension, or
+    /// `none` for a record without one.
+    pub fn region_of(record: &Record) -> &str {
+        record.dimension_value("region").unwrap_or("none")
     }
 
     /// The shard's directory name under the archive root, with any
@@ -276,12 +287,11 @@ impl ShardSetHealth {
 pub struct ShardCommitOutcome {
     /// Records stored across all shards that accepted their batch.
     pub written: usize,
-    /// The records that were durably committed (quarantined/failed
-    /// shards' records are not in here).
-    pub committed: Vec<Record>,
     /// Transient-fault retries absorbed across shards.
     pub retries: u64,
-    /// Shards that could not commit this round, with why.
+    /// Shards that could not commit this round, with why, in key order
+    /// within each cause. Every record whose [`ShardKey::region_of`] is
+    /// not named here is committed.
     pub failures: Vec<ShardHealthRow>,
 }
 
@@ -295,6 +305,9 @@ pub struct ShardedArchive {
     shards: BTreeMap<ShardKey, Shard>,
     quarantined: BTreeMap<ShardKey, Quarantined>,
     recovery: RecoveryReport,
+    /// The manifest bytes last persisted; an unchanged manifest is not
+    /// rewritten.
+    manifest_persisted: Vec<u8>,
 }
 
 impl ShardedArchive {
@@ -327,6 +340,7 @@ impl ShardedArchive {
             shards: BTreeMap::new(),
             quarantined: BTreeMap::new(),
             recovery: RecoveryReport::default(),
+            manifest_persisted: Vec::new(),
         };
         let mut merged = Database::new();
         for key in all_keys {
@@ -458,12 +472,16 @@ impl ShardedArchive {
     }
 
     /// Commits one dataset's round batch, fanned out to its region
-    /// shards with bounded parallelism. Each shard appends to its own
-    /// WAL (absorbing transient faults up to `max_attempts` tries) and,
-    /// on success, applies the batch to both its shard database and
-    /// `merged`. A shard that fails — quarantined, dead, or killed by a
-    /// crash fault mid-append — contributes a failure row and drops its
-    /// batch for this round; every other shard commits normally.
+    /// shards, [`IN_FLIGHT`] at a time. The batch is grouped by region as
+    /// borrowed records; each shard commits its slice through its own WAL
+    /// ([`Wal::commit`]: log what changes state, absorbing transient
+    /// faults up to `max_attempts` tries, then apply to the shard
+    /// database), and as each shard's thread is joined — in key order,
+    /// while the shards behind it are still syncing — the records it
+    /// logged are applied to `merged`. A shard that fails — quarantined,
+    /// dead, or killed by a crash fault mid-append — contributes a
+    /// failure row and drops its slice for this round; every other shard
+    /// commits normally.
     pub fn commit(
         &mut self,
         merged: &mut Database,
@@ -474,23 +492,14 @@ impl ShardedArchive {
         max_attempts: u32,
     ) -> ShardCommitOutcome {
         let mut outcome = ShardCommitOutcome::default();
-        let mut groups: BTreeMap<String, Vec<Record>> = BTreeMap::new();
+        let mut groups: BTreeMap<&str, Vec<&Record>> = BTreeMap::new();
         for r in records {
-            let region = r.dimension_value("region").unwrap_or("none").to_owned();
-            groups.entry(region).or_default().push(r.clone());
+            groups.entry(ShardKey::region_of(r)).or_default().push(r);
         }
-        let mut work: Vec<(ShardKey, Vec<Record>)> = Vec::new();
+        let mut work: BTreeMap<ShardKey, Vec<&Record>> = BTreeMap::new();
         for (region, batch) in groups {
-            let key = ShardKey::new(table, &region);
-            if let Some(q) = self.quarantined.get(&key) {
-                outcome.failures.push(failure_row(
-                    &key,
-                    ShardState::Quarantined,
-                    &format!("quarantined: {}", q.reason),
-                ));
-                continue;
-            }
-            if !self.shards.contains_key(&key) {
+            let key = ShardKey::new(table, region);
+            if !self.shards.contains_key(&key) && !self.quarantined.contains_key(&key) {
                 let entry = ManifestEntry::default();
                 let mut scratch = Database::new();
                 if let Err(e) = self.admit_shard(&key, entry, &mut scratch) {
@@ -501,127 +510,106 @@ impl ShardedArchive {
                     ));
                     continue;
                 }
-                if let Some(q) = self.quarantined.get(&key) {
-                    outcome.failures.push(failure_row(
-                        &key,
-                        ShardState::Quarantined,
-                        &format!("quarantined: {}", q.reason),
-                    ));
-                    continue;
-                }
             }
-            work.push((key, batch));
+            if let Some(q) = self.quarantined.get(&key) {
+                outcome.failures.push(failure_row(
+                    &key,
+                    ShardState::Quarantined,
+                    &format!("quarantined: {}", q.reason),
+                ));
+                continue;
+            }
+            work.insert(key, batch);
         }
 
-        let wanted: BTreeSet<ShardKey> = work.iter().map(|(k, _)| k.clone()).collect();
-        let mut shard_refs: Vec<&mut Shard> = self
-            .shards
-            .iter_mut()
-            .filter(|(k, _)| wanted.contains(*k))
-            .map(|(_, s)| s)
+        // `shards` iterates in key order, so jobs — and with them the
+        // merge and the failure rows — are in key order whichever thread
+        // finishes first.
+        let mut keys: Vec<&ShardKey> = Vec::new();
+        let mut batches: Vec<Vec<&Record>> = Vec::new();
+        let mut live: Vec<&mut Shard> = Vec::new();
+        for (key, shard) in &mut self.shards {
+            if let Some(batch) = work.remove(key) {
+                keys.push(key);
+                batches.push(batch);
+                live.push(shard);
+            }
+        }
+        // A job borrows its batch rather than owning it, so what a shard
+        // logged can outlive the job and be merged after the join.
+        let mut jobs: Vec<(&mut Shard, &[&Record])> = live
+            .into_iter()
+            .zip(batches.iter().map(Vec::as_slice))
             .collect();
-        // Both `work` and `shard_refs` are in key order, so zipping pairs
-        // each batch with its shard.
-        let mut pairs: Vec<(&ShardKey, &mut Shard, &[Record])> = work
-            .iter()
-            .zip(shard_refs.drain(..))
-            .map(|((key, batch), shard)| (key, shard, batch.as_slice()))
-            .collect();
-
-        for wave in pairs.chunks_mut(COMMIT_PARALLELISM) {
-            let results: Vec<(Result<usize, TsError>, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter_mut()
-                    .map(|(_, shard, batch)| {
-                        let shard: &mut Shard = shard;
-                        let batch: &[Record] = batch;
-                        scope.spawn(move || {
-                            commit_one(shard, table, options, tick, batch, max_attempts)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => (
-                            Err(TsError::Corrupt {
-                                detail: "shard commit thread panicked".to_owned(),
-                            }),
-                            0,
-                        ),
-                    })
-                    .collect()
-            });
-            for ((key, shard, batch), (result, retries)) in wave.iter().zip(results) {
+        let mut keys = keys.into_iter();
+        fan_out(
+            &mut jobs,
+            |(shard, batch)| commit_one(shard, table, options, tick, batch, max_attempts),
+            |joined| {
+                let Some(key) = keys.next() else { return };
+                let (result, retries) = joined.unwrap_or_else(|_| {
+                    let detail = "shard commit thread panicked".to_owned();
+                    (Err((ShardState::Failed, detail)), 0)
+                });
                 outcome.retries = outcome.retries.saturating_add(retries);
-                match result {
-                    Ok(written) => {
-                        // The shard acked: mirror the batch into the
-                        // merged serving view.
-                        if let Err(e) = merged.apply_committed(table, batch) {
-                            outcome.failures.push(failure_row(
-                                key,
-                                ShardState::Failed,
-                                &format!("merged apply failed: {e}"),
-                            ));
-                            continue;
-                        }
-                        outcome.written = outcome.written.saturating_add(written);
-                        outcome.committed.extend(batch.iter().cloned());
-                    }
-                    Err(e) => {
-                        let state = if shard.wal.is_dead() {
-                            ShardState::Failed
-                        } else {
-                            ShardState::Healthy
-                        };
-                        outcome.failures.push(failure_row(
-                            key,
-                            state,
-                            &format!("commit failed: {e}"),
-                        ));
+                // The shard acked: mirror what it logged into the merged
+                // serving view.
+                let merged_in = result.and_then(|c| {
+                    merged
+                        .apply_logged(table, &c.logged, c.offered)
+                        .map(|_| c.stored)
+                        .map_err(|e| (ShardState::Failed, format!("merged apply failed: {e}")))
+                });
+                match merged_in {
+                    Ok(stored) => outcome.written = outcome.written.saturating_add(stored),
+                    Err((state, detail)) => {
+                        outcome.failures.push(failure_row(key, state, &detail));
                     }
                 }
-            }
-        }
+            },
+        );
         outcome
     }
 
-    /// Per-round maintenance: rotates checkpoints on shards that reached
-    /// the cadence (transient faults postpone to the next round; crash
-    /// faults kill only that shard) and rewrites the manifest watermark
-    /// atomically.
+    /// Per-round maintenance: rotates checkpoints on the shards that
+    /// reached the cadence, [`IN_FLIGHT`] at a time like a commit (transient
+    /// faults postpone to the next round; crash faults kill only that
+    /// shard), and persists the manifest watermark atomically if any
+    /// moved.
     ///
     /// # Errors
     ///
     /// Returns an error only for root-level manifest I/O failure — shard
     /// faults are isolated, never propagated.
     pub fn maintain(&mut self) -> Result<(), TsError> {
-        for shard in self.shards.values_mut() {
-            if shard.wal.is_dead() || self.checkpoint_every == 0 {
-                continue;
-            }
-            if shard.rounds_since_checkpoint >= self.checkpoint_every {
-                match shard.wal.checkpoint(&shard.db) {
-                    Ok(()) => {
-                        shard.checkpoint_tick = shard.last_tick;
-                        shard.rounds_since_checkpoint = 0;
-                    }
-                    // Transient: retry at the next round's maintenance.
-                    Err(e) if e.is_retryable() => {}
-                    // Crash: this shard is dead until restart; the torn
-                    // temp file is never renamed, so its committed state
-                    // (checkpoint + full WAL) is intact for recovery.
-                    Err(_) => {}
+        let every = self.checkpoint_every;
+        let mut due: Vec<&mut Shard> = self
+            .shards
+            .values_mut()
+            .filter(|s| every > 0 && !s.wal.is_dead() && s.rounds_since_checkpoint >= every)
+            .collect();
+        fan_out(
+            &mut due,
+            |shard| {
+                // A transient fault is retried at the next round's
+                // maintenance. A crash kills this shard until restart;
+                // the torn temp file is never renamed, so its committed
+                // state (checkpoint + full WAL) is intact for recovery.
+                if shard.wal.checkpoint(&shard.db).is_ok() {
+                    shard.checkpoint_tick = shard.last_tick;
+                    shard.rounds_since_checkpoint = 0;
                 }
-            }
-        }
+            },
+            // A rotation that panicked rotated nothing: the shard is
+            // still due next round.
+            |_| {},
+        );
         self.write_manifest()
     }
 
-    /// Rewrites the shard map manifest from current in-memory watermarks.
-    fn write_manifest(&self) -> Result<(), TsError> {
+    /// Persists the shard map manifest from current in-memory watermarks,
+    /// unless it already holds exactly these bytes.
+    fn write_manifest(&mut self) -> Result<(), TsError> {
         let mut entries: BTreeMap<ShardKey, ManifestEntry> = BTreeMap::new();
         for (key, shard) in &self.shards {
             entries.insert(
@@ -635,17 +623,17 @@ impl ShardedArchive {
         for (key, q) in &self.quarantined {
             entries.insert(key.clone(), q.entry);
         }
-        codec::atomic_write(&manifest_path(&self.root), &encode_manifest(&entries)?)
+        let bytes = encode_manifest(&entries)?;
+        if bytes != self.manifest_persisted {
+            codec::atomic_write(&manifest_path(&self.root), &bytes)?;
+            self.manifest_persisted = bytes;
+        }
+        Ok(())
     }
 
     /// Aggregate recovery report from the last [`ShardedArchive::open`].
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
-    }
-
-    /// The archive root directory (the one holding the shard manifest).
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// Per-shard health rows, sorted by (dataset, region).
@@ -703,6 +691,7 @@ impl ShardedArchive {
             let s = shard.wal.stats();
             total.frames_appended = total.frames_appended.saturating_add(s.frames_appended);
             total.bytes_appended = total.bytes_appended.saturating_add(s.bytes_appended);
+            total.records_elided = total.records_elided.saturating_add(s.records_elided);
             total.checkpoints = total.checkpoints.saturating_add(s.checkpoints);
             total.wal_bytes = total.wal_bytes.saturating_add(s.wal_bytes);
             total.dead |= s.dead;
@@ -730,49 +719,70 @@ impl ShardedArchive {
     }
 }
 
-/// Appends one shard's batch with transient-fault retries, applying it
-/// to the shard database on success. Runs on a commit worker thread.
-fn commit_one(
+/// Runs `work` on every job on its own scoped thread, [`IN_FLIGHT`] at a
+/// time, and hands each job's outcome to `joined` on the calling thread,
+/// in job order, as soon as that thread is joined and the next job has
+/// taken its place — so what `joined` does overlaps the jobs still
+/// running. A job that panicked yields `Err`; every other job's outcome
+/// is delivered regardless.
+fn fan_out<J: Send, T: Send>(
+    jobs: &mut [J],
+    work: impl Fn(&mut J) -> T + Sync,
+    mut joined: impl FnMut(std::thread::Result<T>),
+) {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut waiting = jobs.iter_mut();
+        let mut in_flight: VecDeque<_> = waiting
+            .by_ref()
+            .take(IN_FLIGHT)
+            .map(|job| scope.spawn(move || work(job)))
+            .collect();
+        while let Some(handle) = in_flight.pop_front() {
+            let outcome = handle.join();
+            if let Some(job) = waiting.next() {
+                in_flight.push_back(scope.spawn(move || work(job)));
+            }
+            joined(outcome);
+        }
+    });
+}
+
+/// Commits one shard's slice through its WAL and moves the shard's
+/// watermark if a frame was written. On failure, classifies the shard
+/// for the failure row. Runs on a commit worker thread.
+fn commit_one<'a>(
     shard: &mut Shard,
     table: &str,
     options: TableOptions,
     tick: u64,
-    batch: &[Record],
+    batch: &'a [&'a Record],
     max_attempts: u32,
-) -> (Result<usize, TsError>, u64) {
-    let mut retries: u64 = 0;
-    let mut attempt: u32 = 0;
-    loop {
-        attempt = attempt.saturating_add(1);
-        match shard.wal.append(table, options, tick, batch) {
-            Ok(()) => break,
-            Err(e) if e.is_retryable() && attempt < max_attempts.max(1) => {
-                retries = retries.saturating_add(1);
+) -> (Result<Committed<'a>, (ShardState, String)>, u64) {
+    let (result, retries) =
+        shard
+            .wal
+            .commit(&mut shard.db, table, options, tick, batch, max_attempts);
+    let result = match result {
+        Ok(committed) => {
+            if !committed.logged.is_empty() {
+                shard.last_tick = Some(shard.last_tick.map_or(tick, |t| t.max(tick)));
+                shard.rounds_since_checkpoint = shard.rounds_since_checkpoint.saturating_add(1);
             }
-            Err(e) => {
-                shard.commit_failures = shard.commit_failures.saturating_add(1);
-                return (Err(e), retries);
-            }
-        }
-    }
-    if shard.db.table(table).is_err() {
-        if let Err(e) = shard.db.create_table(table, options) {
-            shard.commit_failures = shard.commit_failures.saturating_add(1);
-            return (Err(e), retries);
-        }
-    }
-    match shard.db.apply_committed(table, batch) {
-        Ok(written) => {
-            shard.last_tick = Some(shard.last_tick.map_or(tick, |t| t.max(tick)));
-            shard.rounds_since_checkpoint = shard.rounds_since_checkpoint.saturating_add(1);
             shard.commits = shard.commits.saturating_add(1);
-            (Ok(written), retries)
+            Ok(committed)
         }
         Err(e) => {
             shard.commit_failures = shard.commit_failures.saturating_add(1);
-            (Err(e), retries)
+            let state = if shard.wal.is_dead() {
+                ShardState::Failed
+            } else {
+                ShardState::Healthy
+            };
+            Err((state, format!("commit failed: {e}")))
         }
-    }
+    };
+    (result, retries)
 }
 
 /// A failure row for [`ShardCommitOutcome`].
@@ -1320,7 +1330,6 @@ mod tests {
         assert_eq!(outcome.written, 3, "us shard committed");
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].region, "eu-test-1");
-        assert_eq!(outcome.committed.len(), 3);
         let health = archive.health();
         assert_eq!(health.healthy(), 1);
         assert!(health.degraded());
@@ -1408,6 +1417,228 @@ mod tests {
         );
         std::fs::remove_dir_all(&root_a).ok();
         std::fs::remove_dir_all(&root_b).ok();
+    }
+
+    /// More regions than one window of commit threads holds.
+    fn wide_regions() -> Vec<String> {
+        (0..IN_FLIGHT + 2)
+            .map(|i| format!("r{i:02}-test-1"))
+            .collect()
+    }
+
+    fn wide_keys(dataset: &str) -> Vec<ShardKey> {
+        wide_regions()
+            .iter()
+            .map(|r| ShardKey::new(dataset, r))
+            .collect()
+    }
+
+    fn wide_batch(tick: u64) -> Vec<Record> {
+        wide_regions().iter().flat_map(|r| batch(r, tick)).collect()
+    }
+
+    fn changepoint() -> TableOptions {
+        TableOptions {
+            mode: crate::table::WriteMode::ChangePoint,
+            retention: None,
+        }
+    }
+
+    /// One advisor-like record per region: `value` as of `tick`.
+    fn scores(tick: u64, value: f64) -> Vec<Record> {
+        keys()
+            .iter()
+            .map(|k| {
+                Record::new(tick * 600, "if_score", value)
+                    .dimension("instance_type", "m5.large")
+                    .dimension("region", k.region.as_str())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_watermark_advances_only_with_a_frame() {
+        let root = tempdir("watermark");
+        let (mut archive, mut merged) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
+        merged.create_table("sps", changepoint()).unwrap();
+        let out = archive.commit(&mut merged, "sps", changepoint(), 1, &scores(1, 3.0), 3);
+        assert_eq!((out.written, out.failures.len()), (2, 0));
+        archive.maintain().unwrap();
+        let logged = archive.wal_stats();
+        let manifest = std::fs::read(manifest_path(&root)).unwrap();
+
+        // Round 2 repeats every value: acked, but no frame, no fsync, and
+        // nothing newer for the manifest to promise.
+        let out = archive.commit(&mut merged, "sps", changepoint(), 2, &scores(2, 3.0), 3);
+        assert_eq!((out.written, out.failures.len()), (0, 0));
+        let stats = archive.wal_stats();
+        assert_eq!(stats.frames_appended, logged.frames_appended);
+        assert_eq!(stats.wal_bytes, logged.wal_bytes);
+        assert_eq!(stats.records_elided, 2);
+        for row in &archive.health().shards {
+            assert_eq!(row.last_tick, Some(1), "{}/{}", row.dataset, row.region);
+            assert_eq!(row.commits, 2, "an elided batch is still an acked batch");
+        }
+        // An unchanged manifest is not rewritten: removing it behind the
+        // archive's back shows whether a write happened.
+        std::fs::remove_file(manifest_path(&root)).unwrap();
+        archive.maintain().unwrap();
+        assert!(!manifest_path(&root).exists());
+        std::fs::write(manifest_path(&root), &manifest).unwrap();
+        assert_eq!(stats.checkpoints, 0, "cadence 2 counts frames, not rounds");
+
+        // Round 3 changes one region: that shard alone logs, reaches the
+        // cadence and moves its watermark.
+        let mut change = scores(3, 3.0);
+        change[0].value = 2.0;
+        let out = archive.commit(&mut merged, "sps", changepoint(), 3, &change, 3);
+        assert_eq!((out.written, out.failures.len()), (1, 0));
+        archive.maintain().unwrap();
+        assert_eq!(archive.wal_stats().checkpoints, 1);
+        assert_ne!(std::fs::read(manifest_path(&root)).unwrap(), manifest);
+        let ticks: Vec<Option<u64>> = archive
+            .health()
+            .shards
+            .iter()
+            .map(|r| r.last_tick)
+            .collect();
+        assert_eq!(ticks, vec![Some(3), Some(1)]);
+
+        // The lagging watermark is what recovery finds: no "committed
+        // rounds lost", nothing for fsck or repair to do.
+        drop(archive);
+        assert!(fsck_shards(&root).unwrap().clean());
+        let (archive, reopened) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
+        assert_eq!(archive.health().healthy(), 2);
+        assert_eq!(reopened.point_count(), merged.point_count());
+        drop(archive);
+        let repaired = repair_shards(&root).unwrap();
+        assert!(repaired.actions.is_empty(), "{:?}", repaired.actions);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_crash_in_a_full_window_loses_no_other_shards_ack() {
+        let root = tempdir("wide-crash");
+        let target = wide_keys("sps").swap_remove(3);
+        let cfg = ShardFaultConfig {
+            plan: IoFaultPlan {
+                torn_write_rate: 1.0,
+                ..IoFaultPlan::none(7)
+            },
+            only: Some(target.clone()),
+        };
+        let (mut archive, mut merged) =
+            ShardedArchive::open(&root, &wide_keys("sps"), 2, Some(cfg)).unwrap();
+        merged.create_table("sps", TableOptions::default()).unwrap();
+        let survivors = wide_regions().len() - 1;
+        for tick in 1..=2 {
+            let out = archive.commit(
+                &mut merged,
+                "sps",
+                TableOptions::default(),
+                tick,
+                &wide_batch(tick),
+                3,
+            );
+            assert_eq!(out.written, 3 * survivors, "tick {tick}");
+            let failed: Vec<&str> = out.failures.iter().map(|f| f.region.as_str()).collect();
+            assert_eq!(failed, vec![target.region.as_str()], "tick {tick}");
+            assert_eq!(out.failures[0].state, ShardState::Failed);
+        }
+        assert_eq!(merged.point_count(), 2 * 3 * survivors);
+        let health = archive.health();
+        assert_eq!(health.healthy(), survivors);
+        for row in health.shards.iter().filter(|r| r.region != target.region) {
+            assert_eq!((row.commits, row.points), (2, 6), "{}", row.region);
+        }
+        // Every ack is on disk: a restart rebuilds exactly the merged view.
+        drop(archive);
+        let (archive, reopened) = ShardedArchive::open(&root, &[], 2, None).unwrap();
+        assert_eq!(archive.health().healthy(), survivors + 1);
+        assert_eq!(reopened.point_count(), merged.point_count());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn fan_out_delivers_every_outcome_in_order_past_a_panic() {
+        let mut jobs: Vec<usize> = (0..IN_FLIGHT + 4).collect();
+        // The first window's jobs meet at a barrier, so they are provably
+        // all in flight when one of them panics.
+        let all_in_flight = std::sync::Barrier::new(IN_FLIGHT);
+        let mut delivered = Vec::new();
+        fan_out(
+            &mut jobs,
+            |job| {
+                if *job < IN_FLIGHT {
+                    all_in_flight.wait();
+                }
+                assert!(*job != 3, "job 3 panics inside the window");
+                *job *= 10;
+                *job
+            },
+            |outcome| delivered.push(outcome.ok()),
+        );
+        let expected: Vec<Option<usize>> = (0..IN_FLIGHT + 4)
+            .map(|i| (i != 3).then_some(i * 10))
+            .collect();
+        assert_eq!(delivered, expected);
+    }
+
+    #[test]
+    fn a_checkpoint_crash_during_parallel_rotation_kills_only_that_shard() {
+        let root = tempdir("wide-checkpoint");
+        let target = wide_keys("sps").swap_remove(5);
+        let cfg = |seed| ShardFaultConfig {
+            plan: IoFaultPlan {
+                bit_flip_rate: 0.5,
+                ..IoFaultPlan::none(seed)
+            },
+            only: Some(target.clone()),
+        };
+        // A seed under which the target's first append survives and its
+        // first checkpoint dies.
+        let seed = (0..256u64)
+            .find(|&seed| {
+                let mut state = crate::iofault::IoFaultState::default();
+                state.set_plan(derive_plan(&cfg(seed), &target));
+                state.next("append").is_none() && state.next("checkpoint").is_some()
+            })
+            .expect("half the seeds spare the append, half of those kill the checkpoint");
+        let (mut archive, mut merged) =
+            ShardedArchive::open(&root, &wide_keys("sps"), 1, Some(cfg(seed))).unwrap();
+        merged.create_table("sps", TableOptions::default()).unwrap();
+        let out = archive.commit(
+            &mut merged,
+            "sps",
+            TableOptions::default(),
+            1,
+            &wide_batch(1),
+            3,
+        );
+        assert!(out.failures.is_empty());
+        archive.maintain().unwrap();
+
+        let survivors = wide_regions().len() - 1;
+        let stats = archive.wal_stats();
+        assert_eq!(stats.checkpoints as usize, survivors);
+        assert!(stats.dead);
+        for key in wide_keys("sps") {
+            let rotated = shard_dir(&root, &key).join("checkpoint.db").exists();
+            assert_eq!(rotated, key != target, "{key}");
+        }
+        let impaired: Vec<String> = archive
+            .health()
+            .impaired()
+            .map(|r| r.region.clone())
+            .collect();
+        assert_eq!(impaired, vec![target.region.clone()]);
+        // The dead shard's frame is still in its log: nothing was lost.
+        drop(archive);
+        let (archive, reopened) = ShardedArchive::open(&root, &[], 1, None).unwrap();
+        assert_eq!(archive.health().healthy(), survivors + 1);
+        assert_eq!(reopened.point_count(), merged.point_count());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use crate::error::TsError;
 use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Query, Row, WindowRow};
-use crate::record::{series_key, Record};
+use crate::record::{series_key, write_series_key, Record};
 use crate::series::Series;
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How writes are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,18 +59,79 @@ impl Table {
     ///
     /// Returns [`TsError::BadRecord`] for invalid records.
     pub fn write(&mut self, record: &Record) -> Result<bool, TsError> {
+        self.write_keyed(record, &mut String::new())
+    }
+
+    /// [`Table::write`] with the dimension key built into `key`, a scratch
+    /// buffer the caller reuses across a batch. Both map levels are looked
+    /// up before anything is inserted: the series almost always exists,
+    /// and `entry` would clone the measure and the key for every record.
+    pub(crate) fn write_keyed(
+        &mut self,
+        record: &Record,
+        key: &mut String,
+    ) -> Result<bool, TsError> {
         record.validate()?;
-        let dim_key = series_key("", &record.dimensions);
-        let series = self
-            .series
-            .entry(record.measure.clone())
-            .or_default()
-            .entry(dim_key)
-            .or_insert_with(|| Series::new(record.dimensions.clone()));
+        write_series_key(key, "", &record.dimensions);
+        let by_dims = match self.series.get_mut(record.measure.as_str()) {
+            Some(m) => m,
+            None => self.series.entry(record.measure.clone()).or_default(),
+        };
+        let series = match by_dims.get_mut(key.as_str()) {
+            Some(s) => s,
+            None => by_dims
+                .entry(key.clone())
+                .or_insert_with(|| Series::new(record.dimensions.clone())),
+        };
         Ok(match self.options.mode {
             WriteMode::Dense => series.insert(record.time, record.value),
             WriteMode::ChangePoint => series.insert_changepoint(record.time, record.value),
         })
+    }
+
+    /// The records of a batch that can change this table — what a durable
+    /// commit logs and applies (*delta logging*). A dense table keeps
+    /// everything. A change-point table drops a record when
+    /// [`Series::changepoint_may_store`] says writing it now is a no-op,
+    /// unless an earlier kept record of the batch targets the same series:
+    /// that one may change what "latest" means, so everything after it on
+    /// the series is kept. Applying the kept records in order therefore
+    /// leaves the table exactly as applying the whole batch would, and so
+    /// does replaying them after a crash.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TsError::BadRecord`] if any record of the batch — kept
+    /// or not — is invalid.
+    pub(crate) fn delta<'a, R: Borrow<Record>>(
+        &self,
+        records: &'a [R],
+    ) -> Result<Vec<&'a Record>, TsError> {
+        let records = records.iter().map(Borrow::borrow);
+        if self.options.mode == WriteMode::Dense {
+            return records.map(|r| r.validate().map(|()| r)).collect();
+        }
+        let mut kept = Vec::new();
+        let mut touched: BTreeSet<String> = BTreeSet::new();
+        let mut key = String::new();
+        for r in records {
+            r.validate()?;
+            write_series_key(&mut key, &r.measure, &r.dimensions);
+            let series_touched = touched.contains(key.as_str());
+            let unchanged = !series_touched
+                && self
+                    .series
+                    .get(r.measure.as_str())
+                    .and_then(|m| m.get(key.get(r.measure.len()..)?))
+                    .is_some_and(|s| !s.changepoint_may_store(r.time, r.value));
+            if !unchanged {
+                if !series_touched {
+                    touched.insert(key.clone());
+                }
+                kept.push(r);
+            }
+        }
+        Ok(kept)
     }
 
     /// Runs a raw query: all matching points from all matching series,

@@ -3,6 +3,10 @@
 //! Every committed write batch is appended here — checksummed and
 //! length-prefixed — *before* it is applied in memory, so a crash at any
 //! instant loses at most the batch being written, never a committed one.
+//! A frame holds the records of the batch that *change state*
+//! ([`Wal::commit`]): a change-point record that repeats its series'
+//! latest value would be skipped on apply and on replay alike, so it is
+//! never logged, and a batch of nothing but repeats writes no frame.
 //!
 //! ```text
 //! wal.log:  magic "SPWL" | u8 version
@@ -33,6 +37,7 @@ use crate::error::TsError;
 use crate::iofault::{IoFault, IoFaultPlan, IoFaultState};
 use crate::record::Record;
 use crate::table::{TableOptions, WriteMode};
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -42,6 +47,8 @@ const WAL_VERSION: u8 = 1;
 /// Bytes of `magic | version` before the first frame.
 pub(crate) const HEADER_LEN: u64 = 5;
 const FRAME_KIND_BATCH: u8 = 1;
+/// Bytes of `payload_len | crc32` before a frame's payload.
+const FRAME_HEADER_LEN: usize = 8;
 
 /// The log file inside a WAL directory.
 pub(crate) fn wal_path(dir: &Path) -> PathBuf {
@@ -65,6 +72,7 @@ pub struct Wal {
     faults: IoFaultState,
     frames_appended: u64,
     bytes_appended: u64,
+    records_elided: u64,
     checkpoints: u64,
 }
 
@@ -75,6 +83,9 @@ pub struct WalStats {
     pub frames_appended: u64,
     /// Bytes those frames occupied (headers included).
     pub bytes_appended: u64,
+    /// Records committed without being logged, because writing them
+    /// leaves the store unchanged (see [`Wal::commit`]).
+    pub records_elided: u64,
     /// Checkpoints successfully rotated.
     pub checkpoints: u64,
     /// Current size of `wal.log`, committed bytes only.
@@ -83,6 +94,18 @@ pub struct WalStats {
     pub dead: bool,
     /// Injected faults per kind, sorted by kind name.
     pub faults_injected: Vec<(&'static str, u64)>,
+}
+
+/// What one [`Wal::commit`] made durable.
+#[derive(Debug)]
+pub struct Committed<'a> {
+    /// The records that were logged and applied, in batch order — the
+    /// ones a second view of the same data has to apply as well.
+    pub logged: Vec<&'a Record>,
+    /// Records the batch offered, logged or not.
+    pub offered: usize,
+    /// Records the store kept (change-point tables skip repeats).
+    pub stored: usize,
 }
 
 impl Wal {
@@ -126,6 +149,7 @@ impl Wal {
             faults: IoFaultState::default(),
             frames_appended: 0,
             bytes_appended: 0,
+            records_elided: 0,
             checkpoints: 0,
         })
     }
@@ -135,8 +159,78 @@ impl Wal {
         self.faults.set_plan(plan);
     }
 
-    /// Appends one committed batch. On success the frame is fully written
-    /// and fsynced — it *will* survive a crash.
+    /// Commits one batch durably: log what changes state, then apply it.
+    ///
+    /// The records [`Database::delta`] keeps are appended as one frame
+    /// (transient faults retried up to `max_attempts` tries) and then
+    /// applied to `db`, bypassing its write throttle — once the frame is
+    /// fsynced the batch *is* committed, and memory must match what replay
+    /// rebuilds. The filter runs against `db` as it is before the batch
+    /// and keeps everything it is not sure about, so applying the logged
+    /// records leaves `db` exactly as applying the whole batch would.
+    /// When nothing is left to log, no frame is written and nothing is
+    /// fsynced; the batch is committed all the same.
+    ///
+    /// Returns the outcome together with the transient-fault retries the
+    /// append absorbed, which count whether or not it succeeded in the end.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::append`] — including [`TsError::WalDead`] for a batch
+    /// that would have logged nothing: a dead log acknowledges no batch.
+    pub fn commit<'a, R: Borrow<Record>>(
+        &mut self,
+        db: &mut Database,
+        table: &str,
+        options: TableOptions,
+        tick: u64,
+        records: &'a [R],
+        max_attempts: u32,
+    ) -> (Result<Committed<'a>, TsError>, u64) {
+        let mut retries: u64 = 0;
+        let result = (|| {
+            if self.dead {
+                return Err(TsError::WalDead);
+            }
+            let offered = records.len();
+            let logged = db.delta(table, options, records)?;
+            let stored = if logged.is_empty() {
+                db.record_write_metrics(table, offered as u64, 0);
+                0
+            } else {
+                let mut attempt: u32 = 0;
+                loop {
+                    attempt = attempt.saturating_add(1);
+                    match self.append(table, options, tick, &logged) {
+                        Ok(()) => break,
+                        Err(e) if e.is_retryable() && attempt < max_attempts.max(1) => {
+                            retries = retries.saturating_add(1);
+                        }
+                        Err(e) => return Err(e),
+                    }
+                }
+                if db.table(table).is_err() {
+                    db.create_table(table, options)?;
+                }
+                db.apply_logged(table, &logged, offered)?
+            };
+            self.records_elided = self
+                .records_elided
+                .saturating_add(offered.saturating_sub(logged.len()) as u64);
+            Ok(Committed {
+                logged,
+                offered,
+                stored,
+            })
+        })();
+        (result, retries)
+    }
+
+    /// Appends one batch as a frame, every record of it. On success the
+    /// frame is fully written and fsynced — it *will* survive a crash.
+    /// Records are validated and encoded straight from the caller's slice
+    /// into the one buffer that is written; the frame header is filled in
+    /// once the payload's length and checksum are known.
     ///
     /// # Errors
     ///
@@ -146,30 +240,27 @@ impl Wal {
     ///   append was undone and retrying it is safe.
     /// * [`TsError::WalDead`] after an injected crash fault; the log is
     ///   unusable until recovery.
-    pub fn append(
+    pub fn append<R: Borrow<Record>>(
         &mut self,
         table: &str,
         options: TableOptions,
         tick: u64,
-        records: &[Record],
+        records: &[R],
     ) -> Result<(), TsError> {
         if self.dead {
             return Err(TsError::WalDead);
         }
-        for r in records {
-            r.validate()?;
-        }
-        let frame = WalFrame {
-            table: table.to_owned(),
-            options,
-            tick,
-            records: records.to_vec(),
-        };
-        let payload = frame.encode()?;
-        let mut full = Vec::with_capacity(payload.len().saturating_add(8));
-        codec::put_len(&mut full, payload.len(), "WAL frame payload")?;
-        codec::put_u32(&mut full, crc32(&payload));
-        full.extend_from_slice(&payload);
+        // A collector record encodes to a little over a hundred bytes.
+        let mut full = Vec::with_capacity(records.len().saturating_mul(128));
+        full.resize(FRAME_HEADER_LEN, 0u8);
+        encode_payload(&mut full, table, options, tick, records)?;
+        let (header, payload) = full.split_at_mut(FRAME_HEADER_LEN);
+        let payload_len = u32::try_from(payload.len()).map_err(|_| TsError::TooLarge {
+            what: "WAL frame payload",
+        })?;
+        let (len_field, crc_field) = header.split_at_mut(4);
+        len_field.copy_from_slice(&payload_len.to_le_bytes());
+        crc_field.copy_from_slice(&crc32(payload).to_le_bytes());
 
         match self.faults.next("append") {
             None => {
@@ -268,6 +359,7 @@ impl Wal {
         WalStats {
             frames_appended: self.frames_appended,
             bytes_appended: self.bytes_appended,
+            records_elided: self.records_elided,
             checkpoints: self.checkpoints,
             wal_bytes: self.len,
             dead: self.dead,
@@ -299,37 +391,46 @@ pub(crate) struct WalFrame {
     pub(crate) records: Vec<Record>,
 }
 
-impl WalFrame {
-    pub(crate) fn encode(&self) -> Result<Vec<u8>, TsError> {
-        let mut out = Vec::new();
-        out.push(FRAME_KIND_BATCH);
-        codec::put_str(&mut out, &self.table)?;
-        out.push(match self.options.mode {
-            WriteMode::Dense => 0u8,
-            WriteMode::ChangePoint => 1u8,
-        });
-        match self.options.retention {
-            Some(r) => {
-                out.push(1);
-                codec::put_u64(&mut out, r);
-            }
-            None => out.push(0),
+/// Appends a batch frame's payload to `out`, validating each record as
+/// it is encoded.
+fn encode_payload<R: Borrow<Record>>(
+    out: &mut Vec<u8>,
+    table: &str,
+    options: TableOptions,
+    tick: u64,
+    records: &[R],
+) -> Result<(), TsError> {
+    out.push(FRAME_KIND_BATCH);
+    codec::put_str(out, table)?;
+    out.push(match options.mode {
+        WriteMode::Dense => 0u8,
+        WriteMode::ChangePoint => 1u8,
+    });
+    match options.retention {
+        Some(r) => {
+            out.push(1);
+            codec::put_u64(out, r);
         }
-        codec::put_u64(&mut out, self.tick);
-        codec::put_len(&mut out, self.records.len(), "record count")?;
-        for r in &self.records {
-            codec::put_u64(&mut out, r.time);
-            codec::put_str(&mut out, &r.measure)?;
-            codec::put_u64(&mut out, r.value.to_bits());
-            codec::put_len(&mut out, r.dimensions.len(), "dimension count")?;
-            for (k, v) in &r.dimensions {
-                codec::put_str(&mut out, k)?;
-                codec::put_str(&mut out, v)?;
-            }
-        }
-        Ok(out)
+        None => out.push(0),
     }
+    codec::put_u64(out, tick);
+    codec::put_len(out, records.len(), "record count")?;
+    for r in records {
+        let r = r.borrow();
+        r.validate()?;
+        codec::put_u64(out, r.time);
+        codec::put_str(out, &r.measure)?;
+        codec::put_u64(out, r.value.to_bits());
+        codec::put_len(out, r.dimensions.len(), "dimension count")?;
+        for (k, v) in &r.dimensions {
+            codec::put_str(out, k)?;
+            codec::put_str(out, v)?;
+        }
+    }
+    Ok(())
+}
 
+impl WalFrame {
     pub(crate) fn decode(payload: &[u8]) -> Result<WalFrame, TsError> {
         let mut c = Cursor::new(payload);
         let kind = c.u8()?;
@@ -623,6 +724,134 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn changepoint() -> TableOptions {
+        TableOptions {
+            mode: WriteMode::ChangePoint,
+            retention: None,
+        }
+    }
+
+    fn prices(time: u64, values: [f64; 2]) -> Vec<Record> {
+        ["m5.large", "c5.xlarge"]
+            .into_iter()
+            .zip(values)
+            .map(|(ty, v)| Record::new(time, "spot_price", v).dimension("instance_type", ty))
+            .collect()
+    }
+
+    #[test]
+    fn commit_logs_only_what_changes_state() {
+        let dir = tempdir("delta");
+        let mut db = Database::new();
+        let mut wal = Wal::open(&dir).unwrap();
+        let opening = prices(600, [0.1, 0.2]);
+        let (first, _) = wal.commit(&mut db, "price", changepoint(), 1, &opening, 3);
+        let first = first.unwrap();
+        assert_eq!((first.logged.len(), first.offered, first.stored), (2, 2, 2));
+        let after_first = wal.stats();
+        assert_eq!(after_first.frames_appended, 1);
+        assert_eq!(after_first.records_elided, 0);
+
+        // An all-repeat batch is committed without touching the log.
+        let repeats = prices(1200, [0.1, 0.2]);
+        let (repeat, retries) = wal.commit(&mut db, "price", changepoint(), 2, &repeats, 3);
+        let repeat = repeat.unwrap();
+        assert_eq!(
+            (repeat.logged.len(), repeat.offered, repeat.stored),
+            (0, 2, 0)
+        );
+        assert_eq!(retries, 0);
+        assert_eq!(
+            wal.stats(),
+            WalStats {
+                records_elided: 2,
+                ..after_first.clone()
+            },
+            "no frame, no bytes"
+        );
+        assert_eq!(
+            std::fs::metadata(wal_path(&dir)).unwrap().len(),
+            after_first.wal_bytes
+        );
+
+        // One change: the frame holds that record alone.
+        let one_change = prices(1800, [0.1, 0.3]);
+        let (mixed, _) = wal.commit(&mut db, "price", changepoint(), 3, &one_change, 3);
+        let mixed = mixed.unwrap();
+        assert_eq!(mixed.logged, vec![&one_change[1]]);
+        assert_eq!(mixed.stored, 1);
+        let scan = scan_frames(&std::fs::read(wal_path(&dir)).unwrap());
+        assert_eq!(scan.frames.len(), 2);
+        assert_eq!(scan.frames[1].tick, 3);
+        assert_eq!(scan.frames[1].records.len(), 1);
+
+        // The store counts what was offered, so the write families do not
+        // depend on how little the log carried.
+        let text = db.metrics().render();
+        assert!(text.contains("spotlake_store_records_submitted_total{table=\"price\"} 6"));
+        assert!(text.contains("spotlake_store_records_stored_total{table=\"price\"} 3"));
+        assert!(text.contains("spotlake_store_records_deduped_total{table=\"price\"} 3"));
+        assert!(text.contains("spotlake_store_write_batches_total{table=\"price\"} 3"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dead_log_fails_an_all_repeat_batch_too() {
+        let dir = tempdir("dead-repeat");
+        let mut db = Database::new();
+        let mut wal = Wal::open(&dir).unwrap();
+        let opening = prices(600, [0.1, 0.2]);
+        wal.commit(&mut db, "price", changepoint(), 1, &opening, 3)
+            .0
+            .unwrap();
+        wal.set_faults(IoFaultPlan {
+            torn_write_rate: 1.0,
+            ..IoFaultPlan::none(9)
+        });
+        let doomed = prices(1200, [0.5, 0.6]);
+        let (killed, _) = wal.commit(&mut db, "price", changepoint(), 2, &doomed, 3);
+        assert!(matches!(killed, Err(TsError::WalDead)));
+        assert_eq!(db.point_count(), 2, "the torn batch was never applied");
+        // Nothing to log, nothing to write — and still no acknowledgement.
+        let repeats = prices(1800, [0.1, 0.2]);
+        let (repeat, _) = wal.commit(&mut db, "price", changepoint(), 3, &repeats, 3);
+        assert!(matches!(repeat, Err(TsError::WalDead)));
+        assert_eq!(wal.stats().records_elided, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commit_rejects_a_bad_record_it_would_not_have_logged() {
+        let dir = tempdir("bad-elided");
+        let mut db = Database::new();
+        let mut wal = Wal::open(&dir).unwrap();
+        let mut batch = prices(600, [0.1, 0.2]);
+        batch.push(Record::new(600, "spot_price", 0.3).dimension("", "oops"));
+        let (result, _) = wal.commit(&mut db, "price", changepoint(), 1, &batch, 3);
+        assert!(matches!(result, Err(TsError::BadRecord { .. })));
+        assert_eq!(wal.stats().frames_appended, 0);
+        assert_eq!(db.point_count(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commit_absorbs_transient_faults_and_counts_the_retries() {
+        let dir = tempdir("commit-retry");
+        let mut db = Database::new();
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.set_faults(IoFaultPlan {
+            fsync_fail_rate: 1.0,
+            ..IoFaultPlan::none(4)
+        });
+        let records = batch(1);
+        let (result, retries) = wal.commit(&mut db, "sps", TableOptions::default(), 1, &records, 3);
+        assert!(result.unwrap_err().is_retryable());
+        assert_eq!(retries, 2, "three tries");
+        assert_eq!(db.point_count(), 0, "nothing applied without a frame");
+        assert_eq!(std::fs::metadata(wal_path(&dir)).unwrap().len(), HEADER_LEN);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn frame_codec_roundtrips_and_bounds_lengths() {
         let frame = WalFrame {
@@ -634,7 +863,15 @@ mod tests {
             tick: 42,
             records: batch(1),
         };
-        let payload = frame.encode().unwrap();
+        let mut payload = Vec::new();
+        encode_payload(
+            &mut payload,
+            &frame.table,
+            frame.options,
+            frame.tick,
+            &frame.records,
+        )
+        .unwrap();
         assert_eq!(WalFrame::decode(&payload).unwrap(), frame);
         // An implausible record count is rejected before any allocation.
         let mut mangled = Vec::new();

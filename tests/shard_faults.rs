@@ -15,6 +15,7 @@ use spotlake::SpotLake;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_collector::{CollectorConfig, CollectorService, IoFaultPlan};
 use spotlake_timestream::{fsck_shards, repair_shards, shard_dir, ShardKey, ShardState};
+use spotlake_types::CatalogBuilder;
 use std::path::{Path, PathBuf};
 
 /// More than enough rounds for the crash profile (~3% per append) to
@@ -285,6 +286,65 @@ fn same_seed_shard_recovery_is_byte_identical() {
     assert_eq!(names_a, names_b, "same file set");
     for ((rel, bytes_a), (_, bytes_b)) in a.iter().zip(b.iter()) {
         assert_eq!(bytes_a, bytes_b, "{rel} differs between same-seed runs");
+    }
+    std::fs::remove_dir_all(&dir_a).ok();
+    std::fs::remove_dir_all(&dir_b).ok();
+}
+
+#[test]
+fn same_seed_runs_wider_than_the_commit_window_are_byte_identical() {
+    // Ten regions: more shards per dataset than commit threads in flight,
+    // so which thread finishes first differs from run to run — and must
+    // not show in anything the run renders or leaves on disk.
+    let catalog = || {
+        let mut b = CatalogBuilder::new();
+        for i in 1..=10 {
+            b.region(&format!("wide-test-{i}"), 2);
+        }
+        for (name, price) in common::SMALL_MENU {
+            b.instance_type(name, *price);
+        }
+        b.build().expect("valid catalog")
+    };
+    let run = |dir: &Path| {
+        let mut cloud = SimCloud::new(catalog(), common::sim_config());
+        // Transient disk weather in every shard: retries and per-shard
+        // failure rows are part of what has to repeat.
+        let config = CollectorConfig {
+            io_fault_shard: None,
+            ..config(dir, Some(IoFaultPlan::transient(SEED)))
+        };
+        let mut service =
+            CollectorService::new(cloud.catalog(), config).expect("sharded service builds");
+        service
+            .run(&mut cloud, 12)
+            .expect("rounds degrade, never fail");
+        assert_eq!(service.shard_health().expect("sharded mode").total(), 30);
+        assert!(service.stats().retries > 0, "the weather showed");
+        (
+            service.metrics().render(),
+            service.journal().render(),
+            service.database().metrics().render(),
+        )
+    };
+    let dir_a = tempdir("wide-a");
+    let dir_b = tempdir("wide-b");
+    let (metrics_a, journal_a, store_a) = run(&dir_a);
+    let (metrics_b, journal_b, store_b) = run(&dir_b);
+    assert_eq!(metrics_a, metrics_b, "collector metrics");
+    assert_eq!(journal_a, journal_b, "trace journal");
+    assert_eq!(store_a, store_b, "store metrics");
+    assert!(metrics_a.contains("spotlake_wal_records_elided_total"));
+
+    // Same files, same bytes: every shard's WAL and checkpoint, the
+    // manifest and the dead-letter queue.
+    let a = snapshot(&dir_a);
+    let b = snapshot(&dir_b);
+    assert!(a.iter().filter(|(rel, _)| rel.ends_with("wal.log")).count() == 30);
+    assert_eq!(a.len(), b.len(), "same file set");
+    for ((rel_a, bytes_a), (rel_b, bytes_b)) in a.iter().zip(b.iter()) {
+        assert_eq!(rel_a, rel_b, "same file set");
+        assert_eq!(bytes_a, bytes_b, "{rel_a} differs between same-seed runs");
     }
     std::fs::remove_dir_all(&dir_a).ok();
     std::fs::remove_dir_all(&dir_b).ok();
