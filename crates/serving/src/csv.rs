@@ -2,15 +2,23 @@
 
 use spotlake_timestream::Row;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Renders rows as CSV: a `time,value` prefix plus one column per dimension
 /// key seen anywhere in the result set (blank where a row lacks the key).
 /// Fields containing commas, quotes, or newlines are quoted per RFC 4180.
 pub fn rows_to_csv(rows: &[Row]) -> String {
-    let dim_keys: BTreeSet<&str> = rows
-        .iter()
-        .flat_map(|r| r.dimensions.iter().map(|(k, _)| k.as_str()))
-        .collect();
+    // Consecutive rows of one series share their dimensions' allocation,
+    // so most rows add nothing to the header and are skipped unread.
+    let mut dim_keys: BTreeSet<&str> = BTreeSet::new();
+    let mut previous: Option<&Row> = None;
+    for row in rows {
+        if !previous.is_some_and(|p| Arc::ptr_eq(&p.dimensions, &row.dimensions)) {
+            dim_keys.extend(row.dimensions.iter().map(|(k, _)| k.as_str()));
+        }
+        previous = Some(row);
+    }
 
     let mut out = String::new();
     out.push_str("time,value");
@@ -21,29 +29,35 @@ pub fn rows_to_csv(rows: &[Row]) -> String {
     out.push('\n');
 
     for row in rows {
-        out.push_str(&row.time.to_string());
-        out.push(',');
-        out.push_str(&format_value(row.value));
-        for k in &dim_keys {
-            out.push(',');
-            let v = row
-                .dimensions
-                .iter()
-                .find(|(rk, _)| rk == k)
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("");
-            push_field(&mut out, v);
+        let _ = write!(out, "{},", row.time);
+        push_value(&mut out, row.value);
+        let dims = &row.dimensions;
+        // A row carrying exactly the header's keys, in the header's
+        // order, fills its columns left to right.
+        let aligned = dims.len() == dim_keys.len()
+            && dims.iter().zip(&dim_keys).all(|((k, _), want)| k == want);
+        if aligned {
+            for (_, v) in dims.iter() {
+                out.push(',');
+                push_field(&mut out, v);
+            }
+        } else {
+            for k in &dim_keys {
+                out.push(',');
+                let v = dims.iter().find(|(rk, _)| rk == k).map(|(_, v)| v.as_str());
+                push_field(&mut out, v.unwrap_or(""));
+            }
         }
         out.push('\n');
     }
     out
 }
 
-fn format_value(v: f64) -> String {
+fn push_value(out: &mut String, v: f64) {
     if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        let _ = write!(out, "{}", v as i64);
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 

@@ -2,10 +2,11 @@
 
 use crate::csv::rows_to_csv;
 use crate::http::{HttpRequest, HttpResponse};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::ops::OpsContext;
 use spotlake_obs::{FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry, TraceJournal};
 use spotlake_timestream::{Aggregate, Database, Query, QueryProfile, Row, TsError};
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard from a poisoned lock: a panicking
@@ -538,7 +539,7 @@ impl ArchiveService {
     /// Non-empty `degraded` (impaired shards the request touches) flags
     /// the JSON body as a partial answer; CSV stays schema-stable and
     /// unannotated.
-    fn respond_rows(
+    pub fn respond_rows(
         request: &HttpRequest,
         mut rows: Vec<Row>,
         degraded: &[String],
@@ -555,15 +556,7 @@ impl ArchiveService {
         let returned = rows.len() as u64;
         let response = match request.param("format") {
             Some("csv") => HttpResponse::csv(rows_to_csv(&rows)),
-            Some("json") | None => {
-                let items: Vec<Json> = rows.iter().map(row_to_json).collect();
-                let mut fields = vec![
-                    ("rows", Json::Array(items)),
-                    ("truncated", Json::from(truncated)),
-                ];
-                fields.extend(degraded_fields(degraded));
-                HttpResponse::json(Json::object(fields).render())
-            }
+            Some("json") | None => HttpResponse::json(rows_json(&rows, truncated, degraded)),
             Some(other) => {
                 return (
                     HttpResponse::error(400, &format!("unknown format: {other} (json|csv)")),
@@ -633,18 +626,61 @@ fn route(
     }
 }
 
-fn row_to_json(row: &Row) -> Json {
-    let dims = Json::Object(
-        row.dimensions
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::string(v)))
-            .collect(),
-    );
-    Json::object([
-        ("time", Json::from(row.time)),
-        ("value", Json::from(row.value)),
-        ("dimensions", dims),
-    ])
+/// The JSON body of a row response, written straight into one string:
+/// byte for byte what rendering a [`Json`] tree of the same fields gives
+/// (object keys in order — `degraded`, `quarantined_shards`, `rows`,
+/// `truncated`; per row `dimensions`, `time`, `value`), without building
+/// the tree or copying a dimension string to get there.
+fn rows_json(rows: &[Row], truncated: bool, degraded: &[String]) -> String {
+    let mut out = String::with_capacity(64 + 128 * rows.len());
+    out.push('{');
+    if !degraded.is_empty() {
+        out.push_str("\"degraded\":true,\"quarantined_shards\":[");
+        for (i, shard) in degraded.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_string(&mut out, shard);
+        }
+        out.push_str("],");
+    }
+    out.push_str("\"rows\":[");
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"dimensions\":{");
+        if row.dimensions.is_sorted_by(|a, b| a.0 < b.0) {
+            write_pairs(&mut out, row.dimensions.iter().map(|(k, v)| (k, v)));
+        } else {
+            // What collecting into a `Json::Object` does: keys in order,
+            // the last of a repeated key kept.
+            let by_key: BTreeMap<&String, &String> =
+                row.dimensions.iter().map(|(k, v)| (k, v)).collect();
+            write_pairs(&mut out, by_key.into_iter());
+        }
+        out.push_str("},\"time\":");
+        json::write_number(&mut out, row.time as f64);
+        out.push_str(",\"value\":");
+        json::write_number(&mut out, row.value);
+        out.push('}');
+    }
+    out.push_str("],\"truncated\":");
+    out.push_str(if truncated { "true" } else { "false" });
+    out.push('}');
+    out
+}
+
+/// Appends `"key":"value"` members, comma-separated.
+fn write_pairs<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a String, &'a String)>) {
+    for (i, (k, v)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_string(out, k);
+        out.push(':');
+        json::write_string(out, v);
+    }
 }
 
 fn store_error(e: TsError) -> HttpResponse {
@@ -895,16 +931,28 @@ mod tests {
         assert!(body.contains("\"stage\":\"prune\""));
         assert!(body.contains("\"stage\":\"scan\""));
         assert!(body.contains("\"series_scanned\":1"), "{body}");
-        assert!(body.contains("\"series_pruned\":1"), "{body}");
+        assert!(
+            body.contains(
+                "{\"counters\":{\"series_examined\":1,\"series_pruned\":1,\"series_total\":2},\"stage\":\"prune\"}"
+            ),
+            "{body}"
+        );
         assert!(body.contains("\"rows_decoded\":5"), "{body}");
-        assert!(body.contains("\"cost\":"));
+        // 1 examined + 4·1 scanned + 16·1 chunk + 5 decoded + 5 kept
+        // + 549 response bytes / 64.
+        assert!(body.contains("\"cost\":39,"), "{body}");
         // `explain=true` works too; other values mean rows.
         let r = gateway.handle(
             &db,
             &HttpRequest::get("/query?table=sps&explain=true").unwrap(),
             &ops,
         );
-        assert!(r.body_text().contains("\"explain\""));
+        let body = r.body_text();
+        assert!(body.contains("\"explain\""));
+        assert!(
+            body.contains("\"series_examined\":2,\"series_pruned\":0,\"series_total\":2"),
+            "no filter, so the whole measure is examined: {body}"
+        );
         let r = gateway.handle(
             &db,
             &HttpRequest::get("/query?table=sps&explain=0").unwrap(),

@@ -51,18 +51,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(n) => {
-                if n.is_finite() {
-                    if *n == n.trunc() && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::String(s) => escape_into(s, out),
+            Json::Number(n) => write_number(out, *n),
+            Json::String(s) => write_string(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -79,7 +69,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    escape_into(k, out);
+                    write_string(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -113,19 +103,37 @@ impl From<&str> for Json {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `n` as [`Json::Number`] renders it: whole numbers below 1e15
+/// without a fraction, non-finite values as `null`. For encoders that
+/// write a body in place and must match the tree's bytes.
+pub(crate) fn write_number(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n == n.trunc() && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Appends `s` as [`Json::String`] renders it, quoted and escaped.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');

@@ -1,11 +1,14 @@
 //! Property tests for the serving layer: the JSON encoder's output is
-//! well-formed, the gateway never panics on arbitrary requests, and CSV
-//! stays rectangular.
+//! well-formed, the gateway never panics on arbitrary requests, CSV stays
+//! rectangular, and the in-place row encoders write exactly the bytes of
+//! the tree-building encoders they replaced.
 
 use proptest::prelude::*;
 use spotlake_serving::json::Json;
 use spotlake_serving::{rows_to_csv, ArchiveService, HttpRequest};
 use spotlake_timestream::{Database, Record, Row, TableOptions};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A permissive structural validator: balanced quoting and bracket depth
 /// for the subset of JSON our encoder emits.
@@ -56,8 +59,139 @@ fn arb_json() -> impl Strategy<Value = Json> {
     })
 }
 
+/// The row body the way it used to be built: one `Json` tree per row,
+/// every dimension string cloned into it, rendered at the end.
+fn rows_json_by_tree(rows: &[Row], truncated: bool, degraded: &[String]) -> String {
+    let items: Vec<Json> = rows
+        .iter()
+        .map(|row| {
+            let dims = Json::Object(
+                row.dimensions
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::string(v)))
+                    .collect(),
+            );
+            Json::object([
+                ("time", Json::from(row.time)),
+                ("value", Json::from(row.value)),
+                ("dimensions", dims),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
+        ("rows", Json::Array(items)),
+        ("truncated", Json::from(truncated)),
+    ];
+    if !degraded.is_empty() {
+        let shards = degraded.iter().map(Json::string).collect();
+        fields.push(("degraded", Json::from(true)));
+        fields.push(("quarantined_shards", Json::Array(shards)));
+    }
+    Json::object(fields).render()
+}
+
+/// The CSV body the way it used to be built: a linear search per header
+/// key per row and a `String` per number.
+fn rows_csv_by_search(rows: &[Row]) -> String {
+    let keys: BTreeSet<&str> = rows
+        .iter()
+        .flat_map(|r| r.dimensions.iter().map(|(k, _)| k.as_str()))
+        .collect();
+    let field = |f: &str| {
+        if f.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", f.replace('"', "\"\""))
+        } else {
+            f.to_owned()
+        }
+    };
+    let mut out = String::from("time,value");
+    for k in &keys {
+        out.push_str(&format!(",{}", field(k)));
+    }
+    out.push('\n');
+    for row in rows {
+        let value = if row.value == row.value.trunc() && row.value.abs() < 1e15 {
+            format!("{}", row.value as i64)
+        } else {
+            format!("{}", row.value)
+        };
+        out.push_str(&format!("{},{value}", row.time));
+        for k in &keys {
+            let v = row.dimensions.iter().find(|(rk, _)| rk == k);
+            out.push_str(&format!(",{}", field(v.map_or("", |(_, v)| v))));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Dimension sets for generated rows: keys that repeat, arrive out of
+/// order or go missing; values with quotes, backslashes, control
+/// characters, CSV separators and non-ASCII text.
+fn arb_dimension_sets() -> impl Strategy<Value = Vec<Arc<[(String, String)]>>> {
+    let key = prop_oneof![Just("az"), Just("region"), Just("k\""), Just("é")];
+    let pair = (key, "[a-c\"\\\n\r\t\u{1}\u{1f},é日 ]{0,8}").prop_map(|(k, v)| (k.to_owned(), v));
+    prop::collection::vec(prop::collection::vec(pair, 0..4).prop_map(Arc::from), 1..5)
+}
+
+/// Values that take each branch of the number writer.
+fn arb_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-1000i64..1000).prop_map(|n| n as f64),
+        -10.0f64..10.0,
+        Just(-0.0),
+        Just(1e15),
+        Just(-3.5e18),
+        Just(999_999_999_999_999.0),
+        Just(1e-7),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `respond_rows` writes rows straight into the body; the bytes are
+    /// those of the tree rendered the old way, for JSON and for CSV, at
+    /// every row count, limit and degraded-shard list.
+    #[test]
+    fn in_place_row_encoders_match_the_trees_they_replaced(
+        sets in arb_dimension_sets(),
+        points in prop::collection::vec((0u64..4, any::<u64>(), arb_value()), 0..40),
+        count in prop_oneof![Just(0usize), Just(1), Just(40)],
+        limit in prop_oneof![Just(None), Just(Some(0usize)), Just(Some(1)), Just(Some(7)), Just(Some(1000))],
+        degraded in prop::collection::vec("[a-z\"/-]{1,12}", 0..3),
+    ) {
+        // Runs of rows share one allocation, as a series' rows do.
+        let rows: Vec<Row> = points
+            .into_iter()
+            .take(count)
+            .map(|(set, time, value)| Row {
+                // Times past 2^53 and past 1e15 take the float branch.
+                time: if time % 3 == 0 { time } else { time % 100_000 },
+                value,
+                dimensions: Arc::clone(&sets[set as usize % sets.len()]),
+            })
+            .collect();
+        let query = limit.map_or(String::new(), |n| format!("&limit={n}"));
+        let kept = &rows[..rows.len().min(limit.unwrap_or(10_000))];
+        let truncated = kept.len() < rows.len();
+
+        let request = HttpRequest::get(&format!("/query?table=t{query}")).unwrap();
+        let (response, returned) = ArchiveService::respond_rows(&request, rows.clone(), &degraded);
+        prop_assert_eq!(returned, kept.len() as u64);
+        prop_assert_eq!(response.content_type, "application/json");
+        prop_assert_eq!(
+            response.body_text(),
+            rows_json_by_tree(kept, truncated, &degraded)
+        );
+        prop_assert!(is_structurally_valid_json(&response.body_text()));
+
+        let request = HttpRequest::get(&format!("/query?table=t&format=csv{query}")).unwrap();
+        let (response, returned) = ArchiveService::respond_rows(&request, rows.clone(), &degraded);
+        prop_assert_eq!(returned, kept.len() as u64);
+        prop_assert_eq!(response.content_type, "text/csv");
+        prop_assert_eq!(response.body_text(), rows_csv_by_search(kept));
+    }
 
     #[test]
     fn encoder_output_is_structurally_valid(value in arb_json()) {
@@ -98,7 +232,7 @@ proptest! {
             .map(|(time, value, dim)| Row {
                 time,
                 value,
-                dimensions: vec![("k".to_owned(), dim)],
+                dimensions: vec![("k".to_owned(), dim)].into(),
             })
             .collect();
         let csv = rows_to_csv(&rows);

@@ -77,7 +77,7 @@ pub(crate) fn encode(db: &Database) -> Result<Vec<u8>, TsError> {
         for (measure, s) in series {
             put_str(&mut out, measure)?;
             put_len(&mut out, s.dimensions.len(), "dimension count")?;
-            for (k, v) in &s.dimensions {
+            for (k, v) in s.dimensions.iter() {
                 put_str(&mut out, k)?;
                 put_str(&mut out, v)?;
             }
@@ -154,7 +154,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Database, TsError> {
             check_len(blob_len)?;
             let blob = c.take(blob_len as usize)?;
             let points = decode_series(blob)?;
-            table.insert_series_raw(dims, &measure, points);
+            table.insert_series_raw(dims.into(), &measure, points);
         }
         db.insert_table_raw(name, table);
     }

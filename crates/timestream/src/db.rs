@@ -165,7 +165,7 @@ impl Database {
         table: &str,
         records: &[R],
     ) -> Result<usize, TsError> {
-        self.apply_logged(table, records, records.len())
+        self.apply_logged(table, records, records.len(), None)
     }
 
     /// Applies the `logged` records of a batch that *offered* `offered`:
@@ -173,18 +173,22 @@ impl Database {
     /// writing them changes nothing. The write families count the offered
     /// batch — an elided record is submitted and deduped, exactly as if
     /// the table had skipped it — so `/metrics` does not depend on how
-    /// little the log had to carry.
+    /// little the log had to carry. A series this batch creates shares
+    /// its dimensions with the same series in `donor`, when there is one:
+    /// how a merged view avoids a second copy of what its shard holds.
     pub(crate) fn apply_logged<R: Borrow<Record>>(
         &mut self,
         table: &str,
         logged: &[R],
         offered: usize,
+        donor: Option<&Database>,
     ) -> Result<usize, TsError> {
+        let donor = donor.and_then(|db| db.tables.get(table));
         let tbl = self.table_mut(table)?;
         let mut key = String::new();
         let mut stored = 0;
         for r in logged {
-            if tbl.write_keyed(r.borrow(), &mut key)? {
+            if tbl.write_keyed(r.borrow(), &mut key, donor)? {
                 stored += 1;
             }
         }

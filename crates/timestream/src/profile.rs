@@ -45,6 +45,10 @@ pub struct QueryProfile {
     pub tables_considered: u64,
     /// Series under the measure before any pruning.
     pub series_total: u64,
+    /// Series the prune stage looked at to find the candidates: the
+    /// entries of the shortest posting list among the query's filters,
+    /// or `series_total` when there is no filter to index by.
+    pub series_examined: u64,
     /// Series skipped without scanning (filter mismatch or time range
     /// disjoint from the series' bounds).
     pub series_pruned: u64,
@@ -96,7 +100,7 @@ impl QueryProfile {
     /// The deterministic cost proxy, in work units:
     ///
     /// ```text
-    /// cost = series_total            // candidate enumeration
+    /// cost = series_examined         // candidate enumeration
     ///      + 4  * series_scanned     // per-series scan setup
     ///      + 16 * chunks_decompressed// decompression dominates scans
     ///      + rows_decoded            // decode per point
@@ -109,7 +113,7 @@ impl QueryProfile {
     /// scan volume dominate a real columnar store, while staying exactly
     /// reproducible. Integer arithmetic throughout.
     pub fn cost(&self) -> u64 {
-        self.series_total
+        self.series_examined
             + 4 * self.series_scanned
             + 16 * self.chunks_decompressed
             + self.rows_decoded
@@ -124,6 +128,7 @@ impl QueryProfile {
         vec![
             ("resolve", "tables_considered", self.tables_considered),
             ("prune", "series_total", self.series_total),
+            ("prune", "series_examined", self.series_examined),
             ("prune", "series_pruned", self.series_pruned),
             ("scan", "series_scanned", self.series_scanned),
             ("scan", "chunks_decompressed", self.chunks_decompressed),
@@ -143,12 +148,17 @@ mod tests {
     fn cost_weights_scan_work_over_row_count() {
         let mut p = QueryProfile::start("query", "sps");
         p.series_total = 10;
+        p.series_examined = 4;
         p.series_scanned = 2;
         p.chunks_decompressed = 3;
         p.rows_decoded = 100;
         p.rows_post_filter = 100;
         p.response_bytes = 640;
-        assert_eq!(p.cost(), 10 + 8 + 48 + 100 + 100 + 10);
+        assert_eq!(
+            p.cost(),
+            4 + 8 + 48 + 100 + 100 + 10,
+            "enumeration is charged for the series examined, not the table's size"
+        );
         assert_eq!(p.tables_considered, 1);
     }
 
@@ -169,8 +179,9 @@ mod tests {
     fn stages_enumerate_every_cost_field_in_order() {
         let p = QueryProfile::start("query", "t");
         let stages = p.stages();
-        assert_eq!(stages.len(), 9);
+        assert_eq!(stages.len(), 10);
         assert_eq!(stages[0], ("resolve", "tables_considered", 1));
+        assert_eq!(stages[2], ("prune", "series_examined", 0));
         assert_eq!(stages.last().unwrap().1, "response_bytes");
         // Stage grouping is contiguous, matching span emission order.
         let order: Vec<&str> = stages.iter().map(|s| s.0).collect();

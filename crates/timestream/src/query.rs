@@ -1,5 +1,7 @@
 //! Read-side types: queries, rows, aggregation.
 
+use std::sync::Arc;
+
 /// A query over one table: a measure name, optional dimension equality
 /// filters, and a time range.
 ///
@@ -75,8 +77,9 @@ pub struct Row {
     pub time: u64,
     /// The point's value.
     pub value: f64,
-    /// Dimensions of the series the point came from.
-    pub dimensions: Vec<(String, String)>,
+    /// Dimensions of the series the point came from, shared with the
+    /// store: a row costs a reference count, not a copy of the strings.
+    pub dimensions: Arc<[(String, String)]>,
 }
 
 /// Aggregation functions for windowed queries.

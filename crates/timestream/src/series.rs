@@ -1,5 +1,7 @@
 //! One series: the points of a single (measure, dimensions) pair.
 
+use std::sync::Arc;
+
 /// Storage chunk size in points, for query cost accounting. The on-disk
 /// codec compresses each series as one Gorilla stream, but a columnar
 /// store pages data in fixed chunks; the cost model charges a query one
@@ -21,15 +23,18 @@ pub(crate) fn chunks_touched(start: usize, end: usize) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Series {
     /// The series' dimensions (sorted by key), kept for query filtering.
-    pub(crate) dimensions: Vec<(String, String)>,
+    /// Shared, not owned: every result row of the series, every clone of
+    /// the database and a shard's copy in the merged view hold the same
+    /// allocation.
+    pub(crate) dimensions: Arc<[(String, String)]>,
     /// Points, sorted by time, at most one per timestamp.
     points: Vec<(u64, f64)>,
 }
 
 impl Series {
-    pub(crate) fn new(dimensions: Vec<(String, String)>) -> Self {
+    pub(crate) fn new(dimensions: impl Into<Arc<[(String, String)]>>) -> Self {
         Series {
-            dimensions,
+            dimensions: dimensions.into(),
             points: Vec::new(),
         }
     }

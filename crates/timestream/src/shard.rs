@@ -52,6 +52,7 @@ use crate::table::TableOptions;
 use crate::wal::{Committed, Wal, WalStats};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MANIFEST_MAGIC: &[u8; 4] = b"SPSM";
 const MANIFEST_VERSION: u8 = 1;
@@ -547,16 +548,20 @@ impl ShardedArchive {
             |(shard, batch)| commit_one(shard, table, options, tick, batch, max_attempts),
             |joined| {
                 let Some(key) = keys.next() else { return };
-                let (result, retries) = joined.unwrap_or_else(|_| {
-                    let detail = "shard commit thread panicked".to_owned();
-                    (Err((ShardState::Failed, detail)), 0)
-                });
+                let (shard_db, (result, retries)) = match joined {
+                    Ok((committed, (shard, _))) => (Some(&shard.db), committed),
+                    Err(_) => {
+                        let detail = "shard commit thread panicked".to_owned();
+                        (None, (Err((ShardState::Failed, detail)), 0))
+                    }
+                };
                 outcome.retries = outcome.retries.saturating_add(retries);
                 // The shard acked: mirror what it logged into the merged
-                // serving view.
+                // serving view, which shares the dimensions of any series
+                // the shard's store has just created.
                 let merged_in = result.and_then(|c| {
                     merged
-                        .apply_logged(table, &c.logged, c.offered)
+                        .apply_logged(table, &c.logged, c.offered, shard_db)
                         .map(|_| c.stored)
                         .map_err(|e| (ShardState::Failed, format!("merged apply failed: {e}")))
                 });
@@ -720,15 +725,15 @@ impl ShardedArchive {
 }
 
 /// Runs `work` on every job on its own scoped thread, [`IN_FLIGHT`] at a
-/// time, and hands each job's outcome to `joined` on the calling thread,
-/// in job order, as soon as that thread is joined and the next job has
-/// taken its place — so what `joined` does overlaps the jobs still
-/// running. A job that panicked yields `Err`; every other job's outcome
-/// is delivered regardless.
+/// time, and hands each job back with its outcome to `joined` on the
+/// calling thread, in job order, as soon as that thread is joined and the
+/// next job has taken its place — so what `joined` does overlaps the jobs
+/// still running. A job that panicked yields `Err`; every other job's
+/// outcome is delivered regardless.
 fn fan_out<J: Send, T: Send>(
     jobs: &mut [J],
     work: impl Fn(&mut J) -> T + Sync,
-    mut joined: impl FnMut(std::thread::Result<T>),
+    mut joined: impl FnMut(std::thread::Result<(T, &mut J)>),
 ) {
     let work = &work;
     std::thread::scope(|scope| {
@@ -736,12 +741,12 @@ fn fan_out<J: Send, T: Send>(
         let mut in_flight: VecDeque<_> = waiting
             .by_ref()
             .take(IN_FLIGHT)
-            .map(|job| scope.spawn(move || work(job)))
+            .map(|job| scope.spawn(move || (work(job), job)))
             .collect();
         while let Some(handle) = in_flight.pop_front() {
             let outcome = handle.join();
             if let Some(job) = waiting.next() {
-                in_flight.push_back(scope.spawn(move || work(job)));
+                in_flight.push_back(scope.spawn(move || (work(job), job)));
             }
             joined(outcome);
         }
@@ -807,7 +812,10 @@ fn merge_into(merged: &mut Database, shard_db: &Database) -> Result<(), TsError>
         }
         let dst = merged.table_mut(name)?;
         for (measure, series) in table.series_entries() {
-            dst.insert_series_raw(series.dimensions.clone(), measure, series.points().to_vec());
+            // The shard's store and the merged view share one allocation
+            // of a series' dimensions.
+            let dimensions = Arc::clone(&series.dimensions);
+            dst.insert_series_raw(dimensions, measure, series.points().to_vec());
         }
     }
     Ok(())
@@ -1312,6 +1320,42 @@ mod tests {
     }
 
     #[test]
+    fn the_merged_view_shares_dimensions_with_the_shard_stores() {
+        fn assert_shared(archive: &ShardedArchive, merged: &Database, path: &str) {
+            let q = Query::measure("score");
+            let merged_rows = merged.latest("sps", &q).unwrap();
+            let mut seen = 0;
+            for shard in archive.shards.values() {
+                for row in shard.db.latest("sps", &q).unwrap() {
+                    let twin = merged_rows
+                        .iter()
+                        .find(|m| m.dimensions == row.dimensions)
+                        .expect("every shard series is in the merged view");
+                    assert!(
+                        Arc::ptr_eq(&twin.dimensions, &row.dimensions),
+                        "{path}: one allocation per series, not one per store"
+                    );
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen, merged_rows.len());
+            assert_eq!(seen, 2, "one series per region");
+        }
+        let root = tempdir("shared-dimensions");
+        let (mut archive, mut merged) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
+        merged.create_table("sps", TableOptions::default()).unwrap();
+        let mut records = batch("eu-test-1", 1);
+        records.extend(batch("us-test-1", 1));
+        let outcome = archive.commit(&mut merged, "sps", TableOptions::default(), 1, &records, 3);
+        assert!(outcome.failures.is_empty());
+        assert_shared(&archive, &merged, "commit");
+        drop(archive);
+        let (archive, merged) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
+        assert_shared(&archive, &merged, "recovery");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn crash_fault_in_one_shard_leaves_the_other_committing() {
         let root = tempdir("isolate");
         let target = ShardKey::new("sps", "eu-test-1");
@@ -1577,7 +1621,7 @@ mod tests {
                 *job *= 10;
                 *job
             },
-            |outcome| delivered.push(outcome.ok()),
+            |outcome| delivered.push(outcome.ok().map(|(out, _)| out)),
         );
         let expected: Vec<Option<usize>> = (0..IN_FLIGHT + 4)
             .map(|i| (i != 3).then_some(i * 10))

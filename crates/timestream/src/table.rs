@@ -7,6 +7,7 @@ use crate::record::{series_key, write_series_key, Record};
 use crate::series::Series;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How writes are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,12 +32,113 @@ pub struct TableOptions {
     pub retention: Option<u64>,
 }
 
+/// A series in its measure's slab, with the dimension key it is filed
+/// under — what puts index hits back into key order.
+#[derive(Debug, Clone)]
+struct Slot {
+    key: Arc<str>,
+    series: Series,
+}
+
+/// A series' position in its measure's slab. Four bytes: an id is stored
+/// once per dimension of every series.
+type SeriesId = u32;
+
+/// The series of one measure and the index a filtered scan walks.
+///
+/// Ids, not dimension keys, are what the postings hold: appending an
+/// integer when a series is created costs nothing measurable at ingest,
+/// while postings of key strings kept in order cost more than the series
+/// map itself (DESIGN.md "Query-path tracing and the cost model").
+#[derive(Debug, Clone, Default)]
+struct Measure {
+    slab: Vec<Slot>,
+    /// Dimension key → id. Its order is the order scans yield series in.
+    by_key: BTreeMap<Arc<str>, SeriesId>,
+    /// Dimension → value → ids of the series carrying that pair, in
+    /// creation order.
+    postings: BTreeMap<String, BTreeMap<String, Vec<SeriesId>>>,
+}
+
+impl Measure {
+    fn slot(&self, id: SeriesId) -> &Slot {
+        &self.slab[id as usize]
+    }
+
+    fn series_mut(&mut self, id: SeriesId) -> &mut Series {
+        &mut self.slab[id as usize].series
+    }
+
+    fn get(&self, key: &str) -> Option<&Series> {
+        self.by_key.get(key).map(|&id| &self.slot(id).series)
+    }
+
+    /// The series in dimension-key order.
+    fn in_key_order(&self) -> impl Iterator<Item = &Series> {
+        self.by_key.values().map(|&id| &self.slot(id).series)
+    }
+
+    /// Files a series under a key the measure does not hold yet and
+    /// returns its id.
+    fn push(&mut self, key: Arc<str>, series: Series) -> SeriesId {
+        let id = SeriesId::try_from(self.slab.len())
+            .expect("a measure's series fit in memory, so their count fits an id");
+        for (k, v) in series.dimensions.iter() {
+            // Looked up before inserted, as in `write_keyed`: the pair
+            // almost always exists, and `entry` would clone both strings.
+            let ids = match self.postings.get_mut(k.as_str()) {
+                Some(values) => match values.get_mut(v.as_str()) {
+                    Some(ids) => ids,
+                    None => values.entry(v.clone()).or_default(),
+                },
+                None => self
+                    .postings
+                    .entry(k.clone())
+                    .or_default()
+                    .entry(v.clone())
+                    .or_default(),
+            };
+            // A series that names one pair twice is still one posting.
+            if ids.last() != Some(&id) {
+                ids.push(id);
+            }
+        }
+        self.by_key.insert(Arc::clone(&key), id);
+        self.slab.push(Slot { key, series });
+        id
+    }
+
+    /// Re-files `slots` from scratch: ids are positions, so taking a
+    /// series out of the slab invalidates every posting behind it.
+    fn rebuild(slots: Vec<Slot>) -> Measure {
+        let mut m = Measure::default();
+        for slot in slots {
+            m.push(slot.key, slot.series);
+        }
+        m
+    }
+
+    /// The shortest posting list among `filters` — every match is on it —
+    /// or `None` when there is no filter to index by. A filter no series
+    /// carries yields the empty list.
+    fn shortest_posting(&self, filters: &[(String, String)]) -> Option<&[SeriesId]> {
+        filters
+            .iter()
+            .map(|(k, v)| {
+                self.postings
+                    .get(k.as_str())
+                    .and_then(|values| values.get(v.as_str()))
+                    .map_or(&[][..], Vec::as_slice)
+            })
+            .min_by_key(|ids| ids.len())
+    }
+}
+
 /// A named table of time series.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     options: TableOptions,
-    /// measure name → (dimension key → series).
-    series: BTreeMap<String, BTreeMap<String, Series>>,
+    series: BTreeMap<String, Measure>,
 }
 
 impl Table {
@@ -59,30 +161,38 @@ impl Table {
     ///
     /// Returns [`TsError::BadRecord`] for invalid records.
     pub fn write(&mut self, record: &Record) -> Result<bool, TsError> {
-        self.write_keyed(record, &mut String::new())
+        self.write_keyed(record, &mut String::new(), None)
     }
 
     /// [`Table::write`] with the dimension key built into `key`, a scratch
     /// buffer the caller reuses across a batch. Both map levels are looked
     /// up before anything is inserted: the series almost always exists,
     /// and `entry` would clone the measure and the key for every record.
+    /// A series created here takes its dimensions from the same series of
+    /// `donor`, if that table holds it, instead of copying the record's.
     pub(crate) fn write_keyed(
         &mut self,
         record: &Record,
         key: &mut String,
+        donor: Option<&Table>,
     ) -> Result<bool, TsError> {
         record.validate()?;
         write_series_key(key, "", &record.dimensions);
-        let by_dims = match self.series.get_mut(record.measure.as_str()) {
+        let measure = match self.series.get_mut(record.measure.as_str()) {
             Some(m) => m,
             None => self.series.entry(record.measure.clone()).or_default(),
         };
-        let series = match by_dims.get_mut(key.as_str()) {
-            Some(s) => s,
-            None => by_dims
-                .entry(key.clone())
-                .or_insert_with(|| Series::new(record.dimensions.clone())),
+        let id = match measure.by_key.get(key.as_str()) {
+            Some(&id) => id,
+            None => {
+                let shared = donor
+                    .and_then(|t| t.series.get(record.measure.as_str())?.get(key))
+                    .map(|s| Arc::clone(&s.dimensions));
+                let dimensions = shared.unwrap_or_else(|| record.dimensions.as_slice().into());
+                measure.push(Arc::from(key.as_str()), Series::new(dimensions))
+            }
         };
+        let series = measure.series_mut(id);
         Ok(match self.options.mode {
             WriteMode::Dense => series.insert(record.time, record.value),
             WriteMode::ChangePoint => series.insert_changepoint(record.time, record.value),
@@ -144,26 +254,31 @@ impl Table {
     pub fn query_profiled(&self, q: &Query, profile: &mut QueryProfile) -> Vec<Row> {
         let (from, to) = q.time_range();
         profile.observe_query(q);
-        let mut rows = Vec::new();
-        for series in self.scan_candidates(q, from, to, profile) {
+        // Rows order by (time, dimensions). Sorting the candidates by
+        // dimensions once gives each a rank, and the points then sort as
+        // plain integers; a series holds one point per timestamp and a
+        // measure one series per dimension set, so (time, rank) is unique.
+        let mut by_dimensions = self.scan_candidates(q, from, to, profile);
+        by_dimensions.sort_unstable_by(|a, b| a.dimensions.cmp(&b.dimensions));
+        let mut points: Vec<(u64, usize, f64)> = Vec::new();
+        for (rank, series) in by_dimensions.iter().enumerate() {
             let (pts, chunks) = series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
             profile.rows_decoded += pts.len() as u64;
-            for &(time, value) in pts {
-                rows.push(Row {
-                    time,
-                    value,
-                    dimensions: series.dimensions.clone(),
-                });
-            }
+            points.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
         }
-        rows.sort_by(|a, b| {
-            a.time
-                .cmp(&b.time)
-                .then_with(|| a.dimensions.cmp(&b.dimensions))
-        });
-        profile.rows_post_filter = rows.len() as u64;
-        rows
+        if by_dimensions.len() > 1 {
+            points.sort_unstable_by_key(|&(time, rank, _)| (time, rank));
+        }
+        profile.rows_post_filter = points.len() as u64;
+        points
+            .into_iter()
+            .map(|(time, rank, value)| Row {
+                time,
+                value,
+                dimensions: Arc::clone(&by_dimensions[rank].dimensions),
+            })
+            .collect()
     }
 
     /// The latest point (within the query's range) of each matching series.
@@ -188,7 +303,7 @@ impl Table {
                     Row {
                         time,
                         value,
-                        dimensions: series.dimensions.clone(),
+                        dimensions: Arc::clone(&series.dimensions),
                     }
                 })
             })
@@ -220,7 +335,7 @@ impl Table {
                     Row {
                         time,
                         value,
-                        dimensions: series.dimensions.clone(),
+                        dimensions: Arc::clone(&series.dimensions),
                     }
                 })
             })
@@ -282,9 +397,12 @@ impl Table {
         rows
     }
 
-    /// Selects the series a scan must touch, tallying the candidates that
-    /// were pruned without decompression — by dimension-filter mismatch or
-    /// because their time bounds are disjoint from `[from, to]`.
+    /// Selects the series a scan must touch, in dimension-key order,
+    /// tallying the ones pruned without decompression — by
+    /// dimension-filter mismatch or because their time bounds are
+    /// disjoint from `[from, to]`. A filtered query tests only the series
+    /// on its shortest posting list (`series_examined`); the rest of the
+    /// measure counts as pruned without being visited.
     fn scan_candidates<'a>(
         &'a self,
         q: &Query,
@@ -292,32 +410,44 @@ impl Table {
         to: u64,
         profile: &mut QueryProfile,
     ) -> Vec<&'a Series> {
-        let mut candidates = Vec::new();
-        if let Some(measure) = self.series.get(q.measure_name()) {
-            for series in measure.values() {
-                profile.series_total += 1;
-                if q.matches(&series.dimensions) && series.overlaps(from, to) {
-                    candidates.push(series);
-                } else {
-                    profile.series_pruned += 1;
+        let Some(measure) = self.series.get(q.measure_name()) else {
+            return Vec::new();
+        };
+        let survives = |s: &Series| q.matches(&s.dimensions) && s.overlaps(from, to);
+        let (examined, candidates): (usize, Vec<&Series>) =
+            match measure.shortest_posting(q.filters()) {
+                None => (
+                    measure.slab.len(),
+                    measure.in_key_order().filter(|s| survives(s)).collect(),
+                ),
+                Some(ids) => {
+                    let mut hits: Vec<&Slot> = ids
+                        .iter()
+                        .map(|&id| measure.slot(id))
+                        .filter(|slot| survives(&slot.series))
+                        .collect();
+                    hits.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+                    (ids.len(), hits.into_iter().map(|s| &s.series).collect())
                 }
-            }
-        }
-        profile.series_scanned = profile.series_total - profile.series_pruned;
+            };
+        profile.series_total += measure.slab.len() as u64;
+        profile.series_examined += examined as u64;
+        profile.series_scanned += candidates.len() as u64;
+        profile.series_pruned = profile.series_total - profile.series_scanned;
         candidates
     }
 
     /// Number of distinct series.
     pub fn series_count(&self) -> usize {
-        self.series.values().map(BTreeMap::len).sum()
+        self.series.values().map(|m| m.slab.len()).sum()
     }
 
     /// Total number of stored points.
     pub fn point_count(&self) -> usize {
         self.series
             .values()
-            .flat_map(BTreeMap::values)
-            .map(Series::len)
+            .flat_map(|m| &m.slab)
+            .map(|slot| slot.series.len())
             .sum()
     }
 
@@ -330,12 +460,18 @@ impl Table {
         let cutoff = now.saturating_sub(retention);
         let mut dropped = 0;
         for m in self.series.values_mut() {
-            m.retain(|_, s| {
-                dropped += s.prune_before(cutoff);
-                !s.is_empty()
-            });
+            let mut emptied = false;
+            for slot in &mut m.slab {
+                dropped += slot.series.prune_before(cutoff);
+                emptied |= slot.series.is_empty();
+            }
+            if emptied {
+                let mut slots = std::mem::take(&mut m.slab);
+                slots.retain(|slot| !slot.series.is_empty());
+                *m = Measure::rebuild(slots);
+            }
         }
-        self.series.retain(|_, m| !m.is_empty());
+        self.series.retain(|_, m| !m.slab.is_empty());
         dropped
     }
 
@@ -344,8 +480,8 @@ impl Table {
     /// the crash.
     pub fn series_dimension_sets(&self) -> impl Iterator<Item = (&str, &[(String, String)])> {
         self.series.iter().flat_map(|(measure, m)| {
-            m.values()
-                .map(move |s| (measure.as_str(), s.dimensions.as_slice()))
+            m.in_key_order()
+                .map(move |s| (measure.as_str(), &s.dimensions[..]))
         })
     }
 
@@ -354,12 +490,16 @@ impl Table {
     pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&String, &Series)> {
         self.series
             .iter()
-            .flat_map(|(measure, m)| m.values().map(move |s| (measure, s)))
+            .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure, s)))
     }
 
+    /// Files a whole series — how checkpoint load and the shard merge
+    /// build a table. `dimensions` is taken as the shared allocation so a
+    /// caller that already holds one (a shard's store) passes it on. A
+    /// series already filed under the same key is replaced.
     pub(crate) fn insert_series_raw(
         &mut self,
-        dimensions: Vec<(String, String)>,
+        dimensions: Arc<[(String, String)]>,
         measure: &str,
         points: Vec<(u64, f64)>,
     ) {
@@ -368,10 +508,24 @@ impl Table {
         for (t, v) in points {
             series.insert(t, v);
         }
-        self.series
-            .entry(measure.to_owned())
-            .or_default()
-            .insert(dim_key, series);
+        let m = match self.series.get_mut(measure) {
+            Some(m) => m,
+            None => self.series.entry(measure.to_owned()).or_default(),
+        };
+        match m.by_key.get(dim_key.as_str()) {
+            None => {
+                m.push(Arc::from(dim_key), series);
+            }
+            Some(&id) => {
+                let stale = m.slot(id).series.dimensions != series.dimensions;
+                *m.series_mut(id) = series;
+                // Same key, other dimensions (a value holding the key's
+                // own separators): the old pairs' postings are wrong.
+                if stale {
+                    *m = Measure::rebuild(std::mem::take(&mut m.slab));
+                }
+            }
+        }
     }
 }
 
@@ -502,6 +656,7 @@ mod tests {
         assert_eq!(rows, t.query(&q), "profiling does not change results");
         assert_eq!(profile.measure, "sps");
         assert_eq!(profile.series_total, 2);
+        assert_eq!(profile.series_examined, 1, "only m5.large's posting");
         assert_eq!(profile.series_pruned, 1, "p3.2xlarge filtered out");
         assert_eq!(profile.series_scanned, 1);
         assert_eq!(profile.chunks_decompressed, 1, "3 points fit one page");
@@ -515,8 +670,64 @@ mod tests {
             &mut disjoint,
         );
         assert!(none.is_empty());
+        assert_eq!(disjoint.series_examined, 2, "no filter: both looked at");
         assert_eq!(disjoint.series_pruned, 2, "bounds check pruned both");
         assert_eq!(disjoint.chunks_decompressed, 0);
+    }
+
+    #[test]
+    fn a_point_query_examines_one_posting_list_however_large_the_table() {
+        fn fill(t: &mut Table, prefix: &str) {
+            // 5 000 series: 100 types × 50 AZs, five AZs to a region.
+            for ty in 0..100 {
+                for az in 0..50 {
+                    let r = Record::new(0, "sps", 1.0)
+                        .dimension("instance_type", format!("{prefix}t{ty}"))
+                        .dimension("az", format!("{prefix}az{az}"))
+                        .dimension("region", format!("{prefix}r{}", az / 5));
+                    t.write(&r).unwrap();
+                }
+            }
+        }
+        let mut t = Table::new(TableOptions::default());
+        fill(&mut t, "");
+        let q = Query::measure("sps")
+            .filter("instance_type", "t7")
+            .filter("region", "r3")
+            .filter("az", "az17");
+        let mut small = QueryProfile::default();
+        let rows = t.query_profiled(&q, &mut small);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(small.series_total, 5_000);
+        assert_eq!(small.series_scanned, 1);
+        assert_eq!(small.series_pruned, 4_999);
+        // instance_type=t7 is on 50 series, az=az17 on 100, region=r3 on 500.
+        assert_eq!(small.series_examined, 50, "the shortest posting list");
+
+        fill(&mut t, "other-");
+        let mut large = QueryProfile::default();
+        assert_eq!(t.query_profiled(&q, &mut large), rows);
+        assert_eq!(large.series_total, 10_000);
+        assert_eq!(large.series_pruned, 9_999);
+        assert_eq!(large.series_examined, 50, "unrelated series cost nothing");
+
+        // No filter to go by: the whole measure is walked.
+        let mut all = QueryProfile::default();
+        t.latest_profiled(&Query::measure("sps"), &mut all);
+        assert_eq!(all.series_examined, 10_000);
+        assert_eq!(all.series_scanned, 10_000);
+    }
+
+    #[test]
+    fn a_pair_named_twice_is_one_posting() {
+        let mut t = Table::new(TableOptions::default());
+        let mut r = Record::new(0, "m", 1.0);
+        r.dimensions = vec![("k".into(), "v".into()), ("k".into(), "v".into())];
+        t.write(&r).unwrap();
+        let mut profile = QueryProfile::default();
+        let rows = t.latest_profiled(&Query::measure("m").filter("k", "v"), &mut profile);
+        assert_eq!(rows.len(), 1, "the series is a candidate once");
+        assert_eq!(profile.series_examined, 1);
     }
 
     #[test]

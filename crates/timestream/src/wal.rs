@@ -212,7 +212,7 @@ impl Wal {
                 if db.table(table).is_err() {
                     db.create_table(table, options)?;
                 }
-                db.apply_logged(table, &logged, offered)?
+                db.apply_logged(table, &logged, offered, None)?
             };
             self.records_elided = self
                 .records_elided
