@@ -531,6 +531,9 @@ impl ArchiveService {
                 .map_err(|_| HttpResponse::error(400, "to must be an integer timestamp"))?,
             None => u64::MAX,
         };
+        if from > to {
+            return Err(HttpResponse::error(400, "from must not exceed to"));
+        }
         Ok((table, q.between(from, to)))
     }
 
@@ -775,6 +778,31 @@ mod tests {
         assert!(limited.body_text().contains("\"truncated\":true"));
         let bad = get(&db, "/query?table=sps&limit=x");
         assert_eq!(bad.status, 400);
+    }
+
+    #[test]
+    fn an_inverted_time_range_is_a_typed_400() {
+        let db = archive();
+        // 1000 > 500 straddles the series (0..2400); 5000 > 4000 lies
+        // past it. Both must be refused before the store is asked.
+        for range in ["from=1000&to=500", "from=5000&to=4000", "from=1&to=0"] {
+            for endpoint in ["query", "latest", "window", "at"] {
+                let path = format!("/{endpoint}?table=sps&timestamp=700&{range}");
+                let r = get(&db, &path);
+                assert_eq!(r.status, 400, "{path}");
+                assert!(
+                    r.body_text().contains("from must not exceed to"),
+                    "{path}: {}",
+                    r.body_text()
+                );
+            }
+        }
+        let point = get(
+            &db,
+            "/query?table=sps&from=600&to=600&instance_type=m5.large",
+        );
+        assert_eq!(point.status, 200);
+        assert!(point.body_text().contains("\"time\":600"));
     }
 
     #[test]

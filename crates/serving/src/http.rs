@@ -24,12 +24,14 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
-/// An HTTP request: method GET only (the archive is read-only), a path, and
-/// decoded query parameters.
+/// An HTTP request: method GET only (the archive is read-only), a path,
+/// decoded query parameters, and whether the client asked for its
+/// connection to close after the response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     path: String,
     params: Vec<(String, String)>,
+    close: bool,
 }
 
 impl HttpRequest {
@@ -62,7 +64,21 @@ impl HttpRequest {
         Ok(HttpRequest {
             path: path.to_owned(),
             params,
+            close: false,
         })
+    }
+
+    /// This request, asking (`true`) or not asking for the connection to
+    /// close after its response.
+    pub fn with_close(mut self, close: bool) -> Self {
+        self.close = close;
+        self
+    }
+
+    /// Whether the client asked for the connection to close after the
+    /// response (`connection: close`, or HTTP/1.0 without keep-alive).
+    pub fn wants_close(&self) -> bool {
+        self.close
     }
 
     /// The request path.

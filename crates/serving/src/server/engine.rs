@@ -10,31 +10,50 @@
 //!   `Retry-After` header and closes, shedding load at the cheapest
 //!   possible point instead of queueing unboundedly.
 //! * **Concurrency cap** — `workers` threads bound in-flight handling,
-//!   so at most `workers + queue_depth + 1` connections are ever open.
+//!   so at most `workers + queue_depth + 1` connections are ever open. A
+//!   worker serves one connection at a time, request after request.
+//! * **Persistent connections, with a fairness rule** — a response keeps
+//!   its connection open (HTTP/1.1 keep-alive, pipelining included)
+//!   unless the client asked to close, the status came from the wire
+//!   layer or is a `500`/`504`, it is the [`KEEP_ALIVE_MAX_REQUESTS`]-th
+//!   request, the server is stopping, or *a connection is waiting in the
+//!   admission queue*. That last rule is the fairness rule: a busy kept
+//!   connection hands its worker back after at most one more request, an
+//!   idle one after [`KEEP_ALIVE_IDLE`]. It is race-free because the
+//!   client is told, in the response's `connection: close`, rather than
+//!   cut off mid-request.
 //! * **Deadlines** — each request gets `deadline` of wall time; requests
 //!   that blow it are answered `504` rather than holding a worker
 //!   indefinitely from the client's point of view.
 //! * **Slowloris protection** — socket read/write timeouts bound how
 //!   long a slow client can pin a worker; a head that does not arrive in
-//!   time is answered `408` and the connection closed.
+//!   time is answered `408` and the connection closed. A kept connection
+//!   whose next head does not start within [`KEEP_ALIVE_IDLE`] is closed
+//!   silently: no `408`, nothing recorded. Once its first byte arrives,
+//!   the head is under the same `read_timeout` as a first request.
 //! * **Panic isolation** — handler panics are caught per request,
 //!   answered `500`, counted, and the worker keeps serving.
 //! * **Graceful shutdown** — [`ServerHandle::shutdown`] stops accepting,
-//!   drains queued and in-flight requests, joins every thread, and
-//!   returns a [`ServerReport`] with flushed metrics.
+//!   drains queued and in-flight requests (each answered `connection:
+//!   close`), waits at most [`KEEP_ALIVE_IDLE`] for idle kept sockets,
+//!   joins every thread, and returns a [`ServerReport`] with flushed
+//!   metrics.
 //!
 //! The engine is also where the request lifecycle is observed: every
-//! connection gets a request id at accept (echoed back in the
-//! `x-spotlake-request-id` header on every response, including shed
-//! 503s) and a phase timeline — queue wait, parse, handle, write —
-//! recorded into the `spotlake_server_phase_micros` histogram and the
-//! slow-request recorder behind `/debug/requests`. When telemetry is
-//! enabled, a dedicated sampler thread snapshots every registry into a
-//! ring buffer served at `/debug/telemetry` as JSONL.
+//! request gets its own id (echoed back in the `x-spotlake-request-id`
+//! header on every response) and a phase timeline — queue wait, parse,
+//! handle, write — recorded into the `spotlake_server_phase_micros`
+//! histogram and the slow-request recorder behind `/debug/requests`. A
+//! connection's first request is stamped at accept, so shed 503s carry
+//! an id too; a later request on the same connection is stamped when its
+//! first byte arrives, so its queue wait is zero and idle time is in no
+//! phase. When telemetry is enabled, a dedicated sampler thread snapshots
+//! every registry into a ring buffer served at `/debug/telemetry` as
+//! JSONL.
 
 use super::metrics::{PhaseStats, ServerMetrics, ServerTotals};
 use super::shared::SharedArchive;
-use super::wire::{self, WireLimits};
+use super::wire::{self, HeadReader, WireLimits};
 use crate::gateway::Gateway;
 use crate::http::HttpResponse;
 use crate::json::Json;
@@ -51,6 +70,16 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a kept connection may sit idle between requests before its
+/// worker closes it. Well under the default 2 s deadline, so an idle
+/// client delays a queued one by at most this much, and above the 10 ms
+/// gap of a client polling at 100 requests a second.
+pub const KEEP_ALIVE_IDLE: Duration = Duration::from_millis(100);
+
+/// The most requests one connection may carry; the last one is answered
+/// `connection: close`.
+pub const KEEP_ALIVE_MAX_REQUESTS: u32 = 1000;
 
 /// Locks `m`, recovering the guard from a poisoned lock (workers share
 /// the receiver; a panicking worker must not wedge the pool).
@@ -164,8 +193,12 @@ struct ServerState {
     /// Fault-injection path that panics inside the worker (see
     /// [`ServerConfig::panic_route`]).
     panic_route: Option<String>,
-    /// Wire-level request ids, assigned at accept starting from 1.
+    /// Request ids, from 1: a connection's first request takes one at
+    /// accept, a later request when its first byte arrives.
     next_request_id: AtomicU64,
+    /// Set by [`ServerHandle::shutdown`]: the listener stops accepting,
+    /// and every later response closes its connection.
+    stopping: AtomicBool,
     /// Epoch for telemetry sample timestamps (micros since start).
     started: Instant,
 }
@@ -205,9 +238,9 @@ impl Server {
                 .map(|_| Mutex::new(SloTracker::new(config.slo.clone()))),
             panic_route: config.panic_route.clone(),
             next_request_id: AtomicU64::new(1),
+            stopping: AtomicBool::new(false),
             started: Instant::now(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(config.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -223,20 +256,18 @@ impl Server {
         }
 
         let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop);
         let retry_after = config.retry_after_secs;
         let acceptor = std::thread::Builder::new()
             .name("spotlake-listener".to_owned())
-            .spawn(move || accept_loop(&listener, &accept_state, &accept_stop, tx, retry_after))?;
+            .spawn(move || accept_loop(&listener, &accept_state, tx, retry_after))?;
 
         let sampler = match config.telemetry_interval {
             Some(interval) => {
                 let sampler_state = Arc::clone(&state);
-                let sampler_stop = Arc::clone(&stop);
                 Some(
                     std::thread::Builder::new()
                         .name("spotlake-telemetry".to_owned())
-                        .spawn(move || sampler_loop(&sampler_state, &sampler_stop, interval))?,
+                        .spawn(move || sampler_loop(&sampler_state, interval))?,
                 )
             }
             None => None,
@@ -244,7 +275,6 @@ impl Server {
 
         Ok(ServerHandle {
             addr,
-            stop,
             acceptor: Some(acceptor),
             workers,
             sampler,
@@ -258,7 +288,6 @@ impl Server {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     sampler: Option<JoinHandle<()>>,
@@ -326,9 +355,10 @@ impl ServerHandle {
 
     /// Idempotent: signals stop, wakes the blocked `accept`, and joins
     /// the listener (which closes the admission queue) then the workers
-    /// (which drain it).
+    /// (which drain it, and close kept connections after their current
+    /// request or idle wait).
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.state.stopping.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             // accept() has no native timeout; nudge it with a throwaway
             // connection so it observes the stop flag.
@@ -359,7 +389,6 @@ impl Drop for ServerHandle {
 fn accept_loop(
     listener: &TcpListener,
     state: &ServerState,
-    stop: &AtomicBool,
     tx: SyncSender<Admitted>,
     retry_after_secs: u32,
 ) {
@@ -369,7 +398,7 @@ fn accept_loop(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
-        if stop.load(Ordering::SeqCst) {
+        if state.stopping.load(Ordering::SeqCst) {
             // The wake-up connection (or a late client): refuse by close.
             drop(conn);
             break;
@@ -396,22 +425,15 @@ fn accept_loop(
                     &mut conn,
                     &response,
                     &[
+                        ("connection", "close".to_owned()),
                         ("retry-after", retry_after_secs.to_string()),
                         ("x-spotlake-request-id", admitted.request_id.to_string()),
                     ],
                 );
-                // The client's request head may still be in flight; close
-                // half-open and drain briefly so it does not RST the 503
-                // out of the client's receive buffer.
-                let _ = conn.shutdown(std::net::Shutdown::Write);
-                let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
-                let mut scratch = [0u8; 4096];
-                for _ in 0..8 {
-                    match io::Read::read(&mut conn, &mut scratch) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
+                // The client's request head may still be in flight. The
+                // listener must get back to accepting, so it drains less
+                // than a worker does.
+                linger_close(&mut conn, 8);
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -429,15 +451,7 @@ fn worker_loop(state: &ServerState, rx: &Mutex<Receiver<Admitted>>) {
             Err(_) => break,
         };
         state.metrics.dequeued();
-        let mut admitted = admitted;
-        let dequeued_micros = elapsed_micros(admitted.accepted);
-        serve_connection(
-            state,
-            &mut admitted.conn,
-            admitted.request_id,
-            admitted.accepted,
-            dequeued_micros,
-        );
+        serve_connection(state, admitted);
     }
 }
 
@@ -446,39 +460,128 @@ fn elapsed_micros(epoch: Instant) -> u64 {
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Handles one connection end to end. Never panics outward: the handler
-/// is wrapped in `catch_unwind`, and every wire error maps to a status
-/// or a silent close.
-///
-/// Every phase timestamp is an offset in microseconds from `accepted`,
-/// sampled through a single forward-moving cursor so the recorded spans
-/// are contiguous and can never overlap or run backwards:
-/// `queue_wait` ends where `parse` starts, `parse` where `handle`
-/// starts, `handle` where `write` starts.
-fn serve_connection(
+/// One request's identity and the epoch its phase offsets count from.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    request_id: u64,
+    /// Accept for a connection's first request, first byte for a later
+    /// one.
+    epoch: Instant,
+    /// Where `queue_wait` ends: the worker's pick-up for a first request,
+    /// 0 for a later one.
+    dequeued_micros: u64,
+}
+
+/// The read timeout last set on a socket, so moving between the idle
+/// wait and a head read costs a syscall only when the bound changes.
+#[derive(Debug, Default)]
+struct ReadTimeout(Option<Duration>);
+
+impl ReadTimeout {
+    fn set(&mut self, conn: &TcpStream, timeout: Duration) {
+        if self.0 != Some(timeout) {
+            let _ = conn.set_read_timeout(Some(timeout));
+            self.0 = Some(timeout);
+        }
+    }
+}
+
+/// Serves one accepted connection, request after request, until a
+/// response closes it, the client leaves, or it idles past
+/// [`KEEP_ALIVE_IDLE`]. A one-request connection is the loop's first
+/// iteration.
+fn serve_connection(state: &ServerState, admitted: Admitted) {
+    let Admitted {
+        mut conn,
+        request_id,
+        accepted,
+    } = admitted;
+    let _ = conn.set_nodelay(true);
+    let _ = conn.set_write_timeout(Some(state.write_timeout));
+    let mut heads = HeadReader::default();
+    let mut timeout = ReadTimeout::default();
+    let mut stamp = Stamp {
+        request_id,
+        epoch: accepted,
+        dequeued_micros: elapsed_micros(accepted),
+    };
+    for served in 1..=KEEP_ALIVE_MAX_REQUESTS {
+        let may_keep = served < KEEP_ALIVE_MAX_REQUESTS;
+        if !serve_request(state, &mut conn, &mut heads, &mut timeout, stamp, may_keep) {
+            return;
+        }
+        match await_request(state, &mut conn, &mut heads, &mut timeout) {
+            Some(next) => stamp = next,
+            None => return,
+        }
+    }
+}
+
+/// Waits up to [`KEEP_ALIVE_IDLE`] for the first byte of a kept
+/// connection's next request (none when a pipelined one is already
+/// buffered) and stamps the request when it comes. `None` is the idle
+/// close: nothing arrived, or the client left. It is silent — no
+/// response, no id taken, nothing recorded.
+fn await_request(
     state: &ServerState,
     conn: &mut TcpStream,
-    request_id: u64,
-    accepted: Instant,
-    dequeued_micros: u64,
-) {
+    heads: &mut HeadReader,
+    timeout: &mut ReadTimeout,
+) -> Option<Stamp> {
+    if !heads.has_buffered() {
+        timeout.set(conn, KEEP_ALIVE_IDLE);
+        heads.fill(conn).ok()?;
+    }
+    Some(Stamp {
+        request_id: state.next_request_id.fetch_add(1, Ordering::Relaxed),
+        epoch: Instant::now(),
+        dequeued_micros: 0,
+    })
+}
+
+/// Handles one request end to end and says whether its connection stays
+/// open. Never panics outward: the handler is wrapped in `catch_unwind`,
+/// and every wire error maps to a status or a silent close.
+///
+/// Every phase timestamp is an offset in microseconds from the stamp's
+/// epoch, sampled through a single forward-moving cursor so the recorded
+/// spans are contiguous and can never overlap or run backwards:
+/// `queue_wait` ends where `parse` starts, `parse` where `handle`
+/// starts, `handle` where `write` starts.
+fn serve_request(
+    state: &ServerState,
+    conn: &mut TcpStream,
+    heads: &mut HeadReader,
+    timeout: &mut ReadTimeout,
+    stamp: Stamp,
+    may_keep: bool,
+) -> bool {
+    let Stamp {
+        request_id,
+        epoch,
+        dequeued_micros,
+    } = stamp;
     let start = Instant::now();
     state.metrics.request_started();
-    let _ = conn.set_nodelay(true);
-    let _ = conn.set_read_timeout(Some(state.read_timeout));
-    let _ = conn.set_write_timeout(Some(state.write_timeout));
 
-    let parsed = wire::read_head(conn, &state.limits)
-        .and_then(|head| wire::parse_head(&head, &state.limits));
-    let parse_end = elapsed_micros(accepted).max(dequeued_micros);
+    let parsed = loop {
+        if let Some(head) = heads.take_head(&state.limits) {
+            break head.and_then(|head| wire::parse_head(&head, &state.limits));
+        }
+        timeout.set(conn, state.read_timeout);
+        if let Err(err) = heads.fill(conn) {
+            break Err(err);
+        }
+    };
+    let parse_end = elapsed_micros(epoch).max(dequeued_micros);
     let target = match &parsed {
         Ok(request) => request.path_and_query(),
         Err(_) => "-".to_owned(),
     };
-    // An oversized head leaves unread bytes in the socket buffer; closing
-    // over them would RST the 431 out of the client's hands, so that path
-    // drains (bounded) before the connection drops.
-    let drain_excess = matches!(parsed, Err(wire::WireError::TooLarge));
+    // Only a well-formed request that did not ask to close may keep the
+    // connection: after a wire error the framing of whatever follows
+    // cannot be trusted.
+    let client_keeps = parsed.as_ref().is_ok_and(|request| !request.wants_close());
 
     let (response, status_label): (Option<HttpResponse>, String) = match parsed {
         Err(err) => match err.status() {
@@ -567,27 +670,30 @@ fn serve_connection(
             }
         }
     };
-    let handle_end = elapsed_micros(accepted).max(parse_end);
+    let handle_end = elapsed_micros(epoch).max(parse_end);
 
+    let mut keep = false;
     if let Some(response) = &response {
-        let extras = [("x-spotlake-request-id", request_id.to_string())];
+        // Decided as the response is written, so the client learns it
+        // from the response itself and never races a close.
+        keep = may_keep
+            && client_keeps
+            && !matches!(response.status, 500 | 504)
+            && !state.stopping.load(Ordering::SeqCst)
+            && state.metrics.queued() == 0;
+        let connection = if keep { "keep-alive" } else { "close" };
+        let extras = [
+            ("connection", connection.to_owned()),
+            ("x-spotlake-request-id", request_id.to_string()),
+        ];
         if let Err(e) = wire::write_response(conn, response, &extras) {
+            keep = false;
             if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut {
                 state.metrics.slow_client_closed();
             }
         }
     }
-    let write_end = elapsed_micros(accepted).max(handle_end);
-    if drain_excess {
-        let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut scratch = [0u8; 4096];
-        for _ in 0..32 {
-            match io::Read::read(conn, &mut scratch) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-    }
+    let write_end = elapsed_micros(epoch).max(handle_end);
     let micros = start.elapsed().as_secs_f64() * 1_000_000.0;
     state.metrics.request_finished(&status_label, micros);
 
@@ -606,9 +712,31 @@ fn serve_connection(
         request_id,
         target,
         status: status_label,
-        total_micros: elapsed_micros(accepted),
+        total_micros: elapsed_micros(epoch),
         phases,
     });
+    if response.is_some() && !keep {
+        linger_close(conn, 32);
+    }
+    keep
+}
+
+/// Closes after a response without resetting it away: the client may
+/// still be sending (the rest of an oversized head, a body, pipelined
+/// requests), and closing over unread bytes would send an RST that can
+/// destroy the response in the client's receive buffer. So half-close
+/// first, then drain until the client closes too, for at most `reads`
+/// reads of at most 50 ms each.
+fn linger_close(conn: &mut TcpStream, reads: usize) {
+    let _ = conn.shutdown(std::net::Shutdown::Write);
+    let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
+    let mut scratch = [0u8; 4096];
+    for _ in 0..reads {
+        match io::Read::read(conn, &mut scratch) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// Builds one phase span from cursor offsets.
@@ -753,16 +881,16 @@ fn take_sample(state: &ServerState, telemetry: &TelemetryRecorder) {
 
 /// The dedicated telemetry sampler thread: samples every `interval`,
 /// sleeping in short slices so shutdown is honored promptly.
-fn sampler_loop(state: &ServerState, stop: &AtomicBool, interval: Duration) {
+fn sampler_loop(state: &ServerState, interval: Duration) {
     let interval = interval.max(Duration::from_millis(1));
     let Some(telemetry) = &state.telemetry else {
         return;
     };
-    while !stop.load(Ordering::SeqCst) {
+    while !state.stopping.load(Ordering::SeqCst) {
         take_sample(state, telemetry);
         let mut slept = Duration::ZERO;
         while slept < interval {
-            if stop.load(Ordering::SeqCst) {
+            if state.stopping.load(Ordering::SeqCst) {
                 return;
             }
             let slice = (interval - slept).min(Duration::from_millis(10));

@@ -91,6 +91,13 @@ impl ServerMetrics {
         );
     }
 
+    /// Connections waiting in the admission queue now. The engine's
+    /// fairness rule reads it: while it is non-zero, a response closes
+    /// its connection so the worker goes back to the queue.
+    pub(crate) fn queued(&self) -> u64 {
+        self.queued.load(Ordering::SeqCst)
+    }
+
     /// A connection was answered 503 because the queue was full.
     pub fn shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
@@ -243,7 +250,8 @@ impl ServerMetrics {
         );
     }
 
-    /// A connection was closed for blowing a read/write timeout.
+    /// A connection was closed for blowing a read/write timeout. A kept
+    /// connection closed for idling between requests is not counted.
     pub fn slow_client_closed(&self) {
         self.slow_clients.fetch_add(1, Ordering::Relaxed);
         self.registry.counter_add(
@@ -334,7 +342,9 @@ mod tests {
         let m = ServerMetrics::new();
         m.connection_accepted();
         m.enqueued();
+        assert_eq!(m.queued(), 1);
         m.dequeued();
+        assert_eq!(m.queued(), 0);
         m.request_started();
         m.request_finished("200", 1500.0);
         m.shed();

@@ -5,12 +5,14 @@
 //! overload envelope:
 //!
 //! * [`wire`] — fail-closed HTTP/1.1 head parsing and response encoding,
-//!   with hard byte limits.
+//!   with hard byte limits; a head reader that carries pipelined bytes
+//!   from one request to the next.
 //! * [`SharedArchive`] — snapshot/epoch access to the database, so
 //!   queries never block collection.
 //! * [`Server`] / [`ServerHandle`] — listener, bounded admission queue
 //!   with 503 + `Retry-After` shedding, worker pool with per-request
-//!   deadlines and panic isolation, and graceful drain on shutdown.
+//!   deadlines and panic isolation, persistent connections under a
+//!   fairness rule, and graceful drain on shutdown.
 //! * [`ServerMetrics`] — the `spotlake_server_*` families.
 //! * [`loadgen`] — the seeded closed/open-loop load and chaos generator
 //!   that writes `BENCH_serving.json`.
@@ -24,7 +26,9 @@ mod metrics;
 mod shared;
 pub mod wire;
 
-pub use engine::{Server, ServerConfig, ServerHandle, ServerReport};
+pub use engine::{
+    Server, ServerConfig, ServerHandle, ServerReport, KEEP_ALIVE_IDLE, KEEP_ALIVE_MAX_REQUESTS,
+};
 pub use loadgen::{ChaosProfile, LoadConfig, LoadMode, LoadReport};
 pub use metrics::{PhaseStats, ServerMetrics, ServerTotals};
 pub use shared::SharedArchive;

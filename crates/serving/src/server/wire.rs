@@ -2,12 +2,19 @@
 //!
 //! The parser sits between an untrusted socket and the gateway, so it
 //! fails closed at every decision: hard byte limits before allocation,
-//! exactly one request per connection (`Connection: close`), GET only,
-//! no request bodies. Anything that is not a well-formed GET head maps
-//! to a specific 4xx/5xx status — never a panic, never a best-effort
-//! guess at what the client meant. Timeouts surface as their own error
-//! so the engine can distinguish a slow client (408) from a malformed
-//! one (400).
+//! GET only, no request bodies. Anything that is not a well-formed GET
+//! head maps to a specific 4xx/5xx status — never a panic, never a
+//! best-effort guess at what the client meant. Timeouts surface as their
+//! own error so the engine can distinguish a slow client (408) from a
+//! malformed one (400).
+//!
+//! One connection may carry many requests (HTTP/1.1 keep-alive, pipelined
+//! or not). `HeadReader` keeps the bytes read past one head's terminator
+//! for the next head, so nothing a client sent is lost or reordered, and
+//! [`read_head`] is its one-head case. Whether a connection stays open is
+//! the engine's decision: the parser only reports what the client asked
+//! for ([`HttpRequest::wants_close`]), and [`encode_response`] writes the
+//! `connection` header the engine passes it.
 
 use crate::http::{HttpRequest, HttpResponse};
 use std::io::{ErrorKind, Read, Write};
@@ -86,38 +93,87 @@ impl WireError {
     }
 }
 
-/// Reads bytes until the `\r\n\r\n` head terminator, honouring
-/// `limits.max_head_bytes`. Returns only the head (terminator included).
+/// Bytes a `HeadReader` asks the socket for at a time.
+const READ_CHUNK: usize = 512;
+
+/// Reads successive request heads off one connection. Bytes read past a
+/// head's terminator stay buffered for the next head. The buffer never
+/// grows past `max_head_bytes` plus one read without yielding a head or
+/// [`WireError::TooLarge`].
+#[derive(Debug, Default)]
+pub(crate) struct HeadReader {
+    buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a terminator, so a
+    /// head that arrives a byte at a time is scanned once, not once per
+    /// byte.
+    scanned: usize,
+}
+
+impl HeadReader {
+    /// Whether bytes of a next head have already been read.
+    pub(crate) fn has_buffered(&self) -> bool {
+        !self.buf.is_empty()
+    }
+
+    /// Takes the next complete head (terminator included) out of the
+    /// buffer. `None` means more bytes are needed. A head longer than
+    /// `limits.max_head_bytes` is [`WireError::TooLarge`], however its
+    /// bytes were split across reads.
+    pub(crate) fn take_head(&mut self, limits: &WireLimits) -> Option<Result<Vec<u8>, WireError>> {
+        let window = self.buf.get(..limits.max_head_bytes).unwrap_or(&self.buf);
+        // A terminator may straddle the end of the last search.
+        let from = self.scanned.saturating_sub(3);
+        match window.get(from..).and_then(find_terminator) {
+            Some(end) => {
+                let rest = self.buf.split_off(from + end);
+                self.scanned = 0;
+                Some(Ok(std::mem::replace(&mut self.buf, rest)))
+            }
+            None if self.buf.len() >= limits.max_head_bytes => Some(Err(WireError::TooLarge)),
+            None => {
+                self.scanned = window.len();
+                None
+            }
+        }
+    }
+
+    /// Reads once from `reader` into the buffer. EOF is
+    /// [`WireError::Disconnected`], whether or not a head was under way.
+    pub(crate) fn fill<R: Read>(&mut self, reader: &mut R) -> Result<(), WireError> {
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match reader.read(&mut chunk) {
+                Ok(0) => return Err(WireError::Disconnected),
+                Ok(n) => {
+                    self.buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk));
+                    return Ok(());
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    return Err(match e.kind() {
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut => WireError::TimedOut,
+                        ErrorKind::ConnectionReset
+                        | ErrorKind::ConnectionAborted
+                        | ErrorKind::BrokenPipe => WireError::Disconnected,
+                        kind => WireError::Io(kind),
+                    })
+                }
+            }
+        }
+    }
+}
+
+/// Reads one head: bytes up to and including the `\r\n\r\n` terminator,
+/// honouring `limits.max_head_bytes`. Bytes after the terminator are
+/// dropped; a connection that carries more than one request reads through
+/// a `HeadReader` instead.
 pub fn read_head<R: Read>(reader: &mut R, limits: &WireLimits) -> Result<Vec<u8>, WireError> {
-    let mut head = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
+    let mut heads = HeadReader::default();
     loop {
-        let n = match reader.read(&mut chunk) {
-            // EOF before the terminator: either nothing was sent or the
-            // head was truncated — the peer is gone either way.
-            Ok(0) => return Err(WireError::Disconnected),
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(WireError::TimedOut);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == ErrorKind::ConnectionReset
-                    || e.kind() == ErrorKind::ConnectionAborted
-                    || e.kind() == ErrorKind::BrokenPipe =>
-            {
-                return Err(WireError::Disconnected);
-            }
-            Err(e) => return Err(WireError::Io(e.kind())),
-        };
-        head.extend_from_slice(&chunk[..n]);
-        if let Some(end) = find_terminator(&head) {
-            head.truncate(end);
-            return Ok(head);
+        if let Some(head) = heads.take_head(limits) {
+            return head;
         }
-        if head.len() > limits.max_head_bytes {
-            return Err(WireError::TooLarge);
-        }
+        heads.fill(reader)?;
     }
 }
 
@@ -127,7 +183,9 @@ fn find_terminator(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses a complete request head into an [`HttpRequest`], enforcing the
-/// GET-only, body-free contract.
+/// GET-only, body-free contract. The request records whether the client
+/// asked for the connection to close: a `connection: close` token, or
+/// HTTP/1.0 without `connection: keep-alive`.
 pub fn parse_head(head: &[u8], limits: &WireLimits) -> Result<HttpRequest, WireError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| WireError::Malformed("head is not valid UTF-8".to_owned()))?;
@@ -163,6 +221,7 @@ pub fn parse_head(head: &[u8], limits: &WireLimits) -> Result<HttpRequest, WireE
         )));
     }
 
+    let (mut close_asked, mut keep_asked) = (false, false);
     let mut header_count = 0usize;
     for line in lines {
         if line.is_empty() {
@@ -186,9 +245,18 @@ pub fn parse_head(head: &[u8], limits: &WireLimits) -> Result<HttpRequest, WireE
         if name == "content-length" && value.parse::<u64>().map_or(true, |n| n > 0) {
             return Err(WireError::BodyNotAllowed);
         }
+        if name == "connection" {
+            for token in value.split(',').map(str::trim) {
+                close_asked |= token.eq_ignore_ascii_case("close");
+                keep_asked |= token.eq_ignore_ascii_case("keep-alive");
+            }
+        }
     }
 
-    HttpRequest::get(target).map_err(|e| WireError::Malformed(e.to_string()))
+    let close = close_asked || (version == "HTTP/1.0" && !keep_asked);
+    HttpRequest::get(target)
+        .map(|request| request.with_close(close))
+        .map_err(|e| WireError::Malformed(e.to_string()))
 }
 
 /// The canonical reason phrase for the statuses this server emits.
@@ -209,8 +277,10 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes `response` (plus any `extra_headers`) as a complete
-/// `Connection: close` HTTP/1.1 message.
+/// Serializes `response` as a complete HTTP/1.1 message framed by
+/// `content-length`, followed by `extra_headers` in order. The
+/// `connection` header is the caller's to pass: the engine sends `close`
+/// or `keep-alive` on every response.
 pub fn encode_response(response: &HttpResponse, extra_headers: &[(&str, String)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + response.body.len());
     out.extend_from_slice(
@@ -223,7 +293,6 @@ pub fn encode_response(response: &HttpResponse, extra_headers: &[(&str, String)]
     );
     out.extend_from_slice(format!("content-type: {}\r\n", response.content_type).as_bytes());
     out.extend_from_slice(format!("content-length: {}\r\n", response.body.len()).as_bytes());
-    out.extend_from_slice(b"connection: close\r\n");
     for (name, value) in extra_headers {
         out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
     }
@@ -350,15 +419,98 @@ mod tests {
     }
 
     #[test]
+    fn a_head_reader_carries_bytes_past_a_terminator_to_the_next_head() {
+        let limits = WireLimits::default();
+        let mut input: &[u8] = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HT";
+        let mut heads = HeadReader::default();
+        assert!(heads.take_head(&limits).is_none());
+        heads.fill(&mut input).unwrap();
+        assert_eq!(
+            heads.take_head(&limits).unwrap().unwrap(),
+            b"GET /a HTTP/1.1\r\n\r\n"
+        );
+        assert!(heads.has_buffered());
+        assert_eq!(
+            heads.take_head(&limits).unwrap().unwrap(),
+            b"GET /b HTTP/1.1\r\n\r\n"
+        );
+        assert!(
+            heads.take_head(&limits).is_none(),
+            "the third head is partial"
+        );
+        let mut rest: &[u8] = b"TP/1.1\r\n\r\n";
+        heads.fill(&mut rest).unwrap();
+        assert_eq!(
+            heads.take_head(&limits).unwrap().unwrap(),
+            b"GET /c HTTP/1.1\r\n\r\n"
+        );
+        assert!(!heads.has_buffered());
+        assert_eq!(heads.fill(&mut rest), Err(WireError::Disconnected));
+    }
+
+    #[test]
+    fn the_head_limit_does_not_depend_on_how_the_bytes_were_split() {
+        let limits = WireLimits {
+            max_head_bytes: 32,
+            ..WireLimits::default()
+        };
+        let fits = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(32 - 18));
+        let over = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(33 - 18));
+        assert_eq!(fits.len(), 32);
+        for (head, ok) in [(&fits, true), (&over, false)] {
+            for split in [1, 7, 64] {
+                let mut heads = HeadReader::default();
+                let result = loop {
+                    if let Some(result) = heads.take_head(&limits) {
+                        break result;
+                    }
+                    let sent = heads.buf.len();
+                    let mut next = head.as_bytes().get(sent..(sent + split).min(head.len()));
+                    heads.fill(next.as_mut().unwrap()).unwrap();
+                };
+                assert_eq!(result.is_ok(), ok, "{head:?} split by {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_request_says_whether_the_client_asked_to_close() {
+        for (head, close) in [
+            ("GET / HTTP/1.1\r\n\r\n", false),
+            ("GET / HTTP/1.1\r\nconnection: close\r\n\r\n", true),
+            (
+                "GET / HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n",
+                true,
+            ),
+            ("GET / HTTP/1.0\r\n\r\n", true),
+            ("GET / HTTP/1.0\r\nconnection: keep-alive\r\n\r\n", false),
+            (
+                "GET / HTTP/1.0\r\nconnection: upgrade, keep-alive\r\n\r\n",
+                false,
+            ),
+        ] {
+            assert_eq!(parse(head).unwrap().wants_close(), close, "{head:?}");
+        }
+    }
+
+    #[test]
     fn responses_encode_with_length_and_close() {
         let resp = HttpResponse::json("{\"ok\":true}".to_owned());
-        let bytes = encode_response(&resp, &[("retry-after", "1".to_owned())]);
+        let bytes = encode_response(
+            &resp,
+            &[
+                ("connection", "close".to_owned()),
+                ("retry-after", "1".to_owned()),
+            ],
+        );
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("content-length: 11\r\n"));
-        assert!(text.contains("connection: close\r\n"));
+        assert!(text.contains("content-length: 11\r\nconnection: close\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        // The connection header is the caller's: none is invented.
+        let bare = String::from_utf8(encode_response(&resp, &[])).unwrap();
+        assert!(!bare.contains("connection"), "{bare}");
     }
 
     #[test]

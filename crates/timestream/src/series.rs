@@ -78,10 +78,11 @@ impl Series {
     }
 
     /// Points with `from <= t <= to`, plus the number of storage chunks
-    /// the scan touched, for query cost accounting.
+    /// the scan touched, for query cost accounting. An inverted range
+    /// (`from > to`) holds no point: empty, no chunk touched.
     pub(crate) fn range_scan(&self, from: u64, to: u64) -> (&[(u64, f64)], u64) {
         let start = self.points.partition_point(|&(t, _)| t < from);
-        let end = self.points.partition_point(|&(t, _)| t <= to);
+        let end = self.points.partition_point(|&(t, _)| t <= to).max(start);
         (&self.points[start..end], chunks_touched(start, end))
     }
 
@@ -176,6 +177,21 @@ mod tests {
         assert_eq!(value_at(&s, 1800), Some((1800, 1800.0)));
         let empty = Series::new(vec![]);
         assert_eq!(value_at(&empty, 100), None);
+    }
+
+    #[test]
+    fn an_inverted_range_is_empty_whether_or_not_it_straddles_the_series() {
+        let mut s = Series::new(vec![]);
+        for t in [0u64, 600, 1200, 1800] {
+            s.insert(t, t as f64);
+        }
+        for (from, to) in [(1200, 600), (1000, 500), (5000, 4000), (700, 0), (1, 0)] {
+            assert_eq!(
+                s.range_scan(from, to),
+                (&[] as &[(u64, f64)], 0),
+                "{from}..{to}"
+            );
+        }
     }
 
     #[test]

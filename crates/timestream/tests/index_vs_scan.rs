@@ -74,8 +74,12 @@ impl RefSeries {
         }
     }
 
-    /// Index range of the points in `[from, to]`.
+    /// Index range of the points in `[from, to]`; empty when the range is
+    /// inverted.
     fn range(&self, from: u64, to: u64) -> (usize, usize) {
+        if from > to {
+            return (0, 0);
+        }
         (
             self.points.iter().filter(|&&(t, _)| t < from).count(),
             self.points.iter().filter(|&&(t, _)| t <= to).count(),
@@ -316,10 +320,17 @@ fn steps(max: usize) -> impl Strategy<Value = Vec<Step>> {
 
 fn asks() -> impl Strategy<Value = Vec<Ask>> {
     let filter = (0usize..KEYS.len(), 0usize..VALUES.len());
+    // Inverted ranges (`from > to`) hold no point. The store must answer
+    // them empty, both when the bounds straddle a series' points (where
+    // the bounds check alone keeps the series) and when they lie wholly
+    // past its points.
     let range = prop_oneof![
         Just((0u64, u64::MAX)),
         (0u64..12, 0u64..6).prop_map(|(a, n)| (a * ROUND, (a + n) * ROUND)),
         (0u64..8000).prop_map(|t| (t, t)),
+        (1u64..12, 1u64..6).prop_map(|(a, n)| ((a + n) * ROUND + 1, a * ROUND)),
+        (0u64..8000).prop_map(|t| (t + 1, t)),
+        (1u64..4).prop_map(|n| (u64::MAX, u64::MAX - n)),
     ];
     let agg = prop_oneof![
         Just(Aggregate::Mean),
