@@ -15,6 +15,7 @@ use crate::error::ApiError;
 use crate::fault::{Fault, FaultInjector, FaultSurface};
 use spotlake_cloud_sim::SimCloud;
 use spotlake_types::{InterruptionBucket, Savings};
+use std::fmt::Write;
 
 /// One advisor row as shown on the website.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +40,18 @@ impl AdvisorPage {
     /// (region, instance type) — the website is stable between refreshes.
     pub fn render(cloud: &SimCloud) -> String {
         let catalog = cloud.catalog();
-        let mut rows: Vec<(String, String, u8, usize)> = cloud
+        let type_names: Vec<String> = catalog.instance_types().iter().map(|t| t.name()).collect();
+        let type_rank = ranks(&type_names);
+        let region_rank = ranks(
+            &catalog
+                .regions()
+                .iter()
+                .map(|r| r.code())
+                .collect::<Vec<_>>(),
+        );
+        // (region, type) pairs are unique, so their ranks order the rows
+        // totally: the order a sort on the code and name strings gives.
+        let mut rows: Vec<_> = cloud
             .advisor_table()
             .into_iter()
             .map(|((ty, region), entry)| {
@@ -48,28 +60,29 @@ impl AdvisorPage {
                     .position(|b| *b == entry.bucket)
                     .expect("bucket is one of the five");
                 (
-                    catalog.region(region).code().to_owned(),
-                    catalog.ty(ty).name(),
+                    (region_rank[region.0 as usize], type_rank[ty.0 as usize]),
+                    type_names[ty.0 as usize].as_str(),
+                    catalog.region(region).code(),
                     entry.savings.percent(),
                     range,
                 )
             })
             .collect();
-        rows.sort();
+        rows.sort_unstable_by_key(|row| row.0);
 
         let mut out = String::with_capacity(rows.len() * 96 + 64);
         out.push_str("{\n  \"updated\": ");
-        out.push_str(&cloud.now().as_secs().to_string());
+        let _ = write!(out, "{}", cloud.now().as_secs());
         out.push_str(",\n  \"rows\": [\n");
-        for (i, (region, ty, savings, range)) in rows.iter().enumerate() {
+        for (i, &(_, ty, region, savings, range)) in rows.iter().enumerate() {
             out.push_str("    {\"instance_type\": \"");
             out.push_str(ty);
             out.push_str("\", \"region\": \"");
             out.push_str(region);
             out.push_str("\", \"savings\": ");
-            out.push_str(&savings.to_string());
+            let _ = write!(out, "{savings}");
             out.push_str(", \"interruption_range\": ");
-            out.push_str(&range.to_string());
+            let _ = write!(out, "{range}");
             out.push('}');
             if i + 1 < rows.len() {
                 out.push(',');
@@ -108,10 +121,10 @@ impl AdvisorPage {
                 detail: "unterminated row object".into(),
             })?;
             let obj = &chunk[..end];
-            let instance_type = extract_str(obj, "instance_type")?;
-            let region = extract_str(obj, "region")?;
-            let savings_pct: u8 = extract_num(obj, "savings")?;
-            let range: usize = extract_num(obj, "interruption_range")?;
+            let instance_type = extract_str(obj, &INSTANCE_TYPE)?;
+            let region = extract_str(obj, &REGION)?;
+            let savings_pct: u8 = extract_num(obj, &SAVINGS)?;
+            let range: usize = extract_num(obj, &INTERRUPTION_RANGE)?;
             let bucket =
                 *InterruptionBucket::ALL
                     .get(range)
@@ -198,29 +211,68 @@ impl AdvisorClient {
     }
 }
 
-fn extract_str(obj: &str, key: &str) -> Result<String, ApiError> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat).ok_or_else(|| ApiError::ScrapeFailed {
-        detail: format!("missing field {key}"),
-    })? + pat.len();
+/// Each entry's position in the sorted order of `names`.
+fn ranks<S: AsRef<str>>(names: &[S]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_unstable_by(|&a, &b| names[a].as_ref().cmp(names[b].as_ref()));
+    let mut rank = vec![0; names.len()];
+    for (r, i) in order.into_iter().enumerate() {
+        rank[i] = r as u32;
+    }
+    rank
+}
+
+/// A row field of the advisor document: its name, for error details, and
+/// the text its value follows.
+struct Field {
+    name: &'static str,
+    prefix: &'static str,
+}
+
+const INSTANCE_TYPE: Field = Field {
+    name: "instance_type",
+    prefix: "\"instance_type\": \"",
+};
+const REGION: Field = Field {
+    name: "region",
+    prefix: "\"region\": \"",
+};
+const SAVINGS: Field = Field {
+    name: "savings",
+    prefix: "\"savings\": ",
+};
+const INTERRUPTION_RANGE: Field = Field {
+    name: "interruption_range",
+    prefix: "\"interruption_range\": ",
+};
+
+fn extract_str(obj: &str, field: &Field) -> Result<String, ApiError> {
+    let start = obj
+        .find(field.prefix)
+        .ok_or_else(|| ApiError::ScrapeFailed {
+            detail: format!("missing field {}", field.name),
+        })?
+        + field.prefix.len();
     let rest = &obj[start..];
     let end = rest.find('"').ok_or_else(|| ApiError::ScrapeFailed {
-        detail: format!("unterminated string for {key}"),
+        detail: format!("unterminated string for {}", field.name),
     })?;
     Ok(rest[..end].to_owned())
 }
 
-fn extract_num<T: std::str::FromStr>(obj: &str, key: &str) -> Result<T, ApiError> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat).ok_or_else(|| ApiError::ScrapeFailed {
-        detail: format!("missing field {key}"),
-    })? + pat.len();
+fn extract_num<T: std::str::FromStr>(obj: &str, field: &Field) -> Result<T, ApiError> {
+    let start = obj
+        .find(field.prefix)
+        .ok_or_else(|| ApiError::ScrapeFailed {
+            detail: format!("missing field {}", field.name),
+        })?
+        + field.prefix.len();
     let rest = &obj[start..];
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().map_err(|_| ApiError::ScrapeFailed {
-        detail: format!("bad number for {key}"),
+        detail: format!("bad number for {}", field.name),
     })
 }
 

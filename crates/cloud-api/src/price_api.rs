@@ -158,7 +158,7 @@ impl PriceClient {
         let start = request.start.max(horizon);
         let end = request.end.min(cloud.now());
 
-        let zones: Vec<_> = match &request.availability_zone {
+        let mut zones: Vec<_> = match &request.availability_zone {
             Some(name) => {
                 let az = catalog.az_id(name).ok_or_else(|| ApiError::UnknownEntity {
                     kind: "availability zone",
@@ -168,40 +168,66 @@ impl PriceClient {
             }
             None => catalog.az_ids().collect(),
         };
+        let types = request
+            .instance_types
+            .iter()
+            .map(|name| {
+                catalog
+                    .instance_type_id(name)
+                    .ok_or_else(|| ApiError::UnknownEntity {
+                        kind: "instance type",
+                        name: name.clone(),
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
 
-        let mut records = Vec::new();
-        for name in &request.instance_types {
-            let ty = catalog
-                .instance_type_id(name)
-                .ok_or_else(|| ApiError::UnknownEntity {
-                    kind: "instance type",
-                    name: name.clone(),
-                })?;
-            for &az in &zones {
-                for (timestamp, price) in cloud.price_history(ty, az, start, end) {
-                    records.push(PricePoint {
-                        timestamp,
-                        instance_type: name.clone(),
-                        availability_zone: catalog.az(az).name().to_owned(),
-                        price,
-                    });
+        // Records are ordered by (timestamp, type name, zone name). Rank the
+        // names once, key each record by (timestamp, type rank, zone rank)
+        // packed into one integer, order only the records of the page, and
+        // build strings for those alone. A type named twice shares its rank,
+        // so its duplicate records stay adjacent, as a sort on the names
+        // would leave them; equal keys are such duplicates, equal records.
+        zones.sort_by(|&a, &b| catalog.az(a).name().cmp(catalog.az(b).name()));
+        let mut ranked_names: Vec<&str> =
+            request.instance_types.iter().map(String::as_str).collect();
+        ranked_names.sort_unstable();
+        ranked_names.dedup();
+
+        let mut entries: Vec<(u128, SpotPrice)> = Vec::new();
+        for (name, &ty) in request.instance_types.iter().zip(&types) {
+            let rank = ranked_names
+                .binary_search(&name.as_str())
+                .expect("every requested name is ranked") as u128;
+            for (zone_rank, &az) in zones.iter().enumerate() {
+                for &(timestamp, price) in cloud.price_history(ty, az, start, end) {
+                    let key =
+                        u128::from(timestamp.as_secs()) << 64 | rank << 32 | zone_rank as u128;
+                    entries.push((key, price));
                 }
             }
         }
-        records.sort_by(|a, b| {
-            a.timestamp
-                .cmp(&b.timestamp)
-                .then_with(|| a.instance_type.cmp(&b.instance_type))
-                .then_with(|| a.availability_zone.cmp(&b.availability_zone))
-        });
-
-        let page: Vec<PricePoint> = records
+        let mut page_entries: &mut [(u128, SpotPrice)] = &mut [];
+        if offset < entries.len() {
+            entries.select_nth_unstable_by_key(offset, |e| e.0);
+            let rest = &mut entries[offset..];
+            let len = rest.len().min(PAGE_SIZE);
+            if rest.len() > len {
+                rest.select_nth_unstable_by_key(len, |e| e.0);
+            }
+            page_entries = &mut rest[..len];
+            page_entries.sort_unstable_by_key(|e| e.0);
+        }
+        // The casts unpack the key's fields: the truncation is the point.
+        let page: Vec<PricePoint> = page_entries
             .iter()
-            .skip(offset)
-            .take(PAGE_SIZE)
-            .cloned()
+            .map(|&(key, price)| PricePoint {
+                timestamp: SimTime::from_secs((key >> 64) as u64),
+                instance_type: ranked_names[(key >> 32) as u32 as usize].to_owned(),
+                availability_zone: catalog.az(zones[key as u32 as usize]).name().to_owned(),
+                price,
+            })
             .collect();
-        let next_token = if offset + page.len() < records.len() {
+        let next_token = if offset + page.len() < entries.len() {
             Some((offset + page.len()).to_string())
         } else {
             None

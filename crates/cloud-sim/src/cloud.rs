@@ -12,6 +12,9 @@ use spotlake_types::{
 };
 use std::collections::BTreeMap;
 
+/// [`SimCloud`]'s pool-index entry for an unsupported (type, AZ) pair.
+const NO_POOL: u32 = u32::MAX;
+
 /// Handle to a submitted spot request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RequestId(pub u64);
@@ -28,7 +31,10 @@ pub struct SimCloud {
     config: SimConfig,
     now: SimTime,
     pools: Vec<Pool>,
-    pool_index: BTreeMap<(InstanceTypeId, AzId), PoolId>,
+    /// Dense (type × AZ) → pool table, row-major by type, [`NO_POOL`]
+    /// where the pair is unsupported: one load per lookup (547 × 63 × 4 B
+    /// ≈ 140 KB at the paper's catalog).
+    pool_index: Vec<u32>,
     /// Pools grouped per (type, region), for advisor aggregation.
     region_groups: BTreeMap<(InstanceTypeId, RegionId), Vec<PoolId>>,
     advisor: AdvisorBoard,
@@ -44,12 +50,12 @@ impl SimCloud {
     pub fn new(catalog: Catalog, config: SimConfig) -> SimCloud {
         let pairs = catalog.supported_pools();
         let mut pools = Vec::with_capacity(pairs.len());
-        let mut pool_index = BTreeMap::new();
+        let mut pool_index = vec![NO_POOL; catalog.instance_types().len() * catalog.azs().len()];
         let mut region_groups: BTreeMap<(InstanceTypeId, RegionId), Vec<PoolId>> = BTreeMap::new();
         for (ty, az) in pairs {
             let id = PoolId(pools.len() as u32);
             pools.push(Pool::new(&catalog, &config, ty, az));
-            pool_index.insert((ty, az), id);
+            pool_index[ty.0 as usize * catalog.azs().len() + az.0 as usize] = id.0;
             let region = catalog.az(az).region();
             region_groups.entry((ty, region)).or_default().push(id);
         }
@@ -108,7 +114,15 @@ impl SimCloud {
 
     /// The pool handle for `(ty, az)`, if that pair is supported.
     pub fn pool_id(&self, ty: InstanceTypeId, az: AzId) -> Option<PoolId> {
-        self.pool_index.get(&(ty, az)).copied()
+        let azs = self.catalog.azs().len();
+        let az = az.0 as usize;
+        if az >= azs {
+            return None;
+        }
+        match self.pool_index.get(ty.0 as usize * azs + az) {
+            Some(&id) if id != NO_POOL => Some(PoolId(id)),
+            _ => None,
+        }
     }
 
     /// The pool with id `id`.
@@ -353,17 +367,18 @@ impl SimCloud {
     }
 
     /// Spot price-change history for a pool over `[from, to]`, including the
-    /// change in effect at `from`, subject to the 90-day retention.
+    /// change in effect at `from`, subject to the 90-day retention; empty
+    /// for an unsupported pair. Borrowed from the price book, oldest first.
     pub fn price_history(
         &self,
         ty: InstanceTypeId,
         az: AzId,
         from: SimTime,
         to: SimTime,
-    ) -> Vec<(SimTime, SpotPrice)> {
+    ) -> &[(SimTime, SpotPrice)] {
         match self.pool_id(ty, az) {
             Some(pid) => self.prices.history(pid, from, to),
-            None => Vec::new(),
+            None => &[],
         }
     }
 

@@ -39,15 +39,11 @@ impl PriceBook {
         pool: PoolId,
         from: SimTime,
         to: SimTime,
-    ) -> Vec<(SimTime, SpotPrice)> {
+    ) -> &[(SimTime, SpotPrice)] {
         let all = &self.changes[pool.0 as usize];
         let start = all.partition_point(|(t, _)| *t < from);
-        let mut out = Vec::new();
-        if start > 0 {
-            out.push(all[start - 1]);
-        }
-        out.extend(all[start..].iter().take_while(|(t, _)| *t <= to).copied());
-        out
+        let end = all.partition_point(|(t, _)| *t <= to).max(start);
+        &all[start.saturating_sub(1)..end]
     }
 
     /// Drops events older than the retention window relative to `now`,

@@ -1238,19 +1238,21 @@ impl CollectorService {
     }
 }
 
-/// The quality-monitor coverage key of one record: instance type plus the
-/// record's finest location dimension (AZ when present, region otherwise —
-/// the advisor dataset has no AZ).
-fn record_key(record: &Record) -> String {
-    key_from_dims(&record.dimensions)
-}
-
-/// [`record_key`] over a bare dimension list — what recovery priming has.
-fn key_from_dims(dims: &[(String, String)]) -> String {
-    let dim = |key: &str| dims.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-    let instance_type = dim("instance_type").unwrap_or("?");
-    let location = dim("az").or_else(|| dim("region")).unwrap_or("?");
-    format!("{instance_type}:{location}")
+/// Writes the quality-monitor coverage key of a series' dimensions into
+/// `key` (cleared first): instance type plus the finest location
+/// dimension (AZ when present, region otherwise — the advisor dataset has
+/// no AZ). Live observation and recovery priming both key through here,
+/// so a recovered series primes exactly the key a live round observes.
+fn write_coverage_key(key: &mut String, dims: &[(String, String)]) {
+    let dim = |name: &str| {
+        dims.iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    };
+    key.clear();
+    key.push_str(dim("instance_type").unwrap_or("?"));
+    key.push(':');
+    key.push_str(dim("az").or_else(|| dim("region")).unwrap_or("?"));
 }
 
 /// Creates `name` if absent; a recovered archive already has its tables.
@@ -1272,8 +1274,10 @@ fn prime_quality(quality: &mut QualityMonitor, db: &Database, tick: u64) {
         (PRICE_TABLE, "price"),
     ] {
         let Ok(t) = db.table(table) else { continue };
+        let mut key = String::new();
         for (_measure, dims) in t.series_dimension_sets() {
-            quality.observe(dataset, &key_from_dims(dims), tick);
+            write_coverage_key(&mut key, dims);
+            quality.observe(dataset, &key, tick);
         }
     }
 }
@@ -1385,12 +1389,14 @@ impl CommitResult {
             self.shard_failures.iter().any(|f| f.region == region)
         };
         let mut committed = 0;
+        let mut key = String::new();
         for r in batch {
             // No failed shard (the usual round): no region to look up.
             if !self.shard_failures.is_empty() && dropped(r) {
                 continue;
             }
-            quality.observe(dataset, &record_key(r), tick);
+            write_coverage_key(&mut key, &r.dimensions);
+            quality.observe(dataset, &key, tick);
             committed += 1;
         }
         committed
@@ -1905,6 +1911,36 @@ mod tests {
         assert!(
             sps.gaps > 0,
             "the outage shows up as a coverage gap, not a blank slate"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_primes_exactly_the_keys_a_live_round_observes() {
+        let dir = wal_tempdir("prime-keys");
+        let mut cloud = cloud();
+        let mut service = CollectorService::new(cloud.catalog(), durable_config(&dir)).unwrap();
+        service.run(&mut cloud, 2).unwrap();
+        let tracked = |r: &QualityReport| -> Vec<(String, u64)> {
+            r.datasets
+                .iter()
+                .map(|d| (d.dataset.clone(), d.keys_tracked))
+                .collect()
+        };
+        let live = tracked(&service.quality_report());
+        drop(service);
+
+        let mut restarted = CollectorService::new(cloud.catalog(), durable_config(&dir)).unwrap();
+        assert_eq!(tracked(&restarted.quality_report()), live);
+        cloud.step();
+        restarted.collect_once(&cloud).unwrap();
+        // A key spelled differently by priming and by the live round would
+        // be tracked twice, and the primed spelling would go stale.
+        let after = restarted.quality_report();
+        assert_eq!(tracked(&after), live);
+        assert!(
+            after.datasets.iter().all(|d| d.keys_stale == 0),
+            "{after:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,11 +6,18 @@
 //! module watches the write path: the collector reports every observed
 //! (dataset × key) pair per round, the monitor tracks when each key was
 //! last seen, counts rounds each key missed (gaps), and summarizes
-//! coverage per dataset. Everything is keyed on simulation ticks and
-//! stored in `BTreeMap`s, so reports and exported gauges are byte-stable
-//! across same-seed runs.
+//! coverage per dataset. Everything is keyed on simulation ticks, and no
+//! output depends on the order keys are stored in, so reports and
+//! exported gauges are byte-stable across same-seed runs.
+//!
+//! The collector observes every stored record, ~35 k a round at the
+//! paper's catalog, so the per-record and per-round paths are kept cheap:
+//! observing a key already tracked is one hash lookup and no allocation,
+//! and [`QualityMonitor::export`] is one allocation-free pass over the
+//! running state. The key-level [`QualityReport`] is built only when asked
+//! for.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::Registry;
 
@@ -27,6 +34,35 @@ struct KeyState {
     gaps: u64,
     /// Total rounds missed across all gaps.
     missed: u64,
+}
+
+impl KeyState {
+    /// The state of a key first observed at `tick`.
+    fn first(tick: u64) -> KeyState {
+        KeyState {
+            first_tick: tick,
+            last_tick: tick,
+            observed: 1,
+            gaps: 0,
+            missed: 0,
+        }
+    }
+
+    /// Records a later observation at `tick`. A second observation at the
+    /// same tick is a no-op; a delta greater than `interval` counts one
+    /// gap and `delta / interval - 1` missed rounds.
+    fn observe(&mut self, tick: u64, interval: u64) {
+        if tick == self.last_tick {
+            return; // Same-round duplicate (e.g. two measures per key).
+        }
+        let delta = tick.saturating_sub(self.last_tick);
+        if delta > interval {
+            self.gaps += 1;
+            self.missed += delta / interval - 1;
+        }
+        self.observed += 1;
+        self.last_tick = tick;
+    }
 }
 
 /// Data-quality state for one key in a [`DatasetQuality`] report.
@@ -94,7 +130,21 @@ pub struct QualityMonitor {
     tick: u64,
     /// Completed rounds.
     rounds: u64,
-    keys: BTreeMap<String, BTreeMap<String, KeyState>>,
+    /// Per dataset, every key ever observed and its state; each key string
+    /// is stored once, as the map key. Hash order reaches no output: the
+    /// aggregates are sums, counts, minima and maxima, and the worst list
+    /// is sorted to a total order that ends on the key.
+    keys: BTreeMap<String, HashMap<Box<str>, KeyState>>,
+}
+
+/// One dataset's aggregates, read from the running state in one pass.
+struct Aggregates {
+    keys_tracked: u64,
+    keys_stale: u64,
+    gaps: u64,
+    missed_rounds: u64,
+    min_coverage: f64,
+    max_staleness: u64,
 }
 
 impl QualityMonitor {
@@ -117,31 +167,18 @@ impl QualityMonitor {
     /// expected interval counts one gap and `delta / interval - 1` missed
     /// rounds.
     pub fn observe(&mut self, dataset: &str, key: &str, tick: u64) {
-        let interval = self.interval;
-        let state = self
+        if let Some(state) = self
             .keys
+            .get_mut(dataset)
+            .and_then(|keys| keys.get_mut(key))
+        {
+            state.observe(tick, self.interval);
+            return;
+        }
+        self.keys
             .entry(dataset.to_owned())
             .or_default()
-            .entry(key.to_owned())
-            .or_insert(KeyState {
-                first_tick: tick,
-                last_tick: tick,
-                observed: 0,
-                gaps: 0,
-                missed: 0,
-            });
-        if state.observed > 0 {
-            if tick == state.last_tick {
-                return; // Same-round duplicate (e.g. two measures per key).
-            }
-            let delta = tick.saturating_sub(state.last_tick);
-            if delta > interval {
-                state.gaps += 1;
-                state.missed += delta / interval - 1;
-            }
-        }
-        state.observed += 1;
-        state.last_tick = tick;
+            .insert(key.into(), KeyState::first(tick));
     }
 
     /// Marks every key already known for `dataset` as observed at `tick` —
@@ -151,16 +188,7 @@ impl QualityMonitor {
         let interval = self.interval;
         if let Some(keys) = self.keys.get_mut(dataset) {
             for state in keys.values_mut() {
-                if tick == state.last_tick {
-                    continue;
-                }
-                let delta = tick.saturating_sub(state.last_tick);
-                if delta > interval {
-                    state.gaps += 1;
-                    state.missed += delta / interval - 1;
-                }
-                state.observed += 1;
-                state.last_tick = tick;
+                state.observe(tick, interval);
             }
         }
     }
@@ -171,6 +199,38 @@ impl QualityMonitor {
         self.rounds += 1;
     }
 
+    /// Staleness of `state` as of the last completed round.
+    fn staleness(&self, state: &KeyState) -> u64 {
+        self.tick.saturating_sub(state.last_tick)
+    }
+
+    /// One dataset's aggregates, in a single pass and without allocating.
+    fn aggregate(&self, keys: &HashMap<Box<str>, KeyState>) -> Aggregates {
+        let mut a = Aggregates {
+            keys_tracked: keys.len() as u64,
+            keys_stale: 0,
+            gaps: 0,
+            missed_rounds: 0,
+            min_coverage: f64::INFINITY,
+            max_staleness: 0,
+        };
+        for s in keys.values() {
+            let staleness = self.staleness(s);
+            a.keys_stale += u64::from(staleness > 0);
+            a.gaps += s.gaps;
+            a.missed_rounds += s.missed;
+            a.max_staleness = a.max_staleness.max(staleness);
+            // Rounds the key could have been observed in, from its first
+            // sighting through the current tick.
+            let span = self.tick.saturating_sub(s.first_tick) / self.interval + 1;
+            a.min_coverage = a.min_coverage.min(s.observed as f64 / span.max(1) as f64);
+        }
+        if !a.min_coverage.is_finite() {
+            a.min_coverage = 0.0;
+        }
+        a
+    }
+
     /// Builds the current report: per-dataset aggregates plus the worst
     /// keys by staleness. A pure function of the observations — two
     /// same-seed runs produce identical reports.
@@ -179,48 +239,34 @@ impl QualityMonitor {
             .keys
             .iter()
             .map(|(dataset, keys)| {
-                let mut worst: Vec<KeyQuality> = keys
-                    .iter()
+                let a = self.aggregate(keys);
+                let mut ranked: Vec<(&str, &KeyState)> =
+                    keys.iter().map(|(key, s)| (&**key, s)).collect();
+                ranked.sort_unstable_by(|(ka, a), (kb, b)| {
+                    self.staleness(b)
+                        .cmp(&self.staleness(a))
+                        .then(b.gaps.cmp(&a.gaps))
+                        .then(ka.cmp(kb))
+                });
+                let worst = ranked
+                    .into_iter()
+                    .take(Self::WORST_KEYS)
                     .map(|(key, s)| KeyQuality {
-                        key: key.clone(),
+                        key: key.to_owned(),
                         observed: s.observed,
-                        staleness: self.tick.saturating_sub(s.last_tick),
+                        staleness: self.staleness(s),
                         gaps: s.gaps,
                         missed: s.missed,
                     })
                     .collect();
-                let keys_stale = worst.iter().filter(|k| k.staleness > 0).count() as u64;
-                let gaps = worst.iter().map(|k| k.gaps).sum();
-                let missed_rounds = worst.iter().map(|k| k.missed).sum();
-                let max_staleness = worst.iter().map(|k| k.staleness).max().unwrap_or(0);
-                let min_coverage = keys
-                    .values()
-                    .map(|s| {
-                        // Rounds the key could have been observed in, from
-                        // its first sighting through the current tick.
-                        let span = self.tick.saturating_sub(s.first_tick) / self.interval + 1;
-                        s.observed as f64 / span.max(1) as f64
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                worst.sort_by(|a, b| {
-                    b.staleness
-                        .cmp(&a.staleness)
-                        .then(b.gaps.cmp(&a.gaps))
-                        .then(a.key.cmp(&b.key))
-                });
-                worst.truncate(Self::WORST_KEYS);
                 DatasetQuality {
                     dataset: dataset.clone(),
-                    keys_tracked: keys.len() as u64,
-                    keys_stale,
-                    gaps,
-                    missed_rounds,
-                    min_coverage: if min_coverage.is_finite() {
-                        min_coverage
-                    } else {
-                        0.0
-                    },
-                    max_staleness,
+                    keys_tracked: a.keys_tracked,
+                    keys_stale: a.keys_stale,
+                    gaps: a.gaps,
+                    missed_rounds: a.missed_rounds,
+                    min_coverage: a.min_coverage,
+                    max_staleness: a.max_staleness,
                     worst,
                 }
             })
@@ -234,12 +280,15 @@ impl QualityMonitor {
     }
 
     /// Exports per-dataset aggregate gauges (`spotlake_archive_*`) into
-    /// `registry`. Aggregates only — per-key series would explode scrape
-    /// cardinality with a production catalog; key-level detail lives in
-    /// the `/quality` report.
+    /// `registry`: the aggregates of [`QualityMonitor::report`], read in
+    /// one pass over the running state without building the report.
+    /// Aggregates only — per-key series would explode scrape cardinality
+    /// with a production catalog; key-level detail lives in the
+    /// `/quality` report.
     pub fn export(&self, registry: &Registry) {
-        for d in self.report().datasets {
-            let labels = [("dataset", d.dataset.as_str())];
+        for (dataset, keys) in &self.keys {
+            let d = self.aggregate(keys);
+            let labels = [("dataset", dataset.as_str())];
             registry.gauge_set(
                 "spotlake_archive_keys_tracked",
                 "Distinct coverage keys ever observed per dataset.",
