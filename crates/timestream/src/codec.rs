@@ -26,6 +26,7 @@ use crate::compress::{decode_series, encode_series};
 use crate::crc::crc32;
 use crate::db::Database;
 use crate::error::TsError;
+use crate::series::Series;
 use crate::table::{Table, TableOptions, WriteMode};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -48,18 +49,43 @@ pub(crate) fn load(path: &Path) -> Result<Database, TsError> {
     decode(&std::fs::read(path)?)
 }
 
-/// Serializes the database to the version-3 byte format, CRC trailer
-/// included. Fails closed with [`TsError::TooLarge`] if any collection
-/// cannot express its length as a `u32` — nothing is ever truncated into
-/// a length field.
+/// One table of an archive image: its name, its options and the series
+/// to write, `(measure, series)` in [`Table::series_entries`] order. A
+/// whole table, or the slice of one a shard owns.
+pub(crate) struct TableSlice<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) options: TableOptions,
+    pub(crate) series: Vec<(&'a str, &'a Series)>,
+}
+
+/// Serializes the database to the version-3 byte format: every series of
+/// every table, through [`encode_tables`].
 pub(crate) fn encode(db: &Database) -> Result<Vec<u8>, TsError> {
+    let tables: Vec<TableSlice<'_>> = db
+        .tables()
+        .iter()
+        .map(|(name, table)| TableSlice {
+            name,
+            options: table.options(),
+            series: table.series_entries().collect(),
+        })
+        .collect();
+    encode_tables(&tables)
+}
+
+/// Serializes `tables` to the version-3 byte format, CRC trailer
+/// included — the bytes [`encode`] writes for a database holding exactly
+/// these tables and series. Fails closed with [`TsError::TooLarge`] if
+/// any collection cannot express its length as a `u32` — nothing is ever
+/// truncated into a length field.
+pub(crate) fn encode_tables(tables: &[TableSlice<'_>]) -> Result<Vec<u8>, TsError> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    put_len(&mut out, db.tables().len(), "table count")?;
-    for (name, table) in db.tables() {
-        put_str(&mut out, name)?;
-        let opts = table.options();
+    put_len(&mut out, tables.len(), "table count")?;
+    for table in tables {
+        put_str(&mut out, table.name)?;
+        let opts = table.options;
         let mode = match opts.mode {
             WriteMode::Dense => 0u8,
             WriteMode::ChangePoint => 1u8,
@@ -72,9 +98,8 @@ pub(crate) fn encode(db: &Database) -> Result<Vec<u8>, TsError> {
             }
             None => out.push(0),
         }
-        let series: Vec<_> = table.series_entries().collect();
-        put_len(&mut out, series.len(), "series count")?;
-        for (measure, s) in series {
+        put_len(&mut out, table.series.len(), "series count")?;
+        for &(measure, s) in &table.series {
             put_str(&mut out, measure)?;
             put_len(&mut out, s.dimensions.len(), "dimension count")?;
             for (k, v) in s.dimensions.iter() {

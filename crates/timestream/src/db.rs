@@ -5,7 +5,7 @@ use crate::error::TsError;
 use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Query, Row, WindowRow};
 use crate::record::Record;
-use crate::table::{Table, TableOptions};
+use crate::table::{Applied, Logged, Table, TableOptions};
 use spotlake_obs::{QueryCtx, Registry};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -165,55 +165,69 @@ impl Database {
         table: &str,
         records: &[R],
     ) -> Result<usize, TsError> {
-        self.apply_logged(table, records, records.len(), None)
-    }
-
-    /// Applies the `logged` records of a batch that *offered* `offered`:
-    /// the rest were left out of the frame by [`Database::delta`] because
-    /// writing them changes nothing. The write families count the offered
-    /// batch — an elided record is submitted and deduped, exactly as if
-    /// the table had skipped it — so `/metrics` does not depend on how
-    /// little the log had to carry. A series this batch creates shares
-    /// its dimensions with the same series in `donor`, when there is one:
-    /// how a merged view avoids a second copy of what its shard holds.
-    pub(crate) fn apply_logged<R: Borrow<Record>>(
-        &mut self,
-        table: &str,
-        logged: &[R],
-        offered: usize,
-        donor: Option<&Database>,
-    ) -> Result<usize, TsError> {
-        let donor = donor.and_then(|db| db.tables.get(table));
         let tbl = self.table_mut(table)?;
         let mut key = String::new();
         let mut stored = 0;
-        for r in logged {
-            if tbl.write_keyed(r.borrow(), &mut key, donor)? {
+        for r in records {
+            if tbl.write_keyed(r.borrow(), &mut key)? {
                 stored += 1;
             }
         }
-        self.record_write_metrics(table, offered as u64, stored as u64);
+        self.record_write_metrics(table, records.len() as u64, stored as u64);
         Ok(stored)
     }
 
     /// The records of a batch a durable commit must log: those that can
-    /// change `table` (see [`Table::delta`]). A table this database does
-    /// not hold yet is empty, so nothing is left out.
+    /// change `table`, with their series ids (see [`Table::delta`]). A
+    /// table this database does not hold yet is empty, so nothing is left
+    /// out and no id is known.
     ///
     /// # Errors
     ///
     /// Returns [`TsError::BadRecord`] if any record of the batch is
     /// invalid.
-    pub(crate) fn delta<'a, R: Borrow<Record>>(
+    pub(crate) fn delta<'a>(
         &self,
         table: &str,
         options: TableOptions,
-        records: &'a [R],
-    ) -> Result<Vec<&'a Record>, TsError> {
+        records: impl IntoIterator<Item = &'a Record>,
+    ) -> Result<Vec<Logged<'a>>, TsError> {
         match self.tables.get(table) {
             Some(t) => t.delta(records),
             None => Table::new(options).delta(records),
         }
+    }
+
+    /// Applies the `logged` records of a batch that *offered* `offered`
+    /// — what [`Database::delta`] kept, against this database as it was
+    /// then, and a log has made durable — creating the table if the
+    /// batch is its first ([`Table::apply_logged`]). The rest were left
+    /// out because writing them changes nothing. The write families count
+    /// the offered batch — an elided record is submitted and deduped,
+    /// exactly as if the table had skipped it — so `/metrics` does not
+    /// depend on how little the log had to carry. The apply bypasses the
+    /// write throttle: the batch is committed.
+    pub(crate) fn apply_logged(
+        &mut self,
+        table: &str,
+        options: TableOptions,
+        logged: &[Logged<'_>],
+        offered: usize,
+    ) -> Applied {
+        let applied = if logged.is_empty() {
+            Applied::default()
+        } else {
+            let tbl = match self.tables.get_mut(table) {
+                Some(t) => t,
+                None => self
+                    .tables
+                    .entry(table.to_owned())
+                    .or_insert_with(|| Table::new(options)),
+            };
+            tbl.apply_logged(logged)
+        };
+        self.record_write_metrics(table, offered as u64, applied.stored as u64);
+        applied
     }
 
     /// Updates the `spotlake_store_*` write families after a successful

@@ -42,10 +42,7 @@ impl Record {
 
     /// The value of dimension `key`, if set.
     pub fn dimension_value(&self, key: &str) -> Option<&str> {
-        self.dimensions
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| self.dimensions[i].1.as_str())
+        dimension_value(&self.dimensions, key)
     }
 
     /// Validates the record for ingestion.
@@ -78,6 +75,15 @@ impl Record {
     pub fn series_key(&self) -> String {
         series_key(&self.measure, &self.dimensions)
     }
+}
+
+/// The value of dimension `key` in a sorted dimension list, if set — what
+/// [`Record::dimension_value`] answers, asked of a stored series too.
+pub(crate) fn dimension_value<'d>(dims: &'d [(String, String)], key: &str) -> Option<&'d str> {
+    dims.binary_search_by(|(k, _)| k.as_str().cmp(key))
+        .ok()
+        .and_then(|i| dims.get(i))
+        .map(|(_, v)| v.as_str())
 }
 
 /// Builds the canonical series key for a measure + sorted dimensions.

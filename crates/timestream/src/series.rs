@@ -23,9 +23,8 @@ pub(crate) fn chunks_touched(start: usize, end: usize) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Series {
     /// The series' dimensions (sorted by key), kept for query filtering.
-    /// Shared, not owned: every result row of the series, every clone of
-    /// the database and a shard's copy in the merged view hold the same
-    /// allocation.
+    /// Shared, not owned: every result row of the series and every clone
+    /// of the database hold the same allocation.
     pub(crate) dimensions: Arc<[(String, String)]>,
     /// Points, sorted by time, at most one per timestamp.
     points: Vec<(u64, f64)>,

@@ -34,22 +34,27 @@
 //!   the surviving committed prefix, lowers the watermark to match, and
 //!   clears the marker so the next open re-admits the shard.
 //!
-//! Commits fan out to shards with bounded parallelism; a crash fault in
-//! one shard fails only that shard's batch for the round — the round
-//! itself, and every other shard, proceed. A shard's watermark advances
-//! only with a frame: a batch that changes nothing in the shard logs
-//! nothing ([`crate::Wal::commit`]), so there is nothing newer for
-//! recovery to find and nothing for the manifest to promise.
+//! A shard holds no data in memory. The archive's one in-memory store is
+//! the [`Database`] [`ShardedArchive::open`] returns, which every
+//! [`ShardedArchive::commit`] writes into; a shard keeps its log, its
+//! checkpoint, its watermark and a count of the store's points that are
+//! its own. Commits fan out to shards with bounded parallelism; a crash
+//! fault in one shard fails only that shard's batch for the round — the
+//! round itself, and every other shard, proceed. A shard's watermark
+//! advances only with a frame: a batch that changes nothing in the shard
+//! logs nothing, so there is nothing newer for recovery to find and
+//! nothing for the manifest to promise.
 
-use crate::codec::{self, Cursor};
+use crate::codec::{self, Cursor, TableSlice};
 use crate::crc::crc32;
 use crate::db::Database;
 use crate::error::TsError;
 use crate::iofault::IoFaultPlan;
-use crate::record::Record;
+use crate::record::{dimension_value, Record};
 use crate::recovery::{fsck, recover, RecoveryReport};
-use crate::table::TableOptions;
-use crate::wal::{Committed, Wal, WalStats};
+use crate::series::Series;
+use crate::table::{Logged, TableOptions};
+use crate::wal::{Wal, WalStats};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -93,7 +98,7 @@ impl ShardKey {
     /// The region whose shard owns `record`: its `region` dimension, or
     /// `none` for a record without one.
     pub fn region_of(record: &Record) -> &str {
-        record.dimension_value("region").unwrap_or("none")
+        region_in(&record.dimensions)
     }
 
     /// The shard's directory name under the archive root, with any
@@ -122,6 +127,12 @@ impl std::fmt::Display for ShardKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.dataset, self.region)
     }
+}
+
+/// The region whose shard owns a record — or a stored series — with
+/// these dimensions: see [`ShardKey::region_of`].
+fn region_in(dimensions: &[(String, String)]) -> &str {
+    dimension_value(dimensions, "region").unwrap_or("none")
 }
 
 /// The path of a shard's directory under `root`.
@@ -167,17 +178,87 @@ struct Quarantined {
     entry: ManifestEntry,
 }
 
-/// One live (non-quarantined) shard.
+/// One live (non-quarantined) shard. Its points live in the archive's
+/// store; the shard has the log and checkpoint that make them durable.
 #[derive(Debug)]
 struct Shard {
     dir: PathBuf,
     wal: Wal,
-    db: Database,
+    /// Points of the store's slice this shard owns.
+    points: usize,
     last_tick: Option<u64>,
     checkpoint_tick: Option<u64>,
     rounds_since_checkpoint: u64,
     commits: u64,
     commit_failures: u64,
+}
+
+impl Shard {
+    /// Whether the shard has logged `every` frames since its last
+    /// checkpoint (never, for a zero cadence) and can still write one.
+    fn due(&self, every: u64) -> bool {
+        every > 0 && !self.wal.is_dead() && self.rounds_since_checkpoint >= every
+    }
+}
+
+/// One shard's share of a [`ShardedArchive::commit`].
+struct Slice<'s, 'r> {
+    shard: &'s mut Shard,
+    batch: Vec<&'r Record>,
+    /// What the shard must log, resolved against the store: `None` until
+    /// [`Database::delta`] has run, and for good if its thread panicked.
+    logged: Option<Result<Vec<Logged<'r>>, TsError>>,
+}
+
+impl<'r> Slice<'_, 'r> {
+    /// Logs the slice through the shard's WAL and moves the shard's
+    /// watermark if a frame was written; hands back what was logged, for
+    /// the store. On failure, classifies the shard for the failure row.
+    /// Runs on a commit worker thread.
+    fn log(
+        &mut self,
+        table: &str,
+        options: TableOptions,
+        tick: u64,
+        max_attempts: u32,
+    ) -> (Result<Vec<Logged<'r>>, (ShardState, String)>, u64) {
+        let shard = &mut *self.shard;
+        let (result, retries) = match self.logged.take() {
+            Some(Ok(logged)) => {
+                let offered = self.batch.len();
+                let (result, retries) =
+                    shard
+                        .wal
+                        .log(table, options, tick, &logged, offered, max_attempts);
+                (result.map(|()| logged), retries)
+            }
+            Some(Err(e)) => (Err(e), 0),
+            None => {
+                let detail = "shard commit thread panicked".to_owned();
+                return (Err((ShardState::Failed, detail)), 0);
+            }
+        };
+        let result = match result {
+            Ok(logged) => {
+                if !logged.is_empty() {
+                    shard.last_tick = Some(shard.last_tick.map_or(tick, |t| t.max(tick)));
+                    shard.rounds_since_checkpoint = shard.rounds_since_checkpoint.saturating_add(1);
+                }
+                shard.commits = shard.commits.saturating_add(1);
+                Ok(logged)
+            }
+            Err(e) => {
+                shard.commit_failures = shard.commit_failures.saturating_add(1);
+                let state = if shard.wal.is_dead() {
+                    ShardState::Failed
+                } else {
+                    ShardState::Healthy
+                };
+                Err((state, format!("commit failed: {e}")))
+            }
+        };
+        (result, retries)
+    }
 }
 
 /// A shard's health classification.
@@ -224,7 +305,8 @@ pub struct ShardHealthRow {
     pub state: ShardState,
     /// Why, for failed/quarantined shards; empty when healthy.
     pub detail: String,
-    /// Points in the shard's database (0 while quarantined).
+    /// Points of the archive's store that belong to the shard — its
+    /// committed prefix, also while failed (0 while quarantined).
     pub points: usize,
     /// Batches committed since open.
     pub commits: u64,
@@ -316,7 +398,9 @@ impl ShardedArchive {
     /// every shard named by the manifest or by `keys` independently.
     /// Shards whose committed prefix cannot be verified are quarantined —
     /// never a reason for this call to fail. Returns the archive plus the
-    /// merged database rebuilt from every healthy shard.
+    /// merged database rebuilt from every healthy shard: the archive's
+    /// one in-memory store, which [`ShardedArchive::commit`] writes into
+    /// and shard checkpoints are cut from.
     ///
     /// # Errors
     ///
@@ -343,23 +427,24 @@ impl ShardedArchive {
             recovery: RecoveryReport::default(),
             manifest_persisted: Vec::new(),
         };
-        let mut merged = Database::new();
+        let mut store = Database::new();
         for key in all_keys {
             let entry = manifest.get(&key).copied().unwrap_or_default();
-            archive.admit_shard(&key, entry, &mut merged)?;
+            archive.admit_shard(&key, entry, &mut store)?;
         }
-        archive.recovery.point_count = merged.point_count();
+        archive.recovery.point_count = store.point_count();
         archive.write_manifest()?;
-        Ok((archive, merged))
+        Ok((archive, store))
     }
 
-    /// Recovers one shard into the archive: healthy, or quarantined with
-    /// a marker on disk. Only root-level I/O failures propagate.
+    /// Recovers one shard into the archive — healthy, its series moved
+    /// into `store`, or quarantined with a marker on disk. Only root-level
+    /// I/O failures propagate.
     fn admit_shard(
         &mut self,
         key: &ShardKey,
         entry: ManifestEntry,
-        merged: &mut Database,
+        store: &mut Database,
     ) -> Result<(), TsError> {
         let dir = shard_dir(&self.root, key);
         let marker = dir.join(QUARANTINE_FILE);
@@ -434,13 +519,13 @@ impl ShardedArchive {
             }
         }
         self.recovery.last_tick = self.recovery.last_tick.max(recovered_tick);
-        merge_into(merged, &db)?;
+        merge_into(store, &db)?;
         self.shards.insert(
             key.clone(),
             Shard {
                 dir,
                 wal,
-                db,
+                points: db.point_count(),
                 last_tick: recovered_tick.max(entry.last_tick),
                 checkpoint_tick,
                 rounds_since_checkpoint: 0,
@@ -472,20 +557,29 @@ impl ShardedArchive {
         Ok(())
     }
 
-    /// Commits one dataset's round batch, fanned out to its region
-    /// shards, [`IN_FLIGHT`] at a time. The batch is grouped by region as
-    /// borrowed records; each shard commits its slice through its own WAL
-    /// ([`Wal::commit`]: log what changes state, absorbing transient
-    /// faults up to `max_attempts` tries, then apply to the shard
-    /// database), and as each shard's thread is joined — in key order,
-    /// while the shards behind it are still syncing — the records it
-    /// logged are applied to `merged`. A shard that fails — quarantined,
-    /// dead, or killed by a crash fault mid-append — contributes a
-    /// failure row and drops its slice for this round; every other shard
-    /// commits normally.
+    /// Commits one dataset's round batch into `store`, fanned out to its
+    /// region shards, [`IN_FLIGHT`] at a time — the steps of
+    /// [`Wal::commit`], spread over the shards:
+    ///
+    /// 1. the batch is grouped by region as borrowed records;
+    /// 2. every shard's slice is filtered down to what changes state and
+    ///    resolved to series ids against `store` as it is before the
+    ///    batch ([`Database::delta`]; read-only, so all shards at once);
+    /// 3. each shard appends what it kept to its own WAL and fsyncs,
+    ///    absorbing transient faults up to `max_attempts` tries;
+    /// 4. as each shard's thread is joined — in key order, while the
+    ///    shards behind it are still syncing — what it logged is applied
+    ///    to `store` by series id ([`Database::apply_logged`]).
+    ///
+    /// The ids stay valid through step 4 because a commit only appends
+    /// series. Shards of `table` that reached their checkpoint cadence
+    /// then cut their checkpoints from the store. A shard that fails —
+    /// quarantined, dead, or killed by a crash fault mid-append —
+    /// contributes a failure row and drops its slice for this round;
+    /// every other shard commits normally.
     pub fn commit(
         &mut self,
-        merged: &mut Database,
+        store: &mut Database,
         table: &str,
         options: TableOptions,
         tick: u64,
@@ -501,9 +595,9 @@ impl ShardedArchive {
         for (region, batch) in groups {
             let key = ShardKey::new(table, region);
             if !self.shards.contains_key(&key) && !self.quarantined.contains_key(&key) {
-                let entry = ManifestEntry::default();
-                let mut scratch = Database::new();
-                if let Err(e) = self.admit_shard(&key, entry, &mut scratch) {
+                // A shard first seen mid-run: whatever its directory
+                // already holds joins the store before its slice does.
+                if let Err(e) = self.admit_shard(&key, ManifestEntry::default(), store) {
                     outcome.failures.push(failure_row(
                         &key,
                         ShardState::Failed,
@@ -523,92 +617,116 @@ impl ShardedArchive {
             work.insert(key, batch);
         }
 
-        // `shards` iterates in key order, so jobs — and with them the
-        // merge and the failure rows — are in key order whichever thread
-        // finishes first.
+        // `shards` iterates in key order, so slices — and with them the
+        // applies and the failure rows — are in key order whichever
+        // thread finishes first.
         let mut keys: Vec<&ShardKey> = Vec::new();
-        let mut batches: Vec<Vec<&Record>> = Vec::new();
-        let mut live: Vec<&mut Shard> = Vec::new();
+        let mut slices: Vec<Slice<'_, '_>> = Vec::new();
         for (key, shard) in &mut self.shards {
             if let Some(batch) = work.remove(key) {
                 keys.push(key);
-                batches.push(batch);
-                live.push(shard);
+                slices.push(Slice {
+                    shard,
+                    batch,
+                    logged: None,
+                });
             }
         }
-        // A job borrows its batch rather than owning it, so what a shard
-        // logged can outlive the job and be merged after the join.
-        let mut jobs: Vec<(&mut Shard, &[&Record])> = live
-            .into_iter()
-            .zip(batches.iter().map(Vec::as_slice))
-            .collect();
+        // Step 2: the store is only read, so every shard filters at once.
+        let before: &Database = store;
+        fan_out(
+            &mut slices,
+            |s| {
+                s.logged = Some(if s.shard.wal.is_dead() {
+                    Err(TsError::WalDead)
+                } else {
+                    before.delta(table, options, s.batch.iter().copied())
+                });
+            },
+            |_| {},
+        );
+        // Steps 3 and 4: log on the worker, apply on this thread.
         let mut keys = keys.into_iter();
         fan_out(
-            &mut jobs,
-            |(shard, batch)| commit_one(shard, table, options, tick, batch, max_attempts),
+            &mut slices,
+            |s| s.log(table, options, tick, max_attempts),
             |joined| {
                 let Some(key) = keys.next() else { return };
-                let (shard_db, (result, retries)) = match joined {
-                    Ok((committed, (shard, _))) => (Some(&shard.db), committed),
+                let (result, retries) = match joined {
+                    Ok(((result, retries), s)) => (result.map(|logged| (logged, s)), retries),
                     Err(_) => {
                         let detail = "shard commit thread panicked".to_owned();
-                        (None, (Err((ShardState::Failed, detail)), 0))
+                        (Err((ShardState::Failed, detail)), 0)
                     }
                 };
                 outcome.retries = outcome.retries.saturating_add(retries);
-                // The shard acked: mirror what it logged into the merged
-                // serving view, which shares the dimensions of any series
-                // the shard's store has just created.
-                let merged_in = result.and_then(|c| {
-                    merged
-                        .apply_logged(table, &c.logged, c.offered, shard_db)
-                        .map(|_| c.stored)
-                        .map_err(|e| (ShardState::Failed, format!("merged apply failed: {e}")))
-                });
-                match merged_in {
-                    Ok(stored) => outcome.written = outcome.written.saturating_add(stored),
+                match result {
+                    Ok((logged, s)) => {
+                        let applied = store.apply_logged(table, options, &logged, s.batch.len());
+                        s.shard.points = s.shard.points.saturating_add(applied.points);
+                        outcome.written = outcome.written.saturating_add(applied.stored);
+                    }
                     Err((state, detail)) => {
                         outcome.failures.push(failure_row(key, state, &detail));
                     }
                 }
             },
         );
+        self.checkpoint_due(store, table, options);
         outcome
     }
 
-    /// Per-round maintenance: rotates checkpoints on the shards that
-    /// reached the cadence, [`IN_FLIGHT`] at a time like a commit (transient
-    /// faults postpone to the next round; crash faults kill only that
-    /// shard), and persists the manifest watermark atomically if any
-    /// moved.
+    /// Rotates the checkpoints of `table`'s shards that reached the
+    /// cadence, [`IN_FLIGHT`] at a time like a commit. One pass over the
+    /// table hands each due shard the series of its region; each shard's
+    /// thread encodes its own slice — the bytes its own store would have
+    /// saved. A transient fault postpones the rotation to the table's
+    /// next commit; a crash kills that shard alone, its torn temp file
+    /// never renamed, so its committed state (checkpoint + full WAL) is
+    /// intact for recovery.
+    fn checkpoint_due(&mut self, store: &Database, table: &str, options: TableOptions) {
+        let every = self.checkpoint_every;
+        let (regions, due): (Vec<&str>, Vec<&mut Shard>) = self
+            .shards
+            .iter_mut()
+            .filter(|(key, shard)| key.dataset == table && shard.due(every))
+            .map(|(key, shard)| (key.region.as_str(), shard))
+            .unzip();
+        if due.is_empty() {
+            return;
+        }
+        let mut jobs: Vec<(&mut Shard, Option<TableSlice<'_>>)> = due
+            .into_iter()
+            .zip(split_by_region(store, table, options, &regions))
+            .collect();
+        fan_out(
+            &mut jobs,
+            |(shard, image)| {
+                if shard
+                    .wal
+                    .checkpoint_with(|| codec::encode_tables(image.as_slice()))
+                    .is_ok()
+                {
+                    shard.checkpoint_tick = shard.last_tick;
+                    shard.rounds_since_checkpoint = 0;
+                }
+            },
+            // A rotation that panicked rotated nothing: the shard is
+            // still due.
+            |_| {},
+        );
+    }
+
+    /// Per-round maintenance: persists the manifest watermark atomically
+    /// if any moved. Checkpoints are cut as each table commits
+    /// ([`ShardedArchive::commit`]), so the manifest written here records
+    /// every rotation of the round.
     ///
     /// # Errors
     ///
     /// Returns an error only for root-level manifest I/O failure — shard
     /// faults are isolated, never propagated.
     pub fn maintain(&mut self) -> Result<(), TsError> {
-        let every = self.checkpoint_every;
-        let mut due: Vec<&mut Shard> = self
-            .shards
-            .values_mut()
-            .filter(|s| every > 0 && !s.wal.is_dead() && s.rounds_since_checkpoint >= every)
-            .collect();
-        fan_out(
-            &mut due,
-            |shard| {
-                // A transient fault is retried at the next round's
-                // maintenance. A crash kills this shard until restart;
-                // the torn temp file is never renamed, so its committed
-                // state (checkpoint + full WAL) is intact for recovery.
-                if shard.wal.checkpoint(&shard.db).is_ok() {
-                    shard.checkpoint_tick = shard.last_tick;
-                    shard.rounds_since_checkpoint = 0;
-                }
-            },
-            // A rotation that panicked rotated nothing: the shard is
-            // still due next round.
-            |_| {},
-        );
         self.write_manifest()
     }
 
@@ -660,7 +778,7 @@ impl ShardedArchive {
                     region: key.region.clone(),
                     state,
                     detail,
-                    points: shard.db.point_count(),
+                    points: shard.points,
                     commits: shard.commits,
                     commit_failures: shard.commit_failures,
                     last_tick: shard.last_tick,
@@ -709,16 +827,25 @@ impl ShardedArchive {
         total
     }
 
-    /// Saves each healthy shard's database as `state.db` inside its shard
-    /// directory — the per-shard byte-identity artifact crash tests
-    /// compare across same-seed runs.
+    /// Saves each healthy shard's slice of `store` as `state.db` inside
+    /// its shard directory — the bytes its checkpoint would hold now, and
+    /// the per-shard byte-identity artifact crash tests compare across
+    /// same-seed runs.
     ///
     /// # Errors
     ///
     /// Returns [`TsError::Io`] on filesystem failure.
-    pub fn save_shard_states(&self) -> Result<(), TsError> {
-        for shard in self.shards.values() {
-            shard.db.save(shard.dir.join("state.db"))?;
+    pub fn save_shard_states(&self, store: &Database) -> Result<(), TsError> {
+        for (key, shard) in &self.shards {
+            let options = store
+                .table(&key.dataset)
+                .map(|t| t.options())
+                .unwrap_or_default();
+            let image = split_by_region(store, &key.dataset, options, &[key.region.as_str()])
+                .pop()
+                .flatten();
+            let bytes = codec::encode_tables(image.as_slice())?;
+            codec::atomic_write(&shard.dir.join("state.db"), &bytes)?;
         }
         Ok(())
     }
@@ -753,43 +880,6 @@ fn fan_out<J: Send, T: Send>(
     });
 }
 
-/// Commits one shard's slice through its WAL and moves the shard's
-/// watermark if a frame was written. On failure, classifies the shard
-/// for the failure row. Runs on a commit worker thread.
-fn commit_one<'a>(
-    shard: &mut Shard,
-    table: &str,
-    options: TableOptions,
-    tick: u64,
-    batch: &'a [&'a Record],
-    max_attempts: u32,
-) -> (Result<Committed<'a>, (ShardState, String)>, u64) {
-    let (result, retries) =
-        shard
-            .wal
-            .commit(&mut shard.db, table, options, tick, batch, max_attempts);
-    let result = match result {
-        Ok(committed) => {
-            if !committed.logged.is_empty() {
-                shard.last_tick = Some(shard.last_tick.map_or(tick, |t| t.max(tick)));
-                shard.rounds_since_checkpoint = shard.rounds_since_checkpoint.saturating_add(1);
-            }
-            shard.commits = shard.commits.saturating_add(1);
-            Ok(committed)
-        }
-        Err(e) => {
-            shard.commit_failures = shard.commit_failures.saturating_add(1);
-            let state = if shard.wal.is_dead() {
-                ShardState::Failed
-            } else {
-                ShardState::Healthy
-            };
-            Err((state, format!("commit failed: {e}")))
-        }
-    };
-    (result, retries)
-}
-
 /// A failure row for [`ShardCommitOutcome`].
 fn failure_row(key: &ShardKey, state: ShardState, detail: &str) -> ShardHealthRow {
     ShardHealthRow {
@@ -804,21 +894,54 @@ fn failure_row(key: &ShardKey, state: ShardState, detail: &str) -> ShardHealthRo
     }
 }
 
-/// Rebuilds `merged` series from one recovered shard database.
-fn merge_into(merged: &mut Database, shard_db: &Database) -> Result<(), TsError> {
+/// Files one recovered shard's series in the store; the caller then
+/// drops the shard's own database, so the store is the only copy.
+fn merge_into(store: &mut Database, shard_db: &Database) -> Result<(), TsError> {
     for (name, table) in shard_db.tables() {
-        if merged.table(name).is_err() {
-            merged.create_table(name, table.options())?;
+        if store.table(name).is_err() {
+            store.create_table(name, table.options())?;
         }
-        let dst = merged.table_mut(name)?;
+        let dst = store.table_mut(name)?;
         for (measure, series) in table.series_entries() {
-            // The shard's store and the merged view share one allocation
-            // of a series' dimensions.
             let dimensions = Arc::clone(&series.dimensions);
             dst.insert_series_raw(dimensions, measure, series.points().to_vec());
         }
     }
     Ok(())
+}
+
+/// The slices of `table` its shards in `regions` own, from one pass over
+/// the table in `store`: each series goes to the slice of its region, in
+/// the order the codec writes a table, so a slice encodes to the bytes a
+/// store holding just that shard's series would save. A region without
+/// series gets no slice, as a shard that never stored anything has no
+/// table.
+fn split_by_region<'a>(
+    store: &'a Database,
+    table: &'a str,
+    options: TableOptions,
+    regions: &[&str],
+) -> Vec<Option<TableSlice<'a>>> {
+    let slot: BTreeMap<&str, usize> = regions.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+    let mut series: Vec<Vec<(&str, &Series)>> = vec![Vec::new(); regions.len()];
+    if let Ok(t) = store.table(table) {
+        for (measure, s) in t.series_entries() {
+            let region = region_in(&s.dimensions);
+            if let Some(list) = slot.get(region).and_then(|&i| series.get_mut(i)) {
+                list.push((measure, s));
+            }
+        }
+    }
+    series
+        .into_iter()
+        .map(|series| {
+            (!series.is_empty()).then_some(TableSlice {
+                name: table,
+                options,
+                series,
+            })
+        })
+        .collect()
 }
 
 /// Derives a shard's fault plan: independent seed per (dataset, region),
@@ -1320,38 +1443,41 @@ mod tests {
     }
 
     #[test]
-    fn the_merged_view_shares_dimensions_with_the_shard_stores() {
-        fn assert_shared(archive: &ShardedArchive, merged: &Database, path: &str) {
-            let q = Query::measure("score");
-            let merged_rows = merged.latest("sps", &q).unwrap();
-            let mut seen = 0;
-            for shard in archive.shards.values() {
-                for row in shard.db.latest("sps", &q).unwrap() {
-                    let twin = merged_rows
-                        .iter()
-                        .find(|m| m.dimensions == row.dimensions)
-                        .expect("every shard series is in the merged view");
-                    assert!(
-                        Arc::ptr_eq(&twin.dimensions, &row.dimensions),
-                        "{path}: one allocation per series, not one per store"
-                    );
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, merged_rows.len());
-            assert_eq!(seen, 2, "one series per region");
-        }
-        let root = tempdir("shared-dimensions");
-        let (mut archive, mut merged) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
-        merged.create_table("sps", TableOptions::default()).unwrap();
-        let mut records = batch("eu-test-1", 1);
-        records.extend(batch("us-test-1", 1));
-        let outcome = archive.commit(&mut merged, "sps", TableOptions::default(), 1, &records, 3);
-        assert!(outcome.failures.is_empty());
-        assert_shared(&archive, &merged, "commit");
-        drop(archive);
-        let (archive, merged) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
-        assert_shared(&archive, &merged, "recovery");
+    fn a_shard_first_seen_mid_run_serves_what_its_directory_holds() {
+        let root = tempdir("mid-run");
+        // A shard directory neither the manifest nor the open's keys name,
+        // holding one committed round.
+        let late = ShardKey::new("sps", "ap-test-1");
+        let mut wal = Wal::open(&shard_dir(&root, &late)).unwrap();
+        wal.append("sps", TableOptions::default(), 1, &batch("ap-test-1", 1))
+            .unwrap();
+        drop(wal);
+        let (mut archive, mut store) = ShardedArchive::open(&root, &keys(), 2, None).unwrap();
+        store.create_table("sps", TableOptions::default()).unwrap();
+        assert_eq!(store.point_count(), 0);
+
+        let records = batch("ap-test-1", 2);
+        let out = archive.commit(&mut store, "sps", TableOptions::default(), 2, &records, 3);
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
+        assert_eq!(out.written, 3);
+        // The recovered round serves next to the committed one.
+        let q = Query::measure("score").filter("region", "ap-test-1");
+        let times: Vec<u64> = store
+            .query("sps", &q)
+            .unwrap()
+            .iter()
+            .map(|r| r.time)
+            .collect();
+        assert_eq!(times, vec![600, 601, 602, 1200, 1201, 1202]);
+        let row = archive
+            .health()
+            .shards
+            .into_iter()
+            .find(|r| r.region == "ap-test-1");
+        assert_eq!(
+            row.map(|r| (r.state, r.points)),
+            Some((ShardState::Healthy, 6))
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -5,7 +5,6 @@ use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Query, Row, WindowRow};
 use crate::record::{series_key, write_series_key, Record};
 use crate::series::Series;
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -42,7 +41,21 @@ struct Slot {
 
 /// A series' position in its measure's slab. Four bytes: an id is stored
 /// once per dimension of every series.
-type SeriesId = u32;
+pub(crate) type SeriesId = u32;
+
+/// A record a durable commit logs, with the id of the series it lands in
+/// when [`Table::delta`] found that series already filed.
+pub(crate) type Logged<'a> = (&'a Record, Option<SeriesId>);
+
+/// What writing records did to a table ([`Table::apply_logged`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Applied {
+    /// Records that changed the table (change-point tables skip repeats).
+    pub(crate) stored: usize,
+    /// Points the table gained: a dense write at a timestamp the series
+    /// already holds changes a value, not the count.
+    pub(crate) points: usize,
+}
 
 /// The series of one measure and the index a filtered scan walks.
 ///
@@ -67,10 +80,6 @@ impl Measure {
 
     fn series_mut(&mut self, id: SeriesId) -> &mut Series {
         &mut self.slab[id as usize].series
-    }
-
-    fn get(&self, key: &str) -> Option<&Series> {
-        self.by_key.get(key).map(|&id| &self.slot(id).series)
     }
 
     /// The series in dimension-key order.
@@ -161,87 +170,115 @@ impl Table {
     ///
     /// Returns [`TsError::BadRecord`] for invalid records.
     pub fn write(&mut self, record: &Record) -> Result<bool, TsError> {
-        self.write_keyed(record, &mut String::new(), None)
+        self.write_keyed(record, &mut String::new())
     }
 
     /// [`Table::write`] with the dimension key built into `key`, a scratch
-    /// buffer the caller reuses across a batch. Both map levels are looked
-    /// up before anything is inserted: the series almost always exists,
-    /// and `entry` would clone the measure and the key for every record.
-    /// A series created here takes its dimensions from the same series of
-    /// `donor`, if that table holds it, instead of copying the record's.
+    /// buffer the caller reuses across a batch.
     pub(crate) fn write_keyed(
         &mut self,
         record: &Record,
         key: &mut String,
-        donor: Option<&Table>,
     ) -> Result<bool, TsError> {
         record.validate()?;
+        Ok(self.write_filed(record, key).stored > 0)
+    }
+
+    /// Writes `record` into the series its dimension key (built into
+    /// `key`) files, creating the series if the table has none. Both map
+    /// levels are looked up before anything is inserted: the series
+    /// almost always exists, and `entry` would clone the measure and the
+    /// key for every record.
+    fn write_filed(&mut self, record: &Record, key: &mut String) -> Applied {
         write_series_key(key, "", &record.dimensions);
+        let mode = self.options.mode;
         let measure = match self.series.get_mut(record.measure.as_str()) {
             Some(m) => m,
             None => self.series.entry(record.measure.clone()).or_default(),
         };
         let id = match measure.by_key.get(key.as_str()) {
             Some(&id) => id,
-            None => {
-                let shared = donor
-                    .and_then(|t| t.series.get(record.measure.as_str())?.get(key))
-                    .map(|s| Arc::clone(&s.dimensions));
-                let dimensions = shared.unwrap_or_else(|| record.dimensions.as_slice().into());
-                measure.push(Arc::from(key.as_str()), Series::new(dimensions))
-            }
+            None => measure.push(
+                Arc::from(key.as_str()),
+                Series::new(record.dimensions.as_slice()),
+            ),
         };
-        let series = measure.series_mut(id);
-        Ok(match self.options.mode {
-            WriteMode::Dense => series.insert(record.time, record.value),
-            WriteMode::ChangePoint => series.insert_changepoint(record.time, record.value),
-        })
+        write_point(measure.series_mut(id), mode, record)
     }
 
     /// The records of a batch that can change this table — what a durable
-    /// commit logs and applies (*delta logging*). A dense table keeps
-    /// everything. A change-point table drops a record when
-    /// [`Series::changepoint_may_store`] says writing it now is a no-op,
-    /// unless an earlier kept record of the batch targets the same series:
-    /// that one may change what "latest" means, so everything after it on
-    /// the series is kept. Applying the kept records in order therefore
-    /// leaves the table exactly as applying the whole batch would, and so
-    /// does replaying them after a crash.
+    /// commit logs and applies (*delta logging*) — each with the id of
+    /// its series when the table already files it, `None` when not. A
+    /// dense table keeps everything. A change-point table drops a record
+    /// when [`Series::changepoint_may_store`] says writing it now is a
+    /// no-op, unless an earlier kept record of the batch targets the same
+    /// series: that one may change what "latest" means, so everything
+    /// after it on the series is kept. Applying the kept records in order
+    /// ([`Table::apply_logged`]) therefore leaves the table exactly as
+    /// applying the whole batch would, and so does replaying them after a
+    /// crash.
+    ///
+    /// The ids stay valid until a series is removed: writes only append
+    /// to a measure's slab, and only retention re-files one.
     ///
     /// # Errors
     ///
     /// Returns [`TsError::BadRecord`] if any record of the batch — kept
     /// or not — is invalid.
-    pub(crate) fn delta<'a, R: Borrow<Record>>(
+    pub(crate) fn delta<'a>(
         &self,
-        records: &'a [R],
-    ) -> Result<Vec<&'a Record>, TsError> {
-        let records = records.iter().map(Borrow::borrow);
-        if self.options.mode == WriteMode::Dense {
-            return records.map(|r| r.validate().map(|()| r)).collect();
-        }
-        let mut kept = Vec::new();
+        records: impl IntoIterator<Item = &'a Record>,
+    ) -> Result<Vec<Logged<'a>>, TsError> {
+        let records = records.into_iter();
+        let changepoint = self.options.mode == WriteMode::ChangePoint;
+        let mut kept = Vec::with_capacity(records.size_hint().0);
         let mut touched: BTreeSet<String> = BTreeSet::new();
         let mut key = String::new();
         for r in records {
             r.validate()?;
             write_series_key(&mut key, &r.measure, &r.dimensions);
-            let series_touched = touched.contains(key.as_str());
-            let unchanged = !series_touched
-                && self
-                    .series
-                    .get(r.measure.as_str())
-                    .and_then(|m| m.get(key.get(r.measure.len()..)?))
-                    .is_some_and(|s| !s.changepoint_may_store(r.time, r.value));
-            if !unchanged {
+            let filed = self.series.get(r.measure.as_str()).and_then(|m| {
+                let id = *m.by_key.get(key.get(r.measure.len()..)?)?;
+                Some((id, &m.slot(id).series))
+            });
+            if changepoint {
+                let series_touched = touched.contains(key.as_str());
+                let unchanged = !series_touched
+                    && filed.is_some_and(|(_, s)| !s.changepoint_may_store(r.time, r.value));
+                if unchanged {
+                    continue;
+                }
                 if !series_touched {
                     touched.insert(key.clone());
                 }
-                kept.push(r);
             }
+            kept.push((r, filed.map(|(id, _)| id)));
         }
         Ok(kept)
+    }
+
+    /// Applies records [`Table::delta`] kept, in order: each to the series
+    /// its id names — no key to build, no map to search — or, without an
+    /// id, to the series its dimension key files, created if absent (a
+    /// series new to the table, perhaps created by an earlier record of
+    /// the same batch). The records were validated by `delta`.
+    pub(crate) fn apply_logged(&mut self, logged: &[Logged<'_>]) -> Applied {
+        let mode = self.options.mode;
+        let mut key = String::new();
+        let mut applied = Applied::default();
+        for &(record, id) in logged {
+            let by_id = id.and_then(|id| {
+                let measure = self.series.get_mut(record.measure.as_str())?;
+                measure.slab.get_mut(id as usize)
+            });
+            let one = match by_id {
+                Some(slot) => write_point(&mut slot.series, mode, record),
+                None => self.write_filed(record, &mut key),
+            };
+            applied.stored += one.stored;
+            applied.points += one.points;
+        }
+        applied
     }
 
     /// Runs a raw query: all matching points from all matching series,
@@ -485,17 +522,18 @@ impl Table {
         })
     }
 
-    /// Iterates over `(measure, series)` pairs — used by the persistence
-    /// codec.
-    pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&String, &Series)> {
+    /// Iterates over `(measure, series)` pairs, measures in name order and
+    /// each measure's series in key order — the order the persistence
+    /// codec writes them in.
+    pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&str, &Series)> {
         self.series
             .iter()
-            .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure, s)))
+            .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure.as_str(), s)))
     }
 
-    /// Files a whole series — how checkpoint load and the shard merge
-    /// build a table. `dimensions` is taken as the shared allocation so a
-    /// caller that already holds one (a shard's store) passes it on. A
+    /// Files a whole series — how checkpoint load and a shard's admission
+    /// into the store build a table. `dimensions` is taken as the shared
+    /// allocation so a caller that already holds one passes it on. A
     /// series already filed under the same key is replaced.
     pub(crate) fn insert_series_raw(
         &mut self,
@@ -526,6 +564,19 @@ impl Table {
                 }
             }
         }
+    }
+}
+
+/// Writes `record`'s point into `series` as a table in `mode` does.
+fn write_point(series: &mut Series, mode: WriteMode, record: &Record) -> Applied {
+    let before = series.len();
+    let changed = match mode {
+        WriteMode::Dense => series.insert(record.time, record.value),
+        WriteMode::ChangePoint => series.insert_changepoint(record.time, record.value),
+    };
+    Applied {
+        stored: usize::from(changed),
+        points: series.len() - before,
     }
 }
 

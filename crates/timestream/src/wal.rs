@@ -36,7 +36,7 @@ use crate::db::Database;
 use crate::error::TsError;
 use crate::iofault::{IoFault, IoFaultPlan, IoFaultState};
 use crate::record::Record;
-use crate::table::{TableOptions, WriteMode};
+use crate::table::{Logged, TableOptions, WriteMode};
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -97,11 +97,8 @@ pub struct WalStats {
 }
 
 /// What one [`Wal::commit`] made durable.
-#[derive(Debug)]
-pub struct Committed<'a> {
-    /// The records that were logged and applied, in batch order — the
-    /// ones a second view of the same data has to apply as well.
-    pub logged: Vec<&'a Record>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Committed {
     /// Records the batch offered, logged or not.
     pub offered: usize,
     /// Records the store kept (change-point tables skip repeats).
@@ -161,15 +158,18 @@ impl Wal {
 
     /// Commits one batch durably: log what changes state, then apply it.
     ///
-    /// The records [`Database::delta`] keeps are appended as one frame
-    /// (transient faults retried up to `max_attempts` tries) and then
-    /// applied to `db`, bypassing its write throttle — once the frame is
-    /// fsynced the batch *is* committed, and memory must match what replay
-    /// rebuilds. The filter runs against `db` as it is before the batch
-    /// and keeps everything it is not sure about, so applying the logged
-    /// records leaves `db` exactly as applying the whole batch would.
-    /// When nothing is left to log, no frame is written and nothing is
-    /// fsynced; the batch is committed all the same.
+    /// Three steps, the same ones a sharded commit runs per shard
+    /// ([`crate::ShardedArchive::commit`]): [`Database::delta`] picks the
+    /// records that change state and resolves their series against `db`
+    /// as it is before the batch, keeping everything it is not sure
+    /// about; [`Wal::log`] appends them as one frame (transient faults
+    /// retried up to `max_attempts` tries); and [`Database::apply_logged`]
+    /// applies them by series id, bypassing the write throttle — once the
+    /// frame is fsynced the batch *is* committed, and memory must match
+    /// what replay rebuilds. Applying the logged records leaves `db`
+    /// exactly as applying the whole batch would. When nothing is left to
+    /// log, no frame is written and nothing is fsynced; the batch is
+    /// committed all the same.
     ///
     /// Returns the outcome together with the transient-fault retries the
     /// append absorbed, which count whether or not it succeeded in the end.
@@ -178,52 +178,70 @@ impl Wal {
     ///
     /// As [`Wal::append`] — including [`TsError::WalDead`] for a batch
     /// that would have logged nothing: a dead log acknowledges no batch.
-    pub fn commit<'a, R: Borrow<Record>>(
+    pub fn commit<R: Borrow<Record>>(
         &mut self,
         db: &mut Database,
         table: &str,
         options: TableOptions,
         tick: u64,
-        records: &'a [R],
+        records: &[R],
         max_attempts: u32,
-    ) -> (Result<Committed<'a>, TsError>, u64) {
-        let mut retries: u64 = 0;
-        let result = (|| {
-            if self.dead {
-                return Err(TsError::WalDead);
-            }
-            let offered = records.len();
-            let logged = db.delta(table, options, records)?;
-            let stored = if logged.is_empty() {
-                db.record_write_metrics(table, offered as u64, 0);
-                0
-            } else {
-                let mut attempt: u32 = 0;
-                loop {
-                    attempt = attempt.saturating_add(1);
-                    match self.append(table, options, tick, &logged) {
-                        Ok(()) => break,
-                        Err(e) if e.is_retryable() && attempt < max_attempts.max(1) => {
-                            retries = retries.saturating_add(1);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                if db.table(table).is_err() {
-                    db.create_table(table, options)?;
-                }
-                db.apply_logged(table, &logged, offered, None)?
-            };
-            self.records_elided = self
-                .records_elided
-                .saturating_add(offered.saturating_sub(logged.len()) as u64);
-            Ok(Committed {
-                logged,
-                offered,
-                stored,
-            })
-        })();
+    ) -> (Result<Committed, TsError>, u64) {
+        if self.dead {
+            return (Err(TsError::WalDead), 0);
+        }
+        let offered = records.len();
+        let logged = match db.delta(table, options, records.iter().map(Borrow::borrow)) {
+            Ok(logged) => logged,
+            Err(e) => return (Err(e), 0),
+        };
+        let (result, retries) = self.log(table, options, tick, &logged, offered, max_attempts);
+        let result = result.map(|()| Committed {
+            offered,
+            stored: db.apply_logged(table, options, &logged, offered).stored,
+        });
         (result, retries)
+    }
+
+    /// Makes the `logged` records of a batch that offered `offered`
+    /// durable as one frame, retrying transient faults up to
+    /// `max_attempts` tries, and counts the records left out as elided.
+    /// Nothing logged, nothing written: no frame, no fsync. Returns the
+    /// outcome with the retries absorbed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::append`]; [`TsError::WalDead`] even for an empty batch.
+    pub(crate) fn log(
+        &mut self,
+        table: &str,
+        options: TableOptions,
+        tick: u64,
+        logged: &[Logged<'_>],
+        offered: usize,
+        max_attempts: u32,
+    ) -> (Result<(), TsError>, u64) {
+        if self.dead {
+            return (Err(TsError::WalDead), 0);
+        }
+        let mut retries: u64 = 0;
+        if !logged.is_empty() {
+            let mut attempt: u32 = 0;
+            loop {
+                attempt = attempt.saturating_add(1);
+                match self.append_records(table, options, tick, logged.iter().map(|&(r, _)| r)) {
+                    Ok(()) => break,
+                    Err(e) if e.is_retryable() && attempt < max_attempts.max(1) => {
+                        retries = retries.saturating_add(1);
+                    }
+                    Err(e) => return (Err(e), retries),
+                }
+            }
+        }
+        self.records_elided = self
+            .records_elided
+            .saturating_add(offered.saturating_sub(logged.len()) as u64);
+        (Ok(()), retries)
     }
 
     /// Appends one batch as a frame, every record of it. On success the
@@ -246,6 +264,17 @@ impl Wal {
         options: TableOptions,
         tick: u64,
         records: &[R],
+    ) -> Result<(), TsError> {
+        self.append_records(table, options, tick, records.iter().map(Borrow::borrow))
+    }
+
+    /// [`Wal::append`] of any run of borrowed records.
+    fn append_records<'r>(
+        &mut self,
+        table: &str,
+        options: TableOptions,
+        tick: u64,
+        records: impl ExactSizeIterator<Item = &'r Record>,
     ) -> Result<(), TsError> {
         if self.dead {
             return Err(TsError::WalDead);
@@ -316,13 +345,27 @@ impl Wal {
     ///   temp file is left behind but never renamed, so the previous
     ///   checkpoint and the full log both survive for recovery.
     pub fn checkpoint(&mut self, db: &Database) -> Result<(), TsError> {
+        self.checkpoint_with(|| codec::encode(db))
+    }
+
+    /// [`Wal::checkpoint`] of the snapshot `encode` produces — called only
+    /// when the rotation writes something, so a transient fault costs no
+    /// encode. How a shard rotates the slice of the store it owns.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::checkpoint`], plus whatever `encode` returns.
+    pub(crate) fn checkpoint_with(
+        &mut self,
+        encode: impl FnOnce() -> Result<Vec<u8>, TsError>,
+    ) -> Result<(), TsError> {
         if self.dead {
             return Err(TsError::WalDead);
         }
         let target = checkpoint_path(&self.dir);
         match self.faults.next("checkpoint") {
             None => {
-                codec::atomic_write(&target, &codec::encode(db)?)?;
+                codec::atomic_write(&target, &encode()?)?;
                 self.file.set_len(HEADER_LEN)?;
                 self.file.seek(SeekFrom::Start(HEADER_LEN))?;
                 self.file.sync_data()?;
@@ -339,7 +382,7 @@ impl Wal {
                 // but the rename never happens, so nothing of value is
                 // lost — recovery discards the temp and replays the log.
                 debug_assert!(f.is_crash());
-                let bytes = codec::encode(db)?;
+                let bytes = encode()?;
                 let torn = prefix(&bytes, bytes.len() / 2);
                 // lint:allow(durability): fault injection deliberately leaves a torn, never-renamed temp artifact
                 std::fs::write(codec::tmp_path(&target), torn)?;
@@ -393,12 +436,12 @@ pub(crate) struct WalFrame {
 
 /// Appends a batch frame's payload to `out`, validating each record as
 /// it is encoded.
-fn encode_payload<R: Borrow<Record>>(
+fn encode_payload<'r>(
     out: &mut Vec<u8>,
     table: &str,
     options: TableOptions,
     tick: u64,
-    records: &[R],
+    records: impl ExactSizeIterator<Item = &'r Record>,
 ) -> Result<(), TsError> {
     out.push(FRAME_KIND_BATCH);
     codec::put_str(out, table)?;
@@ -416,7 +459,6 @@ fn encode_payload<R: Borrow<Record>>(
     codec::put_u64(out, tick);
     codec::put_len(out, records.len(), "record count")?;
     for r in records {
-        let r = r.borrow();
         r.validate()?;
         codec::put_u64(out, r.time);
         codec::put_str(out, &r.measure)?;
@@ -746,8 +788,13 @@ mod tests {
         let mut wal = Wal::open(&dir).unwrap();
         let opening = prices(600, [0.1, 0.2]);
         let (first, _) = wal.commit(&mut db, "price", changepoint(), 1, &opening, 3);
-        let first = first.unwrap();
-        assert_eq!((first.logged.len(), first.offered, first.stored), (2, 2, 2));
+        assert_eq!(
+            first.unwrap(),
+            Committed {
+                offered: 2,
+                stored: 2
+            }
+        );
         let after_first = wal.stats();
         assert_eq!(after_first.frames_appended, 1);
         assert_eq!(after_first.records_elided, 0);
@@ -755,10 +802,12 @@ mod tests {
         // An all-repeat batch is committed without touching the log.
         let repeats = prices(1200, [0.1, 0.2]);
         let (repeat, retries) = wal.commit(&mut db, "price", changepoint(), 2, &repeats, 3);
-        let repeat = repeat.unwrap();
         assert_eq!(
-            (repeat.logged.len(), repeat.offered, repeat.stored),
-            (0, 2, 0)
+            repeat.unwrap(),
+            Committed {
+                offered: 2,
+                stored: 0
+            }
         );
         assert_eq!(retries, 0);
         assert_eq!(
@@ -777,13 +826,11 @@ mod tests {
         // One change: the frame holds that record alone.
         let one_change = prices(1800, [0.1, 0.3]);
         let (mixed, _) = wal.commit(&mut db, "price", changepoint(), 3, &one_change, 3);
-        let mixed = mixed.unwrap();
-        assert_eq!(mixed.logged, vec![&one_change[1]]);
-        assert_eq!(mixed.stored, 1);
+        assert_eq!(mixed.unwrap().stored, 1);
         let scan = scan_frames(&std::fs::read(wal_path(&dir)).unwrap());
         assert_eq!(scan.frames.len(), 2);
         assert_eq!(scan.frames[1].tick, 3);
-        assert_eq!(scan.frames[1].records.len(), 1);
+        assert_eq!(scan.frames[1].records, vec![one_change[1].clone()]);
 
         // The store counts what was offered, so the write families do not
         // depend on how little the log carried.
@@ -869,7 +916,7 @@ mod tests {
             &frame.table,
             frame.options,
             frame.tick,
-            &frame.records,
+            frame.records.iter(),
         )
         .unwrap();
         assert_eq!(WalFrame::decode(&payload).unwrap(), frame);

@@ -4,9 +4,12 @@
 //! ([`Wal::commit`]). Whatever the batches look like — the same series
 //! twice in one batch, timestamps behind the series' latest, values
 //! repeating across rounds, a crash fault somewhere in the sequence — the
-//! store it leaves, the merged view beside it, and the store recovery
-//! rebuilds from the log must be byte-for-byte what writing every offered
-//! record of every acked batch through [`Database::write`] produces.
+//! store it leaves and the store recovery rebuilds from the log must be
+//! byte-for-byte what writing every offered record of every acked batch
+//! through [`Database::write`] produces. A sharded archive keeps no store
+//! per shard, so what each shard cuts from the one store — its
+//! checkpoints, its point count — must equal a reference store written
+//! with that shard's acked slices alone.
 
 use proptest::prelude::*;
 use spotlake_timestream::{
@@ -63,6 +66,24 @@ fn write_all(db: &mut Database, options: TableOptions, records: &[Record]) {
         db.create_table(TABLE, options).unwrap();
     }
     db.write(TABLE, records).unwrap();
+}
+
+/// Each shard's `points` in the archive's health rows, by region.
+fn points(archive: &ShardedArchive) -> BTreeMap<String, usize> {
+    archive
+        .health()
+        .shards
+        .into_iter()
+        .map(|row| (row.region, row.points))
+        .collect()
+}
+
+/// Each reference shard store's point count, by region.
+fn reference_points(shards: &BTreeMap<&str, Database>) -> BTreeMap<String, usize> {
+    shards
+        .iter()
+        .map(|(region, db)| (region.to_string(), db.point_count()))
+        .collect()
 }
 
 /// Strategy: a sequence of round batches over six series in three
@@ -133,8 +154,8 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Three shards behind one merged view, checkpoints every second
-    /// frame, transient and crash faults in one of the shards.
+    /// Three shards behind one store, checkpoints every second frame,
+    /// transient and crash faults in one of the shards.
     #[test]
     fn a_sharded_commit_equals_writing_every_acked_slice(
         rounds in rounds(),
@@ -159,6 +180,7 @@ proptest! {
         full.create_table(TABLE, options).unwrap();
         let mut full_shards: BTreeMap<&str, Database> =
             REGIONS.iter().map(|r| (*r, Database::new())).collect();
+        let mut checkpoints: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
 
         for (i, batch) in rounds.iter().enumerate() {
             let out = archive.commit(&mut merged, TABLE, options, i as u64 + 1, batch, 2);
@@ -180,20 +202,33 @@ proptest! {
                 write_all(shard, options, &slice);
             }
             archive.maintain().unwrap();
+            prop_assert_eq!(points(&archive), reference_points(&full_shards), "round {}", i);
+            // A checkpoint cut this round — on its cadence or after a
+            // transient fault put it off — holds exactly the shard's
+            // reference store.
+            for (key, (region, shard)) in keys.iter().zip(&full_shards) {
+                let path = shard_dir(&root, key).join("checkpoint.db");
+                let Ok(now) = std::fs::read(path) else { continue };
+                if checkpoints.get(region) != Some(&now) {
+                    prop_assert_eq!(&now, &bytes(shard), "checkpoint of {} in round {}", region, i);
+                    checkpoints.insert(region, now);
+                }
+            }
         }
 
-        prop_assert_eq!(bytes(&merged), bytes(&full), "merged view after the run");
-        archive.save_shard_states().unwrap();
+        prop_assert_eq!(bytes(&merged), bytes(&full), "store after the run");
+        archive.save_shard_states(&merged).unwrap();
         for (key, (region, shard)) in keys.iter().zip(&full_shards) {
             let state = std::fs::read(shard_dir(&root, key).join("state.db")).unwrap();
-            prop_assert_eq!(state, bytes(shard), "shard store {}", region);
+            prop_assert_eq!(state, bytes(shard), "state of shard {}", region);
         }
         drop(archive);
         let (archive, mut reopened) = ShardedArchive::open(&root, &keys, 2, None).unwrap();
         prop_assert_eq!(archive.health().healthy(), REGIONS.len(), "no shard quarantined");
+        prop_assert_eq!(points(&archive), reference_points(&full_shards), "after reopen");
         // An archive that never logged a frame recovers no table at all.
         let _ = reopened.create_table(TABLE, options);
-        prop_assert_eq!(bytes(&reopened), bytes(&full), "merged view after recovery");
+        prop_assert_eq!(bytes(&reopened), bytes(&full), "store after recovery");
         std::fs::remove_dir_all(&root).ok();
     }
 }

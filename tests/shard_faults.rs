@@ -274,7 +274,7 @@ fn same_seed_shard_recovery_is_byte_identical() {
         restarted
             .sharded_archive()
             .expect("sharded mode")
-            .save_shard_states()
+            .save_shard_states(restarted.database())
             .unwrap();
     }
 
