@@ -1,66 +1,18 @@
-//! Durable-archive wiring: startup recovery, the open WAL, checkpoint
-//! cadence, and dead-letter persistence.
+//! Dead-letter persistence for the durable archive.
 //!
 //! The collector owns *when* durability happens (commit each round's
-//! batches, checkpoint every N rounds, persist the dead-letter queue
-//! alongside the log); the mechanics — frames, checksums, atomic
-//! rotation, replay — live in `spotlake_timestream`.
+//! batches, persist the dead-letter queue alongside the shards); the
+//! mechanics — frames, checksums, atomic rotation, replay — live in
+//! `spotlake_timestream`.
 
 use crate::service::DeadLetter;
-use spotlake_timestream::{
-    atomic_write, recover, Database, IoFaultPlan, RecoveryReport, TsError, Wal,
-};
+use spotlake_timestream::{atomic_write, TsError};
 use std::path::{Path, PathBuf};
 
 const DEAD_LETTER_MAGIC: &[u8; 4] = b"SPDL";
 const DEAD_LETTER_VERSION: u8 = 1;
 
-/// The collector's durability state: the open WAL, the directory it
-/// lives in, the checkpoint cadence, and what recovery found at startup.
-#[derive(Debug)]
-pub(crate) struct Durability {
-    pub(crate) wal: Wal,
-    pub(crate) checkpoint_every: u64,
-    pub(crate) rounds_since_checkpoint: u64,
-    pub(crate) recovery: RecoveryReport,
-}
-
-impl Durability {
-    /// Recovers the archive from `dir` (checkpoint + WAL replay, torn
-    /// tail truncated), opens the log for appending, and compacts the
-    /// replayed prefix into a fresh checkpoint so the log does not grow
-    /// across restarts.
-    pub(crate) fn open(
-        dir: &Path,
-        io_faults: Option<IoFaultPlan>,
-        checkpoint_every: u64,
-    ) -> Result<(Database, Durability), TsError> {
-        let (db, recovery) = recover(dir)?;
-        let mut wal = Wal::open(dir)?;
-        if let Some(plan) = io_faults.filter(|p| !p.is_zero()) {
-            wal.set_faults(plan);
-        }
-        if recovery.frames_replayed > 0 {
-            match wal.checkpoint(&db) {
-                // A transient fault just postpones compaction to the
-                // round cadence; the replayed frames are still on disk.
-                Ok(()) | Err(TsError::WalFault { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((
-            db,
-            Durability {
-                wal,
-                checkpoint_every: checkpoint_every.max(1),
-                rounds_since_checkpoint: 0,
-                recovery,
-            },
-        ))
-    }
-}
-
-/// The dead-letter queue as persisted next to the WAL, so queries
+/// The dead-letter queue as persisted at the archive root, so queries
 /// deferred by the breaker/dead-letter logic survive a restart.
 ///
 /// Format: `magic "SPDL" | u8 version | u32 count | entries | u64 fnv`,

@@ -11,7 +11,7 @@
 
 use crate::accounts::AccountPool;
 use crate::advisor_collector::AdvisorCollector;
-use crate::durability::{DeadLetterFile, Durability};
+use crate::durability::DeadLetterFile;
 use crate::error::CollectError;
 use crate::health::{Dataset, DatasetStatus, RoundHealth};
 use crate::planner::{PlanStats, PlannerStrategy, QueryPlanner};
@@ -26,8 +26,8 @@ use spotlake_obs::{
     TraceJournal,
 };
 use spotlake_timestream::{
-    Database, IoFaultPlan, Record, RecoveryReport, ShardCommitOutcome, ShardFaultConfig, ShardKey,
-    ShardSetHealth, ShardedArchive, TableOptions, TsError, WalStats, WriteMode,
+    Database, IoFaultPlan, Record, RecoveryReport, ShardFaultConfig, ShardKey, ShardSetHealth,
+    ShardedArchive, TableOptions, TsError, WalStats, WriteMode,
 };
 use spotlake_types::Catalog;
 use std::collections::BTreeSet;
@@ -58,26 +58,26 @@ pub struct CollectorConfig {
     pub faults: Option<FaultPlan>,
     /// Retry budget and backoff schedule.
     pub retry: RetryPolicy,
-    /// Directory for the write-ahead log, checkpoint snapshot, and
-    /// persisted dead-letter queue. `None` (the default) runs without
-    /// durability, exactly as before. With a directory set, the service
-    /// recovers from it at startup and commits every round's batches
-    /// through the WAL before applying them in memory.
+    /// Root of the durable archive: a [`ShardedArchive`] of dataset ×
+    /// region shards, each with its own WAL, checkpoint and recovery,
+    /// plus the persisted dead-letter queue. `None` (the default) keeps
+    /// the archive in memory only. With a directory set, the service
+    /// recovers every shard at startup and commits every round's batches
+    /// through the shards' WALs before applying them in memory.
     pub wal_dir: Option<PathBuf>,
-    /// Checkpoint cadence in rounds (only meaningful with
-    /// [`CollectorConfig::wal_dir`]): after every N completed rounds the
-    /// archive is snapshotted and the replayed WAL prefix truncated.
+    /// Checkpoint cadence (only meaningful with
+    /// [`CollectorConfig::wal_dir`]): a shard rotates its checkpoint
+    /// after every N frames it logs.
     pub checkpoint_every: u64,
-    /// Deterministic disk-fault injection behind the WAL and checkpoint
-    /// writers (only meaningful with [`CollectorConfig::wal_dir`]).
+    /// Deterministic disk-fault injection behind the shards' WAL and
+    /// checkpoint writers (only meaningful with
+    /// [`CollectorConfig::wal_dir`]).
     pub io_faults: Option<IoFaultPlan>,
-    /// Shard the durable archive by dataset × region (only meaningful
-    /// with [`CollectorConfig::wal_dir`]): each shard gets its own WAL,
-    /// checkpoint, and recovery, so a torn write in one dataset×region
-    /// degrades that shard instead of the whole archive.
+    /// Selects nothing: every [`CollectorConfig::wal_dir`] archive is
+    /// sharded. The field stays only because the benchmark sets it.
     pub shards: bool,
     /// Restrict [`CollectorConfig::io_faults`] to a single shard (only
-    /// meaningful with [`CollectorConfig::shards`]): every other shard
+    /// meaningful with [`CollectorConfig::wal_dir`]): every other shard
     /// runs fault-free, which is how the shard-loss drill proves fault
     /// isolation.
     pub io_fault_shard: Option<ShardKey>,
@@ -200,15 +200,11 @@ pub struct CollectorService {
     /// Per-(dataset × pool-key) coverage/staleness tracking, fed from the
     /// records each round actually stores.
     quality: QualityMonitor,
-    /// The WAL/checkpoint state when the service runs durably
-    /// ([`CollectorConfig::wal_dir`]); `None` keeps the legacy in-memory
-    /// write path untouched.
-    durability: Option<Durability>,
-    /// The sharded archive when the service runs with
-    /// [`CollectorConfig::shards`]: per-dataset×region WALs, checkpoints,
-    /// and quarantine. Mutually exclusive with `durability`; `db` is then
-    /// the merged read view rebuilt from every healthy shard.
-    sharded: Option<ShardedArchive>,
+    /// The durable archive when the service runs with
+    /// [`CollectorConfig::wal_dir`]: per-dataset×region WALs,
+    /// checkpoints, and quarantine, with `db` rebuilt from every healthy
+    /// shard. `None` keeps the archive in memory only.
+    archive: Option<ShardedArchive>,
 }
 
 impl CollectorService {
@@ -249,12 +245,12 @@ impl CollectorService {
         });
 
         // With a WAL directory configured, the database is whatever
-        // recovery reconstructs (checkpoint + replay); the tables are
-        // then ensured rather than created, since a recovered archive
-        // already has them. Sharded mode recovers each dataset×region
-        // fault domain independently and merges the healthy ones.
-        let (mut db, durability, sharded) = match &config.wal_dir {
-            Some(dir) if config.shards => {
+        // recovery reconstructs: each dataset×region shard recovers
+        // independently (checkpoint + replay) and the healthy ones merge.
+        // The tables are then ensured rather than created, since a
+        // recovered archive already has them.
+        let (mut db, archive) = match &config.wal_dir {
+            Some(dir) => {
                 let keys = shard_keys(catalog, &config);
                 let faults = config.io_faults.map(|plan| ShardFaultConfig {
                     plan,
@@ -262,13 +258,9 @@ impl CollectorService {
                 });
                 let (archive, db) =
                     ShardedArchive::open(dir, &keys, config.checkpoint_every, faults)?;
-                (db, None, Some(archive))
+                (db, Some(archive))
             }
-            Some(dir) => {
-                let (db, d) = Durability::open(dir, config.io_faults, config.checkpoint_every)?;
-                (db, Some(d), None)
-            }
-            None => (Database::new(), None, None),
+            None => (Database::new(), None),
         };
         ensure_table(
             &mut db,
@@ -313,10 +305,7 @@ impl CollectorService {
         // The cloud advances one tick per round, so a live key is
         // expected every tick; any larger delta is a coverage gap.
         let mut quality = QualityMonitor::new(1);
-        let recovery = durability
-            .as_ref()
-            .map(|d| &d.recovery)
-            .or_else(|| sharded.as_ref().map(|s| s.recovery()));
+        let recovery = archive.as_ref().map(ShardedArchive::recovery);
         let start_tick = recovery.and_then(|r| r.last_tick).unwrap_or(0);
         let clock = ManualClock::new(start_tick);
         let (dead_letter_file, dead_letters) = match &config.wal_dir {
@@ -353,8 +342,7 @@ impl CollectorService {
             clock,
             totals: CollectStats::default(),
             quality,
-            durability,
-            sharded,
+            archive,
         })
     }
 
@@ -388,34 +376,27 @@ impl CollectorService {
         self.dead_letters.len()
     }
 
-    /// What startup recovery found and replayed, when the service runs
-    /// durably ([`CollectorConfig::wal_dir`]). In sharded mode this is
-    /// the aggregate across every shard's independent recovery.
+    /// What startup recovery found and replayed, aggregated across every
+    /// shard's independent recovery, when the service runs durably
+    /// ([`CollectorConfig::wal_dir`]).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.durability
-            .as_ref()
-            .map(|d| &d.recovery)
-            .or_else(|| self.sharded.as_ref().map(|s| s.recovery()))
+        self.archive.as_ref().map(ShardedArchive::recovery)
     }
 
-    /// The WAL's counters, when the service runs durably. In sharded
-    /// mode the counters are summed over every live shard's WAL.
+    /// The WAL counters summed over every live shard, when the service
+    /// runs durably.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durability
-            .as_ref()
-            .map(|d| d.wal.stats())
-            .or_else(|| self.sharded.as_ref().map(|s| s.wal_stats()))
+        self.archive.as_ref().map(ShardedArchive::wal_stats)
     }
 
-    /// Per-shard health rows, when the service runs sharded
-    /// ([`CollectorConfig::shards`]).
+    /// Per-shard health rows, when the service runs durably.
     pub fn shard_health(&self) -> Option<ShardSetHealth> {
-        self.sharded.as_ref().map(|s| s.health())
+        self.archive.as_ref().map(ShardedArchive::health)
     }
 
-    /// The sharded archive itself, when the service runs sharded.
+    /// The sharded archive itself, when the service runs durably.
     pub fn sharded_archive(&self) -> Option<&ShardedArchive> {
-        self.sharded.as_ref()
+        self.archive.as_ref()
     }
 
     /// The collector's metric registry (`spotlake_collector_*` and
@@ -507,41 +488,13 @@ impl CollectorService {
             },
             format!("{depth} queued"),
         );
-        if let Some(d) = &self.durability {
-            let (readiness, detail) = if d.wal.is_dead() {
-                (
-                    Readiness::Unhealthy,
-                    "wal dead after crash fault; restart required".to_owned(),
-                )
-            } else if d.recovery.recovered_anything() && self.totals.rounds == 0 {
-                // Replay is done but no fresh round has landed yet: the
-                // service is serving recovered data only.
-                (
-                    Readiness::Degraded,
-                    format!(
-                        "recovering: replayed {} frames ({} rounds), truncated {} bytes",
-                        d.recovery.frames_replayed,
-                        d.recovery.rounds_recovered,
-                        d.recovery.bytes_truncated
-                    ),
-                )
-            } else {
-                let s = d.wal.stats();
-                (
-                    Readiness::Ready,
-                    format!(
-                        "{} frames appended, {} checkpoints",
-                        s.frames_appended, s.checkpoints
-                    ),
-                )
-            };
-            report.push("store/wal", readiness, detail);
-        }
-        if let Some(s) = &self.sharded {
+        if let Some(archive) = &self.archive {
             // Shards are independent fault domains, so the component
             // aggregates: unhealthy only when every shard is lost,
-            // degraded (still serving) while any shard is impaired.
-            let h = s.health();
+            // degraded (still serving) while any shard is impaired or
+            // while only recovered data has been served.
+            let h = archive.health();
+            let recovery = archive.recovery();
             let (readiness, detail) = if h.all_lost() {
                 (
                     Readiness::Unhealthy,
@@ -562,6 +515,18 @@ impl CollectorService {
                         h.healthy(),
                         h.total(),
                         impaired.join(", ")
+                    ),
+                )
+            } else if recovery.recovered_anything() && self.totals.rounds == 0 {
+                // Replay is done but no fresh round has landed yet: the
+                // service is serving recovered data only.
+                (
+                    Readiness::Degraded,
+                    format!(
+                        "recovering: replayed {} frames ({} rounds), truncated {} bytes",
+                        recovery.frames_replayed,
+                        recovery.rounds_recovered,
+                        recovery.bytes_truncated
                     ),
                 )
             } else {
@@ -637,31 +602,17 @@ impl CollectorService {
     }
 
     /// End-of-round durability maintenance: persist the dead-letter
-    /// queue next to the WAL and rotate a checkpoint every
-    /// `checkpoint_every` rounds. A transient checkpoint fault just
-    /// postpones the rotation to the next round (the log still holds
-    /// everything); a crash fault surfaces as the round's error.
+    /// queue next to the shards and the manifest watermark. Checkpoints
+    /// rotate per shard as each table commits, and a shard's checkpoint
+    /// crash is absorbed inside the archive (that shard alone degrades);
+    /// only a root-manifest failure — outside every fault domain — is
+    /// round-fatal.
     fn maintain_durability(&mut self) -> Result<(), CollectError> {
         if let Some(file) = &mut self.dead_letter_file {
             file.save(&self.dead_letters)?;
         }
-        if let Some(s) = &mut self.sharded {
-            // Per-shard checkpoint crashes are absorbed inside the
-            // archive (that shard alone degrades); only a root-manifest
-            // failure — outside every fault domain — is round-fatal.
-            s.maintain()?;
-            return Ok(());
-        }
-        let Some(d) = &mut self.durability else {
-            return Ok(());
-        };
-        d.rounds_since_checkpoint += 1;
-        if d.rounds_since_checkpoint >= d.checkpoint_every {
-            match d.wal.checkpoint(&self.db) {
-                Ok(()) => d.rounds_since_checkpoint = 0,
-                Err(e) if e.is_retryable() => {}
-                Err(e) => return Err(e.into()),
-            }
+        if let Some(archive) = &mut self.archive {
+            archive.maintain()?;
         }
         Ok(())
     }
@@ -853,7 +804,7 @@ impl CollectorService {
             }
         }
 
-        if let Some(archive) = &self.sharded {
+        if let Some(archive) = &self.archive {
             let h = archive.health();
             let m = &self.metrics;
             m.gauge_set(
@@ -980,8 +931,7 @@ impl CollectorService {
 
         match commit_with_retry(
             &mut self.db,
-            &mut self.durability,
-            &mut self.sharded,
+            &mut self.archive,
             SPS_TABLE,
             tick,
             &outcome.records,
@@ -1044,8 +994,7 @@ impl CollectorService {
                 health.advisor.retries = outcome.retries;
                 match commit_with_retry(
                     &mut self.db,
-                    &mut self.durability,
-                    &mut self.sharded,
+                    &mut self.archive,
                     ADVISOR_TABLE,
                     tick,
                     &outcome.records,
@@ -1130,8 +1079,7 @@ impl CollectorService {
                 records.extend(outcome.records);
                 match commit_with_retry(
                     &mut self.db,
-                    &mut self.durability,
-                    &mut self.sharded,
+                    &mut self.archive,
                     PRICE_TABLE,
                     tick,
                     &records,
@@ -1353,20 +1301,13 @@ fn record_recovery_observations(
 struct CommitResult {
     /// Points the store accepted (change-point tables skip repeats).
     written: usize,
-    /// Shards that refused or failed their slice of the batch (sharded
-    /// archive only; the single-WAL and in-memory paths are
-    /// all-or-nothing). Every record outside these regions committed.
+    /// Shards that refused or failed their slice of the batch (durable
+    /// archive only; the in-memory path is all-or-nothing). Every record
+    /// outside these regions committed.
     shard_failures: Vec<spotlake_timestream::ShardHealthRow>,
 }
 
 impl CommitResult {
-    fn all(written: usize) -> CommitResult {
-        CommitResult {
-            written,
-            shard_failures: Vec::new(),
-        }
-    }
-
     /// The first failed shard, rendered for a dataset's health record.
     fn first_failure(&self) -> Option<String> {
         self.shard_failures
@@ -1403,50 +1344,39 @@ impl CommitResult {
     }
 }
 
-/// Commits a batch durably through [`Wal::commit`]: log the records that
-/// change state (retrying transient disk faults within the round's
-/// budget), then apply them in memory past the store's write-throttle.
-/// With a sharded archive the batch fans out per region and a failed
-/// shard drops only its own slice — never an `Err` — so partial storage
-/// degrades the dataset instead of killing the round. Without durability
-/// configured this is [`write_with_retry`], unchanged.
-///
-/// [`Wal::commit`]: spotlake_timestream::Wal::commit
-#[allow(clippy::too_many_arguments)]
+/// Commits a batch durably through the archive: the batch fans out per
+/// region, each shard logs the records that change state (retrying
+/// transient disk faults within the round's budget) and they are applied
+/// in memory, and a failed shard drops only its own slice — never an
+/// `Err` — so partial storage degrades the dataset instead of killing
+/// the round. Without an archive this is [`write_with_retry`]: the
+/// in-memory write, retrying the store's throttles.
 fn commit_with_retry(
     db: &mut Database,
-    durability: &mut Option<Durability>,
-    sharded: &mut Option<ShardedArchive>,
+    archive: &mut Option<ShardedArchive>,
     table: &str,
     tick: u64,
     records: &[Record],
     policy: &RetryPolicy,
     retries: &mut usize,
 ) -> Result<CommitResult, TsError> {
-    if let Some(archive) = sharded {
-        let options = db.table(table)?.options();
-        let out: ShardCommitOutcome =
-            archive.commit(db, table, options, tick, records, policy.max_attempts);
-        *retries += out.retries as usize;
+    let Some(archive) = archive else {
+        let written = write_with_retry(db, table, records, policy, retries)?;
         return Ok(CommitResult {
-            written: out.written,
-            shard_failures: out.failures,
+            written,
+            shard_failures: Vec::new(),
         });
-    }
-    let Some(d) = durability else {
-        return Ok(CommitResult::all(write_with_retry(
-            db, table, records, policy, retries,
-        )?));
     };
     let options = db.table(table)?.options();
-    let (committed, wal_retries) =
-        d.wal
-            .commit(db, table, options, tick, records, policy.max_attempts);
-    *retries += wal_retries as usize;
-    Ok(CommitResult::all(committed?.stored))
+    let out = archive.commit(db, table, options, tick, records, policy.max_attempts);
+    *retries += out.retries as usize;
+    Ok(CommitResult {
+        written: out.written,
+        shard_failures: out.failures,
+    })
 }
 
-/// The shard keys a fresh sharded archive starts with: every enabled
+/// The shard keys a fresh archive starts with: every enabled
 /// dataset table × every catalog region. [`ShardedArchive::open`] unions
 /// these with whatever the on-disk manifest already names, so a region
 /// added to the catalog later simply grows a new shard.
@@ -1820,23 +1750,44 @@ mod tests {
         service.run(&mut cloud, 3).unwrap();
         let committed = service.database().point_count();
         let wal = service.wal_stats().unwrap();
-        // A frame holds what changes state. Dense SPS logs every round;
-        // the change-point datasets log their first sighting and then
-        // only changes: rounds 2 and 3 repeat the advisor's 8 records
-        // (2 types × 2 regions × score and savings) and offer no new
-        // price, so neither writes a frame.
-        assert_eq!(wal.frames_appended, 5, "3 sps + 1 advisor + 1 price");
+        // A frame holds what changes state, one shard (dataset × region)
+        // at a time. Dense SPS logs every round in both regions; the
+        // change-point datasets log their first sighting and then only
+        // changes: rounds 2 and 3 repeat the advisor's 8 records (2 types
+        // × 2 regions × score and savings) and offer no new price, so
+        // neither writes a frame. A shard's watermark moves only with a
+        // frame, so it names the last round that shard logged.
+        let logged: Vec<(String, Option<u64>)> = service
+            .shard_health()
+            .unwrap()
+            .shards
+            .iter()
+            .map(|r| (format!("{}/{}", r.dataset, r.region), r.last_tick))
+            .collect();
+        let expect = |shard: &str, tick: u64| (shard.to_owned(), Some(tick));
+        assert_eq!(
+            logged,
+            vec![
+                expect("advisor/eu-test-1", 1),
+                expect("advisor/us-test-1", 1),
+                expect("price/eu-test-1", 1),
+                expect("price/us-test-1", 1),
+                expect("sps/eu-test-1", 3),
+                expect("sps/us-test-1", 3),
+            ]
+        );
+        assert_eq!(wal.frames_appended, 10, "2 × (3 sps + 1 advisor + 1 price)");
         assert_eq!(wal.records_elided, 16, "the advisor's repeats");
         // ...which /metrics can answer for: fewer WAL bytes, and why.
         let scrape = service.metrics().render();
-        assert!(scrape.contains("spotlake_wal_frames_appended_total 5"));
+        assert!(scrape.contains("spotlake_wal_frames_appended_total 10"));
         assert!(scrape.contains("spotlake_wal_records_elided_total 16"));
         // The store still counts every offered record: an elided one is
         // submitted and deduped, exactly as a skipped one always was.
         let store = service.database().metrics().render();
         assert!(store.contains("spotlake_store_records_submitted_total{table=\"advisor\"} 24"));
         assert!(store.contains("spotlake_store_records_deduped_total{table=\"advisor\"} 16"));
-        assert!(wal.checkpoints >= 1, "checkpoint_every=2 fired");
+        assert_eq!(wal.checkpoints, 2, "each sps shard reached 2 frames");
         assert!(!wal.dead);
         drop(service);
 

@@ -159,13 +159,13 @@ impl SpsCollector {
     ) -> Result<SpsOutcome, CollectError> {
         let now = cloud.now().as_secs();
         let capacity = self.target_capacity;
-        let shard_results = crossbeam::thread::scope(|scope| {
+        let shard_results = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
                 .enumerate()
                 .map(|(shard_idx, shard)| {
-                    scope.spawn(move |_| -> Result<SpsOutcome, CollectError> {
+                    scope.spawn(move || -> Result<SpsOutcome, CollectError> {
                         let mut outcome = SpsOutcome::default();
                         for (query_idx, q) in shard.queries.iter().enumerate() {
                             let res = run_query(
@@ -198,8 +198,7 @@ impl SpsCollector {
                 .into_iter()
                 .map(|h| h.join().expect("collector shard thread panicked"))
                 .collect::<Result<Vec<_>, _>>()
-        })
-        .expect("collector scope panicked")?;
+        })?;
 
         let mut total = SpsOutcome::default();
         for o in shard_results {

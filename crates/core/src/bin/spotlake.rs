@@ -8,10 +8,11 @@
 //! ```
 //!
 //! `collect` runs the full pipeline and persists the archive — with
-//! `--wal-dir` it commits every round through a write-ahead log first, so
-//! a crash (or `--io-faults crash` injection) loses nothing that was
-//! committed; `fsck` checks a WAL directory offline and reports what
-//! recovery would do; `get` serves one gateway request (e.g.
+//! `--wal-dir` it commits every round through the write-ahead logs of a
+//! dataset × region sharded archive first, so a crash (or `--io-faults
+//! crash` injection) loses nothing that was committed; `fsck` checks
+//! that archive offline, shard by shard, and reports what recovery
+//! would do; `get` serves one gateway request (e.g.
 //! `"/query?table=sps&instance_type=m5.large"`) against a saved archive;
 //! `query` builds the row request from flags and, with `--explain`,
 //! prints the query plan and per-stage cost profile instead of rows;
@@ -43,7 +44,7 @@ USAGE:
   spotlake collect --out FILE [--days N] [--tick-minutes N] [--types a,b,c] [--seed N]
                    [--faults none|light|moderate|heavy]
                    [--wal-dir DIR] [--checkpoint-every N] [--io-faults none|transient|crash]
-                   [--shards] [--io-fault-shard DATASET/REGION] [--health]
+                   [--io-fault-shard DATASET/REGION] [--health]
                    [--metrics] [--trace FILE]
   spotlake fsck --wal-dir DIR [--repair]
   spotlake get --archive FILE PATH
@@ -111,7 +112,7 @@ struct Args {
 }
 
 /// Flags that take no value (presence is the value).
-const SWITCHES: [&str; 5] = ["metrics", "explain", "shards", "repair", "health"];
+const SWITCHES: [&str; 4] = ["metrics", "explain", "repair", "health"];
 
 impl Args {
     fn parse(raw: &[String]) -> Result<Args, String> {
@@ -124,8 +125,11 @@ impl Args {
                     flags.insert(key.to_owned(), "true".to_owned());
                     continue;
                 }
+                // A value that is itself a flag means this one was given
+                // none: taking it would swallow the next flag.
                 let value = it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag --{key} needs a value"))?;
                 flags.insert(key.to_owned(), value.clone());
             } else {
@@ -211,18 +215,14 @@ fn cmd_collect(args: &Args) -> Result<(), String> {
     if io_faults.is_some() && wal_dir.is_none() {
         return Err("--io-faults needs --wal-dir (disk faults target the write-ahead log)".into());
     }
-    let shards = args.get("shards").is_some();
-    if shards && wal_dir.is_none() {
-        return Err("--shards needs --wal-dir (shards are on-disk fault domains)".into());
-    }
     let io_fault_shard = match args.get("io-fault-shard") {
         None => None,
         Some(spec) => Some(ShardKey::parse(spec).ok_or_else(|| {
             format!("bad --io-fault-shard {spec:?} (expected DATASET/REGION, e.g. sps/us-east-1)")
         })?),
     };
-    if io_fault_shard.is_some() && !shards {
-        return Err("--io-fault-shard needs --shards".into());
+    if io_fault_shard.is_some() && wal_dir.is_none() {
+        return Err("--io-fault-shard needs --wal-dir (shards are on-disk fault domains)".into());
     }
 
     let sim = SimConfig {
@@ -237,7 +237,6 @@ fn cmd_collect(args: &Args) -> Result<(), String> {
             wal_dir,
             checkpoint_every,
             io_faults,
-            shards,
             io_fault_shard,
             ..CollectorConfig::default()
         })
@@ -318,42 +317,24 @@ fn cmd_collect(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `fsck`: offline integrity check of a durable archive directory. A
-/// sharded root (it has a `shards.map` manifest) gets a per-shard
-/// verdict table and the 0/1/2 exit ladder (clean / degraded /
-/// corrupt-or-quarantined); `--repair` truncates every shard to its
+/// `fsck`: offline integrity check of a durable archive directory: a
+/// per-shard verdict table and the 0/1/2 exit ladder (clean / degraded /
+/// corrupt-or-quarantined). `--repair` truncates every shard to its
 /// committed prefix and clears quarantine markers, re-admitting the
-/// shard on the next `collect --shards`. A single-WAL directory keeps
-/// the original behaviour: print the report, exit nonzero when the
-/// directory needs recovery.
+/// shard on the next `collect --wal-dir`.
 fn cmd_fsck(args: &Args) -> Result<u8, String> {
     let dir = std::path::PathBuf::from(args.require("wal-dir")?);
-    if spotlake_timestream::is_sharded_root(&dir) {
-        let report = if args.get("repair").is_some() {
-            spotlake_timestream::repair_shards(&dir)
-        } else {
-            spotlake_timestream::fsck_shards(&dir)
-        }
-        .map_err(|e| e.to_string())?;
-        println!("{}", report.render());
-        return Ok(report.exit_code());
+    if !dir.is_dir() {
+        return Err(format!("no archive directory at {}", dir.display()));
     }
-    if args.get("repair").is_some() {
-        // Single-WAL repair is exactly startup recovery: truncate the
-        // torn tail, drop stale temp files, keep the committed prefix.
-        let (_db, report) = spotlake_timestream::recover(&dir).map_err(|e| e.to_string())?;
-        println!("{}", report.render());
-    }
-    let report = spotlake_timestream::fsck(&dir).map_err(|e| e.to_string())?;
-    println!("{}", report.render());
-    if report.clean() {
-        Ok(0)
+    let report = if args.get("repair").is_some() {
+        spotlake_timestream::repair_shards(&dir)
     } else {
-        Err(format!(
-            "{} needs recovery (run collect with --wal-dir, or fsck --repair)",
-            dir.display()
-        ))
+        spotlake_timestream::fsck_shards(&dir)
     }
+    .map_err(|e| e.to_string())?;
+    println!("{}", report.render());
+    Ok(report.exit_code())
 }
 
 fn cmd_get(args: &Args) -> Result<(), String> {
@@ -812,6 +793,22 @@ mod tests {
     }
 
     #[test]
+    fn parse_never_takes_a_flag_as_a_value() {
+        // `--wal-dir` was given no value: the switch after it must not
+        // become the directory and vanish as a flag.
+        let err = Args::parse(&strings(&["--wal-dir", "--health"]))
+            .err()
+            .expect("a flag is not a value");
+        assert_eq!(err, "flag --wal-dir needs a value");
+        // A retired switch is now a value-taking flag and fails the same way.
+        assert!(Args::parse(&strings(&["--shards", "--health"])).is_err());
+        // Values that merely start with one dash still parse.
+        let args = Args::parse(&strings(&["--from", "-5", "--health"])).unwrap();
+        assert_eq!(args.get("from"), Some("-5"));
+        assert_eq!(args.get("health"), Some("true"));
+    }
+
+    #[test]
     fn parse_rejects_dangling_flag_and_bad_numbers() {
         assert!(Args::parse(&strings(&["--out"])).is_err());
         let args = Args::parse(&strings(&["--days", "two"])).unwrap();
@@ -950,8 +947,8 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        // The WAL directory passes fsck and a second collect recovers it.
-        run(&strings(&["fsck", "--wal-dir", &wal_str])).unwrap();
+        // Every shard passes fsck and a second collect recovers them.
+        assert_eq!(run(&strings(&["fsck", "--wal-dir", &wal_str])), Ok(0));
         run(&strings(&[
             "collect",
             "--out",
@@ -967,6 +964,15 @@ mod tests {
         ]))
         .unwrap();
         assert!(run(&strings(&["fsck"])).is_err(), "fsck requires --wal-dir");
+        // So does a single-shard fault drill.
+        assert!(run(&strings(&[
+            "collect",
+            "--out",
+            &out_str,
+            "--io-fault-shard",
+            "sps/us-east-1"
+        ]))
+        .is_err());
         std::fs::remove_file(&out).ok();
         std::fs::remove_dir_all(&wal).ok();
     }

@@ -574,7 +574,7 @@ impl ArchiveService {
 /// The impaired (quarantined or failed) shards a row request touches:
 /// the request's table crossed with its `region` filter — no region
 /// filter means every region's shard is in scope. Empty when the
-/// archive is unsharded or every relevant shard is healthy. The merged
+/// archive is in memory only or every relevant shard is healthy. The merged
 /// view already excludes lost shards' unrecovered data, so a non-empty
 /// result means "these rows are missing a slice", not "this answer is
 /// wrong".

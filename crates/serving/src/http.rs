@@ -1,6 +1,5 @@
 //! Minimal HTTP request/response model (the "API Gateway" wire format).
 
-use bytes::Bytes;
 use std::error::Error;
 use std::fmt;
 
@@ -155,7 +154,7 @@ pub struct HttpResponse {
     /// MIME type of the body.
     pub content_type: &'static str,
     /// Response body.
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl HttpResponse {
@@ -164,7 +163,7 @@ impl HttpResponse {
         HttpResponse {
             status: 200,
             content_type: "application/json",
-            body: Bytes::from(body),
+            body: body.into_bytes(),
         }
     }
 
@@ -173,7 +172,7 @@ impl HttpResponse {
         HttpResponse {
             status: 200,
             content_type: "text/csv",
-            body: Bytes::from(body),
+            body: body.into_bytes(),
         }
     }
 
@@ -183,7 +182,7 @@ impl HttpResponse {
         HttpResponse {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: Bytes::from(body),
+            body: body.into_bytes(),
         }
     }
 
@@ -193,7 +192,7 @@ impl HttpResponse {
         HttpResponse {
             status: 200,
             content_type: "text/plain",
-            body: Bytes::from(body),
+            body: body.into_bytes(),
         }
     }
 
@@ -202,7 +201,7 @@ impl HttpResponse {
         HttpResponse {
             status: 200,
             content_type: "text/html",
-            body: Bytes::from_static(body.as_bytes()),
+            body: body.as_bytes().to_vec(),
         }
     }
 
@@ -213,7 +212,7 @@ impl HttpResponse {
         HttpResponse {
             status,
             content_type: "application/json",
-            body: Bytes::from(body),
+            body: body.into_bytes(),
         }
     }
 

@@ -39,7 +39,7 @@ pub struct OpsContext<'a> {
     /// What startup recovery replayed, when the archive runs durably —
     /// surfaced through `/stats`.
     pub recovery: Option<&'a RecoveryReport>,
-    /// Per-shard health when the archive runs sharded — drives the
+    /// Per-shard health when the archive runs durably — drives the
     /// degraded-query annotation on data endpoints and the shard
     /// sections of `/quality` and `/stats`. Queries that touch a
     /// quarantined or failed shard still answer from the merged view,

@@ -44,6 +44,13 @@ pub enum TsError {
         /// Which length field would have overflowed.
         what: &'static str,
     },
+    /// An archive root holds the retired single-WAL layout: a root-level
+    /// `wal.log` or `checkpoint.db` and no `shards.map`. Opening it as a
+    /// sharded archive would leave that data unread, so it is refused.
+    RetiredLayout {
+        /// The root-level file that names the old layout.
+        file: std::path::PathBuf,
+    },
 }
 
 impl TsError {
@@ -72,6 +79,12 @@ impl fmt::Display for TsError {
             TsError::TooLarge { what } => {
                 write!(f, "too large to serialize: {what} exceeds u32 range")
             }
+            TsError::RetiredLayout { file } => write!(
+                f,
+                "{} belongs to the retired single-WAL archive layout (no shards.map beside it); \
+                 it is not read as a sharded archive",
+                file.display()
+            ),
         }
     }
 }

@@ -70,9 +70,9 @@ pub use query::{Aggregate, Query, Row, WindowRow};
 pub use record::Record;
 pub use recovery::{fsck, recover, FsckReport, RecoveryReport};
 pub use shard::{
-    fsck_shards, is_sharded_root, manifest_path, repair_shards, shard_dir, ShardCommitOutcome,
-    ShardFaultConfig, ShardFsckRow, ShardHealthRow, ShardKey, ShardSetHealth, ShardSetReport,
-    ShardState, ShardVerdict, ShardedArchive,
+    fsck_shards, manifest_path, repair_shards, shard_dir, ShardCommitOutcome, ShardFaultConfig,
+    ShardFsckRow, ShardHealthRow, ShardKey, ShardSetHealth, ShardSetReport, ShardState,
+    ShardVerdict, ShardedArchive,
 };
 pub use table::{Table, TableOptions, WriteMode};
 pub use wal::{Committed, Wal, WalStats};

@@ -1,10 +1,10 @@
 //! Sharded fault-isolated archive: dataset × region fault domains.
 //!
-//! The single-WAL durability layer ([`crate::Wal`] + [`crate::recover`])
-//! makes the whole archive one fault domain: a torn write or bit flip in
-//! any dataset takes down everything. This module generalizes that
-//! machinery so each **dataset × region** pair is its own shard with its
-//! own WAL, checkpoint rotation, and crash recovery:
+//! One WAL ([`crate::Wal`] + [`crate::recover`]) is one fault domain: a
+//! torn write or bit flip anywhere in it takes down everything it holds.
+//! The durable archive is therefore always sharded: each **dataset ×
+//! region** pair is its own shard with its own WAL, checkpoint rotation,
+//! and crash recovery:
 //!
 //! ```text
 //! root/
@@ -16,6 +16,10 @@
 //!   shard-price-eu-test-1/
 //!     ...
 //! ```
+//!
+//! A root with a `wal.log` or `checkpoint.db` of its own and no
+//! `shards.map` holds the retired single-WAL layout; open, fsck and
+//! repair refuse it with [`TsError::RetiredLayout`].
 //!
 //! The manifest is the committed-data watermark: after every round it
 //! records, per shard, the newest acked round tick and the tick the last
@@ -143,11 +147,6 @@ pub fn shard_dir(root: &Path, key: &ShardKey) -> PathBuf {
 /// The shard map manifest inside an archive root.
 pub fn manifest_path(root: &Path) -> PathBuf {
     root.join(MANIFEST_FILE)
-}
-
-/// Whether `root` holds a sharded archive (a shard map manifest exists).
-pub fn is_sharded_root(root: &Path) -> bool {
-    manifest_path(root).exists()
 }
 
 /// Disk-fault injection for a sharded archive: the base plan's rates are
@@ -405,8 +404,9 @@ impl ShardedArchive {
     /// # Errors
     ///
     /// Returns [`TsError::Corrupt`] if the root manifest itself is
-    /// mangled (outside any shard's fault domain) or [`TsError::Io`] on
-    /// root-level filesystem failure.
+    /// mangled (outside any shard's fault domain),
+    /// [`TsError::RetiredLayout`] if `root` holds the retired single-WAL
+    /// layout, or [`TsError::Io`] on root-level filesystem failure.
     pub fn open(
         root: &Path,
         keys: &[ShardKey],
@@ -997,9 +997,19 @@ fn read_opt_u64(c: &mut Cursor<'_>) -> Result<Option<u64>, TsError> {
     }
 }
 
+/// Reads the root manifest; a root without one is an empty archive —
+/// unless it holds the retired single-WAL layout, which fails closed with
+/// [`TsError::RetiredLayout`] rather than leave that data unread.
 fn read_manifest(root: &Path) -> Result<BTreeMap<ShardKey, ManifestEntry>, TsError> {
     let path = manifest_path(root);
     if !path.exists() {
+        if let Some(file) = ["wal.log", "checkpoint.db"]
+            .into_iter()
+            .map(|name| root.join(name))
+            .find(|file| file.exists())
+        {
+            return Err(TsError::RetiredLayout { file });
+        }
         return Ok(BTreeMap::new());
     }
     decode_manifest(&std::fs::read(&path)?)
@@ -1267,8 +1277,9 @@ fn fsck_row(root: &Path, key: &ShardKey, entry: ManifestEntry) -> ShardFsckRow {
 ///
 /// # Errors
 ///
-/// Returns [`TsError::Corrupt`] if the root manifest is mangled or
-/// [`TsError::Io`] on root-level filesystem failure.
+/// Returns [`TsError::Corrupt`] if the root manifest is mangled,
+/// [`TsError::RetiredLayout`] if `root` holds the retired single-WAL
+/// layout, or [`TsError::Io`] on root-level filesystem failure.
 pub fn fsck_shards(root: &Path) -> Result<ShardSetReport, TsError> {
     let manifest = read_manifest(root)?;
     let rows = manifest
@@ -1289,8 +1300,9 @@ pub fn fsck_shards(root: &Path) -> Result<ShardSetReport, TsError> {
 ///
 /// # Errors
 ///
-/// Returns [`TsError::Corrupt`] if the root manifest is mangled or
-/// [`TsError::Io`] on root-level filesystem failure.
+/// Returns [`TsError::Corrupt`] if the root manifest is mangled,
+/// [`TsError::RetiredLayout`] if `root` holds the retired single-WAL
+/// layout, or [`TsError::Io`] on root-level filesystem failure.
 pub fn repair_shards(root: &Path) -> Result<ShardSetReport, TsError> {
     let mut manifest = read_manifest(root)?;
     let mut actions = Vec::new();
@@ -1809,6 +1821,37 @@ mod tests {
         assert_eq!(archive.health().healthy(), survivors + 1);
         assert_eq!(reopened.point_count(), merged.point_count());
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_root_holding_the_retired_single_wal_layout_is_refused() {
+        for file in ["wal.log", "checkpoint.db"] {
+            let root = tempdir(&format!("retired-{file}"));
+            // What a single-WAL archive left at its root: a log or a
+            // checkpoint, and no shard map.
+            let mut wal = Wal::open(&root).unwrap();
+            wal.append("sps", TableOptions::default(), 1, &batch("us-test-1", 1))
+                .unwrap();
+            if file == "checkpoint.db" {
+                wal.checkpoint(&Database::new()).unwrap();
+                std::fs::remove_file(root.join("wal.log")).unwrap();
+            }
+            drop(wal);
+            let refused = |r: Result<(), TsError>| {
+                let e = r.expect_err("the retired layout is refused");
+                let named =
+                    matches!(&e, TsError::RetiredLayout { file: f } if *f == root.join(file));
+                assert!(named && e.to_string().contains("single-WAL"), "{e}");
+            };
+            refused(ShardedArchive::open(&root, &keys(), 2, None).map(|_| ()));
+            refused(fsck_shards(&root).map(|_| ()));
+            refused(repair_shards(&root).map(|_| ()));
+            // Nothing was written: the old data is still the root's only
+            // content, unread and untouched.
+            assert!(!manifest_path(&root).exists());
+            assert!(!shard_dir(&root, &keys()[0]).exists());
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]

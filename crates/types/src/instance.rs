@@ -8,16 +8,15 @@
 //! concrete purchasable type such as `p3.2xlarge`.
 
 use crate::error::ParseEntityError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Compact index of an instance type within a [`crate::Catalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceTypeId(pub u32);
 
 /// The letter class of an instance type (`T`, `M`, `C`, `P`, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum InstanceFamily {
     T,
@@ -112,7 +111,7 @@ impl fmt::Display for InstanceFamily {
 }
 
 /// The five instance-family groups used throughout the paper's analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstanceGroup {
     /// T, M, A.
     General,
@@ -159,7 +158,7 @@ impl fmt::Display for InstanceGroup {
 /// Figure 5 of the paper orders sizes by their resource footprint; the
 /// [`InstanceSize::weight`] method returns that ordering's numeric weight
 /// (number of `xlarge`-equivalents, with sub-`xlarge` sizes as fractions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum InstanceSize {
     Nano,
@@ -293,7 +292,7 @@ impl FromStr for InstanceSize {
 ///
 /// An instance type is identified by a *class* (family letter + generation +
 /// variant suffix, e.g. `g4dn`) and a [`InstanceSize`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InstanceType {
     family: InstanceFamily,
     class: String,

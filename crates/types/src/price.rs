@@ -6,11 +6,10 @@
 //! consecutive values.
 
 use crate::error::TypesError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An hourly on-demand price in micro-USD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OnDemandPrice(u64);
 
 impl OnDemandPrice {
@@ -42,7 +41,7 @@ impl fmt::Display for OnDemandPrice {
 }
 
 /// An hourly spot price in micro-USD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpotPrice(u64);
 
 impl SpotPrice {
@@ -107,7 +106,7 @@ fn micro_from_usd(usd: f64, what: &'static str) -> Result<u64, TypesError> {
 
 /// Cost savings of the spot price over the on-demand price, as published by
 /// the spot instance advisor (a whole percentage, e.g. "70%").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Savings(u8);
 
 impl Savings {

@@ -6,23 +6,22 @@
 //! the rest of the system passes around.
 
 use crate::error::ParseEntityError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Compact index of a region within a [`crate::Catalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u16);
 
 /// Compact index of an availability zone within a [`crate::Catalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AzId(pub u16);
 
 /// A cloud region, e.g. `us-east-1`.
 ///
 /// A region code is "expressed in the continent-coordinate-id combination"
 /// (paper Section 5.1), e.g. `ap-northeast-2`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Region {
     code: String,
 }
@@ -82,7 +81,7 @@ impl FromStr for Region {
 }
 
 /// An availability zone within a region, e.g. `us-east-1a`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Az {
     region: RegionId,
     name: String,

@@ -16,11 +16,10 @@ use crate::price::SpotPrice;
 use crate::region::AzId;
 use crate::time::{SimDuration, SimTime};
 use crate::InstanceTypeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The status of a spot instance request, per Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RequestState {
     /// A valid spot request has been submitted and is being evaluated.
     PendingEvaluation,
@@ -102,7 +101,7 @@ impl fmt::Display for RequestState {
 }
 
 /// Why a fulfilled request left the `Fulfilled` state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InterruptionReason {
     /// The spot price rose above the bid price.
     PriceOutbid,
@@ -123,7 +122,7 @@ impl fmt::Display for InterruptionReason {
 }
 
 /// Configuration of a spot instance request.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpotRequestConfig {
     /// Requested instance type.
     pub instance_type: InstanceTypeId,
@@ -141,7 +140,7 @@ pub struct SpotRequestConfig {
 }
 
 /// One state-change event in a request's history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestEvent {
     /// When the transition happened.
     pub at: SimTime,
@@ -154,7 +153,7 @@ pub struct RequestEvent {
 /// The history is what the Section 5.4 experiments record "every five
 /// seconds"; [`SpotRequest::fulfillment_latency`] and
 /// [`SpotRequest::first_run_duration`] derive the Figure 11 metrics from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpotRequest {
     config: SpotRequestConfig,
     state: RequestState,

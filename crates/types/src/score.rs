@@ -13,12 +13,11 @@
 //!   of 0.5, so that both datasets share the 1.0–3.0 range.
 
 use crate::error::TypesError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A spot placement score: an integer between 1 and 10, higher meaning a
 /// greater likelihood of spot request success.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlacementScore(u8);
 
 impl PlacementScore {
@@ -83,7 +82,7 @@ impl fmt::Display for PlacementScore {
 
 /// The five interruption-frequency buckets published by the spot instance
 /// advisor (Section 2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InterruptionBucket {
     /// Less than 5% of instances interrupted in the preceding month.
     Lt5,
@@ -155,7 +154,7 @@ impl fmt::Display for InterruptionBucket {
 
 /// The interruption-free score: the advisor bucket mapped onto the placement
 /// score's 1.0–3.0 range (higher = more stable), in steps of 0.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InterruptionFreeScore {
     /// 1.0 — interruption frequency above 20%.
     S10,
@@ -220,7 +219,7 @@ impl fmt::Display for InterruptionFreeScore {
 
 /// Coarse High/Medium/Low categorization of either score, used to form the
 /// H-H, H-L, M-M, L-H, L-L experiment strata of Section 5.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScoreLevel {
     /// Score 1.0.
     Low,

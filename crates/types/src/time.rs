@@ -5,14 +5,11 @@
 //! a single monotonically increasing [`SimTime`] measured in seconds since
 //! the simulation epoch.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A span of simulated time, in whole seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -91,9 +88,7 @@ pub const COLLECTION_TICK: SimDuration = SimDuration::from_mins(10);
 /// The simulation epoch corresponds to the paper's collection start date
 /// (January 1, 2022); nothing in the code depends on the calendar, only on
 /// elapsed time.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

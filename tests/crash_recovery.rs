@@ -4,20 +4,21 @@
 //! The property: a crash — torn frame, flipped bit, whatever the fault
 //! plan rolls — loses nothing that was committed and invents nothing
 //! that was not. Every test drives the real collector against the real
-//! WAL on a real temp directory, crashes it deterministically, restarts
-//! it, and checks the recovered archive is *exactly* the committed
-//! prefix.
+//! sharded archive on a real temp directory (two test regions × three
+//! datasets: six shards, every one under the crash profile), runs it
+//! until a disk fault kills a shard's WAL, restarts it, and checks the
+//! recovered archive is *exactly* the committed prefix.
 
 mod common;
 
 use common::SEED;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_collector::{CollectorConfig, CollectorService, IoFaultPlan};
-use spotlake_timestream::fsck;
+use spotlake_timestream::fsck_shards;
 use std::path::{Path, PathBuf};
 
-/// More than enough rounds for the crash profile (~3% per append, three
-/// appends per round) to fire.
+/// More than enough rounds for the crash profile (~3% per append or
+/// checkpoint, in each of six shards) to fire.
 const MAX_ROUNDS: u64 = 400;
 
 fn cloud() -> SimCloud {
@@ -42,28 +43,33 @@ fn tempdir(name: &str) -> PathBuf {
 
 /// What a crashed run leaves behind: the cloud (still ticking), the
 /// committed point count at the instant of death, and how many full
-/// rounds landed before it.
+/// rounds landed before the round that killed a shard.
 struct Crash {
     cloud: SimCloud,
     committed: usize,
     rounds_survived: u64,
 }
 
-/// Collects under the seeded crash profile until a disk fault kills the
-/// WAL. The in-memory database at that instant holds exactly the
-/// committed prefix — the torn frame was never applied.
+/// Collects under the seeded crash profile until a disk fault kills a
+/// shard's WAL, then stops the process there. A shard fault degrades the
+/// round instead of failing it, so the other shards commit that round's
+/// slices; the dead shard's torn frame was never applied. The in-memory
+/// database at that instant holds exactly the committed prefix.
 fn run_until_crash(dir: &Path) -> Crash {
     let mut cloud = cloud();
     let mut service =
         CollectorService::new(cloud.catalog(), config(dir, Some(IoFaultPlan::crash(SEED))))
             .expect("durable service builds");
+    assert_eq!(service.shard_health().expect("durable service").total(), 6);
     for round in 0..MAX_ROUNDS {
         cloud.step();
-        if service.collect_once(&cloud).is_err() {
-            assert!(
-                service.wal_stats().expect("durable service").dead,
-                "the only non-retryable collect error under io faults is a dead WAL"
-            );
+        service
+            .collect_once(&cloud)
+            .expect("a shard's crash degrades the round, never fails it");
+        let health = service.shard_health().expect("durable service");
+        if health.degraded() {
+            assert!(!health.all_lost(), "a fault kills only its own shard");
+            assert!(service.wal_stats().expect("durable service").dead);
             return Crash {
                 committed: service.database().point_count(),
                 rounds_survived: round,
@@ -83,9 +89,11 @@ fn recovery_restores_exactly_the_committed_prefix() {
         "some rounds committed before the crash"
     );
 
-    // The directory is visibly damaged before repair...
-    let damaged = fsck(&dir).expect("fsck reads a damaged directory");
-    assert!(!damaged.clean(), "{}", damaged.render());
+    // The archive is visibly damaged before the restart: the dead shard
+    // left a torn, never-acked tail (or a torn checkpoint temp file)
+    // that the next recovery discards, so fsck says degraded...
+    let damaged = fsck_shards(&dir).expect("fsck reads a damaged archive");
+    assert_eq!(damaged.exit_code(), 1, "{}", damaged.render());
 
     // ...and a restart recovers every committed point, no more, no less.
     let restarted =
@@ -94,10 +102,12 @@ fn recovery_restores_exactly_the_committed_prefix() {
     assert!(report.recovered_anything());
     assert_eq!(report.point_count, crash.committed);
     assert_eq!(restarted.database().point_count(), crash.committed);
+    let health = restarted.shard_health().expect("durable service");
+    assert_eq!(health.healthy(), health.total(), "nothing acked was lost");
 
-    // Recovery compacted the log: the directory is clean again.
-    let repaired = fsck(&dir).expect("fsck after recovery");
-    assert!(repaired.clean(), "{}", repaired.render());
+    // Recovery discarded the torn tail: every shard is clean again.
+    let repaired = fsck_shards(&dir).expect("fsck after recovery");
+    assert_eq!(repaired.exit_code(), 0, "{}", repaired.render());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -157,11 +167,7 @@ fn same_seed_crashes_and_recoveries_are_byte_identical() {
     );
 
     let save = |svc: &CollectorService, tag: &str| {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "spotlake-crash-replay-{tag}-{}.db",
-            std::process::id()
-        ));
+        let path = common::scratch_path("crash-replay", tag);
         svc.database().save(&path).expect("archive saves");
         let bytes = std::fs::read(&path).expect("archive readable");
         std::fs::remove_file(&path).ok();

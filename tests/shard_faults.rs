@@ -30,7 +30,6 @@ fn target() -> ShardKey {
 fn config(dir: &Path, io_faults: Option<IoFaultPlan>) -> CollectorConfig {
     CollectorConfig {
         wal_dir: Some(dir.to_owned()),
-        shards: true,
         checkpoint_every: 3,
         io_faults,
         io_fault_shard: io_faults.map(|_| target()),
@@ -91,7 +90,7 @@ fn flip_acked_tail(dir: &Path) {
 fn run_until_shard_dies(lake: &mut SpotLake) -> u64 {
     for round in 0..MAX_ROUNDS {
         lake.run_rounds(1).expect("shard faults never fail a round");
-        let health = lake.collector().shard_health().expect("sharded mode");
+        let health = lake.collector().shard_health().expect("durable service");
         if health.degraded() {
             return round;
         }
@@ -106,7 +105,7 @@ fn crash_fault_in_one_shard_degrades_instead_of_failing() {
     run_until_shard_dies(&mut lake);
 
     // Exactly the targeted shard is impaired; every other shard serves.
-    let health = lake.collector().shard_health().expect("sharded mode");
+    let health = lake.collector().shard_health().expect("durable service");
     let impaired: Vec<String> = health
         .impaired()
         .map(|r| format!("{}/{}", r.dataset, r.region))
@@ -155,7 +154,7 @@ fn quarantine_fsck_repair_readmit_roundtrip() {
     let mut first = lake(&dir, None);
     first.run_rounds(8).unwrap();
     let pristine_points = first.archive().point_count();
-    let health = first.collector().shard_health().expect("sharded mode");
+    let health = first.collector().shard_health().expect("durable service");
     assert_eq!(health.healthy(), health.total());
     let target_points = health
         .shards
@@ -179,7 +178,7 @@ fn quarantine_fsck_repair_readmit_roundtrip() {
     // it, the merged archive drops exactly its points, nothing else.
     flip_acked_tail(&dir);
     let second = lake(&dir, None);
-    let health = second.collector().shard_health().expect("sharded mode");
+    let health = second.collector().shard_health().expect("durable service");
     let quarantined: Vec<_> = health.quarantined().collect();
     assert_eq!(quarantined.len(), 1);
     assert_eq!(quarantined[0].state, ShardState::Quarantined);
@@ -233,7 +232,7 @@ fn quarantine_fsck_repair_readmit_roundtrip() {
 
     // Re-admitted: the next open serves every shard and keeps collecting.
     let mut third = lake(&dir, None);
-    let health = third.collector().shard_health().expect("sharded mode");
+    let health = third.collector().shard_health().expect("durable service");
     assert_eq!(health.healthy(), health.total(), "repair re-admits");
     third.run_rounds(1).unwrap();
     let resp = third.http_get("/health").unwrap();
@@ -261,7 +260,7 @@ fn same_seed_shard_recovery_is_byte_identical() {
             service
                 .collect_once(&cloud)
                 .expect("rounds degrade, never fail");
-            if service.shard_health().expect("sharded mode").degraded() {
+            if service.shard_health().expect("durable service").degraded() {
                 break;
             }
         }
@@ -273,7 +272,7 @@ fn same_seed_shard_recovery_is_byte_identical() {
             CollectorService::new(&catalog, config(dir, None)).expect("restart recovers");
         restarted
             .sharded_archive()
-            .expect("sharded mode")
+            .expect("durable service")
             .save_shard_states(restarted.database())
             .unwrap();
     }
@@ -319,7 +318,7 @@ fn same_seed_runs_wider_than_the_commit_window_are_byte_identical() {
         service
             .run(&mut cloud, 12)
             .expect("rounds degrade, never fail");
-        assert_eq!(service.shard_health().expect("sharded mode").total(), 30);
+        assert_eq!(service.shard_health().expect("durable service").total(), 30);
         assert!(service.stats().retries > 0, "the weather showed");
         (
             service.metrics().render(),
