@@ -10,9 +10,10 @@
 
 use crate::error::CollectError;
 use crate::retry::RetryPolicy;
-use spotlake_cloud_api::{AdvisorClient, FaultInjector, FaultPlan, FaultSurface};
+use crate::series::{region_id, type_id, PoolSeries};
+use spotlake_cloud_api::{AdvisorClient, ApiError, FaultInjector, FaultPlan, FaultSurface};
 use spotlake_cloud_sim::SimCloud;
-use spotlake_timestream::Record;
+use spotlake_timestream::{Point, Record};
 
 /// Result of one advisor collection pass.
 #[derive(Debug, Clone, Default)]
@@ -23,11 +24,32 @@ pub struct AdvisorOutcome {
     pub retries: usize,
 }
 
-/// Collects the advisor dataset by scraping the advisor page.
+/// [`AdvisorOutcome`] by series id: the points of the collector's
+/// [`AdvisorCollector::series`], in the order the records would be.
 #[derive(Debug, Clone, Default)]
+pub struct AdvisorPoints {
+    /// Points scraped from the page: score, then savings, per row.
+    pub points: Vec<Point>,
+    /// Retry attempts spent beyond the first fetch.
+    pub retries: usize,
+}
+
+/// Collects the advisor dataset by scraping the advisor page.
+#[derive(Debug, Clone)]
 pub struct AdvisorCollector {
     client: AdvisorClient,
     type_filter: Option<Vec<String>>,
+    series: PoolSeries,
+}
+
+impl Default for AdvisorCollector {
+    fn default() -> Self {
+        AdvisorCollector {
+            client: AdvisorClient::default(),
+            type_filter: None,
+            series: PoolSeries::new(&["if_score", "savings"]),
+        }
+    }
 }
 
 impl AdvisorCollector {
@@ -43,6 +65,16 @@ impl AdvisorCollector {
         self
     }
 
+    /// The series the collector's points name: `if_score` and `savings`
+    /// per (type, region) pool it has seen.
+    pub fn series(&self) -> &PoolSeries {
+        &self.series
+    }
+
+    pub(crate) fn series_mut(&mut self) -> &mut PoolSeries {
+        &mut self.series
+    }
+
     /// Installs fault injection on the page client.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.client = AdvisorClient::new().with_faults(FaultInjector::new(plan));
@@ -56,7 +88,8 @@ impl AdvisorCollector {
 
     /// Fetches and scrapes the advisor page with in-round retries,
     /// returning `if_score` and `savings` records per (instance type,
-    /// region), stamped with the cloud's current time.
+    /// region), stamped with the cloud's current time — the points of
+    /// [`AdvisorCollector::collect_points`] spelled out.
     ///
     /// # Errors
     ///
@@ -68,7 +101,28 @@ impl AdvisorCollector {
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<AdvisorOutcome, CollectError> {
-        let mut outcome = AdvisorOutcome::default();
+        let pass = self.collect_points(cloud, policy)?;
+        Ok(AdvisorOutcome {
+            records: self.series.records(&pass.points),
+            retries: pass.retries,
+        })
+    }
+
+    /// [`AdvisorCollector::collect_with`] by series id: each row becomes a
+    /// score and a savings point of its (type, region) pool, booked the
+    /// first time a pass sees it. A row naming a type or region the
+    /// catalog lacks is [`ApiError::UnknownEntity`], and no pool of that
+    /// page is booked.
+    ///
+    /// # Errors
+    ///
+    /// As [`AdvisorCollector::collect_with`].
+    pub fn collect_points(
+        &mut self,
+        cloud: &SimCloud,
+        policy: &RetryPolicy,
+    ) -> Result<AdvisorPoints, CollectError> {
+        let mut outcome = AdvisorPoints::default();
         let mut attempt = 0;
         let rows = loop {
             attempt += 1;
@@ -80,25 +134,35 @@ impl AdvisorCollector {
                 Err(e) => return Err(e.into()),
             }
         };
+        let catalog = cloud.catalog();
+        let pools = rows
+            .iter()
+            .filter(|row| {
+                self.type_filter
+                    .as_ref()
+                    .is_none_or(|filter| filter.contains(&row.instance_type))
+            })
+            .map(|row| {
+                let ty = type_id(catalog, &row.instance_type)?;
+                let region = region_id(catalog, &row.region)?;
+                let score = row.bucket.interruption_free_score().as_f64();
+                Ok((ty, region, score, f64::from(row.savings.percent())))
+            })
+            .collect::<Result<Vec<_>, ApiError>>()?;
         let now = cloud.now().as_secs();
-        outcome.records.reserve(rows.len() * 2);
-        for row in rows {
-            if let Some(filter) = &self.type_filter {
-                if !filter.contains(&row.instance_type) {
-                    continue;
-                }
-            }
-            let score = row.bucket.interruption_free_score().as_f64();
-            outcome.records.push(
-                Record::new(now, "if_score", score)
-                    .dimension("instance_type", &row.instance_type)
-                    .dimension("region", &row.region),
-            );
-            outcome.records.push(
-                Record::new(now, "savings", f64::from(row.savings.percent()))
-                    .dimension("instance_type", &row.instance_type)
-                    .dimension("region", &row.region),
-            );
+        outcome.points.reserve(pools.len() * 2);
+        for (ty, region, score, savings) in pools {
+            let id = self.series.region_pool(catalog, ty, region);
+            outcome.points.push(Point {
+                series: id,
+                time: now,
+                value: score,
+            });
+            outcome.points.push(Point {
+                series: id + 1,
+                time: now,
+                value: savings,
+            });
         }
         Ok(outcome)
     }

@@ -52,18 +52,20 @@ mod health;
 mod planner;
 mod price_collector;
 mod retry;
+mod series;
 mod service;
 mod sps_collector;
 
 pub use accounts::AccountPool;
-pub use advisor_collector::{AdvisorCollector, AdvisorOutcome};
+pub use advisor_collector::{AdvisorCollector, AdvisorOutcome, AdvisorPoints};
 pub use error::CollectError;
 pub use health::{Dataset, DatasetHealth, DatasetStatus, RoundHealth};
 pub use planner::{PlanStats, PlannedQuery, PlannerStrategy, QueryPlanner};
-pub use price_collector::{PriceCollector, PriceOutcome};
+pub use price_collector::{PriceCollector, PriceOutcome, PricePoints};
 pub use retry::{BreakerState, CircuitBreaker, RetryPolicy};
+pub use series::PoolSeries;
 pub use service::{CollectStats, CollectorConfig, CollectorService, RoundReport};
-pub use sps_collector::{FailedQuery, SpsCollector, SpsOutcome, SpsQueryOutcome};
+pub use sps_collector::{FailedQuery, SpsCollector, SpsOutcome, SpsPoints, SpsQueryOutcome};
 
 // Re-exported so downstream crates (bench, CLI) can configure fault
 // injection without a direct `spotlake-cloud-api` dependency.

@@ -10,11 +10,12 @@
 
 use crate::error::CollectError;
 use crate::retry::RetryPolicy;
+use crate::series::{type_id, zone_id, PoolSeries};
 use spotlake_cloud_api::{
     ApiError, FaultInjector, FaultPlan, FaultSurface, PriceClient, PriceRequest,
 };
 use spotlake_cloud_sim::SimCloud;
-use spotlake_timestream::Record;
+use spotlake_timestream::{Point, Record};
 use spotlake_types::{SimDuration, SimTime};
 
 /// Result of one price collection sweep.
@@ -26,6 +27,16 @@ pub struct PriceOutcome {
     pub retries: usize,
 }
 
+/// [`PriceOutcome`] by series id: the points of the collector's
+/// [`PriceCollector::series`], in the order the records would be.
+#[derive(Debug, Clone, Default)]
+pub struct PricePoints {
+    /// Points collected since the previous successful sweep.
+    pub points: Vec<Point>,
+    /// Retry attempts spent beyond each page fetch's first call.
+    pub retries: usize,
+}
+
 /// Collects spot price-change events incrementally.
 #[derive(Debug, Clone)]
 pub struct PriceCollector {
@@ -33,6 +44,7 @@ pub struct PriceCollector {
     last_collected: Option<SimTime>,
     batch: usize,
     type_filter: Option<Vec<String>>,
+    series: PoolSeries,
 }
 
 impl Default for PriceCollector {
@@ -42,6 +54,7 @@ impl Default for PriceCollector {
             last_collected: None,
             batch: 50,
             type_filter: None,
+            series: PoolSeries::new(&["spot_price"]),
         }
     }
 }
@@ -56,6 +69,16 @@ impl PriceCollector {
     pub fn with_type_filter(mut self, types: Vec<String>) -> Self {
         self.type_filter = Some(types);
         self
+    }
+
+    /// The series the collector's points name: one per (type, zone) pool
+    /// it has seen a price of.
+    pub fn series(&self) -> &PoolSeries {
+        &self.series
+    }
+
+    pub(crate) fn series_mut(&mut self) -> &mut PoolSeries {
+        &mut self.series
     }
 
     /// Installs fault injection on the price client.
@@ -75,7 +98,8 @@ impl PriceCollector {
     /// not the collection time.
     ///
     /// On failure the watermark does not advance and nothing is returned:
-    /// the next sweep re-reads the same window from scratch.
+    /// the next sweep re-reads the same window from scratch. The records
+    /// are [`PriceCollector::collect_points`] spelled out.
     ///
     /// # Errors
     ///
@@ -87,6 +111,27 @@ impl PriceCollector {
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<PriceOutcome, CollectError> {
+        let sweep = self.collect_points(cloud, policy)?;
+        Ok(PriceOutcome {
+            records: self.series.records(&sweep.points),
+            retries: sweep.retries,
+        })
+    }
+
+    /// [`PriceCollector::collect_with`] by series id: each change event
+    /// becomes a point of its (type, zone) pool's series, booked the first
+    /// time a sweep sees the pool; the region is the catalog's region of
+    /// the zone. An event naming a type or zone the catalog lacks is
+    /// [`ApiError::UnknownEntity`], and no pool of that sweep is booked.
+    ///
+    /// # Errors
+    ///
+    /// As [`PriceCollector::collect_with`].
+    pub fn collect_points(
+        &mut self,
+        cloud: &SimCloud,
+        policy: &RetryPolicy,
+    ) -> Result<PricePoints, CollectError> {
         let catalog = cloud.catalog();
         let from = match self.last_collected {
             // Windows are inclusive; skip the instant we already covered.
@@ -94,10 +139,11 @@ impl PriceCollector {
             None => SimTime::EPOCH,
         };
         let to = cloud.now();
-        let mut outcome = PriceOutcome::default();
+        let mut outcome = PricePoints::default();
         if from > to {
             return Ok(outcome);
         }
+        let mut events = Vec::new();
 
         let all_names: Vec<String> = match &self.type_filter {
             Some(f) => f.clone(),
@@ -122,18 +168,9 @@ impl PriceCollector {
                     if p.timestamp < from {
                         continue;
                     }
-                    let region = p
-                        .availability_zone
-                        .rsplit_once(|c: char| c.is_ascii_alphabetic())
-                        .map(|_| &p.availability_zone[..p.availability_zone.len() - 1])
-                        .unwrap_or(&p.availability_zone)
-                        .to_owned();
-                    outcome.records.push(
-                        Record::new(p.timestamp.as_secs(), "spot_price", p.price.as_usd())
-                            .dimension("instance_type", &p.instance_type)
-                            .dimension("region", region)
-                            .dimension("az", &p.availability_zone),
-                    );
+                    let ty = type_id(catalog, &p.instance_type)?;
+                    let az = zone_id(catalog, Some(&p.availability_zone))?;
+                    events.push((ty, az, p.timestamp.as_secs(), p.price.as_usd()));
                 }
                 match page.next_token {
                     Some(t) => token = Some(t),
@@ -141,6 +178,14 @@ impl PriceCollector {
                 }
             }
         }
+        outcome.points = events
+            .into_iter()
+            .map(|(ty, az, time, value)| Point {
+                series: self.series.zone_pool(catalog, ty, az),
+                time,
+                value,
+            })
+            .collect();
         self.last_collected = Some(to);
         Ok(outcome)
     }
@@ -199,7 +244,7 @@ mod tests {
         assert_eq!(
             records[0].dimension_value("region"),
             Some("us-test-1"),
-            "region derived from the AZ name"
+            "the catalog's region of the AZ"
         );
     }
 

@@ -22,12 +22,12 @@ use crate::{ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
-    Clock, HealthReport, ManualClock, QualityMonitor, QualityReport, Readiness, Registry,
-    TraceJournal,
+    Clock, HealthReport, ManualClock, QualityKey, QualityMonitor, QualityReport, Readiness,
+    Registry, TraceJournal,
 };
 use spotlake_timestream::{
-    Database, IoFaultPlan, Record, RecoveryReport, ShardFaultConfig, ShardKey, ShardSetHealth,
-    ShardedArchive, TableOptions, TsError, WalStats, WriteMode,
+    Database, IoFaultPlan, Point, RecoveryReport, SeriesBook, SeriesRef, ShardFaultConfig,
+    ShardKey, ShardSetHealth, ShardedArchive, TableOptions, TsError, WalStats, WriteMode,
 };
 use spotlake_types::Catalog;
 use std::collections::BTreeSet;
@@ -166,9 +166,14 @@ pub(crate) struct DeadLetter {
 /// The SpotLake collection service: owns the archive database, the three
 /// dataset collectors, and the resilience state (retry policy, breakers,
 /// dead-letter queue).
+///
+/// Each collector books its series once, and a round hands the store
+/// `(id, time, value)` points of them: the quality monitor's key of each
+/// series is looked up once too (`CoverageKeys`), so a round spells no
+/// record and hashes no key string per point.
 #[derive(Debug)]
 pub struct CollectorService {
-    db: Database,
+    store: Store,
     sps: Option<SpsCollector>,
     advisor: Option<AdvisorCollector>,
     price: Option<PriceCollector>,
@@ -180,10 +185,10 @@ pub struct CollectorService {
     dead_letters: Vec<DeadLetter>,
     /// Where the queue is persisted when the service runs durably.
     dead_letter_file: Option<DeadLetterFile>,
-    /// Price records collected but not yet durably stored (the store
+    /// Price points collected but not yet durably stored (the store
     /// throttled the write); flushed with the next successful sweep so a
     /// storage hiccup delays price data instead of losing it.
-    pending_price: Vec<Record>,
+    pending_price: Vec<Point>,
     last_health: Option<RoundHealth>,
     /// Collector-level metrics (`spotlake_collector_*` and
     /// `spotlake_api_*` families). The store keeps its own registry on
@@ -200,6 +205,15 @@ pub struct CollectorService {
     /// Per-(dataset × pool-key) coverage/staleness tracking, fed from the
     /// records each round actually stores.
     quality: QualityMonitor,
+    /// Each dataset's series' quality keys, by series id.
+    coverage: [CoverageKeys; 3],
+}
+
+/// Where a round's batches go.
+#[derive(Debug)]
+struct Store {
+    /// The archive database every query reads.
+    db: Database,
     /// The durable archive when the service runs with
     /// [`CollectorConfig::wal_dir`]: per-dataset×region WALs,
     /// checkpoints, and quarantine, with `db` rebuilt from every healthy
@@ -324,7 +338,7 @@ impl CollectorService {
         }
 
         Ok(CollectorService {
-            db,
+            store: Store { db, archive },
             sps,
             advisor,
             price,
@@ -342,7 +356,7 @@ impl CollectorService {
             clock,
             totals: CollectStats::default(),
             quality,
-            archive,
+            coverage: Dataset::ALL.map(CoverageKeys::new),
         })
     }
 
@@ -353,17 +367,17 @@ impl CollectorService {
 
     /// The archive database.
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.store.db
     }
 
     /// Mutable access to the archive database.
     pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
+        &mut self.store.db
     }
 
     /// Consumes the service, returning the archive.
     pub fn into_database(self) -> Database {
-        self.db
+        self.store.db
     }
 
     /// The health record of the most recent round, if any ran.
@@ -380,23 +394,23 @@ impl CollectorService {
     /// shard's independent recovery, when the service runs durably
     /// ([`CollectorConfig::wal_dir`]).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.archive.as_ref().map(ShardedArchive::recovery)
+        self.store.archive.as_ref().map(ShardedArchive::recovery)
     }
 
     /// The WAL counters summed over every live shard, when the service
     /// runs durably.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.archive.as_ref().map(ShardedArchive::wal_stats)
+        self.store.archive.as_ref().map(ShardedArchive::wal_stats)
     }
 
     /// Per-shard health rows, when the service runs durably.
     pub fn shard_health(&self) -> Option<ShardSetHealth> {
-        self.archive.as_ref().map(ShardedArchive::health)
+        self.store.archive.as_ref().map(ShardedArchive::health)
     }
 
     /// The sharded archive itself, when the service runs durably.
     pub fn sharded_archive(&self) -> Option<&ShardedArchive> {
-        self.archive.as_ref()
+        self.store.archive.as_ref()
     }
 
     /// The collector's metric registry (`spotlake_collector_*` and
@@ -488,7 +502,7 @@ impl CollectorService {
             },
             format!("{depth} queued"),
         );
-        if let Some(archive) = &self.archive {
+        if let Some(archive) = &self.store.archive {
             // Shards are independent fault domains, so the component
             // aggregates: unhealthy only when every shard is lost,
             // degraded (still serving) while any shard is impaired or
@@ -611,7 +625,7 @@ impl CollectorService {
         if let Some(file) = &mut self.dead_letter_file {
             file.save(&self.dead_letters)?;
         }
-        if let Some(archive) = &mut self.archive {
+        if let Some(archive) = &mut self.store.archive {
             archive.maintain()?;
         }
         Ok(())
@@ -804,7 +818,7 @@ impl CollectorService {
             }
         }
 
-        if let Some(archive) = &self.archive {
+        if let Some(archive) = &self.store.archive {
             let h = archive.health();
             let m = &self.metrics;
             m.gauge_set(
@@ -869,7 +883,7 @@ impl CollectorService {
             return Ok(());
         }
 
-        let mut outcome = sps.collect_with(cloud, &self.policy)?;
+        let mut outcome = sps.collect_points(cloud, &self.policy)?;
         stats.queries_issued = sps.query_count();
         health.sps.retries = outcome.retries;
 
@@ -892,7 +906,7 @@ impl CollectorService {
             health.sps.retries += res.retries + 1;
             match res.error {
                 None => {
-                    outcome.records.extend(res.records);
+                    outcome.points.extend(res.points);
                     failing.remove(&(d.shard, d.query));
                     recovered.push((d.shard, d.query));
                 }
@@ -929,18 +943,25 @@ impl CollectorService {
         }
         health.sps.failed_queries = failing.len();
 
-        match commit_with_retry(
-            &mut self.db,
-            &mut self.archive,
+        let series = sps.series_mut();
+        let coverage = &mut self.coverage[Dataset::Sps as usize];
+        coverage.sync(&mut self.quality, series.book());
+        match self.store.commit(
             SPS_TABLE,
             tick,
-            &outcome.records,
+            series.book_mut(),
+            &outcome.points,
             &self.policy,
             &mut health.sps.retries,
         ) {
             Ok(commit) => {
-                let stored =
-                    commit.observe_committed(&mut self.quality, "sps", &outcome.records, tick);
+                let stored = commit.observe_committed(
+                    &mut self.quality,
+                    coverage,
+                    series.book(),
+                    &outcome.points,
+                    tick,
+                );
                 stats.sps_records = stored;
                 stats.records_written += commit.written;
                 health.sps.records = stored;
@@ -948,8 +969,8 @@ impl CollectorService {
                 if health.sps.error.is_none() {
                     health.sps.error = commit.first_failure();
                 }
-                let lost_everything = stored == 0 && !outcome.records.is_empty();
-                if (outcome.records.is_empty() && !failing.is_empty()) || lost_everything {
+                let lost_everything = stored == 0 && !outcome.points.is_empty();
+                if (outcome.points.is_empty() && !failing.is_empty()) || lost_everything {
                     health.sps.status = DatasetStatus::Failed;
                     self.sps_breaker.record_failure(tick);
                 } else if !failing.is_empty()
@@ -989,15 +1010,17 @@ impl CollectorService {
             health.advisor.status = DatasetStatus::Skipped;
             return Ok(());
         }
-        match advisor.collect_with(cloud, &self.policy) {
+        match advisor.collect_points(cloud, &self.policy) {
             Ok(outcome) => {
                 health.advisor.retries = outcome.retries;
-                match commit_with_retry(
-                    &mut self.db,
-                    &mut self.archive,
+                let series = advisor.series_mut();
+                let coverage = &mut self.coverage[Dataset::Advisor as usize];
+                coverage.sync(&mut self.quality, series.book());
+                match self.store.commit(
                     ADVISOR_TABLE,
                     tick,
-                    &outcome.records,
+                    series.book_mut(),
+                    &outcome.points,
                     &self.policy,
                     &mut health.advisor.retries,
                 ) {
@@ -1006,8 +1029,9 @@ impl CollectorService {
                         // dedupes same-tick observations.
                         let stored = commit.observe_committed(
                             &mut self.quality,
-                            "advisor",
-                            &outcome.records,
+                            coverage,
+                            series.book(),
+                            &outcome.points,
                             tick,
                         );
                         stats.advisor_records = stored;
@@ -1017,7 +1041,7 @@ impl CollectorService {
                         if health.advisor.error.is_none() {
                             health.advisor.error = commit.first_failure();
                         }
-                        if stored == 0 && !outcome.records.is_empty() {
+                        if stored == 0 && !outcome.points.is_empty() {
                             // Every shard refused its slice: nothing of
                             // this dataset landed this round.
                             health.advisor.status = DatasetStatus::Failed;
@@ -1071,18 +1095,20 @@ impl CollectorService {
             health.price.status = DatasetStatus::Skipped;
             return Ok(());
         }
-        match price.collect_with(cloud, &self.policy) {
+        match price.collect_points(cloud, &self.policy) {
             Ok(outcome) => {
                 health.price.retries = outcome.retries;
-                // Older, previously unwritable records go first.
-                let mut records = std::mem::take(&mut self.pending_price);
-                records.extend(outcome.records);
-                match commit_with_retry(
-                    &mut self.db,
-                    &mut self.archive,
+                // Older, previously unwritable points go first.
+                let mut points = std::mem::take(&mut self.pending_price);
+                points.extend(outcome.points);
+                let series = price.series_mut();
+                let coverage = &mut self.coverage[Dataset::Price as usize];
+                coverage.sync(&mut self.quality, series.book());
+                match self.store.commit(
                     PRICE_TABLE,
                     tick,
-                    &records,
+                    series.book_mut(),
+                    &points,
                     &self.policy,
                     &mut health.price.retries,
                 ) {
@@ -1090,8 +1116,13 @@ impl CollectorService {
                         // The price API only reports *changes*; a clean
                         // sweep therefore refreshes every key the monitor
                         // has ever seen, not just the changed ones.
-                        let stored =
-                            commit.observe_committed(&mut self.quality, "price", &records, tick);
+                        let stored = commit.observe_committed(
+                            &mut self.quality,
+                            coverage,
+                            series.book(),
+                            &points,
+                            tick,
+                        );
                         stats.price_records = stored;
                         stats.records_written += commit.written;
                         health.price.records = stored;
@@ -1099,7 +1130,7 @@ impl CollectorService {
                         if health.price.error.is_none() {
                             health.price.error = commit.first_failure();
                         }
-                        if stored == 0 && !records.is_empty() {
+                        if stored == 0 && !points.is_empty() {
                             health.price.status = DatasetStatus::Failed;
                             self.price_breaker.record_failure(tick);
                         } else {
@@ -1119,9 +1150,9 @@ impl CollectorService {
                     }
                     Err(e) if e.is_retryable() => {
                         // Buffer instead of dropping: the sweep succeeded
-                        // and the watermark advanced, so these records
+                        // and the watermark advanced, so these points
                         // exist nowhere else.
-                        self.pending_price = records;
+                        self.pending_price = points;
                         health.price.status = DatasetStatus::Failed;
                         health.price.failed_queries = 1;
                         health.price.error = Some(e.to_string());
@@ -1189,8 +1220,9 @@ impl CollectorService {
 /// Writes the quality-monitor coverage key of a series' dimensions into
 /// `key` (cleared first): instance type plus the finest location
 /// dimension (AZ when present, region otherwise — the advisor dataset has
-/// no AZ). Live observation and recovery priming both key through here,
-/// so a recovered series primes exactly the key a live round observes.
+/// no AZ). Live series and recovery priming both key through here, so a
+/// recovered series primes exactly the key a live round observes. Runs
+/// once per series, never per record.
 fn write_coverage_key(key: &mut String, dims: &[(String, String)]) {
     let dim = |name: &str| {
         dims.iter()
@@ -1201,6 +1233,37 @@ fn write_coverage_key(key: &mut String, dims: &[(String, String)]) {
     key.push_str(dim("instance_type").unwrap_or("?"));
     key.push(':');
     key.push_str(dim("az").or_else(|| dim("region")).unwrap_or("?"));
+}
+
+/// The quality monitor's key of each of a dataset's series, by series id:
+/// spelled and looked up once per series, so observing a committed point
+/// is an index.
+#[derive(Debug)]
+struct CoverageKeys {
+    dataset: Dataset,
+    keys: Vec<QualityKey>,
+}
+
+impl CoverageKeys {
+    fn new(dataset: Dataset) -> Self {
+        CoverageKeys {
+            dataset,
+            keys: Vec::new(),
+        }
+    }
+
+    /// Looks up the key of every series `book` booked since the last call.
+    fn sync(&mut self, quality: &mut QualityMonitor, book: &SeriesBook) {
+        let mut key = String::new();
+        for s in self.keys.len()..book.len() {
+            let dims = SeriesRef::try_from(s)
+                .ok()
+                .and_then(|s| book.dimensions(s))
+                .unwrap_or_default();
+            write_coverage_key(&mut key, dims);
+            self.keys.push(quality.key(self.dataset.name(), &key));
+        }
+    }
 }
 
 /// Creates `name` if absent; a recovered archive already has its tables.
@@ -1214,18 +1277,19 @@ fn ensure_table(db: &mut Database, name: &str, options: TableOptions) -> Result<
 /// Registers every recovered series with the quality monitor as of the
 /// last committed tick, so the crash itself shows up as staleness and
 /// the first post-restart round's delta as a gap — instead of the
-/// monitor starting blank and hiding the outage.
+/// monitor starting blank and hiding the outage. Each series' key is
+/// spelled and looked up once; the first live round that books the
+/// series is handed the same key.
 fn prime_quality(quality: &mut QualityMonitor, db: &Database, tick: u64) {
-    for (table, dataset) in [
-        (SPS_TABLE, "sps"),
-        (ADVISOR_TABLE, "advisor"),
-        (PRICE_TABLE, "price"),
-    ] {
-        let Ok(t) = db.table(table) else { continue };
+    for dataset in Dataset::ALL {
+        let Ok(t) = db.table(dataset.name()) else {
+            continue;
+        };
         let mut key = String::new();
         for (_measure, dims) in t.series_dimension_sets() {
             write_coverage_key(&mut key, dims);
-            quality.observe(dataset, &key, tick);
+            let k = quality.key(dataset.name(), &key);
+            quality.observe(k, tick);
         }
     }
 }
@@ -1297,12 +1361,12 @@ fn record_recovery_observations(
     }
 }
 
-/// What [`commit_with_retry`] stored.
+/// What [`Store::commit`] stored.
 struct CommitResult {
     /// Points the store accepted (change-point tables skip repeats).
     written: usize,
     /// Shards that refused or failed their slice of the batch (durable
-    /// archive only; the in-memory path is all-or-nothing). Every record
+    /// archive only; the in-memory path is all-or-nothing). Every point
     /// outside these regions committed.
     shard_failures: Vec<spotlake_timestream::ShardHealthRow>,
 }
@@ -1315,65 +1379,78 @@ impl CommitResult {
             .map(|f| format!("shard {}/{}: {}", f.dataset, f.region, f.detail))
     }
 
-    /// Feeds the quality monitor every record of `batch` that committed
+    /// Feeds the quality monitor every point of `batch` that committed
     /// — all of it, minus the slices of failed shards — and returns how
     /// many that was.
     fn observe_committed(
         &self,
         quality: &mut QualityMonitor,
-        dataset: &str,
-        batch: &[Record],
+        coverage: &CoverageKeys,
+        book: &SeriesBook,
+        batch: &[Point],
         tick: u64,
     ) -> usize {
-        let dropped = |r: &Record| {
-            let region = ShardKey::region_of(r);
-            self.shard_failures.iter().any(|f| f.region == region)
+        let dropped = |p: &Point| {
+            let region = book.region(p.series);
+            self.shard_failures
+                .iter()
+                .any(|f| Some(f.region.as_str()) == region)
         };
         let mut committed = 0;
-        let mut key = String::new();
-        for r in batch {
+        for p in batch {
             // No failed shard (the usual round): no region to look up.
-            if !self.shard_failures.is_empty() && dropped(r) {
+            if !self.shard_failures.is_empty() && dropped(p) {
                 continue;
             }
-            write_coverage_key(&mut key, &r.dimensions);
-            quality.observe(dataset, &key, tick);
+            if let Some(&key) = coverage.keys.get(p.series as usize) {
+                quality.observe(key, tick);
+            }
             committed += 1;
         }
         committed
     }
 }
 
-/// Commits a batch durably through the archive: the batch fans out per
-/// region, each shard logs the records that change state (retrying
-/// transient disk faults within the round's budget) and they are applied
-/// in memory, and a failed shard drops only its own slice — never an
-/// `Err` — so partial storage degrades the dataset instead of killing
-/// the round. Without an archive this is [`write_with_retry`]: the
-/// in-memory write, retrying the store's throttles.
-fn commit_with_retry(
-    db: &mut Database,
-    archive: &mut Option<ShardedArchive>,
-    table: &str,
-    tick: u64,
-    records: &[Record],
-    policy: &RetryPolicy,
-    retries: &mut usize,
-) -> Result<CommitResult, TsError> {
-    let Some(archive) = archive else {
-        let written = write_with_retry(db, table, records, policy, retries)?;
-        return Ok(CommitResult {
-            written,
-            shard_failures: Vec::new(),
-        });
-    };
-    let options = db.table(table)?.options();
-    let out = archive.commit(db, table, options, tick, records, policy.max_attempts);
-    *retries += out.retries as usize;
-    Ok(CommitResult {
-        written: out.written,
-        shard_failures: out.failures,
-    })
+impl Store {
+    /// Commits a batch of `book`'s points durably through the archive: the
+    /// batch fans out per region, each shard logs the points that change
+    /// state (retrying transient disk faults within the round's budget)
+    /// and they are applied in memory, and a failed shard drops only its
+    /// own slice — never an `Err` — so partial storage degrades the
+    /// dataset instead of killing the round. Without an archive this is
+    /// the in-memory write, retrying the store's throttles.
+    fn commit(
+        &mut self,
+        table: &str,
+        tick: u64,
+        book: &mut SeriesBook,
+        points: &[Point],
+        policy: &RetryPolicy,
+        retries: &mut usize,
+    ) -> Result<CommitResult, TsError> {
+        let Some(archive) = &mut self.archive else {
+            let written = write_with_retry(&mut self.db, table, book, points, policy, retries)?;
+            return Ok(CommitResult {
+                written,
+                shard_failures: Vec::new(),
+            });
+        };
+        let options = self.db.table(table)?.options();
+        let out = archive.commit_points(
+            &mut self.db,
+            table,
+            options,
+            tick,
+            book,
+            points,
+            policy.max_attempts,
+        );
+        *retries += out.retries as usize;
+        Ok(CommitResult {
+            written: out.written,
+            shard_failures: out.failures,
+        })
+    }
 }
 
 /// The shard keys a fresh archive starts with: every enabled
@@ -1404,14 +1481,15 @@ fn shard_keys(catalog: &Catalog, config: &CollectorConfig) -> Vec<ShardKey> {
 fn write_with_retry(
     db: &mut Database,
     table: &str,
-    records: &[Record],
+    book: &mut SeriesBook,
+    points: &[Point],
     policy: &RetryPolicy,
     retries: &mut usize,
 ) -> Result<usize, TsError> {
     let mut attempt = 0;
     loop {
         attempt += 1;
-        match db.write(table, records) {
+        match db.write_points(table, book, points) {
             Ok(n) => return Ok(n),
             Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
                 *retries += 1;

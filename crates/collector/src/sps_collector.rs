@@ -11,11 +11,13 @@ use crate::accounts::AccountPool;
 use crate::error::CollectError;
 use crate::planner::PlannedQuery;
 use crate::retry::RetryPolicy;
+use crate::series::{type_id, zone_id, PoolSeries};
 use spotlake_cloud_api::{
-    AccountId, ApiError, FaultInjector, FaultPlan, FaultSurface, SpsClient, SpsRequest,
+    AccountId, ApiError, FaultInjector, FaultPlan, FaultSurface, SpsClient, SpsRequest, SpsScore,
 };
 use spotlake_cloud_sim::SimCloud;
-use spotlake_timestream::Record;
+use spotlake_timestream::{Point, Record};
+use spotlake_types::{AzId, Catalog, InstanceTypeId};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -50,15 +52,41 @@ pub struct SpsOutcome {
     pub failed: Vec<FailedQuery>,
 }
 
+/// [`SpsOutcome`] by series id: the points of the collector's
+/// [`SpsCollector::series`], in the order the records would be.
+#[derive(Debug, Clone, Default)]
+pub struct SpsPoints {
+    /// Points collected (possibly from a subset of the plan).
+    pub points: Vec<Point>,
+    /// Retry attempts spent beyond each query's first call.
+    pub retries: usize,
+    /// Queries that exhausted the retry budget this round.
+    pub failed: Vec<FailedQuery>,
+}
+
 /// Result of re-issuing one dead-lettered query.
 #[derive(Debug, Clone, Default)]
 pub struct SpsQueryOutcome {
-    /// Records collected, empty on failure.
-    pub records: Vec<Record>,
+    /// Points collected, of the collector's [`SpsCollector::series`];
+    /// empty on failure.
+    pub points: Vec<Point>,
     /// Retry attempts spent beyond the first call.
     pub retries: usize,
     /// The error the final attempt died with, `None` on success.
     pub error: Option<ApiError>,
+}
+
+/// One query's answer in catalog ids: `(type, zone, score)` per zone,
+/// in answer order.
+type Scores = Vec<(InstanceTypeId, AzId, f64)>;
+
+/// One query's outcome before its pools are booked — what an account's
+/// thread hands back.
+#[derive(Debug, Default)]
+struct QueryScores {
+    scores: Scores,
+    retries: usize,
+    error: Option<ApiError>,
 }
 
 /// Collects per-AZ placement scores for the whole planned catalog.
@@ -66,6 +94,7 @@ pub struct SpsQueryOutcome {
 pub struct SpsCollector {
     shards: Vec<Shard>,
     target_capacity: u32,
+    series: PoolSeries,
 }
 
 impl SpsCollector {
@@ -93,7 +122,18 @@ impl SpsCollector {
         Ok(SpsCollector {
             shards,
             target_capacity,
+            series: PoolSeries::new(&["sps"]),
         })
+    }
+
+    /// The series the collector's points name: one per (type, zone) pool
+    /// it has seen.
+    pub fn series(&self) -> &PoolSeries {
+        &self.series
+    }
+
+    pub(crate) fn series_mut(&mut self) -> &mut PoolSeries {
+        &mut self.series
     }
 
     /// Installs fault injection on every shard's client. Call before the
@@ -147,6 +187,8 @@ impl SpsCollector {
     /// `policy.max_attempts`; queries still failing land in
     /// [`SpsOutcome::failed`] instead of sinking the round.
     ///
+    /// The records are [`SpsCollector::collect_points`] spelled out.
+    ///
     /// # Errors
     ///
     /// Returns [`CollectError::Api`] only for non-retryable errors
@@ -157,6 +199,28 @@ impl SpsCollector {
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<SpsOutcome, CollectError> {
+        let round = self.collect_points(cloud, policy)?;
+        Ok(SpsOutcome {
+            records: self.series.records(&round.points),
+            retries: round.retries,
+            failed: round.failed,
+        })
+    }
+
+    /// [`SpsCollector::collect_with`] by series id: each score becomes a
+    /// point of its (type, zone) pool's series, booked the first time a
+    /// round sees the pool. A score naming a type or zone the catalog
+    /// lacks, or no zone at all, is [`ApiError::UnknownEntity`]; no pool
+    /// is booked for a round that fails.
+    ///
+    /// # Errors
+    ///
+    /// As [`SpsCollector::collect_with`].
+    pub fn collect_points(
+        &mut self,
+        cloud: &SimCloud,
+        policy: &RetryPolicy,
+    ) -> Result<SpsPoints, CollectError> {
         let now = cloud.now().as_secs();
         let capacity = self.target_capacity;
         let shard_results = std::thread::scope(|scope| {
@@ -165,8 +229,9 @@ impl SpsCollector {
                 .iter_mut()
                 .enumerate()
                 .map(|(shard_idx, shard)| {
-                    scope.spawn(move || -> Result<SpsOutcome, CollectError> {
-                        let mut outcome = SpsOutcome::default();
+                    scope.spawn(move || -> Result<(Scores, SpsPoints), CollectError> {
+                        let mut scores = Vec::new();
+                        let mut outcome = SpsPoints::default();
                         for (query_idx, q) in shard.queries.iter().enumerate() {
                             let res = run_query(
                                 &mut shard.client,
@@ -174,12 +239,11 @@ impl SpsCollector {
                                 q,
                                 capacity,
                                 cloud,
-                                now,
                                 policy,
                             );
                             outcome.retries += res.retries;
                             match res.error {
-                                None => outcome.records.extend(res.records),
+                                None => scores.extend(res.scores),
                                 Some(e) if e.is_retryable() => {
                                     outcome.failed.push(FailedQuery {
                                         shard: shard_idx,
@@ -190,7 +254,7 @@ impl SpsCollector {
                                 Some(e) => return Err(e.into()),
                             }
                         }
-                        Ok(outcome)
+                        Ok((scores, outcome))
                     })
                 })
                 .collect();
@@ -200,9 +264,10 @@ impl SpsCollector {
                 .collect::<Result<Vec<_>, _>>()
         })?;
 
-        let mut total = SpsOutcome::default();
-        for o in shard_results {
-            total.records.extend(o.records);
+        let catalog = cloud.catalog();
+        let mut total = SpsPoints::default();
+        for (scores, o) in shard_results {
+            total.points.extend(self.book_scores(catalog, now, &scores));
             total.retries += o.retries;
             total.failed.extend(o.failed);
         }
@@ -235,7 +300,6 @@ impl SpsCollector {
         query: usize,
         policy: &RetryPolicy,
     ) -> SpsQueryOutcome {
-        let now = cloud.now().as_secs();
         let capacity = self.target_capacity;
         let Some(s) = self.shards.get_mut(shard) else {
             return stale_slot_outcome("shard", shard);
@@ -244,7 +308,25 @@ impl SpsCollector {
         let Some(q) = s.queries.get(query).cloned() else {
             return stale_slot_outcome("query slot", query);
         };
-        run_query(&mut s.client, &account, &q, capacity, cloud, now, policy)
+        let res = run_query(&mut s.client, &account, &q, capacity, cloud, policy);
+        let points = self.book_scores(cloud.catalog(), cloud.now().as_secs(), &res.scores);
+        SpsQueryOutcome {
+            points,
+            retries: res.retries,
+            error: res.error,
+        }
+    }
+
+    /// `scores` as points at `time`, booking each pool on first sight.
+    fn book_scores(&mut self, catalog: &Catalog, time: u64, scores: &Scores) -> Vec<Point> {
+        scores
+            .iter()
+            .map(|&(ty, az, value)| Point {
+                series: self.series.zone_pool(catalog, ty, az),
+                time,
+                value,
+            })
+            .collect()
     }
 }
 
@@ -258,18 +340,17 @@ fn stale_slot_outcome(kind: &'static str, index: usize) -> SpsQueryOutcome {
     }
 }
 
-/// Issues one planned query with in-round retries, converting the scores
-/// to `sps` records.
+/// Issues one planned query with in-round retries, converting the answer
+/// to catalog ids.
 fn run_query(
     client: &mut SpsClient,
     account: &AccountId,
     q: &PlannedQuery,
     capacity: u32,
     cloud: &SimCloud,
-    now: u64,
     policy: &RetryPolicy,
-) -> SpsQueryOutcome {
-    let mut outcome = SpsQueryOutcome::default();
+) -> QueryScores {
+    let mut outcome = QueryScores::default();
     let request = match SpsRequest::new(vec![q.instance_type.clone()], q.regions.clone(), capacity)
     {
         Ok(r) => r.single_availability_zone(true),
@@ -283,16 +364,9 @@ fn run_query(
         attempt += 1;
         match client.get_spot_placement_scores(cloud, account, &request) {
             Ok(scores) => {
-                for s in scores {
-                    let az = s
-                        .availability_zone
-                        .expect("single-AZ queries return zone names");
-                    outcome.records.push(
-                        Record::new(now, "sps", f64::from(s.score.value()))
-                            .dimension("instance_type", &q.instance_type)
-                            .dimension("region", &s.region)
-                            .dimension("az", az),
-                    );
+                match in_catalog_ids(cloud.catalog(), &q.instance_type, &scores) {
+                    Ok(scores) => outcome.scores = scores,
+                    Err(e) => outcome.error = Some(e),
                 }
                 return outcome;
             }
@@ -305,6 +379,26 @@ fn run_query(
             }
         }
     }
+}
+
+/// A one-type per-zone answer in catalog ids. Every score must name a
+/// zone of the catalog, in the region the answer gives; the first that
+/// does not fails the whole answer.
+fn in_catalog_ids(catalog: &Catalog, ty: &str, scores: &[SpsScore]) -> Result<Scores, ApiError> {
+    let ty = type_id(catalog, ty)?;
+    scores
+        .iter()
+        .map(|s| {
+            let az = zone_id(catalog, s.availability_zone.as_deref())?;
+            if catalog.region(catalog.az(az).region()).code() != s.region {
+                return Err(ApiError::UnknownEntity {
+                    kind: "region of availability zone",
+                    name: s.region.clone(),
+                });
+            }
+            Ok((ty, az, f64::from(s.score.value())))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -390,6 +484,51 @@ mod tests {
     }
 
     #[test]
+    fn a_score_the_catalog_cannot_place_fails_closed() {
+        let cloud = cloud();
+        let score = |region: &str, az: Option<&str>| SpsScore {
+            region: region.to_owned(),
+            availability_zone: az.map(str::to_owned),
+            score: spotlake_types::PlacementScore::new(3).unwrap(),
+        };
+        let good = score("us-test-1", Some("us-test-1a"));
+        let placed =
+            in_catalog_ids(cloud.catalog(), "m5.large", std::slice::from_ref(&good)).unwrap();
+        assert_eq!(placed.len(), 1);
+        for (ty, bad) in [
+            ("m5.large", score("us-test-1", None)),
+            ("m5.large", score("us-test-1", Some("us-test-1z"))),
+            ("m5.large", score("eu-test-1", Some("us-test-1a"))),
+            ("m9.huge", good.clone()),
+        ] {
+            let e = in_catalog_ids(cloud.catalog(), ty, &[good.clone(), bad]).unwrap_err();
+            assert!(matches!(e, ApiError::UnknownEntity { .. }), "{e}");
+            assert!(!e.is_retryable());
+        }
+    }
+
+    #[test]
+    fn a_round_that_fails_closed_books_no_series() {
+        let cloud = cloud();
+        let mut plan = QueryPlanner::default().plan(cloud.catalog(), None);
+        plan.push(PlannedQuery {
+            instance_type: "m9.huge".to_owned(),
+            regions: vec!["us-test-1".to_owned()],
+            expected_results: 3,
+        });
+        let pool = AccountPool::with_size(1);
+        let mut collector = SpsCollector::new(plan, &pool, 1).unwrap();
+        let err = collector
+            .collect_points(&cloud, &RetryPolicy::default())
+            .unwrap_err();
+        assert!(
+            matches!(err, CollectError::Api(ApiError::UnknownEntity { .. })),
+            "{err}"
+        );
+        assert!(collector.series().book().is_empty(), "nothing booked");
+    }
+
+    #[test]
     fn retry_query_reissues_a_single_slot() {
         let mut cloud = cloud();
         cloud.step();
@@ -399,7 +538,7 @@ mod tests {
         let policy = RetryPolicy::default();
         let good = collector.retry_query(&cloud, 0, 0, &policy);
         assert!(good.error.is_none());
-        assert!(!good.records.is_empty());
+        assert!(!good.points.is_empty());
         // Stale dead-letter entries report an error instead of panicking.
         let stale = collector.retry_query(&cloud, 99, 0, &policy);
         assert!(stale.error.is_some());

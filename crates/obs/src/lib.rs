@@ -87,7 +87,7 @@ pub use flight::{FlightEntry, FlightRecorder, QueryCtx};
 pub use health::{ComponentHealth, HealthReport, Readiness};
 pub use journal::{JournalError, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION};
 pub use lifecycle::{PhaseSpan, RequestRecord, RequestRecorder, REQUEST_PHASES};
-pub use quality::{DatasetQuality, KeyQuality, QualityMonitor, QualityReport};
+pub use quality::{DatasetQuality, KeyQuality, QualityKey, QualityMonitor, QualityReport};
 pub use registry::{log_linear_buckets, HistogramSummary, MetricKind, Registry};
 pub use slo::{ObjectiveVerdict, SloReport, SloSet, SloSignal, SloSpec, SloTracker};
 pub use telemetry::{TelemetryRecorder, TelemetrySample};

@@ -11,11 +11,12 @@
 //! exported gauges are byte-stable across same-seed runs.
 //!
 //! The collector observes every stored record, ~35 k a round at the
-//! paper's catalog, so the per-record and per-round paths are kept cheap:
-//! observing a key already tracked is one hash lookup and no allocation,
-//! and [`QualityMonitor::export`] is one allocation-free pass over the
-//! running state. The key-level [`QualityReport`] is built only when asked
-//! for.
+//! paper's catalog, so the per-record and per-round paths are kept cheap.
+//! A key is indexed densely: its string is spelled and hashed once, when
+//! [`QualityMonitor::key`] first hands out its [`QualityKey`], and
+//! observing it is an index into a `Vec` — no lookup, no allocation.
+//! [`QualityMonitor::export`] is one allocation-free pass over the running
+//! state. The key-level [`QualityReport`] is built only when asked for.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -115,13 +116,35 @@ pub struct QualityReport {
     pub datasets: Vec<DatasetQuality>,
 }
 
+/// A (dataset × key) pair's dense index in a [`QualityMonitor`]: what
+/// [`QualityMonitor::key`] hands out once per key and
+/// [`QualityMonitor::observe`] takes per record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QualityKey {
+    dataset: u32,
+    key: u32,
+}
+
+/// One dataset's keys, indexed densely.
+#[derive(Debug, Clone, Default)]
+struct DatasetKeys {
+    /// Key string → index into `states`; each key is spelled once, here.
+    index: HashMap<Box<str>, u32>,
+    /// Per key, its state once observed: a key handed out but never
+    /// observed is not tracked.
+    states: Vec<Option<KeyState>>,
+    /// Keys observed at least once.
+    tracked: u64,
+}
+
 /// Tracks per-(dataset × key) observation coverage.
 ///
-/// The collector calls [`QualityMonitor::observe`] for every record key it
-/// successfully writes, [`QualityMonitor::observe_sweep`] when a sweep
-/// semantically covers all known keys (the price collector only reports
-/// *changes*, so a clean sweep refreshes every key it has ever seen), and
-/// [`QualityMonitor::round_complete`] once per round.
+/// The collector asks for each coverage key's [`QualityKey`] once
+/// ([`QualityMonitor::key`]), then calls [`QualityMonitor::observe`] for
+/// every record it successfully writes, [`QualityMonitor::observe_sweep`]
+/// when a sweep semantically covers all known keys (the price collector
+/// only reports *changes*, so a clean sweep refreshes every key it has
+/// ever seen), and [`QualityMonitor::round_complete`] once per round.
 #[derive(Debug, Clone)]
 pub struct QualityMonitor {
     /// Expected ticks between observations of a live key.
@@ -130,11 +153,14 @@ pub struct QualityMonitor {
     tick: u64,
     /// Completed rounds.
     rounds: u64,
-    /// Per dataset, every key ever observed and its state; each key string
-    /// is stored once, as the map key. Hash order reaches no output: the
-    /// aggregates are sums, counts, minima and maxima, and the worst list
-    /// is sorted to a total order that ends on the key.
-    keys: BTreeMap<String, HashMap<Box<str>, KeyState>>,
+    /// Every dataset a key was handed out for, indexed by
+    /// [`QualityKey`]'s dataset.
+    datasets: Vec<DatasetKeys>,
+    /// Dataset name → index; its order is the order reports list
+    /// datasets in. Hash order reaches no output: the aggregates are sums,
+    /// counts, minima and maxima, and the worst list is sorted to a total
+    /// order that ends on the key.
+    by_name: BTreeMap<String, u32>,
 }
 
 /// One dataset's aggregates, read from the running state in one pass.
@@ -158,39 +184,83 @@ impl QualityMonitor {
             interval: interval.max(1),
             tick: 0,
             rounds: 0,
-            keys: BTreeMap::new(),
+            datasets: Vec::new(),
+            by_name: BTreeMap::new(),
         }
     }
 
-    /// Records that `key` in `dataset` was observed at `tick`. A second
-    /// observation at the same tick is a no-op; a delta greater than the
-    /// expected interval counts one gap and `delta / interval - 1` missed
-    /// rounds.
-    pub fn observe(&mut self, dataset: &str, key: &str, tick: u64) {
-        if let Some(state) = self
-            .keys
-            .get_mut(dataset)
-            .and_then(|keys| keys.get_mut(key))
-        {
-            state.observe(tick, self.interval);
+    /// The index of `key` in `dataset`: the same one every time the pair
+    /// is asked for, so two spellings of one key are one key. Handing a key
+    /// out does not track it; [`QualityMonitor::observe`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` datasets or keys in one dataset.
+    pub fn key(&mut self, dataset: &str, key: &str) -> QualityKey {
+        let at = match self.by_name.get(dataset) {
+            Some(&at) => at,
+            None => {
+                let at = u32::try_from(self.datasets.len()).expect("fewer than 2^32 datasets");
+                self.datasets.push(DatasetKeys::default());
+                self.by_name.insert(dataset.to_owned(), at);
+                at
+            }
+        };
+        let keys = &mut self.datasets[at as usize];
+        let index = match keys.index.get(key) {
+            Some(&index) => index,
+            None => {
+                let index = u32::try_from(keys.states.len()).expect("fewer than 2^32 keys");
+                keys.states.push(None);
+                keys.index.insert(key.into(), index);
+                index
+            }
+        };
+        QualityKey {
+            dataset: at,
+            key: index,
+        }
+    }
+
+    /// Records that `key` was observed at `tick`. A second observation at
+    /// the same tick is a no-op; a delta greater than the expected
+    /// interval counts one gap and `delta / interval - 1` missed rounds.
+    /// A key this monitor never handed out is ignored.
+    pub fn observe(&mut self, key: QualityKey, tick: u64) {
+        let Some(keys) = self.datasets.get_mut(key.dataset as usize) else {
             return;
+        };
+        match keys.states.get_mut(key.key as usize) {
+            Some(Some(state)) => state.observe(tick, self.interval),
+            Some(slot) => {
+                *slot = Some(KeyState::first(tick));
+                keys.tracked += 1;
+            }
+            None => {}
         }
-        self.keys
-            .entry(dataset.to_owned())
-            .or_default()
-            .insert(key.into(), KeyState::first(tick));
     }
 
-    /// Marks every key already known for `dataset` as observed at `tick` —
-    /// for sweep-style collectors whose successful pass covers all keys
-    /// even when it reports no changes.
+    /// Marks every key already observed for `dataset` as observed at
+    /// `tick` — for sweep-style collectors whose successful pass covers all
+    /// keys even when it reports no changes.
     pub fn observe_sweep(&mut self, dataset: &str, tick: u64) {
         let interval = self.interval;
-        if let Some(keys) = self.keys.get_mut(dataset) {
-            for state in keys.values_mut() {
+        let Some(&at) = self.by_name.get(dataset) else {
+            return;
+        };
+        if let Some(keys) = self.datasets.get_mut(at as usize) {
+            for state in keys.states.iter_mut().flatten() {
                 state.observe(tick, interval);
             }
         }
+    }
+
+    /// The datasets with at least one tracked key, in name order.
+    fn tracked_datasets(&self) -> impl Iterator<Item = (&str, &DatasetKeys)> {
+        self.by_name
+            .iter()
+            .filter_map(|(name, &at)| Some((name.as_str(), self.datasets.get(at as usize)?)))
+            .filter(|(_, keys)| keys.tracked > 0)
     }
 
     /// Advances the monitor to the end of a round at `tick`.
@@ -205,16 +275,16 @@ impl QualityMonitor {
     }
 
     /// One dataset's aggregates, in a single pass and without allocating.
-    fn aggregate(&self, keys: &HashMap<Box<str>, KeyState>) -> Aggregates {
+    fn aggregate(&self, keys: &DatasetKeys) -> Aggregates {
         let mut a = Aggregates {
-            keys_tracked: keys.len() as u64,
+            keys_tracked: keys.tracked,
             keys_stale: 0,
             gaps: 0,
             missed_rounds: 0,
             min_coverage: f64::INFINITY,
             max_staleness: 0,
         };
-        for s in keys.values() {
+        for s in keys.states.iter().flatten() {
             let staleness = self.staleness(s);
             a.keys_stale += u64::from(staleness > 0);
             a.gaps += s.gaps;
@@ -236,12 +306,16 @@ impl QualityMonitor {
     /// same-seed runs produce identical reports.
     pub fn report(&self) -> QualityReport {
         let datasets = self
-            .keys
-            .iter()
+            .tracked_datasets()
             .map(|(dataset, keys)| {
                 let a = self.aggregate(keys);
-                let mut ranked: Vec<(&str, &KeyState)> =
-                    keys.iter().map(|(key, s)| (&**key, s)).collect();
+                let mut ranked: Vec<(&str, &KeyState)> = keys
+                    .index
+                    .iter()
+                    .filter_map(|(key, &at)| {
+                        Some((&**key, keys.states.get(at as usize)?.as_ref()?))
+                    })
+                    .collect();
                 ranked.sort_unstable_by(|(ka, a), (kb, b)| {
                     self.staleness(b)
                         .cmp(&self.staleness(a))
@@ -260,7 +334,7 @@ impl QualityMonitor {
                     })
                     .collect();
                 DatasetQuality {
-                    dataset: dataset.clone(),
+                    dataset: dataset.to_owned(),
                     keys_tracked: a.keys_tracked,
                     keys_stale: a.keys_stale,
                     gaps: a.gaps,
@@ -286,9 +360,9 @@ impl QualityMonitor {
     /// with a production catalog; key-level detail lives in the
     /// `/quality` report.
     pub fn export(&self, registry: &Registry) {
-        for (dataset, keys) in &self.keys {
+        for (dataset, keys) in self.tracked_datasets() {
             let d = self.aggregate(keys);
-            let labels = [("dataset", dataset.as_str())];
+            let labels = [("dataset", dataset)];
             registry.gauge_set(
                 "spotlake_archive_keys_tracked",
                 "Distinct coverage keys ever observed per dataset.",
@@ -333,12 +407,39 @@ impl QualityMonitor {
 mod tests {
     use super::*;
 
+    /// Observes `key` of `dataset` at `tick`, asking for its index first.
+    fn seen(m: &mut QualityMonitor, dataset: &str, key: &str, tick: u64) {
+        let k = m.key(dataset, key);
+        m.observe(k, tick);
+    }
+
+    #[test]
+    fn a_key_handed_out_but_never_observed_is_not_tracked() {
+        let mut m = QualityMonitor::new(1);
+        let a = m.key("sps", "a");
+        assert_eq!(m.key("sps", "a"), a, "one key, one index");
+        let _ = m.key("price", "p");
+        m.round_complete(1);
+        assert!(m.report().datasets.is_empty(), "nothing observed yet");
+        m.observe(a, 1);
+        let _ = m.key("sps", "b");
+        m.observe_sweep("sps", 2);
+        m.round_complete(2);
+        let report = m.report();
+        assert_eq!(report.datasets.len(), 1, "price has no tracked key");
+        assert_eq!(report.datasets[0].keys_tracked, 1);
+        assert_eq!(
+            report.datasets[0].worst[0].observed, 2,
+            "the sweep refreshed a"
+        );
+    }
+
     #[test]
     fn continuous_observation_reports_full_coverage() {
         let mut m = QualityMonitor::new(1);
         for tick in 1..=5 {
-            m.observe("sps", "m5.large:a", tick);
-            m.observe("sps", "m5.large:b", tick);
+            seen(&mut m, "sps", "m5.large:a", tick);
+            seen(&mut m, "sps", "m5.large:b", tick);
             m.round_complete(tick);
         }
         let report = m.report();
@@ -357,12 +458,12 @@ mod tests {
     #[test]
     fn a_skipped_round_counts_one_gap_and_its_missed_rounds() {
         let mut m = QualityMonitor::new(1);
-        m.observe("sps", "k", 1);
+        seen(&mut m, "sps", "k", 1);
         m.round_complete(1);
         // Rounds 2 and 3 miss the key entirely.
         m.round_complete(2);
         m.round_complete(3);
-        m.observe("sps", "k", 4);
+        seen(&mut m, "sps", "k", 4);
         m.round_complete(4);
         let d = &m.report().datasets[0];
         assert_eq!(d.gaps, 1, "one contiguous gap");
@@ -374,7 +475,7 @@ mod tests {
     #[test]
     fn staleness_grows_while_a_key_is_unobserved() {
         let mut m = QualityMonitor::new(2);
-        m.observe("advisor", "k", 2);
+        seen(&mut m, "advisor", "k", 2);
         m.round_complete(2);
         m.round_complete(4);
         m.round_complete(6);
@@ -388,11 +489,11 @@ mod tests {
     #[test]
     fn same_tick_duplicates_are_no_ops() {
         let mut m = QualityMonitor::new(1);
-        m.observe("advisor", "k", 1);
-        m.observe("advisor", "k", 1); // score + savings measures, same round
+        seen(&mut m, "advisor", "k", 1);
+        seen(&mut m, "advisor", "k", 1); // score + savings measures, same round
         m.round_complete(1);
-        m.observe("advisor", "k", 2);
-        m.observe("advisor", "k", 2);
+        seen(&mut m, "advisor", "k", 2);
+        seen(&mut m, "advisor", "k", 2);
         m.round_complete(2);
         let d = &m.report().datasets[0];
         assert_eq!(d.gaps, 0);
@@ -403,11 +504,11 @@ mod tests {
     #[test]
     fn sweeps_refresh_all_known_keys() {
         let mut m = QualityMonitor::new(1);
-        m.observe("price", "a", 1);
-        m.observe("price", "b", 1);
+        seen(&mut m, "price", "a", 1);
+        seen(&mut m, "price", "b", 1);
         m.round_complete(1);
         // Round 2: only `a` changed, but the sweep covered both.
-        m.observe("price", "a", 2);
+        seen(&mut m, "price", "a", 2);
         m.observe_sweep("price", 2);
         m.round_complete(2);
         let d = &m.report().datasets[0];
@@ -421,7 +522,7 @@ mod tests {
         let mut m = QualityMonitor::new(1);
         for i in 0..15u64 {
             // Key i last observed at tick i+1 → staleness 15-(i+1).
-            m.observe("sps", &format!("k{i:02}"), i + 1);
+            seen(&mut m, "sps", &format!("k{i:02}"), i + 1);
         }
         for tick in 1..=15 {
             m.round_complete(tick);
@@ -436,8 +537,8 @@ mod tests {
     #[test]
     fn export_emits_aggregate_gauges_only() {
         let mut m = QualityMonitor::new(1);
-        m.observe("sps", "k1", 1);
-        m.observe("sps", "k2", 1);
+        seen(&mut m, "sps", "k1", 1);
+        seen(&mut m, "sps", "k2", 1);
         m.round_complete(1);
         m.round_complete(2);
         let r = Registry::new();
@@ -456,7 +557,7 @@ mod tests {
             for tick in 1..=6 {
                 for key in ["c", "a", "b"] {
                     if !(tick + key.len() as u64).is_multiple_of(3) {
-                        m.observe("sps", key, tick);
+                        seen(&mut m, "sps", key, tick);
                     }
                 }
                 m.round_complete(tick);

@@ -1,11 +1,15 @@
 //! `QualityMonitor` against a model: the `BTreeMap` monitor it replaced.
 //!
-//! The monitor keeps its keys in a hash index and exports its gauges in one
-//! pass over running state; the model below keeps every key in nested
-//! `BTreeMap`s and builds each report from scratch, as the monitor once
-//! did. Random `observe` / `observe_sweep` / `round_complete` sequences
-//! must leave both with equal reports, and the gauges `export` writes must
-//! equal the report's aggregates.
+//! The monitor indexes each dataset's keys densely — a key string is
+//! spelled once, when its `QualityKey` is handed out, and observed by
+//! index — and exports its gauges in one pass over running state; the
+//! model below keeps every key in nested `BTreeMap`s, keyed by the string
+//! on every observation, and builds each report from scratch, as the
+//! monitor once did. Random `key` / `observe` / `observe_sweep` /
+//! `round_complete` sequences must leave both with equal reports, and the
+//! gauges `export` writes must equal the report's aggregates. Keys are
+//! handed out ahead of their first observation, and some never are
+//! observed: neither may show up as tracked.
 
 use spotlake_obs::{DatasetQuality, KeyQuality, QualityMonitor, QualityReport, Registry};
 use std::collections::BTreeMap;
@@ -210,7 +214,7 @@ fn run(seed: u64) -> QualityReport {
     let mut model = Model::new(interval);
     let mut tick = 0u64;
     for step in 0..400 {
-        match rng.below(10) {
+        match rng.below(11) {
             0..=5 => {
                 let dataset = DATASETS[rng.below(3) as usize];
                 let key = format!("t{}:z{}", rng.below(key_space), rng.below(3));
@@ -219,8 +223,15 @@ fn run(seed: u64) -> QualityReport {
                     1 => tick + interval * rng.below(4),
                     _ => tick,
                 };
-                monitor.observe(dataset, &key, at);
+                let k = monitor.key(dataset, &key);
+                monitor.observe(k, at);
                 model.observe(dataset, &key, at);
+            }
+            10 => {
+                // Handed out, not (yet) observed: the model knows nothing.
+                let dataset = DATASETS[rng.below(3) as usize];
+                let key = format!("t{}:z{}", rng.below(key_space + 4), rng.below(3));
+                monitor.key(dataset, &key);
             }
             6 => {
                 let dataset = DATASETS[rng.below(3) as usize];

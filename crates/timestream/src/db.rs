@@ -1,11 +1,12 @@
 //! The database: a named collection of tables with save/load.
 
+use crate::book::{Point, SeriesBook};
 use crate::codec;
 use crate::error::TsError;
 use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Query, Row, WindowRow};
 use crate::record::Record;
-use crate::table::{Applied, Logged, Table, TableOptions};
+use crate::table::{Applied, Table, TableOptions};
 use spotlake_obs::{QueryCtx, Registry};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -139,6 +140,25 @@ impl Database {
     /// fail with [`TsError::Throttled`] *before* storing anything, so a
     /// throttled batch can be retried without duplication.
     pub fn write(&mut self, table: &str, records: &[Record]) -> Result<usize, TsError> {
+        let (mut book, points) = SeriesBook::from_records(records);
+        self.write_points(table, &mut book, &points)
+    }
+
+    /// Writes a batch of points of `book`'s series to a table, by series
+    /// id: what [`Database::write`] does with the records they stand for,
+    /// in the same order, with the same errors, throttling and metrics.
+    /// A series is filed by the first of its points applied; afterwards
+    /// `book` reaches it by handle, with no key built or looked up.
+    ///
+    /// # Errors
+    ///
+    /// As [`Database::write`].
+    pub fn write_points(
+        &mut self,
+        table: &str,
+        book: &mut SeriesBook,
+        points: &[Point],
+    ) -> Result<usize, TsError> {
         if self.write_faults.roll(table) {
             self.metrics.counter_add(
                 "spotlake_store_write_throttled_total",
@@ -148,7 +168,12 @@ impl Database {
             );
             return Err(TsError::Throttled);
         }
-        self.apply_committed(table, records)
+        let tbl = self.table_mut(table)?;
+        let written = tbl.write_points(book, points);
+        book.resolve(tbl, points);
+        let stored = written?.stored;
+        self.record_write_metrics(table, points.len() as u64, stored as u64);
+        Ok(stored)
     }
 
     /// Writes a batch that is already durable — appended to a write-ahead
@@ -166,42 +191,37 @@ impl Database {
         records: &[R],
     ) -> Result<usize, TsError> {
         let tbl = self.table_mut(table)?;
-        let mut key = String::new();
-        let mut stored = 0;
-        for r in records {
-            if tbl.write_keyed(r.borrow(), &mut key)? {
-                stored += 1;
-            }
-        }
+        let (book, points) = SeriesBook::from_records(records);
+        let stored = tbl.write_points(&book, &points)?.stored;
         self.record_write_metrics(table, records.len() as u64, stored as u64);
         Ok(stored)
     }
 
-    /// The records of a batch a durable commit must log: those that can
-    /// change `table`, with their series ids (see [`Table::delta`]). A
-    /// table this database does not hold yet is empty, so nothing is left
-    /// out and no id is known.
+    /// The points of a batch a durable commit must log: those that can
+    /// change `table` (see [`Table::delta`]). A table this database does
+    /// not hold yet is empty, so nothing is left out.
     ///
     /// # Errors
     ///
-    /// Returns [`TsError::BadRecord`] if any record of the batch is
-    /// invalid.
-    pub(crate) fn delta<'a>(
+    /// Returns [`TsError::BadRecord`] if any point of the batch stands for
+    /// an invalid record.
+    pub(crate) fn delta<'p>(
         &self,
         table: &str,
         options: TableOptions,
-        records: impl IntoIterator<Item = &'a Record>,
-    ) -> Result<Vec<Logged<'a>>, TsError> {
+        book: &SeriesBook,
+        points: impl IntoIterator<Item = &'p Point>,
+    ) -> Result<Vec<&'p Point>, TsError> {
         match self.tables.get(table) {
-            Some(t) => t.delta(records),
-            None => Table::new(options).delta(records),
+            Some(t) => t.delta(book, points),
+            None => Table::new(options).delta(book, points),
         }
     }
 
-    /// Applies the `logged` records of a batch that *offered* `offered`
+    /// Applies the `logged` points of a batch that *offered* `offered`
     /// — what [`Database::delta`] kept, against this database as it was
     /// then, and a log has made durable — creating the table if the
-    /// batch is its first ([`Table::apply_logged`]). The rest were left
+    /// batch is its first ([`Table::apply_points`]). The rest were left
     /// out because writing them changes nothing. The write families count
     /// the offered batch — an elided record is submitted and deduped,
     /// exactly as if the table had skipped it — so `/metrics` does not
@@ -211,7 +231,8 @@ impl Database {
         &mut self,
         table: &str,
         options: TableOptions,
-        logged: &[Logged<'_>],
+        book: &SeriesBook,
+        logged: &[&Point],
         offered: usize,
     ) -> Applied {
         let applied = if logged.is_empty() {
@@ -224,7 +245,7 @@ impl Database {
                     .entry(table.to_owned())
                     .or_insert_with(|| Table::new(options)),
             };
-            tbl.apply_logged(logged)
+            tbl.apply_points(book, logged.iter().copied())
         };
         self.record_write_metrics(table, offered as u64, applied.stored as u64);
         applied

@@ -46,6 +46,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod book;
 mod codec;
 mod compress;
 mod crc;
@@ -61,6 +62,7 @@ mod shard;
 mod table;
 mod wal;
 
+pub use book::{Point, SeriesBook, SeriesRef};
 pub use codec::atomic_write;
 pub use db::Database;
 pub use error::TsError;

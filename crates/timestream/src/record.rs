@@ -52,6 +52,40 @@ impl Record {
     /// Returns [`TsError::BadRecord`] for empty measure names, non-finite
     /// values, or empty dimension keys.
     pub fn validate(&self) -> Result<(), TsError> {
+        self.spelled().validate()
+    }
+
+    /// The record as the parts a log frame spells.
+    pub(crate) fn spelled(&self) -> Spelled<'_> {
+        Spelled {
+            time: self.time,
+            measure: &self.measure,
+            value: self.value,
+            dimensions: &self.dimensions,
+        }
+    }
+
+    /// The canonical series key this record belongs to:
+    /// `measure|k1=v1|k2=v2|...` with dimensions sorted by key.
+    pub fn series_key(&self) -> String {
+        series_key(&self.measure, &self.dimensions)
+    }
+}
+
+/// A record's parts, borrowed from wherever the caller holds them — a
+/// [`Record`], or a [`crate::SeriesBook`] series and a point of it. What a
+/// log frame encodes and what ingestion validates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Spelled<'a> {
+    pub(crate) time: u64,
+    pub(crate) measure: &'a str,
+    pub(crate) value: f64,
+    pub(crate) dimensions: &'a [(String, String)],
+}
+
+impl Spelled<'_> {
+    /// [`Record::validate`] of these parts.
+    pub(crate) fn validate(&self) -> Result<(), TsError> {
         if self.measure.is_empty() {
             return Err(TsError::BadRecord {
                 reason: "empty measure name",
@@ -68,12 +102,6 @@ impl Record {
             });
         }
         Ok(())
-    }
-
-    /// The canonical series key this record belongs to:
-    /// `measure|k1=v1|k2=v2|...` with dimensions sorted by key.
-    pub fn series_key(&self) -> String {
-        series_key(&self.measure, &self.dimensions)
     }
 }
 

@@ -49,6 +49,7 @@
 //! logs nothing, so there is nothing newer for recovery to find and
 //! nothing for the manifest to promise.
 
+use crate::book::{Point, SeriesBook};
 use crate::codec::{self, Cursor, TableSlice};
 use crate::crc::crc32;
 use crate::db::Database;
@@ -57,7 +58,7 @@ use crate::iofault::IoFaultPlan;
 use crate::record::{dimension_value, Record};
 use crate::recovery::{fsck, recover, RecoveryReport};
 use crate::series::Series;
-use crate::table::{Logged, TableOptions};
+use crate::table::TableOptions;
 use crate::wal::{Wal, WalStats};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -200,16 +201,16 @@ impl Shard {
     }
 }
 
-/// One shard's share of a [`ShardedArchive::commit`].
-struct Slice<'s, 'r> {
+/// One shard's share of a [`ShardedArchive::commit_points`].
+struct Slice<'s, 'p> {
     shard: &'s mut Shard,
-    batch: Vec<&'r Record>,
-    /// What the shard must log, resolved against the store: `None` until
+    batch: Vec<&'p Point>,
+    /// What the shard must log, filtered against the store: `None` until
     /// [`Database::delta`] has run, and for good if its thread panicked.
-    logged: Option<Result<Vec<Logged<'r>>, TsError>>,
+    logged: Option<Result<Vec<&'p Point>, TsError>>,
 }
 
-impl<'r> Slice<'_, 'r> {
+impl<'p> Slice<'_, 'p> {
     /// Logs the slice through the shard's WAL and moves the shard's
     /// watermark if a frame was written; hands back what was logged, for
     /// the store. On failure, classifies the shard for the failure row.
@@ -219,16 +220,18 @@ impl<'r> Slice<'_, 'r> {
         table: &str,
         options: TableOptions,
         tick: u64,
+        book: &SeriesBook,
         max_attempts: u32,
-    ) -> (Result<Vec<Logged<'r>>, (ShardState, String)>, u64) {
+    ) -> (Result<Vec<&'p Point>, (ShardState, String)>, u64) {
         let shard = &mut *self.shard;
         let (result, retries) = match self.logged.take() {
             Some(Ok(logged)) => {
                 let offered = self.batch.len();
+                let spelled: Vec<_> = logged.iter().map(|p| book.spelled(p)).collect();
                 let (result, retries) =
                     shard
                         .wal
-                        .log(table, options, tick, &logged, offered, max_attempts);
+                        .log(table, options, tick, &spelled, offered, max_attempts);
                 (result.map(|()| logged), retries)
             }
             Some(Err(e)) => (Err(e), 0),
@@ -557,26 +560,10 @@ impl ShardedArchive {
         Ok(())
     }
 
-    /// Commits one dataset's round batch into `store`, fanned out to its
-    /// region shards, [`IN_FLIGHT`] at a time — the steps of
-    /// [`Wal::commit`], spread over the shards:
-    ///
-    /// 1. the batch is grouped by region as borrowed records;
-    /// 2. every shard's slice is filtered down to what changes state and
-    ///    resolved to series ids against `store` as it is before the
-    ///    batch ([`Database::delta`]; read-only, so all shards at once);
-    /// 3. each shard appends what it kept to its own WAL and fsyncs,
-    ///    absorbing transient faults up to `max_attempts` tries;
-    /// 4. as each shard's thread is joined — in key order, while the
-    ///    shards behind it are still syncing — what it logged is applied
-    ///    to `store` by series id ([`Database::apply_logged`]).
-    ///
-    /// The ids stay valid through step 4 because a commit only appends
-    /// series. Shards of `table` that reached their checkpoint cadence
-    /// then cut their checkpoints from the store. A shard that fails —
-    /// quarantined, dead, or killed by a crash fault mid-append —
-    /// contributes a failure row and drops its slice for this round;
-    /// every other shard commits normally.
+    /// Commits one dataset's round batch of records into `store`: the
+    /// records are booked ([`SeriesBook::from_records`]) and committed by
+    /// series id ([`ShardedArchive::commit_points`]), with the same frames,
+    /// store and outcome.
     pub fn commit(
         &mut self,
         store: &mut Database,
@@ -586,12 +573,80 @@ impl ShardedArchive {
         records: &[Record],
         max_attempts: u32,
     ) -> ShardCommitOutcome {
+        let (mut book, points) = SeriesBook::from_records(records);
+        self.commit_points(
+            store,
+            table,
+            options,
+            tick,
+            &mut book,
+            &points,
+            max_attempts,
+        )
+    }
+
+    /// Commits one dataset's round batch of `book`'s points into `store`,
+    /// fanned out to its region shards, [`IN_FLIGHT`] at a time — the
+    /// steps of [`Wal::commit`], spread over the shards:
+    ///
+    /// 1. the batch is grouped by the region each series belongs to
+    ///    ([`SeriesBook::region`]), in batch order within a group;
+    /// 2. every shard's slice is filtered down to what changes state
+    ///    against `store` as it is before the batch ([`Database::delta`];
+    ///    read-only, so all shards at once);
+    /// 3. each shard appends what it kept to its own WAL — each point
+    ///    spelled as its record, from the book — and fsyncs, absorbing
+    ///    transient faults up to `max_attempts` tries;
+    /// 4. as each shard's thread is joined — in key order, while the
+    ///    shards behind it are still syncing — what it logged is applied
+    ///    to `store` by series handle ([`Database::apply_logged`]), filing
+    ///    the series that are new.
+    ///
+    /// Handles stay current through step 4 because a commit only appends
+    /// series. Only then does `book` learn where the new series are filed;
+    /// a series whose shard failed is filed nowhere and stays unresolved.
+    /// Shards of `table` that reached their checkpoint cadence then cut
+    /// their checkpoints from the store. A shard that fails — quarantined,
+    /// dead, or killed by a crash fault mid-append — contributes a failure
+    /// row and drops its slice for this round; every other shard commits
+    /// normally.
+    #[allow(clippy::too_many_arguments)]
+    pub fn commit_points(
+        &mut self,
+        store: &mut Database,
+        table: &str,
+        options: TableOptions,
+        tick: u64,
+        book: &mut SeriesBook,
+        points: &[Point],
+        max_attempts: u32,
+    ) -> ShardCommitOutcome {
         let mut outcome = ShardCommitOutcome::default();
-        let mut groups: BTreeMap<&str, Vec<&Record>> = BTreeMap::new();
-        for r in records {
-            groups.entry(ShardKey::region_of(r)).or_default().push(r);
+        // Grouped by region index, not name: no string per point. A point
+        // of an id the book never gave joins the `none` group, whose delta
+        // rejects it as a bad record.
+        let names = book.region_names();
+        let mut by_index: Vec<Vec<&Point>> = vec![Vec::new(); names.len()];
+        let mut unbooked: Vec<&Point> = Vec::new();
+        for p in points {
+            match book
+                .region_index(p.series)
+                .and_then(|r| by_index.get_mut(r))
+            {
+                Some(group) => group.push(p),
+                None => unbooked.push(p),
+            }
         }
-        let mut work: BTreeMap<ShardKey, Vec<&Record>> = BTreeMap::new();
+        let mut groups: BTreeMap<&str, Vec<&Point>> = BTreeMap::new();
+        for (name, group) in names.iter().zip(by_index) {
+            if !group.is_empty() {
+                groups.entry(name.as_str()).or_default().extend(group);
+            }
+        }
+        if !unbooked.is_empty() {
+            groups.entry("none").or_default().extend(unbooked);
+        }
+        let mut work: BTreeMap<ShardKey, Vec<&Point>> = BTreeMap::new();
         for (region, batch) in groups {
             let key = ShardKey::new(table, region);
             if !self.shards.contains_key(&key) && !self.quarantined.contains_key(&key) {
@@ -632,6 +687,7 @@ impl ShardedArchive {
                 });
             }
         }
+        let shared: &SeriesBook = book;
         // Step 2: the store is only read, so every shard filters at once.
         let before: &Database = store;
         fan_out(
@@ -640,7 +696,7 @@ impl ShardedArchive {
                 s.logged = Some(if s.shard.wal.is_dead() {
                     Err(TsError::WalDead)
                 } else {
-                    before.delta(table, options, s.batch.iter().copied())
+                    before.delta(table, options, shared, s.batch.iter().copied())
                 });
             },
             |_| {},
@@ -649,7 +705,7 @@ impl ShardedArchive {
         let mut keys = keys.into_iter();
         fan_out(
             &mut slices,
-            |s| s.log(table, options, tick, max_attempts),
+            |s| s.log(table, options, tick, shared, max_attempts),
             |joined| {
                 let Some(key) = keys.next() else { return };
                 let (result, retries) = match joined {
@@ -662,7 +718,8 @@ impl ShardedArchive {
                 outcome.retries = outcome.retries.saturating_add(retries);
                 match result {
                     Ok((logged, s)) => {
-                        let applied = store.apply_logged(table, options, &logged, s.batch.len());
+                        let applied =
+                            store.apply_logged(table, options, shared, &logged, s.batch.len());
                         s.shard.points = s.shard.points.saturating_add(applied.points);
                         outcome.written = outcome.written.saturating_add(applied.stored);
                     }
@@ -672,6 +729,9 @@ impl ShardedArchive {
                 }
             },
         );
+        if let Ok(t) = store.table(table) {
+            book.resolve(t, points);
+        }
         self.checkpoint_due(store, table, options);
         outcome
     }

@@ -1,11 +1,13 @@
 //! Tables: named collections of series with a write mode and retention.
 
+use crate::book::{Point, SeriesBook, SeriesRef};
 use crate::error::TsError;
 use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Query, Row, WindowRow};
-use crate::record::{series_key, write_series_key, Record};
+use crate::record::{series_key, Record};
 use crate::series::Series;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How writes are stored.
@@ -43,11 +45,25 @@ struct Slot {
 /// once per dimension of every series.
 pub(crate) type SeriesId = u32;
 
-/// A record a durable commit logs, with the id of the series it lands in
-/// when [`Table::delta`] found that series already filed.
-pub(crate) type Logged<'a> = (&'a Record, Option<SeriesId>);
+/// Where a table files a series: its measure's position, its position in
+/// that measure's slab, and the table generation both were read under.
+/// Current only while the table's generation is unchanged
+/// ([`Table::is_current`]): positions move only when the generation does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Filed {
+    generation: u64,
+    measure: u32,
+    id: SeriesId,
+}
 
-/// What writing records did to a table ([`Table::apply_logged`]).
+/// A generation no table has had: one per table built, cloned or re-filed,
+/// so a handle can never be current for two layouts.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What writing points did to a table ([`Table::apply_points`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Applied {
     /// Records that changed the table (change-point tables skip repeats).
@@ -93,7 +109,7 @@ impl Measure {
         let id = SeriesId::try_from(self.slab.len())
             .expect("a measure's series fit in memory, so their count fits an id");
         for (k, v) in series.dimensions.iter() {
-            // Looked up before inserted, as in `write_keyed`: the pair
+            // Looked up before inserted, as in `Table::file`: the pair
             // almost always exists, and `entry` would clone both strings.
             let ids = match self.postings.get_mut(k.as_str()) {
                 Some(values) => match values.get_mut(v.as_str()) {
@@ -144,17 +160,46 @@ impl Measure {
 }
 
 /// A named table of time series.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct Table {
     options: TableOptions,
-    series: BTreeMap<String, Measure>,
+    /// Measures in the order they were created: a [`Filed`] handle names
+    /// one by position, and a new measure never moves an older one.
+    measures: Vec<Measure>,
+    /// Measure name → position. Its order is the order scans and the codec
+    /// walk measures in.
+    by_name: BTreeMap<String, u32>,
+    /// Stamped on every handle taken from this table. Replaced whenever a
+    /// series changes position — retention re-files a measure or drops
+    /// one — and for every clone, so no handle outlives the layout it
+    /// describes or reaches into another table.
+    generation: u64,
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Table {
+            options: self.options,
+            measures: self.measures.clone(),
+            by_name: self.by_name.clone(),
+            generation: next_generation(),
+        }
+    }
+}
+
+impl Default for Table {
+    fn default() -> Self {
+        Table::new(TableOptions::default())
+    }
 }
 
 impl Table {
     pub(crate) fn new(options: TableOptions) -> Self {
         Table {
             options,
-            series: BTreeMap::new(),
+            measures: Vec::new(),
+            by_name: BTreeMap::new(),
+            generation: next_generation(),
         }
     }
 
@@ -170,115 +215,178 @@ impl Table {
     ///
     /// Returns [`TsError::BadRecord`] for invalid records.
     pub fn write(&mut self, record: &Record) -> Result<bool, TsError> {
-        self.write_keyed(record, &mut String::new())
+        let (book, points) = SeriesBook::from_records(std::slice::from_ref(record));
+        Ok(self.write_points(&book, &points)?.stored > 0)
     }
 
-    /// [`Table::write`] with the dimension key built into `key`, a scratch
-    /// buffer the caller reuses across a batch.
-    pub(crate) fn write_keyed(
-        &mut self,
-        record: &Record,
-        key: &mut String,
-    ) -> Result<bool, TsError> {
-        record.validate()?;
-        Ok(self.write_filed(record, key).stored > 0)
+    /// The measure named `name`.
+    fn measure(&self, name: &str) -> Option<&Measure> {
+        let &at = self.by_name.get(name)?;
+        self.measures.get(at as usize)
     }
 
-    /// Writes `record` into the series its dimension key (built into
-    /// `key`) files, creating the series if the table has none. Both map
-    /// levels are looked up before anything is inserted: the series
-    /// almost always exists, and `entry` would clone the measure and the
-    /// key for every record.
-    fn write_filed(&mut self, record: &Record, key: &mut String) -> Applied {
-        write_series_key(key, "", &record.dimensions);
-        let mode = self.options.mode;
-        let measure = match self.series.get_mut(record.measure.as_str()) {
-            Some(m) => m,
-            None => self.series.entry(record.measure.clone()).or_default(),
+    /// The measures with their names, in name order.
+    fn named_measures(&self) -> impl Iterator<Item = (&str, &Measure)> {
+        self.by_name
+            .iter()
+            .filter_map(|(name, &at)| Some((name.as_str(), self.measures.get(at as usize)?)))
+    }
+
+    /// Whether `filed` was taken from this table as it is now.
+    pub(crate) fn is_current(&self, filed: &Filed) -> bool {
+        filed.generation == self.generation
+    }
+
+    /// Where the series of `measure` filed under dimension key `key` is,
+    /// if the table holds it.
+    pub(crate) fn locate(&self, measure: &str, key: &str) -> Option<Filed> {
+        let &at = self.by_name.get(measure)?;
+        let id = *self.measures.get(at as usize)?.by_key.get(key)?;
+        Some(Filed {
+            generation: self.generation,
+            measure: at,
+            id,
+        })
+    }
+
+    /// The series booked as `s`: by its handle when current, else by key.
+    fn find(&self, book: &SeriesBook, s: SeriesRef) -> Option<(Filed, &Series)> {
+        let filed = match book.handle(self, s) {
+            Some(f) => f,
+            None => {
+                let (measure, key, _) = book.filing(s)?;
+                self.locate(measure, key)?
+            }
         };
-        let id = match measure.by_key.get(key.as_str()) {
-            Some(&id) => id,
-            None => measure.push(
-                Arc::from(key.as_str()),
-                Series::new(record.dimensions.as_slice()),
-            ),
-        };
-        write_point(measure.series_mut(id), mode, record)
+        let slot = self
+            .measures
+            .get(filed.measure as usize)?
+            .slab
+            .get(filed.id as usize)?;
+        Some((filed, &slot.series))
     }
 
-    /// The records of a batch that can change this table — what a durable
-    /// commit logs and applies (*delta logging*) — each with the id of
-    /// its series when the table already files it, `None` when not. A
-    /// dense table keeps everything. A change-point table drops a record
-    /// when [`Series::changepoint_may_store`] says writing it now is a
-    /// no-op, unless an earlier kept record of the batch targets the same
+    /// The series booked as `s`, mutably: by its handle when current, else
+    /// by key, filed now — under the book's own dimension and key
+    /// allocations — when the table does not hold it yet. `None` only for
+    /// an id the book never gave.
+    fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<&mut Series> {
+        let (measure, id) = match book.handle(self, s).map(|f| (f.measure, f.id)) {
+            Some(at) => at,
+            None => {
+                let (name, key, dimensions) = book.filing(s)?;
+                let measure = match self.by_name.get(name) {
+                    Some(&at) => at,
+                    None => {
+                        let at = u32::try_from(self.measures.len())
+                            .expect("a table's measures fit in memory, so their count fits an id");
+                        self.measures.push(Measure::default());
+                        self.by_name.insert(name.to_owned(), at);
+                        at
+                    }
+                };
+                let m = self.measures.get_mut(measure as usize)?;
+                let id = match m.by_key.get(&**key) {
+                    Some(&id) => id,
+                    None => m.push(Arc::clone(key), Series::new(Arc::clone(dimensions))),
+                };
+                (measure, id)
+            }
+        };
+        let slot = self
+            .measures
+            .get_mut(measure as usize)?
+            .slab
+            .get_mut(id as usize)?;
+        Some(&mut slot.series)
+    }
+
+    /// The points of a batch that can change this table — what a durable
+    /// commit logs and applies (*delta logging*). A dense table keeps
+    /// everything. A change-point table drops a point when
+    /// [`Series::changepoint_may_store`] says writing it now is a no-op,
+    /// unless an earlier kept point of the batch targets the same stored
     /// series: that one may change what "latest" means, so everything
-    /// after it on the series is kept. Applying the kept records in order
-    /// ([`Table::apply_logged`]) therefore leaves the table exactly as
+    /// after it on the series is kept. A series the table does not file
+    /// yet keeps every point. Applying the kept points in order
+    /// ([`Table::apply_points`]) therefore leaves the table exactly as
     /// applying the whole batch would, and so does replaying them after a
     /// crash.
     ///
-    /// The ids stay valid until a series is removed: writes only append
-    /// to a measure's slab, and only retention re-files one.
-    ///
     /// # Errors
     ///
-    /// Returns [`TsError::BadRecord`] if any record of the batch — kept
-    /// or not — is invalid.
-    pub(crate) fn delta<'a>(
+    /// Returns [`TsError::BadRecord`] if any point of the batch — kept or
+    /// not — stands for an invalid record ([`SeriesBook::validate`]).
+    pub(crate) fn delta<'p>(
         &self,
-        records: impl IntoIterator<Item = &'a Record>,
-    ) -> Result<Vec<Logged<'a>>, TsError> {
-        let records = records.into_iter();
+        book: &SeriesBook,
+        points: impl IntoIterator<Item = &'p Point>,
+    ) -> Result<Vec<&'p Point>, TsError> {
+        let points = points.into_iter();
         let changepoint = self.options.mode == WriteMode::ChangePoint;
-        let mut kept = Vec::with_capacity(records.size_hint().0);
-        let mut touched: BTreeSet<String> = BTreeSet::new();
-        let mut key = String::new();
-        for r in records {
-            r.validate()?;
-            write_series_key(&mut key, &r.measure, &r.dimensions);
-            let filed = self.series.get(r.measure.as_str()).and_then(|m| {
-                let id = *m.by_key.get(key.get(r.measure.len()..)?)?;
-                Some((id, &m.slot(id).series))
-            });
+        let mut kept = Vec::with_capacity(points.size_hint().0);
+        let mut touched: BTreeSet<(u32, SeriesId)> = BTreeSet::new();
+        for p in points {
+            book.validate(p)?;
             if changepoint {
-                let series_touched = touched.contains(key.as_str());
-                let unchanged = !series_touched
-                    && filed.is_some_and(|(_, s)| !s.changepoint_may_store(r.time, r.value));
-                if unchanged {
-                    continue;
-                }
-                if !series_touched {
-                    touched.insert(key.clone());
+                if let Some((filed, series)) = self.find(book, p.series) {
+                    let at = (filed.measure, filed.id);
+                    if !touched.contains(&at) {
+                        if !series.changepoint_may_store(p.time, p.value) {
+                            continue;
+                        }
+                        touched.insert(at);
+                    }
                 }
             }
-            kept.push((r, filed.map(|(id, _)| id)));
+            kept.push(p);
         }
         Ok(kept)
     }
 
-    /// Applies records [`Table::delta`] kept, in order: each to the series
-    /// its id names — no key to build, no map to search — or, without an
-    /// id, to the series its dimension key files, created if absent (a
-    /// series new to the table, perhaps created by an earlier record of
-    /// the same batch). The records were validated by `delta`.
-    pub(crate) fn apply_logged(&mut self, logged: &[Logged<'_>]) -> Applied {
+    /// Applies points [`Table::delta`] kept, in order, each to the series
+    /// its book handle names — no key to build, no map to search — or, for
+    /// a series with no current handle, to the series its key files,
+    /// created if absent (a series new to the table, perhaps created by an
+    /// earlier point of the same batch). The points were validated by
+    /// `delta`; one of an id the book never gave is skipped.
+    pub(crate) fn apply_points<'p>(
+        &mut self,
+        book: &SeriesBook,
+        points: impl IntoIterator<Item = &'p Point>,
+    ) -> Applied {
         let mode = self.options.mode;
-        let mut key = String::new();
         let mut applied = Applied::default();
-        for &(record, id) in logged {
-            let by_id = id.and_then(|id| {
-                let measure = self.series.get_mut(record.measure.as_str())?;
-                measure.slab.get_mut(id as usize)
-            });
-            let one = match by_id {
-                Some(slot) => write_point(&mut slot.series, mode, record),
-                None => self.write_filed(record, &mut key),
-            };
+        for p in points {
+            if let Some(series) = self.file(book, p.series) {
+                let one = write_point(series, mode, p.time, p.value);
+                applied.stored += one.stored;
+                applied.points += one.points;
+            }
+        }
+        applied
+    }
+
+    /// Validates and applies each point in turn — the in-memory write,
+    /// which logs nothing and so skips nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TsError::BadRecord`] at the first invalid point; the
+    /// points before it remain written.
+    pub(crate) fn write_points(
+        &mut self,
+        book: &SeriesBook,
+        points: &[Point],
+    ) -> Result<Applied, TsError> {
+        let mut applied = Applied::default();
+        for p in points {
+            book.validate(p)?;
+            let one = self.apply_points(book, std::slice::from_ref(p));
             applied.stored += one.stored;
             applied.points += one.points;
         }
-        applied
+        Ok(applied)
     }
 
     /// Runs a raw query: all matching points from all matching series,
@@ -447,7 +555,7 @@ impl Table {
         to: u64,
         profile: &mut QueryProfile,
     ) -> Vec<&'a Series> {
-        let Some(measure) = self.series.get(q.measure_name()) else {
+        let Some(measure) = self.measure(q.measure_name()) else {
             return Vec::new();
         };
         let survives = |s: &Series| q.matches(&s.dimensions) && s.overlaps(from, to);
@@ -476,27 +584,29 @@ impl Table {
 
     /// Number of distinct series.
     pub fn series_count(&self) -> usize {
-        self.series.values().map(|m| m.slab.len()).sum()
+        self.measures.iter().map(|m| m.slab.len()).sum()
     }
 
     /// Total number of stored points.
     pub fn point_count(&self) -> usize {
-        self.series
-            .values()
+        self.measures
+            .iter()
             .flat_map(|m| &m.slab)
             .map(|slot| slot.series.len())
             .sum()
     }
 
     /// Applies the retention policy relative to `now`; returns the number
-    /// of points dropped. Series left empty are removed.
+    /// of points dropped. Series left empty are removed, which re-files
+    /// what is left and so starts a new generation.
     pub fn enforce_retention(&mut self, now: u64) -> usize {
         let Some(retention) = self.options.retention else {
             return 0;
         };
         let cutoff = now.saturating_sub(retention);
         let mut dropped = 0;
-        for m in self.series.values_mut() {
+        let mut refiled = false;
+        for m in &mut self.measures {
             let mut emptied = false;
             for slot in &mut m.slab {
                 dropped += slot.series.prune_before(cutoff);
@@ -506,9 +616,29 @@ impl Table {
                 let mut slots = std::mem::take(&mut m.slab);
                 slots.retain(|slot| !slot.series.is_empty());
                 *m = Measure::rebuild(slots);
+                refiled = true;
             }
         }
-        self.series.retain(|_, m| !m.slab.is_empty());
+        if self.measures.iter().any(|m| m.slab.is_empty()) {
+            let mut old: Vec<Option<Measure>> = std::mem::take(&mut self.measures)
+                .into_iter()
+                .map(Some)
+                .collect();
+            for (name, at) in std::mem::take(&mut self.by_name) {
+                let Some(m) = old.get_mut(at as usize).and_then(Option::take) else {
+                    continue;
+                };
+                if !m.slab.is_empty() {
+                    let at = u32::try_from(self.measures.len())
+                        .expect("fewer measures than before fit an id");
+                    self.by_name.insert(name, at);
+                    self.measures.push(m);
+                }
+            }
+        }
+        if refiled {
+            self.generation = next_generation();
+        }
         dropped
     }
 
@@ -516,19 +646,16 @@ impl Table {
     /// lets recovery re-prime freshness tracking for series that predate
     /// the crash.
     pub fn series_dimension_sets(&self) -> impl Iterator<Item = (&str, &[(String, String)])> {
-        self.series.iter().flat_map(|(measure, m)| {
-            m.in_key_order()
-                .map(move |s| (measure.as_str(), &s.dimensions[..]))
-        })
+        self.series_entries()
+            .map(|(measure, s)| (measure, &s.dimensions[..]))
     }
 
     /// Iterates over `(measure, series)` pairs, measures in name order and
     /// each measure's series in key order — the order the persistence
     /// codec writes them in.
     pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&str, &Series)> {
-        self.series
-            .iter()
-            .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure.as_str(), s)))
+        self.named_measures()
+            .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure, s)))
     }
 
     /// Files a whole series — how checkpoint load and a shard's admission
@@ -546,10 +673,23 @@ impl Table {
         for (t, v) in points {
             series.insert(t, v);
         }
-        let m = match self.series.get_mut(measure) {
-            Some(m) => m,
-            None => self.series.entry(measure.to_owned()).or_default(),
+        let at = match self.by_name.get(measure) {
+            Some(&at) => at as usize,
+            None => {
+                self.by_name.insert(
+                    measure.to_owned(),
+                    u32::try_from(self.measures.len())
+                        .expect("a table's measures fit in memory, so their count fits an id"),
+                );
+                self.measures.push(Measure::default());
+                self.measures.len() - 1
+            }
         };
+        let Some(m) = self.measures.get_mut(at) else {
+            return;
+        };
+        // A replaced series keeps its position — same key, same id — so
+        // handles stay current.
         match m.by_key.get(dim_key.as_str()) {
             None => {
                 m.push(Arc::from(dim_key), series);
@@ -567,12 +707,13 @@ impl Table {
     }
 }
 
-/// Writes `record`'s point into `series` as a table in `mode` does.
-fn write_point(series: &mut Series, mode: WriteMode, record: &Record) -> Applied {
+/// Writes the point `(time, value)` into `series` as a table in `mode`
+/// does.
+fn write_point(series: &mut Series, mode: WriteMode, time: u64, value: f64) -> Applied {
     let before = series.len();
     let changed = match mode {
-        WriteMode::Dense => series.insert(record.time, record.value),
-        WriteMode::ChangePoint => series.insert_changepoint(record.time, record.value),
+        WriteMode::Dense => series.insert(time, value),
+        WriteMode::ChangePoint => series.insert_changepoint(time, value),
     };
     Applied {
         stored: usize::from(changed),

@@ -30,13 +30,14 @@
 //! bytes on disk and mark the log **dead** — every later call returns
 //! [`TsError::WalDead`] until a restart runs recovery.
 
+use crate::book::SeriesBook;
 use crate::codec::{self, check_len, Cursor};
 use crate::crc::crc32;
 use crate::db::Database;
 use crate::error::TsError;
 use crate::iofault::{IoFault, IoFaultPlan, IoFaultState};
-use crate::record::Record;
-use crate::table::{Logged, TableOptions, WriteMode};
+use crate::record::{Record, Spelled};
+use crate::table::{TableOptions, WriteMode};
 use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -191,14 +192,18 @@ impl Wal {
             return (Err(TsError::WalDead), 0);
         }
         let offered = records.len();
-        let logged = match db.delta(table, options, records.iter().map(Borrow::borrow)) {
+        let (book, points) = SeriesBook::from_records(records);
+        let logged = match db.delta(table, options, &book, &points) {
             Ok(logged) => logged,
             Err(e) => return (Err(e), 0),
         };
-        let (result, retries) = self.log(table, options, tick, &logged, offered, max_attempts);
+        let spelled: Vec<Spelled<'_>> = logged.iter().map(|p| book.spelled(p)).collect();
+        let (result, retries) = self.log(table, options, tick, &spelled, offered, max_attempts);
         let result = result.map(|()| Committed {
             offered,
-            stored: db.apply_logged(table, options, &logged, offered).stored,
+            stored: db
+                .apply_logged(table, options, &book, &logged, offered)
+                .stored,
         });
         (result, retries)
     }
@@ -217,7 +222,7 @@ impl Wal {
         table: &str,
         options: TableOptions,
         tick: u64,
-        logged: &[Logged<'_>],
+        logged: &[Spelled<'_>],
         offered: usize,
         max_attempts: u32,
     ) -> (Result<(), TsError>, u64) {
@@ -229,7 +234,7 @@ impl Wal {
             let mut attempt: u32 = 0;
             loop {
                 attempt = attempt.saturating_add(1);
-                match self.append_records(table, options, tick, logged.iter().map(|&(r, _)| r)) {
+                match self.append_records(table, options, tick, logged.iter().copied()) {
                     Ok(()) => break,
                     Err(e) if e.is_retryable() && attempt < max_attempts.max(1) => {
                         retries = retries.saturating_add(1);
@@ -265,16 +270,17 @@ impl Wal {
         tick: u64,
         records: &[R],
     ) -> Result<(), TsError> {
-        self.append_records(table, options, tick, records.iter().map(Borrow::borrow))
+        let spelled = records.iter().map(|r| r.borrow().spelled());
+        self.append_records(table, options, tick, spelled)
     }
 
-    /// [`Wal::append`] of any run of borrowed records.
+    /// [`Wal::append`] of any run of records, however they are held.
     fn append_records<'r>(
         &mut self,
         table: &str,
         options: TableOptions,
         tick: u64,
-        records: impl ExactSizeIterator<Item = &'r Record>,
+        records: impl ExactSizeIterator<Item = Spelled<'r>>,
     ) -> Result<(), TsError> {
         if self.dead {
             return Err(TsError::WalDead);
@@ -441,7 +447,7 @@ fn encode_payload<'r>(
     table: &str,
     options: TableOptions,
     tick: u64,
-    records: impl ExactSizeIterator<Item = &'r Record>,
+    records: impl ExactSizeIterator<Item = Spelled<'r>>,
 ) -> Result<(), TsError> {
     out.push(FRAME_KIND_BATCH);
     codec::put_str(out, table)?;
@@ -461,10 +467,10 @@ fn encode_payload<'r>(
     for r in records {
         r.validate()?;
         codec::put_u64(out, r.time);
-        codec::put_str(out, &r.measure)?;
+        codec::put_str(out, r.measure)?;
         codec::put_u64(out, r.value.to_bits());
         codec::put_len(out, r.dimensions.len(), "dimension count")?;
-        for (k, v) in &r.dimensions {
+        for (k, v) in r.dimensions {
             codec::put_str(out, k)?;
             codec::put_str(out, v)?;
         }
@@ -916,7 +922,7 @@ mod tests {
             &frame.table,
             frame.options,
             frame.tick,
-            frame.records.iter(),
+            frame.records.iter().map(Record::spelled),
         )
         .unwrap();
         assert_eq!(WalFrame::decode(&payload).unwrap(), frame);
