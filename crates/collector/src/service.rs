@@ -10,14 +10,14 @@
 //! under the 50-unique-queries budget).
 
 use crate::accounts::AccountPool;
-use crate::advisor_collector::AdvisorCollector;
+use crate::advisor_collector::{AdvisorCollector, AdvisorPoints};
 use crate::durability::DeadLetterFile;
 use crate::error::CollectError;
 use crate::health::{Dataset, DatasetStatus, RoundHealth};
 use crate::planner::{PlanStats, PlannerStrategy, QueryPlanner};
-use crate::price_collector::PriceCollector;
+use crate::price_collector::{PriceCollector, PricePoints};
 use crate::retry::{BreakerState, CircuitBreaker, RetryPolicy};
-use crate::sps_collector::SpsCollector;
+use crate::sps_collector::{SpsCollector, SpsScores};
 use crate::{ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
@@ -591,9 +591,23 @@ impl CollectorService {
             ..RoundHealth::default()
         };
 
-        self.collect_sps_dataset(cloud, tick, &mut stats, &mut health)?;
-        self.collect_advisor_dataset(cloud, tick, &mut stats, &mut health)?;
-        self.collect_price_dataset(cloud, tick, &mut stats, &mut health)?;
+        let Lanes {
+            sps,
+            advisor,
+            price,
+        } = self.run_lanes(cloud, tick, &mut health);
+        let aborted = self
+            .commit_sps(cloud, tick, sps, &mut stats, &mut health)
+            .and_then(|()| self.commit_advisor(tick, advisor, &mut stats, &mut health));
+        if let Err(e) = aborted {
+            // The price sweep ran beside the failed dataset and its
+            // watermark advanced: park its points, older ones first.
+            if let Some(Ok(swept)) = price {
+                self.pending_price.extend(swept.points);
+            }
+            return Err(e);
+        }
+        self.commit_price(tick, price, &mut stats, &mut health)?;
         self.quality.round_complete(tick);
         self.maintain_durability()?;
 
@@ -868,22 +882,58 @@ impl CollectorService {
         self.quality.export(&self.metrics);
     }
 
-    fn collect_sps_dataset(
+    /// Gathers one round in two fixed lanes under one scope: a single
+    /// scoped thread issues every SPS account's queries one account after
+    /// another and returns the scores unbooked, while the calling thread
+    /// sweeps the advisor and then the price dataset. Each breaker is
+    /// consulted once, before the lanes start. Everything the round keeps
+    /// — series booking, the store, quality, dead letters — is left to the
+    /// caller, on this thread.
+    fn run_lanes(&mut self, cloud: &SimCloud, tick: u64, health: &mut RoundHealth) -> Lanes {
+        let sps = admit(
+            self.sps.as_mut(),
+            &mut self.sps_breaker,
+            tick,
+            &mut health.sps.status,
+        );
+        let advisor = admit(
+            self.advisor.as_mut(),
+            &mut self.advisor_breaker,
+            tick,
+            &mut health.advisor.status,
+        );
+        let price = admit(
+            self.price.as_mut(),
+            &mut self.price_breaker,
+            tick,
+            &mut health.price.status,
+        );
+        let policy = &self.policy;
+        std::thread::scope(|scope| {
+            let sps_lane = sps.map(|sps| scope.spawn(move || sps.query(cloud, policy)));
+            let advisor = advisor.map(|advisor| advisor.collect_points(cloud, policy));
+            let price = price.map(|price| price.collect_points(cloud, policy));
+            Lanes {
+                sps: sps_lane.map(|lane| lane.join().expect("SPS lane panicked")),
+                advisor,
+                price,
+            }
+        })
+    }
+
+    /// Books the SPS lane's scores, runs the dead-letter pass and commits.
+    fn commit_sps(
         &mut self,
         cloud: &SimCloud,
         tick: u64,
+        round: Option<Result<SpsScores, CollectError>>,
         stats: &mut CollectStats,
         health: &mut RoundHealth,
     ) -> Result<(), CollectError> {
-        let Some(sps) = &mut self.sps else {
+        let (Some(round), Some(sps)) = (round, &mut self.sps) else {
             return Ok(());
         };
-        if !self.sps_breaker.allow(tick) {
-            health.sps.status = DatasetStatus::Skipped;
-            return Ok(());
-        }
-
-        let mut outcome = sps.collect_points(cloud, &self.policy)?;
+        let mut outcome = sps.book(cloud.catalog(), round?);
         stats.queries_issued = sps.query_count();
         health.sps.retries = outcome.retries;
 
@@ -996,21 +1046,18 @@ impl CollectorService {
         Ok(())
     }
 
-    fn collect_advisor_dataset(
+    /// Commits the advisor sweep the calling lane gathered.
+    fn commit_advisor(
         &mut self,
-        cloud: &SimCloud,
         tick: u64,
+        round: Option<Result<AdvisorPoints, CollectError>>,
         stats: &mut CollectStats,
         health: &mut RoundHealth,
     ) -> Result<(), CollectError> {
-        let Some(advisor) = &mut self.advisor else {
+        let (Some(round), Some(advisor)) = (round, &mut self.advisor) else {
             return Ok(());
         };
-        if !self.advisor_breaker.allow(tick) {
-            health.advisor.status = DatasetStatus::Skipped;
-            return Ok(());
-        }
-        match advisor.collect_points(cloud, &self.policy) {
+        match round {
             Ok(outcome) => {
                 health.advisor.retries = outcome.retries;
                 let series = advisor.series_mut();
@@ -1081,21 +1128,19 @@ impl CollectorService {
         Ok(())
     }
 
-    fn collect_price_dataset(
+    /// Commits the price sweep the calling lane gathered, after any
+    /// points earlier rounds could not store.
+    fn commit_price(
         &mut self,
-        cloud: &SimCloud,
         tick: u64,
+        round: Option<Result<PricePoints, CollectError>>,
         stats: &mut CollectStats,
         health: &mut RoundHealth,
     ) -> Result<(), CollectError> {
-        let Some(price) = &mut self.price else {
+        let (Some(round), Some(price)) = (round, &mut self.price) else {
             return Ok(());
         };
-        if !self.price_breaker.allow(tick) {
-            health.price.status = DatasetStatus::Skipped;
-            return Ok(());
-        }
-        match price.collect_points(cloud, &self.policy) {
+        match round {
             Ok(outcome) => {
                 health.price.retries = outcome.retries;
                 // Older, previously unwritable points go first.
@@ -1214,6 +1259,31 @@ impl CollectorService {
             healths.push(report.health);
         }
         Ok((total, healths))
+    }
+}
+
+/// What one round's lanes gathered, per dataset: `None` when the dataset
+/// is disabled or its breaker skipped the round.
+struct Lanes {
+    sps: Option<Result<SpsScores, CollectError>>,
+    advisor: Option<Result<AdvisorPoints, CollectError>>,
+    price: Option<Result<PricePoints, CollectError>>,
+}
+
+/// `collector` if its dataset runs this round: enabled, and admitted by
+/// its breaker; a dataset the breaker holds back is marked skipped.
+fn admit<'c, C>(
+    collector: Option<&'c mut C>,
+    breaker: &mut CircuitBreaker,
+    tick: u64,
+    status: &mut DatasetStatus,
+) -> Option<&'c mut C> {
+    let collector = collector?;
+    if breaker.allow(tick) {
+        Some(collector)
+    } else {
+        *status = DatasetStatus::Skipped;
+        None
     }
 }
 
@@ -1972,5 +2042,94 @@ mod tests {
             "{after:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_round_aborted_by_sps_loses_no_price_sweep() {
+        use crate::planner::PlannedQuery;
+        use crate::sps_collector::SpsCollector;
+        use spotlake_types::SimTime;
+
+        let mut cloud = cloud();
+        let mut service =
+            CollectorService::new(cloud.catalog(), CollectorConfig::default()).unwrap();
+        service.run(&mut cloud, 2).unwrap();
+
+        // Step to a window in which some price moves: that is the round
+        // that must not lose its sweep.
+        let pools = cloud.catalog().supported_pools();
+        let moved = |cloud: &SimCloud, from: SimTime| {
+            pools.iter().any(|&(ty, az)| {
+                cloud
+                    .price_history(ty, az, from, cloud.now())
+                    .iter()
+                    .any(|&(t, _)| t > from)
+            })
+        };
+        let mut rounds = 0;
+        loop {
+            let from = cloud.now();
+            cloud.step();
+            if moved(&cloud, from) {
+                break;
+            }
+            service.collect_once(&cloud).unwrap();
+            rounds += 1;
+            assert!(rounds < 200, "no price moved in {rounds} rounds");
+        }
+
+        // The aborted round: one plan slot names a type the cloud lacks,
+        // so SPS fails closed while the price lane has already swept.
+        let mut plan = QueryPlanner::default().plan(cloud.catalog(), None);
+        plan.push(PlannedQuery {
+            instance_type: "m9.huge".to_owned(),
+            regions: vec!["us-test-1".to_owned()],
+            expected_results: 3,
+        });
+        let pool = AccountPool::with_size(AccountPool::required_accounts(plan.len()));
+        let broken = SpsCollector::new(plan, &pool, 1).unwrap();
+        let planned = service.sps.replace(broken);
+        let err = service.collect_round(&cloud).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CollectError::Api(spotlake_cloud_api::ApiError::UnknownEntity { .. })
+            ),
+            "{err}"
+        );
+        assert!(!service.pending_price.is_empty(), "the sweep is parked");
+
+        // Plan restored: the next round archives every change of the
+        // aborted window exactly once.
+        service.sps = planned;
+        cloud.step();
+        let report = service.collect_round(&cloud).unwrap();
+        assert!(!report.health.is_degraded(), "{:?}", report.health);
+        assert!(service.pending_price.is_empty());
+        let catalog = cloud.catalog();
+        for &(ty, az) in &pools {
+            let truth: Vec<(u64, f64)> = cloud
+                .price_history(ty, az, SimTime::EPOCH, cloud.now())
+                .iter()
+                .map(|&(t, p)| (t.as_secs(), p.as_usd()))
+                .collect();
+            let q = Query::measure("spot_price")
+                .filter("instance_type", catalog.ty(ty).name())
+                .filter("az", catalog.az(az).name());
+            let stored: Vec<(u64, f64)> = service
+                .database()
+                .query(PRICE_TABLE, &q)
+                .unwrap()
+                .iter()
+                .map(|r| (r.time, r.value))
+                .collect();
+            assert_eq!(
+                stored,
+                truth,
+                "{} in {}",
+                catalog.ty(ty).name(),
+                catalog.az(az).name()
+            );
+        }
     }
 }

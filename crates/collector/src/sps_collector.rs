@@ -2,10 +2,16 @@
 //!
 //! Owns the sharded query plan: each account re-issues its fixed shard of
 //! packed queries every collection tick (repeats of a unique query are
-//! free), in parallel across accounts. Transient API failures are retried
+//! free), one account after another. Transient API failures are retried
 //! in-round per query; queries that exhaust the retry budget are reported
 //! back so the service can dead-letter them — one flaky query must not
 //! discard the rest of the round.
+//!
+//! A round has two halves. [`SpsCollector::query`] issues the queries and
+//! returns the scores in catalog ids, booking nothing; it is what the
+//! service runs on its SPS lane, beside the advisor and price sweeps.
+//! [`SpsCollector::book`] turns those scores into points of the
+//! collector's series, on the thread that owns them.
 
 use crate::accounts::AccountPool;
 use crate::error::CollectError;
@@ -76,17 +82,30 @@ pub struct SpsQueryOutcome {
     pub error: Option<ApiError>,
 }
 
-/// One query's answer in catalog ids: `(type, zone, score)` per zone,
-/// in answer order.
+/// Answers in catalog ids: `(type, zone, score)` per zone, in answer
+/// order.
 type Scores = Vec<(InstanceTypeId, AzId, f64)>;
 
-/// One query's outcome before its pools are booked — what an account's
-/// thread hands back.
+/// One query's outcome before its pools are booked.
 #[derive(Debug, Default)]
 struct QueryScores {
     scores: Scores,
     retries: usize,
     error: Option<ApiError>,
+}
+
+/// One round's placement scores before any pool is booked: what
+/// [`SpsCollector::query`] returns and [`SpsCollector::book`] takes.
+#[derive(Debug, Default)]
+pub(crate) struct SpsScores {
+    /// The cloud time the scores are stamped with.
+    time: u64,
+    /// Every answered query's scores, in shard order.
+    scores: Scores,
+    /// Retry attempts spent beyond each query's first call.
+    retries: usize,
+    /// Queries that exhausted the retry budget this round, in shard order.
+    failed: Vec<FailedQuery>,
 }
 
 /// Collects per-AZ placement scores for the whole planned catalog.
@@ -180,8 +199,8 @@ impl SpsCollector {
         merged.into_iter().map(|((s, k), n)| (s, k, n)).collect()
     }
 
-    /// Runs one collection round: every shard issues its queries (in
-    /// parallel across accounts) with `SingleAvailabilityZone` set, and the
+    /// Runs one collection round: every shard issues its queries, one
+    /// account after another, with `SingleAvailabilityZone` set, and the
     /// responses become `sps` records stamped with the cloud's current
     /// time. Transient failures are retried per query up to
     /// `policy.max_attempts`; queries still failing land in
@@ -207,71 +226,87 @@ impl SpsCollector {
         })
     }
 
-    /// [`SpsCollector::collect_with`] by series id: each score becomes a
-    /// point of its (type, zone) pool's series, booked the first time a
-    /// round sees the pool. A score naming a type or zone the catalog
-    /// lacks, or no zone at all, is [`ApiError::UnknownEntity`]; no pool
-    /// is booked for a round that fails.
+    /// [`SpsCollector::collect_with`] by series id: the round's queries,
+    /// then the booking of their scores, both on the calling thread. Each
+    /// score becomes a point of its (type, zone) pool's series, booked the
+    /// first time a round sees the pool. A score naming a type or zone the
+    /// catalog lacks, or no zone at all, is [`ApiError::UnknownEntity`];
+    /// no pool is booked for a round that fails.
     ///
     /// # Errors
     ///
-    /// As [`SpsCollector::collect_with`].
+    /// As [`SpsCollector::collect_with`]; with several, the first in
+    /// shard order.
     pub fn collect_points(
         &mut self,
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<SpsPoints, CollectError> {
-        let now = cloud.now().as_secs();
-        let capacity = self.target_capacity;
-        let shard_results = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(shard_idx, shard)| {
-                    scope.spawn(move || -> Result<(Scores, SpsPoints), CollectError> {
-                        let mut scores = Vec::new();
-                        let mut outcome = SpsPoints::default();
-                        for (query_idx, q) in shard.queries.iter().enumerate() {
-                            let res = run_query(
-                                &mut shard.client,
-                                &shard.account,
-                                q,
-                                capacity,
-                                cloud,
-                                policy,
-                            );
-                            outcome.retries += res.retries;
-                            match res.error {
-                                None => scores.extend(res.scores),
-                                Some(e) if e.is_retryable() => {
-                                    outcome.failed.push(FailedQuery {
-                                        shard: shard_idx,
-                                        query: query_idx,
-                                        error: e,
-                                    });
-                                }
-                                Some(e) => return Err(e.into()),
-                            }
-                        }
-                        Ok((scores, outcome))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("collector shard thread panicked"))
-                .collect::<Result<Vec<_>, _>>()
-        })?;
+        let scores = self.query(cloud, policy)?;
+        Ok(self.book(cloud.catalog(), scores))
+    }
 
-        let catalog = cloud.catalog();
-        let mut total = SpsPoints::default();
-        for (scores, o) in shard_results {
-            total.points.extend(self.book_scores(catalog, now, &scores));
-            total.retries += o.retries;
-            total.failed.extend(o.failed);
+    /// The query half of a round: every shard issues its queries, one
+    /// account after another, and the answers come back in catalog ids,
+    /// stamped with the cloud's current time. Books nothing: the scores
+    /// become points only in [`SpsCollector::book`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CollectError::Api`] for the first non-retryable error in
+    /// shard order (invalid parameters, a blown query budget, or a score
+    /// naming a type or zone the catalog lacks, or no zone at all —
+    /// [`ApiError::UnknownEntity`]). A shard stops at its first such
+    /// error; the other shards still issue theirs.
+    pub(crate) fn query(
+        &mut self,
+        cloud: &SimCloud,
+        policy: &RetryPolicy,
+    ) -> Result<SpsScores, CollectError> {
+        let mut round = SpsScores {
+            time: cloud.now().as_secs(),
+            ..SpsScores::default()
+        };
+        let mut first_error = None;
+        for (shard_idx, shard) in self.shards.iter_mut().enumerate() {
+            for (query_idx, q) in shard.queries.iter().enumerate() {
+                let res = run_query(
+                    &mut shard.client,
+                    &shard.account,
+                    q,
+                    self.target_capacity,
+                    cloud,
+                    policy,
+                );
+                round.retries += res.retries;
+                match res.error {
+                    None => round.scores.extend(res.scores),
+                    Some(e) if e.is_retryable() => round.failed.push(FailedQuery {
+                        shard: shard_idx,
+                        query: query_idx,
+                        error: e,
+                    }),
+                    Some(e) => {
+                        first_error.get_or_insert(e);
+                        break;
+                    }
+                }
+            }
         }
-        Ok(total)
+        match first_error {
+            Some(e) => Err(e.into()),
+            None => Ok(round),
+        }
+    }
+
+    /// The booking half of a round: `round`'s scores as points of the
+    /// collector's series, in order, booking each pool on first sight.
+    pub(crate) fn book(&mut self, catalog: &Catalog, round: SpsScores) -> SpsPoints {
+        SpsPoints {
+            points: self.book_scores(catalog, round.time, &round.scores),
+            retries: round.retries,
+            failed: round.failed,
+        }
     }
 
     /// Runs one collection round with the default retry policy, failing
@@ -526,6 +561,57 @@ mod tests {
             "{err}"
         );
         assert!(collector.series().book().is_empty(), "nothing booked");
+    }
+
+    #[test]
+    fn the_query_half_books_nothing_and_booking_it_equals_collect_points() {
+        let mut cloud = cloud();
+        // The naive plan thirty times over: three account shards that
+        // re-issue the same four unique queries.
+        let naive = QueryPlanner::new(PlannerStrategy::Naive).plan(cloud.catalog(), None);
+        let plan: Vec<_> = naive
+            .iter()
+            .cycle()
+            .take(naive.len() * 30)
+            .cloned()
+            .collect();
+        let pool = AccountPool::with_size(AccountPool::required_accounts(plan.len()));
+        let faulted = || {
+            let mut collector = SpsCollector::new(plan.clone(), &pool, 1).unwrap();
+            collector.set_fault_plan(FaultPlan::uniform(17, 0.4));
+            collector
+        };
+        let mut halves = faulted();
+        let mut whole = faulted();
+        assert_eq!(halves.shard_count(), 3);
+        let policy = RetryPolicy::default();
+        let slots = |round: &SpsPoints| -> Vec<(usize, usize, String)> {
+            round
+                .failed
+                .iter()
+                .map(|f| (f.shard, f.query, f.error.to_string()))
+                .collect()
+        };
+        let (mut retries, mut failed) = (0, 0);
+        for _ in 0..6 {
+            cloud.step();
+            // The book only grows: its length is what booking changes.
+            let booked_before = halves.series().book().len();
+            let scores = halves.query(&cloud, &policy).unwrap();
+            assert_eq!(
+                halves.series().book().len(),
+                booked_before,
+                "the query half books nothing"
+            );
+            let booked = halves.book(cloud.catalog(), scores);
+            let want = whole.collect_points(&cloud, &policy).unwrap();
+            assert_eq!(booked.points, want.points);
+            assert_eq!(booked.retries, want.retries);
+            assert_eq!(slots(&booked), slots(&want));
+            retries += want.retries;
+            failed += want.failed.len();
+        }
+        assert!(retries > 0 && failed > 0, "the weather showed");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! `RwLock<Arc<Database>>`: readers take the read lock only long enough
 //! to clone the `Arc`, then run the whole query lock-free against that
 //! snapshot; the collector builds the next epoch off to the side and
-//! swaps it in with one short write lock. Queries therefore never block
-//! collection and never observe a half-written archive.
+//! swaps it in with one short write lock, freeing the old epoch after the
+//! lock is released. Queries therefore never block collection and never
+//! observe a half-written archive.
 
 use spotlake_timestream::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,14 +55,24 @@ impl SharedArchive {
 
     /// Publishes a new snapshot, bumping the epoch. In-flight queries
     /// keep the snapshot they started with.
+    ///
+    /// The write lock is held only for the swap. The previous snapshot is
+    /// dropped after the lock is released — freeing a large archive takes
+    /// milliseconds, and no reader's [`SharedArchive::snapshot`] waits
+    /// for it. (A reader still holding the previous snapshot frees it
+    /// when it finishes.)
     pub fn replace(&self, db: Database) {
         let next = Arc::new(db);
-        *self
-            .slot
-            .current
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = next;
+        let previous = {
+            let mut current = self
+                .slot
+                .current
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *current, next)
+        };
         self.slot.epoch.fetch_add(1, Ordering::SeqCst);
+        drop(previous);
     }
 
     /// How many times the snapshot has been replaced.
