@@ -117,6 +117,15 @@ impl RoundHealth {
             Dataset::Price => &self.price,
         }
     }
+
+    /// The mutable health entry for `dataset`.
+    pub fn dataset_mut(&mut self, dataset: Dataset) -> &mut DatasetHealth {
+        match dataset {
+            Dataset::Sps => &mut self.sps,
+            Dataset::Advisor => &mut self.advisor,
+            Dataset::Price => &mut self.price,
+        }
+    }
 }
 
 #[cfg(test)]

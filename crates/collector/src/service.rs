@@ -8,17 +8,23 @@
 //! retries are parked in a dead-letter queue and re-attempted in later
 //! rounds with exponential backoff (re-issuing a known fingerprint is free
 //! under the 50-unique-queries budget).
-
+//!
+//! Every dataset reaches the store through one commit path
+//! (`CollectorService::commit_dataset`): a round's gathered points become
+//! a `Batch` — points, retries, failed operations, first error — and the
+//! same code commits it, feeds the quality monitor, picks the dataset's
+//! status and settles its breaker. What tells the datasets apart is data:
+//! the table's write mode, whether failures count plan slots (SPS) or one
+//! sweep (advisor, price), and price's change feed.
 use crate::accounts::AccountPool;
-use crate::advisor_collector::{AdvisorCollector, AdvisorPoints};
+use crate::advisor_collector::AdvisorCollector;
 use crate::durability::DeadLetterFile;
 use crate::error::CollectError;
 use crate::health::{Dataset, DatasetStatus, RoundHealth};
 use crate::planner::{PlanStats, PlannerStrategy, QueryPlanner};
-use crate::price_collector::{PriceCollector, PricePoints};
+use crate::price_collector::PriceCollector;
 use crate::retry::{BreakerState, CircuitBreaker, RetryPolicy};
 use crate::sps_collector::{SpsCollector, SpsScores};
-use crate::{ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
@@ -167,10 +173,13 @@ pub(crate) struct DeadLetter {
 /// dataset collectors, and the resilience state (retry policy, breakers,
 /// dead-letter queue).
 ///
-/// Each collector books its series once, and a round hands the store
-/// `(id, time, value)` points of them: the quality monitor's key of each
-/// series is looked up once too (`CoverageKeys`), so a round spells no
-/// record and hashes no key string per point.
+/// A round gathers the datasets in two lanes, then commits SPS → advisor
+/// → price through one commit path; per-dataset state (breakers, quality
+/// keys) is an array indexed by [`Dataset`]. Each collector books its
+/// series once, and a round hands the store `(id, time, value)` points of
+/// them: the quality monitor's key of each series is looked up once too
+/// (`CoverageKeys`), so a round spells no record and hashes no key string
+/// per point.
 #[derive(Debug)]
 pub struct CollectorService {
     store: Store,
@@ -179,9 +188,8 @@ pub struct CollectorService {
     price: Option<PriceCollector>,
     plan_stats: PlanStats,
     policy: RetryPolicy,
-    sps_breaker: CircuitBreaker,
-    advisor_breaker: CircuitBreaker,
-    price_breaker: CircuitBreaker,
+    /// Each dataset's circuit breaker, by [`Dataset`].
+    breakers: [CircuitBreaker; 3],
     dead_letters: Vec<DeadLetter>,
     /// Where the queue is persisted when the service runs durably.
     dead_letter_file: Option<DeadLetterFile>,
@@ -276,30 +284,13 @@ impl CollectorService {
             }
             None => (Database::new(), None),
         };
-        ensure_table(
-            &mut db,
-            SPS_TABLE,
-            TableOptions {
-                mode: WriteMode::Dense,
+        for dataset in Dataset::ALL {
+            let options = TableOptions {
+                mode: dataset.write_mode(),
                 retention: None,
-            },
-        )?;
-        ensure_table(
-            &mut db,
-            ADVISOR_TABLE,
-            TableOptions {
-                mode: WriteMode::ChangePoint,
-                retention: None,
-            },
-        )?;
-        ensure_table(
-            &mut db,
-            PRICE_TABLE,
-            TableOptions {
-                mode: WriteMode::ChangePoint,
-                retention: None,
-            },
-        )?;
+            };
+            ensure_table(&mut db, dataset.name(), options)?;
+        }
 
         if let Some(plan) = config.faults.filter(|p| !p.is_zero()) {
             if let Some(s) = &mut sps {
@@ -344,9 +335,7 @@ impl CollectorService {
             price,
             plan_stats,
             policy: config.retry,
-            sps_breaker: CircuitBreaker::new(3, 8),
-            advisor_breaker: CircuitBreaker::new(3, 8),
-            price_breaker: CircuitBreaker::new(3, 8),
+            breakers: Dataset::ALL.map(|_| CircuitBreaker::new(3, 8)),
             dead_letters,
             dead_letter_file,
             pending_price: Vec::new(),
@@ -439,10 +428,15 @@ impl CollectorService {
 
     /// A dataset's current circuit-breaker state.
     pub fn breaker_state(&self, dataset: Dataset) -> BreakerState {
+        self.breakers[dataset as usize].state()
+    }
+
+    /// Whether `dataset` is collected at all.
+    fn enabled(&self, dataset: Dataset) -> bool {
         match dataset {
-            Dataset::Sps => self.sps_breaker.state(),
-            Dataset::Advisor => self.advisor_breaker.state(),
-            Dataset::Price => self.price_breaker.state(),
+            Dataset::Sps => self.sps.is_some(),
+            Dataset::Advisor => self.advisor.is_some(),
+            Dataset::Price => self.price.is_some(),
         }
     }
 
@@ -458,11 +452,7 @@ impl CollectorService {
         let mut report = HealthReport::new();
         let enabled: Vec<Dataset> = Dataset::ALL
             .into_iter()
-            .filter(|d| match d {
-                Dataset::Sps => self.sps.is_some(),
-                Dataset::Advisor => self.advisor.is_some(),
-                Dataset::Price => self.price.is_some(),
-            })
+            .filter(|&d| self.enabled(d))
             .collect();
         let all_failed = !enabled.is_empty()
             && self.last_health.as_ref().is_some_and(|h| {
@@ -555,15 +545,7 @@ impl CollectorService {
     /// kill switch (and the chaos tests' lever). The dataset is skipped
     /// until the breaker's cooldown elapses.
     pub fn force_breaker_open(&mut self, dataset: Dataset, tick: u64) {
-        self.breaker_mut(dataset).force_open(tick);
-    }
-
-    fn breaker_mut(&mut self, dataset: Dataset) -> &mut CircuitBreaker {
-        match dataset {
-            Dataset::Sps => &mut self.sps_breaker,
-            Dataset::Advisor => &mut self.advisor_breaker,
-            Dataset::Price => &mut self.price_breaker,
-        }
+        self.breakers[dataset as usize].force_open(tick);
     }
 
     /// Runs one collection round against the cloud's current state,
@@ -591,30 +573,35 @@ impl CollectorService {
             ..RoundHealth::default()
         };
 
-        let Lanes {
-            sps,
-            advisor,
-            price,
-        } = self.run_lanes(cloud, tick, &mut health);
-        let aborted = self
-            .commit_sps(cloud, tick, sps, &mut stats, &mut health)
-            .and_then(|()| self.commit_advisor(tick, advisor, &mut stats, &mut health));
-        if let Err(e) = aborted {
-            // The price sweep ran beside the failed dataset and its
-            // watermark advanced: park its points, older ones first.
-            if let Some(Ok(swept)) = price {
-                self.pending_price.extend(swept.points);
+        let mut batches = self.run_lanes(cloud, tick, &mut stats, &mut health);
+        for dataset in Dataset::ALL {
+            let Some(batch) = batches[dataset as usize].take() else {
+                continue;
+            };
+            let committed = batch.and_then(|batch| {
+                self.commit_dataset(dataset, tick, batch, &mut stats, &mut health)
+            });
+            if let Err(e) = committed {
+                // The price sweep ran beside the failed dataset and its
+                // watermark advanced: park its points, older ones first.
+                if let Some(Ok(price)) = batches[Dataset::Price as usize].take() {
+                    self.pending_price.extend(price.points);
+                }
+                return Err(e);
             }
-            return Err(e);
         }
-        self.commit_price(tick, price, &mut stats, &mut health)?;
         self.quality.round_complete(tick);
         self.maintain_durability()?;
 
         health.dead_letter_depth = self.dead_letters.len();
-        stats.retries = health.sps.retries + health.advisor.retries + health.price.retries;
-        stats.queries_failed =
-            health.sps.failed_queries + health.advisor.failed_queries + health.price.failed_queries;
+        for dataset in Dataset::ALL {
+            let h = health.dataset(dataset);
+            stats.retries += h.retries;
+            stats.queries_failed += h.failed_queries;
+        }
+        stats.sps_records = health.sps.records;
+        stats.advisor_records = health.advisor.records;
+        stats.price_records = health.price.records;
         if health.is_degraded() {
             stats.degraded_rounds = 1;
         }
@@ -690,12 +677,7 @@ impl CollectorService {
         );
 
         for dataset in Dataset::ALL {
-            let enabled = match dataset {
-                Dataset::Sps => self.sps.is_some(),
-                Dataset::Advisor => self.advisor.is_some(),
-                Dataset::Price => self.price.is_some(),
-            };
-            if !enabled {
+            if !self.enabled(dataset) {
                 continue;
             }
             let d = health.dataset(dataset);
@@ -721,9 +703,10 @@ impl CollectorService {
             // Round "duration" in deterministic units: first calls plus
             // retries. SPS issues the whole plan; the other datasets are
             // one sweep each.
-            let ops = match dataset {
-                Dataset::Sps => stats.queries_issued + d.retries,
-                Dataset::Advisor | Dataset::Price => 1 + d.retries,
+            let ops = if dataset.is_sweep() {
+                1 + d.retries
+            } else {
+                stats.queries_issued + d.retries
             };
             m.histogram_record(
                 "spotlake_collector_round_ops",
@@ -765,12 +748,8 @@ impl CollectorService {
             }
             fault_counts.extend(sps.fault_counts());
         }
-        if let Some(a) = &self.advisor {
-            fault_counts.extend(a.fault_counts());
-        }
-        if let Some(p) = &self.price {
-            fault_counts.extend(p.fault_counts());
-        }
+        fault_counts.extend(self.advisor.iter().flat_map(AdvisorCollector::fault_counts));
+        fault_counts.extend(self.price.iter().flat_map(PriceCollector::fault_counts));
         // The injectors report running totals, so scrape with
         // `counter_set` rather than re-adding them every round.
         for (surface, kind, count) in fault_counts {
@@ -882,67 +861,78 @@ impl CollectorService {
         self.quality.export(&self.metrics);
     }
 
-    /// Gathers one round in two fixed lanes under one scope: a single
-    /// scoped thread issues every SPS account's queries one account after
-    /// another and returns the scores unbooked, while the calling thread
-    /// sweeps the advisor and then the price dataset. Each breaker is
-    /// consulted once, before the lanes start. Everything the round keeps
-    /// — series booking, the store, quality, dead letters — is left to the
-    /// caller, on this thread.
-    fn run_lanes(&mut self, cloud: &SimCloud, tick: u64, health: &mut RoundHealth) -> Lanes {
-        let sps = admit(
-            self.sps.as_mut(),
-            &mut self.sps_breaker,
-            tick,
-            &mut health.sps.status,
-        );
-        let advisor = admit(
-            self.advisor.as_mut(),
-            &mut self.advisor_breaker,
-            tick,
-            &mut health.advisor.status,
-        );
-        let price = admit(
-            self.price.as_mut(),
-            &mut self.price_breaker,
-            tick,
-            &mut health.price.status,
-        );
-        let policy = &self.policy;
-        std::thread::scope(|scope| {
-            let sps_lane = sps.map(|sps| scope.spawn(move || sps.query(cloud, policy)));
-            let advisor = advisor.map(|advisor| advisor.collect_points(cloud, policy));
-            let price = price.map(|price| price.collect_points(cloud, policy));
-            Lanes {
-                sps: sps_lane.map(|lane| lane.join().expect("SPS lane panicked")),
-                advisor,
-                price,
-            }
-        })
-    }
-
-    /// Books the SPS lane's scores, runs the dead-letter pass and commits.
-    fn commit_sps(
+    /// Gathers one round's batches in two fixed lanes under one scope: a
+    /// single scoped thread issues every SPS account's queries one account
+    /// after another and returns the scores unbooked, while the calling
+    /// thread sweeps the advisor and then the price dataset. Each enabled
+    /// dataset's breaker is consulted once, before the lanes start; one it
+    /// holds back is marked skipped and has no batch. Everything the round
+    /// keeps — series booking, the store, quality, dead letters — stays on
+    /// this thread: the SPS scores are booked after the join.
+    fn run_lanes(
         &mut self,
         cloud: &SimCloud,
         tick: u64,
-        round: Option<Result<SpsScores, CollectError>>,
         stats: &mut CollectStats,
         health: &mut RoundHealth,
-    ) -> Result<(), CollectError> {
-        let (Some(round), Some(sps)) = (round, &mut self.sps) else {
-            return Ok(());
-        };
-        let mut outcome = sps.book(cloud.catalog(), round?);
+    ) -> [Option<Result<Batch, CollectError>>; 3] {
+        let mut admitted = [false; 3];
+        for dataset in Dataset::ALL {
+            if !self.enabled(dataset) {
+                continue;
+            }
+            admitted[dataset as usize] = self.breakers[dataset as usize].allow(tick);
+            if !admitted[dataset as usize] {
+                health.dataset_mut(dataset).status = DatasetStatus::Skipped;
+            }
+        }
+        let [sps, advisor, price] = admitted;
+        let sps = self.sps.as_mut().filter(|_| sps);
+        let advisor = self.advisor.as_mut().filter(|_| advisor);
+        let price = self.price.as_mut().filter(|_| price);
+        let policy = &self.policy;
+        let (sps, advisor, price) = std::thread::scope(|scope| {
+            let sps_lane = sps.map(|sps| scope.spawn(move || sps.query(cloud, policy)));
+            let advisor = advisor.map(|advisor| advisor.collect_points(cloud, policy));
+            let price = price.map(|price| price.collect_points(cloud, policy));
+            let sps = sps_lane.map(|lane| lane.join().expect("SPS lane panicked"));
+            (sps, advisor, price)
+        });
+        let max_attempts = self.policy.max_attempts;
+        [
+            sps.and_then(|round| {
+                let batch = round.map(|scores| self.book_sps(cloud, tick, scores, stats));
+                batch.transpose()
+            }),
+            advisor.map(|round| {
+                let round = round.map(|o| (o.points, o.retries));
+                sweep_batch(round, max_attempts.saturating_sub(1) as usize)
+            }),
+            price.map(|round| sweep_batch(round.map(|o| (o.points, o.retries)), 0)),
+        ]
+    }
+
+    /// The SPS pre-step: books the lane's scores, then re-attempts the
+    /// dead-lettered plan slots that are due and parks this round's fresh
+    /// failures. `None` when SPS is disabled.
+    fn book_sps(
+        &mut self,
+        cloud: &SimCloud,
+        tick: u64,
+        scores: SpsScores,
+        stats: &mut CollectStats,
+    ) -> Option<Batch> {
+        let sps = self.sps.as_mut()?;
+        let mut outcome = sps.book(cloud.catalog(), scores);
         stats.queries_issued = sps.query_count();
-        health.sps.retries = outcome.retries;
+        let mut retries = outcome.retries;
 
         // Which plan slots are failing *right now*. Dead letters whose
         // query recovered in this regular pass are satisfied and dropped;
         // the rest are re-attempted once their backoff elapses.
         let mut failing: BTreeSet<(usize, usize)> =
             outcome.failed.iter().map(|f| (f.shard, f.query)).collect();
-        health.sps.error = outcome.failed.first().map(|f| f.error.to_string());
+        let error = outcome.failed.first().map(|f| f.error.to_string());
         self.dead_letters
             .retain(|d| failing.contains(&(d.shard, d.query)));
 
@@ -953,7 +943,7 @@ impl CollectorService {
                 continue;
             }
             let res = sps.retry_query(cloud, d.shard, d.query, &policy);
-            health.sps.retries += res.retries + 1;
+            retries += res.retries + 1;
             match res.error {
                 None => {
                     outcome.points.extend(res.points);
@@ -991,231 +981,116 @@ impl CollectorService {
             });
             stats.dead_lettered += 1;
         }
-        health.sps.failed_queries = failing.len();
-
-        let series = sps.series_mut();
-        let coverage = &mut self.coverage[Dataset::Sps as usize];
-        coverage.sync(&mut self.quality, series.book());
-        match self.store.commit(
-            SPS_TABLE,
-            tick,
-            series.book_mut(),
-            &outcome.points,
-            &self.policy,
-            &mut health.sps.retries,
-        ) {
-            Ok(commit) => {
-                let stored = commit.observe_committed(
-                    &mut self.quality,
-                    coverage,
-                    series.book(),
-                    &outcome.points,
-                    tick,
-                );
-                stats.sps_records = stored;
-                stats.records_written += commit.written;
-                health.sps.records = stored;
-                health.shards_failed += commit.shard_failures.len();
-                if health.sps.error.is_none() {
-                    health.sps.error = commit.first_failure();
-                }
-                let lost_everything = stored == 0 && !outcome.points.is_empty();
-                if (outcome.points.is_empty() && !failing.is_empty()) || lost_everything {
-                    health.sps.status = DatasetStatus::Failed;
-                    self.sps_breaker.record_failure(tick);
-                } else if !failing.is_empty()
-                    || health.sps.retries > 0
-                    || !commit.shard_failures.is_empty()
-                {
-                    health.sps.status = DatasetStatus::Degraded;
-                    self.sps_breaker.record_success();
-                } else {
-                    health.sps.status = DatasetStatus::Ok;
-                    self.sps_breaker.record_success();
-                }
-            }
-            Err(e) if e.is_retryable() => {
-                // The store refused the whole batch: a gap in the dense
-                // series this round.
-                health.sps.status = DatasetStatus::Failed;
-                health.sps.error = Some(e.to_string());
-                self.sps_breaker.record_failure(tick);
-            }
-            Err(e) => return Err(e.into()),
-        }
-        Ok(())
+        Some(Batch {
+            points: outcome.points,
+            retries,
+            failed: failing.len(),
+            error,
+        })
     }
 
-    /// Commits the advisor sweep the calling lane gathered.
-    fn commit_advisor(
+    /// Commits one dataset's batch — the one commit path every dataset
+    /// takes — and settles the dataset's health and breaker.
+    ///
+    /// The status rule is the same for all three: `Failed` when nothing
+    /// committed out of a non-empty batch, or when there is no batch and
+    /// operations failed; otherwise `Degraded` when operations failed,
+    /// retries were spent or a shard refused its slice; otherwise `Ok`.
+    fn commit_dataset(
         &mut self,
+        dataset: Dataset,
         tick: u64,
-        round: Option<Result<AdvisorPoints, CollectError>>,
+        batch: Batch,
         stats: &mut CollectStats,
         health: &mut RoundHealth,
     ) -> Result<(), CollectError> {
-        let (Some(round), Some(advisor)) = (round, &mut self.advisor) else {
-            return Ok(());
-        };
-        match round {
-            Ok(outcome) => {
-                health.advisor.retries = outcome.retries;
-                let series = advisor.series_mut();
-                let coverage = &mut self.coverage[Dataset::Advisor as usize];
-                coverage.sync(&mut self.quality, series.book());
-                match self.store.commit(
-                    ADVISOR_TABLE,
-                    tick,
-                    series.book_mut(),
-                    &outcome.points,
-                    &self.policy,
-                    &mut health.advisor.retries,
-                ) {
-                    Ok(commit) => {
-                        // Score and savings share a key; the monitor
-                        // dedupes same-tick observations.
-                        let stored = commit.observe_committed(
-                            &mut self.quality,
-                            coverage,
-                            series.book(),
-                            &outcome.points,
-                            tick,
-                        );
-                        stats.advisor_records = stored;
-                        stats.records_written += commit.written;
-                        health.advisor.records = stored;
-                        health.shards_failed += commit.shard_failures.len();
-                        if health.advisor.error.is_none() {
-                            health.advisor.error = commit.first_failure();
-                        }
-                        if stored == 0 && !outcome.points.is_empty() {
-                            // Every shard refused its slice: nothing of
-                            // this dataset landed this round.
-                            health.advisor.status = DatasetStatus::Failed;
-                            self.advisor_breaker.record_failure(tick);
-                        } else {
-                            health.advisor.status = if health.advisor.retries > 0
-                                || !commit.shard_failures.is_empty()
-                            {
-                                DatasetStatus::Degraded
-                            } else {
-                                DatasetStatus::Ok
-                            };
-                            self.advisor_breaker.record_success();
-                        }
-                    }
-                    Err(e) if e.is_retryable() => {
-                        // Change-point table: the next successful round
-                        // re-delivers the current state, so nothing is
-                        // lost for good.
-                        health.advisor.status = DatasetStatus::Failed;
-                        health.advisor.failed_queries = 1;
-                        health.advisor.error = Some(e.to_string());
-                        self.advisor_breaker.record_failure(tick);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            Err(CollectError::Api(e)) if e.is_retryable() => {
-                health.advisor.status = DatasetStatus::Failed;
-                health.advisor.failed_queries = 1;
-                health.advisor.retries = self.policy.max_attempts.saturating_sub(1) as usize;
-                health.advisor.error = Some(e.to_string());
-                self.advisor_breaker.record_failure(tick);
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
-
-    /// Commits the price sweep the calling lane gathered, after any
-    /// points earlier rounds could not store.
-    fn commit_price(
-        &mut self,
-        tick: u64,
-        round: Option<Result<PricePoints, CollectError>>,
-        stats: &mut CollectStats,
-        health: &mut RoundHealth,
-    ) -> Result<(), CollectError> {
-        let (Some(round), Some(price)) = (round, &mut self.price) else {
-            return Ok(());
-        };
-        match round {
-            Ok(outcome) => {
-                health.price.retries = outcome.retries;
+        let Batch {
+            mut points,
+            retries,
+            failed,
+            error,
+        } = batch;
+        // Price is a change feed: once a sweep returns, the API's
+        // watermark is past its points, and they exist nowhere else.
+        let change_feed = dataset == Dataset::Price;
+        let breaker = &mut self.breakers[dataset as usize];
+        let h = health.dataset_mut(dataset);
+        h.retries = retries;
+        h.failed_queries = failed;
+        h.error = error;
+        let (mut shard_failures, mut refused) = (0, false);
+        // A failed sweep has nothing to commit; SPS commits whatever its
+        // plan slots returned.
+        if !(dataset.is_sweep() && failed > 0) {
+            let series = match dataset {
+                Dataset::Sps => self.sps.as_mut().map(SpsCollector::series_mut),
+                Dataset::Advisor => self.advisor.as_mut().map(AdvisorCollector::series_mut),
+                Dataset::Price => self.price.as_mut().map(PriceCollector::series_mut),
+            };
+            let Some(series) = series else {
+                return Ok(());
+            };
+            if change_feed {
                 // Older, previously unwritable points go first.
-                let mut points = std::mem::take(&mut self.pending_price);
-                points.extend(outcome.points);
-                let series = price.series_mut();
-                let coverage = &mut self.coverage[Dataset::Price as usize];
-                coverage.sync(&mut self.quality, series.book());
-                match self.store.commit(
-                    PRICE_TABLE,
-                    tick,
-                    series.book_mut(),
-                    &points,
-                    &self.policy,
-                    &mut health.price.retries,
-                ) {
-                    Ok(commit) => {
-                        // The price API only reports *changes*; a clean
-                        // sweep therefore refreshes every key the monitor
-                        // has ever seen, not just the changed ones.
-                        let stored = commit.observe_committed(
-                            &mut self.quality,
-                            coverage,
-                            series.book(),
-                            &points,
-                            tick,
-                        );
-                        stats.price_records = stored;
-                        stats.records_written += commit.written;
-                        health.price.records = stored;
-                        health.shards_failed += commit.shard_failures.len();
-                        if health.price.error.is_none() {
-                            health.price.error = commit.first_failure();
-                        }
-                        if stored == 0 && !points.is_empty() {
-                            health.price.status = DatasetStatus::Failed;
-                            self.price_breaker.record_failure(tick);
-                        } else {
-                            // A clean sweep only counts when every shard
-                            // took its slice.
-                            if commit.shard_failures.is_empty() {
-                                self.quality.observe_sweep("price", tick);
-                            }
-                            health.price.status =
-                                if health.price.retries > 0 || !commit.shard_failures.is_empty() {
-                                    DatasetStatus::Degraded
-                                } else {
-                                    DatasetStatus::Ok
-                                };
-                            self.price_breaker.record_success();
-                        }
-                    }
-                    Err(e) if e.is_retryable() => {
-                        // Buffer instead of dropping: the sweep succeeded
-                        // and the watermark advanced, so these points
-                        // exist nowhere else.
-                        self.pending_price = points;
-                        health.price.status = DatasetStatus::Failed;
-                        health.price.failed_queries = 1;
-                        health.price.error = Some(e.to_string());
-                        self.price_breaker.record_failure(tick);
-                    }
-                    Err(e) => return Err(e.into()),
+                points.splice(0..0, std::mem::take(&mut self.pending_price));
+            }
+            let coverage = &mut self.coverage[dataset as usize];
+            coverage.sync(&mut self.quality, series.book());
+            let table = dataset.name();
+            match self.store.commit(
+                table,
+                tick,
+                series.book_mut(),
+                &points,
+                &self.policy,
+                &mut h.retries,
+            ) {
+                Ok(commit) => {
+                    h.records = commit.observe_committed(
+                        &mut self.quality,
+                        coverage,
+                        series.book(),
+                        &points,
+                        tick,
+                    );
+                    h.error = h.error.take().or_else(|| commit.first_failure());
+                    shard_failures = commit.shard_failures.len();
+                    stats.records_written += commit.written;
                 }
+                Err(e) if e.is_retryable() => {
+                    // The store refused the whole batch: a gap in the
+                    // dense SPS series, advisor state the next clean round
+                    // re-delivers, price points parked for the next sweep.
+                    // A sweep counts the refusal as its failed operation.
+                    refused = true;
+                    h.error = Some(e.to_string());
+                    h.failed_queries += usize::from(dataset.is_sweep());
+                    if change_feed {
+                        self.pending_price = std::mem::take(&mut points);
+                    }
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(CollectError::Api(e)) if e.is_retryable() => {
-                // The watermark did not advance: the next sweep re-covers
-                // this window, so faults delay price data, never lose it.
-                health.price.status = DatasetStatus::Failed;
-                health.price.failed_queries = 1;
-                health.price.error = Some(e.to_string());
-                self.price_breaker.record_failure(tick);
-            }
-            Err(e) => return Err(e),
         }
+        let lost_everything = refused || (h.records == 0 && !points.is_empty());
+        h.status = if lost_everything || (points.is_empty() && h.failed_queries > 0) {
+            DatasetStatus::Failed
+        } else if h.failed_queries > 0 || h.retries > 0 || shard_failures > 0 {
+            DatasetStatus::Degraded
+        } else {
+            DatasetStatus::Ok
+        };
+        if h.status == DatasetStatus::Failed {
+            breaker.record_failure(tick);
+        } else {
+            breaker.record_success();
+            // The price API reports only changes, so a sweep every shard
+            // took refreshes every key the monitor has seen.
+            if change_feed && shard_failures == 0 {
+                self.quality.observe_sweep(dataset.name(), tick);
+            }
+        }
+        health.shards_failed += shard_failures;
         Ok(())
     }
 
@@ -1262,28 +1137,59 @@ impl CollectorService {
     }
 }
 
-/// What one round's lanes gathered, per dataset: `None` when the dataset
-/// is disabled or its breaker skipped the round.
-struct Lanes {
-    sps: Option<Result<SpsScores, CollectError>>,
-    advisor: Option<Result<AdvisorPoints, CollectError>>,
-    price: Option<Result<PricePoints, CollectError>>,
+/// One dataset's round, gathered and ready for
+/// [`CollectorService::commit_dataset`].
+struct Batch {
+    points: Vec<Point>,
+    /// Retries spent gathering the points (the store adds its own).
+    retries: usize,
+    /// Operations that failed after their retries: the SPS plan slots
+    /// still failing after the dead-letter pass, or a sweep's one fetch.
+    failed: usize,
+    /// The first failure seen, for the dataset's health record.
+    error: Option<String>,
 }
 
-/// `collector` if its dataset runs this round: enabled, and admitted by
-/// its breaker; a dataset the breaker holds back is marked skipped.
-fn admit<'c, C>(
-    collector: Option<&'c mut C>,
-    breaker: &mut CircuitBreaker,
-    tick: u64,
-    status: &mut DatasetStatus,
-) -> Option<&'c mut C> {
-    let collector = collector?;
-    if breaker.allow(tick) {
-        Some(collector)
-    } else {
-        *status = DatasetStatus::Skipped;
-        None
+/// A sweep lane's result as a batch: a sweep whose API failed after its
+/// retries is one failed operation with no points, which spent
+/// `retries_on_failure` retries.
+fn sweep_batch(
+    round: Result<(Vec<Point>, usize), CollectError>,
+    retries_on_failure: usize,
+) -> Result<Batch, CollectError> {
+    match round {
+        Ok((points, retries)) => Ok(Batch {
+            points,
+            retries,
+            failed: 0,
+            error: None,
+        }),
+        Err(CollectError::Api(e)) if e.is_retryable() => Ok(Batch {
+            points: Vec::new(),
+            retries: retries_on_failure,
+            failed: 1,
+            error: Some(e.to_string()),
+        }),
+        Err(e) => Err(e),
+    }
+}
+
+/// What sets one dataset's commit apart from the others'. Price's change
+/// feed is the third fact; [`CollectorService::commit_dataset`] names it.
+impl Dataset {
+    /// SPS keeps every round's score; advisor and price keep changes.
+    fn write_mode(self) -> WriteMode {
+        match self {
+            Dataset::Sps => WriteMode::Dense,
+            Dataset::Advisor | Dataset::Price => WriteMode::ChangePoint,
+        }
+    }
+
+    /// Whether one API sweep gathers the dataset's round (advisor,
+    /// price): a failed fetch or a refused write is its one failed
+    /// operation. SPS counts failed plan slots instead.
+    fn is_sweep(self) -> bool {
+        self != Dataset::Sps
     }
 }
 
@@ -1499,7 +1405,16 @@ impl Store {
         retries: &mut usize,
     ) -> Result<CommitResult, TsError> {
         let Some(archive) = &mut self.archive else {
-            let written = write_with_retry(&mut self.db, table, book, points, policy, retries)?;
+            let mut attempt = 1;
+            let written = loop {
+                match self.db.write_points(table, book, points) {
+                    Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
+                        attempt += 1;
+                        *retries += 1;
+                    }
+                    written => break written?,
+                }
+            };
             return Ok(CommitResult {
                 written,
                 shard_failures: Vec::new(),
@@ -1528,50 +1443,24 @@ impl Store {
 /// these with whatever the on-disk manifest already names, so a region
 /// added to the catalog later simply grows a new shard.
 fn shard_keys(catalog: &Catalog, config: &CollectorConfig) -> Vec<ShardKey> {
-    let mut tables = Vec::new();
-    if config.collect_sps {
-        tables.push(SPS_TABLE);
-    }
-    if config.collect_advisor {
-        tables.push(ADVISOR_TABLE);
-    }
-    if config.collect_price {
-        tables.push(PRICE_TABLE);
-    }
+    let enabled = [
+        config.collect_sps,
+        config.collect_advisor,
+        config.collect_price,
+    ];
     let mut keys = Vec::new();
-    for table in tables {
+    for dataset in Dataset::ALL.into_iter().filter(|&d| enabled[d as usize]) {
         for region in catalog.regions() {
-            keys.push(ShardKey::new(table, region.code()));
+            keys.push(ShardKey::new(dataset.name(), region.code()));
         }
     }
     keys
 }
 
-/// Writes a batch, retrying store throttles within the round's budget.
-fn write_with_retry(
-    db: &mut Database,
-    table: &str,
-    book: &mut SeriesBook,
-    points: &[Point],
-    policy: &RetryPolicy,
-    retries: &mut usize,
-) -> Result<usize, TsError> {
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match db.write_points(table, book, points) {
-            Ok(n) => return Ok(n),
-            Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
-                *retries += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE};
     use spotlake_cloud_sim::SimConfig;
     use spotlake_timestream::Query;
     use spotlake_types::CatalogBuilder;
