@@ -10,7 +10,7 @@
 
 use crate::error::CollectError;
 use crate::retry::RetryPolicy;
-use crate::series::{region_id, type_id, PoolSeries};
+use crate::series::{region_id, type_id, PoolSeries, SweepPoints};
 use spotlake_cloud_api::{AdvisorClient, ApiError, FaultInjector, FaultPlan, FaultSurface};
 use spotlake_cloud_sim::SimCloud;
 use spotlake_timestream::{Point, Record};
@@ -20,16 +20,6 @@ use spotlake_timestream::{Point, Record};
 pub struct AdvisorOutcome {
     /// Records scraped from the page.
     pub records: Vec<Record>,
-    /// Retry attempts spent beyond the first fetch.
-    pub retries: usize,
-}
-
-/// [`AdvisorOutcome`] by series id: the points of the collector's
-/// [`AdvisorCollector::series`], in the order the records would be.
-#[derive(Debug, Clone, Default)]
-pub struct AdvisorPoints {
-    /// Points scraped from the page: score, then savings, per row.
-    pub points: Vec<Point>,
     /// Retry attempts spent beyond the first fetch.
     pub retries: usize,
 }
@@ -101,28 +91,29 @@ impl AdvisorCollector {
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<AdvisorOutcome, CollectError> {
-        let pass = self.collect_points(cloud, policy)?;
-        Ok(AdvisorOutcome {
-            records: self.series.records(&pass.points),
-            retries: pass.retries,
-        })
+        let (records, retries) = self
+            .collect_points(cloud, policy)?
+            .into_records(&self.series)?;
+        Ok(AdvisorOutcome { records, retries })
     }
 
     /// [`AdvisorCollector::collect_with`] by series id: each row becomes a
     /// score and a savings point of its (type, region) pool, booked the
-    /// first time a pass sees it. A row naming a type or region the
-    /// catalog lacks is [`ApiError::UnknownEntity`], and no pool of that
-    /// page is booked.
+    /// first time a pass sees it — score, then savings, per row. A page
+    /// that stays unreadable after its retries is a failed sweep: no
+    /// points, the retryable error and the retries it spent.
     ///
     /// # Errors
     ///
-    /// As [`AdvisorCollector::collect_with`].
+    /// Returns [`CollectError::Api`] for a non-retryable failure: a row
+    /// naming a type or region the catalog lacks is
+    /// [`ApiError::UnknownEntity`], and no pool of that page is booked.
     pub fn collect_points(
         &mut self,
         cloud: &SimCloud,
         policy: &RetryPolicy,
-    ) -> Result<AdvisorPoints, CollectError> {
-        let mut outcome = AdvisorPoints::default();
+    ) -> Result<SweepPoints, CollectError> {
+        let mut outcome = SweepPoints::default();
         let mut attempt = 0;
         let rows = loop {
             attempt += 1;
@@ -130,6 +121,10 @@ impl AdvisorCollector {
                 Ok(rows) => break rows,
                 Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
                     outcome.retries += 1;
+                }
+                Err(e) if e.is_retryable() => {
+                    outcome.error = Some(e);
+                    return Ok(outcome);
                 }
                 Err(e) => return Err(e.into()),
             }

@@ -57,13 +57,13 @@ mod service;
 mod sps_collector;
 
 pub use accounts::AccountPool;
-pub use advisor_collector::{AdvisorCollector, AdvisorOutcome, AdvisorPoints};
+pub use advisor_collector::{AdvisorCollector, AdvisorOutcome};
 pub use error::CollectError;
 pub use health::{Dataset, DatasetHealth, DatasetStatus, RoundHealth};
 pub use planner::{PlanStats, PlannedQuery, PlannerStrategy, QueryPlanner};
-pub use price_collector::{PriceCollector, PriceOutcome, PricePoints};
+pub use price_collector::{PriceCollector, PriceOutcome};
 pub use retry::{BreakerState, CircuitBreaker, RetryPolicy};
-pub use series::PoolSeries;
+pub use series::{PoolSeries, SweepPoints};
 pub use service::{CollectStats, CollectorConfig, CollectorService, RoundReport};
 pub use sps_collector::{FailedQuery, SpsCollector, SpsOutcome, SpsPoints, SpsQueryOutcome};
 

@@ -10,7 +10,7 @@
 
 use crate::error::CollectError;
 use crate::retry::RetryPolicy;
-use crate::series::{type_id, zone_id, PoolSeries};
+use crate::series::{type_id, zone_id, PoolSeries, SweepPoints};
 use spotlake_cloud_api::{
     ApiError, FaultInjector, FaultPlan, FaultSurface, PriceClient, PriceRequest,
 };
@@ -23,16 +23,6 @@ use spotlake_types::{SimDuration, SimTime};
 pub struct PriceOutcome {
     /// Records collected since the previous successful sweep.
     pub records: Vec<Record>,
-    /// Retry attempts spent beyond each page fetch's first call.
-    pub retries: usize,
-}
-
-/// [`PriceOutcome`] by series id: the points of the collector's
-/// [`PriceCollector::series`], in the order the records would be.
-#[derive(Debug, Clone, Default)]
-pub struct PricePoints {
-    /// Points collected since the previous successful sweep.
-    pub points: Vec<Point>,
     /// Retry attempts spent beyond each page fetch's first call.
     pub retries: usize,
 }
@@ -111,27 +101,29 @@ impl PriceCollector {
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<PriceOutcome, CollectError> {
-        let sweep = self.collect_points(cloud, policy)?;
-        Ok(PriceOutcome {
-            records: self.series.records(&sweep.points),
-            retries: sweep.retries,
-        })
+        let (records, retries) = self
+            .collect_points(cloud, policy)?
+            .into_records(&self.series)?;
+        Ok(PriceOutcome { records, retries })
     }
 
     /// [`PriceCollector::collect_with`] by series id: each change event
     /// becomes a point of its (type, zone) pool's series, booked the first
     /// time a sweep sees the pool; the region is the catalog's region of
-    /// the zone. An event naming a type or zone the catalog lacks is
-    /// [`ApiError::UnknownEntity`], and no pool of that sweep is booked.
+    /// the zone. A page fetch that exhausts its retries fails the sweep:
+    /// no points, the watermark kept, and the retryable error with every
+    /// retry the sweep spent, earlier pages' included.
     ///
     /// # Errors
     ///
-    /// As [`PriceCollector::collect_with`].
+    /// Returns [`CollectError::Api`] for a non-retryable failure: an
+    /// event naming a type or zone the catalog lacks is
+    /// [`ApiError::UnknownEntity`], and no pool of that sweep is booked.
     pub fn collect_points(
         &mut self,
         cloud: &SimCloud,
         policy: &RetryPolicy,
-    ) -> Result<PricePoints, CollectError> {
+    ) -> Result<SweepPoints, CollectError> {
         let catalog = cloud.catalog();
         let from = match self.last_collected {
             // Windows are inclusive; skip the instant we already covered.
@@ -139,7 +131,7 @@ impl PriceCollector {
             None => SimTime::EPOCH,
         };
         let to = cloud.now();
-        let mut outcome = PricePoints::default();
+        let mut outcome = SweepPoints::default();
         if from > to {
             return Ok(outcome);
         }
@@ -154,14 +146,21 @@ impl PriceCollector {
             let request = PriceRequest::new(chunk.to_vec(), from, to)?;
             let mut token: Option<String> = None;
             loop {
-                let page = fetch_page_with_retry(
+                let page = match fetch_page_with_retry(
                     &mut self.client,
                     cloud,
                     &request,
                     token.as_deref(),
                     policy,
                     &mut outcome.retries,
-                )?;
+                ) {
+                    Ok(page) => page,
+                    Err(e) if e.is_retryable() => {
+                        outcome.error = Some(e);
+                        return Ok(outcome);
+                    }
+                    Err(e) => return Err(e.into()),
+                };
                 for p in page.records {
                     // The API pads the window start with the price already
                     // in effect; skip events we have already stored.
@@ -296,6 +295,42 @@ mod tests {
         let mut clean = PriceCollector::new();
         let expected = clean.collect(&cloud).unwrap();
         assert_eq!(healed.records, expected);
+    }
+
+    #[test]
+    fn a_failed_sweep_reports_every_retry_it_spent() {
+        let mut b = CatalogBuilder::new();
+        b.region("us-test-1", 2)
+            .instance_type("m5.large", 0.096)
+            .instance_type("c5.large", 0.085)
+            .instance_type("p3.2xlarge", 3.06);
+        let mut cloud = SimCloud::new(b.build().unwrap(), SimConfig::default());
+        let mut c = PriceCollector::new();
+        c.batch = 1; // one request per type: a sweep fetches three pages
+        c.set_fault_plan(FaultPlan::uniform(5, 0.5));
+        let policy = RetryPolicy::default();
+        let injected = |c: &PriceCollector| -> u64 { c.fault_counts().iter().map(|f| f.2).sum() };
+        let mut failed_after_earlier_retries = 0;
+        for _ in 0..40 {
+            cloud.run_days(1);
+            let before = injected(&c);
+            let sweep = c.collect_points(&cloud, &policy).unwrap();
+            // Every injected fault is one failed attempt: a retry, or the
+            // last attempt of the fetch that failed the sweep.
+            let failed = usize::from(sweep.error.is_some());
+            assert_eq!(injected(&c) - before, (sweep.retries + failed) as u64);
+            if let Some(e) = &sweep.error {
+                assert!(e.is_retryable());
+                assert!(sweep.points.is_empty());
+                if sweep.retries >= policy.max_attempts as usize {
+                    failed_after_earlier_retries += 1;
+                }
+            }
+        }
+        assert!(
+            failed_after_earlier_retries > 0,
+            "some sweep failed after retrying an earlier page"
+        );
     }
 
     #[test]

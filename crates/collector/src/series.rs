@@ -142,6 +142,33 @@ impl PoolSeries {
     }
 }
 
+/// One advisor or price sweep by series id: the points of the
+/// collector's [`PoolSeries`], or — when a fetch kept failing after its
+/// retries — no points and the retryable error that ended the sweep.
+#[derive(Debug, Clone, Default)]
+pub struct SweepPoints {
+    /// Points collected (none when the sweep failed).
+    pub points: Vec<Point>,
+    /// Retry attempts spent beyond each fetch's first call, the failed
+    /// fetch's included.
+    pub retries: usize,
+    /// The retryable error the sweep failed with, after its retries.
+    pub error: Option<ApiError>,
+}
+
+impl SweepPoints {
+    /// The sweep as the records it stands for, or its error.
+    pub(crate) fn into_records(
+        self,
+        series: &PoolSeries,
+    ) -> Result<(Vec<Record>, usize), ApiError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok((series.records(&self.points), self.retries)),
+        }
+    }
+}
+
 /// The catalog id of instance type `name`.
 pub(crate) fn type_id(catalog: &Catalog, name: &str) -> Result<InstanceTypeId, ApiError> {
     catalog

@@ -24,6 +24,7 @@ use crate::health::{Dataset, DatasetStatus, RoundHealth};
 use crate::planner::{PlanStats, PlannerStrategy, QueryPlanner};
 use crate::price_collector::PriceCollector;
 use crate::retry::{BreakerState, CircuitBreaker, RetryPolicy};
+use crate::series::SweepPoints;
 use crate::sps_collector::{SpsCollector, SpsScores};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
@@ -898,17 +899,13 @@ impl CollectorService {
             let sps = sps_lane.map(|lane| lane.join().expect("SPS lane panicked"));
             (sps, advisor, price)
         });
-        let max_attempts = self.policy.max_attempts;
         [
             sps.and_then(|round| {
                 let batch = round.map(|scores| self.book_sps(cloud, tick, scores, stats));
                 batch.transpose()
             }),
-            advisor.map(|round| {
-                let round = round.map(|o| (o.points, o.retries));
-                sweep_batch(round, max_attempts.saturating_sub(1) as usize)
-            }),
-            price.map(|round| sweep_batch(round.map(|o| (o.points, o.retries)), 0)),
+            advisor.map(|round| round.map(Batch::from)),
+            price.map(|round| round.map(Batch::from)),
         ]
     }
 
@@ -1150,27 +1147,15 @@ struct Batch {
     error: Option<String>,
 }
 
-/// A sweep lane's result as a batch: a sweep whose API failed after its
-/// retries is one failed operation with no points, which spent
-/// `retries_on_failure` retries.
-fn sweep_batch(
-    round: Result<(Vec<Point>, usize), CollectError>,
-    retries_on_failure: usize,
-) -> Result<Batch, CollectError> {
-    match round {
-        Ok((points, retries)) => Ok(Batch {
-            points,
-            retries,
-            failed: 0,
-            error: None,
-        }),
-        Err(CollectError::Api(e)) if e.is_retryable() => Ok(Batch {
-            points: Vec::new(),
-            retries: retries_on_failure,
-            failed: 1,
-            error: Some(e.to_string()),
-        }),
-        Err(e) => Err(e),
+/// A failed sweep is one failed operation with no points.
+impl From<SweepPoints> for Batch {
+    fn from(sweep: SweepPoints) -> Self {
+        Batch {
+            points: sweep.points,
+            retries: sweep.retries,
+            failed: usize::from(sweep.error.is_some()),
+            error: sweep.error.map(|e| e.to_string()),
+        }
     }
 }
 
@@ -1584,6 +1569,28 @@ mod tests {
             healths.iter().any(RoundHealth::is_degraded),
             "30 rounds at 20% faults should degrade at least one"
         );
+    }
+
+    #[test]
+    fn a_failed_price_sweep_reports_the_retries_it_spent() {
+        let mut cloud = cloud();
+        let config = CollectorConfig {
+            faults: Some(FaultPlan {
+                price_rate: 1.0,
+                ..FaultPlan::none(3)
+            }),
+            ..CollectorConfig::default()
+        };
+        let mut service = CollectorService::new(cloud.catalog(), config).unwrap();
+        cloud.step();
+        let report = service.collect_round(&cloud).unwrap();
+        let spent = RetryPolicy::default().max_attempts as usize - 1;
+        assert_eq!(report.health.price.status, DatasetStatus::Failed);
+        assert_eq!(report.health.price.retries, spent);
+        assert_eq!(report.stats.retries, spent, "SPS and advisor spent none");
+        let text = service.metrics().render();
+        let line = format!("spotlake_collector_retries_total{{dataset=\"price\"}} {spent}");
+        assert!(text.contains(&line), "{line} missing");
     }
 
     #[test]

@@ -147,9 +147,8 @@ fn expect(dataset: Dataset, outcome: Outcome, queries: usize) -> Expect {
         Outcome::ApiFailure => match dataset {
             // Every plan slot fails after its retries.
             Dataset::Sps => failed(DatasetStatus::Failed, queries * retries, queries),
-            Dataset::Advisor => failed(DatasetStatus::Failed, retries, 1),
-            // The failed sweep's retries are not reported.
-            Dataset::Price => failed(DatasetStatus::Failed, 0, 1),
+            // The one fetch fails after its retries.
+            Dataset::Advisor | Dataset::Price => failed(DatasetStatus::Failed, retries, 1),
         },
         // A refused write is one failed operation for a sweep, none for
         // SPS.
