@@ -4,19 +4,10 @@
 //! Operators debugging a slow archive need the *actual worst queries*, not
 //! aggregate histograms. The recorder keeps the top-N completed queries
 //! ranked by a deterministic cost proxy (work units, never nanoseconds),
-//! so two same-seed runs dump byte-identical flight records. Recording
-//! goes through `&self` (`Mutex` inside) like the registry, so the
-//! gateway's read path can feed it without `&mut` plumbing and the
-//! serving layer's worker threads can share one recorder. Poisoned locks
-//! are recovered: each mutation is a whole-value update, so a panicking
-//! worker cannot leave the recorder half-written.
+//! so two same-seed runs dump byte-identical flight records. It is a
+//! [`TopN`] of [`FlightEntry`].
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Locks `m`, recovering the guard from a poisoned lock.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::topn::{Ranked, TopN};
 
 /// Identity and timing context a query carries through the store layers.
 ///
@@ -58,69 +49,15 @@ pub struct FlightEntry {
     pub response_bytes: u64,
 }
 
-/// Fixed-capacity top-N recorder of the most expensive queries.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    /// Retained entries, sorted: highest cost first, ties broken by
-    /// ascending trace id (first occurrence wins the display slot).
-    entries: Mutex<Vec<FlightEntry>>,
-    observed: Mutex<u64>,
-}
+/// Fixed-capacity top-N recorder of the most expensive queries: cost
+/// descending, then trace id ascending.
+pub type FlightRecorder = TopN<FlightEntry>;
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(32)
-    }
-}
+impl Ranked for FlightEntry {
+    const DEFAULT_CAPACITY: usize = 32;
 
-impl Clone for FlightRecorder {
-    fn clone(&self) -> Self {
-        FlightRecorder {
-            capacity: self.capacity,
-            entries: Mutex::new(lock(&self.entries).clone()),
-            observed: Mutex::new(*lock(&self.observed)),
-        }
-    }
-}
-
-impl FlightRecorder {
-    /// Creates a recorder retaining the `capacity` most expensive queries.
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            entries: Mutex::new(Vec::new()),
-            observed: Mutex::new(0),
-        }
-    }
-
-    /// Records one completed query; evicts the cheapest retained entry
-    /// when over capacity. Ordering is fully deterministic: cost
-    /// descending, then trace id ascending.
-    pub fn record(&self, entry: FlightEntry) {
-        *lock(&self.observed) += 1;
-        let mut entries = lock(&self.entries);
-        let at = entries.partition_point(|e| {
-            (e.cost, std::cmp::Reverse(e.trace_id))
-                > (entry.cost, std::cmp::Reverse(entry.trace_id))
-        });
-        entries.insert(at, entry);
-        entries.truncate(self.capacity);
-    }
-
-    /// The retained entries, most expensive first.
-    pub fn snapshot(&self) -> Vec<FlightEntry> {
-        lock(&self.entries).clone()
-    }
-
-    /// Total queries observed (including those since evicted).
-    pub fn observed(&self) -> u64 {
-        *lock(&self.observed)
-    }
-
-    /// Maximum number of retained entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn rank(&self) -> (u64, u64) {
+        (self.cost, self.trace_id)
     }
 }
 

@@ -29,6 +29,8 @@
 //!   timelines (queue wait, parse, handle, write) retained top-N by
 //!   total time, backing the server's `/debug/requests`. Offsets are
 //!   measured by the caller and passed in — this crate stays clock-free.
+//!   Both recorders are one [`TopN`], ranked by a key the entry type
+//!   supplies ([`Ranked`]).
 //! * [`TelemetryRecorder`] — a fixed-capacity ring buffer of
 //!   whole-registry samples (counters, gauges, histogram quantiles)
 //!   stamped with caller-supplied timestamps, rendered as JSONL for the
@@ -80,6 +82,7 @@ mod quality;
 mod registry;
 mod slo;
 mod telemetry;
+mod topn;
 
 pub use burn::{AlertState, AlertTransition, BurnPolicy, BurnTracker};
 pub use clock::{Clock, ManualClock};
@@ -91,3 +94,4 @@ pub use quality::{DatasetQuality, KeyQuality, QualityKey, QualityMonitor, Qualit
 pub use registry::{log_linear_buckets, HistogramSummary, MetricKind, Registry};
 pub use slo::{ObjectiveVerdict, SloReport, SloSet, SloSignal, SloSpec, SloTracker};
 pub use telemetry::{TelemetryRecorder, TelemetrySample};
+pub use topn::{Ranked, TopN};

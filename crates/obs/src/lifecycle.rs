@@ -12,13 +12,7 @@
 //! Nothing here reads a clock: the serving layer measures and passes
 //! explicit offsets, keeping this crate free of wall-clock calls.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Locks `m`, recovering the guard from a poisoned lock (whole-value
-/// mutations only; a panicking worker cannot leave it half-written).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::topn::{Ranked, TopN};
 
 /// The lifecycle phases of one served request, in wire order.
 pub const REQUEST_PHASES: [&str; 4] = ["queue_wait", "parse", "handle", "write"];
@@ -63,55 +57,13 @@ pub struct RequestRecord {
 /// Fixed-capacity top-N recorder of the slowest requests, ranked by
 /// total time descending with ties broken by ascending request id —
 /// fully deterministic given the same records.
-#[derive(Debug)]
-pub struct RequestRecorder {
-    capacity: usize,
-    entries: Mutex<Vec<RequestRecord>>,
-    observed: Mutex<u64>,
-}
+pub type RequestRecorder = TopN<RequestRecord>;
 
-impl Default for RequestRecorder {
-    fn default() -> Self {
-        RequestRecorder::new(64)
-    }
-}
+impl Ranked for RequestRecord {
+    const DEFAULT_CAPACITY: usize = 64;
 
-impl RequestRecorder {
-    /// Creates a recorder retaining the `capacity` slowest requests.
-    pub fn new(capacity: usize) -> Self {
-        RequestRecorder {
-            capacity: capacity.max(1),
-            entries: Mutex::new(Vec::new()),
-            observed: Mutex::new(0),
-        }
-    }
-
-    /// Records one completed request; evicts the fastest retained record
-    /// when over capacity.
-    pub fn record(&self, record: RequestRecord) {
-        *lock(&self.observed) += 1;
-        let mut entries = lock(&self.entries);
-        let at = entries.partition_point(|e| {
-            (e.total_micros, std::cmp::Reverse(e.request_id))
-                > (record.total_micros, std::cmp::Reverse(record.request_id))
-        });
-        entries.insert(at, record);
-        entries.truncate(self.capacity);
-    }
-
-    /// The retained records, slowest first.
-    pub fn snapshot(&self) -> Vec<RequestRecord> {
-        lock(&self.entries).clone()
-    }
-
-    /// Total requests observed (including those since evicted).
-    pub fn observed(&self) -> u64 {
-        *lock(&self.observed)
-    }
-
-    /// Maximum number of retained records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn rank(&self) -> (u64, u64) {
+        (self.total_micros, self.request_id)
     }
 }
 
