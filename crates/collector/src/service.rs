@@ -900,10 +900,7 @@ impl CollectorService {
             (sps, advisor, price)
         });
         [
-            sps.and_then(|round| {
-                let batch = round.map(|scores| self.book_sps(cloud, tick, scores, stats));
-                batch.transpose()
-            }),
+            sps.map(|round| round.map(|scores| self.book_sps(cloud, tick, scores, stats))),
             advisor.map(|round| round.map(Batch::from)),
             price.map(|round| round.map(Batch::from)),
         ]
@@ -911,15 +908,15 @@ impl CollectorService {
 
     /// The SPS pre-step: books the lane's scores, then re-attempts the
     /// dead-lettered plan slots that are due and parks this round's fresh
-    /// failures. `None` when SPS is disabled.
+    /// failures. Runs only after the SPS lane, so SPS is enabled.
     fn book_sps(
         &mut self,
         cloud: &SimCloud,
         tick: u64,
         scores: SpsScores,
         stats: &mut CollectStats,
-    ) -> Option<Batch> {
-        let sps = self.sps.as_mut()?;
+    ) -> Batch {
+        let sps = self.sps.as_mut().expect("SPS is enabled");
         let mut outcome = sps.book(cloud.catalog(), scores);
         stats.queries_issued = sps.query_count();
         let mut retries = outcome.retries;
@@ -978,12 +975,12 @@ impl CollectorService {
             });
             stats.dead_lettered += 1;
         }
-        Some(Batch {
+        Batch {
             points: outcome.points,
             retries,
             failed: failing.len(),
             error,
-        })
+        }
     }
 
     /// Commits one dataset's batch — the one commit path every dataset
@@ -1023,10 +1020,8 @@ impl CollectorService {
                 Dataset::Sps => self.sps.as_mut().map(SpsCollector::series_mut),
                 Dataset::Advisor => self.advisor.as_mut().map(AdvisorCollector::series_mut),
                 Dataset::Price => self.price.as_mut().map(PriceCollector::series_mut),
-            };
-            let Some(series) = series else {
-                return Ok(());
-            };
+            }
+            .expect("a dataset with a batch is enabled");
             if change_feed {
                 // Older, previously unwritable points go first.
                 points.splice(0..0, std::mem::take(&mut self.pending_price));

@@ -53,9 +53,13 @@ pub struct FlightEntry {
 /// descending, then trace id ascending.
 pub type FlightRecorder = TopN<FlightEntry>;
 
-impl Ranked for FlightEntry {
-    const DEFAULT_CAPACITY: usize = 32;
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        TopN::new(32)
+    }
+}
 
+impl Ranked for FlightEntry {
     fn rank(&self) -> (u64, u64) {
         (self.cost, self.trace_id)
     }

@@ -60,8 +60,6 @@ pub struct RequestRecord {
 pub type RequestRecorder = TopN<RequestRecord>;
 
 impl Ranked for RequestRecord {
-    const DEFAULT_CAPACITY: usize = 64;
-
     fn rank(&self) -> (u64, u64) {
         (self.total_micros, self.request_id)
     }

@@ -19,9 +19,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// An entry a [`TopN`] ranks.
 pub trait Ranked: Clone {
-    /// Entries a recorder built with `Default` retains.
-    const DEFAULT_CAPACITY: usize;
-
     /// `(rank, id)`: the higher rank is retained first, and on equal
     /// ranks the lower id (the first occurrence) wins the slot.
     fn rank(&self) -> (u64, u64);
@@ -35,12 +32,6 @@ pub struct TopN<T> {
     /// ascending id.
     entries: Mutex<Vec<T>>,
     observed: Mutex<u64>,
-}
-
-impl<T: Ranked> Default for TopN<T> {
-    fn default() -> Self {
-        TopN::new(T::DEFAULT_CAPACITY)
-    }
 }
 
 impl<T: Clone> Clone for TopN<T> {
