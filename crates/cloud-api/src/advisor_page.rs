@@ -146,6 +146,21 @@ impl AdvisorPage {
     }
 }
 
+/// What a conditional advisor fetch gets back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdvisorFetch {
+    /// `304 Not Modified`: the published table still carries the caller's
+    /// validator, so the rows it scraped last are current.
+    NotModified,
+    /// The page, scraped, with the validator of the table it shows.
+    Page {
+        /// The published table's validator ([`SimCloud::advisor_etag`]).
+        etag: u64,
+        /// The scraped rows.
+        rows: Vec<AdvisorRow>,
+    },
+}
+
 /// Fetches the advisor page over the (simulated) network and scrapes it.
 ///
 /// [`AdvisorPage`] models the page itself; this client models *getting*
@@ -154,6 +169,11 @@ impl AdvisorPage {
 /// mid-document or with a mangled field — which then fails in
 /// [`AdvisorPage::scrape`] with [`ApiError::ScrapeFailed`], exactly as a
 /// real scraper run against a flaky website would.
+///
+/// The client keeps no page: a caller that wants to skip unchanged pages
+/// holds the validator itself and fetches with
+/// [`AdvisorClient::fetch_if_none_match`], as an HTTP client sends
+/// `If-None-Match`.
 #[derive(Debug, Clone, Default)]
 pub struct AdvisorClient {
     faults: Option<FaultInjector>,
@@ -180,7 +200,8 @@ impl AdvisorClient {
             .unwrap_or_default()
     }
 
-    /// Fetches and scrapes the advisor page.
+    /// Fetches and scrapes the advisor page:
+    /// [`AdvisorClient::fetch_if_none_match`] without a validator.
     ///
     /// # Errors
     ///
@@ -192,22 +213,54 @@ impl AdvisorClient {
     ///
     /// All of these are retryable; see [`ApiError::is_retryable`].
     pub fn fetch(&mut self, cloud: &SimCloud) -> Result<Vec<AdvisorRow>, ApiError> {
-        let mut page = AdvisorPage::render(cloud);
-        if let Some(faults) = &mut self.faults {
-            match faults.decide(FaultSurface::Advisor, "advisor-page", cloud.ticks()) {
-                Some(Fault::Error(e)) => return Err(e),
-                Some(Fault::TruncatedBody) => {
-                    // The connection dropped mid-transfer: keep a prefix.
-                    page.truncate(page.len() / 2);
-                }
-                Some(Fault::CorruptedBody) => {
-                    // A field name arrives garbled; every row is affected.
-                    page = page.replace("\"savings\"", "\"sav~ngs\"");
-                }
-                None => {}
-            }
+        match self.fetch_if_none_match(cloud, None)? {
+            AdvisorFetch::Page { rows, .. } => Ok(rows),
+            AdvisorFetch::NotModified => unreachable!("a fetch without a validator gets the page"),
         }
-        AdvisorPage::scrape(&page)
+    }
+
+    /// Fetches the advisor page unless the published table still carries
+    /// `etag`, the validator of the caller's last page.
+    ///
+    /// The fault roll comes first, once per call, as for an unconditional
+    /// fetch. An injected transport error is returned as is; a damaged
+    /// body is rendered, damaged and scraped in full — a matching
+    /// validator does not spare it — so the same [`ApiError::ScrapeFailed`]
+    /// comes back. Only a clean call whose validator matches gets
+    /// [`AdvisorFetch::NotModified`].
+    ///
+    /// # Errors
+    ///
+    /// As [`AdvisorClient::fetch`].
+    pub fn fetch_if_none_match(
+        &mut self,
+        cloud: &SimCloud,
+        etag: Option<u64>,
+    ) -> Result<AdvisorFetch, ApiError> {
+        let fault = self
+            .faults
+            .as_mut()
+            .and_then(|faults| faults.decide(FaultSurface::Advisor, "advisor-page", cloud.ticks()));
+        let current = cloud.advisor_etag();
+        let page = match fault {
+            Some(Fault::Error(e)) => return Err(e),
+            None if etag == Some(current) => return Ok(AdvisorFetch::NotModified),
+            None => AdvisorPage::render(cloud),
+            Some(Fault::TruncatedBody) => {
+                // The connection dropped mid-transfer: keep a prefix.
+                let mut page = AdvisorPage::render(cloud);
+                page.truncate(page.len() / 2);
+                page
+            }
+            Some(Fault::CorruptedBody) => {
+                // A field name arrives garbled; every row is affected.
+                AdvisorPage::render(cloud).replace("\"savings\"", "\"sav~ngs\"")
+            }
+        };
+        Ok(AdvisorFetch::Page {
+            etag: current,
+            rows: AdvisorPage::scrape(&page)?,
+        })
     }
 }
 

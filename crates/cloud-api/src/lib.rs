@@ -46,7 +46,7 @@ mod fault;
 mod price_api;
 mod sps_api;
 
-pub use advisor_page::{AdvisorClient, AdvisorPage, AdvisorRow};
+pub use advisor_page::{AdvisorClient, AdvisorFetch, AdvisorPage, AdvisorRow};
 pub use error::ApiError;
 pub use fault::{Fault, FaultInjector, FaultPlan, FaultSurface};
 pub use price_api::{PriceClient, PricePage, PricePoint, PriceRequest};

@@ -44,6 +44,8 @@ pub struct SpsRequest {
     regions: Vec<String>,
     target_capacity: u32,
     single_availability_zone: bool,
+    /// [`SpsRequest::fingerprint`], spelled once per request.
+    fingerprint: String,
 }
 
 impl SpsRequest {
@@ -77,18 +79,22 @@ impl SpsRequest {
                 reason: "must be at least 1".into(),
             });
         }
-        Ok(SpsRequest {
+        let mut request = SpsRequest {
             instance_types,
             regions,
             target_capacity,
             single_availability_zone: false,
-        })
+            fingerprint: String::new(),
+        };
+        request.fingerprint = request.spell_fingerprint();
+        Ok(request)
     }
 
     /// Sets the `SingleAvailabilityZone` option: scores are returned per
     /// availability zone instead of per region.
     pub fn single_availability_zone(mut self, enabled: bool) -> Self {
         self.single_availability_zone = enabled;
+        self.fingerprint = self.spell_fingerprint();
         self
     }
 
@@ -110,7 +116,11 @@ impl SpsRequest {
     /// The uniqueness fingerprint: "the combination of regions, instance
     /// types, and the number of desired instances" (Section 3.1). Order
     /// does not matter.
-    pub fn fingerprint(&self) -> String {
+    pub fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+
+    fn spell_fingerprint(&self) -> String {
         let mut types = self.instance_types.clone();
         types.sort();
         let mut regions = self.regions.clone();
@@ -240,7 +250,7 @@ impl SpsClient {
         // before the unique-query window counts the attempt: a throttled or
         // timed-out call never reached the service.
         if let Some(faults) = &mut self.faults {
-            let scope = format!("{}/{}", account.name(), request.fingerprint());
+            let scope = format!("{}/{}", account.name(), request.fingerprint);
             if let Some(Fault::Error(e)) = faults.decide(FaultSurface::Sps, &scope, cloud.ticks()) {
                 return Err(e);
             }
@@ -250,15 +260,14 @@ impl SpsClient {
         let now = cloud.now();
         let window = self.windows.entry(account.clone()).or_default();
         window.expire(now);
-        let fingerprint = request.fingerprint();
-        if !window.seen.contains_key(&fingerprint) {
+        if !window.seen.contains_key(&request.fingerprint) {
             if window.seen.len() >= UNIQUE_QUERY_LIMIT {
                 return Err(ApiError::QueryLimitExceeded {
                     account: account.name().to_owned(),
                     limit: UNIQUE_QUERY_LIMIT,
                 });
             }
-            window.seen.insert(fingerprint, now);
+            window.seen.insert(request.fingerprint.clone(), now);
         }
 
         let count = request.target_capacity;

@@ -7,11 +7,19 @@
 //! replaced. Rendered documents must be byte-identical — so a truncation
 //! or corruption fault lands on the same bytes — and the scrapers must
 //! agree on every document, clean or damaged, errors included.
+//!
+//! The conditional fetch is held to the unconditional one: the validator
+//! moves exactly when the advisor republishes, "not modified" comes back
+//! only for a clean call with a matching validator, and every fault
+//! returns what an unconditional fetch returns.
 
 use proptest::prelude::*;
-use spotlake_cloud_api::{AdvisorPage, AdvisorRow, ApiError};
+use spotlake_cloud_api::{
+    AdvisorClient, AdvisorFetch, AdvisorPage, AdvisorRow, ApiError, FaultInjector, FaultPlan,
+};
 use spotlake_cloud_sim::{SimCloud, SimConfig};
 use spotlake_types::{Catalog, CatalogBuilder, InterruptionBucket, Savings, SimDuration};
+use std::collections::BTreeSet;
 
 /// The renderer before ranks: one owned (region, type) string pair per
 /// row, sorted as strings.
@@ -215,4 +223,149 @@ proptest! {
         let page = String::from_utf8(page).expect("ASCII edits of an ASCII page");
         prop_assert_eq!(AdvisorPage::scrape(&page), reference_scrape(&page));
     }
+}
+
+/// Injections `client` has rolled so far, of every kind.
+fn faults_rolled(client: &AdvisorClient) -> u64 {
+    client.fault_counts().iter().map(|&(_, _, n)| n).sum()
+}
+
+/// What an unconditional fetch answers, as a conditional fetch spells it.
+fn as_page(
+    cloud: &SimCloud,
+    fetched: Result<Vec<AdvisorRow>, ApiError>,
+) -> Result<AdvisorFetch, ApiError> {
+    fetched.map(|rows| AdvisorFetch::Page {
+        etag: cloud.advisor_etag(),
+        rows,
+    })
+}
+
+#[test]
+fn the_validator_changes_exactly_when_a_stepped_cloud_republishes() {
+    let mut cloud = small_cloud(0);
+    let published_at = |cloud: &SimCloud| cloud.advisor_table()[0].1.published_at;
+    let mut republishes = 0;
+    for _ in 0..4 * 40 {
+        let (etag, at) = (cloud.advisor_etag(), published_at(&cloud));
+        cloud.step();
+        let republished = published_at(&cloud) != at;
+        assert_eq!(
+            cloud.advisor_etag() != etag,
+            republished,
+            "at {}",
+            cloud.now().as_secs()
+        );
+        republishes += usize::from(republished);
+    }
+    assert!(republishes >= 5, "forty days hold five weekly republishes");
+}
+
+#[test]
+fn not_modified_comes_back_exactly_when_the_validator_matches_and_no_fault_fires() {
+    let plan = FaultPlan::uniform(5, 0.5);
+    let client = || AdvisorClient::new().with_faults(FaultInjector::new(plan));
+    // One client per validator, and one fetching unconditionally: all
+    // four roll the same faults.
+    let (mut plain, mut none, mut current, mut stale) = (client(), client(), client(), client());
+    let mut cloud = small_cloud(0);
+    let mut last = cloud.advisor_etag();
+    let (mut not_modified, mut faulted) = (0, 0);
+    for _ in 0..4 * 20 {
+        cloud.step();
+        let etag = cloud.advisor_etag();
+        let old = if etag == last {
+            etag.wrapping_add(1)
+        } else {
+            last
+        };
+        let before = faults_rolled(&plain);
+        let want = as_page(&cloud, plain.fetch(&cloud));
+        let fired = faults_rolled(&plain) > before;
+        assert_eq!(none.fetch_if_none_match(&cloud, None), want);
+        assert_eq!(stale.fetch_if_none_match(&cloud, Some(old)), want);
+        let got = current.fetch_if_none_match(&cloud, Some(etag));
+        if fired {
+            assert_eq!(got, want, "a faulted call answers as an unconditional one");
+            faulted += 1;
+        } else {
+            assert_eq!(got, Ok(AdvisorFetch::NotModified));
+            not_modified += 1;
+        }
+        last = etag;
+    }
+    assert!(not_modified > 0 && faulted > 0, "both branches ran");
+}
+
+#[test]
+fn every_fault_answers_as_the_unconditional_fetch_does() {
+    let mut kinds = BTreeSet::new();
+    for seed in 0..4 {
+        let plan = FaultPlan::uniform(seed, 1.0);
+        let client = || AdvisorClient::new().with_faults(FaultInjector::new(plan));
+        let (mut plain, mut none, mut matching) = (client(), client(), client());
+        let mut cloud = small_cloud(seed);
+        for _ in 0..20 {
+            cloud.step();
+            let want = plain.fetch(&cloud);
+            assert!(want.is_err(), "every call faults");
+            let want = as_page(&cloud, want);
+            let etag = cloud.advisor_etag();
+            for (got, with) in [
+                (none.fetch_if_none_match(&cloud, None), "no validator"),
+                (
+                    matching.fetch_if_none_match(&cloud, Some(etag)),
+                    "a matching validator",
+                ),
+            ] {
+                assert_eq!(got, want, "with {with}");
+                assert_eq!(
+                    got.unwrap_err().to_string(),
+                    want.clone().unwrap_err().to_string(),
+                    "with {with}"
+                );
+            }
+        }
+        kinds.extend(plain.fault_counts().into_iter().map(|(_, kind, _)| kind));
+    }
+    assert_eq!(
+        kinds,
+        BTreeSet::from([
+            "corrupted",
+            "throttled",
+            "timeout",
+            "truncated",
+            "unavailable"
+        ]),
+        "every fault kind was met"
+    );
+}
+
+#[test]
+fn a_clone_that_diverges_and_republishes_never_shares_the_validator() {
+    let mut cloud = small_cloud(3);
+    let mut twin = cloud.clone();
+    let shared = cloud.advisor_etag();
+    assert_eq!(twin.advisor_etag(), shared, "one table, one validator");
+    // The twin runs a tick ahead, so every republish lands on another
+    // table.
+    twin.step();
+    let (mut seen, mut seen_by_twin) = (BTreeSet::new(), BTreeSet::new());
+    for _ in 0..4 * 30 {
+        cloud.step();
+        twin.step();
+        seen.insert(cloud.advisor_etag());
+        seen_by_twin.insert(twin.advisor_etag());
+    }
+    // Both show the shared table until their first republish.
+    assert!(seen.remove(&shared) && seen_by_twin.remove(&shared));
+    assert!(seen_by_twin.len() > 3, "the twin republished");
+    assert!(seen.is_disjoint(&seen_by_twin));
+    // A cloud over another catalog neither.
+    let other = SimCloud::new(Catalog::aws_2022(), SimConfig::with_seed(42));
+    assert!(!seen.contains(&other.advisor_etag()));
+    assert!(!seen_by_twin.contains(&other.advisor_etag()));
+    // So a validator from one cloud fetches the other's page.
+    let got = AdvisorClient::new().fetch_if_none_match(&twin, Some(cloud.advisor_etag()));
+    assert_eq!(got, as_page(&twin, AdvisorClient::new().fetch(&twin)));
 }

@@ -11,9 +11,15 @@ use spotlake_types::{
     SimDuration, SimTime, SpotPrice, SpotRequest, SpotRequestConfig, TypesError,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// [`SimCloud`]'s pool-index entry for an unsupported (type, AZ) pair.
 const NO_POOL: u32 = u32::MAX;
+
+/// Advisor publishes across every cloud of the process: each publish
+/// takes the next value as its table's validator, so two tables that may
+/// differ never share one.
+static ADVISOR_PUBLISHES: AtomicU64 = AtomicU64::new(0);
 
 /// Handle to a submitted spot request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,7 +31,7 @@ pub struct RequestId(pub u64);
 /// (instance type × availability zone) pair, the advisor board, the price
 /// book, and the request registry. [`SimCloud::step`] advances everything by
 /// one tick.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SimCloud {
     catalog: Catalog,
     config: SimConfig,
@@ -38,6 +44,9 @@ pub struct SimCloud {
     /// Pools grouped per (type, region), for advisor aggregation.
     region_groups: BTreeMap<(InstanceTypeId, RegionId), Vec<PoolId>>,
     advisor: AdvisorBoard,
+    /// The published advisor table's validator; see
+    /// [`SimCloud::advisor_etag`].
+    advisor_etag: u64,
     prices: PriceBook,
     lifecycle: Lifecycle,
     last_price_refresh: SimTime,
@@ -76,6 +85,7 @@ impl SimCloud {
             pool_index,
             region_groups,
             advisor,
+            advisor_etag: 0,
             prices,
             lifecycle: Lifecycle::default(),
             last_price_refresh: SimTime::EPOCH,
@@ -233,6 +243,7 @@ impl SimCloud {
             );
         }
         self.advisor.set_last_publish(at);
+        self.advisor_etag = ADVISOR_PUBLISHES.fetch_add(1, Ordering::Relaxed) + 1;
     }
 
     /// Ground-truth single-type placement score in one availability zone for
@@ -354,6 +365,16 @@ impl SimCloud {
     /// Latest advisor row for `(ty, region)`, if published.
     pub fn advisor_entry(&self, ty: InstanceTypeId, region: RegionId) -> Option<AdvisorEntry> {
         self.advisor.entry(ty, region)
+    }
+
+    /// The published advisor table's validator — the advisor page's HTTP
+    /// `ETag`. Every publish takes a new value, process-wide: two tables
+    /// that differ never share a validator, whether they belong to a clone
+    /// that diverged and republished or to a cloud over another catalog.
+    /// The value itself carries no meaning; compare it, never store it in
+    /// an output.
+    pub fn advisor_etag(&self) -> u64 {
+        self.advisor_etag
     }
 
     /// Snapshot of the full advisor table.

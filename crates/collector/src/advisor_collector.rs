@@ -7,11 +7,18 @@
 //! bucket) and the savings percentage. Scraping a website is the flakiest
 //! leg of the pipeline — pages arrive truncated or garbled — so fetches
 //! are retried in-round before the round is declared degraded.
+//!
+//! The page changes only when the advisor republishes (weekly), so the
+//! collector fetches it conditionally: it keeps the validator and the
+//! points of the last page it scraped, and when the site answers "not
+//! modified" it re-emits those points at the round's time.
 
 use crate::error::CollectError;
 use crate::retry::RetryPolicy;
 use crate::series::{region_id, type_id, PoolSeries, SweepPoints};
-use spotlake_cloud_api::{AdvisorClient, ApiError, FaultInjector, FaultPlan, FaultSurface};
+use spotlake_cloud_api::{
+    AdvisorClient, AdvisorFetch, ApiError, FaultInjector, FaultPlan, FaultSurface,
+};
 use spotlake_cloud_sim::SimCloud;
 use spotlake_timestream::{Point, Record};
 
@@ -30,6 +37,9 @@ pub struct AdvisorCollector {
     client: AdvisorClient,
     type_filter: Option<Vec<String>>,
     series: PoolSeries,
+    /// The validator of the last page scraped and its points, `None`
+    /// before the first.
+    last_page: Option<(u64, Vec<Point>)>,
 }
 
 impl Default for AdvisorCollector {
@@ -38,6 +48,7 @@ impl Default for AdvisorCollector {
             client: AdvisorClient::default(),
             type_filter: None,
             series: PoolSeries::new(&["if_score", "savings"]),
+            last_page: None,
         }
     }
 }
@@ -52,6 +63,7 @@ impl AdvisorCollector {
     /// carries everything; the filter drops rows after scraping).
     pub fn with_type_filter(mut self, types: Vec<String>) -> Self {
         self.type_filter = Some(types);
+        self.last_page = None;
         self
     }
 
@@ -101,7 +113,9 @@ impl AdvisorCollector {
     /// score and a savings point of its (type, region) pool, booked the
     /// first time a pass sees it — score, then savings, per row. A page
     /// that stays unreadable after its retries is a failed sweep: no
-    /// points, the retryable error and the retries it spent.
+    /// points, the retryable error and the retries it spent. A page the
+    /// site reports unchanged since the last one scraped yields that
+    /// page's points again, at the cloud's current time.
     ///
     /// # Errors
     ///
@@ -114,11 +128,18 @@ impl AdvisorCollector {
         policy: &RetryPolicy,
     ) -> Result<SweepPoints, CollectError> {
         let mut outcome = SweepPoints::default();
+        let etag = self.last_page.as_ref().map(|&(etag, _)| etag);
+        let now = cloud.now().as_secs();
         let mut attempt = 0;
-        let rows = loop {
+        let (etag, rows) = loop {
             attempt += 1;
-            match self.client.fetch(cloud) {
-                Ok(rows) => break rows,
+            match self.client.fetch_if_none_match(cloud, etag) {
+                Ok(AdvisorFetch::Page { etag, rows }) => break (etag, rows),
+                Ok(AdvisorFetch::NotModified) => {
+                    let (_, points) = self.last_page.as_ref().expect("a validator was sent");
+                    outcome.points = points.iter().map(|&p| Point { time: now, ..p }).collect();
+                    return Ok(outcome);
+                }
                 Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
                     outcome.retries += 1;
                 }
@@ -144,7 +165,6 @@ impl AdvisorCollector {
                 Ok((ty, region, score, f64::from(row.savings.percent())))
             })
             .collect::<Result<Vec<_>, ApiError>>()?;
-        let now = cloud.now().as_secs();
         outcome.points.reserve(pools.len() * 2);
         for (ty, region, score, savings) in pools {
             let id = self.series.region_pool(catalog, ty, region);
@@ -159,6 +179,7 @@ impl AdvisorCollector {
                 value: savings,
             });
         }
+        self.last_page = Some((etag, outcome.points.clone()));
         Ok(outcome)
     }
 

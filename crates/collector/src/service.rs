@@ -25,7 +25,7 @@ use crate::planner::{PlanStats, PlannerStrategy, QueryPlanner};
 use crate::price_collector::PriceCollector;
 use crate::retry::{BreakerState, CircuitBreaker, RetryPolicy};
 use crate::series::SweepPoints;
-use crate::sps_collector::{SpsCollector, SpsScores};
+use crate::sps_collector::{ShardQueue, SpsCollector, SpsScores};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
@@ -862,14 +862,15 @@ impl CollectorService {
         self.quality.export(&self.metrics);
     }
 
-    /// Gathers one round's batches in two fixed lanes under one scope: a
-    /// single scoped thread issues every SPS account's queries one account
-    /// after another and returns the scores unbooked, while the calling
-    /// thread sweeps the advisor and then the price dataset. Each enabled
-    /// dataset's breaker is consulted once, before the lanes start; one it
-    /// holds back is marked skipped and has no batch. Everything the round
-    /// keeps — series booking, the store, quality, dead letters — stays on
-    /// this thread: the SPS scores are booked after the join.
+    /// Gathers one round's batches in two lanes under one scope. A scoped
+    /// thread starts draining the SPS account shards at once, while the
+    /// calling thread sweeps the advisor and then the price dataset and
+    /// then drains the shards the lane has not taken; the scores merge in
+    /// shard order, unbooked. Each enabled dataset's breaker is consulted
+    /// once, before the lanes start; one it holds back is marked skipped
+    /// and has no batch. Everything the round keeps — series booking, the
+    /// store, quality, dead letters — stays on this thread: the SPS scores
+    /// are booked after the join.
     fn run_lanes(
         &mut self,
         cloud: &SimCloud,
@@ -892,13 +893,22 @@ impl CollectorService {
         let advisor = self.advisor.as_mut().filter(|_| advisor);
         let price = self.price.as_mut().filter(|_| price);
         let policy = &self.policy;
-        let (sps, advisor, price) = std::thread::scope(|scope| {
-            let sps_lane = sps.map(|sps| scope.spawn(move || sps.query(cloud, policy)));
+        let shards = sps.map(|sps| sps.shard_queue(cloud));
+        let (advisor, price) = std::thread::scope(|scope| {
+            let sps_lane = shards
+                .as_ref()
+                .map(|shards| scope.spawn(|| shards.drain(cloud, policy)));
             let advisor = advisor.map(|advisor| advisor.collect_points(cloud, policy));
             let price = price.map(|price| price.collect_points(cloud, policy));
-            let sps = sps_lane.map(|lane| lane.join().expect("SPS lane panicked"));
-            (sps, advisor, price)
+            if let Some(shards) = &shards {
+                shards.drain(cloud, policy);
+            }
+            if let Some(lane) = sps_lane {
+                lane.join().expect("SPS lane panicked");
+            }
+            (advisor, price)
         });
+        let sps = shards.map(ShardQueue::finish);
         [
             sps.map(|round| round.map(|scores| self.book_sps(cloud, tick, scores, stats))),
             advisor.map(|round| round.map(Batch::from)),
@@ -1441,6 +1451,7 @@ fn shard_keys(catalog: &Catalog, config: &CollectorConfig) -> Vec<ShardKey> {
 mod tests {
     use super::*;
     use crate::{ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE};
+    use spotlake_cloud_api::ApiError;
     use spotlake_cloud_sim::SimConfig;
     use spotlake_timestream::Query;
     use spotlake_types::CatalogBuilder;
@@ -1513,6 +1524,22 @@ mod tests {
         assert!(matches!(
             CollectorService::new(cloud.catalog(), config),
             Err(CollectError::InsufficientAccounts { .. })
+        ));
+    }
+
+    #[test]
+    fn a_zero_target_capacity_fails_at_construction() {
+        let cloud = cloud();
+        let config = CollectorConfig {
+            target_capacity: 0,
+            ..CollectorConfig::default()
+        };
+        assert!(matches!(
+            CollectorService::new(cloud.catalog(), config),
+            Err(CollectError::Api(ApiError::InvalidParameter {
+                parameter: "target_capacity",
+                ..
+            }))
         ));
     }
 

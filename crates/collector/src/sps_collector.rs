@@ -2,16 +2,19 @@
 //!
 //! Owns the sharded query plan: each account re-issues its fixed shard of
 //! packed queries every collection tick (repeats of a unique query are
-//! free), one account after another. Transient API failures are retried
-//! in-round per query; queries that exhaust the retry budget are reported
-//! back so the service can dead-letter them — one flaky query must not
-//! discard the rest of the round.
+//! free). Each plan slot's request is built once, with the collector.
+//! Transient API failures are retried in-round per query; queries that
+//! exhaust the retry budget are reported back so the service can
+//! dead-letter them — one flaky query must not discard the rest of the
+//! round.
 //!
-//! A round has two halves. [`SpsCollector::query`] issues the queries and
-//! returns the scores in catalog ids, booking nothing; it is what the
-//! service runs on its SPS lane, beside the advisor and price sweeps.
-//! [`SpsCollector::book`] turns those scores into points of the
-//! collector's series, on the thread that owns them.
+//! A round has two halves. The query half hands the account shards out
+//! one at a time from a [`ShardQueue`] to whichever thread drains it —
+//! the service's SPS lane, and the calling thread once its advisor and
+//! price sweeps are done — and merges the answers in shard order, in
+//! catalog ids, booking nothing. [`SpsCollector::book`] turns those
+//! scores into points of the collector's series, on the thread that owns
+//! them.
 
 use crate::accounts::AccountPool;
 use crate::error::CollectError;
@@ -25,12 +28,16 @@ use spotlake_cloud_sim::SimCloud;
 use spotlake_timestream::{Point, Record};
 use spotlake_types::{AzId, Catalog, InstanceTypeId};
 use std::collections::BTreeMap;
+use std::iter::Enumerate;
+use std::slice::IterMut;
+use std::sync::{Mutex, PoisonError};
 
 #[derive(Debug, Clone)]
 struct Shard {
     account: AccountId,
     client: SpsClient,
-    queries: Vec<PlannedQuery>,
+    /// The shard's plan slots, each as the request it issues every round.
+    requests: Vec<SpsRequest>,
 }
 
 /// A query that failed even after in-round retries. Identifies the plan
@@ -94,6 +101,17 @@ struct QueryScores {
     error: Option<ApiError>,
 }
 
+/// One shard's part of a round: its answered queries' scores, the
+/// retries, the failed slots, and the non-retryable error the shard
+/// stopped at.
+#[derive(Debug, Default)]
+struct ShardScores {
+    scores: Scores,
+    retries: usize,
+    failed: Vec<FailedQuery>,
+    error: Option<ApiError>,
+}
+
 /// One round's placement scores before any pool is booked: what
 /// [`SpsCollector::query`] returns and [`SpsCollector::book`] takes.
 #[derive(Debug, Default)]
@@ -108,22 +126,90 @@ pub(crate) struct SpsScores {
     failed: Vec<FailedQuery>,
 }
 
+/// One round's account shards, handed out one at a time to whichever
+/// thread drains the queue; the answers merge in shard order.
+#[derive(Debug)]
+pub(crate) struct ShardQueue<'a> {
+    /// The cloud time the scores are stamped with.
+    time: u64,
+    /// Shards not yet taken, with their indices.
+    shards: Mutex<Enumerate<IterMut<'a, Shard>>>,
+    /// Shards drained, in the order they finished.
+    done: Mutex<Vec<(usize, ShardScores)>>,
+}
+
+impl<'a> ShardQueue<'a> {
+    /// Issues the queries of one shard after another until none is left.
+    /// Any number of threads may drain at once; no lock is held while a
+    /// query runs.
+    pub(crate) fn drain(&self, cloud: &SimCloud, policy: &RetryPolicy) {
+        while let Some((index, shard)) = self.take() {
+            self.put(index, shard.query(index, cloud, policy));
+        }
+    }
+
+    fn take(&self) -> Option<(usize, &'a mut Shard)> {
+        self.shards
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next()
+    }
+
+    fn put(&self, index: usize, scores: ShardScores) {
+        self.done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((index, scores));
+    }
+
+    /// The drained shards merged in shard order: scores, retries and
+    /// failed slots as one thread issuing every shard in turn gives them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CollectError::Api`] for the first non-retryable error in
+    /// shard order, whichever thread met it.
+    pub(crate) fn finish(self) -> Result<SpsScores, CollectError> {
+        let mut done = self
+            .done
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        done.sort_unstable_by_key(|&(index, _)| index);
+        let mut round = SpsScores {
+            time: self.time,
+            ..SpsScores::default()
+        };
+        for (_, shard) in done {
+            if let Some(e) = shard.error {
+                return Err(e.into());
+            }
+            round.scores.extend(shard.scores);
+            round.retries += shard.retries;
+            round.failed.extend(shard.failed);
+        }
+        Ok(round)
+    }
+}
+
 /// Collects per-AZ placement scores for the whole planned catalog.
 #[derive(Debug, Clone)]
 pub struct SpsCollector {
     shards: Vec<Shard>,
-    target_capacity: u32,
     series: PoolSeries,
 }
 
 impl SpsCollector {
     /// Builds the collector from a query plan, sharding it across the
-    /// account pool.
+    /// account pool, and builds each plan slot's request: the slot's type
+    /// and regions, `target_capacity` instances, `SingleAvailabilityZone`
+    /// set.
     ///
     /// # Errors
     ///
     /// Returns [`CollectError::InsufficientAccounts`] when the pool cannot
-    /// cover the plan.
+    /// cover the plan, and [`CollectError::Api`] with
+    /// [`ApiError::InvalidParameter`] for a slot no request can carry (a
+    /// zero `target_capacity`, a slot without regions).
     pub fn new(
         plan: Vec<PlannedQuery>,
         pool: &AccountPool,
@@ -132,15 +218,27 @@ impl SpsCollector {
         let shards = pool
             .assign(&plan)?
             .into_iter()
-            .map(|(account, queries)| Shard {
-                account,
-                client: SpsClient::new(),
-                queries: queries.to_vec(),
+            .map(|(account, queries)| {
+                let requests = queries
+                    .iter()
+                    .map(|q| {
+                        SpsRequest::new(
+                            vec![q.instance_type.clone()],
+                            q.regions.clone(),
+                            target_capacity,
+                        )
+                        .map(|r| r.single_availability_zone(true))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(Shard {
+                    account,
+                    client: SpsClient::new(),
+                    requests,
+                })
             })
-            .collect();
+            .collect::<Result<_, CollectError>>()?;
         Ok(SpsCollector {
             shards,
-            target_capacity,
             series: PoolSeries::new(&["sps"]),
         })
     }
@@ -165,7 +263,7 @@ impl SpsCollector {
 
     /// Total queries issued per collection round.
     pub fn query_count(&self) -> usize {
-        self.shards.iter().map(|s| s.queries.len()).sum()
+        self.shards.iter().map(|s| s.requests.len()).sum()
     }
 
     /// Number of account shards.
@@ -199,12 +297,12 @@ impl SpsCollector {
         merged.into_iter().map(|((s, k), n)| (s, k, n)).collect()
     }
 
-    /// Runs one collection round: every shard issues its queries, one
-    /// account after another, with `SingleAvailabilityZone` set, and the
-    /// responses become `sps` records stamped with the cloud's current
-    /// time. Transient failures are retried per query up to
-    /// `policy.max_attempts`; queries still failing land in
-    /// [`SpsOutcome::failed`] instead of sinking the round.
+    /// Runs one collection round: every shard issues its queries, with
+    /// `SingleAvailabilityZone` set, and the responses become `sps`
+    /// records stamped with the cloud's current time. Transient failures
+    /// are retried per query up to `policy.max_attempts`; queries still
+    /// failing land in [`SpsOutcome::failed`] instead of sinking the
+    /// round.
     ///
     /// The records are [`SpsCollector::collect_points`] spelled out.
     ///
@@ -246,10 +344,10 @@ impl SpsCollector {
         Ok(self.book(cloud.catalog(), scores))
     }
 
-    /// The query half of a round: every shard issues its queries, one
-    /// account after another, and the answers come back in catalog ids,
-    /// stamped with the cloud's current time. Books nothing: the scores
-    /// become points only in [`SpsCollector::book`].
+    /// The query half of a round, on the calling thread alone: every
+    /// shard issues its queries, and the answers come back in catalog
+    /// ids, stamped with the cloud's current time. Books nothing: the
+    /// scores become points only in [`SpsCollector::book`].
     ///
     /// # Errors
     ///
@@ -263,39 +361,20 @@ impl SpsCollector {
         cloud: &SimCloud,
         policy: &RetryPolicy,
     ) -> Result<SpsScores, CollectError> {
-        let mut round = SpsScores {
+        let queue = self.shard_queue(cloud);
+        queue.drain(cloud, policy);
+        queue.finish()
+    }
+
+    /// The query half of a round as a queue of its account shards, for
+    /// one or more threads to drain ([`ShardQueue::drain`]) before
+    /// [`ShardQueue::finish`] merges their answers as
+    /// [`SpsCollector::query`] returns them.
+    pub(crate) fn shard_queue(&mut self, cloud: &SimCloud) -> ShardQueue<'_> {
+        ShardQueue {
             time: cloud.now().as_secs(),
-            ..SpsScores::default()
-        };
-        let mut first_error = None;
-        for (shard_idx, shard) in self.shards.iter_mut().enumerate() {
-            for (query_idx, q) in shard.queries.iter().enumerate() {
-                let res = run_query(
-                    &mut shard.client,
-                    &shard.account,
-                    q,
-                    self.target_capacity,
-                    cloud,
-                    policy,
-                );
-                round.retries += res.retries;
-                match res.error {
-                    None => round.scores.extend(res.scores),
-                    Some(e) if e.is_retryable() => round.failed.push(FailedQuery {
-                        shard: shard_idx,
-                        query: query_idx,
-                        error: e,
-                    }),
-                    Some(e) => {
-                        first_error.get_or_insert(e);
-                        break;
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e.into()),
-            None => Ok(round),
+            done: Mutex::new(Vec::with_capacity(self.shards.len())),
+            shards: Mutex::new(self.shards.iter_mut().enumerate()),
         }
     }
 
@@ -335,15 +414,13 @@ impl SpsCollector {
         query: usize,
         policy: &RetryPolicy,
     ) -> SpsQueryOutcome {
-        let capacity = self.target_capacity;
         let Some(s) = self.shards.get_mut(shard) else {
             return stale_slot_outcome("shard", shard);
         };
-        let account = s.account.clone();
-        let Some(q) = s.queries.get(query).cloned() else {
+        let Some(request) = s.requests.get(query) else {
             return stale_slot_outcome("query slot", query);
         };
-        let res = run_query(&mut s.client, &account, &q, capacity, cloud, policy);
+        let res = run_query(&mut s.client, &s.account, request, cloud, policy);
         let points = self.book_scores(cloud.catalog(), cloud.now().as_secs(), &res.scores);
         SpsQueryOutcome {
             points,
@@ -375,31 +452,49 @@ fn stale_slot_outcome(kind: &'static str, index: usize) -> SpsQueryOutcome {
     }
 }
 
-/// Issues one planned query with in-round retries, converting the answer
-/// to catalog ids.
+impl Shard {
+    /// Issues the shard's queries in slot order; the shard is `index` in
+    /// its collector. Stops at the first non-retryable error.
+    fn query(&mut self, index: usize, cloud: &SimCloud, policy: &RetryPolicy) -> ShardScores {
+        let mut out = ShardScores::default();
+        for (slot, request) in self.requests.iter().enumerate() {
+            let res = run_query(&mut self.client, &self.account, request, cloud, policy);
+            out.retries += res.retries;
+            match res.error {
+                None => out.scores.extend(res.scores),
+                Some(e) if e.is_retryable() => out.failed.push(FailedQuery {
+                    shard: index,
+                    query: slot,
+                    error: e,
+                }),
+                Some(e) => {
+                    out.error = Some(e);
+                    break;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Issues one plan slot's request with in-round retries, converting the
+/// answer to catalog ids.
 fn run_query(
     client: &mut SpsClient,
     account: &AccountId,
-    q: &PlannedQuery,
-    capacity: u32,
+    request: &SpsRequest,
     cloud: &SimCloud,
     policy: &RetryPolicy,
 ) -> QueryScores {
     let mut outcome = QueryScores::default();
-    let request = match SpsRequest::new(vec![q.instance_type.clone()], q.regions.clone(), capacity)
-    {
-        Ok(r) => r.single_availability_zone(true),
-        Err(e) => {
-            outcome.error = Some(e);
-            return outcome;
-        }
-    };
+    // A plan slot asks for its one instance type.
+    let ty = &request.instance_types()[0];
     let mut attempt = 0;
     loop {
         attempt += 1;
-        match client.get_spot_placement_scores(cloud, account, &request) {
+        match client.get_spot_placement_scores(cloud, account, request) {
             Ok(scores) => {
-                match in_catalog_ids(cloud.catalog(), &q.instance_type, &scores) {
+                match in_catalog_ids(cloud.catalog(), ty, &scores) {
                     Ok(scores) => outcome.scores = scores,
                     Err(e) => outcome.error = Some(e),
                 }
@@ -583,6 +678,7 @@ mod tests {
         };
         let mut halves = faulted();
         let mut whole = faulted();
+        let mut pair = faulted();
         assert_eq!(halves.shard_count(), 3);
         let policy = RetryPolicy::default();
         let slots = |round: &SpsPoints| -> Vec<(usize, usize, String)> {
@@ -608,10 +704,63 @@ mod tests {
             assert_eq!(booked.points, want.points);
             assert_eq!(booked.retries, want.retries);
             assert_eq!(slots(&booked), slots(&want));
+            // Two threads draining one queue answer as one thread does.
+            let shards = pair.shard_queue(&cloud);
+            std::thread::scope(|scope| {
+                let lane = scope.spawn(|| shards.drain(&cloud, &policy));
+                shards.drain(&cloud, &policy);
+                lane.join().unwrap();
+            });
+            let scores = shards.finish().unwrap();
+            let drained = pair.book(cloud.catalog(), scores);
+            assert_eq!(drained.points, want.points);
+            assert_eq!(drained.retries, want.retries);
+            assert_eq!(slots(&drained), slots(&want));
             retries += want.retries;
             failed += want.failed.len();
         }
         assert!(retries > 0 && failed > 0, "the weather showed");
+    }
+
+    #[test]
+    fn the_first_error_in_shard_order_wins_whichever_thread_met_it() {
+        let cloud = cloud();
+        let good = QueryPlanner::default().plan(cloud.catalog(), None);
+        let unknown = |ty: &str| PlannedQuery {
+            instance_type: ty.to_owned(),
+            regions: vec!["us-test-1".to_owned()],
+            expected_results: 3,
+        };
+        // Three shards of 50 slots: the second ends on one unknown type,
+        // the third starts on another.
+        let mut plan: Vec<_> = good.iter().cycle().take(99).cloned().collect();
+        plan.push(unknown("m8.huge"));
+        plan.push(unknown("m9.huge"));
+        let pool = AccountPool::with_size(3);
+        let mut collector = SpsCollector::new(plan, &pool, 1).unwrap();
+        assert_eq!(collector.shard_count(), 3);
+        let policy = RetryPolicy::default();
+        let want = collector.query(&cloud, &policy).unwrap_err().to_string();
+        assert!(want.contains("m8.huge"), "{want}");
+        // Take every shard, then finish them last to first, the third on
+        // another thread: the error met first is the third shard's.
+        let shards = collector.shard_queue(&cloud);
+        let taken: Vec<_> = std::iter::from_fn(|| shards.take()).collect();
+        assert_eq!(taken.len(), 3);
+        let mut taken = taken.into_iter().rev();
+        std::thread::scope(|scope| {
+            let (index, shard) = taken.next().unwrap();
+            let shards = &shards;
+            let (cloud, policy) = (&cloud, &policy);
+            scope
+                .spawn(move || shards.put(index, shard.query(index, cloud, policy)))
+                .join()
+                .unwrap();
+        });
+        for (index, shard) in taken {
+            shards.put(index, shard.query(index, &cloud, &policy));
+        }
+        assert_eq!(shards.finish().unwrap_err().to_string(), want);
     }
 
     #[test]

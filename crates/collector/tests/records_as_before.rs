@@ -5,15 +5,19 @@
 //! the collectors built them before they booked series — straight from the
 //! API answers, one `Record` per score, row or price change, the price
 //! region cut from the zone name — and requires the same records in the
-//! same order, round after round, for all three datasets.
+//! same order, round after round, for all three datasets. The advisor
+//! collector, which fetches its page only when the advisor republished,
+//! is also held to a client fetching the page every round, through
+//! republishes and under faults.
 
 use spotlake_cloud_api::{
-    AccountId, AdvisorClient, PriceClient, PriceRequest, SpsClient, SpsRequest,
+    AccountId, AdvisorClient, AdvisorRow, ApiError, FaultInjector, FaultPlan, PriceClient,
+    PriceRequest, SpsClient, SpsRequest,
 };
 use spotlake_cloud_sim::{SimCloud, SimConfig};
 use spotlake_collector::{
-    AccountPool, AdvisorCollector, PlannedQuery, PriceCollector, QueryPlanner, RetryPolicy,
-    SpsCollector,
+    AccountPool, AdvisorCollector, CollectError, PlannedQuery, PriceCollector, QueryPlanner,
+    RetryPolicy, SpsCollector,
 };
 use spotlake_timestream::Record;
 use spotlake_types::{CatalogBuilder, SimDuration, SimTime};
@@ -62,9 +66,14 @@ fn sps_records(
 
 /// The advisor records of one scrape: score, then savings, per row.
 fn advisor_records(cloud: &SimCloud, client: &mut AdvisorClient) -> Vec<Record> {
+    advisor_rows_as_records(cloud, client.fetch(cloud).unwrap())
+}
+
+/// Score, then savings, per row, at the cloud's time.
+fn advisor_rows_as_records(cloud: &SimCloud, rows: Vec<AdvisorRow>) -> Vec<Record> {
     let now = cloud.now().as_secs();
     let mut records = Vec::new();
-    for row in client.fetch(cloud).unwrap() {
+    for row in rows {
         records.push(
             Record::new(
                 now,
@@ -164,4 +173,83 @@ fn collect_with_returns_the_records_the_api_answers_spell() {
     }
     assert!(!sps.series().book().is_empty());
     assert!(prices > 0, "the sweeps saw price changes");
+}
+
+/// One advisor round fetching the page unconditionally, retried as the
+/// collector retries: the records or the error the last attempt met, and
+/// the retries spent.
+fn advisor_round(
+    cloud: &SimCloud,
+    client: &mut AdvisorClient,
+    policy: &RetryPolicy,
+) -> (Result<Vec<Record>, ApiError>, usize) {
+    let mut retries = 0;
+    loop {
+        match client.fetch(cloud) {
+            Ok(rows) => return (Ok(advisor_rows_as_records(cloud, rows)), retries),
+            Err(e) if retries + 1 < policy.max_attempts as usize => {
+                assert!(e.is_retryable());
+                retries += 1;
+            }
+            Err(e) => return (Err(e), retries),
+        }
+    }
+}
+
+#[test]
+fn the_advisor_collector_answers_as_an_unconditional_fetch_through_republishes() {
+    let mut b = CatalogBuilder::new();
+    b.region("us-test-1", 3)
+        .region("eu-test-1", 2)
+        .instance_type("m5.large", 0.096)
+        .instance_type("p3.2xlarge", 3.06);
+    // The paper's ten-minute tick, the advisor republishing hourly.
+    let mut sim = SimConfig::with_seed(11);
+    sim.advisor_refresh = SimDuration::from_hours(1);
+    let mut cloud = SimCloud::new(b.build().unwrap(), sim);
+    let plan = FaultPlan::profile("moderate", 3).unwrap();
+    let mut reference = AdvisorClient::new().with_faults(FaultInjector::new(plan));
+    let (mut records, mut points) = (AdvisorCollector::new(), AdvisorCollector::new());
+    records.set_fault_plan(plan);
+    points.set_fault_plan(plan);
+    // Every other round allows no retry: a retry at this rate all but
+    // always succeeds, and a sweep should fail now and then.
+    let (retrying, single) = (
+        RetryPolicy::default(),
+        RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+    );
+    let (mut changed, mut retried, mut failed) = (0, 0, 0);
+    let mut last_values: Option<Vec<f64>> = None;
+    for round in 0..300 {
+        cloud.step();
+        let policy = if round % 2 == 0 { &retrying } else { &single };
+        let (want, retries) = advisor_round(&cloud, &mut reference, policy);
+        match (records.collect_with(&cloud, policy), &want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(&got.records, want, "round {round}");
+                assert_eq!(got.retries, retries, "round {round}");
+            }
+            (Err(CollectError::Api(got)), Err(want)) => assert_eq!(&got, want, "round {round}"),
+            (got, want) => panic!("round {round}: {got:?} where {want:?}"),
+        }
+        let got = points.collect_points(&cloud, policy).unwrap();
+        assert_eq!(got.retries, retries, "round {round}");
+        assert_eq!(got.error.as_ref(), want.as_ref().err(), "round {round}");
+        assert_eq!(got.points.len(), want.as_ref().map_or(0, Vec::len));
+        if let Ok(want) = &want {
+            let values: Vec<f64> = want.iter().map(|r| r.value).collect();
+            changed += usize::from(last_values.as_ref().is_some_and(|v| *v != values));
+            last_values = Some(values);
+        }
+        retried += usize::from(retries > 0);
+        failed += usize::from(want.is_err());
+    }
+    assert!(changed > 0, "a republish changed the page");
+    assert!(
+        retried > 0 && failed > 0,
+        "the weather showed: {retried} {failed}"
+    );
 }
