@@ -57,7 +57,8 @@ impl PredictionReport {
     }
 }
 
-fn label_of(outcome: RequestOutcome) -> usize {
+/// The class label of a request outcome.
+pub fn label_of(outcome: RequestOutcome) -> usize {
     match outcome {
         RequestOutcome::NoInterrupt => CLASS_NO_INTERRUPT,
         RequestOutcome::Interrupted => CLASS_INTERRUPTED,

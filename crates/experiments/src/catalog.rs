@@ -1,17 +1,56 @@
-//! Figure 1: spot placement score query optimization via bin packing.
-//!
-//! Reproduces both the worked example (the regions supporting `p3.2xlarge`
-//! packed into few queries) and the headline full-catalog numbers: the
-//! paper reduced 9,299 all-pairs queries to 2,226 (≈ 4.5×) with the CBC
-//! MIP solver; we report the same statistics for the reconstruction's
-//! support matrix, for every packing strategy.
+//! The catalog experiments: Table 1 and Figure 1 read no fixture.
 
-use spotlake_bench::print_table;
+use crate::{print_table, Fixtures};
 use spotlake_collector::{PlannerStrategy, QueryPlanner};
-use spotlake_types::Catalog;
+use spotlake_types::{Catalog, RequestState};
 use std::time::Instant;
 
-fn main() {
+/// Table 1: possible spot instance request status and description.
+///
+/// Prints the lifecycle table and verifies the legal transition structure
+/// the rest of the system enforces.
+pub(crate) fn table01(_: &Fixtures) {
+    println!("== Table 1: spot instance request status ==\n");
+    let rows: Vec<Vec<String>> = RequestState::ALL
+        .iter()
+        .map(|s| vec![s.label().to_owned(), s.description().to_owned()])
+        .collect();
+    print_table(
+        "Status lifecycle (Table 1)",
+        &["Status", "Description"],
+        &rows,
+    );
+
+    println!("Legal transitions:");
+    for from in RequestState::ALL {
+        let tos: Vec<&str> = RequestState::ALL
+            .iter()
+            .filter(|&&to| from.can_transition_to(to))
+            .map(|t| t.label())
+            .collect();
+        println!(
+            "  {:<20} -> {}",
+            from.label(),
+            if tos.is_empty() {
+                "(terminal)".to_owned()
+            } else {
+                tos.join(", ")
+            }
+        );
+    }
+    println!(
+        "  (persistent requests additionally re-enter pending-evaluation after an interruption)"
+    );
+}
+
+/// Figure 1: spot placement score query optimization via bin packing.
+///
+/// Reproduces both the worked example (the regions supporting `p3.2xlarge`
+/// packed into few queries) and the headline full-catalog numbers: the
+/// paper reduced 9,299 all-pairs queries to 2,226 (≈ 4.5×) with the CBC
+/// MIP solver; we report the same statistics for the reconstruction's
+/// support matrix, for every packing strategy.
+pub(crate) fn figure01(_: &Fixtures) {
     println!("== Figure 1: query optimization via bin packing ==\n");
     let catalog = Catalog::aws_2022();
     let all_pairs = catalog.instance_types().len() * catalog.regions().len();

@@ -1,34 +1,32 @@
-//! Figure 6: composite instance type queries.
-//!
-//! The paper issued placement-score queries naming three arbitrary instance
-//! types and compared the returned composite score against the sum of the
-//! three types' individual scores, choosing type/AZ combinations so the
-//! individual-score sums 3..=9 are uniformly represented. Findings:
-//! ~38.81% of queries sit exactly on the y = x line, ~60.62% are
-//! super-additive, and two cases were sub-additive.
+//! The placement-score API experiments: Figures 6 and 7 query one warmed
+//! cloud.
 
+use crate::{fmt_pct, print_table, Fixtures};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use spotlake_bench::{fmt_pct, print_table, Scale};
 use spotlake_cloud_api::{AccountId, SpsClient, SpsRequest};
-use spotlake_cloud_sim::{SimCloud, SimConfig};
-use spotlake_types::{AzId, Catalog, InstanceTypeId};
+use spotlake_types::{AzId, InstanceTypeId};
 use std::collections::BTreeMap;
 
 /// Queries per individual-sum bucket (paper: "the same number of instance
 /// type and availability zone combinations in each summed score value").
 const PER_BUCKET: usize = 120;
 
-fn main() {
-    let scale = Scale::from_env();
+/// Figure 6: composite instance type queries.
+///
+/// The paper issued placement-score queries naming three arbitrary instance
+/// types and compared the returned composite score against the sum of the
+/// three types' individual scores, choosing type/AZ combinations so the
+/// individual-score sums 3..=9 are uniformly represented. Findings:
+/// ~38.81% of queries sit exactly on the y = x line, ~60.62% are
+/// super-additive, and two cases were sub-additive.
+pub(crate) fn figure06(fx: &Fixtures) {
+    let scale = fx.scale();
     scale.print_header("Figure 6: composite instance type queries");
 
-    let mut config = SimConfig::with_seed(scale.seed);
-    config.tick = scale.tick();
-    let mut cloud = SimCloud::new(Catalog::aws_2022(), config);
-    cloud.run_days(2); // move off the deterministic initial state
-    let catalog = cloud.catalog().clone();
+    let cloud = fx.warm_cloud();
+    let catalog = cloud.catalog();
     let mut rng = StdRng::seed_from_u64(scale.seed ^ 0xF16);
 
     // Enumerate candidate (3 types, AZ) combinations and bucket them by the
@@ -78,7 +76,7 @@ fn main() {
             // 50-unique-query limit, exactly as a real measurement would.
             let account = AccountId::new(format!("fig6-{sum}-{}", i / 40));
             let scores = client
-                .get_spot_placement_scores(&cloud, &account, &request)
+                .get_spot_placement_scores(cloud, &account, &request)
                 .expect("catalog names are valid");
             let Some(row) = scores
                 .iter()
@@ -125,4 +123,91 @@ fn main() {
         &rows,
     );
     println!("finding: the sum of individual scores is the floor of the composite score.");
+}
+
+/// Representative types per family (xlarge where available, as in the
+/// paper).
+const REPRESENTATIVES: &[&str] = &[
+    "t3.xlarge",
+    "m5.xlarge",
+    "a1.xlarge",
+    "c5.xlarge",
+    "r5.xlarge",
+    "x1e.xlarge",
+    "z1d.xlarge",
+    "p2.xlarge",
+    "g4dn.xlarge",
+    "dl1.24xlarge",
+    "inf1.xlarge",
+    "f1.2xlarge",
+    "vt1.3xlarge",
+    "i3.xlarge",
+    "d2.xlarge",
+    "h1.2xlarge",
+];
+
+const CAPACITIES: &[u32] = &[1, 5, 10, 20, 50, 100];
+
+/// Figure 7: placement score versus the number of requested instances.
+///
+/// The paper picked representative `xlarge`-sized types from each family
+/// (smallest available size where `xlarge` does not exist, e.g. P4's
+/// 24xlarge) and swept the query's target capacity, finding accelerated
+/// (P, G, Inf) and dense-storage (D) types lose score fastest.
+pub(crate) fn figure07(fx: &Fixtures) {
+    fx.scale()
+        .print_header("Figure 7: placement score vs requested capacity");
+
+    let cloud = fx.warm_cloud();
+    let mut client = SpsClient::new();
+
+    let mut rows = Vec::new();
+    let mut drops: Vec<(String, f64)> = Vec::new();
+    for name in REPRESENTATIVES {
+        let account = AccountId::new(format!("fig7-{name}"));
+        let mut cells = vec![name.to_string()];
+        let mut first = None;
+        let mut last = None;
+        for &capacity in CAPACITIES {
+            let request = SpsRequest::new(
+                vec![name.to_string()],
+                vec!["us-east-1".to_owned()],
+                capacity,
+            )
+            .expect("non-empty request");
+            let scores = client
+                .get_spot_placement_scores(cloud, &account, &request)
+                .expect("representative types exist");
+            match scores.first() {
+                Some(s) => {
+                    let v = f64::from(s.score.value());
+                    if first.is_none() {
+                        first = Some(v);
+                    }
+                    last = Some(v);
+                    cells.push(format!("{v:.0}"));
+                }
+                None => cells.push("NA".to_owned()),
+            }
+        }
+        if let (Some(f), Some(l)) = (first, last) {
+            drops.push((name.to_string(), f - l));
+        }
+        rows.push(cells);
+    }
+
+    let mut headers = vec!["type"];
+    let capacity_labels: Vec<String> = CAPACITIES.iter().map(|c| format!("n={c}")).collect();
+    headers.extend(capacity_labels.iter().map(String::as_str));
+    print_table(
+        "Figure 7: us-east-1 placement score by requested capacity",
+        &headers,
+        &rows,
+    );
+
+    drops.sort_by(|a, b| b.1.total_cmp(&a.1));
+    println!("largest score drops from n=1 to n=100 (paper: P, G, Inf, and D drop hardest):");
+    for (name, drop) in drops.iter().take(6) {
+        println!("  {name:<14} -{drop:.0}");
+    }
 }

@@ -1,12 +1,36 @@
-//! Smoke-scale checks that the paper's qualitative shapes hold end to end.
+//! Smoke-scale checks that the paper's qualitative shapes hold end to end,
+//! and one run of every experiment over the same smoke [`Fixtures`].
 //!
-//! The bench binaries assert the quantitative versions at full scale; these
+//! Nothing asserts the quantitative versions at full scale: the
+//! experiments print the paper's numbers beside the measured ones. These
 //! run in seconds and protect the shapes against regressions.
 
-use spotlake::experiment::{ExperimentConfig, FulfillmentExperiment, Stratum};
+use spotlake::experiment::Stratum;
 use spotlake::{RequestOutcome, SimCloud, SimConfig};
 use spotlake_collector::{AccountPool, PlannerStrategy, QueryPlanner};
-use spotlake_types::{Catalog, SimDuration};
+use spotlake_experiments::{run, Fixtures, EXPERIMENTS};
+use spotlake_types::Catalog;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// One smoke fixture per test process, so the archive is collected and the
+/// fulfillment experiment runs once however many tests read them. A test
+/// that panicked holding the lock left them valid: an input that failed to
+/// build stays unbuilt, and a built one is only read.
+fn smoke() -> MutexGuard<'static, Fixtures> {
+    static SMOKE: OnceLock<Mutex<Fixtures>> = OnceLock::new();
+    SMOKE
+        .get_or_init(|| Mutex::new(Fixtures::smoke()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Every table and figure runs to completion over the smoke fixtures.
+#[test]
+fn every_experiment_runs_on_the_smoke_fixtures() {
+    let fixtures = smoke();
+    assert_eq!(run(EXPERIMENTS, &fixtures), 0, "an experiment failed");
+    assert!(fixtures.archive().lake.archive().point_count() > 0);
+}
 
 /// Figure 1's shape: the packed plan beats the naive per-(type, region)
 /// scan by a large factor and fits in tens of accounts.
@@ -29,21 +53,13 @@ fn figure1_shape_packing_wins() {
     );
 }
 
-/// Section 5.4's headline orderings, on a reduced experiment.
+/// Section 5.4's headline orderings, on the smoke fixtures' reduced
+/// experiment (seed 5, hourly tick, 8 warm-up days, 25 cases per stratum,
+/// a week of history recorded every 6 hours).
 #[test]
 fn table3_shape_orderings() {
-    let mut config = SimConfig::with_seed(5);
-    config.tick = SimDuration::from_hours(1);
-    config.shock_day = None;
-    let mut cloud = SimCloud::new(Catalog::aws_2022(), config);
-    cloud.run_days(8);
-    let (report, _) = FulfillmentExperiment::new(ExperimentConfig {
-        cases_per_stratum: 25,
-        history: SimDuration::from_days(7),
-        record_every: SimDuration::from_hours(6),
-        ..ExperimentConfig::default()
-    })
-    .run(&mut cloud);
+    let fixtures = smoke();
+    let report = fixtures.experiment();
     assert!(
         report.cases.len() >= 50,
         "experiment produced too few cases"

@@ -167,7 +167,10 @@ fn grow(
             if lo == hi {
                 continue; // cannot split between equal values
             }
-            let threshold = (lo + hi) / 2.0;
+            // Between adjacent floats the midpoint rounds up to `hi`, which
+            // would send `hi` left with `lo`; cut at `lo` instead.
+            let mid = (lo + hi) / 2.0;
+            let threshold = if mid < hi { mid } else { lo };
             let n = sorted.len() as f64;
             let impurity = (cut as f64 / n) * gini(&left_counts, cut)
                 + ((n - cut as f64) / n) * gini(&right_counts, sorted.len() - cut);
@@ -264,6 +267,18 @@ mod tests {
         .unwrap();
         let tree = DecisionTree::fit(&data, TreeConfig::default(), 0);
         assert_eq!(tree.node_count(), 1, "no threshold separates equal values");
+    }
+
+    #[test]
+    fn adjacent_floats_split_between_them() {
+        let lo: f64 = 0.408_768_683_652_128_43;
+        let hi = f64::from_bits(lo.to_bits() + 1);
+        assert_eq!((lo + hi) / 2.0, hi, "the midpoint rounds up");
+        let data = Dataset::new(vec![vec![lo], vec![lo], vec![hi]], vec![0, 0, 1], 2).unwrap();
+        let tree = DecisionTree::fit(&data, TreeConfig::default(), 0);
+        assert_eq!(tree.node_count(), 3);
+        assert_eq!(tree.predict(&[lo]), 0);
+        assert_eq!(tree.predict(&[hi]), 1);
     }
 
     #[test]
