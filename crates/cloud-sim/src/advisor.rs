@@ -107,6 +107,7 @@ impl AdvisorBoard {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::pool::TickInputs;
     use spotlake_types::{Catalog, SimDuration};
 
     #[test]
@@ -120,7 +121,7 @@ mod tests {
 
         // A fully stressed day: 24h under a crushing shock.
         for _ in 0..24 {
-            pools[0].step(SimDuration::from_hours(1), 0.0001);
+            pools[0].step(&TickInputs::new(SimDuration::from_hours(1), 0.0001));
         }
         board.roll_day(&mut pools, SimTime::EPOCH + SimDuration::from_days(1));
         let f = board.stress_fraction(0);
@@ -140,13 +141,13 @@ mod tests {
         let mut board = AdvisorBoard::new(1, 3);
 
         for _ in 0..12 {
-            pools[0].step(SimDuration::from_hours(1), 0.0001);
+            pools[0].step(&TickInputs::new(SimDuration::from_hours(1), 0.0001));
         }
         board.roll_day(&mut pools, SimTime::EPOCH + SimDuration::from_days(1));
         assert!(board.stress_fraction(0) > 0.0);
         // Three calm days push the stressed day out of the window.
         for day in 2..=4 {
-            pools[0].step(SimDuration::from_hours(1), 1.0);
+            pools[0].step(&TickInputs::new(SimDuration::from_hours(1), 1.0));
             pools[0].take_stress_hours();
             board.roll_day(&mut pools, SimTime::EPOCH + SimDuration::from_days(day));
         }

@@ -4,7 +4,7 @@
 use crate::advisor::{AdvisorBoard, AdvisorEntry};
 use crate::config::SimConfig;
 use crate::lifecycle::Lifecycle;
-use crate::pool::{Pool, PoolId};
+use crate::pool::{Pool, PoolId, TickInputs};
 use crate::price::PriceBook;
 use spotlake_types::{
     AzId, Catalog, InstanceTypeId, InterruptionBucket, PlacementScore, RegionId, Savings,
@@ -20,6 +20,55 @@ const NO_POOL: u32 = u32::MAX;
 /// takes the next value as its table's validator, so two tables that may
 /// differ never share one.
 static ADVISOR_PUBLISHES: AtomicU64 = AtomicU64::new(0);
+
+/// Pool count from which [`SimCloud::step`] steps the upper half of the
+/// pools on a helper thread. Below it one lane steps them all and no
+/// thread is spawned. A scoped spawn and join take about 20 µs on a 2-vCPU
+/// x86-64 machine, some 130 pool steps, so the floor keeps that a few
+/// percent of the tick at most and keeps small catalogs single-threaded;
+/// `Catalog::aws_2022()` has 20 021 pools.
+const TWO_LANE_FLOOR: usize = 4096;
+
+/// Where [`SimCloud::step`] splits `pools` pools between its two lanes.
+fn lane_split(pools: usize) -> usize {
+    if pools >= TWO_LANE_FLOOR {
+        pools / 2
+    } else {
+        pools
+    }
+}
+
+/// Steps every pool's margin by `tick` and then, when `new_prices` is not
+/// empty, its price process into the pool's slot there. Pools `..split`
+/// step on the calling thread and pools `split..` on one scoped helper,
+/// spawned only when that half is not empty. Each pool draws only from its
+/// own RNG stream and writes only its own state and slot, so the result does
+/// not depend on `split`. The helper allocates nothing.
+fn step_pools(
+    pools: &mut [Pool],
+    new_prices: &mut [Option<SpotPrice>],
+    tick: &TickInputs,
+    split: usize,
+) {
+    let lane = |pools: &mut [Pool], new_prices: &mut [Option<SpotPrice>]| {
+        for pool in pools.iter_mut() {
+            pool.step(tick);
+        }
+        for (pool, slot) in pools.iter_mut().zip(new_prices) {
+            *slot = pool.step_price();
+        }
+    };
+    let (lower, upper) = pools.split_at_mut(split);
+    let (lower_prices, upper_prices) = new_prices.split_at_mut(split.min(new_prices.len()));
+    if upper.is_empty() {
+        lane(lower, lower_prices);
+        return;
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| lane(upper, upper_prices));
+        lane(lower, lower_prices);
+    });
+}
 
 /// Handle to a submitted spot request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,20 +216,29 @@ impl SimCloud {
     /// price process, the advisor's daily roll and periodic republish, and
     /// every live spot request.
     pub fn step(&mut self) {
+        self.step_split(lane_split(self.pools.len()));
+    }
+
+    /// [`SimCloud::step`] with the pools from `split` on stepped by the
+    /// helper lane (see [`step_pools`]).
+    fn step_split(&mut self, split: usize) {
         let dt = self.config.tick;
         let tick_start = self.now;
         self.now += dt;
-        let shock = self.shock_factor_at(self.now);
-
-        for pool in &mut self.pools {
-            pool.step(dt, shock);
-        }
+        let tick = TickInputs::new(dt, self.shock_factor_at(self.now));
 
         // Smoothed price process, on its own slower cadence.
-        if self.now.since(self.last_price_refresh) >= self.config.price_refresh {
+        let refresh = self.now.since(self.last_price_refresh) >= self.config.price_refresh;
+        let mut new_prices = if refresh {
+            vec![None; self.pools.len()]
+        } else {
+            Vec::new()
+        };
+        step_pools(&mut self.pools, &mut new_prices, &tick, split);
+        if refresh {
             self.last_price_refresh = self.now;
-            for i in 0..self.pools.len() {
-                if let Some(price) = self.pools[i].step_price() {
+            for (i, price) in new_prices.into_iter().enumerate() {
+                if let Some(price) = price {
                     self.prices.record(PoolId(i as u32), self.now, price);
                 }
             }
@@ -634,6 +692,87 @@ mod tests {
         assert!(cloud.shock_factor_at(in_shock) < 1.0);
         let after = SimTime::EPOCH + SimDuration::from_days(3) + SimDuration::from_hours(1);
         assert_eq!(cloud.shock_factor_at(after), 1.0);
+    }
+
+    /// Everything a tick writes, as one string: every pool's parameters,
+    /// state and next draw, the price book, the advisor board (daily
+    /// windows and published table), the request registry and the clocks.
+    /// `Debug` prints each `f64` in its shortest round-trip form, so two
+    /// snapshots are equal only when every value is bit for bit equal.
+    fn snapshot(cloud: &SimCloud) -> String {
+        let next_draws: Vec<f64> = cloud.pools.iter().map(|p| p.clone().draw()).collect();
+        format!(
+            "{:?}",
+            (
+                &cloud.pools,
+                next_draws,
+                &cloud.prices,
+                &cloud.advisor,
+                &cloud.lifecycle,
+                (cloud.now, cloud.ticks, cloud.last_price_refresh)
+            )
+        )
+    }
+
+    /// Steps `cloud` `ticks` times with the pools split at `split`;
+    /// returns its snapshot and the ticks at which its advisor etag moved.
+    fn run_split(mut cloud: SimCloud, ticks: u64, split: usize) -> (String, Vec<u64>) {
+        let mut etag = cloud.advisor_etag();
+        let mut publishes = Vec::new();
+        for _ in 0..ticks {
+            cloud.step_split(split);
+            if cloud.advisor_etag() != etag {
+                etag = cloud.advisor_etag();
+                publishes.push(cloud.ticks());
+            }
+        }
+        (snapshot(&cloud), publishes)
+    }
+
+    #[test]
+    fn step_is_the_same_at_every_split_point() {
+        let mut cloud = small_cloud();
+        let catalog = cloud.catalog().clone();
+        for (ty, az) in [("m5.large", "us-test-1a"), ("p3.2xlarge", "eu-test-1c")] {
+            let config = SpotRequestConfig {
+                instance_type: catalog.instance_type_id(ty).unwrap(),
+                az: catalog.az_id(az).unwrap(),
+                bid: SpotPrice::from_usd(10.0).unwrap(),
+                count: 1,
+                persistent: true,
+            };
+            cloud.submit_request(config).unwrap();
+        }
+        // Eight days cross price refreshes (6 h), advisor day-rolls and a
+        // weekly publish.
+        let ticks = SimDuration::from_days(8).div_duration(cloud.config().tick);
+        // The reference is split n, one lane; n − 2 is an odd split.
+        let n = cloud.pool_count();
+        let (serial, publishes) = run_split(cloud.clone(), ticks, n);
+        assert_eq!(publishes.len(), 1, "one weekly publish in eight days");
+        for split in [0, 1, n / 2, n - 2] {
+            let (split_run, split_publishes) = run_split(cloud.clone(), ticks, split);
+            assert!(split_run == serial, "split at {split} of {n} diverged");
+            assert_eq!(split_publishes, publishes, "split at {split} of {n}");
+        }
+    }
+
+    #[test]
+    fn full_catalog_step_on_two_lanes_matches_one_lane() {
+        let cloud = SimCloud::new(Catalog::aws_2022(), SimConfig::with_seed(42));
+        let n = cloud.pool_count();
+        assert!(lane_split(n) < n, "the paper's catalog steps on two lanes");
+        assert_eq!(lane_split(TWO_LANE_FLOOR - 1), TWO_LANE_FLOOR - 1);
+        // One tick past the first price refresh.
+        let ticks = cloud
+            .config()
+            .price_refresh
+            .div_duration(cloud.config().tick)
+            + 1;
+        let mut two_lanes = cloud.clone();
+        two_lanes.run_ticks(ticks);
+        let (one_lane, _) = run_split(cloud, ticks, n);
+        assert!(snapshot(&two_lanes) == one_lane);
     }
 
     #[test]

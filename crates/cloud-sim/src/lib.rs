@@ -53,4 +53,4 @@ pub use advisor::AdvisorEntry;
 pub use cloud::{RequestId, SimCloud};
 pub use config::SimConfig;
 pub use lifecycle::RequestOutcome;
-pub use pool::{Pool, PoolId, PoolParams, PoolState};
+pub use pool::{Pool, PoolId, PoolParams, PoolState, TickInputs};

@@ -184,6 +184,7 @@ impl Lifecycle {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::pool::TickInputs;
     use spotlake_types::{AzId, Catalog, SpotPrice};
 
     fn setup(type_name: &str) -> (Catalog, Vec<Pool>) {
@@ -215,7 +216,7 @@ mod tests {
             SimTime::EPOCH,
             1.0,
         );
-        pools[0].step(SimDuration::from_mins(10), 1.0);
+        pools[0].step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         lc.step(&mut pools, SimTime::EPOCH, SimDuration::from_mins(10));
         let req = lc.request(id).unwrap();
         assert_eq!(req.state(), RequestState::Fulfilled);
@@ -235,11 +236,11 @@ mod tests {
             SimTime::EPOCH,
             1.0,
         );
-        pools[0].step(SimDuration::from_mins(10), 0.00001);
+        pools[0].step(&TickInputs::new(SimDuration::from_mins(10), 0.00001));
         lc.step(&mut pools, SimTime::EPOCH, SimDuration::from_mins(10));
         assert_eq!(lc.request(id).unwrap().state(), RequestState::Holding);
         // Capacity recovers -> fulfilled on a later tick.
-        pools[0].step(SimDuration::from_mins(10), 1.0);
+        pools[0].step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         lc.step(
             &mut pools,
             SimTime::EPOCH + SimDuration::from_mins(10),
@@ -258,7 +259,7 @@ mod tests {
             SimTime::EPOCH,
             1.0,
         );
-        pools[0].step(SimDuration::from_mins(10), 1.0);
+        pools[0].step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         lc.step(&mut pools, SimTime::EPOCH, SimDuration::from_mins(10));
         assert_eq!(lc.request(id).unwrap().state(), RequestState::Fulfilled);
 
@@ -266,7 +267,7 @@ mod tests {
         // should land within a simulated day.
         let mut t = SimTime::EPOCH + SimDuration::from_mins(10);
         for _ in 0..144 {
-            pools[0].step(SimDuration::from_mins(10), 0.00001);
+            pools[0].step(&TickInputs::new(SimDuration::from_mins(10), 0.00001));
             lc.step(&mut pools, t, SimDuration::from_mins(10));
             t += SimDuration::from_mins(10);
         }
@@ -292,7 +293,7 @@ mod tests {
         );
         assert!(lc.cancel(id, SimTime::from_secs(5)));
         assert_eq!(lc.request(id).unwrap().state(), RequestState::Terminal);
-        pools[0].step(SimDuration::from_mins(10), 1.0);
+        pools[0].step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         lc.step(&mut pools, SimTime::EPOCH, SimDuration::from_mins(10));
         assert_eq!(
             lc.request(id).unwrap().state(),

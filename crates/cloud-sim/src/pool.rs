@@ -98,6 +98,34 @@ pub struct PoolState {
     pub recent_stress: f64,
 }
 
+/// What one tick hands every pool's margin step: the tick length and the
+/// constants derived from it, computed once per tick rather than once per
+/// pool, and the global demand-shock multiplier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TickInputs {
+    /// Tick length, hours.
+    dt_h: f64,
+    /// `√dt_h`, the margin noise's scale.
+    sqrt_dt_h: f64,
+    /// `exp(−dt_h / 6)`, the per-tick decay of the recent-stress memory.
+    stress_decay: f64,
+    /// The global demand-shock multiplier (1.0 outside shock windows).
+    shock_factor: f64,
+}
+
+impl TickInputs {
+    /// The inputs for a tick of length `dt` under `shock_factor`.
+    pub fn new(dt: SimDuration, shock_factor: f64) -> TickInputs {
+        let dt_h = dt.as_secs() as f64 / 3600.0;
+        TickInputs {
+            dt_h,
+            sqrt_dt_h: dt_h.sqrt(),
+            stress_decay: (-dt_h / 6.0).exp(),
+            shock_factor,
+        }
+    }
+}
+
 /// A capacity pool: parameters, state, and a private RNG stream.
 #[derive(Debug, Clone)]
 pub struct Pool {
@@ -310,14 +338,13 @@ impl Pool {
         &self.state
     }
 
-    /// Advances the margin process by `dt`. `shock_factor` is the global
-    /// demand-shock multiplier (1.0 outside shock windows).
-    pub fn step(&mut self, dt: SimDuration, shock_factor: f64) {
-        let dt_h = dt.as_secs() as f64 / 3600.0;
+    /// Advances the margin process by one tick of `tick`.
+    pub fn step(&mut self, tick: &TickInputs) {
+        let dt_h = tick.dt_h;
         let eps = normal(&mut self.rng);
         let p = &self.params;
         let m = self.state.margin;
-        let next = m + p.ou_theta * (p.margin_mean - m) * dt_h + p.ou_sigma * dt_h.sqrt() * eps;
+        let next = m + p.ou_theta * (p.margin_mean - m) * dt_h + p.ou_sigma * tick.sqrt_dt_h * eps;
         self.state.margin = next.clamp(0.001, 0.97);
         // Fast per-tick flicker on top of the slow OU component: real pools
         // gain and lose a few instances between collection ticks, so a pool
@@ -325,6 +352,7 @@ impl Pool {
         // fulfillments) and the placement score updates far more often than
         // the advisor (Figure 10).
         let jitter = (0.18 * normal(&mut self.rng)).exp();
+        let shock_factor = tick.shock_factor;
         self.state.slow_margin = (self.state.margin * shock_factor).clamp(0.001, 0.97);
         self.state.effective_margin =
             (self.state.margin * jitter * shock_factor).clamp(0.001, 0.97);
@@ -349,7 +377,7 @@ impl Pool {
 
         let p = &self.params;
         let stress_now = ((p.stress_cut - self.state.slow_margin) / p.stress_cut).clamp(0.0, 1.0);
-        self.state.recent_stress = stress_now.max(self.state.recent_stress * (-dt_h / 6.0).exp());
+        self.state.recent_stress = stress_now.max(self.state.recent_stress * tick.stress_decay);
         if self.is_stressed() {
             self.state.stress_hours_today += dt_h;
         }
@@ -521,7 +549,7 @@ mod tests {
     fn margin_stays_in_bounds_over_long_run() {
         let (_, mut pool) = test_pool("p3.2xlarge");
         for _ in 0..5000 {
-            pool.step(SimDuration::from_mins(10), 1.0);
+            pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
             let m = pool.state().margin;
             assert!((0.001..=0.97).contains(&m), "margin {m} escaped bounds");
         }
@@ -534,7 +562,7 @@ mod tests {
         let mut sum = 0.0;
         let n = 20_000;
         for _ in 0..n {
-            pool.step(SimDuration::from_mins(10), 1.0);
+            pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
             sum += pool.state().margin;
         }
         let mean = sum / f64::from(n);
@@ -558,11 +586,11 @@ mod tests {
         // even a crushed margin still covers single-instance requests —
         // which is why Table 2 sees score 1 mostly on specialty hardware.)
         let (_, mut pool) = test_pool("p3.2xlarge");
-        pool.step(SimDuration::from_mins(10), 0.0001);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 0.0001));
         assert_eq!(pool.score_for(1), 1);
 
         let (_, mut pool) = test_pool("m5.large");
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         assert_eq!(pool.score_for(1), 3);
         // Requesting absurd capacity pushes any pool to score 1.
         assert_eq!(pool.score_for(1_000_000), 1);
@@ -571,7 +599,7 @@ mod tests {
     #[test]
     fn score_is_monotone_in_count() {
         let (_, mut pool) = test_pool("g4dn.xlarge");
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         let mut prev = 3;
         for count in [1u32, 2, 5, 10, 20, 50, 100, 1000] {
             let s = pool.score_for(count);
@@ -583,9 +611,9 @@ mod tests {
     #[test]
     fn hazard_rises_under_stress() {
         let (_, mut pool) = test_pool("m5.large");
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         let calm = pool.hazard_per_hour();
-        pool.step(SimDuration::from_mins(10), 0.0001);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 0.0001));
         let stressed = pool.hazard_per_hour();
         assert!(
             stressed > calm * 10.0,
@@ -597,7 +625,7 @@ mod tests {
     #[test]
     fn interruption_prob_scales_with_dt() {
         let (_, mut pool) = test_pool("m5.large");
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         let p1 = pool.interruption_prob(SimDuration::from_hours(1));
         let p24 = pool.interruption_prob(SimDuration::from_hours(24));
         assert!(p24 > p1);
@@ -635,7 +663,7 @@ mod tests {
     #[test]
     fn stress_hours_accumulate_and_reset() {
         let (_, mut pool) = test_pool("m5.large");
-        pool.step(SimDuration::from_hours(1), 0.0001);
+        pool.step(&TickInputs::new(SimDuration::from_hours(1), 0.0001));
         assert!(pool.state().stress_hours_today > 0.9);
         let taken = pool.take_stress_hours();
         assert!(taken > 0.9);

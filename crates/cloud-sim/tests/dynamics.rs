@@ -1,7 +1,7 @@
 //! Behavioral tests for the simulator's dynamic mechanisms: capacity
 //! outages, score flicker, stress memory, and the advisor-coupled hazard.
 
-use spotlake_cloud_sim::{Pool, SimCloud, SimConfig};
+use spotlake_cloud_sim::{Pool, SimCloud, SimConfig, TickInputs};
 use spotlake_types::{Catalog, CatalogBuilder, SimDuration};
 
 fn full_catalog_pool(type_name: &str, az: &str, seed: u64) -> Pool {
@@ -26,7 +26,7 @@ fn outages_pin_scarce_pools() {
         }
         let mut pool = full_catalog_pool("p3.2xlarge", az, 9);
         for _ in 0..(30 * 144) {
-            pool.step(SimDuration::from_mins(10), 1.0);
+            pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
             if pool.state().outage_hours_left > 0.0 {
                 saw_outage = true;
                 assert!(
@@ -47,7 +47,7 @@ fn healthy_pools_avoid_outages() {
     let mut pool = full_catalog_pool("m5.large", "us-east-1a", 9);
     let mut outage_ticks = 0u32;
     for _ in 0..(30 * 144) {
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         if pool.state().outage_hours_left > 0.0 {
             outage_ticks += 1;
         }
@@ -63,7 +63,7 @@ fn flicker_is_centered_on_slow_margin() {
     let mut ratio_sum = 0.0;
     let n = 5000;
     for _ in 0..n {
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
         let s = pool.state();
         ratio_sum += s.effective_margin / s.slow_margin;
     }
@@ -79,17 +79,17 @@ fn flicker_is_centered_on_slow_margin() {
 #[test]
 fn stress_memory_decays_slowly() {
     let mut pool = full_catalog_pool("g4dn.xlarge", "us-east-1a", 4);
-    pool.step(SimDuration::from_mins(10), 1.0);
+    pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
     let calm = pool.hazard_per_hour();
     // Crush for two hours.
     for _ in 0..12 {
-        pool.step(SimDuration::from_mins(10), 0.0001);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 0.0001));
     }
     let crushed = pool.hazard_per_hour();
     assert!(crushed > calm * 5.0);
     // One hour after recovery the memory still holds most of the hazard.
     for _ in 0..6 {
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
     }
     let soon_after = pool.hazard_per_hour();
     assert!(
@@ -98,7 +98,7 @@ fn stress_memory_decays_slowly() {
     );
     // A day later it is essentially calm again.
     for _ in 0..144 {
-        pool.step(SimDuration::from_mins(10), 1.0);
+        pool.step(&TickInputs::new(SimDuration::from_mins(10), 1.0));
     }
     let next_day = pool.hazard_per_hour();
     assert!(

@@ -22,7 +22,7 @@ use crate::report::Finding;
 use crate::scan::Stripped;
 
 /// Crates with real threads: the concurrency rules apply here.
-pub const CONC_CRATES: &[&str] = &["serving", "obs", "collector", "timestream"];
+pub const CONC_CRATES: &[&str] = &["serving", "obs", "collector", "timestream", "cloud-sim"];
 /// Crates whose lock acquisitions must recover from poisoning.
 const POISON_CRATES: &[&str] = &["serving", "obs"];
 /// Crates whose channels must be bounded and spawns joinable.
