@@ -6,7 +6,13 @@
 //!
 //! * every file of the WAL tree (durable scenarios);
 //! * the `/metrics` scrape and the collector's trace journal;
-//! * `/quality`, `/stats` and `/health`.
+//! * `/quality`, `/stats` and `/health`;
+//! * a fixed set of row requests — `/query`, `/latest`, `/at` and
+//!   `/window` in JSON, CSV and EXPLAIN, over ranges that cover, sit
+//!   inside, miss and invert the series, under limits that truncate and
+//!   parameters that are refused — and a second `/metrics` scrape after
+//!   them, which holds the `spotlake_query_*` families those requests
+//!   recorded.
 //!
 //! The test runs each scenario twice — the two manifests must agree
 //! (determinism) — and compares the result with `tests/golden/<name>.txt`
@@ -36,6 +42,65 @@ const ENDPOINTS: &[(&str, &str)] = &[
     ("http/stats", "/stats"),
     ("http/quality", "/quality"),
     ("http/metrics", "/metrics"),
+];
+
+/// The row requests digested after [`ENDPOINTS`], in request order, with
+/// the status each must answer. Series of the test catalog hold points
+/// from 1800 (SPS; price from 0) to 43 200: `from=0&to=43200` covers
+/// them, `from=9000&to=20000` sits inside, `to=1799` and `from=50000`
+/// miss. The last request scrapes `/metrics` again, after all of them.
+const ROW_REQUESTS: &[(&str, u16)] = &[
+    ("/query?table=sps", 200),
+    ("/query?table=sps&format=csv", 200),
+    ("/query?table=sps&explain=1", 200),
+    ("/query?table=sps&region=us-test-1&from=9000&to=20000", 200),
+    ("/query?table=sps&region=eu-test-1&limit=7", 200),
+    ("/query?table=sps&region=eu-test-1&limit=7&format=csv", 200),
+    ("/query?table=sps&region=eu-test-1&limit=7&explain=1", 200),
+    ("/query?table=sps&limit=0", 200),
+    ("/query?table=sps&from=0&to=1799", 200),
+    ("/query?table=sps&from=50000&explain=1", 200),
+    ("/query?table=sps&from=20000&to=10000", 400),
+    (
+        "/query?table=price&instance_type=m5.large&from=0&to=43200",
+        200,
+    ),
+    (
+        "/query?table=price&instance_type=m5.large&from=0&to=43200&format=csv",
+        200,
+    ),
+    ("/latest?table=sps", 200),
+    ("/latest?table=sps&format=csv", 200),
+    ("/latest?table=sps&explain=1", 200),
+    ("/latest?table=sps&region=us-test-1&limit=5", 200),
+    ("/latest?table=sps&region=us-test-1&limit=5&explain=1", 200),
+    ("/latest?table=price&from=1000&to=30000", 200),
+    ("/latest?table=price&from=1000&to=30000&explain=1", 200),
+    ("/latest?table=advisor&limit=0", 200),
+    ("/latest?table=sps&to=1799", 200),
+    ("/at?table=price&timestamp=20000", 200),
+    ("/at?table=price&timestamp=20000&format=csv", 200),
+    ("/at?table=price&timestamp=20000&explain=1", 200),
+    ("/at?table=sps&timestamp=100", 200),
+    (
+        "/at?table=advisor&timestamp=43200&region=eu-test-1&limit=2",
+        200,
+    ),
+    ("/window?table=sps&window=7200&agg=mean", 200),
+    ("/window?table=sps&window=7200&agg=min", 200),
+    ("/window?table=sps&window=7200&agg=max", 200),
+    ("/window?table=sps&window=7200&agg=count", 200),
+    ("/window?table=sps&window=7200&agg=sum", 200),
+    ("/window?table=sps&window=7200&agg=last", 200),
+    (
+        "/window?table=price&window=3600&agg=last&region=us-test-1&from=5000&to=30000",
+        200,
+    ),
+    ("/window?table=sps&window=7200&agg=mean&explain=1", 200),
+    ("/window?table=sps&window=7200&from=50000", 200),
+    ("/query?table=sps&region=us-test-1&limit=x", 400),
+    ("/latest?table=sps&region=us-test-1&format=xml", 400),
+    ("/metrics", 200),
 ];
 
 /// CRC-32C (Castagnoli), bit by bit: the digests only need to be stable
@@ -86,6 +151,14 @@ fn manifest(config: CollectorConfig, wal_dir: Option<&Path>) -> String {
         let response = lake.http_get(path).expect("request parses");
         assert_eq!(response.status, 200, "GET {path}");
         artifacts.push(((*name).to_owned(), response.body_text().into_bytes()));
+    }
+    for (i, (path, status)) in ROW_REQUESTS.iter().enumerate() {
+        let response = lake.http_get(path).expect("request parses");
+        assert_eq!(response.status, *status, "GET {path}");
+        artifacts.push((
+            format!("rows/{i:02}{path}"),
+            response.body_text().into_bytes(),
+        ));
     }
     artifacts.push(("trace.jsonl".to_owned(), lake.trace_text().into_bytes()));
     if let Some(dir) = wal_dir {
