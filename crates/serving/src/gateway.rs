@@ -1,11 +1,11 @@
 //! The gateway router and the "Lambda" handlers.
 
-use crate::csv::rows_to_csv;
+use crate::csv::rows_csv;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::json::{self, Json};
 use crate::ops::OpsContext;
 use spotlake_obs::{FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry, TraceJournal};
-use spotlake_timestream::{Aggregate, Database, Query, QueryProfile, Row, TsError};
+use spotlake_timestream::{Aggregate, Database, Query, QueryProfile, RowKind, RowScan, TsError};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -213,11 +213,8 @@ impl Gateway {
     /// Finishes a profiled query: stamps response size into the profile,
     /// emits the root span plus one child span per cost stage, records the
     /// flight-recorder entry and the `spotlake_query_cost` histogram, and
-    /// swaps in the EXPLAIN body when `explain=1` was requested.
-    ///
-    /// Responses that failed *after* the scan (bad `limit`/`format`) pass
-    /// through untouched: the profile is incomplete and recording it would
-    /// skew the flight recorder with parameter errors.
+    /// swaps in the EXPLAIN body when `explain=1` was requested. The
+    /// EXPLAIN body still costs the bytes of the body it replaces.
     fn complete(
         &self,
         request: &HttpRequest,
@@ -225,9 +222,6 @@ impl Gateway {
         rows_returned: u64,
         response: HttpResponse,
     ) -> HttpResponse {
-        if response.status != 200 {
-            return response;
-        }
         profile.rows_returned = rows_returned;
         profile.response_bytes = response.body.len() as u64;
         let cost = profile.cost();
@@ -286,33 +280,35 @@ impl Gateway {
         }
     }
 
-    /// `/query`: raw row scan, profiled.
-    fn query(&self, db: &Database, request: &HttpRequest, ops: &OpsContext) -> HttpResponse {
+    /// `/query`, `/latest` and `/at`: a row scan, profiled, encoded
+    /// straight from the store's answer. `limit` and `format` are read
+    /// before the scan — the store keeps only the rows the response
+    /// carries, and a request refused for them is no query the store
+    /// answered (no trace id, no `spotlake_store_*` or `spotlake_query_*`
+    /// sample).
+    fn rows(
+        &self,
+        db: &Database,
+        request: &HttpRequest,
+        ops: &OpsContext,
+        kind: RowKind,
+    ) -> HttpResponse {
         let (table, q) = match ArchiveService::build_query(db, request) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
-        let degraded = degraded_shards(request, &table, ops);
-        match db.query_profiled(&table, &q, self.new_ctx(ops)) {
-            Ok((rows, profile)) => {
-                let (response, returned) = ArchiveService::respond_rows(request, rows, &degraded);
-                self.complete(request, profile, returned, response)
-            }
-            Err(e) => store_error(e),
-        }
-    }
-
-    /// `/latest`: last in-range point per series, profiled.
-    fn latest(&self, db: &Database, request: &HttpRequest, ops: &OpsContext) -> HttpResponse {
-        let (table, q) = match ArchiveService::build_query(db, request) {
+        let (limit, format) = match row_params(request) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
         let degraded = degraded_shards(request, &table, ops);
-        match db.latest_profiled(&table, &q, self.new_ctx(ops)) {
-            Ok((rows, profile)) => {
-                let (response, returned) = ArchiveService::respond_rows(request, rows, &degraded);
-                self.complete(request, profile, returned, response)
+        match db.scan_rows(&table, &q, kind, limit, self.new_ctx(ops)) {
+            Ok((scan, profile)) => {
+                let response = match format {
+                    Format::Json => HttpResponse::json(rows_json(&scan, &degraded)),
+                    Format::Csv => HttpResponse::csv(rows_csv(&scan)),
+                };
+                self.complete(request, profile, scan.len() as u64, response)
             }
             Err(e) => store_error(e),
         }
@@ -320,22 +316,10 @@ impl Gateway {
 
     /// `/at`: value in effect at a timestamp, profiled.
     fn at(&self, db: &Database, request: &HttpRequest, ops: &OpsContext) -> HttpResponse {
-        let at = match request.param("timestamp").map(str::parse) {
-            Some(Ok(t)) => t,
-            Some(Err(_)) => return HttpResponse::error(400, "timestamp must be an integer"),
-            None => return HttpResponse::error(400, "missing required parameter: timestamp"),
-        };
-        let (table, q) = match ArchiveService::build_query(db, request) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let degraded = degraded_shards(request, &table, ops);
-        match db.value_at_profiled(&table, &q, at, self.new_ctx(ops)) {
-            Ok((rows, profile)) => {
-                let (response, returned) = ArchiveService::respond_rows(request, rows, &degraded);
-                self.complete(request, profile, returned, response)
-            }
-            Err(e) => store_error(e),
+        match request.param("timestamp").map(str::parse) {
+            Some(Ok(at)) => self.rows(db, request, ops, RowKind::At(at)),
+            Some(Err(_)) => HttpResponse::error(400, "timestamp must be an integer"),
+            None => HttpResponse::error(400, "missing required parameter: timestamp"),
         }
     }
 
@@ -536,39 +520,35 @@ impl ArchiveService {
         }
         Ok((table, q.between(from, to)))
     }
+}
 
-    /// Serialises rows to the requested format, applying `limit`. Also
-    /// returns how many rows the response carries, for the query profile.
-    /// Non-empty `degraded` (impaired shards the request touches) flags
-    /// the JSON body as a partial answer; CSV stays schema-stable and
-    /// unannotated.
-    pub fn respond_rows(
-        request: &HttpRequest,
-        mut rows: Vec<Row>,
-        degraded: &[String],
-    ) -> (HttpResponse, u64) {
-        let limit = match request.param("limit") {
-            Some(s) => match s.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => return (HttpResponse::error(400, "limit must be an integer"), 0),
-            },
-            None => DEFAULT_LIMIT,
-        };
-        let truncated = rows.len() > limit;
-        rows.truncate(limit);
-        let returned = rows.len() as u64;
-        let response = match request.param("format") {
-            Some("csv") => HttpResponse::csv(rows_to_csv(&rows)),
-            Some("json") | None => HttpResponse::json(rows_json(&rows, truncated, degraded)),
-            Some(other) => {
-                return (
-                    HttpResponse::error(400, &format!("unknown format: {other} (json|csv)")),
-                    0,
-                )
-            }
-        };
-        (response, returned)
-    }
+/// A row response's encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Format {
+    Json,
+    Csv,
+}
+
+/// A row request's `limit` (default [`DEFAULT_LIMIT`]) and `format`
+/// (default JSON), or the 400 refusing them.
+fn row_params(request: &HttpRequest) -> Result<(usize, Format), HttpResponse> {
+    let limit = match request.param("limit") {
+        Some(s) => s
+            .parse::<usize>()
+            .map_err(|_| HttpResponse::error(400, "limit must be an integer"))?,
+        None => DEFAULT_LIMIT,
+    };
+    let format = match request.param("format") {
+        Some("csv") => Format::Csv,
+        Some("json") | None => Format::Json,
+        Some(other) => {
+            return Err(HttpResponse::error(
+                400,
+                &format!("unknown format: {other} (json|csv)"),
+            ))
+        }
+    };
+    Ok((limit, format))
 }
 
 /// The impaired (quarantined or failed) shards a row request touches:
@@ -619,8 +599,8 @@ fn route(
         "/stats" => crate::insights::stats(db, gateway, ops),
         "/correlate" => crate::insights::correlate(db, request),
         "/quality" => crate::insights::quality(ops),
-        "/query" => gateway.query(db, request, ops),
-        "/latest" => gateway.latest(db, request, ops),
+        "/query" => gateway.rows(db, request, ops, RowKind::Range),
+        "/latest" => gateway.rows(db, request, ops, RowKind::Latest),
         "/at" => gateway.at(db, request, ops),
         "/window" => gateway.window(db, request, ops),
         "/debug/queries" => gateway.debug_queries(),
@@ -633,9 +613,11 @@ fn route(
 /// byte for byte what rendering a [`Json`] tree of the same fields gives
 /// (object keys in order — `degraded`, `quarantined_shards`, `rows`,
 /// `truncated`; per row `dimensions`, `time`, `value`), without building
-/// the tree or copying a dimension string to get there.
-fn rows_json(rows: &[Row], truncated: bool, degraded: &[String]) -> String {
-    let mut out = String::with_capacity(64 + 128 * rows.len());
+/// the tree or copying a dimension string to get there. A series'
+/// `"dimensions":{…}` member is encoded once per response, at its first
+/// row, and copied from there for its later rows.
+fn rows_json(scan: &RowScan<'_>, degraded: &[String]) -> String {
+    let mut out = String::with_capacity(64 + 128 * scan.len());
     out.push('{');
     if !degraded.is_empty() {
         out.push_str("\"degraded\":true,\"quarantined_shards\":[");
@@ -648,30 +630,47 @@ fn rows_json(rows: &[Row], truncated: bool, degraded: &[String]) -> String {
         out.push_str("],");
     }
     out.push_str("\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
+    // Where each series' dimensions member sits in `out`; empty until its
+    // first row writes it.
+    let mut written = vec![(0usize, 0usize); scan.series_count()];
+    for (i, row) in scan.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"dimensions\":{");
-        if row.dimensions.is_sorted_by(|a, b| a.0 < b.0) {
-            write_pairs(&mut out, row.dimensions.iter().map(|(k, v)| (k, v)));
-        } else {
-            // What collecting into a `Json::Object` does: keys in order,
-            // the last of a repeated key kept.
-            let by_key: BTreeMap<&String, &String> =
-                row.dimensions.iter().map(|(k, v)| (k, v)).collect();
-            write_pairs(&mut out, by_key.into_iter());
+        out.push('{');
+        match written[row.series] {
+            (start, end) if start < end => out.extend_from_within(start..end),
+            _ => {
+                let start = out.len();
+                write_dimensions(&mut out, row.dimensions);
+                written[row.series] = (start, out.len());
+            }
         }
-        out.push_str("},\"time\":");
+        out.push_str(",\"time\":");
         json::write_number(&mut out, row.time as f64);
         out.push_str(",\"value\":");
         json::write_number(&mut out, row.value);
         out.push('}');
     }
     out.push_str("],\"truncated\":");
-    out.push_str(if truncated { "true" } else { "false" });
+    out.push_str(if scan.truncated() { "true" } else { "false" });
     out.push('}');
     out
+}
+
+/// Appends the `"dimensions":{…}` member of a row of a series with these
+/// dimensions.
+fn write_dimensions(out: &mut String, dimensions: &[(String, String)]) {
+    out.push_str("\"dimensions\":{");
+    if dimensions.is_sorted_by(|a, b| a.0 < b.0) {
+        write_pairs(out, dimensions.iter().map(|(k, v)| (k, v)));
+    } else {
+        // What collecting into a `Json::Object` does: keys in order, the
+        // last of a repeated key kept.
+        let by_key: BTreeMap<&String, &String> = dimensions.iter().map(|(k, v)| (k, v)).collect();
+        write_pairs(out, by_key.into_iter());
+    }
+    out.push('}');
 }
 
 /// Appends `"key":"value"` members, comma-separated.

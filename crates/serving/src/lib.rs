@@ -61,7 +61,6 @@ pub mod json;
 mod ops;
 pub mod server;
 
-pub use csv::rows_to_csv;
 pub use gateway::{ArchiveService, Gateway};
 pub use http::{HttpRequest, HttpResponse, ServeError};
 pub use ops::OpsContext;

@@ -1,14 +1,17 @@
 //! Property tests for the serving layer: the JSON encoder's output is
 //! well-formed, the gateway never panics on arbitrary requests, CSV stays
-//! rectangular, and the in-place row encoders write exactly the bytes of
-//! the tree-building encoders they replaced.
+//! rectangular, and the row encoders — which read the store's scan in
+//! place — write exactly the bytes of the tree-building encoders they
+//! replaced over the rows the `*_profiled` queries return.
 
 use proptest::prelude::*;
+use spotlake_obs::QueryCtx;
 use spotlake_serving::json::Json;
-use spotlake_serving::{rows_to_csv, ArchiveService, HttpRequest};
-use spotlake_timestream::{Database, Record, Row, TableOptions};
+use spotlake_serving::{ArchiveService, Gateway, HttpRequest, OpsContext};
+use spotlake_timestream::{
+    Database, Query, Record, Row, ShardHealthRow, ShardSetHealth, ShardState, TableOptions, TsError,
+};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A permissive structural validator: balanced quoting and bracket depth
 /// for the subset of JSON our encoder emits.
@@ -125,16 +128,17 @@ fn rows_csv_by_search(rows: &[Row]) -> String {
     out
 }
 
-/// Dimension sets for generated rows: keys that repeat, arrive out of
+/// Dimension sets for generated series: keys that repeat, arrive out of
 /// order or go missing; values with quotes, backslashes, control
 /// characters, CSV separators and non-ASCII text.
-fn arb_dimension_sets() -> impl Strategy<Value = Vec<Arc<[(String, String)]>>> {
+fn arb_dimension_sets() -> impl Strategy<Value = Vec<Vec<(String, String)>>> {
     let key = prop_oneof![Just("az"), Just("region"), Just("k\""), Just("é")];
     let pair = (key, "[a-c\"\\\n\r\t\u{1}\u{1f},é日 ]{0,8}").prop_map(|(k, v)| (k.to_owned(), v));
-    prop::collection::vec(prop::collection::vec(pair, 0..4).prop_map(Arc::from), 1..5)
+    prop::collection::vec(prop::collection::vec(pair, 0..4), 1..5)
 }
 
-/// Values that take each branch of the number writer.
+/// Values that take each branch of the number writer. The store refuses
+/// non-finite values, so no row carries one.
 fn arb_value() -> impl Strategy<Value = f64> {
     prop_oneof![
         (-1000i64..1000).prop_map(|n| n as f64),
@@ -144,53 +148,117 @@ fn arb_value() -> impl Strategy<Value = f64> {
         Just(-3.5e18),
         Just(999_999_999_999_999.0),
         Just(1e-7),
+        Just(f64::MAX),
+        Just(f64::MIN_POSITIVE),
     ]
+}
+
+/// Timestamps: mostly small, some past 2^53 and past 1e15, where the
+/// number writer takes its float branch.
+fn arb_time() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..100_000, 0u64..100_000, 0u64..100_000, any::<u64>()]
+}
+
+/// A table `t` of measure `m` holding `points` over the series `sets`.
+fn archive(sets: &[Vec<(String, String)>], points: &[(usize, u64, f64)]) -> Database {
+    let mut db = Database::new();
+    db.create_table("t", TableOptions::default()).unwrap();
+    let records: Vec<Record> = points
+        .iter()
+        .map(|&(set, time, value)| {
+            let mut r = Record::new(time, "m", value);
+            r.dimensions = sets[set % sets.len()].clone();
+            r
+        })
+        .collect();
+    db.write("t", &records).unwrap();
+    db
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `respond_rows` writes rows straight into the body; the bytes are
-    /// those of the tree rendered the old way, for JSON and for CSV, at
-    /// every row count, limit and degraded-shard list.
+    /// The gateway encodes rows straight from the store's scan, under a
+    /// limit the store applies. For `/query`, `/latest` and `/at`, in JSON
+    /// and CSV, at limits 0, 1, n−1, n, n+1 and the default around an
+    /// answer of n rows, and with impaired shards flagged or not, the body
+    /// is the old encoders' over the `*_profiled` rows cut at the limit,
+    /// and EXPLAIN counts all n rows.
     #[test]
     fn in_place_row_encoders_match_the_trees_they_replaced(
         sets in arb_dimension_sets(),
-        points in prop::collection::vec((0u64..4, any::<u64>(), arb_value()), 0..40),
-        count in prop_oneof![Just(0usize), Just(1), Just(40)],
-        limit in prop_oneof![Just(None), Just(Some(0usize)), Just(Some(1)), Just(Some(7)), Just(Some(1000))],
-        degraded in prop::collection::vec("[a-z\"/-]{1,12}", 0..3),
+        points in prop::collection::vec((0usize..4, arb_time(), arb_value()), 0..40),
+        endpoint in 0usize..3,
+        at in arb_time(),
+        limit in 0usize..6,
+        impaired in prop::collection::vec(
+            ("[a-z\"/-]{1,12}", prop_oneof![Just(ShardState::Failed), Just(ShardState::Quarantined)]),
+            0..3,
+        ),
     ) {
-        // Runs of rows share one allocation, as a series' rows do.
-        let rows: Vec<Row> = points
-            .into_iter()
-            .take(count)
-            .map(|(set, time, value)| Row {
-                // Times past 2^53 and past 1e15 take the float branch.
-                time: if time % 3 == 0 { time } else { time % 100_000 },
-                value,
-                dimensions: Arc::clone(&sets[set as usize % sets.len()]),
-            })
-            .collect();
-        let query = limit.map_or(String::new(), |n| format!("&limit={n}"));
-        let kept = &rows[..rows.len().min(limit.unwrap_or(10_000))];
-        let truncated = kept.len() < rows.len();
+        let db = archive(&sets, &points);
+        let q = Query::measure("m");
+        let ctx = QueryCtx::default();
+        let (path, rows) = match endpoint {
+            0 => ("/query?table=t&measure=m".to_owned(), db.query_profiled("t", &q, ctx)),
+            1 => ("/latest?table=t&measure=m".to_owned(), db.latest_profiled("t", &q, ctx)),
+            _ => (
+                format!("/at?table=t&measure=m&timestamp={at}"),
+                db.value_at_profiled("t", &q, at, ctx),
+            ),
+        };
+        let rows = rows.unwrap().0;
+        let n = rows.len();
+        let limit = [Some(0), Some(1), Some(n.saturating_sub(1)), Some(n), Some(n + 1), None][limit];
+        let kept = &rows[..n.min(limit.unwrap_or(10_000))];
+        let truncated = kept.len() < n;
+        let param = limit.map_or(String::new(), |l| format!("&limit={l}"));
 
-        let request = HttpRequest::get(&format!("/query?table=t{query}")).unwrap();
-        let (response, returned) = ArchiveService::respond_rows(&request, rows.clone(), &degraded);
-        prop_assert_eq!(returned, kept.len() as u64);
+        let health = ShardSetHealth {
+            shards: impaired
+                .iter()
+                .map(|(region, state)| ShardHealthRow {
+                    dataset: "t".to_owned(),
+                    region: region.clone(),
+                    state: *state,
+                    detail: String::new(),
+                    points: 0,
+                    commits: 0,
+                    commit_failures: 0,
+                    last_tick: None,
+                })
+                .collect(),
+        };
+        let degraded: Vec<String> = impaired.iter().map(|(region, _)| format!("t/{region}")).collect();
+        let ops = OpsContext { shards: Some(&health), ..OpsContext::none() };
+        let gateway = Gateway::new();
+        let get = |query: String| gateway.handle(&db, &HttpRequest::get(&query).unwrap(), &ops);
+
+        let response = get(format!("{path}{param}"));
+        prop_assert_eq!(response.status, 200);
         prop_assert_eq!(response.content_type, "application/json");
-        prop_assert_eq!(
-            response.body_text(),
-            rows_json_by_tree(kept, truncated, &degraded)
-        );
+        prop_assert_eq!(response.body_text(), rows_json_by_tree(kept, truncated, &degraded));
         prop_assert!(is_structurally_valid_json(&response.body_text()));
 
-        let request = HttpRequest::get(&format!("/query?table=t&format=csv{query}")).unwrap();
-        let (response, returned) = ArchiveService::respond_rows(&request, rows.clone(), &degraded);
-        prop_assert_eq!(returned, kept.len() as u64);
+        let response = get(format!("{path}{param}&format=csv"));
+        prop_assert_eq!(response.status, 200);
         prop_assert_eq!(response.content_type, "text/csv");
         prop_assert_eq!(response.body_text(), rows_csv_by_search(kept));
+
+        let explain = get(format!("{path}{param}&explain=1")).body_text();
+        let counted = format!("\"rows_post_filter\":{n}}}");
+        prop_assert!(explain.contains(&counted), "{}", explain);
+    }
+
+    /// The store refuses a non-finite value, so no row answer carries one.
+    #[test]
+    fn non_finite_values_never_reach_a_row(value in prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]) {
+        let mut db = Database::new();
+        db.create_table("t", TableOptions::default()).unwrap();
+        let refused = db.write("t", &[Record::new(0, "m", value)]);
+        let bad_record = matches!(refused, Err(TsError::BadRecord { .. }));
+        prop_assert!(bad_record);
+        prop_assert_eq!(db.point_count(), 0);
     }
 
     #[test]
@@ -227,15 +295,13 @@ proptest! {
             0..30,
         )
     ) {
-        let rows: Vec<Row> = rows
-            .into_iter()
-            .map(|(time, value, dim)| Row {
-                time,
-                value,
-                dimensions: vec![("k".to_owned(), dim)].into(),
-            })
-            .collect();
-        let csv = rows_to_csv(&rows);
+        let sets: Vec<Vec<(String, String)>> =
+            rows.iter().map(|(_, _, dim)| vec![("k".to_owned(), dim.clone())]).collect();
+        let points: Vec<(usize, u64, f64)> =
+            rows.iter().enumerate().map(|(i, &(time, value, _))| (i, time, value)).collect();
+        let db = archive(&sets, &points);
+        let request = HttpRequest::get("/query?table=t&measure=m&format=csv").unwrap();
+        let csv = ArchiveService::handle(&db, &request).body_text();
         // Count unquoted commas per record (a record may span lines when a
         // field contains newlines, so parse quote-aware).
         let mut commas_per_record = Vec::new();

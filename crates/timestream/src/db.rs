@@ -4,7 +4,7 @@ use crate::book::{Point, SeriesBook};
 use crate::codec;
 use crate::error::TsError;
 use crate::profile::QueryProfile;
-use crate::query::{Aggregate, Query, Row, WindowRow};
+use crate::query::{Aggregate, Query, Row, RowKind, RowScan, WindowRow};
 use crate::record::Record;
 use crate::table::{Applied, Table, TableOptions};
 use spotlake_obs::{QueryCtx, Registry};
@@ -377,11 +377,8 @@ impl Database {
         q: &Query,
         ctx: QueryCtx,
     ) -> Result<(Vec<Row>, QueryProfile), TsError> {
-        let mut profile = QueryProfile::start("query", table).with_ctx(ctx);
-        let rows = self.table(table)?.query_profiled(q, &mut profile);
-        self.record_query_metrics(table, "query", rows.len());
-        self.record_profile_metrics(&profile);
-        Ok((rows, profile))
+        let (scan, profile) = self.scan_rows(table, q, RowKind::Range, usize::MAX, ctx)?;
+        Ok((scan.into_rows(), profile))
     }
 
     /// [`Database::latest`] with cost profiling; see
@@ -396,11 +393,8 @@ impl Database {
         q: &Query,
         ctx: QueryCtx,
     ) -> Result<(Vec<Row>, QueryProfile), TsError> {
-        let mut profile = QueryProfile::start("latest", table).with_ctx(ctx);
-        let rows = self.table(table)?.latest_profiled(q, &mut profile);
-        self.record_query_metrics(table, "latest", rows.len());
-        self.record_profile_metrics(&profile);
-        Ok((rows, profile))
+        let (scan, profile) = self.scan_rows(table, q, RowKind::Latest, usize::MAX, ctx)?;
+        Ok((scan.into_rows(), profile))
     }
 
     /// [`Database::value_at`] with cost profiling; see
@@ -416,11 +410,34 @@ impl Database {
         at: u64,
         ctx: QueryCtx,
     ) -> Result<(Vec<Row>, QueryProfile), TsError> {
-        let mut profile = QueryProfile::start("value_at", table).with_ctx(ctx);
-        let rows = self.table(table)?.value_at_profiled(q, at, &mut profile);
-        self.record_query_metrics(table, "value_at", rows.len());
+        let (scan, profile) = self.scan_rows(table, q, RowKind::At(at), usize::MAX, ctx)?;
+        Ok((scan.into_rows(), profile))
+    }
+
+    /// The one scan behind the profiled row queries
+    /// ([`Database::query_profiled`], [`Database::latest_profiled`],
+    /// [`Database::value_at_profiled`]): the answer `kind` asks for with
+    /// only its first `limit` rows kept, for an encoder to read in place.
+    /// What it records — the profile, `spotlake_store_query_rows` and the
+    /// `spotlake_query_*` histograms — counts the whole answer, whatever
+    /// the limit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TsError::NoSuchTable`] if the table is absent.
+    pub fn scan_rows(
+        &self,
+        table: &str,
+        q: &Query,
+        kind: RowKind,
+        limit: usize,
+        ctx: QueryCtx,
+    ) -> Result<(RowScan<'_>, QueryProfile), TsError> {
+        let mut profile = QueryProfile::start(kind.op(), table).with_ctx(ctx);
+        let scan = self.table(table)?.scan_rows(q, kind, limit, &mut profile);
+        self.record_query_metrics(table, kind.op(), scan.total());
         self.record_profile_metrics(&profile);
-        Ok((rows, profile))
+        Ok((scan, profile))
     }
 
     /// [`Database::query_window`] with cost profiling; see

@@ -68,7 +68,7 @@ pub use db::Database;
 pub use error::TsError;
 pub use iofault::IoFaultPlan;
 pub use profile::QueryProfile;
-pub use query::{Aggregate, Query, Row, WindowRow};
+pub use query::{Aggregate, Query, Row, RowKind, RowRef, RowScan, WindowRow};
 pub use record::Record;
 pub use recovery::{fsck, recover, FsckReport, RecoveryReport};
 pub use shard::{

@@ -78,8 +78,15 @@ impl Series {
 
     /// Points with `from <= t <= to`, plus the number of storage chunks
     /// the scan touched, for query cost accounting. An inverted range
-    /// (`from > to`) holds no point: empty, no chunk touched.
+    /// (`from > to`) holds no point: empty, no chunk touched. A range that
+    /// covers the whole series is answered from its bounds, without a
+    /// search — with the chunk count the search would give.
     pub(crate) fn range_scan(&self, from: u64, to: u64) -> (&[(u64, f64)], u64) {
+        if let (Some(&(first, _)), Some(&(last, _))) = (self.points.first(), self.points.last()) {
+            if from <= first && last <= to {
+                return (&self.points, chunks_touched(0, self.points.len()));
+            }
+        }
         let start = self.points.partition_point(|&(t, _)| t < from);
         let end = self.points.partition_point(|&(t, _)| t <= to).max(start);
         (&self.points[start..end], chunks_touched(start, end))
@@ -89,6 +96,9 @@ impl Series {
     /// when a point is found: the lookup decodes only the page holding
     /// it).
     pub(crate) fn value_at_scan(&self, at: u64) -> (Option<(u64, f64)>, u64) {
+        if let Some(&last) = self.points.last().filter(|&&(t, _)| t <= at) {
+            return (Some(last), 1);
+        }
         let idx = self.points.partition_point(|&(t, _)| t <= at);
         match idx.checked_sub(1) {
             Some(i) => (Some(self.points[i]), 1),
@@ -245,7 +255,48 @@ mod tests {
         assert_eq!(s.prune_before(0), 0);
     }
 
+    /// The range and point lookups by their definition: two searches for
+    /// a range, one for a point.
+    fn by_search(s: &Series, from: u64, to: u64) -> (&[(u64, f64)], u64) {
+        let pts = s.points();
+        let start = pts.partition_point(|&(t, _)| t < from);
+        let end = pts.partition_point(|&(t, _)| t <= to).max(start);
+        (&pts[start..end], chunks_touched(start, end))
+    }
+
     proptest! {
+        /// `range_scan` — the covered-series shortcut included — and
+        /// `value_at_scan` answer as the searches define them, chunk counts
+        /// included: over empty series and series of several pages, for
+        /// ranges that cover, touch an endpoint, sit inside, miss or invert.
+        #[test]
+        fn scans_equal_their_search_definitions(
+            times in prop::collection::vec(0u64..2_000, 0..700),
+            a in 0u64..2_100,
+            b in 0u64..2_100,
+            shape in 0usize..7,
+        ) {
+            let mut s = Series::new(vec![]);
+            for &t in &times {
+                s.insert(t, t as f64);
+            }
+            let first = s.points().first().map_or(0, |p| p.0);
+            let last = s.points().last().map_or(0, |p| p.0);
+            let (from, to) = match shape {
+                0 => (a, b),
+                1 => (0, u64::MAX),
+                2 => (first, last),
+                3 => (first, b),
+                4 => (a, last),
+                5 => (last, first),
+                _ => (last.saturating_add(1), u64::MAX),
+            };
+            prop_assert_eq!(s.range_scan(from, to), by_search(&s, from, to));
+            let idx = s.points().partition_point(|&(t, _)| t <= to);
+            let want = idx.checked_sub(1).map(|i| s.points()[i]);
+            prop_assert_eq!(s.value_at_scan(to), (want, u64::from(want.is_some())));
+        }
+
         #[test]
         fn always_sorted_unique_times(writes in prop::collection::vec((0u64..1000, -100.0f64..100.0), 0..200)) {
             let mut s = Series::new(vec![]);

@@ -3,7 +3,7 @@
 use crate::book::{Point, SeriesBook, SeriesRef};
 use crate::error::TsError;
 use crate::profile::QueryProfile;
-use crate::query::{Aggregate, Query, Row, WindowRow};
+use crate::query::{Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
 use crate::record::{series_key, Record};
 use crate::series::Series;
 use std::collections::{BTreeMap, BTreeSet};
@@ -397,33 +397,8 @@ impl Table {
 
     /// [`Table::query`] while accumulating scan costs into `profile`.
     pub fn query_profiled(&self, q: &Query, profile: &mut QueryProfile) -> Vec<Row> {
-        let (from, to) = q.time_range();
-        profile.observe_query(q);
-        // Rows order by (time, dimensions). Sorting the candidates by
-        // dimensions once gives each a rank, and the points then sort as
-        // plain integers; a series holds one point per timestamp and a
-        // measure one series per dimension set, so (time, rank) is unique.
-        let mut by_dimensions = self.scan_candidates(q, from, to, profile);
-        by_dimensions.sort_unstable_by(|a, b| a.dimensions.cmp(&b.dimensions));
-        let mut points: Vec<(u64, usize, f64)> = Vec::new();
-        for (rank, series) in by_dimensions.iter().enumerate() {
-            let (pts, chunks) = series.range_scan(from, to);
-            profile.chunks_decompressed += chunks;
-            profile.rows_decoded += pts.len() as u64;
-            points.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
-        }
-        if by_dimensions.len() > 1 {
-            points.sort_unstable_by_key(|&(time, rank, _)| (time, rank));
-        }
-        profile.rows_post_filter = points.len() as u64;
-        points
-            .into_iter()
-            .map(|(time, rank, value)| Row {
-                time,
-                value,
-                dimensions: Arc::clone(&by_dimensions[rank].dimensions),
-            })
-            .collect()
+        self.scan_rows(q, RowKind::Range, usize::MAX, profile)
+            .into_rows()
     }
 
     /// The latest point (within the query's range) of each matching series.
@@ -435,26 +410,8 @@ impl Table {
     /// The lookup decodes only the page holding each series' last
     /// in-range point, so it charges one chunk and one row per hit.
     pub fn latest_profiled(&self, q: &Query, profile: &mut QueryProfile) -> Vec<Row> {
-        let (from, to) = q.time_range();
-        profile.observe_query(q);
-        let rows: Vec<Row> = self
-            .scan_candidates(q, from, to, profile)
-            .into_iter()
-            .filter_map(|series| {
-                let (pts, _) = series.range_scan(from, to);
-                pts.last().map(|&(time, value)| {
-                    profile.chunks_decompressed += 1;
-                    profile.rows_decoded += 1;
-                    Row {
-                        time,
-                        value,
-                        dimensions: Arc::clone(&series.dimensions),
-                    }
-                })
-            })
-            .collect();
-        profile.rows_post_filter = rows.len() as u64;
-        rows
+        self.scan_rows(q, RowKind::Latest, usize::MAX, profile)
+            .into_rows()
     }
 
     /// The value in effect at `at` (latest point at or before `at`) of each
@@ -466,27 +423,113 @@ impl Table {
 
     /// [`Table::value_at`] while accumulating scan costs into `profile`.
     pub fn value_at_profiled(&self, q: &Query, at: u64, profile: &mut QueryProfile) -> Vec<Row> {
+        self.scan_rows(q, RowKind::At(at), usize::MAX, profile)
+            .into_rows()
+    }
+
+    /// The one scan behind every row query: the answer `kind` asks for,
+    /// keeping only its first `limit` rows, while accumulating scan costs
+    /// into `profile`. The profile describes the whole answer whatever the
+    /// limit — `rows_post_filter` is [`RowScan::total`].
+    pub(crate) fn scan_rows(
+        &self,
+        q: &Query,
+        kind: RowKind,
+        limit: usize,
+        profile: &mut QueryProfile,
+    ) -> RowScan<'_> {
         profile.observe_query(q);
-        profile.from = 0;
-        profile.to = at;
-        let rows: Vec<Row> = self
-            .scan_candidates(q, 0, at, profile)
-            .into_iter()
-            .filter_map(|series| {
-                let (found, chunks) = series.value_at_scan(at);
+        let (from, to) = q.time_range();
+        let scan = match kind {
+            RowKind::Range => self.scan_range(q, limit, profile),
+            RowKind::Latest => self.scan_each(q, from, to, limit, profile, |series| {
+                let last = series.range_scan(from, to).0.last().copied();
+                (last, u64::from(last.is_some()))
+            }),
+            RowKind::At(at) => {
+                profile.from = 0;
+                profile.to = at;
+                self.scan_each(q, 0, at, limit, profile, |series| series.value_at_scan(at))
+            }
+        };
+        profile.rows_post_filter = scan.total as u64;
+        scan
+    }
+
+    /// Every in-range point of the candidates, ordered by (time,
+    /// dimensions), the first `limit` kept. Sorting the candidates by
+    /// dimensions once gives each a rank, and the points then order as
+    /// plain integers; a series holds one point per timestamp and a
+    /// measure one series per dimension set, so (time, rank) is unique.
+    /// Only the kept points are sorted: the first `limit` keys are
+    /// selected from the rest first.
+    fn scan_range(&self, q: &Query, limit: usize, profile: &mut QueryProfile) -> RowScan<'_> {
+        let (from, to) = q.time_range();
+        let mut series = self.scan_candidates(q, from, to, profile);
+        series.sort_unstable_by(|a, b| a.dimensions.cmp(&b.dimensions));
+        let slices: Vec<&[(u64, f64)]> = series
+            .iter()
+            .map(|s| {
+                let (pts, chunks) = s.range_scan(from, to);
                 profile.chunks_decompressed += chunks;
-                found.map(|(time, value)| {
-                    profile.rows_decoded += 1;
-                    Row {
-                        time,
-                        value,
-                        dimensions: Arc::clone(&series.dimensions),
-                    }
-                })
+                profile.rows_decoded += pts.len() as u64;
+                pts
             })
             .collect();
-        profile.rows_post_filter = rows.len() as u64;
-        rows
+        let total = slices.iter().map(|pts| pts.len()).sum();
+        let mut rows = Vec::with_capacity(total);
+        for (rank, pts) in slices.iter().enumerate() {
+            rows.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
+        }
+        if series.len() > 1 {
+            let key = |&(time, rank, _): &(u64, usize, f64)| (time, rank);
+            if total > limit {
+                rows.select_nth_unstable_by_key(limit, key);
+            }
+            rows.truncate(limit);
+            rows.sort_unstable_by_key(key);
+        } else {
+            rows.truncate(limit);
+        }
+        RowScan {
+            series,
+            rows,
+            total,
+        }
+    }
+
+    /// At most one row per candidate, in dimension-key order: the point
+    /// `find` picks and the chunks it decoded to pick it. Every candidate
+    /// is visited, so the answer's total and costs are whole; only the
+    /// first `limit` rows are kept.
+    fn scan_each(
+        &self,
+        q: &Query,
+        from: u64,
+        to: u64,
+        limit: usize,
+        profile: &mut QueryProfile,
+        find: impl Fn(&Series) -> (Option<(u64, f64)>, u64),
+    ) -> RowScan<'_> {
+        let series = self.scan_candidates(q, from, to, profile);
+        let mut rows = Vec::with_capacity(series.len().min(limit));
+        let mut total = 0;
+        for (at, s) in series.iter().enumerate() {
+            let (found, chunks) = find(s);
+            profile.chunks_decompressed += chunks;
+            if let Some((time, value)) = found {
+                profile.rows_decoded += 1;
+                total += 1;
+                if rows.len() < limit {
+                    rows.push((time, at, value));
+                }
+            }
+        }
+        RowScan {
+            series,
+            rows,
+            total,
+        }
     }
 
     /// Tumbling-window aggregation pooled across all matching series:
@@ -502,7 +545,9 @@ impl Table {
 
     /// [`Table::query_window`] while accumulating scan costs into
     /// `profile`: every in-range point is decoded, and the aggregated
-    /// window rows are what survives the filter stage.
+    /// window rows are what survives the filter stage. Each window folds
+    /// its points as they are scanned — series in key order, each in time
+    /// order, the order [`Aggregate::apply`] would see them in.
     ///
     /// # Panics
     ///
@@ -517,24 +562,36 @@ impl Table {
         assert!(window > 0, "window length must be positive");
         let (from, to) = q.time_range();
         profile.observe_query(q);
-        let base = from;
-        let mut buckets: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
+        let mut windows: BTreeMap<u64, Fold> = BTreeMap::new();
         for series in self.scan_candidates(q, from, to, profile) {
-            let (pts, chunks) = series.range_scan(from, to);
+            let (mut pts, chunks) = series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
             profile.rows_decoded += pts.len() as u64;
-            for &(time, value) in pts {
-                let w = base + ((time - base) / window) * window;
-                buckets.entry(w).or_default().push((time, value));
+            // A series' points are in time order, so each window's share
+            // of them is one run: one lookup per run, not per point.
+            while let Some(&(first, _)) = pts.first() {
+                let window_start = from + (first - from) / window * window;
+                let len = match window_start.checked_add(window) {
+                    Some(end) => pts.partition_point(|&(t, _)| t < end),
+                    None => pts.len(),
+                };
+                let (run, rest) = pts.split_at(len);
+                let fold = windows
+                    .entry(window_start)
+                    .or_insert_with(|| Fold::new(agg));
+                for &(time, value) in run {
+                    fold.push(time, value);
+                }
+                pts = rest;
             }
         }
-        let rows: Vec<WindowRow> = buckets
+        let rows: Vec<WindowRow> = windows
             .into_iter()
-            .filter_map(|(window_start, pts)| {
-                agg.apply(&pts).map(|value| WindowRow {
+            .filter_map(|(window_start, fold)| {
+                fold.finish().map(|value| WindowRow {
                     window_start,
                     value,
-                    count: pts.len(),
+                    count: fold.count(),
                 })
             })
             .collect();

@@ -15,14 +15,18 @@
 //! Both of those run through the store's one write path, so both are also
 //! checked against references outside it. A plain model — a map of sorted
 //! point lists with the change-point rule spelled out — must hold the same
-//! rows and series; and a sharded store must be byte-for-byte an in-memory
-//! store written with the records its shards acknowledged, so a shard that
+//! rows and series, and answer every read the same: `query`, `latest`,
+//! `value_at` and `query_window` under filters series carry or not, over
+//! ranges that cover, touch, sit inside, miss or invert the data, with the
+//! profile's `rows_decoded` and `rows_post_filter` counted as the model
+//! counts them. A sharded store must be byte-for-byte an in-memory store
+//! written with the records its shards acknowledged, so a shard that
 //! failed leaves none of its new series filed.
 
 use proptest::prelude::*;
 use spotlake_timestream::{
-    Database, IoFaultPlan, Point, Query, Record, SeriesBook, SeriesRef, ShardFaultConfig, ShardKey,
-    ShardedArchive, TableOptions, WriteMode,
+    Aggregate, Database, IoFaultPlan, Point, Query, QueryProfile, Record, SeriesBook, SeriesRef,
+    ShardFaultConfig, ShardKey, ShardedArchive, Table, TableOptions, WindowRow, WriteMode,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -34,6 +38,25 @@ const SERIES: usize = 8;
 const MEASURES: [&str; 2] = ["m0", "m1"];
 /// Rounds are this far apart; retention keeps two of them.
 const STEP: u64 = 600;
+/// Filters the reads carry: none; pairs series carry, alone and together;
+/// a value and a key no series carries. Generated dimensions are
+/// fixed-width, so key order and dimension order agree.
+const FILTERS: [&[(&str, &str)]; 6] = [
+    &[],
+    &[("region", "r1")],
+    &[("series", "3")],
+    &[("region", "r0"), ("series", "3")],
+    &[("region", "r9")],
+    &[("nope", "r0")],
+];
+const AGGREGATES: [Aggregate; 6] = [
+    Aggregate::Mean,
+    Aggregate::Min,
+    Aggregate::Max,
+    Aggregate::Count,
+    Aggregate::Sum,
+    Aggregate::Last,
+];
 
 /// A fresh scratch path per call: cases run back to back in one process.
 fn scratch(tag: &str) -> PathBuf {
@@ -217,7 +240,176 @@ impl Model {
         self.series.retain(|_, points| !points.is_empty());
     }
 
-    /// Asserts `db` holds exactly the model's series and points.
+    /// The series of `measure` `filters` match, in dimension order.
+    fn matching<'a>(
+        &'a self,
+        measure: &'a str,
+        filters: &'a [(&str, &str)],
+    ) -> impl Iterator<Item = (&'a Dims, &'a [(u64, f64)])> + 'a {
+        self.series
+            .iter()
+            .filter(move |((m, dims), _)| {
+                m == measure
+                    && filters
+                        .iter()
+                        .all(|(k, v)| dims.iter().any(|(dk, dv)| dk == k && dv == v))
+            })
+            .map(|((_, dims), points)| (dims, points.as_slice()))
+    }
+
+    /// Every in-range point of the matching series, by (time, dimensions).
+    fn query(&self, measure: &str, filters: &[(&str, &str)], from: u64, to: u64) -> Vec<Row> {
+        let mut rows: Vec<Row> = self
+            .matching(measure, filters)
+            .flat_map(|(dims, points)| {
+                points
+                    .iter()
+                    .filter(move |&&(t, _)| from <= t && t <= to)
+                    .map(move |&(t, v)| (dims.clone(), t, v))
+            })
+            .collect();
+        rows.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+        rows
+    }
+
+    /// Per matching series, the last point `keep` accepts.
+    fn last_where(
+        &self,
+        measure: &str,
+        filters: &[(&str, &str)],
+        keep: impl Fn(u64) -> bool,
+    ) -> Vec<Row> {
+        self.matching(measure, filters)
+            .filter_map(|(dims, points)| {
+                let &(t, v) = points.iter().rev().find(|&&(t, _)| keep(t))?;
+                Some((dims.clone(), t, v))
+            })
+            .collect()
+    }
+
+    /// Tumbling windows from `from`, each [`Aggregate::apply`] over its
+    /// points in series order, and the points the windows hold.
+    fn window(
+        &self,
+        measure: &str,
+        filters: &[(&str, &str)],
+        (from, to): (u64, u64),
+        window: u64,
+        agg: Aggregate,
+    ) -> (Vec<WindowRow>, usize) {
+        let mut buckets: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
+        for (_, points) in self.matching(measure, filters) {
+            for &(t, v) in points.iter().filter(|&&(t, _)| from <= t && t <= to) {
+                buckets
+                    .entry(from + (t - from) / window * window)
+                    .or_default()
+                    .push((t, v));
+            }
+        }
+        let decoded = buckets.values().map(Vec::len).sum();
+        let rows = buckets
+            .into_iter()
+            .map(|(window_start, points)| WindowRow {
+                window_start,
+                value: agg.apply(&points).unwrap(),
+                count: points.len(),
+            })
+            .collect();
+        (rows, decoded)
+    }
+
+    /// The ranges the reads run over: everything; exactly the data's
+    /// bounds; inside them; one round's stretch; past the data; inverted.
+    fn ranges(&self) -> Vec<(u64, u64)> {
+        let times = || self.series.values().flatten().map(|&(t, _)| t);
+        let first = times().min().unwrap_or(0);
+        let last = times().max().unwrap_or(0);
+        vec![
+            (0, u64::MAX),
+            (first, last),
+            (first + 1, last.saturating_sub(1)),
+            (2 * STEP, 3 * STEP),
+            (last + 1, u64::MAX),
+            (last.max(1), first.min(last.max(1) - 1)),
+        ]
+    }
+
+    /// Asserts every read of `table` answers as the model does, and
+    /// counts the rows it decoded and kept as the model counts them.
+    fn check_reads(&self, table: &Table, what: &str) -> Result<(), TestCaseError> {
+        let stored = |rows: Vec<spotlake_timestream::Row>| -> Vec<Row> {
+            rows.into_iter()
+                .map(|r| (r.dimensions.to_vec(), r.time, r.value))
+                .collect()
+        };
+        for measure in MEASURES {
+            for filters in FILTERS {
+                for (from, to) in self.ranges() {
+                    let mut q = Query::measure(measure).between(from, to);
+                    for (k, v) in filters {
+                        q = q.filter(*k, *v);
+                    }
+                    let at = format!("{what}: {measure} {filters:?} {from}..{to}");
+
+                    let mut p = QueryProfile::default();
+                    let got = stored(table.query_profiled(&q, &mut p));
+                    let want = self.query(measure, filters, from, to);
+                    prop_assert_eq!(
+                        (p.rows_decoded, p.rows_post_filter),
+                        (want.len() as u64, want.len() as u64),
+                        "query counts, {}",
+                        at
+                    );
+                    prop_assert_eq!(got, want, "query, {}", at);
+
+                    let mut p = QueryProfile::default();
+                    let got = stored(table.latest_profiled(&q, &mut p));
+                    let want = self.last_where(measure, filters, |t| from <= t && t <= to);
+                    prop_assert_eq!(
+                        (p.rows_decoded, p.rows_post_filter),
+                        (want.len() as u64, want.len() as u64),
+                        "latest counts, {}",
+                        at
+                    );
+                    prop_assert_eq!(got, want, "latest, {}", at);
+
+                    let mut p = QueryProfile::default();
+                    let got = stored(table.value_at_profiled(&q, to, &mut p));
+                    let want = self.last_where(measure, filters, |t| t <= to);
+                    prop_assert_eq!(
+                        (p.rows_decoded, p.rows_post_filter),
+                        (want.len() as u64, want.len() as u64),
+                        "value_at counts, {}",
+                        at
+                    );
+                    prop_assert_eq!(got, want, "value_at, {}", at);
+
+                    for (agg, window) in
+                        AGGREGATES
+                            .into_iter()
+                            .zip([STEP, 7, 1, 2 * STEP, 3 * STEP, u64::MAX])
+                    {
+                        let mut p = QueryProfile::default();
+                        let got = table.query_window_profiled(&q, window, agg, &mut p);
+                        let (want, decoded) =
+                            self.window(measure, filters, (from, to), window, agg);
+                        prop_assert_eq!(
+                            (p.rows_decoded, p.rows_post_filter),
+                            (decoded as u64, want.len() as u64),
+                            "window counts, {:?}, {}",
+                            agg,
+                            at
+                        );
+                        prop_assert_eq!(got, want, "window {:?} of {}, {}", agg, window, at);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Asserts `db` holds exactly the model's series and points, and
+    /// answers every read as the model does.
     fn check(&self, db: &Database, what: &str) -> Result<(), TestCaseError> {
         let table = db.table(TABLE).unwrap();
         prop_assert_eq!(table.series_count(), self.series.len(), "{}: series", what);
@@ -238,7 +430,7 @@ impl Model {
                 .collect();
             prop_assert_eq!(rows, want, "{}: rows of {}", what, measure);
         }
-        Ok(())
+        self.check_reads(table, what)
     }
 }
 
