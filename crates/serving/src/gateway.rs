@@ -285,7 +285,8 @@ impl Gateway {
     /// before the scan — the store keeps only the rows the response
     /// carries, and a request refused for them is no query the store
     /// answered (no trace id, no `spotlake_store_*` or `spotlake_query_*`
-    /// sample).
+    /// sample). Impaired shards the request touches flag a JSON body as a
+    /// partial answer; CSV stays schema-stable and unannotated.
     fn rows(
         &self,
         db: &Database,
@@ -1075,6 +1076,43 @@ mod tests {
             &ops,
         );
         assert_eq!(gateway.flight().observed(), 1);
+    }
+
+    #[test]
+    fn a_refused_limit_or_format_is_no_store_query() {
+        let db = archive();
+        let gateway = Gateway::new();
+        let ops = OpsContext::none();
+        let first_trace = gateway.new_ctx(&ops).trace_id;
+        for path in [
+            "/query?table=sps&limit=x",
+            "/latest?table=sps&format=xml",
+            "/at?table=sps&timestamp=700&limit=-1",
+        ] {
+            let r = gateway.handle(&db, &HttpRequest::get(path).unwrap(), &ops);
+            assert_eq!(r.status, 400, "{path}");
+        }
+        let scrape = db.metrics().render();
+        for family in [
+            "spotlake_store_queries_total",
+            "spotlake_store_query_rows",
+            "spotlake_query_rows_post_filter",
+        ] {
+            assert!(!scrape.contains(family), "{family} recorded: {scrape}");
+        }
+        assert_eq!(gateway.flight().observed(), 0);
+        // The refusals took no trace id: the next query gets the next one.
+        let body = gateway
+            .handle(
+                &db,
+                &HttpRequest::get("/query?table=sps&explain=1").unwrap(),
+                &ops,
+            )
+            .body_text();
+        assert!(
+            body.contains(&format!("\"trace_id\":{}}}", first_trace + 1)),
+            "{body}"
+        );
     }
 
     #[test]

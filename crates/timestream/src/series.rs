@@ -96,9 +96,6 @@ impl Series {
     /// when a point is found: the lookup decodes only the page holding
     /// it).
     pub(crate) fn value_at_scan(&self, at: u64) -> (Option<(u64, f64)>, u64) {
-        if let Some(&last) = self.points.last().filter(|&&(t, _)| t <= at) {
-            return (Some(last), 1);
-        }
         let idx = self.points.partition_point(|&(t, _)| t <= at);
         match idx.checked_sub(1) {
             Some(i) => (Some(self.points[i]), 1),
