@@ -113,7 +113,7 @@ impl RowKind {
 /// and, in answer order, the first `limit` of its rows, each naming its
 /// series by position. No [`Row`] is built — an encoder reads the rows in
 /// place, and [`RowScan::into_rows`] is the `Vec<Row>` answer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RowScan<'a> {
     /// The series rows may come from; a row's `series` indexes this.
     pub(crate) series: Vec<&'a Series>,
@@ -138,7 +138,7 @@ pub struct RowRef<'a> {
     pub dimensions: &'a [(String, String)],
 }
 
-impl<'a> RowScan<'a> {
+impl RowScan<'_> {
     /// Rows kept: at most the limit the scan ran under.
     pub fn len(&self) -> usize {
         self.rows.len()
