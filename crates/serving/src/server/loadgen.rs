@@ -518,18 +518,20 @@ struct ClientTally {
 /// Runs the configured load against `addr` and summarizes what came
 /// back. Blocks until every client finishes its plan.
 pub fn run(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
+    run_with(addr, config, &Registry::new())
+}
+
+/// [`run`], recording the `spotlake_loadgen_*` families into `registry`
+/// so the caller can scrape them afterwards.
+pub fn run_with(addr: SocketAddr, config: &LoadConfig, registry: &Registry) -> LoadReport {
     let plans = plan(config);
     let planned: u64 = plans.iter().map(|p| p.len() as u64).sum();
-    let registry = Registry::new();
     let started = Instant::now();
 
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = plans
             .iter()
-            .map(|actions| {
-                let registry = &registry;
-                scope.spawn(move || run_client(addr, config, actions, registry))
-            })
+            .map(|actions| scope.spawn(move || run_client(addr, config, actions, registry)))
             .collect();
         handles
             .into_iter()

@@ -16,7 +16,10 @@
 //!
 //! The test runs each scenario twice — the two manifests must agree
 //! (determinism) — and compares the result with `tests/golden/<name>.txt`
-//! (drift). A mismatch names the first artifact that differs. A change
+//! (drift). A mismatch names the first artifact that differs. A third
+//! file, `tests/golden/metric_families.txt`, holds the `# HELP` and
+//! `# TYPE` lines of every family the scenario, the TCP server and the
+//! load generator render. A change
 //! that alters the bytes on purpose re-blesses the files with
 //!
 //! ```bash
@@ -29,7 +32,10 @@ mod common;
 
 use spotlake::{CollectorConfig, SpotLake};
 use spotlake_cloud_api::FaultPlan;
-use spotlake_timestream::IoFaultPlan;
+use spotlake_obs::{Registry, SloSet, SloTracker};
+use spotlake_serving::server::{loadgen, LoadConfig, ServerMetrics};
+use spotlake_serving::{Server, ServerConfig, SharedArchive};
+use spotlake_timestream::{Database, IoFaultPlan};
 use std::path::{Path, PathBuf};
 
 /// Rounds per scenario: twelve simulated hours at the 30-minute tick.
@@ -132,9 +138,10 @@ fn files(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
     }
 }
 
-/// Runs `config` for [`ROUNDS`] rounds and digests what it leaves.
-/// `wal_dir` is the run's archive directory when the scenario is durable.
-fn manifest(config: CollectorConfig, wal_dir: Option<&Path>) -> String {
+/// Runs `config` for [`ROUNDS`] rounds and collects what it leaves,
+/// sorted by artifact name. `wal_dir` is the run's archive directory
+/// when the scenario is durable.
+fn artifacts(config: CollectorConfig, wal_dir: Option<&Path>) -> Vec<(String, Vec<u8>)> {
     let mut lake = SpotLake::builder()
         .catalog(common::test_catalog(common::GPU_MENU))
         .sim_config(common::sim_config())
@@ -170,6 +177,11 @@ fn manifest(config: CollectorConfig, wal_dir: Option<&Path>) -> String {
     }
     artifacts.sort_by(|a, b| a.0.cmp(&b.0));
     artifacts
+}
+
+/// [`artifacts`] digested into a manifest, one line per artifact.
+fn manifest(config: CollectorConfig, wal_dir: Option<&Path>) -> String {
+    artifacts(config, wal_dir)
         .iter()
         .map(|(name, bytes)| format!("{:08x} {:>8} {name}\n", crc32c(bytes), bytes.len()))
         .collect()
@@ -213,25 +225,32 @@ fn check(scenario: &str, config: CollectorConfig, durable: bool) {
         panic!("{scenario}: `{artifact}` differs between two same-seed runs");
     }
 
-    let path = golden_path(scenario);
+    if let Some(want) = golden_or_bless(scenario, &first) {
+        if let Some(artifact) = first_difference(&first, &want) {
+            panic!(
+                "{scenario}: `{artifact}` drifted from {}; if the change is meant, \
+                 re-bless with SPOTLAKE_BLESS=1 and explain it in CHANGES.md",
+                golden_path(scenario).display()
+            );
+        }
+    }
+}
+
+/// The committed `tests/golden/<name>.txt`, or `None` after rewriting it
+/// with `got` under `SPOTLAKE_BLESS=1`.
+fn golden_or_bless(name: &str, got: &str) -> Option<String> {
+    let path = golden_path(name);
     if std::env::var_os("SPOTLAKE_BLESS").is_some_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, &first).expect("write golden manifest");
-        return;
+        std::fs::write(&path, got).expect("write golden file");
+        return None;
     }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    Some(std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "{}: {e}; bless it with SPOTLAKE_BLESS=1 cargo test -p spotlake --test golden",
             path.display()
         )
-    });
-    if let Some(artifact) = first_difference(&first, &want) {
-        panic!(
-            "{scenario}: `{artifact}` drifted from {}; if the change is meant, \
-             re-bless with SPOTLAKE_BLESS=1 and explain it in CHANGES.md",
-            path.display()
-        );
-    }
+    }))
 }
 
 #[test]
@@ -241,13 +260,97 @@ fn in_memory_clean_run_matches_its_golden_digests() {
 
 #[test]
 fn sharded_run_under_api_and_disk_weather_matches_its_golden_digests() {
-    let config = CollectorConfig {
+    check("sharded_faults", sharded_faults(), true);
+}
+
+/// The durable scenario: sharded WALs under API and disk faults.
+fn sharded_faults() -> CollectorConfig {
+    CollectorConfig {
         checkpoint_every: 3,
         faults: FaultPlan::profile("moderate", common::SEED),
         io_faults: IoFaultPlan::profile("transient", common::SEED),
         ..CollectorConfig::default()
+    }
+}
+
+/// The `# HELP` and `# TYPE` lines of every family that three sources
+/// render, sorted by family (HELP before TYPE):
+///
+/// * the last `/metrics` scrape of the sharded-faults scenario;
+/// * a [`ServerMetrics`] driven through each of its methods (the server,
+///   SLO and telemetry families);
+/// * the registry of a small load-generator run against a live server;
+/// * a store whose every write is throttled, the one store family the
+///   scenario never records.
+///
+/// The file pins each family's help text and kind, which the digests
+/// above cover only for the scenario's own families.
+#[test]
+fn every_metric_family_header_matches_its_golden_file() {
+    let dir = common::scratch_path("golden", "metric-families");
+    let scenario = artifacts(sharded_faults(), Some(&dir));
+    std::fs::remove_dir_all(&dir).ok();
+    let (_, last_scrape) = scenario
+        .iter()
+        .rfind(|(name, _)| name.starts_with("rows/") && name.ends_with("/metrics"))
+        .expect("the row requests end with a /metrics scrape");
+    let mut scrapes = vec![String::from_utf8(last_scrape.clone()).expect("utf-8 exposition")];
+
+    let server = ServerMetrics::new();
+    server.connection_accepted();
+    server.enqueued();
+    server.dequeued();
+    server.shed();
+    server.request_started();
+    server.request_finished("200", 1500.0);
+    server.phase("handle", 900.0);
+    server.telemetry_progress(2, 1);
+    server.slo_progress(&SloTracker::new(SloSet::serving_defaults()).report());
+    server.slo_transition("availability", "page");
+    server.deadline_exceeded();
+    server.slow_client_closed();
+    server.bad_request(400);
+    server.worker_panic();
+    scrapes.push(server.registry().render());
+
+    let handle = Server::start(SharedArchive::new(Database::new()), ServerConfig::default())
+        .expect("bind loopback");
+    let load = Registry::new();
+    let config = LoadConfig {
+        clients: 1,
+        requests_per_client: 4,
+        ..LoadConfig::default()
     };
-    check("sharded_faults", config, true);
+    loadgen::run_with(handle.addr(), &config, &load);
+    handle.shutdown();
+    scrapes.push(load.render());
+
+    let mut throttled = Database::new();
+    throttled.set_write_faults(1.0, common::SEED);
+    assert!(
+        throttled.write("sps", &[]).is_err(),
+        "every write throttled"
+    );
+    scrapes.push(throttled.metrics().render());
+
+    let mut headers: Vec<&str> = scrapes
+        .iter()
+        .flat_map(|text| text.lines())
+        .filter(|line| line.starts_with("# HELP ") || line.starts_with("# TYPE "))
+        .collect();
+    let family = |line: &str| line.split(' ').nth(2).unwrap_or_default().to_owned();
+    headers.sort_by_key(|line| (family(line), line.to_string()));
+    headers.dedup();
+    let got: String = headers.iter().map(|line| format!("{line}\n")).collect();
+
+    if let Some(want) = golden_or_bless("metric_families", &got) {
+        let drifted = got.lines().zip(want.lines()).find(|(g, w)| g != w);
+        assert!(
+            drifted.is_none() && got.lines().count() == want.lines().count(),
+            "metric family headers drifted from {} (first difference: {drifted:?})",
+            golden_path("metric_families").display()
+        );
+    }
 }
 
 #[test]
