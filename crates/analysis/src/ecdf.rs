@@ -81,11 +81,6 @@ impl Ecdf {
         }
         out
     }
-
-    /// Evaluates the CDF at caller-chosen grid points (for tabular output).
-    pub fn sample_at(&self, grid: &[f64]) -> Vec<(f64, f64)> {
-        grid.iter().map(|&x| (x, self.eval(x))).collect()
-    }
 }
 
 #[cfg(test)]

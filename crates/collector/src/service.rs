@@ -29,7 +29,7 @@ use crate::sps_collector::{ShardQueue, SpsCollector, SpsScores};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
-    Clock, HealthReport, ManualClock, QualityKey, QualityMonitor, QualityReport, Readiness,
+    names, Clock, HealthReport, ManualClock, QualityKey, QualityMonitor, QualityReport, Readiness,
     Registry, TraceJournal,
 };
 use spotlake_timestream::{
@@ -646,33 +646,24 @@ impl CollectorService {
         health: &RoundHealth,
     ) {
         let m = &self.metrics;
+        m.counter_add(names::COLLECTOR_ROUNDS_TOTAL, &[], 1);
         m.counter_add(
-            "spotlake_collector_rounds_total",
-            "Collection rounds executed.",
-            &[],
-            1,
-        );
-        m.counter_add(
-            "spotlake_collector_degraded_rounds_total",
-            "Rounds in which at least one dataset fell short.",
+            names::COLLECTOR_DEGRADED_ROUNDS_TOTAL,
             &[],
             stats.degraded_rounds as u64,
         );
         m.counter_add(
-            "spotlake_collector_records_written_total",
-            "Records stored across all datasets (after change-point dedup).",
+            names::COLLECTOR_RECORDS_WRITTEN_TOTAL,
             &[],
             stats.records_written as u64,
         );
         m.counter_add(
-            "spotlake_collector_dead_lettered_total",
-            "SPS queries newly parked in the dead-letter queue.",
+            names::COLLECTOR_DEAD_LETTERED_TOTAL,
             &[],
             stats.dead_lettered as u64,
         );
         m.gauge_set(
-            "spotlake_collector_dead_letter_depth",
-            "Dead-letter queue depth after the most recent round.",
+            names::COLLECTOR_DEAD_LETTER_DEPTH,
             &[],
             health.dead_letter_depth as f64,
         );
@@ -683,21 +674,10 @@ impl CollectorService {
             }
             let d = health.dataset(dataset);
             let labels = [("dataset", dataset.name())];
+            m.counter_add(names::COLLECTOR_RECORDS_TOTAL, &labels, d.records as u64);
+            m.counter_add(names::COLLECTOR_RETRIES_TOTAL, &labels, d.retries as u64);
             m.counter_add(
-                "spotlake_collector_records_total",
-                "Records collected per dataset per round, summed.",
-                &labels,
-                d.records as u64,
-            );
-            m.counter_add(
-                "spotlake_collector_retries_total",
-                "Retry attempts spent per dataset (API calls and store writes).",
-                &labels,
-                d.retries as u64,
-            );
-            m.counter_add(
-                "spotlake_collector_failed_queries_total",
-                "Operations that failed even after retries, per dataset.",
+                names::COLLECTOR_FAILED_QUERIES_TOTAL,
                 &labels,
                 d.failed_queries as u64,
             );
@@ -709,19 +689,9 @@ impl CollectorService {
             } else {
                 stats.queries_issued + d.retries
             };
-            m.histogram_record(
-                "spotlake_collector_round_ops",
-                "API operations (first calls + retries) spent per dataset per round — the deterministic stand-in for round duration.",
-                &labels,
-                ops as f64,
-            );
+            m.histogram_record(names::COLLECTOR_ROUND_OPS, &labels, ops as f64);
             let breaker = self.breaker_state(dataset);
-            m.gauge_set(
-                "spotlake_collector_breaker_state",
-                "Circuit-breaker state per dataset: 0 closed, 1 half-open, 2 open.",
-                &labels,
-                breaker.as_gauge(),
-            );
+            m.gauge_set(names::COLLECTOR_BREAKER_STATE, &labels, breaker.as_gauge());
             self.journal.event(
                 self.clock.now(),
                 "dataset",
@@ -741,8 +711,7 @@ impl CollectorService {
         if let Some(sps) = &mut self.sps {
             for (account, used) in sps.budget_used(cloud) {
                 self.metrics.gauge_set(
-                    "spotlake_collector_unique_queries_used",
-                    "Unique placement-score queries consumed per account in the trailing 24 h (limit 50).",
+                    names::COLLECTOR_UNIQUE_QUERIES_USED,
                     &[("account", &account)],
                     used as f64,
                 );
@@ -755,8 +724,7 @@ impl CollectorService {
         // `counter_set` rather than re-adding them every round.
         for (surface, kind, count) in fault_counts {
             self.metrics.counter_set(
-                "spotlake_api_faults_injected_total",
-                "Faults injected per API surface and kind.",
+                names::API_FAULTS_INJECTED_TOTAL,
                 &[("surface", surface.name()), ("kind", kind)],
                 count,
             );
@@ -766,64 +734,23 @@ impl CollectorService {
             let m = &self.metrics;
             // WAL counters are running totals on the log itself, so they
             // are scraped with `counter_set`, like the fault injectors.
-            m.counter_set(
-                "spotlake_wal_frames_appended_total",
-                "WAL frames appended and fsynced.",
-                &[],
-                s.frames_appended,
-            );
-            m.counter_set(
-                "spotlake_wal_bytes_appended_total",
-                "Bytes appended to the WAL, frame headers included.",
-                &[],
-                s.bytes_appended,
-            );
-            m.counter_set(
-                "spotlake_wal_records_elided_total",
-                "Records committed without being logged: writing them leaves the store unchanged.",
-                &[],
-                s.records_elided,
-            );
-            m.counter_set(
-                "spotlake_wal_checkpoints_total",
-                "Checkpoint snapshots rotated.",
-                &[],
-                s.checkpoints,
-            );
-            m.gauge_set(
-                "spotlake_wal_size_bytes",
-                "Committed bytes currently in the WAL.",
-                &[],
-                s.wal_bytes as f64,
-            );
-            m.gauge_set(
-                "spotlake_wal_dead",
-                "1 when a crash fault has killed the WAL (restart required).",
-                &[],
-                if s.dead { 1.0 } else { 0.0 },
-            );
+            m.counter_set(names::WAL_FRAMES_APPENDED_TOTAL, &[], s.frames_appended);
+            m.counter_set(names::WAL_BYTES_APPENDED_TOTAL, &[], s.bytes_appended);
+            m.counter_set(names::WAL_RECORDS_ELIDED_TOTAL, &[], s.records_elided);
+            m.counter_set(names::WAL_CHECKPOINTS_TOTAL, &[], s.checkpoints);
+            m.gauge_set(names::WAL_SIZE_BYTES, &[], s.wal_bytes as f64);
+            m.gauge_set(names::WAL_DEAD, &[], if s.dead { 1.0 } else { 0.0 });
             for (kind, count) in &s.faults_injected {
-                m.counter_set(
-                    "spotlake_wal_faults_injected_total",
-                    "Disk faults injected into the WAL and checkpoint writers, per kind.",
-                    &[("kind", kind)],
-                    *count,
-                );
+                m.counter_set(names::WAL_FAULTS_INJECTED_TOTAL, &[("kind", kind)], *count);
             }
         }
 
         if let Some(archive) = &self.store.archive {
             let h = archive.health();
             let m = &self.metrics;
+            m.gauge_set(names::SHARD_COUNT, &[], h.total() as f64);
             m.gauge_set(
-                "spotlake_shard_count",
-                "Shards (dataset × region fault domains) in the archive.",
-                &[],
-                h.total() as f64,
-            );
-            m.gauge_set(
-                "spotlake_shard_quarantined_count",
-                "Shards quarantined pending fsck --repair.",
+                names::SHARD_QUARANTINED_COUNT,
                 &[],
                 h.quarantined().count() as f64,
             );
@@ -832,27 +759,11 @@ impl CollectorService {
                     ("dataset", row.dataset.as_str()),
                     ("region", row.region.as_str()),
                 ];
-                m.gauge_set(
-                    "spotlake_shard_state",
-                    "Shard state: 0 healthy, 1 failed (wal dead), 2 quarantined.",
-                    &labels,
-                    row.state.code() as f64,
-                );
-                m.gauge_set(
-                    "spotlake_shard_points",
-                    "Points held by the shard's database.",
-                    &labels,
-                    row.points as f64,
-                );
+                m.gauge_set(names::SHARD_STATE, &labels, row.state.code() as f64);
+                m.gauge_set(names::SHARD_POINTS, &labels, row.points as f64);
+                m.counter_set(names::SHARD_COMMITS_TOTAL, &labels, row.commits);
                 m.counter_set(
-                    "spotlake_shard_commits_total",
-                    "Round batches committed through the shard's WAL.",
-                    &labels,
-                    row.commits,
-                );
-                m.counter_set(
-                    "spotlake_shard_commit_failures_total",
-                    "Round batches a shard failed to commit (dropped for the round).",
+                    names::SHARD_COMMIT_FAILURES_TOTAL,
                     &labels,
                     row.commit_failures,
                 );
@@ -1270,38 +1181,32 @@ fn record_recovery_observations(
     recovery: &RecoveryReport,
 ) {
     metrics.counter_set(
-        "spotlake_recovery_frames_replayed_total",
-        "WAL frames replayed by startup recovery.",
+        names::RECOVERY_FRAMES_REPLAYED_TOTAL,
         &[],
         recovery.frames_replayed,
     );
     metrics.counter_set(
-        "spotlake_recovery_records_replayed_total",
-        "Records replayed by startup recovery.",
+        names::RECOVERY_RECORDS_REPLAYED_TOTAL,
         &[],
         recovery.records_replayed,
     );
     metrics.counter_set(
-        "spotlake_recovery_rounds_recovered_total",
-        "Distinct collection rounds recovered from the WAL.",
+        names::RECOVERY_ROUNDS_RECOVERED_TOTAL,
         &[],
         recovery.rounds_recovered,
     );
     metrics.counter_set(
-        "spotlake_recovery_bytes_truncated_total",
-        "Torn-tail bytes truncated from the WAL at recovery.",
+        names::RECOVERY_BYTES_TRUNCATED_TOTAL,
         &[],
         recovery.bytes_truncated,
     );
     metrics.gauge_set(
-        "spotlake_recovery_point_count",
-        "Points in the archive immediately after recovery.",
+        names::RECOVERY_POINT_COUNT,
         &[],
         recovery.point_count as f64,
     );
     metrics.gauge_set(
-        "spotlake_recovery_checkpoint_loaded",
-        "1 when recovery loaded a checkpoint snapshot.",
+        names::RECOVERY_CHECKPOINT_LOADED,
         &[],
         if recovery.checkpoint_loaded { 1.0 } else { 0.0 },
     );
@@ -1901,8 +1806,8 @@ mod tests {
 
         let restarted = CollectorService::new(cloud.catalog(), durable_config(&dir)).unwrap();
         let metrics = restarted.metrics().render();
-        assert!(metrics.contains("spotlake_recovery_frames_replayed_total"));
-        assert!(metrics.contains("spotlake_recovery_point_count"));
+        assert!(metrics.contains(names::RECOVERY_FRAMES_REPLAYED_TOTAL.name));
+        assert!(metrics.contains(names::RECOVERY_POINT_COUNT.name));
         let journal = restarted.journal().render();
         assert!(journal.contains("recovery"), "{journal}");
         std::fs::remove_dir_all(&dir).ok();

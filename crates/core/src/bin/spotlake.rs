@@ -766,6 +766,7 @@ cross-vendor rows on shapes offered by 2+ vendors:"
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotlake_obs::names;
 
     fn strings(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -1033,7 +1034,7 @@ mod tests {
         let jsonl = std::fs::read_to_string(&telemetry).unwrap();
         let first = jsonl.lines().next().unwrap_or_default();
         assert!(first.starts_with("{\"seq\":0,"), "{first}");
-        assert!(jsonl.contains("spotlake_server_requests_total"), "{jsonl}");
+        assert!(jsonl.contains(names::SERVER_REQUESTS_TOTAL.name), "{jsonl}");
         // The offline evaluator replays that artifact; its verdict
         // document opens with the SLO schema header.
         run(&strings(&["slo-eval", "--telemetry", &telemetry_str])).unwrap();

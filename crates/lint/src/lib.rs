@@ -22,8 +22,9 @@ pub mod rules;
 pub mod scan;
 
 pub use report::{render_json, Finding};
-pub use rules::{analyze_source, FileAnalysis, RULES};
+pub use rules::{analyze_source, FileAnalysis, MANIFEST_PATH, RULES};
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Analyzes every workspace crate under `root` and returns all findings,
@@ -35,7 +36,7 @@ use std::path::{Path, PathBuf};
 /// is not ours to lint.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
-    let mut metric_literals: Vec<(String, usize, String)> = Vec::new();
+    let mut family_refs: BTreeSet<&'static str> = BTreeSet::new();
     let mut lock_edges: Vec<conc::LockEdge> = Vec::new();
 
     let crates_dir = root.join("crates");
@@ -54,14 +55,13 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             let source = std::fs::read_to_string(&file)?;
             let analysis = analyze_source(&crate_name, &rel, &source);
             findings.extend(analysis.findings);
-            for (line, name) in analysis.metric_literals {
-                metric_literals.push((rel.clone(), line, name));
-            }
+            family_refs.extend(analysis.family_refs);
             lock_edges.extend(analysis.lock_edges);
         }
     }
 
-    findings.extend(check_manifest_usage(root, &metric_literals));
+    let manifest_src = std::fs::read_to_string(root.join(MANIFEST_PATH)).unwrap_or_default();
+    findings.extend(unrecorded_families(&manifest_src, &family_refs));
     findings.extend(conc::lock_order_findings(&lock_edges));
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(findings)
@@ -79,18 +79,15 @@ pub fn analyze_file(crate_name: &str, rel_path: &str, source: &str) -> Vec<Findi
 }
 
 /// Reverse direction of the metrics contract: every family in the
-/// canonical manifest must be emitted somewhere outside the manifest
-/// itself, or it is dead weight that will silently drift. Findings are
-/// anchored at the name's own line in `obs/src/names.rs`.
-fn check_manifest_usage(root: &Path, literals: &[(String, usize, String)]) -> Vec<Finding> {
-    const MANIFEST_PATH: &str = "crates/obs/src/names.rs";
-    let manifest_src = std::fs::read_to_string(root.join(MANIFEST_PATH)).unwrap_or_default();
+/// canonical manifest must be named by its constant in some non-test
+/// code outside the manifest (`named`, gathered from each file's
+/// [`FileAnalysis::family_refs`]), or it is dead weight that will
+/// silently drift. Findings are anchored at the family's own line in
+/// `manifest_src`, the source of `obs/src/names.rs`.
+pub fn unrecorded_families(manifest_src: &str, named: &BTreeSet<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for family in spotlake_obs::names::METRIC_FAMILIES {
-        let used = literals
-            .iter()
-            .any(|(path, _, name)| name == family.name && path != MANIFEST_PATH);
-        if used {
+        if named.contains(family.constant) {
             continue;
         }
         let line = manifest_src
@@ -103,8 +100,8 @@ fn check_manifest_usage(root: &Path, literals: &[(String, usize, String)]) -> Ve
             path: MANIFEST_PATH.to_owned(),
             line,
             message: format!(
-                "manifest family {:?} is never emitted by any crate; remove it or wire it up",
-                family.name
+                "manifest family {:?} is never named by its constant {} outside tests; remove it or wire it up",
+                family.name, family.constant
             ),
         });
     }

@@ -23,7 +23,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "metrics-contract",
-        "every spotlake_* metric literal resolves against the canonical manifest in obs::names, and vice versa",
+        "metric families are named by their obs::names constants: no spotlake_* literal outside the manifest, and no declared family left unnamed",
     ),
     (
         "unchecked-arith",
@@ -60,6 +60,9 @@ pub fn is_rule(name: &str) -> bool {
     RULES.iter().any(|(r, _)| *r == name)
 }
 
+/// The metric manifest: the one file that spells family names.
+pub const MANIFEST_PATH: &str = "crates/obs/src/names.rs";
+
 const DETERMINISM_CRATES: &[&str] = &["cloud-sim", "cloud-api", "collector", "timestream"];
 /// The codec/WAL/recovery trio: decode paths where a panic is data loss.
 const PARSER_FILES: &[&str] = &["codec.rs", "wal.rs", "recovery.rs", "shard.rs"];
@@ -89,9 +92,10 @@ fn in_fail_closed_scope(crate_name: &str, rel_path: &str) -> bool {
 pub struct FileAnalysis {
     /// Violations found (allowlisted ones already removed).
     pub findings: Vec<Finding>,
-    /// `spotlake_*` metric-name literals in non-test code, with lines —
-    /// input to the workspace-level reverse manifest check.
-    pub metric_literals: Vec<(usize, String)>,
+    /// The `obs::names` family constants this file names in non-test
+    /// code (never the manifest's own) — input to the workspace-level
+    /// reverse manifest check.
+    pub family_refs: Vec<&'static str>,
     /// Lock acquisition-order edges — input to the workspace-level
     /// lock-order cycle check.
     pub lock_edges: Vec<crate::conc::LockEdge>,
@@ -343,20 +347,38 @@ pub fn analyze_source(crate_name: &str, rel_path: &str, source: &str) -> FileAna
                 }
             }
 
-            // metrics-contract: every spotlake_* literal must resolve.
+            // metrics-contract: a family is named by its constant; a
+            // spotlake_* literal belongs in the manifest alone.
             for (str_line, value) in &stripped.strings {
                 if *str_line != lineno {
                     continue;
                 }
-                if let Some(name) = metric_candidate(value) {
-                    analysis.metric_literals.push((lineno, name.to_owned()));
-                    if spotlake_obs::names::lookup(name).is_none() {
-                        emit(
-                            "metrics-contract",
-                            format!(
-                                "metric name {name:?} is not in the canonical manifest (obs::names::METRIC_FAMILIES)"
-                            ),
-                        );
+                let Some(name) = metric_candidate(value) else {
+                    continue;
+                };
+                match spotlake_obs::names::lookup(name) {
+                    None => emit(
+                        "metrics-contract",
+                        format!(
+                            "metric name {name:?} is not in the canonical manifest (obs::names::METRIC_FAMILIES)"
+                        ),
+                    ),
+                    Some(def) if rel_path != MANIFEST_PATH => emit(
+                        "metrics-contract",
+                        format!(
+                            "metric family {name:?} spelled as a literal; name it by its constant obs::names::{}",
+                            def.constant
+                        ),
+                    ),
+                    Some(_) => {}
+                }
+            }
+            if rel_path != MANIFEST_PATH {
+                for tok in tokens(code) {
+                    if let Token::Ident(id) = tok {
+                        if let Some(def) = family_constant(id) {
+                            analysis.family_refs.push(def.constant);
+                        }
                     }
                 }
             }
@@ -480,6 +502,16 @@ fn length_ish(word: &str) -> bool {
     let trimmed = word.trim_end_matches(['(', ')']);
     let seg = trimmed.rsplit('.').next().unwrap_or(trimmed);
     matches!(seg, "len" | "pos" | "offset" | "start" | "end") || seg.ends_with("_len")
+}
+
+/// The manifest entry whose constant is `ident`, if any.
+fn family_constant(ident: &str) -> Option<&'static spotlake_obs::names::MetricFamilyDef> {
+    if !ident.starts_with(|c: char| c.is_ascii_uppercase()) {
+        return None;
+    }
+    spotlake_obs::names::METRIC_FAMILIES
+        .iter()
+        .find(|def| def.constant == ident)
 }
 
 /// `Some(name)` when a string literal is shaped like a metric family

@@ -5,7 +5,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use spotlake_lint::{analyze_file, analyze_source, Finding};
+use spotlake_lint::{analyze_file, analyze_source, unrecorded_families, Finding, MANIFEST_PATH};
+use spotlake_obs::names::METRIC_FAMILIES;
+use std::collections::BTreeSet;
 
 fn fixture(name: &str) -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -100,6 +102,47 @@ fn d4_unknown_metric_is_flagged_everywhere() {
     let hits = findings("d4_metric.rs", "analysis", "crates/analysis/src/x.rs");
     assert_eq!(rules_of(&hits), ["metrics-contract"]);
     assert!(hits[0].message.contains("spotlake_bogus_metric_total"));
+}
+
+#[test]
+fn d4_known_metric_literal_outside_the_manifest_is_flagged() {
+    let hits = findings("d4_literal.rs", "serving", "crates/serving/src/x.rs");
+    assert_eq!(rules_of(&hits), ["metrics-contract"]);
+    assert_eq!(hits[0].line, 1);
+    assert!(
+        hits[0].message.contains("obs::names::STORE_QUERIES_TOTAL"),
+        "{}",
+        hits[0].message
+    );
+    // The manifest is the one file that spells family names.
+    assert!(findings("d4_literal.rs", "obs", MANIFEST_PATH).is_empty());
+}
+
+#[test]
+fn d4_declared_family_nothing_records_is_flagged() {
+    let analysis = analyze_source(
+        "collector",
+        "crates/collector/src/x.rs",
+        &fixture("d4_recorded.rs").1,
+    );
+    assert!(analysis.findings.is_empty());
+    // The test module's constant does not count as a recording.
+    assert_eq!(analysis.family_refs, ["STORE_QUERIES_TOTAL"]);
+    let named: BTreeSet<&str> = analysis.family_refs.iter().copied().collect();
+    let hits = unrecorded_families("", &named);
+    assert_eq!(hits.len(), METRIC_FAMILIES.len() - 1);
+    assert!(hits
+        .iter()
+        .all(|f| f.rule == "metrics-contract" && f.path == MANIFEST_PATH));
+    assert!(hits
+        .iter()
+        .any(|f| f.message.contains("\"spotlake_wal_dead\"")));
+    assert!(!hits
+        .iter()
+        .any(|f| f.message.contains("\"spotlake_store_queries_total\"")));
+    // Naming a constant inside the manifest itself records nothing.
+    let own = analyze_source("obs", MANIFEST_PATH, &fixture("d4_recorded.rs").1);
+    assert!(own.family_refs.is_empty());
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! its parent by entry sequence number, which is how the query path records
 //! its per-stage cost profile under one root span.
 
+use crate::json;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -192,19 +193,19 @@ impl TraceJournal {
                 EntryKind::Event => {
                     let _ = write!(
                         out,
-                        "{{\"kind\":\"event\",\"seq\":{seq},\"tick\":{},\"name\":\"{}\"",
-                        entry.tick,
-                        escape(&entry.name)
+                        "{{\"kind\":\"event\",\"seq\":{seq},\"tick\":{},\"name\":",
+                        entry.tick
                     );
+                    json::write_string(&mut out, &entry.name);
                 }
                 EntryKind::Span { end, parent } => {
                     let _ = write!(
                         out,
-                        "{{\"kind\":\"span\",\"seq\":{seq},\"start\":{},\"end\":{},\"name\":\"{}\"",
+                        "{{\"kind\":\"span\",\"seq\":{seq},\"start\":{},\"end\":{},\"name\":",
                         entry.tick,
-                        end.map_or("null".to_owned(), |e| e.to_string()),
-                        escape(&entry.name)
+                        end.map_or("null".to_owned(), |e| e.to_string())
                     );
+                    json::write_string(&mut out, &entry.name);
                     if let Some(parent) = parent {
                         let _ = write!(out, ",\"parent\":{parent}");
                     }
@@ -218,7 +219,9 @@ impl TraceJournal {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
+                    json::write_string(&mut out, k);
+                    out.push(':');
+                    json::write_string(&mut out, v);
                 }
                 out.push('}');
             }
@@ -353,13 +356,13 @@ fn parse_line_fields(line: &str, lineno: usize) -> Result<Vec<(String, Field)>, 
         if i >= bytes.len() - 1 {
             break;
         }
-        let key = parse_string(line, &mut i).map_err(&malformed)?;
+        let key = json::parse_string(line, &mut i).map_err(&malformed)?;
         if bytes.get(i) != Some(&b':') {
             return Err(malformed(format!("missing ':' after key {key:?}")));
         }
         i += 1;
         let value = match bytes.get(i) {
-            Some(b'"') => Field::Str(parse_string(line, &mut i).map_err(&malformed)?),
+            Some(b'"') => Field::Str(json::parse_string(line, &mut i).map_err(&malformed)?),
             Some(b'{') => {
                 // The attrs object: string keys to string values.
                 i += 1;
@@ -369,12 +372,12 @@ fn parse_line_fields(line: &str, lineno: usize) -> Result<Vec<(String, Field)>, 
                         i += 1;
                         continue;
                     }
-                    let k = parse_string(line, &mut i).map_err(&malformed)?;
+                    let k = json::parse_string(line, &mut i).map_err(&malformed)?;
                     if bytes.get(i) != Some(&b':') {
                         return Err(malformed(format!("missing ':' in attrs after {k:?}")));
                     }
                     i += 1;
-                    let v = parse_string(line, &mut i).map_err(&malformed)?;
+                    let v = json::parse_string(line, &mut i).map_err(&malformed)?;
                     attrs.push((k, v));
                 }
                 i += 1;
@@ -399,64 +402,6 @@ fn parse_line_fields(line: &str, lineno: usize) -> Result<Vec<(String, Field)>, 
         fields.push((key, value));
     }
     Ok(fields)
-}
-
-/// Parses a JSON string starting at `*i` (which must point at `"`),
-/// advancing `*i` past the closing quote.
-fn parse_string(line: &str, i: &mut usize) -> Result<String, String> {
-    let bytes = line.as_bytes();
-    if bytes.get(*i) != Some(&b'"') {
-        return Err(format!("expected string at byte {i}", i = *i));
-    }
-    *i += 1;
-    let mut out = String::new();
-    let mut chars = line[*i..].char_indices();
-    while let Some((off, c)) = chars.next() {
-        match c {
-            '"' => {
-                *i += off + 1;
-                return Ok(out);
-            }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((u_off, 'u')) => {
-                    let hex = line[*i..]
-                        .get(u_off + 1..u_off + 5)
-                        .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => return Err(format!("bad escape: {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -8,9 +8,12 @@
 //! anywhere in the kernel. Concretely:
 //!
 //! * [`Registry`] — counters, gauges, and log-linear-bucket histograms,
-//!   addressed by `(family name, sorted label set)` and rendered in the
+//!   addressed by `(family, sorted label set)` and rendered in the
 //!   Prometheus text exposition format. Storage is `BTreeMap`-backed, so
 //!   the rendered text is a pure function of the recorded observations.
+//! * [`names`] — the one declaration of every `spotlake_*` family: a
+//!   typed constant holding its name and help, which is all a recording
+//!   call passes.
 //! * [`TraceJournal`] — a structured journal of spans and events keyed on
 //!   *simulation ticks*, rendered as JSON lines with sorted attribute
 //!   keys.
@@ -52,19 +55,21 @@
 //! # Example
 //!
 //! ```
+//! use spotlake_obs::names::{COLLECTOR_ROUNDS_TOTAL, COLLECTOR_ROUND_OPS};
 //! use spotlake_obs::{ManualClock, Clock, Registry, TraceJournal};
 //!
 //! let clock = ManualClock::new(3);
 //! let registry = Registry::new();
-//! registry.counter_add("demo_rounds_total", "Rounds executed.", &[], 1);
-//! registry.histogram_record("demo_round_ops", "Ops per round.", &[("dataset", "sps")], 7.0);
+//! registry.counter_add(COLLECTOR_ROUNDS_TOTAL, &[], 1);
+//! registry.histogram_record(COLLECTOR_ROUND_OPS, &[("dataset", "sps")], 7.0);
 //!
 //! let mut journal = TraceJournal::new();
 //! let span = journal.begin_span(clock.now(), "round");
 //! journal.event(clock.now(), "dataset", &[("dataset", "sps".into())]);
 //! journal.end_span(span, clock.now());
 //!
-//! assert!(registry.render().contains("demo_rounds_total 1"));
+//! let rounds = format!("{} 1\n", COLLECTOR_ROUNDS_TOTAL.name);
+//! assert!(registry.render().contains(&rounds));
 //! assert!(journal.render().contains("\"name\":\"round\""));
 //! ```
 
@@ -76,6 +81,7 @@ mod clock;
 mod flight;
 mod health;
 mod journal;
+pub mod json;
 mod lifecycle;
 pub mod names;
 mod quality;
@@ -91,7 +97,7 @@ pub use health::{ComponentHealth, HealthReport, Readiness};
 pub use journal::{JournalError, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION};
 pub use lifecycle::{PhaseSpan, RequestRecord, RequestRecorder, REQUEST_PHASES};
 pub use quality::{DatasetQuality, KeyQuality, QualityKey, QualityMonitor, QualityReport};
-pub use registry::{log_linear_buckets, HistogramSummary, MetricKind, Registry};
+pub use registry::{HistogramSummary, MetricKind, Registry};
 pub use slo::{ObjectiveVerdict, SloReport, SloSet, SloSignal, SloSpec, SloTracker};
 pub use telemetry::{TelemetryRecorder, TelemetrySample};
 pub use topn::{Ranked, TopN};

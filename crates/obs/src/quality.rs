@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::Registry;
+use crate::{names, Registry};
 
 /// Per-key tracking state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,39 +363,17 @@ impl QualityMonitor {
         for (dataset, keys) in self.tracked_datasets() {
             let d = self.aggregate(keys);
             let labels = [("dataset", dataset)];
+            registry.gauge_set(names::ARCHIVE_KEYS_TRACKED, &labels, d.keys_tracked as f64);
+            registry.gauge_set(names::ARCHIVE_KEYS_STALE, &labels, d.keys_stale as f64);
+            registry.gauge_set(names::ARCHIVE_GAPS_TOTAL, &labels, d.gaps as f64);
             registry.gauge_set(
-                "spotlake_archive_keys_tracked",
-                "Distinct coverage keys ever observed per dataset.",
-                &labels,
-                d.keys_tracked as f64,
-            );
-            registry.gauge_set(
-                "spotlake_archive_keys_stale",
-                "Keys not observed in the most recent round.",
-                &labels,
-                d.keys_stale as f64,
-            );
-            registry.gauge_set(
-                "spotlake_archive_gaps_total",
-                "Distinct coverage gaps detected across keys.",
-                &labels,
-                d.gaps as f64,
-            );
-            registry.gauge_set(
-                "spotlake_archive_missed_rounds_total",
-                "Total missed rounds across keys.",
+                names::ARCHIVE_MISSED_ROUNDS_TOTAL,
                 &labels,
                 d.missed_rounds as f64,
             );
+            registry.gauge_set(names::ARCHIVE_MIN_COVERAGE, &labels, d.min_coverage);
             registry.gauge_set(
-                "spotlake_archive_min_coverage",
-                "Minimum per-key coverage ratio (observed / expected rounds).",
-                &labels,
-                d.min_coverage,
-            );
-            registry.gauge_set(
-                "spotlake_archive_max_staleness_ticks",
-                "Maximum per-key staleness in ticks.",
+                names::ARCHIVE_MAX_STALENESS_TICKS,
                 &labels,
                 d.max_staleness as f64,
             );

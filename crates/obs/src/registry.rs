@@ -12,6 +12,7 @@
 //! mutation here is a single whole-value update, so the protected map is
 //! never observable in a half-written state).
 
+use crate::names::{Counter, Gauge, Histogram};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -42,6 +43,19 @@ impl MetricKind {
             MetricKind::Histogram => "histogram",
         }
     }
+
+    /// A new series' value: zero, or an empty histogram.
+    fn zero(self) -> Value {
+        match self {
+            MetricKind::Counter => Value::Counter(0),
+            MetricKind::Gauge => Value::Gauge(0.0),
+            MetricKind::Histogram => Value::Histogram {
+                counts: vec![0; BUCKET_BOUNDS.len()],
+                sum: 0.0,
+                count: 0,
+            },
+        }
+    }
 }
 
 /// Sorted `(key, value)` pairs identifying one series within a family.
@@ -61,41 +75,41 @@ enum Value {
 
 #[derive(Debug, Clone)]
 struct Family {
-    help: String,
+    help: &'static str,
     kind: MetricKind,
-    /// Upper bounds for histogram families; empty otherwise.
-    bounds: Vec<f64>,
     series: BTreeMap<LabelSet, Value>,
 }
 
-/// Log-linear histogram bucket bounds: `steps` linear buckets per decade
-/// across `decades` decades, starting at 1. `log_linear_buckets(3, 9)`
-/// yields 1..9, 10..90, 100..900.
-pub fn log_linear_buckets(decades: u32, steps: u32) -> Vec<f64> {
-    let mut bounds = Vec::with_capacity((decades * steps) as usize);
+/// The one histogram bucket layout: upper bounds 1..9, 10..90, up to
+/// 100 000..900 000 — nine linear steps per decade over six decades.
+/// `+Inf` is implicit.
+const BUCKET_BOUNDS: [f64; 54] = log_linear_bounds();
+
+const fn log_linear_bounds() -> [f64; 54] {
+    let mut bounds = [0.0; 54];
     let mut scale = 1.0;
-    for _ in 0..decades {
-        for step in 1..=steps {
-            bounds.push(f64::from(step) * scale);
+    let mut i = 0;
+    while i < bounds.len() {
+        bounds[i] = (i % 9 + 1) as f64 * scale;
+        if i % 9 == 8 {
+            scale *= 10.0;
         }
-        scale *= 10.0;
+        i += 1;
     }
     bounds
-}
-
-fn default_buckets() -> Vec<f64> {
-    log_linear_buckets(6, 9)
 }
 
 /// A registry of metric families.
 ///
 /// All recording methods take `&self`; see the module docs for why. The
 /// registry is `Send + Sync`: the serving layer's worker threads record
-/// into one shared instance. Family kind is fixed by the first recording —
-/// mixing kinds under one name is a programming error and panics.
+/// into one shared instance. A family is named by its typed constant
+/// (see [`names`](crate::names)), whose type fixes the kind; two
+/// constants that share a name but not a kind are a programming error
+/// and panic on the second recording.
 #[derive(Debug, Default)]
 pub struct Registry {
-    families: Mutex<BTreeMap<String, Family>>,
+    families: Mutex<BTreeMap<&'static str, Family>>,
 }
 
 impl Clone for Registry {
@@ -114,120 +128,96 @@ impl Registry {
 
     /// Adds `delta` to a counter series, creating family and series on
     /// first use.
-    pub fn counter_add(&self, name: &str, help: &str, labels: &[(&str, &str)], delta: u64) {
-        self.with_series(name, help, MetricKind::Counter, labels, |v| match v {
-            Value::Counter(c) => *c += delta,
-            _ => unreachable!("kind checked by with_series"),
+    pub fn counter_add(&self, family: Counter, labels: &[(&str, &str)], delta: u64) {
+        self.with_series(family.name, family.help, MetricKind::Counter, labels, |v| {
+            if let Value::Counter(c) = v {
+                *c += delta;
+            }
         });
     }
 
     /// Sets a counter series to an externally tracked running total —
     /// for scraping components that keep their own monotonic counts. The
     /// stored value never decreases.
-    pub fn counter_set(&self, name: &str, help: &str, labels: &[(&str, &str)], total: u64) {
-        self.with_series(name, help, MetricKind::Counter, labels, |v| match v {
-            Value::Counter(c) => *c = (*c).max(total),
-            _ => unreachable!("kind checked by with_series"),
+    pub fn counter_set(&self, family: Counter, labels: &[(&str, &str)], total: u64) {
+        self.with_series(family.name, family.help, MetricKind::Counter, labels, |v| {
+            if let Value::Counter(c) = v {
+                *c = (*c).max(total);
+            }
         });
+    }
+
+    /// The sum of a counter family over all its series; 0 when nothing
+    /// has been recorded.
+    pub fn counter_total(&self, family: Counter) -> u64 {
+        let families = lock(&self.families);
+        let Some(family) = families.get(family.name) else {
+            return 0;
+        };
+        family
+            .series
+            .values()
+            .map(|v| match v {
+                Value::Counter(c) => *c,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Sets a gauge series.
-    pub fn gauge_set(&self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.with_series(name, help, MetricKind::Gauge, labels, |v| match v {
-            Value::Gauge(g) => *g = value,
-            _ => unreachable!("kind checked by with_series"),
+    pub fn gauge_set(&self, family: Gauge, labels: &[(&str, &str)], value: f64) {
+        self.with_series(family.name, family.help, MetricKind::Gauge, labels, |v| {
+            if let Value::Gauge(g) = v {
+                *g = value;
+            }
         });
     }
 
-    /// Records `value` into a histogram series with the default log-linear
-    /// buckets (1 to 900 000 in 9 steps per decade).
-    pub fn histogram_record(&self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.histogram_record_with(name, help, labels, &default_buckets(), value);
-    }
-
-    /// Records `value` into a histogram series with explicit bucket
-    /// `bounds` (ascending upper bounds; `+Inf` is implicit). The first
-    /// recording fixes the family's bounds; later calls must agree.
-    pub fn histogram_record_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-        value: f64,
-    ) {
-        debug_assert!(
-            crate::names::family_matches(name, MetricKind::Histogram),
-            "metric family {name:?} (histogram) is not in the canonical manifest (obs::names)"
-        );
-        let mut families = lock(&self.families);
-        let family = match families.entry(name.to_owned()) {
-            Entry::Vacant(e) => e.insert(Family {
-                help: help.to_owned(),
-                kind: MetricKind::Histogram,
-                bounds: bounds.to_vec(),
-                series: BTreeMap::new(),
-            }),
-            Entry::Occupied(e) => e.into_mut(),
-        };
-        assert_eq!(
-            family.kind,
-            MetricKind::Histogram,
-            "metric family {name:?} already registered as {:?}",
-            family.kind
-        );
-        assert_eq!(
-            family.bounds, bounds,
-            "metric family {name:?} recorded with mismatched bucket bounds"
-        );
-        let n_bounds = family.bounds.len();
-        let value_entry = family
-            .series
-            .entry(sorted_labels(labels))
-            .or_insert_with(|| Value::Histogram {
-                counts: vec![0; n_bounds],
-                sum: 0.0,
-                count: 0,
-            });
-        let Value::Histogram { counts, sum, count } = value_entry else {
-            unreachable!("kind checked above");
-        };
-        if let Some(i) = family.bounds.iter().position(|&b| value <= b) {
-            counts[i] += 1;
-        }
-        *sum += value;
-        *count += 1;
+    /// Records `value` into a histogram series over the one bucket
+    /// layout (1 to 900 000 in 9 steps per decade).
+    pub fn histogram_record(&self, family: Histogram, labels: &[(&str, &str)], value: f64) {
+        let kind = MetricKind::Histogram;
+        self.with_series(family.name, family.help, kind, labels, |v| {
+            if let Value::Histogram { counts, sum, count } = v {
+                if let Some(i) = BUCKET_BOUNDS.iter().position(|&b| value <= b) {
+                    counts[i] += 1;
+                }
+                *sum += value;
+                *count += 1;
+            }
+        });
     }
 
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) of one histogram series
     /// by linear interpolation inside its log-linear buckets. Observations
     /// in the implicit `+Inf` bucket are clamped to the last finite bound —
     /// the estimate is a floor, not a fabricated tail. Returns `None` if
-    /// the family or series is missing, empty, or not a histogram.
-    pub fn histogram_quantile(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<f64> {
+    /// the family or series is missing or empty.
+    pub fn histogram_quantile(
+        &self,
+        family: Histogram,
+        labels: &[(&str, &str)],
+        q: f64,
+    ) -> Option<f64> {
         let families = lock(&self.families);
-        let family = families.get(name)?;
-        if family.kind != MetricKind::Histogram {
-            return None;
-        }
-        let Value::Histogram { counts, count, .. } = family.series.get(&sorted_labels(labels))?
-        else {
+        let series = families
+            .get(family.name)?
+            .series
+            .get(&sorted_labels(labels));
+        let Some(Value::Histogram { counts, count, .. }) = series else {
             return None;
         };
-        quantile_from_buckets(&family.bounds, counts, *count, q)
+        quantile_from_buckets(counts, *count, q)
     }
 
     /// Quantile summaries (p50/p90/p99) for every series of a histogram
     /// family, sorted by label set. Returns an empty vector if the family
-    /// is missing or not a histogram.
-    pub fn histogram_summaries(&self, name: &str) -> Vec<HistogramSummary> {
+    /// is missing.
+    pub fn histogram_summaries(&self, family: Histogram) -> Vec<HistogramSummary> {
         let families = lock(&self.families);
-        let Some(family) = families.get(name) else {
+        let Some(family) = families.get(family.name) else {
             return Vec::new();
         };
-        if family.kind != MetricKind::Histogram {
-            return Vec::new();
-        }
         family
             .series
             .iter()
@@ -239,9 +229,9 @@ impl Registry {
                     labels: labels.clone(),
                     count: *count,
                     sum: *sum,
-                    p50: quantile_from_buckets(&family.bounds, counts, *count, 0.50)?,
-                    p90: quantile_from_buckets(&family.bounds, counts, *count, 0.90)?,
-                    p99: quantile_from_buckets(&family.bounds, counts, *count, 0.99)?,
+                    p50: quantile_from_buckets(counts, *count, 0.50)?,
+                    p90: quantile_from_buckets(counts, *count, 0.90)?,
+                    p99: quantile_from_buckets(counts, *count, 0.99)?,
                 })
             })
             .collect()
@@ -266,9 +256,7 @@ impl Registry {
                     Value::Histogram { counts, count, .. } => {
                         out.push((format!("{name}_count{series}"), *count as f64));
                         for (q, suffix) in [(0.50, "p50"), (0.99, "p99")] {
-                            if let Some(v) =
-                                quantile_from_buckets(&family.bounds, counts, *count, q)
-                            {
+                            if let Some(v) = quantile_from_buckets(counts, *count, q) {
                                 out.push((format!("{name}_{suffix}{series}"), v));
                             }
                         }
@@ -277,11 +265,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// Number of metric families.
-    pub fn family_count(&self) -> usize {
-        lock(&self.families).len()
     }
 
     /// Whether nothing has been recorded.
@@ -302,14 +285,14 @@ impl Registry {
     /// globally — callers get one coherent document regardless of which
     /// layer owns which family.
     pub fn render_merged<'a>(registries: impl IntoIterator<Item = &'a Registry>) -> String {
-        let mut merged: BTreeMap<String, Family> = BTreeMap::new();
+        let mut merged: BTreeMap<&'static str, Family> = BTreeMap::new();
         for registry in registries {
             // Hold each registry's lock only for the snapshot clone;
             // the merge and render below run against the copy, so a
             // scrape never stalls the threads recording metrics.
             let families = lock(&registry.families).clone();
             for (name, family) in families {
-                match merged.entry(name.clone()) {
+                match merged.entry(name) {
                     Entry::Vacant(e) => {
                         e.insert(family);
                     }
@@ -319,13 +302,7 @@ impl Registry {
                             existing.kind, family.kind,
                             "metric family {name:?} has conflicting kinds across registries"
                         );
-                        assert_eq!(
-                            existing.bounds, family.bounds,
-                            "metric family {name:?} has conflicting buckets across registries"
-                        );
-                        for (labels, value) in &family.series {
-                            existing.series.insert(labels.clone(), value.clone());
-                        }
+                        existing.series.extend(family.series);
                     }
                 }
             }
@@ -333,7 +310,7 @@ impl Registry {
 
         let mut out = String::new();
         for (name, family) in &merged {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
+            let _ = writeln!(out, "# HELP {name} {}", escape_help(family.help));
             let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());
             for (labels, value) in &family.series {
                 match value {
@@ -346,7 +323,7 @@ impl Registry {
                     }
                     Value::Histogram { counts, sum, count } => {
                         let mut cumulative = 0;
-                        for (bound, bucket) in family.bounds.iter().zip(counts) {
+                        for (bound, bucket) in BUCKET_BOUNDS.iter().zip(counts) {
                             cumulative += bucket;
                             let _ = writeln!(
                                 out,
@@ -376,27 +353,18 @@ impl Registry {
 
     fn with_series(
         &self,
-        name: &str,
-        help: &str,
+        name: &'static str,
+        help: &'static str,
         kind: MetricKind,
         labels: &[(&str, &str)],
         update: impl FnOnce(&mut Value),
     ) {
-        debug_assert!(
-            crate::names::family_matches(name, kind),
-            "metric family {name:?} ({}) is not in the canonical manifest (obs::names)",
-            kind.as_str()
-        );
         let mut families = lock(&self.families);
-        let family = match families.entry(name.to_owned()) {
-            Entry::Vacant(e) => e.insert(Family {
-                help: help.to_owned(),
-                kind,
-                bounds: Vec::new(),
-                series: BTreeMap::new(),
-            }),
-            Entry::Occupied(e) => e.into_mut(),
-        };
+        let family = families.entry(name).or_insert_with(|| Family {
+            help,
+            kind,
+            series: BTreeMap::new(),
+        });
         assert_eq!(
             family.kind, kind,
             "metric family {name:?} already registered as {:?}",
@@ -405,11 +373,7 @@ impl Registry {
         let value = family
             .series
             .entry(sorted_labels(labels))
-            .or_insert_with(|| match kind {
-                MetricKind::Counter => Value::Counter(0),
-                MetricKind::Gauge => Value::Gauge(0.0),
-                MetricKind::Histogram => unreachable!("histograms use histogram_record_with"),
-            });
+            .or_insert_with(|| kind.zero());
         update(value);
     }
 }
@@ -436,7 +400,8 @@ pub struct HistogramSummary {
 /// Standard Prometheus-style estimation: find the bucket holding the
 /// target rank, interpolate linearly between its lower and upper bound.
 /// Ranks landing in the `+Inf` bucket clamp to the last finite bound.
-fn quantile_from_buckets(bounds: &[f64], counts: &[u64], total: u64, q: f64) -> Option<f64> {
+fn quantile_from_buckets(counts: &[u64], total: u64, q: f64) -> Option<f64> {
+    let bounds = &BUCKET_BOUNDS;
     if total == 0 || !(0.0..=1.0).contains(&q) {
         return None;
     }
@@ -509,13 +474,34 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 mod tests {
     use super::*;
 
+    const A: Counter = Counter {
+        name: "a_total",
+        help: "A.",
+    };
+    const B: Counter = Counter {
+        name: "b_total",
+        help: "B.",
+    };
+    const T: Counter = Counter {
+        name: "t",
+        help: "T.",
+    };
+    const G: Gauge = Gauge {
+        name: "g",
+        help: "G.",
+    };
+    const H: Histogram = Histogram {
+        name: "h",
+        help: "H.",
+    };
+
     #[test]
     fn counters_accumulate_and_render_sorted() {
         let r = Registry::new();
-        r.counter_add("b_total", "B.", &[("x", "2")], 1);
-        r.counter_add("a_total", "A.", &[], 3);
-        r.counter_add("a_total", "A.", &[], 2);
-        r.counter_add("b_total", "B.", &[("x", "1")], 7);
+        r.counter_add(B, &[("x", "2")], 1);
+        r.counter_add(A, &[], 3);
+        r.counter_add(A, &[], 2);
+        r.counter_add(B, &[("x", "1")], 7);
         let text = r.render();
         assert!(text.contains("# HELP a_total A.\n# TYPE a_total counter\na_total 5\n"));
         // Families sorted by name, series by label set.
@@ -528,26 +514,37 @@ mod tests {
     #[test]
     fn counter_set_is_monotonic() {
         let r = Registry::new();
-        r.counter_set("t", "T.", &[], 5);
-        r.counter_set("t", "T.", &[], 3);
+        r.counter_set(T, &[], 5);
+        r.counter_set(T, &[], 3);
         assert!(r.render().contains("t 5"));
-        r.counter_set("t", "T.", &[], 9);
+        r.counter_set(T, &[], 9);
         assert!(r.render().contains("t 9"));
+    }
+
+    #[test]
+    fn counter_total_sums_every_series() {
+        let r = Registry::new();
+        assert_eq!(r.counter_total(B), 0);
+        r.counter_add(B, &[("x", "1")], 7);
+        r.counter_add(B, &[("x", "2")], 1);
+        r.counter_set(A, &[], 4);
+        assert_eq!(r.counter_total(B), 8);
+        assert_eq!(r.counter_total(A), 4);
     }
 
     #[test]
     fn gauges_overwrite() {
         let r = Registry::new();
-        r.gauge_set("g", "G.", &[("d", "sps")], 2.0);
-        r.gauge_set("g", "G.", &[("d", "sps")], 0.5);
+        r.gauge_set(G, &[("d", "sps")], 2.0);
+        r.gauge_set(G, &[("d", "sps")], 0.5);
         assert!(r.render().contains("g{d=\"sps\"} 0.5"));
     }
 
     #[test]
     fn label_order_is_canonical() {
         let r = Registry::new();
-        r.counter_add("t", "T.", &[("b", "2"), ("a", "1")], 1);
-        r.counter_add("t", "T.", &[("a", "1"), ("b", "2")], 1);
+        r.counter_add(T, &[("b", "2"), ("a", "1")], 1);
+        r.counter_add(T, &[("a", "1"), ("b", "2")], 1);
         // Same series regardless of caller's label order.
         assert!(r.render().contains("t{a=\"1\",b=\"2\"} 2"));
     }
@@ -555,7 +552,11 @@ mod tests {
     #[test]
     fn help_and_label_values_are_escaped() {
         let r = Registry::new();
-        r.counter_add("t", "line\nbreak \\ slash", &[("v", "a\"b\\c\nd")], 1);
+        let family = Counter {
+            name: "t",
+            help: "line\nbreak \\ slash",
+        };
+        r.counter_add(family, &[("v", "a\"b\\c\nd")], 1);
         let text = r.render();
         assert!(text.contains("# HELP t line\\nbreak \\\\ slash"));
         assert!(text.contains("t{v=\"a\\\"b\\\\c\\nd\"} 1"));
@@ -564,29 +565,31 @@ mod tests {
     #[test]
     fn histogram_invariants_hold() {
         let r = Registry::new();
-        let bounds = [1.0, 5.0, 10.0];
-        for v in [0.5, 3.0, 3.0, 7.0, 100.0] {
-            r.histogram_record_with("h", "H.", &[], &bounds, v);
+        for v in [0.5, 3.0, 3.0, 7.0, 2_000_000.0] {
+            r.histogram_record(H, &[], v);
         }
         let text = r.render();
         // _bucket counts are cumulative and end at the +Inf == _count value.
         assert!(text.contains("h_bucket{le=\"1\"} 1"));
         assert!(text.contains("h_bucket{le=\"5\"} 3"));
         assert!(text.contains("h_bucket{le=\"10\"} 4"));
+        assert!(text.contains("h_bucket{le=\"900000\"} 4"));
         assert!(text.contains("h_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("h_sum 113.5"));
+        assert!(text.contains("h_sum 2000013.5"));
         assert!(text.contains("h_count 5"));
         assert!(text.contains("# TYPE h histogram"));
     }
 
     #[test]
     fn default_buckets_are_log_linear() {
-        let b = log_linear_buckets(2, 9);
-        assert_eq!(b[..9], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
-        assert_eq!(b[9..12], [10.0, 20.0, 30.0]);
-        assert_eq!(b.len(), 18);
+        assert_eq!(
+            BUCKET_BOUNDS[..9],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        );
+        assert_eq!(BUCKET_BOUNDS[9..12], [10.0, 20.0, 30.0]);
+        assert_eq!(BUCKET_BOUNDS.last(), Some(&900_000.0));
         let r = Registry::new();
-        r.histogram_record("h", "H.", &[], 250_000.0);
+        r.histogram_record(H, &[], 250_000.0);
         assert!(r.render().contains("h_bucket{le=\"300000\"} 1"));
     }
 
@@ -594,8 +597,15 @@ mod tests {
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let r = Registry::new();
-        r.counter_add("m", "M.", &[], 1);
-        r.gauge_set("m", "M.", &[], 1.0);
+        r.counter_add(T, &[], 1);
+        r.gauge_set(
+            Gauge {
+                name: "t",
+                help: "T.",
+            },
+            &[],
+            1.0,
+        );
     }
 
     #[test]
@@ -605,27 +615,34 @@ mod tests {
         // panic mid-record does. Every later acquisition must recover
         // via PoisonError::into_inner, not propagate the panic forever.
         let r = Registry::new();
-        r.counter_add("m", "M.", &[], 1);
+        r.counter_add(T, &[], 1);
         let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.gauge_set("m", "M.", &[], 1.0);
+            r.gauge_set(
+                Gauge {
+                    name: "t",
+                    help: "T.",
+                },
+                &[],
+                1.0,
+            );
         }));
         assert!(poison.is_err(), "mismatch must panic under the guard");
         // Reads recover and see the pre-panic state…
-        assert!(r.render().contains("m 1"), "{}", r.render());
+        assert!(r.render().contains("t 1"), "{}", r.render());
         // …and writes keep accumulating on the recovered lock.
-        r.counter_add("m", "M.", &[], 2);
-        assert!(r.render().contains("m 3"), "{}", r.render());
+        r.counter_add(T, &[], 2);
+        assert!(r.render().contains("t 3"), "{}", r.render());
     }
 
     #[test]
     fn merged_render_combines_disjoint_families() {
         let a = Registry::new();
-        a.counter_add("a_total", "A.", &[], 1);
+        a.counter_add(A, &[], 1);
         let b = Registry::new();
-        b.gauge_set("b_state", "B.", &[], 2.0);
+        b.gauge_set(G, &[], 2.0);
         let text = Registry::render_merged([&a, &b]);
         assert!(text.contains("a_total 1"));
-        assert!(text.contains("b_state 2"));
+        assert!(text.contains("g 2"));
         // Each family declared exactly once.
         assert_eq!(text.matches("# TYPE ").count(), 2);
     }
@@ -636,8 +653,8 @@ mod tests {
             let r = Registry::new();
             for i in 0..50 {
                 let label = format!("s{}", i % 7);
-                r.counter_add("ops_total", "Ops.", &[("shard", &label)], i);
-                r.histogram_record("ops_hist", "Hist.", &[("shard", &label)], i as f64);
+                r.counter_add(A, &[("shard", &label)], i);
+                r.histogram_record(H, &[("shard", &label)], i as f64);
             }
             r
         };
@@ -647,42 +664,45 @@ mod tests {
     #[test]
     fn quantiles_interpolate_within_buckets() {
         let r = Registry::new();
-        let bounds = [10.0, 20.0, 30.0, 40.0];
-        // 10 observations spread evenly over (0, 40]: quantiles track the
-        // uniform distribution's inverse CDF bucket by bucket.
-        for v in [2.0, 6.0, 12.0, 16.0, 22.0, 26.0, 27.0, 32.0, 36.0, 38.0] {
-            r.histogram_record_with("h", "H.", &[("op", "q")], &bounds, v);
+        // 10 observations spread over (0, 40]: above 10 the buckets are
+        // 10 wide, and quantiles track the uniform distribution's inverse
+        // CDF bucket by bucket.
+        for v in [0.5, 6.0, 12.0, 16.0, 22.0, 26.0, 27.0, 32.0, 36.0, 38.0] {
+            r.histogram_record(H, &[("op", "q")], v);
         }
-        let p50 = r.histogram_quantile("h", &[("op", "q")], 0.50).unwrap();
+        let p50 = r.histogram_quantile(H, &[("op", "q")], 0.50).unwrap();
         // Rank 5 lands in the (20,30] bucket (cumulative 4 → 7), one third in.
         assert!((p50 - (20.0 + 10.0 / 3.0)).abs() < 1e-9, "{p50}");
-        let p90 = r.histogram_quantile("h", &[("op", "q")], 0.90).unwrap();
+        let p90 = r.histogram_quantile(H, &[("op", "q")], 0.90).unwrap();
         assert!((30.0..=40.0).contains(&p90), "{p90}");
-        let p0 = r.histogram_quantile("h", &[("op", "q")], 0.0).unwrap();
+        let p0 = r.histogram_quantile(H, &[("op", "q")], 0.0).unwrap();
         assert_eq!(p0, 0.0, "zeroth quantile is the distribution floor");
-        assert_eq!(r.histogram_quantile("h", &[("op", "q")], 1.5), None);
-        assert_eq!(r.histogram_quantile("h", &[("op", "zzz")], 0.5), None);
-        assert_eq!(r.histogram_quantile("nope", &[], 0.5), None);
+        assert_eq!(r.histogram_quantile(H, &[("op", "q")], 1.5), None);
+        assert_eq!(r.histogram_quantile(H, &[("op", "zzz")], 0.5), None);
+        let absent = Histogram {
+            name: "nope",
+            help: "N.",
+        };
+        assert_eq!(r.histogram_quantile(absent, &[], 0.5), None);
     }
 
     #[test]
     fn quantiles_clamp_overflow_to_last_finite_bound() {
         let r = Registry::new();
-        let bounds = [1.0, 2.0];
-        for v in [0.5, 50.0, 60.0, 70.0] {
-            r.histogram_record_with("h", "H.", &[], &bounds, v);
+        for v in [0.5, 5e6, 6e6, 7e6] {
+            r.histogram_record(H, &[], v);
         }
         // p99 rank lands in +Inf: clamped, not extrapolated.
-        assert_eq!(r.histogram_quantile("h", &[], 0.99), Some(2.0));
+        assert_eq!(r.histogram_quantile(H, &[], 0.99), Some(900_000.0));
     }
 
     #[test]
     fn summaries_cover_every_series_sorted() {
         let r = Registry::new();
         for (shard, v) in [("b", 5.0), ("a", 3.0), ("a", 9.0)] {
-            r.histogram_record("lat", "L.", &[("shard", shard)], v);
+            r.histogram_record(H, &[("shard", shard)], v);
         }
-        let summaries = r.histogram_summaries("lat");
+        let summaries = r.histogram_summaries(H);
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].labels, vec![("shard".into(), "a".into())]);
         assert_eq!(summaries[0].count, 2);
@@ -690,19 +710,18 @@ mod tests {
         assert!(summaries[0].p50 <= summaries[0].p90);
         assert!(summaries[0].p90 <= summaries[0].p99);
         assert_eq!(summaries[1].labels, vec![("shard".into(), "b".into())]);
-        assert!(r.histogram_summaries("absent").is_empty());
-        r.counter_add("c", "C.", &[], 1);
-        assert!(
-            r.histogram_summaries("c").is_empty(),
-            "non-histogram family"
-        );
+        let absent = Histogram {
+            name: "absent",
+            help: "A.",
+        };
+        assert!(r.histogram_summaries(absent).is_empty());
     }
 
     #[test]
     fn quantile_estimates_are_not_rendered_into_the_exposition() {
         let r = Registry::new();
-        r.histogram_record("h", "H.", &[], 5.0);
-        let _ = r.histogram_summaries("h");
+        r.histogram_record(H, &[], 5.0);
+        let _ = r.histogram_summaries(H);
         let text = r.render();
         assert!(!text.contains("quantile"), "{text}");
         assert!(!text.contains("p50"), "{text}");
@@ -711,26 +730,17 @@ mod tests {
     #[test]
     fn sampled_values_flatten_every_kind() {
         let r = Registry::new();
-        r.counter_add("ops_total", "O.", &[("k", "a")], 3);
-        r.gauge_set("depth", "D.", &[], 2.5);
-        r.histogram_record_with("lat", "L.", &[], &[10.0, 20.0], 15.0);
+        r.counter_add(A, &[("k", "a")], 3);
+        r.gauge_set(G, &[], 2.5);
+        r.histogram_record(H, &[], 15.0);
         let values = r.sampled_values();
         let keys: Vec<&str> = values.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "depth",
-                "lat_count",
-                "lat_p50",
-                "lat_p99",
-                "ops_total{k=\"a\"}"
-            ]
-        );
+        assert_eq!(keys, ["a_total{k=\"a\"}", "g", "h_count", "h_p50", "h_p99"]);
         let get = |key: &str| values.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-        assert_eq!(get("ops_total{k=\"a\"}"), Some(3.0));
-        assert_eq!(get("depth"), Some(2.5));
-        assert_eq!(get("lat_count"), Some(1.0));
-        assert!(get("lat_p50").is_some_and(|v| (10.0..=20.0).contains(&v)));
+        assert_eq!(get("a_total{k=\"a\"}"), Some(3.0));
+        assert_eq!(get("g"), Some(2.5));
+        assert_eq!(get("h_count"), Some(1.0));
+        assert!(get("h_p50").is_some_and(|v| (10.0..=20.0).contains(&v)));
         // Pure function of the observations.
         assert_eq!(values, r.sampled_values());
     }

@@ -38,13 +38,11 @@ use crate::burn::{AlertState, AlertTransition, BurnPolicy, BurnTracker};
 use crate::lifecycle::RequestRecord;
 use crate::registry::fmt_f64;
 use crate::telemetry::TelemetrySample;
+use crate::{json, names};
 use std::fmt::Write as _;
 
 /// How many exemplar request ids an alerting objective carries.
 const EXEMPLARS_KEPT: usize = 3;
-
-/// Sampled-key prefix of the status-labelled server request counter.
-const REQUESTS_BY_STATUS_PREFIX: &str = "spotlake_server_requests_total{status=\"";
 
 /// The signal one objective watches, and what counts as a bad unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,9 +167,10 @@ impl ObjectiveTracker {
     fn new(spec: SloSpec, policy: BurnPolicy) -> Self {
         let gauge_key = match &spec.signal {
             SloSignal::PhaseLatency { phase, .. } => Some(format!(
-                "spotlake_server_phase_micros_p99{{phase=\"{phase}\"}}"
+                "{}_p99{{phase=\"{phase}\"}}",
+                names::SERVER_PHASE_MICROS.name
             )),
-            SloSignal::QueueDepth { .. } => Some("spotlake_server_queue_depth".to_owned()),
+            SloSignal::QueueDepth { .. } => Some(names::SERVER_QUEUE_DEPTH.name.to_owned()),
             SloSignal::Availability | SloSignal::ShedRate => None,
         };
         ObjectiveTracker {
@@ -191,9 +190,9 @@ impl ObjectiveTracker {
                 self.counter_delta(bad, total)
             }
             SloSignal::ShedRate => {
-                let bad = sample_value(sample, "spotlake_server_shed_total").unwrap_or(0.0);
+                let bad = sample_value(sample, names::SERVER_SHED_TOTAL.name).unwrap_or(0.0);
                 let total =
-                    sample_value(sample, "spotlake_server_connections_total").unwrap_or(0.0);
+                    sample_value(sample, names::SERVER_CONNECTIONS_TOTAL.name).unwrap_or(0.0);
                 self.counter_delta(bad, total)
             }
             SloSignal::PhaseLatency { p99_micros_max, .. } => {
@@ -246,14 +245,16 @@ fn sample_value(sample: &TelemetrySample, key: &str) -> Option<f64> {
 /// Non-numeric labels (aborted connections) are excluded — the client
 /// vanished, the server answered nothing.
 fn status_class_totals(sample: &TelemetrySample) -> (f64, f64) {
-    let start = sample
-        .values
-        .partition_point(|(k, _)| k.as_str() < REQUESTS_BY_STATUS_PREFIX);
+    let family = names::SERVER_REQUESTS_TOTAL.name;
+    let start = sample.values.partition_point(|(k, _)| k.as_str() < family);
     let mut bad = 0.0;
     let mut total = 0.0;
     for (key, value) in &sample.values[start..] {
-        let Some(rest) = key.strip_prefix(REQUESTS_BY_STATUS_PREFIX) else {
+        let Some(series) = key.strip_prefix(family) else {
             break;
+        };
+        let Some(rest) = series.strip_prefix("{status=\"") else {
+            continue;
         };
         let Some(first) = rest.chars().next() else {
             continue;
@@ -490,11 +491,13 @@ impl SloReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"name\":");
+            json::write_string(&mut out, &o.name);
+            out.push_str(",\"signal\":");
+            json::write_string(&mut out, &o.signal.label());
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"signal\":\"{}\",\"target\":{},\"threshold\":{}",
-                escape(&o.name),
-                escape(&o.signal.label()),
+                ",\"target\":{},\"threshold\":{}",
                 fmt_f64(round4(o.target)),
                 o.signal
                     .threshold()
@@ -549,11 +552,6 @@ fn round4(v: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Picks up to [`EXEMPLARS_KEPT`] request ids explaining `signal`'s
@@ -620,19 +618,9 @@ mod tests {
         let recorder = TelemetryRecorder::new(rounds as usize);
         for round in 0..rounds {
             clock.advance(200_000);
-            registry.counter_add(
-                "spotlake_server_requests_total",
-                "Requests answered on the TCP path, by status",
-                &[("status", "200")],
-                10,
-            );
+            registry.counter_add(names::SERVER_REQUESTS_TOTAL, &[("status", "200")], 10);
             if round >= bad_from {
-                registry.counter_add(
-                    "spotlake_server_requests_total",
-                    "Requests answered on the TCP path, by status",
-                    &[("status", "503")],
-                    10,
-                );
+                registry.counter_add(names::SERVER_REQUESTS_TOTAL, &[("status", "503")], 10);
             }
             recorder.sample(clock.now(), [&registry]);
         }
@@ -692,17 +680,11 @@ mod tests {
         let registry = Registry::new();
         let recorder = TelemetryRecorder::new(16);
         registry.histogram_record(
-            "spotlake_server_phase_micros",
-            "Per-request lifecycle phase durations in microseconds",
+            names::SERVER_PHASE_MICROS,
             &[("phase", "handle")],
             400_000.0,
         );
-        registry.gauge_set(
-            "spotlake_server_queue_depth",
-            "Connections waiting in the admission queue",
-            &[],
-            50.0,
-        );
+        registry.gauge_set(names::SERVER_QUEUE_DEPTH, &[], 50.0);
         for _ in 0..8 {
             clock.advance(200_000);
             recorder.sample(clock.now(), [&registry]);
@@ -731,19 +713,9 @@ mod tests {
         let recorder = TelemetryRecorder::new(16);
         for round in 0..8u64 {
             clock.advance(200_000);
-            registry.counter_add(
-                "spotlake_server_connections_total",
-                "TCP connections accepted",
-                &[],
-                10,
-            );
+            registry.counter_add(names::SERVER_CONNECTIONS_TOTAL, &[], 10);
             if round >= 2 {
-                registry.counter_add(
-                    "spotlake_server_shed_total",
-                    "Connections answered 503 because the admission queue was full",
-                    &[],
-                    8,
-                );
+                registry.counter_add(names::SERVER_SHED_TOTAL, &[], 8);
             }
             recorder.sample(clock.now(), [&registry]);
         }
@@ -833,7 +805,8 @@ mod tests {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(key), fmt_f64(*value));
+            json::write_string(&mut out, key);
+            let _ = write!(out, ":{}", fmt_f64(*value));
         }
         out.push_str("}}\n");
         out

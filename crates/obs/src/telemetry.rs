@@ -15,6 +15,7 @@
 //! [`ManualClock`](crate::ManualClock)). Two runs feeding identical
 //! registries and timestamps produce byte-identical JSONL.
 
+use crate::json;
 use crate::registry::{fmt_f64, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -84,9 +85,11 @@ impl TelemetrySample {
             });
         }
         loop {
-            let body = rest.strip_prefix('"').ok_or("expected metric key")?;
-            let (key, body) = take_string(body)?;
-            let body = body.strip_prefix(':').ok_or("expected ':' after key")?;
+            let mut end = 0;
+            let key = json::parse_string(rest, &mut end)?;
+            let body = rest[end..]
+                .strip_prefix(':')
+                .ok_or("expected ':' after key")?;
             let (value, body) = take_f64(body)?;
             values.push((key, value));
             if let Some(next) = body.strip_prefix(',') {
@@ -133,25 +136,6 @@ fn take_f64(s: &str) -> Result<(f64, &str), String> {
         .parse()
         .map(|v| (v, rest))
         .map_err(|_| format!("expected number, found {:?}", &s[..s.len().min(12)]))
-}
-
-/// Consumes a JSON string body up to its closing quote, handling the
-/// `\\` and `\"` escapes [`escape_json`] emits.
-fn take_string(s: &str) -> Result<(String, &str), String> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &s[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '"')) => out.push('"'),
-                other => return Err(format!("unsupported escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_owned())
 }
 
 #[derive(Debug, Default)]
@@ -259,7 +243,9 @@ impl TelemetryRecorder {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":{}", escape_json(key), fmt_f64(*value)));
+                json::write_string(&mut out, key);
+                out.push(':');
+                out.push_str(&fmt_f64(*value));
             }
             out.push_str("}}\n");
         }
@@ -267,22 +253,34 @@ impl TelemetryRecorder {
     }
 }
 
-/// Escapes a metric key for embedding in a JSON string (keys carry
-/// Prometheus-style label syntax, including quotes).
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::{Clock, ManualClock};
+    use crate::names::{Counter, Gauge, Histogram};
+
+    const ROUNDS: Counter = Counter {
+        name: "rounds_total",
+        help: "R.",
+    };
+    const DEPTH: Gauge = Gauge {
+        name: "depth",
+        help: "D.",
+    };
+    const LAT: Histogram = Histogram {
+        name: "lat",
+        help: "L.",
+    };
+    const SHARED: Gauge = Gauge {
+        name: "shared",
+        help: "S.",
+    };
 
     fn registry_at(tick: u64) -> Registry {
         let r = Registry::new();
-        r.counter_add("rounds_total", "R.", &[], tick);
-        r.gauge_set("depth", "D.", &[("q", "admit")], tick as f64);
-        r.histogram_record("lat", "L.", &[], (tick * 10) as f64);
+        r.counter_add(ROUNDS, &[], tick);
+        r.gauge_set(DEPTH, &[("q", "admit")], tick as f64);
+        r.histogram_record(LAT, &[], (tick * 10) as f64);
         r
     }
 
@@ -330,9 +328,9 @@ mod tests {
     #[test]
     fn later_registries_win_shared_keys() {
         let a = Registry::new();
-        a.gauge_set("shared", "S.", &[], 1.0);
+        a.gauge_set(SHARED, &[], 1.0);
         let b = Registry::new();
-        b.gauge_set("shared", "S.", &[], 2.0);
+        b.gauge_set(SHARED, &[], 2.0);
         let recorder = TelemetryRecorder::new(2);
         recorder.sample(5, [&a, &b]);
         let snap = recorder.snapshot();
@@ -432,5 +430,22 @@ mod tests {
             TelemetrySample::parse_jsonl("{\"seq\":0,\"at_micros\":1,\"metrics\":{}}garbage\n")
                 .unwrap_err();
         assert!(err.contains("trailing data"), "{err}");
+    }
+
+    #[test]
+    fn keys_with_quotes_backslashes_and_control_characters_round_trip() {
+        const ODD: Gauge = Gauge {
+            name: "odd\"key\\with\nline\u{1}",
+            help: "O.",
+        };
+        let r = Registry::new();
+        r.gauge_set(ODD, &[], 3.0);
+        let recorder = TelemetryRecorder::new(1);
+        recorder.sample(7, [&r]);
+        let jsonl = recorder.render_jsonl();
+        assert_eq!(jsonl.lines().count(), 1, "{jsonl}");
+        let parsed = TelemetrySample::parse_jsonl(&jsonl).expect("round-trip parse");
+        assert_eq!(parsed, recorder.snapshot());
+        assert_eq!(parsed[0].values, [(ODD.name.to_owned(), 3.0)]);
     }
 }

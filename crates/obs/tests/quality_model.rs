@@ -11,7 +11,7 @@
 //! handed out ahead of their first observation, and some never are
 //! observed: neither may show up as tracked.
 
-use spotlake_obs::{DatasetQuality, KeyQuality, QualityMonitor, QualityReport, Registry};
+use spotlake_obs::{names, DatasetQuality, KeyQuality, QualityMonitor, QualityReport, Registry};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -183,16 +183,16 @@ fn expected_gauges(report: &QualityReport) -> BTreeMap<String, f64> {
     for d in &report.datasets {
         let label = format!("{{dataset=\"{}\"}}", d.dataset);
         for (family, value) in [
-            ("spotlake_archive_keys_tracked", d.keys_tracked as f64),
-            ("spotlake_archive_keys_stale", d.keys_stale as f64),
-            ("spotlake_archive_gaps_total", d.gaps as f64),
+            (names::ARCHIVE_KEYS_TRACKED.name, d.keys_tracked as f64),
+            (names::ARCHIVE_KEYS_STALE.name, d.keys_stale as f64),
+            (names::ARCHIVE_GAPS_TOTAL.name, d.gaps as f64),
             (
-                "spotlake_archive_missed_rounds_total",
+                names::ARCHIVE_MISSED_ROUNDS_TOTAL.name,
                 d.missed_rounds as f64,
             ),
-            ("spotlake_archive_min_coverage", d.min_coverage),
+            (names::ARCHIVE_MIN_COVERAGE.name, d.min_coverage),
             (
-                "spotlake_archive_max_staleness_ticks",
+                names::ARCHIVE_MAX_STALENESS_TICKS.name,
                 d.max_staleness as f64,
             ),
         ] {

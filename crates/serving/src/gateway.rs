@@ -4,7 +4,9 @@ use crate::csv::rows_csv;
 use crate::http::{HttpRequest, HttpResponse};
 use crate::json::{self, Json};
 use crate::ops::OpsContext;
-use spotlake_obs::{FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry, TraceJournal};
+use spotlake_obs::{
+    names, FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry, TraceJournal,
+};
 use spotlake_timestream::{Aggregate, Database, Query, QueryProfile, RowKind, RowScan, TsError};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -130,14 +132,12 @@ impl Gateway {
         };
         let status = response.status.to_string();
         self.http.counter_add(
-            "spotlake_http_requests_total",
-            "Requests served per endpoint and status.",
+            names::HTTP_REQUESTS_TOTAL,
             &[("path", path), ("status", &status)],
             1,
         );
         self.http.histogram_record(
-            "spotlake_http_response_bytes",
-            "Response body size per endpoint (deterministic latency proxy).",
+            names::HTTP_RESPONSE_BYTES,
             &[("path", path)],
             response.body.len() as f64,
         );
@@ -268,8 +268,7 @@ impl Gateway {
             response_bytes: profile.response_bytes,
         });
         self.http.histogram_record(
-            "spotlake_query_cost",
-            "Deterministic cost proxy per completed query (work units).",
+            names::QUERY_COST,
             &[("table", profile.table.as_str()), ("op", profile.op)],
             cost as f64,
         );
@@ -892,7 +891,7 @@ mod tests {
         assert_eq!(r.status, 200);
         assert!(r.content_type.starts_with("text/plain"));
         let body = r.body_text();
-        assert!(body.contains("spotlake_store_records_submitted_total"));
+        assert!(body.contains(names::STORE_RECORDS_SUBMITTED_TOTAL.name));
         assert!(
             body.contains("spotlake_http_requests_total{path=\"/query\",status=\"200\"} 1"),
             "{body}"
@@ -1094,9 +1093,9 @@ mod tests {
         }
         let scrape = db.metrics().render();
         for family in [
-            "spotlake_store_queries_total",
-            "spotlake_store_query_rows",
-            "spotlake_query_rows_post_filter",
+            names::STORE_QUERIES_TOTAL.name,
+            names::STORE_QUERY_ROWS.name,
+            names::QUERY_ROWS_POST_FILTER.name,
         ] {
             assert!(!scrape.contains(family), "{family} recorded: {scrape}");
         }

@@ -18,17 +18,17 @@ use crate::json::Json;
 use crate::ops::OpsContext;
 use spotlake_analysis::{align_step, pearson, spearman, Histogram};
 use spotlake_collector::{DatasetHealth, RoundHealth};
-use spotlake_obs::{DatasetQuality, HistogramSummary};
+use spotlake_obs::{names, DatasetQuality, HistogramSummary};
 use spotlake_timestream::{Database, Query, Row, ShardHealthRow};
 
 /// Histogram families whose quantiles `/stats` surfaces. A fixed list
 /// keeps the section's key set stable across runs regardless of which
 /// registries happen to be lent on a given request.
-const QUANTILE_FAMILIES: [&str; 4] = [
-    "spotlake_http_response_bytes",
-    "spotlake_query_cost",
-    "spotlake_query_rows_decoded",
-    "spotlake_store_query_rows",
+const QUANTILE_FAMILIES: [names::Histogram; 4] = [
+    names::HTTP_RESPONSE_BYTES,
+    names::QUERY_COST,
+    names::QUERY_ROWS_DECODED,
+    names::STORE_QUERY_ROWS,
 ];
 
 /// How many flight-recorder entries `/stats` lists (the full retained set
@@ -128,7 +128,7 @@ fn quantiles_json(db: &Database, gateway: &Gateway, ops: &OpsContext) -> Json {
             .flat_map(|r| r.histogram_summaries(family))
             .map(summary_json)
             .collect();
-        (family, Json::Array(series))
+        (family.name, Json::Array(series))
     });
     Json::object(families)
 }

@@ -116,28 +116,9 @@ pub(crate) fn write_number(out: &mut String, n: f64) {
     }
 }
 
-/// Appends `s` as [`Json::String`] renders it, quoted and escaped.
-pub(crate) fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        out.push_str(s);
-    } else {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-    }
-    out.push('"');
-}
+/// Appends `s` as [`Json::String`] renders it, quoted and escaped: the
+/// workspace's one JSON string codec.
+pub(crate) use spotlake_obs::json::write_string;
 
 #[cfg(test)]
 mod tests {

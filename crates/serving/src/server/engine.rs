@@ -310,11 +310,6 @@ impl ServerHandle {
         &self.state.archive
     }
 
-    /// Point-in-time serving totals.
-    pub fn totals(&self) -> ServerTotals {
-        self.state.metrics.totals()
-    }
-
     /// The slowest-request timeline recorder (`/debug/requests`).
     pub fn requests(&self) -> &RequestRecorder {
         &self.state.requests

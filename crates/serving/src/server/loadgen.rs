@@ -34,15 +34,11 @@ use crate::json::Json;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use spotlake_obs::Registry;
-use spotlake_obs::SloReport;
+use spotlake_obs::{names, Registry, SloReport};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-
-const LATENCY_MICROS: &str = "spotlake_loadgen_latency_micros";
-const REQUESTS_TOTAL: &str = "spotlake_loadgen_requests_total";
 
 /// How clients pace their requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -569,7 +565,7 @@ pub fn run_with(addr: SocketAddr, config: &LoadConfig, registry: &Registry) -> L
 
     let quantile = |q: f64| {
         registry
-            .histogram_quantile(LATENCY_MICROS, &[], q)
+            .histogram_quantile(names::LOADGEN_LATENCY_MICROS, &[], q)
             .unwrap_or(0.0)
     };
     LoadReport {
@@ -655,8 +651,7 @@ fn record(
     tally: &mut ClientTally,
 ) {
     registry.counter_add(
-        REQUESTS_TOTAL,
-        "Load-generator actions executed, by kind and outcome",
+        names::LOADGEN_REQUESTS_TOTAL,
         &[
             ("kind", action.kind.as_str()),
             ("outcome", outcome.as_str()),
@@ -678,12 +673,7 @@ fn record(
             }
             if action.kind == ActionKind::Get {
                 let micros = latency.as_secs_f64() * 1_000_000.0;
-                registry.histogram_record(
-                    LATENCY_MICROS,
-                    "Client-observed request latency in microseconds",
-                    &[],
-                    micros,
-                );
+                registry.histogram_record(names::LOADGEN_LATENCY_MICROS, &[], micros);
                 if let Some(id) = request_id {
                     tally.samples.push(SlowSample {
                         latency_micros: micros.round().max(0.0) as u64,

@@ -1,42 +1,26 @@
 //! Server-side metrics: the `spotlake_server_*` families.
 //!
 //! Every family lives in one shared [`Registry`] (merged into `/metrics`
-//! through the gateway's [`OpsContext`](crate::OpsContext)), and the
-//! counters the shutdown report needs are mirrored in atomics so the
-//! engine can read totals without parsing the exposition text.
+//! through the gateway's [`OpsContext`](crate::OpsContext)); the
+//! shutdown report's totals are read back out of it. Only the two live
+//! levels the engine acts on — requests in flight and connections
+//! queued — are kept in atomics as well.
 
+use spotlake_obs::names::{
+    SERVER_BAD_REQUESTS_TOTAL, SERVER_CONNECTIONS_TOTAL, SERVER_DEADLINE_EXCEEDED_TOTAL,
+    SERVER_INFLIGHT, SERVER_PHASE_MICROS, SERVER_QUEUE_DEPTH, SERVER_REQUESTS_TOTAL,
+    SERVER_REQUEST_MICROS, SERVER_SHED_TOTAL, SERVER_SLOW_CLIENTS_CLOSED_TOTAL,
+    SERVER_WORKER_PANICS_TOTAL, SLO_ALERT_STATE, SLO_ALERT_TRANSITIONS_TOTAL,
+    SLO_BUDGET_REMAINING_RATIO, SLO_EVALUATIONS_TOTAL, TELEMETRY_EVICTED_TOTAL,
+    TELEMETRY_SAMPLES_TOTAL,
+};
 use spotlake_obs::{Registry, SloReport, REQUEST_PHASES};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-const CONNECTIONS_TOTAL: &str = "spotlake_server_connections_total";
-const REQUESTS_TOTAL: &str = "spotlake_server_requests_total";
-const SHED_TOTAL: &str = "spotlake_server_shed_total";
-const DEADLINE_TOTAL: &str = "spotlake_server_deadline_exceeded_total";
-const SLOW_CLIENTS_TOTAL: &str = "spotlake_server_slow_clients_closed_total";
-const BAD_REQUESTS_TOTAL: &str = "spotlake_server_bad_requests_total";
-const PANICS_TOTAL: &str = "spotlake_server_worker_panics_total";
-const INFLIGHT: &str = "spotlake_server_inflight";
-const QUEUE_DEPTH: &str = "spotlake_server_queue_depth";
-const REQUEST_MICROS: &str = "spotlake_server_request_micros";
-const PHASE_MICROS: &str = "spotlake_server_phase_micros";
-const TELEMETRY_SAMPLES_TOTAL: &str = "spotlake_telemetry_samples_total";
-const TELEMETRY_EVICTED_TOTAL: &str = "spotlake_telemetry_evicted_total";
-const SLO_STATE: &str = "spotlake_slo_alert_state";
-const SLO_TRANSITIONS_TOTAL: &str = "spotlake_slo_alert_transitions_total";
-const SLO_BUDGET_REMAINING: &str = "spotlake_slo_budget_remaining_ratio";
-const SLO_EVALUATIONS_TOTAL: &str = "spotlake_slo_evaluations_total";
 
 /// Shared counters and gauges for the TCP serving path.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     registry: Registry,
-    accepted: AtomicU64,
-    served: AtomicU64,
-    shed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    slow_clients: AtomicU64,
-    bad_requests: AtomicU64,
-    panics: AtomicU64,
     inflight: AtomicU64,
     queued: AtomicU64,
 }
@@ -55,9 +39,7 @@ impl ServerMetrics {
 
     /// A connection was accepted by the listener.
     pub fn connection_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.registry
-            .counter_add(CONNECTIONS_TOTAL, "TCP connections accepted", &[], 1);
+        self.registry.counter_add(SERVER_CONNECTIONS_TOTAL, &[], 1);
     }
 
     /// A connection is entering the admission queue. Called *before* the
@@ -65,12 +47,8 @@ impl ServerMetrics {
     /// always observes the increment first.
     pub fn enqueued(&self) {
         let depth = self.queued.fetch_add(1, Ordering::SeqCst).saturating_add(1);
-        self.registry.gauge_set(
-            QUEUE_DEPTH,
-            "Connections waiting in the admission queue",
-            &[],
-            depth as f64,
-        );
+        self.registry
+            .gauge_set(SERVER_QUEUE_DEPTH, &[], depth as f64);
     }
 
     /// A connection left the admission queue (a worker picked it up, or
@@ -83,12 +61,8 @@ impl ServerMetrics {
                 Some(v.saturating_sub(1))
             })
             .map_or(0, |prev| prev.saturating_sub(1));
-        self.registry.gauge_set(
-            QUEUE_DEPTH,
-            "Connections waiting in the admission queue",
-            &[],
-            depth as f64,
-        );
+        self.registry
+            .gauge_set(SERVER_QUEUE_DEPTH, &[], depth as f64);
     }
 
     /// Connections waiting in the admission queue now. The engine's
@@ -100,64 +74,37 @@ impl ServerMetrics {
 
     /// A connection was answered 503 because the queue was full.
     pub fn shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter_add(
-            SHED_TOTAL,
-            "Connections answered 503 because the admission queue was full",
-            &[],
-            1,
-        );
+        self.registry.counter_add(SERVER_SHED_TOTAL, &[], 1);
     }
 
     /// A worker started handling a request.
     pub fn request_started(&self) {
         let inflight = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.registry.gauge_set(
-            INFLIGHT,
-            "Requests currently being handled",
-            &[],
-            inflight as f64,
-        );
+        self.registry
+            .gauge_set(SERVER_INFLIGHT, &[], inflight as f64);
     }
 
     /// A worker finished a request: records the status-labelled counter
     /// and the wall-time histogram, and drops the in-flight gauge.
     pub fn request_finished(&self, status_label: &str, micros: f64) {
-        self.served.fetch_add(1, Ordering::Relaxed);
         let inflight = self
             .inflight
             .fetch_sub(1, Ordering::Relaxed)
             .saturating_sub(1);
-        self.registry.gauge_set(
-            INFLIGHT,
-            "Requests currently being handled",
-            &[],
-            inflight as f64,
-        );
-        self.registry.counter_add(
-            REQUESTS_TOTAL,
-            "Requests answered on the TCP path, by status",
-            &[("status", status_label)],
-            1,
-        );
-        self.registry.histogram_record(
-            REQUEST_MICROS,
-            "Server-side request wall time in microseconds",
-            &[],
-            micros,
-        );
+        self.registry
+            .gauge_set(SERVER_INFLIGHT, &[], inflight as f64);
+        self.registry
+            .counter_add(SERVER_REQUESTS_TOTAL, &[("status", status_label)], 1);
+        self.registry
+            .histogram_record(SERVER_REQUEST_MICROS, &[], micros);
     }
 
     /// One lifecycle phase of a request completed, taking `micros`.
     /// `phase` must be one of [`REQUEST_PHASES`].
     pub fn phase(&self, phase: &'static str, micros: f64) {
         debug_assert!(REQUEST_PHASES.contains(&phase), "unknown phase {phase:?}");
-        self.registry.histogram_record(
-            PHASE_MICROS,
-            "Per-request lifecycle phase durations in microseconds",
-            &[("phase", phase)],
-            micros,
-        );
+        self.registry
+            .histogram_record(SERVER_PHASE_MICROS, &[("phase", phase)], micros);
     }
 
     /// Mirrors the telemetry recorder's running totals into counters, so
@@ -165,18 +112,10 @@ impl ServerMetrics {
     /// samples themselves. Called by the sampler thread before each
     /// sample with the totals *including* the sample being taken.
     pub fn telemetry_progress(&self, samples_taken: u64, evicted: u64) {
-        self.registry.counter_set(
-            TELEMETRY_SAMPLES_TOTAL,
-            "Telemetry samples taken since server start",
-            &[],
-            samples_taken,
-        );
-        self.registry.counter_set(
-            TELEMETRY_EVICTED_TOTAL,
-            "Telemetry ring-buffer samples evicted to stay within capacity",
-            &[],
-            evicted,
-        );
+        self.registry
+            .counter_set(TELEMETRY_SAMPLES_TOTAL, &[], samples_taken);
+        self.registry
+            .counter_set(TELEMETRY_EVICTED_TOTAL, &[], evicted);
     }
 
     /// Mirrors the SLO tracker's latest verdicts into the registry after
@@ -184,23 +123,15 @@ impl ServerMetrics {
     /// alert-state and budget gauges, so `/metrics` (and the telemetry
     /// samples themselves) carry the scoreboard.
     pub fn slo_progress(&self, report: &SloReport) {
-        self.registry.counter_set(
-            SLO_EVALUATIONS_TOTAL,
-            "Telemetry samples evaluated by the SLO tracker",
-            &[],
-            report.samples,
-        );
+        self.registry
+            .counter_set(SLO_EVALUATIONS_TOTAL, &[], report.samples);
         for objective in &report.objectives {
+            let labels = [("objective", objective.name.as_str())];
+            self.registry
+                .gauge_set(SLO_ALERT_STATE, &labels, objective.state.severity() as f64);
             self.registry.gauge_set(
-                SLO_STATE,
-                "Current alert state per objective (0 ok, 1 warning, 2 page)",
-                &[("objective", objective.name.as_str())],
-                objective.state.severity() as f64,
-            );
-            self.registry.gauge_set(
-                SLO_BUDGET_REMAINING,
-                "Unspent error budget per objective, 0 through 1",
-                &[("objective", objective.name.as_str())],
+                SLO_BUDGET_REMAINING_RATIO,
+                &labels,
                 objective.budget_remaining,
             );
         }
@@ -209,8 +140,7 @@ impl ServerMetrics {
     /// An objective's alert state machine moved to `to`.
     pub fn slo_transition(&self, objective: &str, to: &str) {
         self.registry.counter_add(
-            SLO_TRANSITIONS_TOTAL,
-            "Alert state transitions, by objective and destination state",
+            SLO_ALERT_TRANSITIONS_TOTAL,
             &[("objective", objective), ("to", to)],
             1,
         );
@@ -221,7 +151,7 @@ impl ServerMetrics {
     /// Quantiles are rounded to whole microseconds — these feed the
     /// integer-quantile BENCH_serving.json v2 schema.
     pub fn phase_stats(&self) -> Vec<PhaseStats> {
-        let summaries = self.registry.histogram_summaries(PHASE_MICROS);
+        let summaries = self.registry.histogram_summaries(SERVER_PHASE_MICROS);
         REQUEST_PHASES
             .iter()
             .filter_map(|phase| {
@@ -241,60 +171,42 @@ impl ServerMetrics {
 
     /// A request was answered 504 after its deadline elapsed.
     pub fn deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter_add(
-            DEADLINE_TOTAL,
-            "Requests answered 504 past their deadline",
-            &[],
-            1,
-        );
+        self.registry
+            .counter_add(SERVER_DEADLINE_EXCEEDED_TOTAL, &[], 1);
     }
 
     /// A connection was closed for blowing a read/write timeout. A kept
     /// connection closed for idling between requests is not counted.
     pub fn slow_client_closed(&self) {
-        self.slow_clients.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter_add(
-            SLOW_CLIENTS_TOTAL,
-            "Connections closed for exceeding read/write timeouts",
-            &[],
-            1,
-        );
+        self.registry
+            .counter_add(SERVER_SLOW_CLIENTS_CLOSED_TOTAL, &[], 1);
     }
 
     /// The wire parser rejected a request with `status`.
     pub fn bad_request(&self, status: u16) {
-        self.bad_requests.fetch_add(1, Ordering::Relaxed);
         let status = status.to_string();
-        self.registry.counter_add(
-            BAD_REQUESTS_TOTAL,
-            "Requests rejected by the fail-closed wire parser",
-            &[("status", status.as_str())],
-            1,
-        );
+        self.registry
+            .counter_add(SERVER_BAD_REQUESTS_TOTAL, &[("status", status.as_str())], 1);
     }
 
     /// A handler panic was caught and converted to a 500.
     pub fn worker_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter_add(
-            PANICS_TOTAL,
-            "Handler panics caught by worker isolation",
-            &[],
-            1,
-        );
+        self.registry
+            .counter_add(SERVER_WORKER_PANICS_TOTAL, &[], 1);
     }
 
-    /// Point-in-time totals for the shutdown report.
+    /// Point-in-time totals for the shutdown report, each the sum of its
+    /// counter family over every label set.
     pub fn totals(&self) -> ServerTotals {
+        let total = |family| self.registry.counter_total(family);
         ServerTotals {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            slow_clients_closed: self.slow_clients.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            worker_panics: self.panics.load(Ordering::Relaxed),
+            accepted: total(SERVER_CONNECTIONS_TOTAL),
+            served: total(SERVER_REQUESTS_TOTAL),
+            shed: total(SERVER_SHED_TOTAL),
+            deadline_exceeded: total(SERVER_DEADLINE_EXCEEDED_TOTAL),
+            slow_clients_closed: total(SERVER_SLOW_CLIENTS_CLOSED_TOTAL),
+            bad_requests: total(SERVER_BAD_REQUESTS_TOTAL),
+            worker_panics: total(SERVER_WORKER_PANICS_TOTAL),
         }
     }
 }
@@ -314,7 +226,7 @@ pub struct PhaseStats {
     pub p99_micros: u64,
 }
 
-/// Monotonic totals mirrored out of [`ServerMetrics`].
+/// Monotonic totals read out of [`ServerMetrics`]' counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerTotals {
     /// Connections accepted by the listener.

@@ -4,6 +4,7 @@
 //! and the client↔server correlation in the v2 bench document — all
 //! driven over real loopback sockets.
 
+use spotlake_obs::names;
 use spotlake_serving::server::loadgen::{self, fetch, fetch_with_id, ChaosProfile, LoadConfig};
 use spotlake_serving::server::{Server, ServerConfig, ServerHandle, SharedArchive};
 use spotlake_timestream::{Database, Record, TableOptions};
@@ -188,14 +189,14 @@ fn telemetry_endpoint_serves_jsonl_and_404s_when_disabled() {
     assert_eq!(status, 200);
     let first = body.lines().next().unwrap_or_default();
     assert!(first.starts_with("{\"seq\":0,\"at_micros\":"), "{first}");
-    assert!(body.contains("spotlake_server_requests_total"), "{body}");
-    assert!(body.contains("spotlake_telemetry_samples_total"), "{body}");
+    assert!(body.contains(names::SERVER_REQUESTS_TOTAL.name), "{body}");
+    assert!(body.contains(names::TELEMETRY_SAMPLES_TOTAL.name), "{body}");
 
     let report = handle.shutdown();
     // The shutdown report carries the final buffer (plus a last sample).
     let jsonl = report.telemetry_jsonl.expect("telemetry was enabled");
     assert!(jsonl.lines().count() >= 2, "{jsonl}");
-    assert!(jsonl.contains("spotlake_http_requests_total"), "{jsonl}");
+    assert!(jsonl.contains(names::HTTP_REQUESTS_TOTAL.name), "{jsonl}");
 }
 
 /// The acceptance scenario: a seeded loadgen run against an overloaded

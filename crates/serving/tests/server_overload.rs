@@ -4,6 +4,7 @@
 //! load generator's determinism. Every test drives a real listener over
 //! loopback sockets.
 
+use spotlake_obs::names;
 use spotlake_serving::server::loadgen::{self, fetch, ActionKind, ChaosProfile, LoadConfig};
 use spotlake_serving::server::{Server, ServerConfig, ServerHandle, SharedArchive};
 use spotlake_timestream::{Database, Record, TableOptions};
@@ -245,8 +246,10 @@ fn graceful_shutdown_drains_in_flight_and_refuses_new_connections() {
     // The shutdown report carries the flushed metrics document.
     assert!(report
         .metrics_text
-        .contains("spotlake_server_requests_total"));
-    assert!(report.metrics_text.contains("spotlake_http_requests_total"));
+        .contains(names::SERVER_REQUESTS_TOTAL.name));
+    assert!(report
+        .metrics_text
+        .contains(names::HTTP_REQUESTS_TOTAL.name));
 }
 
 #[test]
@@ -257,9 +260,12 @@ fn metrics_endpoint_merges_server_families() {
     let (status, body) = fetch(handle.addr(), "/metrics", Duration::from_secs(5)).unwrap();
     assert_eq!(status, 200);
     // Server, gateway, and store families in one document.
-    assert!(body.contains("spotlake_server_connections_total"), "{body}");
-    assert!(body.contains("spotlake_server_inflight"), "{body}");
-    assert!(body.contains("spotlake_http_requests_total"), "{body}");
+    assert!(
+        body.contains(names::SERVER_CONNECTIONS_TOTAL.name),
+        "{body}"
+    );
+    assert!(body.contains(names::SERVER_INFLIGHT.name), "{body}");
+    assert!(body.contains(names::HTTP_REQUESTS_TOTAL.name), "{body}");
     handle.shutdown();
 }
 

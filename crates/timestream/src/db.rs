@@ -7,7 +7,7 @@ use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Query, Row, RowKind, RowScan, WindowRow};
 use crate::record::Record;
 use crate::table::{Applied, Table, TableOptions};
-use spotlake_obs::{QueryCtx, Registry};
+use spotlake_obs::{names, QueryCtx, Registry};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -160,12 +160,8 @@ impl Database {
         points: &[Point],
     ) -> Result<usize, TsError> {
         if self.write_faults.roll(table) {
-            self.metrics.counter_add(
-                "spotlake_store_write_throttled_total",
-                "Write batches rejected by deterministic throttling.",
-                &[("table", table)],
-                1,
-            );
+            self.metrics
+                .counter_add(names::STORE_WRITE_THROTTLED_TOTAL, &[("table", table)], 1);
             return Err(TsError::Throttled);
         }
         let tbl = self.table_mut(table)?;
@@ -258,43 +254,21 @@ impl Database {
     pub(crate) fn record_write_metrics(&mut self, table: &str, submitted: u64, stored: u64) {
         let labels = [("table", table)];
         let m = &self.metrics;
+        m.counter_add(names::STORE_WRITE_BATCHES_TOTAL, &labels, 1);
+        m.counter_add(names::STORE_RECORDS_SUBMITTED_TOTAL, &labels, submitted);
+        m.counter_add(names::STORE_RECORDS_STORED_TOTAL, &labels, stored);
         m.counter_add(
-            "spotlake_store_write_batches_total",
-            "Write batches accepted per table.",
-            &labels,
-            1,
-        );
-        m.counter_add(
-            "spotlake_store_records_submitted_total",
-            "Records submitted to write batches per table.",
-            &labels,
-            submitted,
-        );
-        m.counter_add(
-            "spotlake_store_records_stored_total",
-            "Records actually stored per table.",
-            &labels,
-            stored,
-        );
-        m.counter_add(
-            "spotlake_store_records_deduped_total",
-            "Records skipped by change-point deduplication per table.",
+            names::STORE_RECORDS_DEDUPED_TOTAL,
             &labels,
             submitted - stored,
         );
-        m.histogram_record(
-            "spotlake_store_write_batch_records",
-            "Records per accepted write batch.",
-            &labels,
-            submitted as f64,
-        );
+        m.histogram_record(names::STORE_WRITE_BATCH_RECORDS, &labels, submitted as f64);
         let tally = self.write_tallies.entry(table.to_owned()).or_insert((0, 0));
         tally.0 += submitted;
         tally.1 += stored;
         if tally.0 > 0 {
             m.gauge_set(
-                "spotlake_store_compression_ratio",
-                "Cumulative stored/submitted record ratio per table (lower = more change-point dedup).",
+                names::STORE_COMPRESSION_RATIO,
                 &labels,
                 tally.1 as f64 / tally.0 as f64,
             );
@@ -307,18 +281,10 @@ impl Database {
     /// byte-identical-metrics contract.
     fn record_query_metrics(&self, table: &str, op: &str, rows: usize) {
         let labels = [("table", table), ("op", op)];
-        self.metrics.counter_add(
-            "spotlake_store_queries_total",
-            "Queries served per table and operation.",
-            &labels,
-            1,
-        );
-        self.metrics.histogram_record(
-            "spotlake_store_query_rows",
-            "Rows returned per query (deterministic latency proxy).",
-            &labels,
-            rows as f64,
-        );
+        self.metrics
+            .counter_add(names::STORE_QUERIES_TOTAL, &labels, 1);
+        self.metrics
+            .histogram_record(names::STORE_QUERY_ROWS, &labels, rows as f64);
     }
 
     /// Records a completed cost profile into the `spotlake_query_*`
@@ -328,26 +294,22 @@ impl Database {
         let labels = [("table", profile.table.as_str()), ("op", profile.op)];
         let m = &self.metrics;
         m.histogram_record(
-            "spotlake_query_series_scanned",
-            "Series scanned per query after pruning.",
+            names::QUERY_SERIES_SCANNED,
             &labels,
             profile.series_scanned as f64,
         );
         m.histogram_record(
-            "spotlake_query_chunks_decompressed",
-            "Storage chunks decompressed per query.",
+            names::QUERY_CHUNKS_DECOMPRESSED,
             &labels,
             profile.chunks_decompressed as f64,
         );
         m.histogram_record(
-            "spotlake_query_rows_decoded",
-            "Points decoded per query.",
+            names::QUERY_ROWS_DECODED,
             &labels,
             profile.rows_decoded as f64,
         );
         m.histogram_record(
-            "spotlake_query_rows_post_filter",
-            "Result rows per query before response limits.",
+            names::QUERY_ROWS_POST_FILTER,
             &labels,
             profile.rows_post_filter as f64,
         );

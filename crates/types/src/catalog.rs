@@ -187,13 +187,6 @@ impl Catalog {
         self.support.supports(ty, az)
     }
 
-    /// Whether `ty` is offered in at least one zone of `region`.
-    pub fn supports_region(&self, ty: InstanceTypeId, region: RegionId) -> bool {
-        self.azs_of_region(region)
-            .iter()
-            .any(|&az| self.supports(ty, az))
-    }
-
     /// Number of availability zones in `region` offering `ty`.
     pub fn supported_az_count(&self, ty: InstanceTypeId, region: RegionId) -> u32 {
         self.azs_of_region(region)

@@ -87,11 +87,6 @@ impl RequestState {
                 | (Fulfilled, Terminal)
         )
     }
-
-    /// Whether this state is final for a non-persistent request.
-    pub fn is_terminal(self) -> bool {
-        self == RequestState::Terminal
-    }
 }
 
 impl fmt::Display for RequestState {

@@ -8,6 +8,7 @@
 
 use spotlake::{CollectorConfig, SimConfig, SpotLake};
 use spotlake_collector::{Dataset, FaultPlan};
+use spotlake_obs::names;
 use spotlake_types::{CatalogBuilder, SimDuration};
 
 const SEED: u64 = 20_220_901;
@@ -49,14 +50,14 @@ fn metrics_covers_every_layer_without_duplicate_families() {
     let metrics = body(&lake, "/metrics");
 
     for family in [
-        "spotlake_collector_rounds_total",
-        "spotlake_collector_records_total",
-        "spotlake_collector_breaker_state",
-        "spotlake_store_write_batches_total",
-        "spotlake_store_query_rows",
-        "spotlake_api_faults_injected_total",
-        "spotlake_http_requests_total",
-        "spotlake_http_response_bytes",
+        names::COLLECTOR_ROUNDS_TOTAL.name,
+        names::COLLECTOR_RECORDS_TOTAL.name,
+        names::COLLECTOR_BREAKER_STATE.name,
+        names::STORE_WRITE_BATCHES_TOTAL.name,
+        names::STORE_QUERY_ROWS.name,
+        names::API_FAULTS_INJECTED_TOTAL.name,
+        names::HTTP_REQUESTS_TOTAL.name,
+        names::HTTP_RESPONSE_BYTES.name,
     ] {
         assert!(
             metrics.contains(&format!("# TYPE {family} ")),
@@ -217,11 +218,11 @@ fn explain_costs_reconcile_with_query_histograms() {
             .unwrap_or_else(|| panic!("no {family} sum in metrics"))
     };
     assert_eq!(
-        sum_of("spotlake_query_cost"),
+        sum_of(names::QUERY_COST.name),
         cost,
         "single query: histogram sum equals EXPLAIN cost"
     );
-    assert_eq!(sum_of("spotlake_query_rows_decoded"), rows_decoded);
+    assert_eq!(sum_of(names::QUERY_ROWS_DECODED.name), rows_decoded);
 }
 
 #[test]

@@ -14,6 +14,7 @@ use common::SEED;
 use spotlake::SpotLake;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_collector::{CollectorConfig, CollectorService, IoFaultPlan};
+use spotlake_obs::names;
 use spotlake_timestream::{fsck_shards, repair_shards, shard_dir, ShardKey, ShardState};
 use spotlake_types::CatalogBuilder;
 use std::path::{Path, PathBuf};
@@ -333,7 +334,7 @@ fn same_seed_runs_wider_than_the_commit_window_are_byte_identical() {
     assert_eq!(metrics_a, metrics_b, "collector metrics");
     assert_eq!(journal_a, journal_b, "trace journal");
     assert_eq!(store_a, store_b, "store metrics");
-    assert!(metrics_a.contains("spotlake_wal_records_elided_total"));
+    assert!(metrics_a.contains(names::WAL_RECORDS_ELIDED_TOTAL.name));
 
     // Same files, same bytes: every shard's WAL and checkpoint, the
     // manifest and the dead-letter queue.
