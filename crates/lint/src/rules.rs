@@ -376,9 +376,7 @@ pub fn analyze_source(crate_name: &str, rel_path: &str, source: &str) -> FileAna
             if rel_path != MANIFEST_PATH {
                 for tok in tokens(code) {
                     if let Token::Ident(id) = tok {
-                        if let Some(def) = family_constant(id) {
-                            analysis.family_refs.push(def.constant);
-                        }
+                        analysis.family_refs.extend(family_constant(id));
                     }
                 }
             }
@@ -504,14 +502,12 @@ fn length_ish(word: &str) -> bool {
     matches!(seg, "len" | "pos" | "offset" | "start" | "end") || seg.ends_with("_len")
 }
 
-/// The manifest entry whose constant is `ident`, if any.
-fn family_constant(ident: &str) -> Option<&'static spotlake_obs::names::MetricFamilyDef> {
-    if !ident.starts_with(|c: char| c.is_ascii_uppercase()) {
-        return None;
-    }
+/// `Some(ident)` when it is the name of an `obs::names` family constant.
+fn family_constant(ident: &str) -> Option<&'static str> {
     spotlake_obs::names::METRIC_FAMILIES
         .iter()
-        .find(|def| def.constant == ident)
+        .map(|def| def.constant)
+        .find(|constant| *constant == ident)
 }
 
 /// `Some(name)` when a string literal is shaped like a metric family

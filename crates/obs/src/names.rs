@@ -6,7 +6,13 @@
 //! it. [`Registry`](crate::Registry)'s recording and reading methods take
 //! the constant, so an emitter names a family only by it: its help
 //! cannot drift from the declaration, and recording a counter through a
-//! gauge method does not compile.
+//! gauge method does not compile:
+//!
+//! ```compile_fail
+//! use spotlake_obs::{names, Registry};
+//!
+//! Registry::new().gauge_set(names::WAL_CHECKPOINTS_TOTAL, &[], 1.0);
+//! ```
 //!
 //! The same table generates [`METRIC_FAMILIES`], the sorted slice of
 //! every family that `spotlake-lint` (rule `metrics-contract`) checks
