@@ -14,6 +14,9 @@
 //!   them, which holds the `spotlake_query_*` families those requests
 //!   recorded.
 //!
+//! The crash scenario digests, besides, the `fsck --repair` verdict
+//! table of the crashed archive it restarts on.
+//!
 //! The test runs each scenario twice — the two manifests must agree
 //! (determinism) — and compares the result with `tests/golden/<name>.txt`
 //! (drift). A mismatch names the first artifact that differs. A third
@@ -35,7 +38,7 @@ use spotlake_cloud_api::FaultPlan;
 use spotlake_obs::{Registry, SloSet, SloTracker};
 use spotlake_serving::server::{loadgen, LoadConfig, ServerMetrics};
 use spotlake_serving::{Server, ServerConfig, SharedArchive};
-use spotlake_timestream::{Database, IoFaultPlan};
+use spotlake_timestream::{repair_shards, Database, IoFaultPlan};
 use std::path::{Path, PathBuf};
 
 /// Rounds per scenario: twelve simulated hours at the 30-minute tick.
@@ -142,7 +145,14 @@ fn files(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) {
 /// sorted by artifact name. `wal_dir` is the run's archive directory
 /// when the scenario is durable.
 fn artifacts(config: CollectorConfig, wal_dir: Option<&Path>) -> Vec<(String, Vec<u8>)> {
-    let mut lake = SpotLake::builder()
+    let mut lake = pipeline(config, wal_dir);
+    lake.run_rounds(ROUNDS).expect("rounds degrade, never fail");
+    digest(&lake, wal_dir)
+}
+
+/// The test pipeline over `config`, archived in `wal_dir` when durable.
+fn pipeline(config: CollectorConfig, wal_dir: Option<&Path>) -> SpotLake {
+    SpotLake::builder()
         .catalog(common::test_catalog(common::GPU_MENU))
         .sim_config(common::sim_config())
         .collector_config(CollectorConfig {
@@ -150,9 +160,11 @@ fn artifacts(config: CollectorConfig, wal_dir: Option<&Path>) -> Vec<(String, Ve
             ..config
         })
         .build()
-        .expect("pipeline builds");
-    lake.run_rounds(ROUNDS).expect("rounds degrade, never fail");
+        .expect("pipeline builds")
+}
 
+/// What `lake` answers and leaves on disk, sorted by artifact name.
+fn digest(lake: &SpotLake, wal_dir: Option<&Path>) -> Vec<(String, Vec<u8>)> {
     let mut artifacts: Vec<(String, Vec<u8>)> = Vec::new();
     for (name, path) in ENDPOINTS {
         let response = lake.http_get(path).expect("request parses");
@@ -180,8 +192,8 @@ fn artifacts(config: CollectorConfig, wal_dir: Option<&Path>) -> Vec<(String, Ve
 }
 
 /// [`artifacts`] digested into a manifest, one line per artifact.
-fn manifest(config: CollectorConfig, wal_dir: Option<&Path>) -> String {
-    artifacts(config, wal_dir)
+fn manifest(artifacts: &[(String, Vec<u8>)]) -> String {
+    artifacts
         .iter()
         .map(|(name, bytes)| format!("{:08x} {:>8} {name}\n", crc32c(bytes), bytes.len()))
         .collect()
@@ -209,11 +221,17 @@ fn golden_path(scenario: &str) -> PathBuf {
 }
 
 /// Runs `scenario` twice, then holds the manifest against its golden
-/// file (or rewrites the file under `SPOTLAKE_BLESS=1`).
-fn check(scenario: &str, config: CollectorConfig, durable: bool) {
+/// file (or rewrites the file under `SPOTLAKE_BLESS=1`). `artifacts`
+/// runs the scenario in the archive directory it is given, `None` for
+/// an in-memory scenario.
+fn check(
+    scenario: &str,
+    durable: bool,
+    artifacts: impl Fn(Option<&Path>) -> Vec<(String, Vec<u8>)>,
+) {
     let run = |tag: &str| {
         let dir = durable.then(|| common::scratch_path("golden", &format!("{scenario}-{tag}")));
-        let manifest = manifest(config.clone(), dir.as_deref());
+        let manifest = manifest(&artifacts(dir.as_deref()));
         if let Some(dir) = dir {
             std::fs::remove_dir_all(dir).ok();
         }
@@ -255,12 +273,85 @@ fn golden_or_bless(name: &str, got: &str) -> Option<String> {
 
 #[test]
 fn in_memory_clean_run_matches_its_golden_digests() {
-    check("memory_clean", CollectorConfig::default(), false);
+    check("memory_clean", false, |dir| {
+        artifacts(CollectorConfig::default(), dir)
+    });
 }
 
 #[test]
 fn sharded_run_under_api_and_disk_weather_matches_its_golden_digests() {
-    check("sharded_faults", sharded_faults(), true);
+    check("sharded_faults", true, |dir| {
+        artifacts(sharded_faults(), dir)
+    });
+}
+
+#[test]
+fn crash_repair_and_restart_matches_its_golden_digests() {
+    check("crash_repair_restart", true, |dir| {
+        crash_repair_restart(dir.expect("a durable scenario"))
+    });
+}
+
+/// Rounds the crash profile gets to kill a shard in.
+const MAX_CRASH_ROUNDS: u64 = 200;
+
+/// Ticks the cloud moves while the crashed collector is down.
+const DOWNTIME_TICKS: u64 = 2;
+
+/// The crash scenario: sharded WALs under the crash disk profile until a
+/// torn or flipped frame kills a shard's WAL, which stops the process
+/// there. `fsck --repair` then runs on the dead process's directory, a
+/// new collector restarts on it without disk faults after
+/// [`DOWNTIME_TICKS`], and collects [`ROUNDS`] more rounds. The digest
+/// holds the repair's verdict table beside the usual artifacts, so how
+/// recovery and checkpoint load file the surviving series is pinned.
+fn crash_repair_restart(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let config = CollectorConfig {
+        checkpoint_every: 3,
+        io_faults: IoFaultPlan::profile("crash", common::SEED),
+        ..CollectorConfig::default()
+    };
+    let mut crashed = pipeline(config.clone(), Some(dir));
+    let mut rounds = 0;
+    loop {
+        assert!(
+            rounds < MAX_CRASH_ROUNDS,
+            "the crash profile never fired in {MAX_CRASH_ROUNDS} rounds"
+        );
+        crashed
+            .run_rounds(1)
+            .expect("a shard's crash degrades the round");
+        rounds += 1;
+        let health = crashed.collector().shard_health().expect("durable");
+        if health.degraded() {
+            break;
+        }
+    }
+    drop(crashed);
+
+    let repair = repair_shards(dir).expect("repair reads the crashed archive");
+    let mut restarted = pipeline(
+        CollectorConfig {
+            io_faults: None,
+            ..config
+        },
+        Some(dir),
+    );
+    // The restarted process's cloud catches up with the one that kept
+    // moving: the simulator replays the same ticks from the same seed.
+    for _ in 0..rounds + DOWNTIME_TICKS {
+        restarted.cloud_mut().step();
+    }
+    restarted
+        .run_rounds(ROUNDS)
+        .expect("rounds degrade, never fail");
+    let mut artifacts = digest(&restarted, Some(dir));
+    artifacts.push((
+        format!("fsck/repair after {rounds} rounds"),
+        repair.render().into_bytes(),
+    ));
+    artifacts.sort_by(|a, b| a.0.cmp(&b.0));
+    artifacts
 }
 
 /// The durable scenario: sharded WALs under API and disk faults.
