@@ -29,8 +29,8 @@ use crate::sps_collector::{ShardQueue, SpsCollector, SpsScores};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
-    names, Clock, HealthReport, ManualClock, QualityKey, QualityMonitor, QualityReport, Readiness,
-    Registry, TraceJournal,
+    names, no_phases, Clock, HealthReport, ManualClock, Phase, PhaseGuard, PhaseSink, QualityKey,
+    QualityMonitor, QualityReport, Readiness, Registry, SharedPhaseSink, TraceJournal,
 };
 use spotlake_timestream::{
     Database, IoFaultPlan, Point, RecoveryReport, SeriesBook, SeriesRef, ShardFaultConfig,
@@ -39,6 +39,7 @@ use spotlake_timestream::{
 use spotlake_types::Catalog;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Re-attempts per dead-lettered query before it is dropped for good.
 const DEAD_LETTER_MAX_ATTEMPTS: u32 = 5;
@@ -228,6 +229,8 @@ struct Store {
     /// checkpoints, and quarantine, with `db` rebuilt from every healthy
     /// shard. `None` keeps the archive in memory only.
     archive: Option<ShardedArchive>,
+    /// Told where each round is ([`CollectorService::set_phase_sink`]).
+    phases: SharedPhaseSink,
 }
 
 impl CollectorService {
@@ -330,7 +333,11 @@ impl CollectorService {
         }
 
         Ok(CollectorService {
-            store: Store { db, archive },
+            store: Store {
+                db,
+                archive,
+                phases: no_phases(),
+            },
             sps,
             advisor,
             price,
@@ -348,6 +355,17 @@ impl CollectorService {
             quality,
             coverage: Dataset::ALL.map(CoverageKeys::new),
         })
+    }
+
+    /// Installs the sink told each phase of every later round — this
+    /// service's and its archive's commits ([`Phase`]). The default
+    /// ignores them. A sink sees the round and changes nothing it does:
+    /// no metric, journal line or stored byte depends on it.
+    pub fn set_phase_sink(&mut self, sink: SharedPhaseSink) {
+        if let Some(archive) = &mut self.store.archive {
+            archive.set_phase_sink(Arc::clone(&sink));
+        }
+        self.store.phases = sink;
     }
 
     /// The query plan's statistics (Figure 1's headline numbers).
@@ -607,12 +625,15 @@ impl CollectorService {
             stats.degraded_rounds = 1;
         }
         self.totals.absorb(stats);
+        let phases = Arc::clone(&self.store.phases);
+        let observe = PhaseGuard::enter(&*phases, Phase::MetricsJournal);
         self.record_round_observations(cloud, &stats, &health);
         self.journal
             .span_attr(span, "degraded", health.is_degraded().to_string());
         self.journal
             .span_attr(span, "records_written", stats.records_written.to_string());
         self.journal.end_span(span, self.clock.now());
+        drop(observe);
         self.last_health = Some(health.clone());
         Ok(RoundReport { stats, health })
     }
@@ -624,6 +645,7 @@ impl CollectorService {
     /// only a root-manifest failure — outside every fault domain — is
     /// round-fatal.
     fn maintain_durability(&mut self) -> Result<(), CollectError> {
+        let _save = PhaseGuard::enter(&*self.store.phases, Phase::ManifestSave);
         if let Some(file) = &mut self.dead_letter_file {
             file.save(&self.dead_letters)?;
         }
@@ -804,15 +826,24 @@ impl CollectorService {
         let advisor = self.advisor.as_mut().filter(|_| advisor);
         let price = self.price.as_mut().filter(|_| price);
         let policy = &self.policy;
+        let phases: &dyn PhaseSink = &*self.store.phases;
+        let drain = |shards: &ShardQueue| {
+            let _lane = PhaseGuard::enter(phases, Phase::SpsLane);
+            shards.drain(cloud, policy);
+        };
         let shards = sps.map(|sps| sps.shard_queue(cloud));
         let (advisor, price) = std::thread::scope(|scope| {
-            let sps_lane = shards
-                .as_ref()
-                .map(|shards| scope.spawn(|| shards.drain(cloud, policy)));
-            let advisor = advisor.map(|advisor| advisor.collect_points(cloud, policy));
-            let price = price.map(|price| price.collect_points(cloud, policy));
+            let sps_lane = shards.as_ref().map(|shards| scope.spawn(|| drain(shards)));
+            let advisor = advisor.map(|advisor| {
+                let _sweep = PhaseGuard::enter(phases, Phase::AdvisorSweep);
+                advisor.collect_points(cloud, policy)
+            });
+            let price = price.map(|price| {
+                let _sweep = PhaseGuard::enter(phases, Phase::PriceSweep);
+                price.collect_points(cloud, policy)
+            });
             if let Some(shards) = &shards {
-                shards.drain(cloud, policy);
+                drain(shards);
             }
             if let Some(lane) = sps_lane {
                 lane.join().expect("SPS lane panicked");
@@ -837,11 +868,14 @@ impl CollectorService {
         scores: SpsScores,
         stats: &mut CollectStats,
     ) -> Batch {
+        let phases = Arc::clone(&self.store.phases);
+        let _book = PhaseGuard::enter(&*phases, Phase::BookSps);
         let sps = self.sps.as_mut().expect("SPS is enabled");
         let mut outcome = sps.book(cloud.catalog(), scores);
         stats.queries_issued = sps.query_count();
         let mut retries = outcome.retries;
 
+        let dead_letters = PhaseGuard::enter(&*phases, Phase::DeadLetters);
         // Which plan slots are failing *right now*. Dead letters whose
         // query recovered in this regular pass are satisfied and dropped;
         // the rest are re-attempted once their backoff elapses.
@@ -896,6 +930,7 @@ impl CollectorService {
             });
             stats.dead_lettered += 1;
         }
+        drop(dead_letters);
         Batch {
             points: outcome.points,
             retries,
@@ -919,6 +954,8 @@ impl CollectorService {
         stats: &mut CollectStats,
         health: &mut RoundHealth,
     ) -> Result<(), CollectError> {
+        let phases = Arc::clone(&self.store.phases);
+        let _commit = PhaseGuard::enter(&*phases, Phase::Commit(dataset.name()));
         let Batch {
             mut points,
             retries,
@@ -959,6 +996,7 @@ impl CollectorService {
                 &mut h.retries,
             ) {
                 Ok(commit) => {
+                    let _observe = PhaseGuard::enter(&*phases, Phase::QualityObserve);
                     h.records = commit.observe_committed(
                         &mut self.quality,
                         coverage,
@@ -1300,6 +1338,7 @@ impl Store {
         retries: &mut usize,
     ) -> Result<CommitResult, TsError> {
         let Some(archive) = &mut self.archive else {
+            let _apply = PhaseGuard::enter(&*self.phases, Phase::Apply);
             let mut attempt = 1;
             let written = loop {
                 match self.db.write_points(table, book, points) {
@@ -1360,6 +1399,7 @@ mod tests {
     use spotlake_cloud_sim::SimConfig;
     use spotlake_timestream::Query;
     use spotlake_types::CatalogBuilder;
+    use std::collections::BTreeMap;
 
     fn cloud() -> SimCloud {
         let mut b = CatalogBuilder::new();
@@ -1707,6 +1747,120 @@ mod tests {
             checkpoint_every: 2,
             ..CollectorConfig::default()
         }
+    }
+
+    /// Counts each phase and the phase it nested in, checking that every
+    /// thread's phases nest: an exit closes the phase that thread
+    /// entered last.
+    #[derive(Debug, Default)]
+    struct CountingSink(std::sync::Mutex<Counted>);
+
+    #[derive(Debug, Default)]
+    struct Counted {
+        open: Vec<(std::thread::ThreadId, Vec<Phase>)>,
+        entered: BTreeMap<Phase, usize>,
+        nested: BTreeSet<(Option<Phase>, Phase)>,
+    }
+
+    impl Counted {
+        fn stack(&mut self) -> &mut Vec<Phase> {
+            let id = std::thread::current().id();
+            let at = match self.open.iter().position(|(t, _)| *t == id) {
+                Some(at) => at,
+                None => {
+                    self.open.push((id, Vec::new()));
+                    self.open.len() - 1
+                }
+            };
+            &mut self.open[at].1
+        }
+    }
+
+    impl PhaseSink for CountingSink {
+        fn enter(&self, phase: Phase) {
+            let mut c = self.0.lock().unwrap();
+            let stack = c.stack();
+            let parent = stack.last().copied();
+            stack.push(phase);
+            c.nested.insert((parent, phase));
+            *c.entered.entry(phase).or_default() += 1;
+        }
+
+        fn exit(&self, phase: Phase) {
+            let mut c = self.0.lock().unwrap();
+            assert_eq!(c.stack().pop(), Some(phase), "phases nest");
+        }
+    }
+
+    #[test]
+    fn a_phase_sink_sees_every_phase_nested_and_counted_per_round() {
+        let dir = wal_tempdir("phases");
+        let mut cloud = cloud();
+        let mut service = CollectorService::new(cloud.catalog(), durable_config(&dir)).unwrap();
+        let sink = Arc::new(CountingSink::default());
+        service.set_phase_sink(sink.clone());
+        let rounds = 4;
+        service.run(&mut cloud, rounds).unwrap();
+
+        let counted = sink.0.lock().unwrap();
+        assert!(counted.open.iter().all(|(_, stack)| stack.is_empty()));
+        let count = |phase| counted.entered.get(&phase).copied().unwrap_or(0);
+        let per_round = |phase| count(phase) as f64 / rounds as f64;
+        // The lane's thread and the caller each drain SPS shards once.
+        assert_eq!(per_round(Phase::SpsLane), 2.0);
+        for once in [
+            Phase::AdvisorSweep,
+            Phase::PriceSweep,
+            Phase::BookSps,
+            Phase::DeadLetters,
+            Phase::Commit("sps"),
+            Phase::Commit("advisor"),
+            Phase::Commit("price"),
+            Phase::ManifestSave,
+            Phase::MetricsJournal,
+        ] {
+            assert_eq!(per_round(once), 1.0, "{once:?}");
+        }
+        // Per dataset commit: one delta pass and one quality pass; one
+        // log and one apply per shard slice, which every SPS commit has
+        // in both regions.
+        assert_eq!(per_round(Phase::Delta), 3.0);
+        assert_eq!(per_round(Phase::QualityObserve), 3.0);
+        assert_eq!(count(Phase::Log), count(Phase::Apply), "no shard failed");
+        assert!(count(Phase::Log) >= 2 * rounds as usize);
+        // Every shard cuts a checkpoint every second frame.
+        assert!(count(Phase::CheckpointCut) >= rounds as usize / 2);
+
+        let mut want = BTreeSet::from([
+            (None, Phase::SpsLane),
+            (None, Phase::AdvisorSweep),
+            (None, Phase::PriceSweep),
+            (None, Phase::BookSps),
+            (Some(Phase::BookSps), Phase::DeadLetters),
+            (None, Phase::Log),
+            (None, Phase::ManifestSave),
+            (None, Phase::MetricsJournal),
+        ]);
+        for dataset in Dataset::ALL {
+            let commit = Phase::Commit(dataset.name());
+            want.insert((None, commit));
+            for inner in [Phase::Delta, Phase::Apply, Phase::QualityObserve] {
+                want.insert((Some(commit), inner));
+            }
+        }
+        let cuts: BTreeSet<_> = counted
+            .nested
+            .iter()
+            .filter(|(_, phase)| *phase == Phase::CheckpointCut)
+            .copied()
+            .collect();
+        assert!(cuts
+            .iter()
+            .all(|(parent, _)| matches!(parent, Some(Phase::Commit(_)))));
+        let nested: BTreeSet<_> = counted.nested.difference(&cuts).copied().collect();
+        assert_eq!(nested, want);
+        drop(counted);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

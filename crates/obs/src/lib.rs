@@ -47,6 +47,9 @@
 //!   (fast/slow) burn-rate alerting, ok → warning → page. Verdicts are a
 //!   pure function of the fed samples, so the live `/debug/slo` endpoint
 //!   and the offline `spotlake slo-eval` replay agree byte-for-byte.
+//! * [`PhaseSink`] — the phases of a collection round ([`Phase`]),
+//!   announced to a sink the caller installs. The crates stay clock-free:
+//!   a sink that times phases reads the clock in the caller.
 //!
 //! Durations recorded here are denominated in deterministic units — ticks
 //! or work units (API calls, rows, bytes) — never nanoseconds, which is
@@ -84,6 +87,7 @@ mod journal;
 pub mod json;
 mod lifecycle;
 pub mod names;
+mod phase;
 mod quality;
 mod registry;
 mod slo;
@@ -96,6 +100,7 @@ pub use flight::{FlightEntry, FlightRecorder, QueryCtx};
 pub use health::{ComponentHealth, HealthReport, Readiness};
 pub use journal::{JournalError, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION};
 pub use lifecycle::{PhaseSpan, RequestRecord, RequestRecorder, REQUEST_PHASES};
+pub use phase::{no_phases, NoPhases, Phase, PhaseGuard, PhaseSink, SharedPhaseSink};
 pub use quality::{DatasetQuality, KeyQuality, QualityKey, QualityMonitor, QualityReport};
 pub use registry::{HistogramSummary, MetricKind, Registry};
 pub use slo::{ObjectiveVerdict, SloReport, SloSet, SloSignal, SloSpec, SloTracker};

@@ -60,6 +60,7 @@ use crate::recovery::{fsck, recover, RecoveryReport};
 use crate::series::Series;
 use crate::table::TableOptions;
 use crate::wal::{Wal, WalStats};
+use spotlake_obs::{no_phases, Phase, PhaseGuard, SharedPhaseSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -393,6 +394,8 @@ pub struct ShardedArchive {
     /// The manifest bytes last persisted; an unchanged manifest is not
     /// rewritten.
     manifest_persisted: Vec<u8>,
+    /// Told the delta, log, apply and checkpoint phases of each commit.
+    phases: SharedPhaseSink,
 }
 
 impl ShardedArchive {
@@ -429,6 +432,7 @@ impl ShardedArchive {
             quarantined: BTreeMap::new(),
             recovery: RecoveryReport::default(),
             manifest_persisted: Vec::new(),
+            phases: no_phases(),
         };
         let mut store = Database::new();
         for key in all_keys {
@@ -688,8 +692,10 @@ impl ShardedArchive {
             }
         }
         let shared: &SeriesBook = book;
+        let phases = &*self.phases;
         // Step 2: the store is only read, so every shard filters at once.
         let before: &Database = store;
+        let delta = PhaseGuard::enter(phases, Phase::Delta);
         fan_out(
             &mut slices,
             |s| {
@@ -701,11 +707,15 @@ impl ShardedArchive {
             },
             |_| {},
         );
+        drop(delta);
         // Steps 3 and 4: log on the worker, apply on this thread.
         let mut keys = keys.into_iter();
         fan_out(
             &mut slices,
-            |s| s.log(table, options, tick, shared, max_attempts),
+            |s| {
+                let _log = PhaseGuard::enter(phases, Phase::Log);
+                s.log(table, options, tick, shared, max_attempts)
+            },
             |joined| {
                 let Some(key) = keys.next() else { return };
                 let (result, retries) = match joined {
@@ -718,6 +728,7 @@ impl ShardedArchive {
                 outcome.retries = outcome.retries.saturating_add(retries);
                 match result {
                     Ok((logged, s)) => {
+                        let _apply = PhaseGuard::enter(phases, Phase::Apply);
                         let applied =
                             store.apply_logged(table, options, shared, &logged, s.batch.len());
                         s.shard.points = s.shard.points.saturating_add(applied.points);
@@ -755,6 +766,7 @@ impl ShardedArchive {
         if due.is_empty() {
             return;
         }
+        let _cut = PhaseGuard::enter(&*self.phases, Phase::CheckpointCut);
         let mut jobs: Vec<(&mut Shard, Option<TableSlice<'_>>)> = due
             .into_iter()
             .zip(split_by_region(store, table, options, &regions))
@@ -812,6 +824,12 @@ impl ShardedArchive {
             self.manifest_persisted = bytes;
         }
         Ok(())
+    }
+
+    /// Installs the sink told each commit's delta, log, apply and
+    /// checkpoint phases ([`spotlake_obs::PhaseSink`]).
+    pub fn set_phase_sink(&mut self, sink: SharedPhaseSink) {
+        self.phases = sink;
     }
 
     /// Aggregate recovery report from the last [`ShardedArchive::open`].
