@@ -29,7 +29,7 @@ use crate::sps_collector::{ShardQueue, SpsCollector, SpsScores};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
-    names, no_phases, Clock, HealthReport, ManualClock, Phase, PhaseGuard, PhaseSink, QualityKey,
+    names, Clock, HealthReport, ManualClock, NoPhases, Phase, PhaseGuard, PhaseSink, QualityKey,
     QualityMonitor, QualityReport, Readiness, Registry, SharedPhaseSink, TraceJournal,
 };
 use spotlake_timestream::{
@@ -336,7 +336,7 @@ impl CollectorService {
             store: Store {
                 db,
                 archive,
-                phases: no_phases(),
+                phases: Arc::new(NoPhases),
             },
             sps,
             advisor,

@@ -100,7 +100,7 @@ pub use flight::{FlightEntry, FlightRecorder, QueryCtx};
 pub use health::{ComponentHealth, HealthReport, Readiness};
 pub use journal::{JournalError, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION};
 pub use lifecycle::{PhaseSpan, RequestRecord, RequestRecorder, REQUEST_PHASES};
-pub use phase::{no_phases, NoPhases, Phase, PhaseGuard, PhaseSink, SharedPhaseSink};
+pub use phase::{NoPhases, Phase, PhaseGuard, PhaseSink, SharedPhaseSink};
 pub use quality::{DatasetQuality, KeyQuality, QualityKey, QualityMonitor, QualityReport};
 pub use registry::{HistogramSummary, MetricKind, Registry};
 pub use slo::{ObjectiveVerdict, SloReport, SloSet, SloSignal, SloSpec, SloTracker};

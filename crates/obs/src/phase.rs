@@ -76,11 +76,6 @@ impl PhaseSink for NoPhases {
 /// A shared sink, [`NoPhases`] until a caller installs one.
 pub type SharedPhaseSink = Arc<dyn PhaseSink>;
 
-/// A new [`NoPhases`] sink behind an `Arc`.
-pub fn no_phases() -> SharedPhaseSink {
-    Arc::new(NoPhases)
-}
-
 /// Enters `phase` on `sink` and exits it when dropped, so an early
 /// return still closes the phase.
 #[derive(Debug)]

@@ -60,7 +60,7 @@ use crate::recovery::{fsck, recover, RecoveryReport};
 use crate::series::Series;
 use crate::table::TableOptions;
 use crate::wal::{Wal, WalStats};
-use spotlake_obs::{no_phases, Phase, PhaseGuard, SharedPhaseSink};
+use spotlake_obs::{NoPhases, Phase, PhaseGuard, SharedPhaseSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -432,7 +432,7 @@ impl ShardedArchive {
             quarantined: BTreeMap::new(),
             recovery: RecoveryReport::default(),
             manifest_persisted: Vec::new(),
-            phases: no_phases(),
+            phases: Arc::new(NoPhases),
         };
         let mut store = Database::new();
         for key in all_keys {
