@@ -11,6 +11,9 @@
 //! Violations are suppressed per line with
 //! `// lint:allow(<rule>): <justification>` — the justification is
 //! mandatory and an unknown rule name is itself a violation.
+//!
+//! `--unused-pub` prints a report instead: every `pub` item no other
+//! file names ([`unused_pub_items`]). It always exits 0.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,9 +23,11 @@ pub mod parse;
 pub mod report;
 pub mod rules;
 pub mod scan;
+pub mod unused;
 
 pub use report::{render_json, Finding};
 pub use rules::{analyze_source, FileAnalysis, MANIFEST_PATH, RULES};
+pub use unused::{unused_pub_items, UnusedPub};
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};

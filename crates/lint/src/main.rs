@@ -1,13 +1,16 @@
 //! CLI for the workspace invariant checker.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
+//! `--unused-pub` prints its report and exits `0` whatever it lists.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use spotlake_lint::{analyze_file, analyze_workspace, render_json, Finding, RULES};
+use spotlake_lint::{
+    analyze_file, analyze_workspace, render_json, unused_pub_items, Finding, RULES,
+};
 
 const USAGE: &str = "\
 spotlake-lint — workspace invariant checker
@@ -22,6 +25,9 @@ OPTIONS:
     --as-crate NAME      crate name the file is analyzed as (with --check-file)
     --as-path PATH       repo-relative path used in diagnostics (with --check-file)
     --list-rules         print the rule table and exit
+    --unused-pub         report every pub item of crates/*/src that no other
+                         file names (benchmark/README.md's load-bearing list
+                         excepted) and exit 0
     --help               print this help
 ";
 
@@ -32,6 +38,7 @@ struct Opts {
     as_crate: Option<String>,
     as_path: Option<String>,
     list_rules: bool,
+    unused_pub: bool,
 }
 
 fn parse_args(mut args: std::env::Args) -> Result<Opts, String> {
@@ -43,6 +50,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Opts, String> {
         as_crate: None,
         as_path: None,
         list_rules: false,
+        unused_pub: false,
     };
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
@@ -53,6 +61,7 @@ fn parse_args(mut args: std::env::Args) -> Result<Opts, String> {
             "--as-crate" => opts.as_crate = Some(value("--as-crate")?),
             "--as-path" => opts.as_path = Some(value("--as-path")?),
             "--list-rules" => opts.list_rules = true,
+            "--unused-pub" => opts.unused_pub = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -85,6 +94,20 @@ fn run() -> Result<Vec<Finding>, String> {
         for (name, desc) in RULES {
             println!("{name:<17} {desc}");
         }
+        return Ok(Vec::new());
+    }
+
+    if opts.unused_pub {
+        let root = opts.root.clone().unwrap_or_else(find_root);
+        let unused =
+            unused_pub_items(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
+        for u in &unused {
+            println!("{}", u.render_text());
+        }
+        eprintln!(
+            "spotlake-lint: {} pub item(s) referenced nowhere outside their module",
+            unused.len()
+        );
         return Ok(Vec::new());
     }
 

@@ -107,22 +107,14 @@ pub struct FnBody {
 /// `in_test` so test-only code escapes production rules, mirroring the
 /// per-line scanner's exemption.
 pub fn function_bodies(toks: &[SpannedTok]) -> Vec<FnBody> {
+    let in_test = test_mask(toks);
     let mut bodies = Vec::new();
-    let mut depth = 0usize;
-    let mut test_region: Option<usize> = None;
-    let mut pending_test = false;
     // (name, fn-line) awaiting its opening brace.
     let mut pending_fn: Option<(String, usize)> = None;
     let mut awaiting_name = false;
 
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_ident("cfg") && toks.get(i + 1).is_some_and(|n| n.is_sym('(')) {
-            if toks.get(i + 2).is_some_and(|n| n.is_ident("test")) {
-                pending_test = true;
-            }
-        } else if t.is_ident("fn") {
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("fn") {
             awaiting_name = true;
         } else if awaiting_name {
             if let Some(name) = t.ident() {
@@ -132,10 +124,6 @@ pub fn function_bodies(toks: &[SpannedTok]) -> Vec<FnBody> {
         }
         match &t.tok {
             Tok::Sym('{') => {
-                if pending_test && test_region.is_none() {
-                    test_region = Some(depth);
-                    pending_test = false;
-                }
                 if let Some((name, line)) = pending_fn.take() {
                     let close = matching_close(toks, i);
                     bodies.push(FnBody {
@@ -143,9 +131,38 @@ pub fn function_bodies(toks: &[SpannedTok]) -> Vec<FnBody> {
                         line,
                         open: i,
                         close,
-                        in_test: test_region.is_some(),
+                        in_test: in_test[i],
                     });
                 }
+            }
+            // Trait-method declaration.
+            Tok::Sym(';') => pending_fn = None,
+            _ => {}
+        }
+    }
+    bodies
+}
+
+/// Whether each token sits inside a `#[cfg(test)]` region: the braces
+/// of the item the attribute is on (a `#[cfg(test)] use …;` opens none).
+fn test_mask(toks: &[SpannedTok]) -> Vec<bool> {
+    let mut mask = Vec::with_capacity(toks.len());
+    let mut depth = 0usize;
+    let mut test_region: Option<usize> = None;
+    let mut pending_test = false;
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("cfg")
+            && toks.get(i + 1).is_some_and(|n| n.is_sym('('))
+            && toks.get(i + 2).is_some_and(|n| n.is_ident("test"))
+        {
+            pending_test = true;
+        }
+        match t.tok {
+            Tok::Sym('{') => {
+                if pending_test && test_region.is_none() {
+                    test_region = Some(depth);
+                }
+                pending_test = false;
                 depth += 1;
             }
             Tok::Sym('}') => {
@@ -154,18 +171,76 @@ pub fn function_bodies(toks: &[SpannedTok]) -> Vec<FnBody> {
                     test_region = None;
                 }
             }
-            Tok::Sym(';') => {
-                // Trait-method declaration (or `#[cfg(test)] use …;`).
-                pending_fn = None;
-                if pending_test {
-                    pending_test = false;
-                }
-            }
+            Tok::Sym(';') => pending_test = false,
             _ => {}
         }
-        i += 1;
+        mask.push(test_region.is_some());
     }
-    bodies
+    mask
+}
+
+/// One unrestricted `pub` item.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubItem {
+    /// The item keyword: `fn`, `struct`, `enum`, `trait`, `type`,
+    /// `const`, `static` or `union`.
+    pub kind: &'static str,
+    /// The item's name.
+    pub name: String,
+    /// 1-based line of the name.
+    pub line: usize,
+}
+
+/// The item keywords [`pub_items`] recovers.
+const ITEM_KINDS: [&str; 8] = [
+    "fn", "struct", "enum", "trait", "type", "const", "static", "union",
+];
+
+/// Recovers every unrestricted `pub` item outside `#[cfg(test)]`
+/// regions, methods of `impl` blocks included. Restricted visibility
+/// (`pub(crate)`, `pub(super)`), `pub use` re-exports, `pub mod`
+/// declarations and `pub` fields are not items here.
+pub fn pub_items(toks: &[SpannedTok]) -> Vec<PubItem> {
+    let in_test = test_mask(toks);
+    let mut items = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident("pub") || in_test[i] {
+            continue;
+        }
+        // Skip qualifiers: `unsafe`, `async`, `extern "C"`, `const fn`,
+        // `static mut`.
+        let mut j = i + 1;
+        let kind = loop {
+            let Some(next) = toks.get(j) else { break None };
+            match next.ident() {
+                Some("unsafe" | "async" | "extern" | "mut") => j += 1,
+                Some("const")
+                    if toks.get(j + 1).is_some_and(|n| {
+                        n.ident()
+                            .is_some_and(|w| matches!(w, "fn" | "unsafe" | "async"))
+                    }) =>
+                {
+                    j += 1
+                }
+                Some(word) => break ITEM_KINDS.iter().find(|k| **k == word).copied(),
+                None if next.is_sym('"') => j += 1,
+                None => break None,
+            }
+        };
+        let Some(kind) = kind else { continue };
+        let mut k = j + 1;
+        while toks.get(k).is_some_and(|n| n.is_ident("mut")) {
+            k += 1;
+        }
+        if let Some(name) = toks.get(k).and_then(SpannedTok::ident) {
+            items.push(PubItem {
+                kind,
+                name: name.to_owned(),
+                line: toks[k].line,
+            });
+        }
+    }
+    items
 }
 
 /// Token index of the `}` matching the `{` at `open` (or the end of the
@@ -252,6 +327,30 @@ mod tests {
         assert_eq!(bodies.len(), 2);
         assert!(!bodies[0].in_test);
         assert!(bodies[1].in_test, "body inside cfg(test) region");
+    }
+
+    #[test]
+    fn pub_items_are_recovered_with_their_kind_and_line() {
+        let src = "pub fn a() {}\npub(crate) fn hidden() {}\npub struct S { pub field: u8 }\n\
+                   impl S { pub const fn m(&self) {} }\npub use x::Y;\npub mod m;\n\
+                   pub static mut N: u8 = 0;\npub unsafe extern \"C\" fn c() {}\n\
+                   pub const K: u8 = 1;\n#[cfg(test)]\nmod tests { pub fn t() {} }\n";
+        let items = pub_items(&toks(src));
+        let got: Vec<(&str, &str, usize)> = items
+            .iter()
+            .map(|i| (i.kind, i.name.as_str(), i.line))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("fn", "a", 1),
+                ("struct", "S", 3),
+                ("fn", "m", 4),
+                ("static", "N", 7),
+                ("fn", "c", 8),
+                ("const", "K", 9),
+            ]
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use spotlake_lint::{analyze_file, analyze_source, unrecorded_families, Finding, MANIFEST_PATH};
+use spotlake_lint::{
+    analyze_file, analyze_source, unrecorded_families, unused_pub_items, Finding, UnusedPub,
+    MANIFEST_PATH,
+};
 use spotlake_obs::names::METRIC_FAMILIES;
 use std::collections::BTreeSet;
 
@@ -396,4 +399,32 @@ fn workspace_self_scan_is_clean() {
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
+}
+
+#[test]
+fn unused_pub_reports_items_no_other_file_names_and_exits_zero() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unused_pub");
+    let listed: Vec<String> = unused_pub_items(&root)
+        .expect("fixture workspace readable")
+        .iter()
+        .map(UnusedPub::render_text)
+        .collect();
+    let want = [
+        "crates/a/src/lib.rs:11: pub fn only_here is referenced nowhere outside its module",
+        "crates/a/src/lib.rs:31: pub fn lonely is referenced nowhere outside its module",
+        "crates/a/src/other.rs:4: pub struct Reexported is referenced nowhere outside its module",
+    ];
+    assert_eq!(listed, want);
+
+    // A report, not a gate: the binary prints the same lines and exits 0.
+    let out = lint_bin()
+        .arg("--unused-pub")
+        .arg("--root")
+        .arg(&root)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), want);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("3 pub item(s)"));
 }
