@@ -26,8 +26,7 @@ use crate::compress::{decode_series, encode_series};
 use crate::crc::crc32;
 use crate::db::Database;
 use crate::error::TsError;
-use crate::series::Series;
-use crate::table::{Table, TableOptions, WriteMode};
+use crate::table::{Entry, Table, TableOptions, WriteMode};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -55,7 +54,7 @@ pub(crate) fn load(path: &Path) -> Result<Database, TsError> {
 pub(crate) struct TableSlice<'a> {
     pub(crate) name: &'a str,
     pub(crate) options: TableOptions,
-    pub(crate) series: Vec<(&'a str, &'a Series)>,
+    pub(crate) series: Vec<(&'a str, Entry<'a>)>,
 }
 
 /// Serializes the database to the version-3 byte format: every series of
@@ -106,7 +105,7 @@ pub(crate) fn encode_tables(tables: &[TableSlice<'_>]) -> Result<Vec<u8>, TsErro
                 put_str(&mut out, k)?;
                 put_str(&mut out, v)?;
             }
-            let blob = encode_series(s.points());
+            let blob = encode_series(&s.series.points());
             put_len(&mut out, blob.len(), "series blob")?;
             out.extend_from_slice(&blob);
         }

@@ -55,7 +55,10 @@ impl WriteFaults {
 
 /// An embedded time-series database.
 ///
-/// See the [crate docs](crate) for an overview and example.
+/// See the [crate docs](crate) for an overview and example. A clone is a
+/// snapshot that shares the stored series with the original: each side
+/// copies a page of series only when it writes into one both still hold
+/// (DESIGN.md, "Copy-on-write epochs").
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,

@@ -1,6 +1,6 @@
 //! Read-side types: queries, rows, aggregation.
 
-use crate::series::Series;
+use crate::table::Entry;
 use std::sync::Arc;
 
 /// A query over one table: a measure name, optional dimension equality
@@ -116,7 +116,7 @@ impl RowKind {
 #[derive(Debug)]
 pub struct RowScan<'a> {
     /// The series rows may come from; a row's `series` indexes this.
-    pub(crate) series: Vec<&'a Series>,
+    pub(crate) series: Vec<Entry<'a>>,
     /// `(time, series position, value)` of the rows kept, in answer order.
     pub(crate) rows: Vec<(u64, usize, f64)>,
     /// Rows the whole answer holds, before the limit.
@@ -170,7 +170,7 @@ impl RowScan<'_> {
             time,
             value,
             series,
-            dimensions: &self.series[series].dimensions,
+            dimensions: self.series[series].dimensions,
         })
     }
 
@@ -182,7 +182,7 @@ impl RowScan<'_> {
             .map(|(time, series, value)| Row {
                 time,
                 value,
-                dimensions: Arc::clone(&self.series[series].dimensions),
+                dimensions: Arc::clone(self.series[series].dimensions),
             })
             .collect()
     }

@@ -57,8 +57,7 @@ use crate::error::TsError;
 use crate::iofault::IoFaultPlan;
 use crate::record::{dimension_value, Record};
 use crate::recovery::{fsck, recover, RecoveryReport};
-use crate::series::Series;
-use crate::table::TableOptions;
+use crate::table::{Entry, TableOptions};
 use crate::wal::{Wal, WalStats};
 use spotlake_obs::{NoPhases, Phase, PhaseGuard, SharedPhaseSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -980,9 +979,9 @@ fn merge_into(store: &mut Database, shard_db: &Database) -> Result<(), TsError> 
             store.create_table(name, table.options())?;
         }
         let dst = store.table_mut(name)?;
-        for (measure, series) in table.series_entries() {
-            let dimensions = Arc::clone(&series.dimensions);
-            dst.insert_series_raw(dimensions, measure, series.points().to_vec());
+        for (measure, e) in table.series_entries() {
+            let dimensions = Arc::clone(e.dimensions);
+            dst.insert_series_raw(dimensions, measure, e.series.points().into_owned());
         }
     }
     Ok(())
@@ -1001,10 +1000,10 @@ fn split_by_region<'a>(
     regions: &[&str],
 ) -> Vec<Option<TableSlice<'a>>> {
     let slot: BTreeMap<&str, usize> = regions.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-    let mut series: Vec<Vec<(&str, &Series)>> = vec![Vec::new(); regions.len()];
+    let mut series: Vec<Vec<(&str, Entry<'_>)>> = vec![Vec::new(); regions.len()];
     if let Ok(t) = store.table(table) {
         for (measure, s) in t.series_entries() {
-            let region = region_in(&s.dimensions);
+            let region = region_in(s.dimensions);
             if let Some(list) = slot.get(region).and_then(|&i| series.get_mut(i)) {
                 list.push((measure, s));
             }

@@ -5,7 +5,7 @@ use crate::error::TsError;
 use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
 use crate::record::{series_key, Record};
-use crate::series::Series;
+use crate::series::{Series, Span};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,14 +31,6 @@ pub struct TableOptions {
     /// [`Table::enforce_retention`], points older than `now - retention`
     /// are dropped.
     pub retention: Option<u64>,
-}
-
-/// A series in its measure's slab, with the dimension key it is filed
-/// under — what puts index hits back into key order.
-#[derive(Debug, Clone)]
-struct Slot {
-    key: Arc<str>,
-    series: Series,
 }
 
 /// A series' position in its measure's slab. Four bytes: an id is stored
@@ -73,15 +65,31 @@ pub(crate) struct Applied {
     pub(crate) points: usize,
 }
 
-/// The series of one measure and the index a filtered scan walks.
+/// Series per page of a measure's slab: a write copies the page it
+/// lands in — when a snapshot shares it — not the measure.
+pub(crate) const PAGE_SERIES: usize = 64;
+
+/// What a measure files a series under besides its points: the
+/// dimension key — what puts index hits back into key order — and the
+/// dimensions, kept for query filtering. Shared, not owned: every result
+/// row of the series and every clone of the table hold the same
+/// allocations.
+#[derive(Debug, Clone)]
+struct Filing {
+    key: Arc<str>,
+    dimensions: Arc<[(String, String)]>,
+}
+
+/// A measure's index: what each id files, the key map and the postings.
 ///
 /// Ids, not dimension keys, are what the postings hold: appending an
 /// integer when a series is created costs nothing measurable at ingest,
 /// while postings of key strings kept in order cost more than the series
 /// map itself (DESIGN.md "Query-path tracing and the cost model").
 #[derive(Debug, Clone, Default)]
-struct Measure {
-    slab: Vec<Slot>,
+struct Index {
+    /// By id.
+    filings: Vec<Filing>,
     /// Dimension key → id. Its order is the order scans yield series in.
     by_key: BTreeMap<Arc<str>, SeriesId>,
     /// Dimension → value → ids of the series carrying that pair, in
@@ -89,34 +97,85 @@ struct Measure {
     postings: BTreeMap<String, BTreeMap<String, Vec<SeriesId>>>,
 }
 
+/// [`PAGE_SERIES`] consecutive series of a measure's slab.
+#[derive(Debug, Default)]
+struct Page(Vec<Series>);
+
+impl Clone for Page {
+    /// Copies every series' head with room for a full page: a copy made
+    /// for a write is written to at once, and the last page grows.
+    fn clone(&self) -> Self {
+        let mut series = Vec::with_capacity(PAGE_SERIES.max(self.0.len()));
+        series.extend(self.0.iter().cloned());
+        Page(series)
+    }
+}
+
+/// The series of one measure and the index a filtered scan walks, in
+/// copy-on-write pieces: cloning a measure copies pointers. The index is
+/// copied only when a series is created or retention re-files the
+/// measure, and a write copies only the page it lands in, and within it
+/// each series' head ([`Series`]).
+#[derive(Debug, Clone, Default)]
+struct Measure {
+    index: Arc<Index>,
+    /// The series by id: id `i` is slot `i % PAGE_SERIES` of page
+    /// `i / PAGE_SERIES`.
+    pages: Vec<Arc<Page>>,
+}
+
+/// A series as a scan reads it: its dimensions and its points.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry<'a> {
+    pub(crate) dimensions: &'a Arc<[(String, String)]>,
+    pub(crate) series: &'a Series,
+}
+
 impl Measure {
-    fn slot(&self, id: SeriesId) -> &Slot {
-        &self.slab[id as usize]
+    /// Number of series.
+    fn len(&self) -> usize {
+        self.index.filings.len()
     }
 
-    fn series_mut(&mut self, id: SeriesId) -> &mut Series {
-        &mut self.slab[id as usize].series
+    fn series(&self, id: SeriesId) -> Option<&Series> {
+        let id = id as usize;
+        self.pages.get(id / PAGE_SERIES)?.0.get(id % PAGE_SERIES)
+    }
+
+    /// The series `id`, its page copied first if a snapshot shares it.
+    fn series_mut(&mut self, id: SeriesId) -> Option<&mut Series> {
+        let id = id as usize;
+        let page = Arc::make_mut(self.pages.get_mut(id / PAGE_SERIES)?);
+        page.0.get_mut(id % PAGE_SERIES)
+    }
+
+    fn entry(&self, id: SeriesId) -> Option<Entry<'_>> {
+        Some(Entry {
+            dimensions: &self.index.filings.get(id as usize)?.dimensions,
+            series: self.series(id)?,
+        })
     }
 
     /// The series in dimension-key order.
-    fn in_key_order(&self) -> impl Iterator<Item = &Series> {
-        self.by_key.values().map(|&id| &self.slot(id).series)
+    fn in_key_order(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.index.by_key.values().filter_map(|&id| self.entry(id))
     }
 
     /// Files a series under a key the measure does not hold yet and
     /// returns its id.
-    fn push(&mut self, key: Arc<str>, series: Series) -> SeriesId {
-        let id = SeriesId::try_from(self.slab.len())
+    fn push(&mut self, filing: Filing, series: Series) -> SeriesId {
+        let index = Arc::make_mut(&mut self.index);
+        let id = SeriesId::try_from(index.filings.len())
             .expect("a measure's series fit in memory, so their count fits an id");
-        for (k, v) in series.dimensions.iter() {
+        for (k, v) in filing.dimensions.iter() {
             // Looked up before inserted, as in `Table::file`: the pair
             // almost always exists, and `entry` would clone both strings.
-            let ids = match self.postings.get_mut(k.as_str()) {
+            let ids = match index.postings.get_mut(k.as_str()) {
                 Some(values) => match values.get_mut(v.as_str()) {
                     Some(ids) => ids,
                     None => values.entry(v.clone()).or_default(),
                 },
-                None => self
+                None => index
                     .postings
                     .entry(k.clone())
                     .or_default()
@@ -128,17 +187,25 @@ impl Measure {
                 ids.push(id);
             }
         }
-        self.by_key.insert(Arc::clone(&key), id);
-        self.slab.push(Slot { key, series });
+        index.by_key.insert(Arc::clone(&filing.key), id);
+        index.filings.push(filing);
+        match self.pages.last_mut() {
+            Some(page) if page.0.len() < PAGE_SERIES => Arc::make_mut(page).0.push(series),
+            _ => {
+                let mut page = Vec::with_capacity(PAGE_SERIES);
+                page.push(series);
+                self.pages.push(Arc::new(Page(page)));
+            }
+        }
         id
     }
 
-    /// Re-files `slots` from scratch: ids are positions, so taking a
+    /// Re-files `series` from scratch: ids are positions, so taking a
     /// series out of the slab invalidates every posting behind it.
-    fn rebuild(slots: Vec<Slot>) -> Measure {
+    fn rebuild(series: impl IntoIterator<Item = (Filing, Series)>) -> Measure {
         let mut m = Measure::default();
-        for slot in slots {
-            m.push(slot.key, slot.series);
+        for (filing, series) in series {
+            m.push(filing, series);
         }
         m
     }
@@ -150,7 +217,8 @@ impl Measure {
         filters
             .iter()
             .map(|(k, v)| {
-                self.postings
+                self.index
+                    .postings
                     .get(k.as_str())
                     .and_then(|values| values.get(v.as_str()))
                     .map_or(&[][..], Vec::as_slice)
@@ -177,6 +245,10 @@ pub struct Table {
 }
 
 impl Clone for Table {
+    /// Shares every measure's index, pages and sealed chunks — a pointer
+    /// per page, nothing per series — and starts a new generation, so
+    /// no handle taken from one table is current for the other. The
+    /// table cloned from keeps its generation and its handles.
     fn clone(&self) -> Self {
         Table {
             options: self.options,
@@ -241,7 +313,7 @@ impl Table {
     /// if the table holds it.
     pub(crate) fn locate(&self, measure: &str, key: &str) -> Option<Filed> {
         let &at = self.by_name.get(measure)?;
-        let id = *self.measures.get(at as usize)?.by_key.get(key)?;
+        let id = *self.measures.get(at as usize)?.index.by_key.get(key)?;
         Some(Filed {
             generation: self.generation,
             measure: at,
@@ -258,19 +330,18 @@ impl Table {
                 self.locate(measure, key)?
             }
         };
-        let slot = self
+        let series = self
             .measures
             .get(filed.measure as usize)?
-            .slab
-            .get(filed.id as usize)?;
-        Some((filed, &slot.series))
+            .series(filed.id)?;
+        Some((filed, series))
     }
 
-    /// The series booked as `s`, mutably: by its handle when current, else
-    /// by key, filed now — under the book's own dimension and key
-    /// allocations — when the table does not hold it yet. `None` only for
-    /// an id the book never gave.
-    fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<&mut Series> {
+    /// Where the series booked as `s` is, as (measure, id): by its handle
+    /// when current, else by key, filed now — under the book's own
+    /// dimension and key allocations — when the table does not hold it
+    /// yet. `None` only for an id the book never gave.
+    fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<(u32, SeriesId)> {
         let (measure, id) = match book.handle(self, s).map(|f| (f.measure, f.id)) {
             Some(at) => at,
             None => {
@@ -286,19 +357,20 @@ impl Table {
                     }
                 };
                 let m = self.measures.get_mut(measure as usize)?;
-                let id = match m.by_key.get(&**key) {
+                let id = match m.index.by_key.get(&**key) {
                     Some(&id) => id,
-                    None => m.push(Arc::clone(key), Series::new(Arc::clone(dimensions))),
+                    None => {
+                        let filing = Filing {
+                            key: Arc::clone(key),
+                            dimensions: Arc::clone(dimensions),
+                        };
+                        m.push(filing, Series::default())
+                    }
                 };
                 (measure, id)
             }
         };
-        let slot = self
-            .measures
-            .get_mut(measure as usize)?
-            .slab
-            .get_mut(id as usize)?;
-        Some(&mut slot.series)
+        Some((measure, id))
     }
 
     /// The points of a batch that can change this table — what a durable
@@ -350,19 +422,51 @@ impl Table {
     /// created if absent (a series new to the table, perhaps created by an
     /// earlier point of the same batch). The points were validated by
     /// `delta`; one of an id the book never gave is skipped.
+    ///
+    /// Every point is filed first, in batch order, so that the writes can
+    /// then hold a page across a run of points: a page's ownership is
+    /// resolved — and a page a snapshot shares copied — once per run, not
+    /// once per point. A point that changes nothing leaves its page
+    /// shared.
     pub(crate) fn apply_points<'p>(
         &mut self,
         book: &SeriesBook,
         points: impl IntoIterator<Item = &'p Point>,
     ) -> Applied {
         let mode = self.options.mode;
+        let changepoint = mode == WriteMode::ChangePoint;
+        let filed: Vec<(u32, SeriesId, &Point)> = points
+            .into_iter()
+            .filter_map(|p| {
+                let (measure, id) = self.file(book, p.series)?;
+                Some((measure, id, p))
+            })
+            .collect();
         let mut applied = Applied::default();
-        for p in points {
-            if let Some(series) = self.file(book, p.series) {
-                let one = write_point(series, mode, p.time, p.value);
-                applied.stored += one.stored;
-                applied.points += one.points;
+        // The page the last write went to, as (measure, page number).
+        let mut open: Option<(u32, usize, &mut Page)> = None;
+        for (measure, id, p) in filed {
+            let (page, slot) = (id as usize / PAGE_SERIES, id as usize % PAGE_SERIES);
+            if !matches!(&open, Some((m, at, _)) if (*m, *at) == (measure, page)) {
+                open = None;
+                let Some(m) = self.measures.get_mut(measure as usize) else {
+                    continue;
+                };
+                let changes = |s: &Series| s.would_change(changepoint, p.time, p.value);
+                if !m.series(id).is_some_and(changes) {
+                    continue;
+                }
+                let Some(shared) = m.pages.get_mut(page) else {
+                    continue;
+                };
+                open = Some((measure, page, Arc::make_mut(shared)));
             }
+            let Some(series) = open.as_mut().and_then(|(_, _, page)| page.0.get_mut(slot)) else {
+                continue;
+            };
+            let one = write_point(series, mode, p.time, p.value);
+            applied.stored += one.stored;
+            applied.points += one.points;
         }
         applied
     }
@@ -379,14 +483,16 @@ impl Table {
         book: &SeriesBook,
         points: &[Point],
     ) -> Result<Applied, TsError> {
-        let mut applied = Applied::default();
-        for p in points {
-            book.validate(p)?;
-            let one = self.apply_points(book, std::slice::from_ref(p));
-            applied.stored += one.stored;
-            applied.points += one.points;
+        let invalid = points
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| Some((i, book.validate(p).err()?)));
+        let valid = invalid.as_ref().map_or(points.len(), |(i, _)| *i);
+        let applied = self.apply_points(book, &points[..valid]);
+        match invalid {
+            Some((_, e)) => Err(e),
+            None => Ok(applied),
         }
-        Ok(applied)
     }
 
     /// Runs a raw query: all matching points from all matching series,
@@ -443,7 +549,7 @@ impl Table {
         let scan = match kind {
             RowKind::Range => self.scan_range(q, limit, profile),
             RowKind::Latest => self.scan_each(q, from, to, limit, profile, |series| {
-                let last = series.range_scan(from, to).0.last().copied();
+                let last = series.range_scan(from, to).0.last();
                 (last, u64::from(last.is_some()))
             }),
             RowKind::At(at) => {
@@ -466,20 +572,22 @@ impl Table {
     fn scan_range(&self, q: &Query, limit: usize, profile: &mut QueryProfile) -> RowScan<'_> {
         let (from, to) = q.time_range();
         let mut series = self.scan_candidates(q, from, to, profile);
-        series.sort_unstable_by(|a, b| a.dimensions.cmp(&b.dimensions));
-        let slices: Vec<&[(u64, f64)]> = series
+        series.sort_unstable_by(|a, b| a.dimensions.cmp(b.dimensions));
+        let spans: Vec<Span<'_>> = series
             .iter()
-            .map(|s| {
-                let (pts, chunks) = s.range_scan(from, to);
+            .map(|e| {
+                let (span, chunks) = e.series.range_scan(from, to);
                 profile.chunks_decompressed += chunks;
-                profile.rows_decoded += pts.len() as u64;
-                pts
+                profile.rows_decoded += span.len() as u64;
+                span
             })
             .collect();
-        let total = slices.iter().map(|pts| pts.len()).sum();
+        let total = spans.iter().map(|span| span.len()).sum();
         let mut rows = Vec::with_capacity(total);
-        for (rank, pts) in slices.iter().enumerate() {
-            rows.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
+        for (rank, span) in spans.iter().enumerate() {
+            for pts in span.slices() {
+                rows.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
+            }
         }
         if series.len() > 1 {
             let key = |&(time, rank, _): &(u64, usize, f64)| (time, rank);
@@ -514,8 +622,8 @@ impl Table {
         let series = self.scan_candidates(q, from, to, profile);
         let mut rows = Vec::with_capacity(series.len().min(limit));
         let mut total = 0;
-        for (at, s) in series.iter().enumerate() {
-            let (found, chunks) = find(s);
+        for (at, e) in series.iter().enumerate() {
+            let (found, chunks) = find(e.series);
             profile.chunks_decompressed += chunks;
             if let Some((time, value)) = found {
                 profile.rows_decoded += 1;
@@ -563,26 +671,30 @@ impl Table {
         let (from, to) = q.time_range();
         profile.observe_query(q);
         let mut windows: BTreeMap<u64, Fold> = BTreeMap::new();
-        for series in self.scan_candidates(q, from, to, profile) {
-            let (mut pts, chunks) = series.range_scan(from, to);
+        for e in self.scan_candidates(q, from, to, profile) {
+            let (span, chunks) = e.series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
-            profile.rows_decoded += pts.len() as u64;
+            profile.rows_decoded += span.len() as u64;
             // A series' points are in time order, so each window's share
-            // of them is one run: one lookup per run, not per point.
-            while let Some(&(first, _)) = pts.first() {
-                let window_start = from + (first - from) / window * window;
-                let len = match window_start.checked_add(window) {
-                    Some(end) => pts.partition_point(|&(t, _)| t < end),
-                    None => pts.len(),
-                };
-                let (run, rest) = pts.split_at(len);
-                let fold = windows
-                    .entry(window_start)
-                    .or_insert_with(|| Fold::new(agg));
-                for &(time, value) in run {
-                    fold.push(time, value);
+            // of a slice is one run: one lookup per run, not per point.
+            // A window the slice boundary splits is folded in two runs,
+            // in the same order.
+            for mut pts in span.slices() {
+                while let Some(&(first, _)) = pts.first() {
+                    let window_start = from + (first - from) / window * window;
+                    let len = match window_start.checked_add(window) {
+                        Some(end) => pts.partition_point(|&(t, _)| t < end),
+                        None => pts.len(),
+                    };
+                    let (run, rest) = pts.split_at(len);
+                    let fold = windows
+                        .entry(window_start)
+                        .or_insert_with(|| Fold::new(agg));
+                    for &(time, value) in run {
+                        fold.push(time, value);
+                    }
+                    pts = rest;
                 }
-                pts = rest;
             }
         }
         let rows: Vec<WindowRow> = windows
@@ -611,28 +723,30 @@ impl Table {
         from: u64,
         to: u64,
         profile: &mut QueryProfile,
-    ) -> Vec<&'a Series> {
+    ) -> Vec<Entry<'a>> {
         let Some(measure) = self.measure(q.measure_name()) else {
             return Vec::new();
         };
-        let survives = |s: &Series| q.matches(&s.dimensions) && s.overlaps(from, to);
-        let (examined, candidates): (usize, Vec<&Series>) =
-            match measure.shortest_posting(q.filters()) {
-                None => (
-                    measure.slab.len(),
-                    measure.in_key_order().filter(|s| survives(s)).collect(),
-                ),
-                Some(ids) => {
-                    let mut hits: Vec<&Slot> = ids
-                        .iter()
-                        .map(|&id| measure.slot(id))
-                        .filter(|slot| survives(&slot.series))
-                        .collect();
-                    hits.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-                    (ids.len(), hits.into_iter().map(|s| &s.series).collect())
-                }
-            };
-        profile.series_total += measure.slab.len() as u64;
+        let survives = |e: &Entry<'_>| q.matches(e.dimensions) && e.series.overlaps(from, to);
+        let (examined, candidates): (usize, Vec<Entry<'a>>) = match measure
+            .shortest_posting(q.filters())
+        {
+            None => (
+                measure.len(),
+                measure.in_key_order().filter(survives).collect(),
+            ),
+            Some(ids) => {
+                let filings = &measure.index.filings;
+                let mut hits: Vec<(&Arc<str>, Entry<'a>)> = ids
+                    .iter()
+                    .filter_map(|&id| Some((&filings.get(id as usize)?.key, measure.entry(id)?)))
+                    .filter(|(_, e)| survives(e))
+                    .collect();
+                hits.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                (ids.len(), hits.into_iter().map(|(_, e)| e).collect())
+            }
+        };
+        profile.series_total += measure.len() as u64;
         profile.series_examined += examined as u64;
         profile.series_scanned += candidates.len() as u64;
         profile.series_pruned = profile.series_total - profile.series_scanned;
@@ -641,15 +755,16 @@ impl Table {
 
     /// Number of distinct series.
     pub fn series_count(&self) -> usize {
-        self.measures.iter().map(|m| m.slab.len()).sum()
+        self.measures.iter().map(Measure::len).sum()
     }
 
     /// Total number of stored points.
     pub fn point_count(&self) -> usize {
         self.measures
             .iter()
-            .flat_map(|m| &m.slab)
-            .map(|slot| slot.series.len())
+            .flat_map(|m| &m.pages)
+            .flat_map(|page| &page.0)
+            .map(Series::len)
             .sum()
     }
 
@@ -665,18 +780,35 @@ impl Table {
         let mut refiled = false;
         for m in &mut self.measures {
             let mut emptied = false;
-            for slot in &mut m.slab {
-                dropped += slot.series.prune_before(cutoff);
-                emptied |= slot.series.is_empty();
+            for page in &mut m.pages {
+                // A page with nothing to drop stays shared.
+                let stale = |s: &Series| s.first().is_some_and(|(t, _)| t < cutoff);
+                if !page.0.iter().any(stale) {
+                    continue;
+                }
+                for series in &mut Arc::make_mut(page).0 {
+                    dropped += series.prune_before(cutoff);
+                    emptied |= series.is_empty();
+                }
             }
             if emptied {
-                let mut slots = std::mem::take(&mut m.slab);
-                slots.retain(|slot| !slot.series.is_empty());
-                *m = Measure::rebuild(slots);
+                let old = std::mem::take(m);
+                let index = Arc::unwrap_or_clone(old.index);
+                let series = old
+                    .pages
+                    .into_iter()
+                    .flat_map(|page| Arc::unwrap_or_clone(page).0);
+                *m = Measure::rebuild(
+                    index
+                        .filings
+                        .into_iter()
+                        .zip(series)
+                        .filter(|(_, s)| !s.is_empty()),
+                );
                 refiled = true;
             }
         }
-        if self.measures.iter().any(|m| m.slab.is_empty()) {
+        if self.measures.iter().any(|m| m.len() == 0) {
             let mut old: Vec<Option<Measure>> = std::mem::take(&mut self.measures)
                 .into_iter()
                 .map(Some)
@@ -685,7 +817,7 @@ impl Table {
                 let Some(m) = old.get_mut(at as usize).and_then(Option::take) else {
                     continue;
                 };
-                if !m.slab.is_empty() {
+                if m.len() > 0 {
                     let at = u32::try_from(self.measures.len())
                         .expect("fewer measures than before fit an id");
                     self.by_name.insert(name, at);
@@ -704,13 +836,13 @@ impl Table {
     /// the crash.
     pub fn series_dimension_sets(&self) -> impl Iterator<Item = (&str, &[(String, String)])> {
         self.series_entries()
-            .map(|(measure, s)| (measure, &s.dimensions[..]))
+            .map(|(measure, e)| (measure, &e.dimensions[..]))
     }
 
     /// Iterates over `(measure, series)` pairs, measures in name order and
     /// each measure's series in key order — the order the persistence
     /// codec writes them in.
-    pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&str, &Series)> {
+    pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&str, Entry<'_>)> {
         self.named_measures()
             .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure, s)))
     }
@@ -725,8 +857,8 @@ impl Table {
         measure: &str,
         points: Vec<(u64, f64)>,
     ) {
-        let dim_key = series_key("", &dimensions);
-        let mut series = Series::new(dimensions);
+        let key: Arc<str> = Arc::from(series_key("", &dimensions));
+        let mut series = Series::default();
         for (t, v) in points {
             series.insert(t, v);
         }
@@ -747,19 +879,26 @@ impl Table {
         };
         // A replaced series keeps its position — same key, same id — so
         // handles stay current.
-        match m.by_key.get(dim_key.as_str()) {
-            None => {
-                m.push(Arc::from(dim_key), series);
+        let Some(&id) = m.index.by_key.get(&key) else {
+            m.push(Filing { key, dimensions }, series);
+            return;
+        };
+        if let Some(slot) = m.series_mut(id) {
+            *slot = series;
+        }
+        // Same key, other dimensions (a value holding the key's own
+        // separators): the old pairs' postings are wrong.
+        if m.index.filings.get(id as usize).map(|f| &f.dimensions) != Some(&dimensions) {
+            let old = std::mem::take(m);
+            let mut index = Arc::unwrap_or_clone(old.index);
+            if let Some(filing) = index.filings.get_mut(id as usize) {
+                filing.dimensions = dimensions;
             }
-            Some(&id) => {
-                let stale = m.slot(id).series.dimensions != series.dimensions;
-                *m.series_mut(id) = series;
-                // Same key, other dimensions (a value holding the key's
-                // own separators): the old pairs' postings are wrong.
-                if stale {
-                    *m = Measure::rebuild(std::mem::take(&mut m.slab));
-                }
-            }
+            let series = old
+                .pages
+                .into_iter()
+                .flat_map(|page| Arc::unwrap_or_clone(page).0);
+            *m = Measure::rebuild(index.filings.into_iter().zip(series));
         }
     }
 }
@@ -781,6 +920,7 @@ fn write_point(series: &mut Series, mode: WriteMode, time: u64, value: f64) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::CHUNK_POINTS;
 
     fn sample_table() -> Table {
         let mut t = Table::new(TableOptions::default());
@@ -795,6 +935,90 @@ mod tests {
                 .unwrap();
         }
         t
+    }
+
+    /// One dense round: a point at `time` for each series `ids` names,
+    /// series `i` carrying `az=az{i}`.
+    fn round(t: &mut Table, time: u64, ids: std::ops::Range<usize>) {
+        let records: Vec<Record> = ids
+            .map(|i| Record::new(time, "sps", i as f64).dimension("az", format!("az{i:03}")))
+            .collect();
+        let (book, points) = SeriesBook::from_records(&records);
+        t.write_points(&book, &points).unwrap();
+    }
+
+    #[test]
+    fn a_clone_shares_the_index_every_untouched_page_and_every_sealed_chunk() {
+        let n = 3 * PAGE_SERIES - 20;
+        let mut t = Table::new(TableOptions::default());
+        for r in 0..CHUNK_POINTS as u64 + 5 {
+            round(&mut t, r * 600, 0..n);
+        }
+        let generation = t.generation;
+        let snapshot = t.clone();
+        assert_ne!(snapshot.generation, generation, "a clone is a new layout");
+
+        // One more round, into the series of the middle page only, and a
+        // repeat of the last round into the first, which changes nothing.
+        let touched = PAGE_SERIES..2 * PAGE_SERIES;
+        round(&mut t, 1_000_000, touched.clone());
+        round(&mut t, (CHUNK_POINTS as u64 + 4) * 600, 0..PAGE_SERIES);
+        assert_eq!(
+            t.generation, generation,
+            "writing keeps the handles current"
+        );
+
+        let (live, old) = (&t.measures[0], &snapshot.measures[0]);
+        assert!(
+            Arc::ptr_eq(&live.index, &old.index),
+            "no series was created"
+        );
+        for (p, (a, b)) in live.pages.iter().zip(&old.pages).enumerate() {
+            assert_eq!(Arc::ptr_eq(a, b), p != 1, "page {p}");
+            for (x, y) in a.0.iter().zip(&b.0) {
+                assert_eq!(x.sealed().len(), 1);
+                assert!(Arc::ptr_eq(&x.sealed()[0], &y.sealed()[0]));
+            }
+        }
+        assert_eq!(t.point_count(), snapshot.point_count() + touched.len());
+        let q = Query::measure("sps").between(1_000_000, u64::MAX);
+        assert!(snapshot.query(&q).is_empty(), "the snapshot is isolated");
+        assert_eq!(t.query(&q).len(), touched.len());
+
+        // A new series copies the index, once; the snapshot keeps its own.
+        round(&mut t, 1_000_600, n..n + 1);
+        assert!(!Arc::ptr_eq(
+            &t.measures[0].index,
+            &snapshot.measures[0].index
+        ));
+        assert_eq!(snapshot.series_count(), n);
+        assert_eq!(t.series_count(), n + 1);
+    }
+
+    #[test]
+    fn retention_that_drops_nothing_copies_nothing() {
+        let mut t = Table::new(TableOptions {
+            mode: WriteMode::Dense,
+            retention: Some(10_000),
+        });
+        round(&mut t, 5_000, 0..PAGE_SERIES + 1);
+        let snapshot = t.clone();
+        assert_eq!(t.enforce_retention(12_000), 0);
+        let (live, old) = (&t.measures[0], &snapshot.measures[0]);
+        assert!(live
+            .pages
+            .iter()
+            .zip(&old.pages)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(Arc::ptr_eq(&live.index, &old.index));
+
+        // Dropping every point of one series re-files the measure; the
+        // snapshot still answers from its own.
+        round(&mut t, 20_000, 1..PAGE_SERIES + 1);
+        assert_eq!(t.enforce_retention(25_000), PAGE_SERIES + 1);
+        assert_eq!(t.series_count(), PAGE_SERIES);
+        assert_eq!(snapshot.series_count(), PAGE_SERIES + 1);
+        assert_eq!(snapshot.point_count(), PAGE_SERIES + 1);
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //! counts them. A sharded store must be byte-for-byte an in-memory store
 //! written with the records its shards acknowledged, so a shard that
 //! failed leaves none of its new series filed.
+//!
+//! Snapshots are isolated: a clone of the store taken after a round — the
+//! epoch a server publishes — must still answer as the model stood then
+//! after every later round, retention re-files included, has written
+//! into the store it shares its pages with.
 
 use proptest::prelude::*;
 use spotlake_timestream::{
@@ -196,7 +201,7 @@ type Row = (Dims, u64, f64);
 
 /// The store's contract, spelled out: per (measure, dimensions), a sorted
 /// point list.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Model {
     series: BTreeMap<(String, Dims), Vec<(u64, f64)>>,
 }
@@ -434,9 +439,33 @@ impl Model {
     }
 }
 
-/// Whether retention runs after round `round` of a run that has it.
+/// Whether retention runs after round `round` of a run that has it —
+/// and whether a snapshot is taken after it.
 fn retention_after(round: usize, every: usize) -> bool {
     (round + 1).is_multiple_of(every)
+}
+
+/// Clones of the store taken after a round, each with the model as it
+/// stood then.
+#[derive(Default)]
+struct Snapshots(Vec<(usize, Database, Model)>);
+
+impl Snapshots {
+    /// Keeps a clone of `db` and of `model` when a snapshot is due after
+    /// `round`.
+    fn take(&mut self, round: usize, every: usize, db: &Database, model: &Model) {
+        if retention_after(round, every) {
+            self.0.push((round, db.clone(), model.clone()));
+        }
+    }
+
+    /// Asserts every kept clone still answers as its own model.
+    fn check(&self) -> Result<(), TestCaseError> {
+        for (round, db, model) in &self.0 {
+            model.check(db, &format!("snapshot after round {round}"))?;
+        }
+        Ok(())
+    }
 }
 
 proptest! {
@@ -450,8 +479,10 @@ proptest! {
         changepoint in any::<bool>(),
         retention in any::<bool>(),
         retain_every in 1usize..4,
+        snapshot_every in 1usize..4,
     ) {
         let options = options(changepoint, retention);
+        let mut snapshots = Snapshots::default();
         let (mut by_id, mut by_record) = (Database::new(), Database::new());
         by_id.create_table(TABLE, options).unwrap();
         by_record.create_table(TABLE, options).unwrap();
@@ -472,8 +503,10 @@ proptest! {
             }
             prop_assert_eq!(bytes(&by_id), bytes(&by_record), "round {}", round);
             model.check(&by_id, &format!("round {round}"))?;
+            snapshots.take(round, snapshot_every, &by_id, &model);
         }
         prop_assert_eq!(store_scrape(&by_id), store_scrape(&by_record));
+        snapshots.check()?;
     }
 
     /// Sharded: `commit_points` with one long-lived book against `commit`
@@ -485,9 +518,11 @@ proptest! {
         changepoint in any::<bool>(),
         retention in any::<bool>(),
         retain_every in 1usize..4,
+        snapshot_every in 1usize..4,
         fault_seed in 0u64..1_000,
     ) {
         let options = options(changepoint, retention);
+        let mut snapshots = Snapshots::default();
         let keys: Vec<ShardKey> = REGIONS.iter().map(|r| ShardKey::new(TABLE, r)).collect();
         // One shard sees transient faults and, sooner or later, a crash
         // that fails its slice from then on.
@@ -545,7 +580,9 @@ proptest! {
             prop_assert_eq!(bytes(&by_id), bytes(&by_record), "round {}", round);
             prop_assert_eq!(bytes(&by_id), bytes(&acked), "round {}: acked only", round);
             model.check(&by_id, &format!("round {round}"))?;
+            snapshots.take(round, snapshot_every, &by_id, &model);
         }
+        snapshots.check()?;
         prop_assert_eq!(store_scrape(&by_id), store_scrape(&by_record));
         prop_assert_eq!(tree(&root_id), tree(&root_record), "bytes on disk");
         std::fs::remove_dir_all(&root_id).ok();
