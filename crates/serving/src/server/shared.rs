@@ -10,6 +10,12 @@
 //! swaps it in with one short write lock, freeing the old epoch after the
 //! lock is released. Queries therefore never block collection and never
 //! observe a half-written archive.
+//!
+//! An epoch is a `Database::clone` of the collector's store, which shares
+//! structure rather than copying it: each measure's index, its pages of
+//! series and their sealed chunks are reference-counted, and the store
+//! copies a page only when it writes into one an epoch still holds. A
+//! publish costs what the round changed, not what the archive holds.
 
 use spotlake_timestream::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,9 +63,11 @@ impl SharedArchive {
     /// keep the snapshot they started with.
     ///
     /// The write lock is held only for the swap. The previous snapshot is
-    /// dropped after the lock is released — freeing a large archive takes
-    /// milliseconds, and no reader's [`SharedArchive::snapshot`] waits
-    /// for it. (A reader still holding the previous snapshot frees it
+    /// dropped after the lock is released, and no reader's
+    /// [`SharedArchive::snapshot`] waits for it. Dropping it frees only
+    /// what the writer copied since it was published — the pages it wrote
+    /// into, with their series' heads; everything else the new snapshot
+    /// shares. (A reader still holding the previous snapshot frees it
     /// when it finishes.)
     pub fn replace(&self, db: Database) {
         let next = Arc::new(db);
@@ -84,7 +92,8 @@ impl SharedArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spotlake_timestream::{Record, TableOptions};
+    use spotlake_timestream::{Query, Record, TableOptions};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn snapshots_are_stable_across_replace() {
@@ -102,6 +111,86 @@ mod tests {
         let after = archive.snapshot();
         assert_eq!(after.table_names(), vec!["sps"]);
         assert_eq!(archive.epoch(), 1);
+    }
+
+    /// Series the publish test writes; more than one page of them.
+    const SERIES: u64 = 150;
+    /// Rounds it writes: past the chunk size, so heads seal while
+    /// readers hold epochs that share them.
+    const ROUNDS: u64 = 300;
+
+    /// Round `round`'s point of series `series`.
+    fn value(round: u64, series: u64) -> f64 {
+        (round * 1_000 + series) as f64
+    }
+
+    /// Asserts `snap` is exactly the epoch after some round, and returns
+    /// that round: every series holds one point per round up to it, with
+    /// the values that round wrote.
+    fn whole_epoch(snap: &Database, probe: u64) -> u64 {
+        if snap.table_names().is_empty() {
+            return 0;
+        }
+        let latest = snap.latest("sps", &Query::measure("sps")).unwrap();
+        let round = latest.first().map_or(0, |r| r.time);
+        assert_eq!(latest.len() as u64, if round == 0 { 0 } else { SERIES });
+        for (series, row) in latest.iter().enumerate() {
+            assert_eq!((row.time, row.value), (round, value(round, series as u64)));
+        }
+        assert_eq!(snap.point_count() as u64, round * SERIES);
+        let q = Query::measure("sps").filter("series", format!("{probe:03}"));
+        let rows = snap.query("sps", &q).unwrap();
+        let want: Vec<(u64, f64)> = (1..=round).map(|r| (r, value(r, probe))).collect();
+        let got: Vec<(u64, f64)> = rows.iter().map(|r| (r.time, r.value)).collect();
+        assert_eq!(got, want);
+        round
+    }
+
+    #[test]
+    fn readers_see_whole_epochs_while_a_writer_publishes_clones() {
+        let mut live = Database::new();
+        let archive = SharedArchive::new(live.clone());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..3u64)
+                .map(|reader| {
+                    let (archive, done) = (&archive, &done);
+                    scope.spawn(move || {
+                        let (mut last, mut reads) = (0, 0u64);
+                        while !done.load(Ordering::Acquire) || reads == 0 {
+                            let before = archive.epoch();
+                            let snap = archive.snapshot();
+                            let after = archive.epoch();
+                            let round = whole_epoch(&snap, (reader * 37 + reads) % SERIES);
+                            // `replace` swaps, then counts: the snapshot may
+                            // be one epoch ahead of the counter.
+                            assert!(before <= round && round <= after + 1);
+                            assert!(round >= last, "epochs never go back");
+                            last = round;
+                            reads += 1;
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            live.create_table("sps", TableOptions::default()).unwrap();
+            for round in 1..=ROUNDS {
+                let records: Vec<Record> = (0..SERIES)
+                    .map(|s| {
+                        Record::new(round, "sps", value(round, s))
+                            .dimension("series", format!("{s:03}"))
+                    })
+                    .collect();
+                live.write("sps", &records).unwrap();
+                archive.replace(live.clone());
+            }
+            done.store(true, Ordering::Release);
+            for reader in readers {
+                assert!(reader.join().unwrap() > 0);
+            }
+        });
+        assert_eq!(whole_epoch(&archive.snapshot(), 7), ROUNDS);
+        assert_eq!(archive.epoch(), ROUNDS);
     }
 
     #[test]
