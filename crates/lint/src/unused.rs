@@ -15,7 +15,7 @@
 use crate::parse::{pub_items, tokenize, PubItem, SpannedTok};
 use crate::scan::strip;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The README whose load-bearing list exempts items from the report.
 const LOAD_BEARING_README: &str = "benchmark/README.md";
@@ -125,58 +125,24 @@ fn load_bearing_names(readme: &str) -> BTreeSet<String> {
 /// flagged whether it is a crate source (whose items are listed) or
 /// only a place references come from. Lint fixtures are neither.
 fn reference_files(root: &Path) -> std::io::Result<Vec<(String, bool)>> {
+    let mut dirs = Vec::new();
+    for krate in crate::sorted_dirs(&root.join("crates"))? {
+        dirs.push((krate.join("src"), true));
+        for sub in ["tests", "benches", "examples"] {
+            dirs.push((krate.join(sub), false));
+        }
+    }
+    dirs.push((root.join("tests"), false));
+    dirs.push((root.join("examples"), false));
     let mut out = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        for krate in sorted_entries(&crates)?.into_iter().filter(|p| p.is_dir()) {
-            for (sub, is_src) in [
-                ("src", true),
-                ("tests", false),
-                ("benches", false),
-                ("examples", false),
-            ] {
-                collect_rs(root, &krate.join(sub), is_src, &mut out)?;
+    for (dir, is_src) in dirs.into_iter().filter(|(dir, _)| dir.is_dir()) {
+        for file in crate::sorted_rs_files(&dir)? {
+            let rel = crate::rel_path(root, &file);
+            if !rel.split('/').any(|part| part == "fixtures") {
+                out.push((rel, is_src));
             }
         }
     }
-    for sub in ["tests", "examples"] {
-        collect_rs(root, &root.join(sub), false, &mut out)?;
-    }
-    out.sort();
-    Ok(out)
-}
-
-fn collect_rs(
-    root: &Path,
-    dir: &Path,
-    is_src: bool,
-    out: &mut Vec<(String, bool)>,
-) -> std::io::Result<()> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    for path in sorted_entries(dir)? {
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n != "fixtures") {
-                collect_rs(root, &path, is_src, out)?;
-            }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path.strip_prefix(root).unwrap_or(&path);
-            let rel = rel
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push((rel, is_src));
-        }
-    }
-    Ok(())
-}
-
-fn sorted_entries(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
     out.sort();
     Ok(out)
 }

@@ -3,11 +3,12 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Storage chunk size in points, for query cost accounting. The on-disk
-/// codec compresses each series as one Gorilla stream, but a columnar
-/// store pages data in fixed chunks; the cost model charges a query one
-/// "chunk decompressed" per [`CHUNK_POINTS`]-point page its scan touches,
-/// which keeps EXPLAIN costs meaningful without changing storage.
+/// Points a series seals into one chunk, and the page size of query cost
+/// accounting: the cost model charges a query one "chunk decompressed"
+/// per [`CHUNK_POINTS`]-point page its scan touches. Pages are counted
+/// over a series' point positions, not its stored chunks, so a chunk a
+/// write re-opened and grew past the size moves no EXPLAIN cost. (The
+/// on-disk codec still compresses each series as one Gorilla stream.)
 pub(crate) const CHUNK_POINTS: usize = 256;
 
 /// Number of [`CHUNK_POINTS`]-sized pages the index range `[start, end)`
@@ -44,10 +45,14 @@ pub(crate) struct Series {
 
 impl Clone for Series {
     /// Shares the sealed chunks and copies the head with room for the
-    /// next append: a copy made for a write is written to at once.
+    /// next append: a copy made for a write is written to at once. An
+    /// empty head — a page's unused slot — stays unallocated.
     fn clone(&self) -> Self {
-        let mut head = Vec::with_capacity(self.head.len() + 1);
-        head.extend_from_slice(&self.head);
+        let mut head = Vec::new();
+        if !self.head.is_empty() {
+            head.reserve_exact(self.head.len() + 1);
+            head.extend_from_slice(&self.head);
+        }
         Series {
             sealed: self.sealed.clone(),
             head,

@@ -97,18 +97,16 @@ struct Index {
     postings: BTreeMap<String, BTreeMap<String, Vec<SeriesId>>>,
 }
 
-/// [`PAGE_SERIES`] consecutive series of a measure's slab.
-#[derive(Debug, Default)]
-struct Page(Vec<Series>);
+/// [`PAGE_SERIES`] slots of a measure's slab, filled in id order: the
+/// last page holds empty slots past the measure's last series. Fixed in
+/// size, so a page is one allocation a lookup reaches in one step, and a
+/// copy ([`Arc::make_mut`]) clones each series — its head, not its
+/// sealed chunks.
+type Page = Arc<[Series]>;
 
-impl Clone for Page {
-    /// Copies every series' head with room for a full page: a copy made
-    /// for a write is written to at once, and the last page grows.
-    fn clone(&self) -> Self {
-        let mut series = Vec::with_capacity(PAGE_SERIES.max(self.0.len()));
-        series.extend(self.0.iter().cloned());
-        Page(series)
-    }
+/// A page of empty slots.
+fn empty_page() -> Page {
+    (0..PAGE_SERIES).map(|_| Series::default()).collect()
 }
 
 /// The series of one measure and the index a filtered scan walks, in
@@ -121,7 +119,7 @@ struct Measure {
     index: Arc<Index>,
     /// The series by id: id `i` is slot `i % PAGE_SERIES` of page
     /// `i / PAGE_SERIES`.
-    pages: Vec<Arc<Page>>,
+    pages: Vec<Page>,
 }
 
 /// A series as a scan reads it: its dimensions and its points.
@@ -139,14 +137,14 @@ impl Measure {
 
     fn series(&self, id: SeriesId) -> Option<&Series> {
         let id = id as usize;
-        self.pages.get(id / PAGE_SERIES)?.0.get(id % PAGE_SERIES)
+        self.pages.get(id / PAGE_SERIES)?.get(id % PAGE_SERIES)
     }
 
     /// The series `id`, its page copied first if a snapshot shares it.
     fn series_mut(&mut self, id: SeriesId) -> Option<&mut Series> {
         let id = id as usize;
         let page = Arc::make_mut(self.pages.get_mut(id / PAGE_SERIES)?);
-        page.0.get_mut(id % PAGE_SERIES)
+        page.get_mut(id % PAGE_SERIES)
     }
 
     fn entry(&self, id: SeriesId) -> Option<Entry<'_>> {
@@ -189,13 +187,12 @@ impl Measure {
         }
         index.by_key.insert(Arc::clone(&filing.key), id);
         index.filings.push(filing);
-        match self.pages.last_mut() {
-            Some(page) if page.0.len() < PAGE_SERIES => Arc::make_mut(page).0.push(series),
-            _ => {
-                let mut page = Vec::with_capacity(PAGE_SERIES);
-                page.push(series);
-                self.pages.push(Arc::new(Page(page)));
-            }
+        let slot = id as usize % PAGE_SERIES;
+        if slot == 0 {
+            self.pages.push(empty_page());
+        }
+        if let Some(page) = self.pages.last_mut() {
+            Arc::make_mut(page)[slot] = series;
         }
         id
     }
@@ -208,6 +205,18 @@ impl Measure {
             m.push(filing, series);
         }
         m
+    }
+
+    /// Takes the measure apart: its filings and its series, both in id
+    /// order, copying only what a snapshot still shares.
+    fn into_parts(self) -> (Vec<Filing>, Vec<Series>) {
+        let filings = Arc::unwrap_or_clone(self.index).filings;
+        let mut series = Vec::with_capacity(self.pages.len() * PAGE_SERIES);
+        for mut page in self.pages {
+            series.extend(Arc::make_mut(&mut page).iter_mut().map(std::mem::take));
+        }
+        series.truncate(filings.len());
+        (filings, series)
     }
 
     /// The shortest posting list among `filters` — every match is on it —
@@ -444,7 +453,7 @@ impl Table {
             .collect();
         let mut applied = Applied::default();
         // The page the last write went to, as (measure, page number).
-        let mut open: Option<(u32, usize, &mut Page)> = None;
+        let mut open: Option<(u32, usize, &mut [Series])> = None;
         for (measure, id, p) in filed {
             let (page, slot) = (id as usize / PAGE_SERIES, id as usize % PAGE_SERIES);
             if !matches!(&open, Some((m, at, _)) if (*m, *at) == (measure, page)) {
@@ -461,7 +470,7 @@ impl Table {
                 };
                 open = Some((measure, page, Arc::make_mut(shared)));
             }
-            let Some(series) = open.as_mut().and_then(|(_, _, page)| page.0.get_mut(slot)) else {
+            let Some(series) = open.as_mut().and_then(|(_, _, page)| page.get_mut(slot)) else {
                 continue;
             };
             let one = write_point(series, mode, p.time, p.value);
@@ -763,7 +772,7 @@ impl Table {
         self.measures
             .iter()
             .flat_map(|m| &m.pages)
-            .flat_map(|page| &page.0)
+            .flat_map(|page| page.iter())
             .map(Series::len)
             .sum()
     }
@@ -780,31 +789,23 @@ impl Table {
         let mut refiled = false;
         for m in &mut self.measures {
             let mut emptied = false;
-            for page in &mut m.pages {
+            let len = m.len();
+            for (p, page) in m.pages.iter_mut().enumerate() {
+                let used = len.saturating_sub(p * PAGE_SERIES).min(PAGE_SERIES);
                 // A page with nothing to drop stays shared.
                 let stale = |s: &Series| s.first().is_some_and(|(t, _)| t < cutoff);
-                if !page.0.iter().any(stale) {
+                if !page.iter().any(stale) {
                     continue;
                 }
-                for series in &mut Arc::make_mut(page).0 {
+                for series in Arc::make_mut(page).iter_mut().take(used) {
                     dropped += series.prune_before(cutoff);
                     emptied |= series.is_empty();
                 }
             }
             if emptied {
-                let old = std::mem::take(m);
-                let index = Arc::unwrap_or_clone(old.index);
-                let series = old
-                    .pages
-                    .into_iter()
-                    .flat_map(|page| Arc::unwrap_or_clone(page).0);
-                *m = Measure::rebuild(
-                    index
-                        .filings
-                        .into_iter()
-                        .zip(series)
-                        .filter(|(_, s)| !s.is_empty()),
-                );
+                let (filings, series) = std::mem::take(m).into_parts();
+                let kept = filings.into_iter().zip(series);
+                *m = Measure::rebuild(kept.filter(|(_, s)| !s.is_empty()));
                 refiled = true;
             }
         }
@@ -889,16 +890,11 @@ impl Table {
         // Same key, other dimensions (a value holding the key's own
         // separators): the old pairs' postings are wrong.
         if m.index.filings.get(id as usize).map(|f| &f.dimensions) != Some(&dimensions) {
-            let old = std::mem::take(m);
-            let mut index = Arc::unwrap_or_clone(old.index);
-            if let Some(filing) = index.filings.get_mut(id as usize) {
+            let (mut filings, series) = std::mem::take(m).into_parts();
+            if let Some(filing) = filings.get_mut(id as usize) {
                 filing.dimensions = dimensions;
             }
-            let series = old
-                .pages
-                .into_iter()
-                .flat_map(|page| Arc::unwrap_or_clone(page).0);
-            *m = Measure::rebuild(index.filings.into_iter().zip(series));
+            *m = Measure::rebuild(filings.into_iter().zip(series));
         }
     }
 }
@@ -975,10 +971,11 @@ mod tests {
         );
         for (p, (a, b)) in live.pages.iter().zip(&old.pages).enumerate() {
             assert_eq!(Arc::ptr_eq(a, b), p != 1, "page {p}");
-            for (x, y) in a.0.iter().zip(&b.0) {
-                assert_eq!(x.sealed().len(), 1);
-                assert!(Arc::ptr_eq(&x.sealed()[0], &y.sealed()[0]));
-            }
+        }
+        for id in 0..n as SeriesId {
+            let (x, y) = (live.series(id).unwrap(), old.series(id).unwrap());
+            assert_eq!(x.sealed().len(), 1);
+            assert!(Arc::ptr_eq(&x.sealed()[0], &y.sealed()[0]), "series {id}");
         }
         assert_eq!(t.point_count(), snapshot.point_count() + touched.len());
         let q = Query::measure("sps").between(1_000_000, u64::MAX);
