@@ -12,8 +12,8 @@
 //! observe a half-written archive.
 //!
 //! An epoch is a `Database::clone` of the collector's store, which shares
-//! structure rather than copying it: each measure's index, its pages of
-//! series and their sealed chunks are reference-counted, and the store
+//! structure rather than copying it: each measure's index and its pages
+//! of series are reference-counted, and the store
 //! copies a page only when it writes into one an epoch still holds. A
 //! publish costs what the round changed, not what the archive holds.
 
@@ -66,8 +66,7 @@ impl SharedArchive {
     /// dropped after the lock is released, and no reader's
     /// [`SharedArchive::snapshot`] waits for it. Dropping it frees only
     /// what the writer copied since it was published — the pages it wrote
-    /// into, with their series' heads; everything else the new snapshot
-    /// shares. (A reader still holding the previous snapshot frees it
+    /// into; everything else the new snapshot shares. (A reader still holding the previous snapshot frees it
     /// when it finishes.)
     pub fn replace(&self, db: Database) {
         let next = Arc::new(db);
@@ -115,8 +114,8 @@ mod tests {
 
     /// Series the publish test writes; more than one page of them.
     const SERIES: u64 = 150;
-    /// Rounds it writes: past the chunk size, so heads seal while
-    /// readers hold epochs that share them.
+    /// Rounds it writes: enough that each reader overlaps many
+    /// publishes.
     const ROUNDS: u64 = 300;
 
     /// Round `round`'s point of series `series`.

@@ -105,7 +105,7 @@ pub(crate) fn encode_tables(tables: &[TableSlice<'_>]) -> Result<Vec<u8>, TsErro
                 put_str(&mut out, k)?;
                 put_str(&mut out, v)?;
             }
-            let blob = encode_series(&s.series.points());
+            let blob = encode_series(s.series.points());
             put_len(&mut out, blob.len(), "series blob")?;
             out.extend_from_slice(&blob);
         }

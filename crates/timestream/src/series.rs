@@ -1,14 +1,10 @@
 //! One series: the points of a single (measure, dimensions) pair.
 
-use std::borrow::Cow;
-use std::sync::Arc;
-
-/// Points a series seals into one chunk, and the page size of query cost
-/// accounting: the cost model charges a query one "chunk decompressed"
-/// per [`CHUNK_POINTS`]-point page its scan touches. Pages are counted
-/// over a series' point positions, not its stored chunks, so a chunk a
-/// write re-opened and grew past the size moves no EXPLAIN cost. (The
-/// on-disk codec still compresses each series as one Gorilla stream.)
+/// Storage chunk size in points, for query cost accounting. The on-disk
+/// codec compresses each series as one Gorilla stream, but a columnar
+/// store pages data in fixed chunks; the cost model charges a query one
+/// "chunk decompressed" per [`CHUNK_POINTS`]-point page its scan touches,
+/// which keeps EXPLAIN costs meaningful without changing storage.
 pub(crate) const CHUNK_POINTS: usize = 256;
 
 /// Number of [`CHUNK_POINTS`]-sized pages the index range `[start, end)`
@@ -21,61 +17,25 @@ pub(crate) fn chunks_touched(start: usize, end: usize) -> u64 {
     }
 }
 
-/// One stored run of points, sorted by time.
-pub(crate) type Chunk = Arc<[(u64, f64)]>;
-
-/// A single time series, sorted by timestamp, at most one point per
-/// timestamp.
-///
-/// Full runs of [`CHUNK_POINTS`] points are *sealed* into immutable
-/// chunks that every clone of the series shares; the points after them
-/// sit in a small mutable head. Cloning a series — what a write into a
-/// page a snapshot shares does — copies only its head, however long the
-/// series. A write that lands inside a sealed chunk (out of order, or an
-/// overwrite) re-opens exactly that chunk: it is copied, changed and
-/// sealed again.
-#[derive(Debug, Default)]
+/// A single time series, sorted by timestamp.
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Series {
-    /// Sealed chunks in time order, each non-empty and each before the
-    /// head.
-    sealed: Vec<Chunk>,
-    /// The points after the last sealed chunk.
-    head: Vec<(u64, f64)>,
+    /// Points, sorted by time, at most one per timestamp.
+    points: Vec<(u64, f64)>,
 }
 
 impl Clone for Series {
-    /// Shares the sealed chunks and copies the head with room for the
-    /// next append: a copy made for a write is written to at once. An
-    /// empty head — a page's unused slot — stays unallocated.
+    /// Copies the points with room for the next append: a copy is made
+    /// when a write lands in a page a snapshot shares, and is written to
+    /// at once. An empty series — a page's unused slot — stays
+    /// unallocated.
     fn clone(&self) -> Self {
-        let mut head = Vec::new();
-        if !self.head.is_empty() {
-            head.reserve_exact(self.head.len() + 1);
-            head.extend_from_slice(&self.head);
+        let mut points = Vec::new();
+        if !self.points.is_empty() {
+            points.reserve_exact(self.points.len() + 1);
+            points.extend_from_slice(&self.points);
         }
-        Series {
-            sealed: self.sealed.clone(),
-            head,
-        }
-    }
-}
-
-/// Inserts `(time, value)` into the sorted `points`; a point at an
-/// existing timestamp overwrites it. Returns `true` if `points` changed.
-fn insert_sorted(points: &mut Vec<(u64, f64)>, time: u64, value: f64) -> bool {
-    match points.binary_search_by_key(&time, |&(t, _)| t) {
-        Ok(i) => {
-            if points[i].1 == value {
-                false
-            } else {
-                points[i].1 = value;
-                true
-            }
-        }
-        Err(i) => {
-            points.insert(i, (time, value));
-            true
-        }
+        Series { points }
     }
 }
 
@@ -83,32 +43,20 @@ impl Series {
     /// Inserts a point, keeping time order. A point at an existing
     /// timestamp overwrites it. Returns `true` if the series changed.
     pub(crate) fn insert(&mut self, time: u64, value: f64) -> bool {
-        // The sealed chunk whose run `time` falls in or before; none when
-        // it falls after every sealed point, in the head.
-        let at = match self.sealed.last() {
-            Some(c) if c.last().is_some_and(|&(t, _)| t >= time) => self
-                .sealed
-                .partition_point(|c| c.last().is_some_and(|&(t, _)| t < time)),
-            _ => self.sealed.len(),
-        };
-        let changed = match self.sealed.get(at) {
-            None => insert_sorted(&mut self.head, time, value),
-            Some(chunk) => {
-                if let Ok(i) = chunk.binary_search_by_key(&time, |&(t, _)| t) {
-                    if chunk[i].1 == value {
-                        return false;
-                    }
+        match self.points.binary_search_by_key(&time, |&(t, _)| t) {
+            Ok(i) => {
+                if self.points[i].1 == value {
+                    false
+                } else {
+                    self.points[i].1 = value;
+                    true
                 }
-                let mut run = chunk.to_vec();
-                insert_sorted(&mut run, time, value);
-                self.sealed[at] = run.into();
+            }
+            Err(i) => {
+                self.points.insert(i, (time, value));
                 true
             }
-        };
-        if self.head.len() >= CHUNK_POINTS {
-            self.sealed.push(std::mem::take(&mut self.head).into());
         }
-        changed
     }
 
     /// Inserts only if the value differs from the latest point's value
@@ -123,60 +71,11 @@ impl Series {
     /// leave such a record out of a frame. `true` is conservative: an
     /// out-of-order point is decided by the insert itself.
     pub(crate) fn changepoint_may_store(&self, time: u64, value: f64) -> bool {
-        !matches!(self.last(), Some((last_t, last_v)) if time >= last_t && last_v == value)
+        !matches!(self.points.last(), Some(&(last_t, last_v)) if time >= last_t && last_v == value)
     }
 
-    /// Whether writing `(time, value)` would change the series — exactly:
-    /// the point is new, or overwrites another value, and in change-point
-    /// mode does not repeat the latest value. Answered without a mutable
-    /// borrow, so a write that changes nothing copies nothing.
-    pub(crate) fn would_change(&self, changepoint: bool, time: u64, value: f64) -> bool {
-        if changepoint && !self.changepoint_may_store(time, value) {
-            return false;
-        }
-        if self.last().is_none_or(|(last, _)| time > last) {
-            return true;
-        }
-        !matches!(self.value_at_scan(time).0, Some((t, v)) if t == time && v == value)
-    }
-
-    /// The sealed chunks, then the head.
-    fn parts(&self) -> impl DoubleEndedIterator<Item = &[(u64, f64)]> {
-        self.sealed
-            .iter()
-            .map(|c| &c[..])
-            .chain(std::iter::once(&self.head[..]))
-    }
-
-    /// The earliest point.
-    pub(crate) fn first(&self) -> Option<(u64, f64)> {
-        match self.sealed.first() {
-            Some(chunk) => chunk.first().copied(),
-            None => self.head.first().copied(),
-        }
-    }
-
-    /// The latest point.
-    pub(crate) fn last(&self) -> Option<(u64, f64)> {
-        match self.head.last() {
-            Some(&point) => Some(point),
-            None => self.sealed.last().and_then(|c| c.last().copied()),
-        }
-    }
-
-    /// Every point, in time order: borrowed while nothing is sealed.
-    pub(crate) fn points(&self) -> Cow<'_, [(u64, f64)]> {
-        if self.sealed.is_empty() {
-            Cow::Borrowed(&self.head)
-        } else {
-            Cow::Owned(self.parts().flatten().copied().collect())
-        }
-    }
-
-    /// The sealed chunks, shared with every clone.
-    #[cfg(test)]
-    pub(crate) fn sealed(&self) -> &[Chunk] {
-        &self.sealed
+    pub(crate) fn points(&self) -> &[(u64, f64)] {
+        &self.points
     }
 
     /// Points with `from <= t <= to`, plus the number of storage chunks
@@ -184,143 +83,52 @@ impl Series {
     /// (`from > to`) holds no point: empty, no chunk touched. A range that
     /// covers the whole series is answered from its bounds, without a
     /// search — with the chunk count the search would give.
-    pub(crate) fn range_scan(&self, from: u64, to: u64) -> (Span<'_>, u64) {
-        if self.sealed.is_empty() {
-            let points = &self.head[..];
-            if let (Some(&(first, _)), Some(&(last, _))) = (points.first(), points.last()) {
-                if from <= first && last <= to {
-                    return (Span::one(points), chunks_touched(0, points.len()));
-                }
+    pub(crate) fn range_scan(&self, from: u64, to: u64) -> (&[(u64, f64)], u64) {
+        if let (Some(&(first, _)), Some(&(last, _))) = (self.points.first(), self.points.last()) {
+            if from <= first && last <= to {
+                return (&self.points, chunks_touched(0, self.points.len()));
             }
-            let start = points.partition_point(|&(t, _)| t < from);
-            let end = points.partition_point(|&(t, _)| t <= to).max(start);
-            return (Span::one(&points[start..end]), chunks_touched(start, end));
         }
-        let (start, first) = self.position(|t| t < from);
-        let (end, last) = self.position(|t| t <= to);
-        if end <= start {
-            return (Span::one(&[]), 0);
-        }
-        let part = |i: usize| self.sealed.get(i).map_or(&self.head[..], |c| &c[..]);
-        let span = if first.0 == last.0 {
-            Span::one(&part(first.0)[first.1..last.1])
-        } else {
-            Span {
-                first: &part(first.0)[first.1..],
-                middle: &self.sealed[first.0 + 1..last.0],
-                last: &part(last.0)[..last.1],
-            }
-        };
-        (span, chunks_touched(start, end))
-    }
-
-    /// Where the points for which `before` holds end — `before` holds
-    /// for a prefix of the series — as a global index and as (part,
-    /// offset), the part being a sealed chunk or, past them, the head.
-    fn position(&self, before: impl Fn(u64) -> bool) -> (usize, (usize, usize)) {
-        let mut global = 0;
-        for (i, part) in self.parts().enumerate() {
-            if part.last().is_some_and(|&(t, _)| !before(t)) {
-                let offset = part.partition_point(|&(t, _)| before(t));
-                return (global + offset, (i, offset));
-            }
-            global += part.len();
-        }
-        (global, (self.sealed.len(), self.head.len()))
+        let start = self.points.partition_point(|&(t, _)| t < from);
+        let end = self.points.partition_point(|&(t, _)| t <= to).max(start);
+        (&self.points[start..end], chunks_touched(start, end))
     }
 
     /// The latest point at or before `at`, plus the chunks touched (one
     /// when a point is found: the lookup decodes only the page holding
     /// it).
     pub(crate) fn value_at_scan(&self, at: u64) -> (Option<(u64, f64)>, u64) {
-        let found = self.parts().rev().find_map(|part| {
-            let idx = part.partition_point(|&(t, _)| t <= at);
-            idx.checked_sub(1).map(|i| part[i])
-        });
-        (found, u64::from(found.is_some()))
+        let idx = self.points.partition_point(|&(t, _)| t <= at);
+        match idx.checked_sub(1) {
+            Some(i) => (Some(self.points[i]), 1),
+            None => (None, 0),
+        }
     }
 
     /// Whether any stored point could fall inside `[from, to]` — the
     /// cheap bounds check that lets a scan prune this series without
     /// touching its chunks.
     pub(crate) fn overlaps(&self, from: u64, to: u64) -> bool {
-        match (self.first(), self.last()) {
-            (Some((first, _)), Some((last, _))) => first <= to && last >= from,
+        match (self.points.first(), self.points.last()) {
+            (Some(&(first, _)), Some(&(last, _))) => first <= to && last >= from,
             _ => false,
         }
     }
 
-    /// Drops points strictly older than `cutoff`: whole sealed chunks,
-    /// then a trim of the first one left (a copy of its suffix), or of the
-    /// head when no chunk is left. Returns how many were dropped.
+    /// Drops points strictly older than `cutoff`. Returns how many were
+    /// dropped.
     pub(crate) fn prune_before(&mut self, cutoff: u64) -> usize {
-        let whole = self
-            .sealed
-            .partition_point(|c| c.last().is_some_and(|&(t, _)| t < cutoff));
-        let mut dropped: usize = self.sealed.drain(..whole).map(|c| c.len()).sum();
-        match self.sealed.first_mut() {
-            Some(chunk) => {
-                let n = chunk.partition_point(|&(t, _)| t < cutoff);
-                if n > 0 {
-                    *chunk = chunk[n..].into();
-                    dropped += n;
-                }
-            }
-            None => {
-                let n = self.head.partition_point(|&(t, _)| t < cutoff);
-                self.head.drain(..n);
-                dropped += n;
-            }
-        }
-        dropped
+        let n = self.points.partition_point(|&(t, _)| t < cutoff);
+        self.points.drain(..n);
+        n
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.sealed.iter().map(|c| c.len()).sum::<usize>() + self.head.len()
+        self.points.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.head.is_empty()
-    }
-}
-
-/// The points of a series inside a time range, borrowed in place: a
-/// trimmed first part, the whole sealed chunks after it, and a trimmed
-/// last part. A series with no sealed chunk gives one slice, as does a
-/// range inside one part.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Span<'a> {
-    first: &'a [(u64, f64)],
-    middle: &'a [Chunk],
-    last: &'a [(u64, f64)],
-}
-
-impl<'a> Span<'a> {
-    fn one(points: &'a [(u64, f64)]) -> Self {
-        Span {
-            first: points,
-            middle: &[],
-            last: &[],
-        }
-    }
-
-    /// The span's slices, in time order; one unless it crosses a chunk
-    /// boundary.
-    pub(crate) fn slices(self) -> impl DoubleEndedIterator<Item = &'a [(u64, f64)]> {
-        std::iter::once(self.first)
-            .chain(self.middle.iter().map(|c| &c[..]))
-            .chain(std::iter::once(self.last))
-            .filter(|s| !s.is_empty())
-    }
-
-    /// Points in the span.
-    pub(crate) fn len(self) -> usize {
-        self.slices().map(<[_]>::len).sum()
-    }
-
-    /// The span's latest point.
-    pub(crate) fn last(self) -> Option<(u64, f64)> {
-        self.slices().next_back().and_then(|s| s.last().copied())
+        self.points.is_empty()
     }
 }
 
@@ -329,13 +137,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn range(s: &Series, from: u64, to: u64) -> Vec<(u64, f64)> {
-        s.range_scan(from, to)
-            .0
-            .slices()
-            .flatten()
-            .copied()
-            .collect()
+    fn range(s: &Series, from: u64, to: u64) -> &[(u64, f64)] {
+        s.range_scan(from, to).0
     }
 
     fn value_at(s: &Series, at: u64) -> Option<(u64, f64)> {
@@ -348,7 +151,7 @@ mod tests {
         assert!(s.insert(10, 1.0));
         assert!(s.insert(5, 0.5));
         assert!(s.insert(20, 2.0));
-        assert_eq!(s.points()[..], [(5, 0.5), (10, 1.0), (20, 2.0)]);
+        assert_eq!(s.points(), &[(5, 0.5), (10, 1.0), (20, 2.0)]);
         // Overwrite.
         assert!(s.insert(10, 1.5));
         assert_eq!(value_at(&s, 10), Some((10, 1.5)));
@@ -391,8 +194,11 @@ mod tests {
             s.insert(t, t as f64);
         }
         for (from, to) in [(1200, 600), (1000, 500), (5000, 4000), (700, 0), (1, 0)] {
-            assert_eq!(range(&s, from, to), [], "{from}..{to}");
-            assert_eq!(s.range_scan(from, to).1, 0, "{from}..{to}");
+            assert_eq!(
+                s.range_scan(from, to),
+                (&[] as &[(u64, f64)], 0),
+                "{from}..{to}"
+            );
         }
     }
 
@@ -449,80 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn a_full_head_seals_and_a_clone_shares_the_chunk() {
+    fn a_clone_has_room_to_append_and_an_empty_one_allocates_nothing() {
         let mut s = Series::default();
-        for t in 0..CHUNK_POINTS as u64 + 10 {
-            s.insert(t * 10, 1.0);
+        for t in 0..10u64 {
+            s.insert(t, 1.0);
         }
-        assert_eq!(s.sealed.len(), 1);
-        assert_eq!(s.sealed[0].len(), CHUNK_POINTS);
-        assert_eq!(s.head.len(), 10);
-
         let copy = s.clone();
-        assert!(Arc::ptr_eq(&s.sealed[0], &copy.sealed[0]));
-        assert!(copy.head.capacity() > copy.head.len(), "room to append");
-
-        // Appending and overwriting the head leave the chunk shared.
-        s.insert(1_000_000, 2.0);
-        s.insert(CHUNK_POINTS as u64 * 10, 3.0);
-        assert!(Arc::ptr_eq(&s.sealed[0], &copy.sealed[0]));
-        // Writing the chunk's own value again changes nothing.
-        assert!(!s.insert(50, 1.0));
-        assert!(Arc::ptr_eq(&s.sealed[0], &copy.sealed[0]));
-        // An overwrite inside it re-opens exactly that chunk.
-        assert!(s.insert(50, 9.0));
-        assert!(!Arc::ptr_eq(&s.sealed[0], &copy.sealed[0]));
-        assert_eq!(
-            copy.value_at_scan(50).0,
-            Some((50, 1.0)),
-            "the clone kept its copy"
-        );
-        assert_eq!(s.value_at_scan(50).0, Some((50, 9.0)));
-    }
-
-    #[test]
-    fn a_scan_across_chunks_counts_logical_pages() {
-        let mut s = Series::default();
-        for t in 0..600u64 {
-            s.insert(t, t as f64);
-        }
-        assert_eq!(s.sealed.len(), 2);
-        let (span, chunks) = s.range_scan(200, 520);
-        assert_eq!(span.slices().count(), 3, "chunk tail, whole chunk, head");
-        assert_eq!(span.len(), 321);
-        assert_eq!(span.last(), Some((520, 520.0)));
-        assert_eq!(chunks, chunks_touched(200, 521));
-        assert_eq!(s.value_at_scan(511).0, Some((511, 511.0)));
-        assert_eq!(s.value_at_scan(700).0, Some((599, 599.0)));
-    }
-
-    #[test]
-    fn retention_drops_whole_chunks_and_trims_the_first_left() {
-        let mut s = Series::default();
-        for t in 0..600u64 {
-            s.insert(t, 0.0);
-        }
-        let second = Arc::clone(&s.sealed[1]);
-        assert_eq!(s.prune_before(300), 300);
-        assert_eq!(s.sealed.len(), 1, "the first chunk went whole");
-        assert_eq!(s.sealed[0].len(), 2 * CHUNK_POINTS - 300);
-        assert!(
-            !Arc::ptr_eq(&s.sealed[0], &second),
-            "the trimmed chunk is a copy"
-        );
-        assert_eq!(s.first(), Some((300, 0.0)));
-        assert_eq!(s.prune_before(590), 290);
-        assert!(s.sealed.is_empty());
-        assert_eq!(s.points().len(), 10);
+        assert_eq!(copy, s);
+        assert!(copy.points.capacity() > copy.points.len());
+        assert_eq!(Series::default().clone().points.capacity(), 0);
     }
 
     /// The range and point lookups by their definition: two searches for
     /// a range, one for a point.
-    fn by_search(s: &Series, from: u64, to: u64) -> (Vec<(u64, f64)>, u64) {
+    fn by_search(s: &Series, from: u64, to: u64) -> (&[(u64, f64)], u64) {
         let pts = s.points();
         let start = pts.partition_point(|&(t, _)| t < from);
         let end = pts.partition_point(|&(t, _)| t <= to).max(start);
-        (pts[start..end].to_vec(), chunks_touched(start, end))
+        (&pts[start..end], chunks_touched(start, end))
     }
 
     proptest! {
@@ -552,38 +302,10 @@ mod tests {
                 5 => (last, first),
                 _ => (last.saturating_add(1), u64::MAX),
             };
-            prop_assert_eq!((range(&s, from, to), s.range_scan(from, to).1), by_search(&s, from, to));
+            prop_assert_eq!(s.range_scan(from, to), by_search(&s, from, to));
             let idx = s.points().partition_point(|&(t, _)| t <= to);
             let want = idx.checked_sub(1).map(|i| s.points()[i]);
             prop_assert_eq!(s.value_at_scan(to), (want, u64::from(want.is_some())));
-        }
-
-        /// Whatever order points arrive in, the series holds what a flat
-        /// sorted list would: sealed chunks in time order and full until
-        /// a write re-opens one, a head shorter than a chunk, and a
-        /// retention cut that drops exactly the older points.
-        #[test]
-        fn chunked_series_equal_a_flat_sorted_list(
-            writes in prop::collection::vec((0u64..3_000, 0u8..4), 0..900),
-            cutoff in 0u64..3_200,
-        ) {
-            let mut s = Series::default();
-            let mut flat: Vec<(u64, f64)> = Vec::new();
-            for &(t, v) in &writes {
-                let v = f64::from(v);
-                let would = s.would_change(false, t, v);
-            prop_assert_eq!(s.insert(t, v), would);
-            prop_assert_eq!(would, insert_sorted(&mut flat, t, v));
-            }
-            prop_assert_eq!(&s.points()[..], &flat[..]);
-            prop_assert_eq!(s.len(), flat.len());
-            prop_assert!(s.head.len() < CHUNK_POINTS);
-            prop_assert!(s.sealed.iter().all(|c| !c.is_empty()));
-            prop_assert_eq!(s.first(), flat.first().copied());
-            prop_assert_eq!(s.last(), flat.last().copied());
-            let n = flat.partition_point(|&(t, _)| t < cutoff);
-            prop_assert_eq!(s.prune_before(cutoff), n);
-            prop_assert_eq!(&s.points()[..], &flat[n..]);
         }
 
         #[test]

@@ -981,7 +981,7 @@ fn merge_into(store: &mut Database, shard_db: &Database) -> Result<(), TsError> 
         let dst = store.table_mut(name)?;
         for (measure, e) in table.series_entries() {
             let dimensions = Arc::clone(e.dimensions);
-            dst.insert_series_raw(dimensions, measure, e.series.points().into_owned());
+            dst.insert_series_raw(dimensions, measure, e.series.points().to_vec());
         }
     }
     Ok(())

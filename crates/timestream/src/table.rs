@@ -5,7 +5,7 @@ use crate::error::TsError;
 use crate::profile::QueryProfile;
 use crate::query::{Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
 use crate::record::{series_key, Record};
-use crate::series::{Series, Span};
+use crate::series::Series;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,8 +100,7 @@ struct Index {
 /// [`PAGE_SERIES`] slots of a measure's slab, filled in id order: the
 /// last page holds empty slots past the measure's last series. Fixed in
 /// size, so a page is one allocation a lookup reaches in one step, and a
-/// copy ([`Arc::make_mut`]) clones each series — its head, not its
-/// sealed chunks.
+/// copy ([`Arc::make_mut`]) clones each series it holds.
 type Page = Arc<[Series]>;
 
 /// A page of empty slots.
@@ -112,8 +111,7 @@ fn empty_page() -> Page {
 /// The series of one measure and the index a filtered scan walks, in
 /// copy-on-write pieces: cloning a measure copies pointers. The index is
 /// copied only when a series is created or retention re-files the
-/// measure, and a write copies only the page it lands in, and within it
-/// each series' head ([`Series`]).
+/// measure, and a write copies only the page it lands in.
 #[derive(Debug, Clone, Default)]
 struct Measure {
     index: Arc<Index>,
@@ -254,8 +252,8 @@ pub struct Table {
 }
 
 impl Clone for Table {
-    /// Shares every measure's index, pages and sealed chunks — a pointer
-    /// per page, nothing per series — and starts a new generation, so
+    /// Shares every measure's index and pages — a pointer per page,
+    /// nothing per series — and starts a new generation, so
     /// no handle taken from one table is current for the other. The
     /// table cloned from keeps its generation and its handles.
     fn clone(&self) -> Self {
@@ -346,11 +344,12 @@ impl Table {
         Some((filed, series))
     }
 
-    /// Where the series booked as `s` is, as (measure, id): by its handle
-    /// when current, else by key, filed now — under the book's own
-    /// dimension and key allocations — when the table does not hold it
-    /// yet. `None` only for an id the book never gave.
-    fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<(u32, SeriesId)> {
+    /// The series booked as `s`, its page copied first if a snapshot
+    /// shares it: by its handle when current, else by key, filed now —
+    /// under the book's own dimension and key allocations — when the
+    /// table does not hold it yet. `None` only for an id the book never
+    /// gave.
+    fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<&mut Series> {
         let (measure, id) = match book.handle(self, s).map(|f| (f.measure, f.id)) {
             Some(at) => at,
             None => {
@@ -379,7 +378,7 @@ impl Table {
                 (measure, id)
             }
         };
-        Some((measure, id))
+        self.measures.get_mut(measure as usize)?.series_mut(id)
     }
 
     /// The points of a batch that can change this table — what a durable
@@ -431,51 +430,19 @@ impl Table {
     /// created if absent (a series new to the table, perhaps created by an
     /// earlier point of the same batch). The points were validated by
     /// `delta`; one of an id the book never gave is skipped.
-    ///
-    /// Every point is filed first, in batch order, so that the writes can
-    /// then hold a page across a run of points: a page's ownership is
-    /// resolved — and a page a snapshot shares copied — once per run, not
-    /// once per point. A point that changes nothing leaves its page
-    /// shared.
     pub(crate) fn apply_points<'p>(
         &mut self,
         book: &SeriesBook,
         points: impl IntoIterator<Item = &'p Point>,
     ) -> Applied {
         let mode = self.options.mode;
-        let changepoint = mode == WriteMode::ChangePoint;
-        let filed: Vec<(u32, SeriesId, &Point)> = points
-            .into_iter()
-            .filter_map(|p| {
-                let (measure, id) = self.file(book, p.series)?;
-                Some((measure, id, p))
-            })
-            .collect();
         let mut applied = Applied::default();
-        // The page the last write went to, as (measure, page number).
-        let mut open: Option<(u32, usize, &mut [Series])> = None;
-        for (measure, id, p) in filed {
-            let (page, slot) = (id as usize / PAGE_SERIES, id as usize % PAGE_SERIES);
-            if !matches!(&open, Some((m, at, _)) if (*m, *at) == (measure, page)) {
-                open = None;
-                let Some(m) = self.measures.get_mut(measure as usize) else {
-                    continue;
-                };
-                let changes = |s: &Series| s.would_change(changepoint, p.time, p.value);
-                if !m.series(id).is_some_and(changes) {
-                    continue;
-                }
-                let Some(shared) = m.pages.get_mut(page) else {
-                    continue;
-                };
-                open = Some((measure, page, Arc::make_mut(shared)));
+        for p in points {
+            if let Some(series) = self.file(book, p.series) {
+                let one = write_point(series, mode, p.time, p.value);
+                applied.stored += one.stored;
+                applied.points += one.points;
             }
-            let Some(series) = open.as_mut().and_then(|(_, _, page)| page.get_mut(slot)) else {
-                continue;
-            };
-            let one = write_point(series, mode, p.time, p.value);
-            applied.stored += one.stored;
-            applied.points += one.points;
         }
         applied
     }
@@ -558,7 +525,7 @@ impl Table {
         let scan = match kind {
             RowKind::Range => self.scan_range(q, limit, profile),
             RowKind::Latest => self.scan_each(q, from, to, limit, profile, |series| {
-                let last = series.range_scan(from, to).0.last();
+                let last = series.range_scan(from, to).0.last().copied();
                 (last, u64::from(last.is_some()))
             }),
             RowKind::At(at) => {
@@ -582,21 +549,19 @@ impl Table {
         let (from, to) = q.time_range();
         let mut series = self.scan_candidates(q, from, to, profile);
         series.sort_unstable_by(|a, b| a.dimensions.cmp(b.dimensions));
-        let spans: Vec<Span<'_>> = series
+        let slices: Vec<&[(u64, f64)]> = series
             .iter()
             .map(|e| {
-                let (span, chunks) = e.series.range_scan(from, to);
+                let (pts, chunks) = e.series.range_scan(from, to);
                 profile.chunks_decompressed += chunks;
-                profile.rows_decoded += span.len() as u64;
-                span
+                profile.rows_decoded += pts.len() as u64;
+                pts
             })
             .collect();
-        let total = spans.iter().map(|span| span.len()).sum();
+        let total = slices.iter().map(|pts| pts.len()).sum();
         let mut rows = Vec::with_capacity(total);
-        for (rank, span) in spans.iter().enumerate() {
-            for pts in span.slices() {
-                rows.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
-            }
+        for (rank, pts) in slices.iter().enumerate() {
+            rows.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
         }
         if series.len() > 1 {
             let key = |&(time, rank, _): &(u64, usize, f64)| (time, rank);
@@ -681,29 +646,25 @@ impl Table {
         profile.observe_query(q);
         let mut windows: BTreeMap<u64, Fold> = BTreeMap::new();
         for e in self.scan_candidates(q, from, to, profile) {
-            let (span, chunks) = e.series.range_scan(from, to);
+            let (mut pts, chunks) = e.series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
-            profile.rows_decoded += span.len() as u64;
+            profile.rows_decoded += pts.len() as u64;
             // A series' points are in time order, so each window's share
-            // of a slice is one run: one lookup per run, not per point.
-            // A window the slice boundary splits is folded in two runs,
-            // in the same order.
-            for mut pts in span.slices() {
-                while let Some(&(first, _)) = pts.first() {
-                    let window_start = from + (first - from) / window * window;
-                    let len = match window_start.checked_add(window) {
-                        Some(end) => pts.partition_point(|&(t, _)| t < end),
-                        None => pts.len(),
-                    };
-                    let (run, rest) = pts.split_at(len);
-                    let fold = windows
-                        .entry(window_start)
-                        .or_insert_with(|| Fold::new(agg));
-                    for &(time, value) in run {
-                        fold.push(time, value);
-                    }
-                    pts = rest;
+            // of them is one run: one lookup per run, not per point.
+            while let Some(&(first, _)) = pts.first() {
+                let window_start = from + (first - from) / window * window;
+                let len = match window_start.checked_add(window) {
+                    Some(end) => pts.partition_point(|&(t, _)| t < end),
+                    None => pts.len(),
+                };
+                let (run, rest) = pts.split_at(len);
+                let fold = windows
+                    .entry(window_start)
+                    .or_insert_with(|| Fold::new(agg));
+                for &(time, value) in run {
+                    fold.push(time, value);
                 }
+                pts = rest;
             }
         }
         let rows: Vec<WindowRow> = windows
@@ -793,7 +754,7 @@ impl Table {
             for (p, page) in m.pages.iter_mut().enumerate() {
                 let used = len.saturating_sub(p * PAGE_SERIES).min(PAGE_SERIES);
                 // A page with nothing to drop stays shared.
-                let stale = |s: &Series| s.first().is_some_and(|(t, _)| t < cutoff);
+                let stale = |s: &Series| s.points().first().is_some_and(|&(t, _)| t < cutoff);
                 if !page.iter().any(stale) {
                     continue;
                 }
@@ -916,7 +877,6 @@ fn write_point(series: &mut Series, mode: WriteMode, time: u64, value: f64) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::CHUNK_POINTS;
 
     fn sample_table() -> Table {
         let mut t = Table::new(TableOptions::default());
@@ -944,21 +904,19 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_shares_the_index_every_untouched_page_and_every_sealed_chunk() {
+    fn a_clone_shares_the_index_and_every_untouched_page() {
         let n = 3 * PAGE_SERIES - 20;
         let mut t = Table::new(TableOptions::default());
-        for r in 0..CHUNK_POINTS as u64 + 5 {
+        for r in 0..3 {
             round(&mut t, r * 600, 0..n);
         }
         let generation = t.generation;
         let snapshot = t.clone();
         assert_ne!(snapshot.generation, generation, "a clone is a new layout");
 
-        // One more round, into the series of the middle page only, and a
-        // repeat of the last round into the first, which changes nothing.
+        // One more round, into the series of the middle page only.
         let touched = PAGE_SERIES..2 * PAGE_SERIES;
         round(&mut t, 1_000_000, touched.clone());
-        round(&mut t, (CHUNK_POINTS as u64 + 4) * 600, 0..PAGE_SERIES);
         assert_eq!(
             t.generation, generation,
             "writing keeps the handles current"
@@ -971,11 +929,6 @@ mod tests {
         );
         for (p, (a, b)) in live.pages.iter().zip(&old.pages).enumerate() {
             assert_eq!(Arc::ptr_eq(a, b), p != 1, "page {p}");
-        }
-        for id in 0..n as SeriesId {
-            let (x, y) = (live.series(id).unwrap(), old.series(id).unwrap());
-            assert_eq!(x.sealed().len(), 1);
-            assert!(Arc::ptr_eq(&x.sealed()[0], &y.sealed()[0]), "series {id}");
         }
         assert_eq!(t.point_count(), snapshot.point_count() + touched.len());
         let q = Query::measure("sps").between(1_000_000, u64::MAX);

@@ -26,10 +26,7 @@
 //! Snapshots are isolated: a clone of the store taken after a round — the
 //! epoch a server publishes — must still answer as the model stood then
 //! after every later round, retention re-files included, has written
-//! into the store it shares its pages with. Half the runs start one
-//! series with enough points to seal chunks, so reads cross chunk
-//! boundaries, later rounds write inside sealed chunks, and retention
-//! cuts through them.
+//! into the store it shares its pages with.
 
 use proptest::prelude::*;
 use spotlake_timestream::{
@@ -46,9 +43,6 @@ const SERIES: usize = 8;
 const MEASURES: [&str; 2] = ["m0", "m1"];
 /// Rounds are this far apart; retention keeps two of them.
 const STEP: u64 = 600;
-/// Points the long series of a `long` run starts with: past two sealed
-/// chunks of 256.
-const LONG_POINTS: usize = 600;
 /// Filters the reads carry: none; pairs series carry, alone and together;
 /// a value and a key no series carries. Generated dimensions are
 /// fixed-width, so key order and dimension order agree.
@@ -192,25 +186,6 @@ impl Writer {
                 }
             })
             .collect()
-    }
-
-    /// Round `round`'s points, led in the first round of a `long` run by
-    /// [`LONG_POINTS`] points of one series spread over the rounds' own
-    /// times: enough to seal chunks, so later rounds write inside them
-    /// and retention cuts through them.
-    fn round_points(&mut self, round: usize, raw: &[Raw], long: bool) -> Vec<Point> {
-        let mut points = self.points(round, raw);
-        if long && round == 0 {
-            let first = self.points(round, &[(0, 0, 0, false, 0)]);
-            let series = first[0].series;
-            let long = (0..LONG_POINTS).map(|i| Point {
-                series,
-                time: i as u64 * 11,
-                value: [1.0, 2.0, 3.0][i % 3],
-            });
-            points.splice(0..0, long);
-        }
-        points
     }
 
     fn records(&self, points: &[Point]) -> Vec<Record> {
@@ -505,7 +480,6 @@ proptest! {
         retention in any::<bool>(),
         retain_every in 1usize..4,
         snapshot_every in 1usize..4,
-        long in any::<bool>(),
     ) {
         let options = options(changepoint, retention);
         let mut snapshots = Snapshots::default();
@@ -515,7 +489,7 @@ proptest! {
         let mut writer = Writer::new();
         let mut model = Model::default();
         for (round, raw) in rounds.iter().enumerate() {
-            let points = writer.round_points(round, raw, long);
+            let points = writer.points(round, raw);
             let records = writer.records(&points);
             let stored = by_id.write_points(TABLE, &mut writer.book, &points).unwrap();
             prop_assert_eq!(stored, by_record.write(TABLE, &records).unwrap(), "round {}", round);
@@ -545,7 +519,6 @@ proptest! {
         retention in any::<bool>(),
         retain_every in 1usize..4,
         snapshot_every in 1usize..4,
-        long in any::<bool>(),
         fault_seed in 0u64..1_000,
     ) {
         let options = options(changepoint, retention);
@@ -575,7 +548,7 @@ proptest! {
 
         for (round, raw) in rounds.iter().enumerate() {
             let tick = round as u64 + 1;
-            let points = writer.round_points(round, raw, long);
+            let points = writer.points(round, raw);
             let records = writer.records(&points);
             let out = archive_id.commit_points(
                 &mut by_id, TABLE, options, tick, &mut writer.book, &points, 2,
