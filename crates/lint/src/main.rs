@@ -41,8 +41,11 @@ struct Opts {
     unused_pub: bool,
 }
 
-fn parse_args(mut args: std::env::Args) -> Result<Opts, String> {
-    let _argv0 = args.next();
+fn parse_args(args: std::env::Args) -> Result<Opts, String> {
+    let mut args = args.skip(1).peekable();
+    // `cargo lint` is an alias ending in `--`, so `cargo lint -- --help`
+    // hands the checker a `--` of its own first: skip one.
+    args.next_if_eq("--");
     let mut opts = Opts {
         root: None,
         json: None,

@@ -355,6 +355,69 @@ fn binary_exits_two_on_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// The binary as the `cargo lint` alias (`run -p spotlake-lint --`) runs
+/// it from the workspace root: whatever follows `cargo lint` arrives
+/// after the alias' own `--`, so `cargo lint -- --help` hands the binary
+/// `["--", "--help"]`.
+fn cargo_lint(args: &[&str]) -> std::process::Output {
+    lint_bin()
+        .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn documented_cargo_lint_scans_the_workspace_clean() {
+    let out = cargo_lint(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("spotlake-lint: clean"), "{stderr}");
+}
+
+#[test]
+fn documented_list_rules_after_the_alias_separator() {
+    let out = cargo_lint(&["--", "--list-rules"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let expected: Vec<&str> = spotlake_lint::RULES.iter().map(|(name, _)| *name).collect();
+    assert_eq!(listed, expected);
+}
+
+#[test]
+fn documented_json_report_after_the_alias_separator() {
+    let report = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-report.json");
+    let _ = std::fs::remove_file(&report);
+    let out = cargo_lint(&["--", "--json", report.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(0));
+    let doc = std::fs::read_to_string(&report).expect("report written");
+    assert_eq!(doc, "{\"version\":1,\"findings\":[],\"total\":0}");
+}
+
+#[test]
+fn documented_unused_pub_report_exits_zero() {
+    let out = cargo_lint(&["--unused-pub"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("pub item(s) referenced nowhere outside their module"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn documented_help_after_the_alias_separator() {
+    let out = cargo_lint(&["--", "--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE:"));
+    // Only one separator is the alias' doing; a second is a usage error.
+    assert_eq!(cargo_lint(&["--", "--", "--help"]).status.code(), Some(2));
+}
+
 #[test]
 fn binary_lists_rules() {
     // The listing is the complete rule table, in order: a new rule

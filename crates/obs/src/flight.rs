@@ -11,13 +11,13 @@ use crate::topn::{Ranked, TopN};
 
 /// Identity and timing context a query carries through the store layers.
 ///
-/// Constructed by the gateway from the journal's trace-id allocator and
-/// the simulation tick of the request; the store stamps both into its
-/// cost profile and metrics so one query correlates across the trace
-/// journal, the flight recorder, and EXPLAIN output.
+/// Constructed by the gateway from its trace-id counter and the
+/// simulation tick of the request; the store stamps both into its cost
+/// profile and metrics so one query correlates across the query traces,
+/// the flight recorder, and EXPLAIN output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCtx {
-    /// Trace id from [`crate::TraceJournal::next_trace_id`].
+    /// Trace id, one per row query, counted up from 0 by the gateway.
     pub trace_id: u64,
     /// Simulation tick at which the query ran.
     pub tick: u64,
@@ -30,7 +30,7 @@ pub struct QueryCtx {
 /// One completed query as retained by the [`FlightRecorder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightEntry {
-    /// Trace id correlating this entry with the trace journal.
+    /// Trace id correlating this entry with the query traces.
     pub trace_id: u64,
     /// Wire-level request id (0 for in-process queries) — joins this
     /// entry to the server's `/debug/requests` timeline.

@@ -11,8 +11,12 @@
 //! [`TraceJournal::parse`] refuses documents whose schema or version does
 //! not match, so an old reader never silently misinterprets a new journal.
 //! Spans may nest: [`TraceJournal::begin_child_span`] links a stage span to
-//! its parent by entry sequence number, which is how the query path records
-//! its per-stage cost profile under one root span.
+//! its parent by entry sequence number.
+//!
+//! [`JournalWriter`] writes the same lines for a caller that keeps its own
+//! typed records and renders them on demand — the gateway's ring of query
+//! traces, whose records render as a root span plus one child per cost
+//! stage without a string being formatted when a query is recorded.
 
 use crate::json;
 use std::error::Error;
@@ -90,23 +94,15 @@ impl Error for JournalError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceJournal {
     entries: Vec<Entry>,
-    /// Monotonic trace-id allocator; see [`TraceJournal::next_trace_id`].
-    trace_ids: u64,
+    /// `seq` of the first entry: 0, unless parsed from a document whose
+    /// older entries were dropped (the gateway's ring of query traces).
+    first_seq: u64,
 }
 
 impl TraceJournal {
     /// Creates an empty journal.
     pub fn new() -> Self {
         TraceJournal::default()
-    }
-
-    /// Allocates the next trace id — a monotonically increasing number the
-    /// query path stamps into spans, flight-recorder entries, and EXPLAIN
-    /// bodies so one query can be correlated across all three.
-    pub fn next_trace_id(&mut self) -> u64 {
-        let id = self.trace_ids;
-        self.trace_ids += 1;
-        id
     }
 
     /// Records a point-in-time event at `tick` with the given attributes.
@@ -132,7 +128,7 @@ impl TraceJournal {
     /// Opens a span nested under `parent` — the rendered entry carries a
     /// `parent` field with the parent's sequence number.
     pub fn begin_child_span(&mut self, tick: u64, name: &str, parent: SpanId) -> SpanId {
-        self.push_span(tick, name, Some(parent.0 as u64))
+        self.push_span(tick, name, Some(self.first_seq + parent.0 as u64))
     }
 
     fn push_span(&mut self, tick: u64, name: &str, parent: Option<u64>) -> SpanId {
@@ -161,12 +157,6 @@ impl TraceJournal {
         }
     }
 
-    /// The sequence number of `span` — its position in the journal, as
-    /// rendered in the `seq` field.
-    pub fn span_seq(&self, span: SpanId) -> u64 {
-        span.0 as u64
-    }
-
     /// Number of journal entries (the header record is not an entry).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -182,60 +172,32 @@ impl TraceJournal {
     /// sorted, strings escaped — the output is a deterministic function of
     /// the recorded entries.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"header\",\"schema\":\"{JOURNAL_SCHEMA}\",\"version\":{JOURNAL_VERSION},\"entries\":{}}}",
-            self.entries.len()
-        );
-        for (seq, entry) in self.entries.iter().enumerate() {
-            match &entry.kind {
-                EntryKind::Event => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\":\"event\",\"seq\":{seq},\"tick\":{},\"name\":",
-                        entry.tick
-                    );
-                    json::write_string(&mut out, &entry.name);
-                }
+        let mut out = JournalWriter::new(self.entries.len());
+        for (seq, entry) in (self.first_seq..).zip(&self.entries) {
+            let mut attrs: Vec<(&str, &str)> = entry
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            match entry.kind {
+                EntryKind::Event => out.event(seq, entry.tick, &entry.name, &mut attrs),
                 EntryKind::Span { end, parent } => {
-                    let _ = write!(
-                        out,
-                        "{{\"kind\":\"span\",\"seq\":{seq},\"start\":{},\"end\":{},\"name\":",
-                        entry.tick,
-                        end.map_or("null".to_owned(), |e| e.to_string())
-                    );
-                    json::write_string(&mut out, &entry.name);
-                    if let Some(parent) = parent {
-                        let _ = write!(out, ",\"parent\":{parent}");
-                    }
+                    out.span(seq, entry.tick, end, &entry.name, parent, &mut attrs);
                 }
             }
-            if !entry.attrs.is_empty() {
-                let mut attrs = entry.attrs.clone();
-                attrs.sort();
-                out.push_str(",\"attrs\":{");
-                for (i, (k, v)) in attrs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_string(&mut out, k);
-                    out.push(':');
-                    json::write_string(&mut out, v);
-                }
-                out.push('}');
-            }
-            out.push_str("}\n");
         }
-        out
+        out.finish()
     }
 
-    /// Parses a document produced by [`TraceJournal::render`].
+    /// Parses a document produced by [`TraceJournal::render`] or a
+    /// [`JournalWriter`].
     ///
     /// The first line must be a header record naming this schema and
     /// version; anything else is rejected rather than misread. The parser
     /// only accepts the exact line shape `render` emits (it is a format
-    /// check as much as a reader).
+    /// check as much as a reader). Entries are numbered on from the first
+    /// entry's `seq`, so a document whose oldest entries were dropped
+    /// renders back byte for byte.
     ///
     /// # Errors
     ///
@@ -268,6 +230,10 @@ impl TraceJournal {
                 line: lineno,
                 detail: detail.to_owned(),
             };
+            if journal.entries.is_empty() {
+                // A document that dropped its oldest entries starts past 0.
+                journal.first_seq = field_u64(&fields, "seq").unwrap_or(0);
+            }
             let attrs = match fields.iter().find(|(k, _)| k == "attrs") {
                 Some((_, Field::Attrs(attrs))) => attrs.clone(),
                 Some(_) => return Err(malformed("attrs is not an object")),
@@ -284,12 +250,8 @@ impl TraceJournal {
                 Some("span") => {
                     let start = field_u64(&fields, "start").ok_or_else(|| malformed("no start"))?;
                     let name = field_str(&fields, "name").ok_or_else(|| malformed("no name"))?;
-                    let span = match field_u64(&fields, "parent") {
-                        Some(parent) => {
-                            journal.begin_child_span(start, name, SpanId(parent as usize))
-                        }
-                        None => journal.begin_span(start, name),
-                    };
+                    let parent = field_u64(&fields, "parent");
+                    let span = journal.push_span(start, name, parent);
                     for (k, v) in attrs {
                         journal.span_attr(span, &k, v);
                     }
@@ -307,6 +269,89 @@ impl TraceJournal {
             }
         }
         Ok(journal)
+    }
+}
+
+/// Writes a journal document line by line in [`TraceJournal::render`]'s
+/// format: the header first, then entries in the order they are written.
+/// The caller numbers the entries; `seq` and `parent` are written as
+/// given.
+#[derive(Debug)]
+pub struct JournalWriter {
+    out: String,
+}
+
+impl JournalWriter {
+    /// Starts a document whose header announces `entries` entries.
+    pub fn new(entries: usize) -> Self {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"header\",\"schema\":\"{JOURNAL_SCHEMA}\",\"version\":{JOURNAL_VERSION},\"entries\":{entries}}}"
+        );
+        JournalWriter { out }
+    }
+
+    /// Writes an event line. `attrs` is sorted in place.
+    pub fn event(&mut self, seq: u64, tick: u64, name: &str, attrs: &mut [(&str, &str)]) {
+        let _ = write!(
+            self.out,
+            "{{\"kind\":\"event\",\"seq\":{seq},\"tick\":{tick},\"name\":"
+        );
+        json::write_string(&mut self.out, name);
+        self.finish_line(attrs);
+    }
+
+    /// Writes a span line (`end` is `null` while open; `parent` is the
+    /// parent span's `seq`, for a child). `attrs` is sorted in place.
+    pub fn span(
+        &mut self,
+        seq: u64,
+        start: u64,
+        end: Option<u64>,
+        name: &str,
+        parent: Option<u64>,
+        attrs: &mut [(&str, &str)],
+    ) {
+        let _ = write!(
+            self.out,
+            "{{\"kind\":\"span\",\"seq\":{seq},\"start\":{start},\"end\":"
+        );
+        match end {
+            Some(end) => {
+                let _ = write!(self.out, "{end}");
+            }
+            None => self.out.push_str("null"),
+        }
+        self.out.push_str(",\"name\":");
+        json::write_string(&mut self.out, name);
+        if let Some(parent) = parent {
+            let _ = write!(self.out, ",\"parent\":{parent}");
+        }
+        self.finish_line(attrs);
+    }
+
+    /// Writes the sorted attributes, if any, and closes the line.
+    fn finish_line(&mut self, attrs: &mut [(&str, &str)]) {
+        if !attrs.is_empty() {
+            attrs.sort_unstable();
+            self.out.push_str(",\"attrs\":{");
+            for (i, (k, v)) in attrs.iter().enumerate() {
+                if i > 0 {
+                    self.out.push(',');
+                }
+                json::write_string(&mut self.out, k);
+                self.out.push(':');
+                json::write_string(&mut self.out, v);
+            }
+            self.out.push('}');
+        }
+        self.out.push_str("}\n");
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        self.out
     }
 }
 
@@ -451,21 +496,11 @@ mod tests {
         let child = j.begin_child_span(5, "scan", root);
         j.end_span(child, 5);
         j.end_span(root, 5);
-        assert_eq!(j.span_seq(root), 0);
-        assert_eq!(j.span_seq(child), 1);
         let text = j.render();
         assert!(
             text.contains("\"seq\":1,\"start\":5,\"end\":5,\"name\":\"scan\",\"parent\":0"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn trace_ids_are_sequential() {
-        let mut j = TraceJournal::new();
-        assert_eq!(j.next_trace_id(), 0);
-        assert_eq!(j.next_trace_id(), 1);
-        assert_eq!(j.next_trace_id(), 2);
     }
 
     #[test]
@@ -506,6 +541,18 @@ mod tests {
         let parsed = TraceJournal::parse(&rendered).expect("parses");
         assert_eq!(parsed.render(), rendered, "round-trip is byte-identical");
         assert_eq!(parsed.len(), j.len());
+    }
+
+    #[test]
+    fn a_document_starting_past_seq_zero_round_trips() {
+        let mut out = JournalWriter::new(3);
+        out.span(40, 2, Some(2), "query", None, &mut [("trace_id", "9")]);
+        out.span(41, 2, Some(2), "scan", Some(40), &mut [("rows", "3")]);
+        out.event(42, 3, "slo_alert", &mut []);
+        let text = out.finish();
+        let parsed = TraceJournal::parse(&text).expect("parses");
+        assert_eq!(parsed.len(), 3);
+        assert_eq!(parsed.render(), text);
     }
 
     #[test]

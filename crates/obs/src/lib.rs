@@ -16,7 +16,8 @@
 //!   call passes.
 //! * [`TraceJournal`] — a structured journal of spans and events keyed on
 //!   *simulation ticks*, rendered as JSON lines with sorted attribute
-//!   keys.
+//!   keys. [`JournalWriter`] writes the same lines from a caller's own
+//!   typed records (the gateway's bounded ring of query traces).
 //! * [`Clock`] — the only way instrumented components learn what time it
 //!   is. Production wiring drives a [`ManualClock`] from the simulator's
 //!   tick counter; tests inject whatever they like. Nothing in this
@@ -33,7 +34,7 @@
 //!   total time, backing the server's `/debug/requests`. Offsets are
 //!   measured by the caller and passed in — this crate stays clock-free.
 //!   Both recorders are one [`TopN`], ranked by a key the entry type
-//!   supplies ([`Ranked`]).
+//!   supplies ([`Ranked`]), and build an entry only when it is retained.
 //! * [`TelemetryRecorder`] — a fixed-capacity ring buffer of
 //!   whole-registry samples (counters, gauges, histogram quantiles)
 //!   stamped with caller-supplied timestamps, rendered as JSONL for the
@@ -98,7 +99,9 @@ pub use burn::{AlertState, AlertTransition, BurnPolicy, BurnTracker};
 pub use clock::{Clock, ManualClock};
 pub use flight::{FlightEntry, FlightRecorder, QueryCtx};
 pub use health::{ComponentHealth, HealthReport, Readiness};
-pub use journal::{JournalError, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION};
+pub use journal::{
+    JournalError, JournalWriter, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION,
+};
 pub use lifecycle::{PhaseSpan, RequestRecord, RequestRecorder, REQUEST_PHASES};
 pub use phase::{NoPhases, Phase, PhaseGuard, PhaseSink, SharedPhaseSink};
 pub use quality::{DatasetQuality, KeyQuality, QualityKey, QualityMonitor, QualityReport};

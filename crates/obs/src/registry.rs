@@ -11,8 +11,14 @@
 //! worker must not take the whole metrics surface down with it (every
 //! mutation here is a single whole-value update, so the protected map is
 //! never observable in a half-written state).
+//!
+//! Recording into a series that exists allocates nothing: a family keeps
+//! its series in one `Vec` sorted by label set, and a call's labels are
+//! sorted in a stack copy and binary-searched against it. Only a new series
+//! copies its labels into owned strings.
 
 use crate::names::{Counter, Gauge, Histogram};
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -77,7 +83,33 @@ enum Value {
 struct Family {
     help: &'static str,
     kind: MetricKind,
-    series: BTreeMap<LabelSet, Value>,
+    /// Every series, sorted by label set.
+    series: Vec<(LabelSet, Value)>,
+}
+
+impl Family {
+    /// Where the series labelled `sorted` (sorted pairs) sits, or where
+    /// it would be inserted.
+    fn find(&self, sorted: &[(&str, &str)]) -> Result<usize, usize> {
+        self.series
+            .binary_search_by(|(set, _)| cmp_labels(set, sorted))
+    }
+
+    /// The series labelled `labels` (any order), if it exists.
+    fn get(&self, labels: &[(&str, &str)]) -> Option<&Value> {
+        with_sorted(labels, |sorted| self.find(sorted).ok()).map(|at| &self.series[at].1)
+    }
+
+    /// Adds `series` to this family, replacing any series of the same
+    /// label set.
+    fn merge(&mut self, series: Vec<(LabelSet, Value)>) {
+        for (labels, value) in series {
+            match self.series.binary_search_by(|(set, _)| set.cmp(&labels)) {
+                Ok(at) => self.series[at].1 = value,
+                Err(at) => self.series.insert(at, (labels, value)),
+            }
+        }
+    }
 }
 
 /// The one histogram bucket layout: upper bounds 1..9, 10..90, up to
@@ -156,8 +188,8 @@ impl Registry {
         };
         family
             .series
-            .values()
-            .map(|v| match v {
+            .iter()
+            .map(|(_, v)| match v {
                 Value::Counter(c) => *c,
                 _ => 0,
             })
@@ -200,10 +232,7 @@ impl Registry {
         q: f64,
     ) -> Option<f64> {
         let families = lock(&self.families);
-        let series = families
-            .get(family.name)?
-            .series
-            .get(&sorted_labels(labels));
+        let series = families.get(family.name)?.get(labels);
         let Some(Value::Histogram { counts, count, .. }) = series else {
             return None;
         };
@@ -302,7 +331,7 @@ impl Registry {
                             existing.kind, family.kind,
                             "metric family {name:?} has conflicting kinds across registries"
                         );
-                        existing.series.extend(family.series);
+                        existing.merge(family.series);
                     }
                 }
             }
@@ -363,18 +392,25 @@ impl Registry {
         let family = families.entry(name).or_insert_with(|| Family {
             help,
             kind,
-            series: BTreeMap::new(),
+            series: Vec::new(),
         });
         assert_eq!(
             family.kind, kind,
             "metric family {name:?} already registered as {:?}",
             family.kind
         );
-        let value = family
-            .series
-            .entry(sorted_labels(labels))
-            .or_insert_with(|| kind.zero());
-        update(value);
+        let at = with_sorted(labels, |sorted| match family.find(sorted) {
+            Ok(at) => at,
+            Err(at) => {
+                let owned = sorted
+                    .iter()
+                    .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+                    .collect();
+                family.series.insert(at, (owned, kind.zero()));
+                at
+            }
+        });
+        update(&mut family.series[at].1);
     }
 }
 
@@ -423,13 +459,32 @@ fn quantile_from_buckets(counts: &[u64], total: u64, q: f64) -> Option<f64> {
     bounds.last().copied()
 }
 
-fn sorted_labels(labels: &[(&str, &str)]) -> LabelSet {
-    let mut set: LabelSet = labels
+/// Label pairs a call may pass and still be sorted on the stack; longer
+/// sets (none today) sort in a heap copy.
+const STACK_LABELS: usize = 8;
+
+/// Calls `f` with a sorted copy of `labels`, on the stack.
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    if labels.len() <= STACK_LABELS {
+        let mut buf = [("", ""); STACK_LABELS];
+        let sorted = &mut buf[..labels.len()];
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable();
+        f(sorted)
+    } else {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        f(&sorted)
+    }
+}
+
+/// Orders a stored label set against sorted borrowed pairs exactly as
+/// two stored sets order (pair by pair, key then value, shorter first).
+fn cmp_labels(stored: &LabelSet, sorted: &[(&str, &str)]) -> Ordering {
+    stored
         .iter()
-        .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-        .collect();
-    set.sort();
-    set
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .cmp(sorted.iter().copied())
 }
 
 /// Renders `{k="v",...}` (empty string for no labels); `le` — already
@@ -743,6 +798,141 @@ mod tests {
         assert!(get("h_p50").is_some_and(|v| (10.0..=20.0).contains(&v)));
         // Pure function of the observations.
         assert_eq!(values, r.sampled_values());
+    }
+
+    /// The allocate-then-insert path recording took before lookups went
+    /// allocation-free: every call copies its labels into a sorted
+    /// `Vec<(String, String)>` and files it in a `BTreeMap`.
+    #[derive(Default)]
+    struct AllocatingRegistry {
+        families: BTreeMap<&'static str, (&'static str, MetricKind, BTreeMap<LabelSet, Value>)>,
+    }
+
+    impl AllocatingRegistry {
+        fn with_series(
+            &mut self,
+            name: &'static str,
+            help: &'static str,
+            kind: MetricKind,
+            labels: &[(&str, &str)],
+            update: impl FnOnce(&mut Value),
+        ) {
+            let family = self
+                .families
+                .entry(name)
+                .or_insert_with(|| (help, kind, BTreeMap::new()));
+            let mut set: LabelSet = labels
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+                .collect();
+            set.sort();
+            update(family.2.entry(set).or_insert_with(|| kind.zero()));
+        }
+
+        /// Renders through the one exposition writer, so only the series
+        /// lookup and order are under test.
+        fn render(&self) -> String {
+            let families = self
+                .families
+                .iter()
+                .map(|(name, (help, kind, series))| {
+                    let series = series.iter().map(|(l, v)| (l.clone(), v.clone())).collect();
+                    let family = Family {
+                        help,
+                        kind: *kind,
+                        series,
+                    };
+                    (*name, family)
+                })
+                .collect();
+            Registry {
+                families: Mutex::new(families),
+            }
+            .render()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(u64),
+        Set(u64),
+        Gauge(f64),
+        Observe(f64),
+    }
+
+    const KEYS: [&str; 4] = ["op", "table", "status", "path"];
+    const VALUES: [&str; 4] = ["a", "b", "query", "x\"y"];
+
+    proptest::proptest! {
+        /// Any label order hits one series, and the rendered document is
+        /// byte for byte what the allocate-then-insert path rendered.
+        #[test]
+        fn lookup_matches_the_allocating_registry(
+            calls in proptest::collection::vec(
+                (
+                    0usize..4,
+                    proptest::collection::vec((0usize..4, 0usize..4), 0..4),
+                    0usize..16,
+                    0u64..50,
+                ),
+                1..80,
+            ),
+        ) {
+            let fresh = Registry::new();
+            let mut reference = AllocatingRegistry::default();
+            let mut sets = std::collections::BTreeSet::new();
+            for (family, pairs, shuffle, n) in &calls {
+                let mut labels: Vec<(&str, &str)> =
+                    pairs.iter().map(|&(k, v)| (KEYS[k], VALUES[v])).collect();
+                // A pseudo-random rotation and reversal of the caller's order.
+                if !labels.is_empty() {
+                    let by = shuffle % labels.len();
+                    labels.rotate_left(by);
+                    if *shuffle >= 8 {
+                        labels.reverse();
+                    }
+                }
+                let op = match family {
+                    0 => Op::Add(*n),
+                    1 => Op::Set(*n),
+                    2 => Op::Gauge(*n as f64 / 4.0),
+                    _ => Op::Observe(*n as f64 * 1.5),
+                };
+                // Counters `a_total` (add) and `b_total` (set) keep their kinds apart.
+                let (name, help, kind) = match op {
+                    Op::Add(_) => (A.name, A.help, MetricKind::Counter),
+                    Op::Set(_) => (B.name, B.help, MetricKind::Counter),
+                    Op::Gauge(_) => (G.name, G.help, MetricKind::Gauge),
+                    Op::Observe(_) => (H.name, H.help, MetricKind::Histogram),
+                };
+                let update = |v: &mut Value| match (v, &op) {
+                    (Value::Counter(c), Op::Add(d)) => *c += d,
+                    (Value::Counter(c), Op::Set(t)) => *c = (*c).max(*t),
+                    (Value::Gauge(g), Op::Gauge(x)) => *g = *x,
+                    (Value::Histogram { counts, sum, count }, Op::Observe(x)) => {
+                        if let Some(i) = BUCKET_BOUNDS.iter().position(|&b| *x <= b) {
+                            counts[i] += 1;
+                        }
+                        *sum += x;
+                        *count += 1;
+                    }
+                    _ => unreachable!("each family has one kind"),
+                };
+                reference.with_series(name, help, kind, &labels, update);
+                match op {
+                    Op::Add(d) => fresh.counter_add(A, &labels, d),
+                    Op::Set(t) => fresh.counter_set(B, &labels, t),
+                    Op::Gauge(x) => fresh.gauge_set(G, &labels, x),
+                    Op::Observe(x) => fresh.histogram_record(H, &labels, x),
+                }
+                let mut sorted = labels.clone();
+                sorted.sort();
+                sets.insert((name, sorted));
+            }
+            let series: usize = lock(&fresh.families).values().map(|f| f.series.len()).sum();
+            proptest::prop_assert_eq!(series, sets.len());
+            proptest::prop_assert_eq!(fresh.render(), reference.render());
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! The gateway router and the "Lambda" handlers.
 
 use crate::csv::rows_csv;
-use crate::http::{HttpRequest, HttpResponse};
+use crate::http::{status_label, HttpRequest, HttpResponse};
 use crate::json::{self, Json};
 use crate::ops::OpsContext;
-use spotlake_obs::{
-    names, FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry, TraceJournal,
-};
+use crate::traces::QueryTraces;
+use spotlake_obs::{names, FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry};
 use spotlake_timestream::{Aggregate, Database, Query, QueryProfile, RowKind, RowScan, TsError};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard from a poisoned lock: a panicking
-/// worker thread must not take the gateway's trace journal down with it
-/// (the journal's mutations are append-only and complete per call).
+/// worker thread must not take the gateway's query traces down with it
+/// (each push is one whole record).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -64,10 +64,11 @@ const ENDPOINTS: [&str; 13] = [
 /// every layer's registry, and answers `/health` from real readiness
 /// instead of a constant.
 ///
-/// It also owns the query observability state: a [`TraceJournal`] of
-/// per-query spans (root `query` span plus one child per cost stage), and
-/// a [`FlightRecorder`] retaining the most expensive queries for
-/// `/debug/queries` and the `/stats` slow-query listing.
+/// It also owns the query observability state, each part of a fixed
+/// size however many queries it serves: the ring of the newest 1 024
+/// query traces behind `/debug/traces`, and a [`FlightRecorder`]
+/// retaining the most expensive queries for `/debug/queries` and the
+/// `/stats` slow-query listing.
 ///
 /// The gateway is `Send + Sync`: the [`server`](crate::server) worker
 /// pool routes concurrent requests through one shared instance.
@@ -75,7 +76,9 @@ const ENDPOINTS: [&str; 13] = [
 pub struct Gateway {
     http: Registry,
     flight: FlightRecorder,
-    traces: Mutex<TraceJournal>,
+    traces: Mutex<QueryTraces>,
+    /// The next row query's trace id.
+    next_trace_id: AtomicU64,
 }
 
 impl Clone for Gateway {
@@ -84,6 +87,7 @@ impl Clone for Gateway {
             http: self.http.clone(),
             flight: self.flight.clone(),
             traces: Mutex::new(lock(&self.traces).clone()),
+            next_trace_id: AtomicU64::new(self.next_trace_id.load(Ordering::Relaxed)),
         }
     }
 }
@@ -104,17 +108,17 @@ impl Gateway {
         &self.flight
     }
 
-    /// Renders the gateway's query trace journal as JSON lines.
+    /// Renders the newest query traces as trace-journal JSON lines.
     pub fn query_trace_text(&self) -> String {
         lock(&self.traces).render()
     }
 
-    /// Appends one event to the trace journal — how the serving engine
-    /// records SLO alert transitions alongside the query spans, so
+    /// Keeps one event among the query traces — how the serving engine
+    /// records SLO alert transitions alongside the queries, so
     /// `/debug/traces` shows alerts in stream order with the traffic
     /// that caused them.
     pub fn record_event(&self, tick: u64, name: &str, attrs: &[(&str, String)]) {
-        lock(&self.traces).event(tick, name, attrs);
+        lock(&self.traces).push_event(tick, name, attrs);
     }
 
     /// Routes a request, recording it in the gateway's registry.
@@ -130,7 +134,7 @@ impl Gateway {
             p if ENDPOINTS.contains(&p) => p,
             _ => "other",
         };
-        let status = response.status.to_string();
+        let status = status_label(response.status);
         self.http.counter_add(
             names::HTTP_REQUESTS_TOTAL,
             &[("path", path), ("status", &status)],
@@ -199,22 +203,23 @@ impl Gateway {
         HttpResponse::text(Registry::render_merged(registries))
     }
 
-    /// Allocates the query context for one row request: the next trace id
-    /// from the gateway's journal, at the operator-supplied tick, carrying
-    /// the wire-level request id (when the serving layer lent one).
+    /// Allocates the query context for one row request: the next trace
+    /// id, at the operator-supplied tick, carrying the wire-level request
+    /// id (when the serving layer lent one).
     fn new_ctx(&self, ops: &OpsContext) -> QueryCtx {
         QueryCtx {
-            trace_id: lock(&self.traces).next_trace_id(),
+            trace_id: self.next_trace_id.fetch_add(1, Ordering::Relaxed),
             tick: ops.tick,
             request_id: ops.request_id,
         }
     }
 
     /// Finishes a profiled query: stamps response size into the profile,
-    /// emits the root span plus one child span per cost stage, records the
-    /// flight-recorder entry and the `spotlake_query_cost` histogram, and
-    /// swaps in the EXPLAIN body when `explain=1` was requested. The
-    /// EXPLAIN body still costs the bytes of the body it replaces.
+    /// offers the flight recorder its entry, records the
+    /// `spotlake_query_cost` histogram, swaps in the EXPLAIN body when
+    /// `explain=1` was requested, and keeps the profile among the query
+    /// traces. The EXPLAIN body still costs the bytes of the body it
+    /// replaces.
     fn complete(
         &self,
         request: &HttpRequest,
@@ -225,58 +230,30 @@ impl Gateway {
         profile.rows_returned = rows_returned;
         profile.response_bytes = response.body.len() as u64;
         let cost = profile.cost();
-        let query_str = request.path_and_query();
-        {
-            let mut traces = lock(&self.traces);
-            let root = traces.begin_span(profile.tick, "query");
-            traces.span_attr(root, "trace_id", profile.trace_id.to_string());
-            traces.span_attr(root, "request_id", profile.request_id.to_string());
-            traces.span_attr(root, "op", profile.op.to_owned());
-            traces.span_attr(root, "table", profile.table.clone());
-            traces.span_attr(root, "query", query_str.clone());
-            traces.span_attr(root, "cost", cost.to_string());
-            // One child span per stage group; the counters within a stage
-            // become that span's attributes.
-            let mut current: Option<(&str, spotlake_obs::SpanId)> = None;
-            for (stage, name, value) in profile.stages() {
-                let span = match current {
-                    Some((open, span)) if open == stage => span,
-                    _ => {
-                        if let Some((_, open)) = current {
-                            traces.end_span(open, profile.tick);
-                        }
-                        let span = traces.begin_child_span(profile.tick, stage, root);
-                        current = Some((stage, span));
-                        span
-                    }
-                };
-                traces.span_attr(span, name, value.to_string());
-            }
-            if let Some((_, open)) = current {
-                traces.end_span(open, profile.tick);
-            }
-            traces.end_span(root, profile.tick);
-        }
-        self.flight.record(FlightEntry {
-            trace_id: profile.trace_id,
-            request_id: profile.request_id,
-            tick: profile.tick,
-            op: profile.op.to_owned(),
-            query: query_str,
-            cost,
-            rows: rows_returned,
-            response_bytes: profile.response_bytes,
-        });
+        let query = request.path_and_query();
+        self.flight
+            .record_with((cost, profile.trace_id), || FlightEntry {
+                trace_id: profile.trace_id,
+                request_id: profile.request_id,
+                tick: profile.tick,
+                op: profile.op.to_owned(),
+                query: query.clone(),
+                cost,
+                rows: rows_returned,
+                response_bytes: profile.response_bytes,
+            });
         self.http.histogram_record(
             names::QUERY_COST,
             &[("table", profile.table.as_str()), ("op", profile.op)],
             cost as f64,
         );
-        if wants_explain(request) {
+        let response = if wants_explain(request) {
             HttpResponse::json(explain_json(&profile).render())
         } else {
             response
-        }
+        };
+        lock(&self.traces).push_query(profile, query, cost);
+        response
     }
 
     /// `/query`, `/latest` and `/at`: a row scan, profiled, encoded
@@ -401,9 +378,9 @@ impl Gateway {
         )
     }
 
-    /// `/debug/traces`: the gateway's query trace journal as JSON lines.
+    /// `/debug/traces`: the newest query traces as JSON lines.
     fn debug_traces(&self) -> HttpResponse {
-        HttpResponse::plain(lock(&self.traces).render())
+        HttpResponse::plain(self.query_trace_text())
     }
 }
 
@@ -424,18 +401,12 @@ fn explain_json(profile: &QueryProfile) -> Json {
             .map(|(k, v)| (k.clone(), Json::string(v)))
             .collect(),
     );
-    let mut stages: Vec<(&'static str, Vec<(&'static str, u64)>)> = Vec::new();
-    for (stage, name, value) in profile.stages() {
-        match stages.last_mut() {
-            Some((open, counters)) if *open == stage => counters.push((name, value)),
-            _ => stages.push((stage, vec![(name, value)])),
-        }
-    }
-    let stage_items: Vec<Json> = stages
-        .into_iter()
-        .map(|(stage, counters)| {
-            let counter_obj = Json::object(counters.into_iter().map(|(k, v)| (k, Json::from(v))));
-            Json::object([("stage", Json::from(stage)), ("counters", counter_obj)])
+    let stage_items: Vec<Json> = profile
+        .stages()
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|group| {
+            let counter_obj = Json::object(group.iter().map(|&(_, k, v)| (k, Json::from(v))));
+            Json::object([("stage", Json::from(group[0].0)), ("counters", counter_obj)])
         })
         .collect();
     Json::object([(
@@ -1053,6 +1024,235 @@ mod tests {
         let dump = gateway.handle(&db, &HttpRequest::get("/debug/traces").unwrap(), &ops);
         assert_eq!(dump.content_type, "text/plain");
         assert!(dump.body_text().contains("spotlake-trace"));
+    }
+
+    /// What `complete` appended to the gateway's journal before query
+    /// traces were kept as records: a root span and one child span per
+    /// cost stage, every attribute formatted on the spot.
+    fn append_query_spans(
+        traces: &mut spotlake_obs::TraceJournal,
+        profile: &QueryProfile,
+        query: &str,
+        cost: u64,
+    ) {
+        let root = traces.begin_span(profile.tick, "query");
+        traces.span_attr(root, "trace_id", profile.trace_id.to_string());
+        traces.span_attr(root, "request_id", profile.request_id.to_string());
+        traces.span_attr(root, "op", profile.op.to_owned());
+        traces.span_attr(root, "table", profile.table.clone());
+        traces.span_attr(root, "query", query.to_owned());
+        traces.span_attr(root, "cost", cost.to_string());
+        let mut current: Option<(&str, spotlake_obs::SpanId)> = None;
+        for (stage, name, value) in profile.stages() {
+            let span = match current {
+                Some((open, span)) if open == stage => span,
+                _ => {
+                    if let Some((_, open)) = current {
+                        traces.end_span(open, profile.tick);
+                    }
+                    let span = traces.begin_child_span(profile.tick, stage, root);
+                    current = Some((stage, span));
+                    span
+                }
+            };
+            traces.span_attr(span, name, value.to_string());
+        }
+        if let Some((_, open)) = current {
+            traces.end_span(open, profile.tick);
+        }
+        traces.end_span(root, profile.tick);
+    }
+
+    #[test]
+    fn query_traces_below_capacity_render_the_old_journal_byte_for_byte() {
+        let db = archive();
+        let gateway = Gateway::new();
+        let mut reference = spotlake_obs::TraceJournal::new();
+        let alert = [
+            ("at_micros", "1500".to_owned()),
+            ("fast_burn", "14.4000".to_owned()),
+            ("from", "ok".to_owned()),
+            ("objective", "availability".to_owned()),
+            ("to", "page".to_owned()),
+        ];
+        let paths = [
+            "/query?table=sps",
+            "/query?table=sps&instance_type=m5.large&format=csv",
+            "/latest?table=sps&region=us-east-1",
+            "/at?table=sps&timestamp=700&instance_type=p3.2xlarge",
+            "/query?table=sps&instance_type=m5.large&explain=1",
+            "/window?table=sps&window=1200&agg=max",
+            "/health",
+            "/query?table=nope",
+            "/latest?table=advisor&format=csv&explain=true",
+            "/window?table=sps&window=600&agg=count&instance_type=m5.large&explain=1",
+        ];
+        for (round, tick) in [(0, 3), (1, 4)] {
+            let ops = OpsContext {
+                tick,
+                request_id: 100 + round,
+                ..OpsContext::none()
+            };
+            for path in paths {
+                let request = HttpRequest::get(path).unwrap();
+                let before = gateway.flight().observed();
+                gateway.handle(&db, &request, &ops);
+                if gateway.flight().observed() == before {
+                    continue; // not a row query the store answered
+                }
+                let traces = lock(&gateway.traces);
+                let (profile, query, cost) = traces.newest_query().expect("a query record");
+                assert_eq!(query, request.path_and_query());
+                assert_eq!(cost, profile.cost());
+                append_query_spans(&mut reference, profile, &request.path_and_query(), cost);
+            }
+            gateway.record_event(tick, "slo_alert", &alert);
+            reference.event(tick, "slo_alert", &alert);
+        }
+        let rendered = gateway.query_trace_text();
+        assert_eq!(gateway.flight().observed(), 16);
+        assert_eq!(rendered, reference.render());
+        assert!(rendered.starts_with(
+            "{\"kind\":\"header\",\"schema\":\"spotlake-trace\",\"version\":2,\"entries\":114}\n"
+        ));
+        assert_eq!(
+            spotlake_obs::TraceJournal::parse(&rendered)
+                .expect("parses")
+                .render(),
+            rendered
+        );
+    }
+
+    /// The fields of one rendered journal line this test reads.
+    fn line_fields(line: &str) -> (u64, Option<u64>, Option<u64>) {
+        let number = |key: &str| {
+            line.split(&format!("\"{key}\":"))
+                .nth(1)
+                .and_then(|rest| rest.split([',', '}']).next())
+                .and_then(|n| n.trim_matches('"').parse().ok())
+        };
+        (
+            number("seq").expect("seq"),
+            number("parent"),
+            number("trace_id"),
+        )
+    }
+
+    #[test]
+    fn query_traces_keep_only_the_newest_capacity_queries() {
+        use crate::traces::QUERY_TRACE_CAPACITY as CAP;
+        let db = archive();
+        let gateway = Gateway::new();
+        let ops = OpsContext::none();
+        let paths = [
+            "/query?table=sps&instance_type=m5.large",
+            "/latest?table=sps",
+            "/window?table=sps&window=1200",
+        ];
+        for i in 0..3 * CAP {
+            let request = HttpRequest::get(paths[i % paths.len()]).unwrap();
+            assert_eq!(gateway.handle(&db, &request, &ops).status, 200);
+            assert!(lock(&gateway.traces).len() <= CAP);
+        }
+        assert_eq!(gateway.flight().observed(), 3 * CAP as u64);
+        assert_eq!(lock(&gateway.traces).len(), CAP);
+
+        let text = gateway.query_trace_text();
+        let mut lines = text.lines();
+        let header = lines.next().expect("header");
+        // A query renders as its root span and six stage spans.
+        let entries = 7 * CAP;
+        assert!(
+            header.ends_with(&format!("\"entries\":{entries}}}")),
+            "{header}"
+        );
+        let first_seq = 7 * 2 * CAP as u64;
+        let mut root = None;
+        let mut trace_ids = Vec::new();
+        for (i, line) in lines.enumerate() {
+            let (seq, parent, trace_id) = line_fields(line);
+            assert_eq!(seq, first_seq + i as u64, "seq is continuous: {line}");
+            if line.contains("\"name\":\"query\"") {
+                assert_eq!(parent, None);
+                root = Some(seq);
+                trace_ids.push(trace_id.expect("a root carries its trace id"));
+            } else {
+                assert_eq!(parent, root, "a stage span names its root: {line}");
+            }
+        }
+        assert_eq!(text.lines().count(), 1 + entries);
+        // The newest `CAP` queries, in order: trace ids 2·CAP .. 3·CAP.
+        let expected: Vec<u64> = (2 * CAP as u64..3 * CAP as u64).collect();
+        assert_eq!(trace_ids, expected);
+        let parsed = spotlake_obs::TraceJournal::parse(&text).expect("parses");
+        assert_eq!(parsed.render(), text, "a trimmed document round-trips");
+    }
+
+    #[test]
+    fn two_threads_hammering_handle_keep_ids_and_traces_whole() {
+        let db = archive();
+        let gateway = Gateway::new();
+        const PER_THREAD: usize = 200;
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (db, gateway) = (&db, &gateway);
+                scope.spawn(move || {
+                    let ops = OpsContext {
+                        request_id: t,
+                        ..OpsContext::none()
+                    };
+                    for i in 0..PER_THREAD {
+                        let path = match i % 5 {
+                            0 => "/query?table=sps&instance_type=m5.large",
+                            1 => "/latest?table=sps&format=csv",
+                            2 => "/window?table=sps&window=600&explain=1",
+                            3 => "/debug/traces",
+                            _ => "/metrics",
+                        };
+                        let response = gateway.handle(db, &HttpRequest::get(path).unwrap(), &ops);
+                        assert_eq!(response.status, 200, "{path}");
+                    }
+                    if t == 0 {
+                        gateway.record_event(1, "slo_alert", &[("to", "page".to_owned())]);
+                    }
+                });
+            }
+        });
+        let queries = 2 * 3 * PER_THREAD / 5;
+        assert_eq!(gateway.flight().observed(), queries as u64);
+        let text = gateway.query_trace_text();
+        let mut trace_ids = Vec::new();
+        let mut root = None;
+        for (i, line) in text.lines().skip(1).enumerate() {
+            let (seq, parent, trace_id) = line_fields(line);
+            assert_eq!(seq, i as u64);
+            if line.contains("\"name\":\"query\"") {
+                root = Some(seq);
+                trace_ids.push(trace_id.expect("trace id"));
+            } else if line.contains("\"kind\":\"span\"") {
+                assert_eq!(parent, root, "{line}");
+            }
+        }
+        trace_ids.sort_unstable();
+        assert_eq!(trace_ids, (0..queries as u64).collect::<Vec<_>>());
+        let http = gateway.http_metrics().render();
+        assert!(
+            http.contains(&format!(
+                "spotlake_http_requests_total{{path=\"/metrics\",status=\"200\"}} {}",
+                2 * PER_THREAD / 5
+            )),
+            "{http}"
+        );
+    }
+
+    #[test]
+    fn trace_ids_are_sequential() {
+        let gateway = Gateway::new();
+        let ops = OpsContext::none();
+        let ids: Vec<u64> = (0..3).map(|_| gateway.new_ctx(&ops).trace_id).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        // A clone continues the count rather than restarting it.
+        assert_eq!(gateway.clone().new_ctx(&ops).trace_id, 3);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Minimal HTTP request/response model (the "API Gateway" wire format).
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -102,16 +103,42 @@ impl HttpRequest {
     /// their original order, so the same request always renders the same
     /// way in flight-recorder entries and trace spans.
     pub fn path_and_query(&self) -> String {
-        if self.params.is_empty() {
-            return self.path.clone();
+        let len = self.path.len()
+            + self
+                .params
+                .iter()
+                .map(|(k, v)| k.len() + v.len() + 2)
+                .sum::<usize>();
+        let mut out = String::with_capacity(len);
+        out.push_str(&self.path);
+        for (i, (k, v)) in self.params.iter().enumerate() {
+            out.push(if i == 0 { '?' } else { '&' });
+            out.push_str(k);
+            out.push('=');
+            out.push_str(v);
         }
-        let query: Vec<String> = self
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        format!("{}?{}", self.path, query.join("&"))
+        out
     }
+}
+
+/// A response status as a metric's `status` label: a static string for
+/// every status this server answers with, so labelling one allocates
+/// nothing.
+pub(crate) fn status_label(status: u16) -> Cow<'static, str> {
+    Cow::Borrowed(match status {
+        200 => "200",
+        400 => "400",
+        404 => "404",
+        405 => "405",
+        408 => "408",
+        413 => "413",
+        431 => "431",
+        500 => "500",
+        503 => "503",
+        504 => "504",
+        505 => "505",
+        other => return Cow::Owned(other.to_string()),
+    })
 }
 
 /// Percent-decoding for query strings (`%xx` and `+` → space).

@@ -60,6 +60,7 @@ mod insights;
 pub mod json;
 mod ops;
 pub mod server;
+mod traces;
 
 pub use gateway::{ArchiveService, Gateway};
 pub use http::{HttpRequest, HttpResponse, ServeError};

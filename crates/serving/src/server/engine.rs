@@ -55,7 +55,7 @@ use super::metrics::{PhaseStats, ServerMetrics, ServerTotals};
 use super::shared::SharedArchive;
 use super::wire::{self, HeadReader, WireLimits};
 use crate::gateway::Gateway;
-use crate::http::HttpResponse;
+use crate::http::{status_label, HttpResponse};
 use crate::json::Json;
 use crate::ops::OpsContext;
 use spotlake_obs::{
@@ -569,16 +569,15 @@ fn serve_request(
         }
     };
     let parse_end = elapsed_micros(epoch).max(dequeued_micros);
-    let target = match &parsed {
-        Ok(request) => request.path_and_query(),
-        Err(_) => "-".to_owned(),
-    };
     // Only a well-formed request that did not ask to close may keep the
     // connection: after a wire error the framing of whatever follows
     // cannot be trusted.
     let client_keeps = parsed.as_ref().is_ok_and(|request| !request.wants_close());
 
-    let (response, status_label): (Option<HttpResponse>, String) = match parsed {
+    // The status label is static for every status the server answers
+    // with; the slow-request record copies it only if it keeps the
+    // request.
+    let (response, status) = match &parsed {
         Err(err) => match err.status() {
             Some(408) => {
                 state.metrics.slow_client_closed();
@@ -588,7 +587,7 @@ fn serve_request(
                 state.metrics.bad_request(status);
                 (
                     Some(HttpResponse::error(status, &err.reason())),
-                    status.to_string(),
+                    status_label(status),
                 )
             }
             None => (None, "aborted".into()),
@@ -599,15 +598,15 @@ fn serve_request(
             // most exactly when the data plane is timing out.
             if request.path() == "/debug/requests" {
                 let resp = debug_requests_json(state);
-                let label = resp.status.to_string();
+                let label = status_label(resp.status);
                 (Some(resp), label)
             } else if request.path() == "/debug/telemetry" {
                 let resp = debug_telemetry(state);
-                let label = resp.status.to_string();
+                let label = status_label(resp.status);
                 (Some(resp), label)
             } else if request.path() == "/debug/slo" {
                 let resp = debug_slo(state);
-                let label = resp.status.to_string();
+                let label = status_label(resp.status);
                 (Some(resp), label)
             } else if start.elapsed() >= state.deadline {
                 state.metrics.deadline_exceeded();
@@ -638,7 +637,7 @@ fn serve_request(
                         request_id,
                         ..OpsContext::default()
                     };
-                    state.gateway.handle(&snapshot, &request, &ops)
+                    state.gateway.handle(&snapshot, request, &ops)
                 }));
                 match outcome {
                     Ok(_) if start.elapsed() > state.deadline => {
@@ -651,7 +650,7 @@ fn serve_request(
                         )
                     }
                     Ok(resp) => {
-                        let label = resp.status.to_string();
+                        let label = status_label(resp.status);
                         (Some(resp), label)
                     }
                     Err(_) => {
@@ -690,9 +689,9 @@ fn serve_request(
     }
     let write_end = elapsed_micros(epoch).max(handle_end);
     let micros = start.elapsed().as_secs_f64() * 1_000_000.0;
-    state.metrics.request_finished(&status_label, micros);
+    state.metrics.request_finished(&status, micros);
 
-    let phases = vec![
+    let phases = [
         span("queue_wait", 0, dequeued_micros),
         span("parse", dequeued_micros, parse_end),
         span("handle", parse_end, handle_end),
@@ -703,13 +702,19 @@ fn serve_request(
             .metrics
             .phase(phase.phase, phase.duration_micros() as f64);
     }
-    state.requests.record(RequestRecord {
-        request_id,
-        target,
-        status: status_label,
-        total_micros: elapsed_micros(epoch),
-        phases,
-    });
+    let total_micros = elapsed_micros(epoch);
+    state
+        .requests
+        .record_with((total_micros, request_id), || RequestRecord {
+            request_id,
+            target: match &parsed {
+                Ok(request) => request.path_and_query(),
+                Err(_) => "-".to_owned(),
+            },
+            status: status.into_owned(),
+            total_micros,
+            phases: phases.to_vec(),
+        });
     if response.is_some() && !keep {
         linger_close(conn, 32);
     }

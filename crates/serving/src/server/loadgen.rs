@@ -323,15 +323,6 @@ pub struct SlowSample {
 const SLOWEST_KEPT: usize = 5;
 
 impl LoadReport {
-    /// Responses in the 5xx range (shed 503s included).
-    pub fn fivexx(&self) -> u64 {
-        self.statuses
-            .iter()
-            .filter(|(s, _)| (500..600).contains(*s))
-            .map(|(_, n)| n)
-            .sum()
-    }
-
     /// Renders the `BENCH_serving.json` document (schema version 3),
     /// optionally folding in the server's own totals, per-phase latency
     /// summaries, and final SLO verdicts (when the caller owns the
@@ -997,7 +988,6 @@ mod tests {
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
-        assert_eq!(report.fivexx(), 1);
         assert!(report.to_json(None, &[], None).contains("\"server\":null"));
         assert!(report
             .to_json(None, &[], None)

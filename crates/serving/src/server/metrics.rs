@@ -6,6 +6,7 @@
 //! levels the engine acts on — requests in flight and connections
 //! queued — are kept in atomics as well.
 
+use crate::http::status_label;
 use spotlake_obs::names::{
     SERVER_BAD_REQUESTS_TOTAL, SERVER_CONNECTIONS_TOTAL, SERVER_DEADLINE_EXCEEDED_TOTAL,
     SERVER_INFLIGHT, SERVER_PHASE_MICROS, SERVER_QUEUE_DEPTH, SERVER_REQUESTS_TOTAL,
@@ -184,9 +185,9 @@ impl ServerMetrics {
 
     /// The wire parser rejected a request with `status`.
     pub fn bad_request(&self, status: u16) {
-        let status = status.to_string();
+        let status = status_label(status);
         self.registry
-            .counter_add(SERVER_BAD_REQUESTS_TOTAL, &[("status", status.as_str())], 1);
+            .counter_add(SERVER_BAD_REQUESTS_TOTAL, &[("status", &status)], 1);
     }
 
     /// A handler panic was caught and converted to a 500.

@@ -260,7 +260,7 @@ pub fn parse_head(head: &[u8], limits: &WireLimits) -> Result<HttpRequest, WireE
 }
 
 /// The canonical reason phrase for the statuses this server emits.
-pub fn status_reason(status: u16) -> &'static str {
+fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -7,8 +7,8 @@
 //! in *work units* instead: series examined, storage chunks decompressed,
 //! rows decoded and filtered, bytes serialized. The store fills a
 //! [`QueryProfile`] as a query executes; the serving layer finishes it
-//! with response size and turns it into spans, flight-recorder entries,
-//! and EXPLAIN bodies.
+//! with response size and keeps it as a query trace, a flight-recorder
+//! entry, or an EXPLAIN body.
 
 use crate::query::Query;
 use spotlake_obs::QueryCtx;
@@ -33,7 +33,7 @@ pub struct QueryProfile {
     pub from: u64,
     /// See `from`.
     pub to: u64,
-    /// Trace id correlating this profile with journal spans and flight
+    /// Trace id correlating this profile with query traces and flight
     /// records (0 when the query ran without a context).
     pub trace_id: u64,
     /// Wire-level request id (0 for in-process queries) — joins the
@@ -122,10 +122,11 @@ impl QueryProfile {
     }
 
     /// The stage costs as `(stage, name, value)` triples in execution
-    /// order — the EXPLAIN body and the journal's child spans are both
-    /// generated from this one list so they cannot drift apart.
-    pub fn stages(&self) -> Vec<(&'static str, &'static str, u64)> {
-        vec![
+    /// order, one stage's counters contiguous — the EXPLAIN body and the
+    /// query traces' child spans are both generated from this one list so
+    /// they cannot drift apart.
+    pub fn stages(&self) -> [(&'static str, &'static str, u64); 10] {
+        [
             ("resolve", "tables_considered", self.tables_considered),
             ("prune", "series_total", self.series_total),
             ("prune", "series_examined", self.series_examined),
