@@ -1138,12 +1138,11 @@ impl Dataset {
 /// no AZ). Live series and recovery priming both key through here, so a
 /// recovered series primes exactly the key a live round observes. Runs
 /// once per series, never per record.
-fn write_coverage_key(key: &mut String, dims: &[(String, String)]) {
-    let dim = |name: &str| {
-        dims.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
+fn write_coverage_key<'d>(
+    key: &mut String,
+    dims: impl Iterator<Item = (&'d str, &'d str)> + Clone,
+) {
+    let dim = |name: &str| dims.clone().find(|&(k, _)| k == name).map(|(_, v)| v);
     key.clear();
     key.push_str(dim("instance_type").unwrap_or("?"));
     key.push(':');
@@ -1175,7 +1174,7 @@ impl CoverageKeys {
                 .ok()
                 .and_then(|s| book.dimensions(s))
                 .unwrap_or_default();
-            write_coverage_key(&mut key, dims);
+            write_coverage_key(&mut key, dims.iter().map(|(k, v)| (k.as_str(), v.as_str())));
             self.keys.push(quality.key(self.dataset.name(), &key));
         }
     }
@@ -1202,7 +1201,7 @@ fn prime_quality(quality: &mut QualityMonitor, db: &Database, tick: u64) {
         };
         let mut key = String::new();
         for (_measure, dims) in t.series_dimension_sets() {
-            write_coverage_key(&mut key, dims);
+            write_coverage_key(&mut key, dims.iter());
             let k = quality.key(dataset.name(), &key);
             quality.observe(k, tick);
         }
@@ -1504,7 +1503,7 @@ mod tests {
             .unwrap();
         assert!(!rows.is_empty());
         assert!(rows.iter().all(|r| {
-            r.dimensions
+            r.dimensions()
                 .iter()
                 .any(|(k, v)| k == "instance_type" && v == "m5.large")
         }));

@@ -411,7 +411,7 @@ mod tests {
             )
             .expect("price table exists");
         assert!(azure.iter().any(|r| r
-            .dimensions
+            .dimensions()
             .iter()
             .any(|(k, v)| k == "sku" && v.starts_with("Standard_"))));
     }

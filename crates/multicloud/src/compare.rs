@@ -77,10 +77,10 @@ impl MultiCloudCollector {
             )?;
             for row in savings {
                 let Some(shape) = row
-                    .dimensions
+                    .dimensions()
                     .iter()
-                    .find(|(k, _)| k == "shape")
-                    .map(|(_, v)| v.clone())
+                    .find(|&(k, _)| k == "shape")
+                    .map(|(_, v)| v.to_owned())
                 else {
                     continue;
                 };
@@ -94,10 +94,10 @@ impl MultiCloudCollector {
             )?;
             for row in availability {
                 let Some(shape) = row
-                    .dimensions
+                    .dimensions()
                     .iter()
-                    .find(|(k, _)| k == "shape")
-                    .map(|(_, v)| v.clone())
+                    .find(|&(k, _)| k == "shape")
+                    .map(|(_, v)| v.to_owned())
                 else {
                     continue;
                 };

@@ -1,22 +1,32 @@
 //! CSV export for bulk downloads.
 
-use spotlake_timestream::RowScan;
+use crate::pairs::EncodedPairs;
+use spotlake_timestream::{PairId, RowScan};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Renders a row answer as CSV: a `time,value` prefix plus one column per
 /// dimension key any returned row carries (blank where a row lacks the
-/// key). Fields containing commas, quotes, or newlines are quoted per
-/// RFC 4180. A series' keys are read, and its columns encoded, once per
-/// response: at its first row.
+/// key; the first value where it repeats one). Fields containing commas,
+/// quotes, or newlines are quoted per RFC 4180. A pair's key is read, and
+/// its `,value` field encoded, once per response: at its first use.
 pub(crate) fn rows_csv(scan: &RowScan<'_>) -> String {
-    let mut seen = vec![false; scan.series_count()];
-    let mut dim_keys: BTreeSet<&str> = BTreeSet::new();
+    let pairs = scan.pairs();
+    // By pair id: the header column of its key, once a row uses it.
+    let mut column = vec![usize::MAX; pairs.len()];
+    let mut used: Vec<(PairId, &str)> = Vec::new();
     for row in scan.iter() {
-        if !std::mem::replace(&mut seen[row.series], true) {
-            dim_keys.extend(row.dimensions.iter().map(|(k, _)| k.as_str()));
+        for &id in row.dimensions.ids() {
+            match column.get_mut(id as usize) {
+                Some(c) if *c == usize::MAX => {
+                    *c = 0;
+                    used.extend(pairs.get(id).map(|(k, _)| (id, k)));
+                }
+                _ => {}
+            }
         }
     }
+    let dim_keys: BTreeSet<&str> = used.iter().map(|&(_, k)| k).collect();
 
     let mut out = String::new();
     out.push_str("time,value");
@@ -26,44 +36,36 @@ pub(crate) fn rows_csv(scan: &RowScan<'_>) -> String {
     }
     out.push('\n');
 
-    // Where each series' columns sit in `out`; empty until its first row
-    // writes them.
-    let mut written = vec![(0usize, 0usize); scan.series_count()];
+    let keys: Vec<&str> = dim_keys.into_iter().collect();
+    for (id, key) in used {
+        if let (Some(c), Ok(at)) = (column.get_mut(id as usize), keys.binary_search(&key)) {
+            *c = at;
+        }
+    }
+    let mut fields = EncodedPairs::new(pairs, |out, _, value| {
+        out.push(',');
+        push_field(out, value);
+    });
+    // By column: the pair filling it in the current row.
+    let mut filled: Vec<Option<PairId>> = vec![None; keys.len()];
     for row in scan.iter() {
         let _ = write!(out, "{},", row.time);
         push_value(&mut out, row.value);
-        match written[row.series] {
-            (start, end) if start < end => out.extend_from_within(start..end),
-            _ => {
-                let start = out.len();
-                push_columns(&mut out, row.dimensions, &dim_keys);
-                written[row.series] = (start, out.len());
+        filled.fill(None);
+        for &id in row.dimensions.ids() {
+            if let Some(slot @ None) = column.get(id as usize).and_then(|&c| filled.get_mut(c)) {
+                *slot = Some(id);
+            }
+        }
+        for slot in &filled {
+            match slot {
+                Some(id) => fields.write(&mut out, *id),
+                None => out.push(','),
             }
         }
         out.push('\n');
     }
     out
-}
-
-/// Appends the dimension columns of a row carrying `dims`, one per
-/// header key.
-fn push_columns(out: &mut String, dims: &[(String, String)], dim_keys: &BTreeSet<&str>) {
-    // Dimensions carrying exactly the header's keys, in the header's
-    // order, fill their columns left to right.
-    let aligned =
-        dims.len() == dim_keys.len() && dims.iter().zip(dim_keys).all(|((k, _), want)| k == want);
-    if aligned {
-        for (_, v) in dims {
-            out.push(',');
-            push_field(out, v);
-        }
-    } else {
-        for k in dim_keys {
-            out.push(',');
-            let v = dims.iter().find(|(rk, _)| rk == k).map(|(_, v)| v.as_str());
-            push_field(out, v.unwrap_or(""));
-        }
-    }
 }
 
 fn push_value(out: &mut String, v: f64) {

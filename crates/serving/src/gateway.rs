@@ -4,9 +4,12 @@ use crate::csv::rows_csv;
 use crate::http::{status_label, HttpRequest, HttpResponse};
 use crate::json::{self, Json};
 use crate::ops::OpsContext;
+use crate::pairs::EncodedPairs;
 use crate::traces::QueryTraces;
 use spotlake_obs::{names, FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry};
-use spotlake_timestream::{Aggregate, Database, Query, QueryProfile, RowKind, RowScan, TsError};
+use spotlake_timestream::{
+    Aggregate, Database, PairId, Query, QueryProfile, RowKind, RowScan, TsError,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -584,9 +587,10 @@ fn route(
 /// byte for byte what rendering a [`Json`] tree of the same fields gives
 /// (object keys in order — `degraded`, `quarantined_shards`, `rows`,
 /// `truncated`; per row `dimensions`, `time`, `value`), without building
-/// the tree or copying a dimension string to get there. A series'
-/// `"dimensions":{…}` member is encoded once per response, at its first
-/// row, and copied from there for its later rows.
+/// the tree or reading a dimension string per row to get there. Each
+/// dimension pair's `"key":"value"` member is encoded once per response,
+/// at its first use, and every later row copies it from there
+/// ([`EncodedPairs`]).
 fn rows_json(scan: &RowScan<'_>, degraded: &[String]) -> String {
     let mut out = String::with_capacity(64 + 128 * scan.len());
     out.push('{');
@@ -601,23 +605,31 @@ fn rows_json(scan: &RowScan<'_>, degraded: &[String]) -> String {
         out.push_str("],");
     }
     out.push_str("\"rows\":[");
-    // Where each series' dimensions member sits in `out`; empty until its
-    // first row writes it.
-    let mut written = vec![(0usize, 0usize); scan.series_count()];
+    let pairs = scan.pairs();
+    let mut members = EncodedPairs::new(pairs, |out, key, value| {
+        json::write_string(out, key);
+        out.push(':');
+        json::write_string(out, value);
+    });
     for (i, row) in scan.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('{');
-        match written[row.series] {
-            (start, end) if start < end => out.extend_from_within(start..end),
-            _ => {
-                let start = out.len();
-                write_dimensions(&mut out, row.dimensions);
-                written[row.series] = (start, out.len());
-            }
+        out.push_str("{\"dimensions\":{");
+        let dimensions = row.dimensions;
+        if dimensions.keys_sorted() {
+            write_members(&mut out, &mut members, dimensions.ids().iter().copied());
+        } else {
+            // What collecting into a `Json::Object` does: keys in order,
+            // the last of a repeated key kept.
+            let by_key: BTreeMap<&str, PairId> = dimensions
+                .ids()
+                .iter()
+                .filter_map(|&id| Some((pairs.get(id)?.0, id)))
+                .collect();
+            write_members(&mut out, &mut members, by_key.into_values());
         }
-        out.push_str(",\"time\":");
+        out.push_str("},\"time\":");
         json::write_number(&mut out, row.time as f64);
         out.push_str(",\"value\":");
         json::write_number(&mut out, row.value);
@@ -629,30 +641,17 @@ fn rows_json(scan: &RowScan<'_>, degraded: &[String]) -> String {
     out
 }
 
-/// Appends the `"dimensions":{…}` member of a row of a series with these
-/// dimensions.
-fn write_dimensions(out: &mut String, dimensions: &[(String, String)]) {
-    out.push_str("\"dimensions\":{");
-    if dimensions.is_sorted_by(|a, b| a.0 < b.0) {
-        write_pairs(out, dimensions.iter().map(|(k, v)| (k, v)));
-    } else {
-        // What collecting into a `Json::Object` does: keys in order, the
-        // last of a repeated key kept.
-        let by_key: BTreeMap<&String, &String> = dimensions.iter().map(|(k, v)| (k, v)).collect();
-        write_pairs(out, by_key.into_iter());
-    }
-    out.push('}');
-}
-
-/// Appends `"key":"value"` members, comma-separated.
-fn write_pairs<'a>(out: &mut String, pairs: impl Iterator<Item = (&'a String, &'a String)>) {
-    for (i, (k, v)) in pairs.enumerate() {
+/// Appends the encoded members of the pairs `ids`, comma-separated.
+fn write_members(
+    out: &mut String,
+    members: &mut EncodedPairs<'_>,
+    ids: impl Iterator<Item = PairId>,
+) {
+    for (i, id) in ids.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        json::write_string(out, k);
-        out.push(':');
-        json::write_string(out, v);
+        members.write(out, id);
     }
 }
 

@@ -59,6 +59,7 @@ mod http;
 mod insights;
 pub mod json;
 mod ops;
+mod pairs;
 pub mod server;
 mod traces;
 

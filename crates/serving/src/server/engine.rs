@@ -62,6 +62,7 @@ use spotlake_obs::{
     AlertState, HealthReport, PhaseSpan, Readiness, Registry, RequestRecord, RequestRecorder,
     SloReport, SloSet, SloTracker, TelemetryRecorder,
 };
+use std::fmt::Display;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -416,15 +417,12 @@ fn accept_loop(
                 let mut conn = admitted.conn;
                 let _ = conn.set_write_timeout(Some(state.write_timeout));
                 let response = HttpResponse::error(503, "admission queue full; retry shortly");
-                let _ = wire::write_response(
-                    &mut conn,
-                    &response,
-                    &[
-                        ("connection", "close".to_owned()),
-                        ("retry-after", retry_after_secs.to_string()),
-                        ("x-spotlake-request-id", admitted.request_id.to_string()),
-                    ],
-                );
+                let headers: [(&str, &dyn Display); 3] = [
+                    ("connection", &"close"),
+                    ("retry-after", &retry_after_secs),
+                    ("x-spotlake-request-id", &admitted.request_id),
+                ];
+                let _ = wire::write_response(&mut conn, &response, &headers);
                 // The client's request head may still be in flight. The
                 // listener must get back to accepting, so it drains less
                 // than a worker does.
@@ -676,11 +674,11 @@ fn serve_request(
             && !state.stopping.load(Ordering::SeqCst)
             && state.metrics.queued() == 0;
         let connection = if keep { "keep-alive" } else { "close" };
-        let extras = [
-            ("connection", connection.to_owned()),
-            ("x-spotlake-request-id", request_id.to_string()),
+        let headers: [(&str, &dyn Display); 2] = [
+            ("connection", &connection),
+            ("x-spotlake-request-id", &request_id),
         ];
-        if let Err(e) = wire::write_response(conn, response, &extras) {
+        if let Err(e) = wire::write_response(conn, response, &headers) {
             keep = false;
             if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut {
                 state.metrics.slow_client_closed();

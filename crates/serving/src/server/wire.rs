@@ -17,7 +17,8 @@
 //! `connection` header the engine passes it.
 
 use crate::http::{HttpRequest, HttpResponse};
-use std::io::{ErrorKind, Read, Write};
+use std::fmt::Display;
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Byte and count limits the parser enforces before interpreting input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,37 +278,67 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
+/// Room for a head: the status line, three or four headers and the
+/// blank line fit without growing the buffer.
+const HEAD_CAPACITY: usize = 256;
+
+/// Appends the head of `response` to `out`: status line, `content-type`,
+/// `content-length` of the body, `extra_headers` in order, blank line.
+/// Each line is formatted in place.
+fn write_head<V: Display>(out: &mut Vec<u8>, response: &HttpResponse, extra_headers: &[(&str, V)]) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
+        response.status,
+        status_reason(response.status),
+        response.content_type,
+        response.body.len()
+    );
+    for (name, value) in extra_headers {
+        let _ = write!(out, "{name}: {value}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
 /// Serializes `response` as a complete HTTP/1.1 message framed by
 /// `content-length`, followed by `extra_headers` in order. The
 /// `connection` header is the caller's to pass: the engine sends `close`
 /// or `keep-alive` on every response.
 pub fn encode_response(response: &HttpResponse, extra_headers: &[(&str, String)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + response.body.len());
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {} {}\r\n",
-            response.status,
-            status_reason(response.status)
-        )
-        .as_bytes(),
-    );
-    out.extend_from_slice(format!("content-type: {}\r\n", response.content_type).as_bytes());
-    out.extend_from_slice(format!("content-length: {}\r\n", response.body.len()).as_bytes());
-    for (name, value) in extra_headers {
-        out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-    }
-    out.extend_from_slice(b"\r\n");
+    let mut out = Vec::with_capacity(HEAD_CAPACITY + response.body.len());
+    write_head(&mut out, response, extra_headers);
     out.extend_from_slice(&response.body);
     out
 }
 
-/// Writes `response` to the socket in one shot.
-pub fn write_response(
+/// Writes `response` to the socket — the bytes [`encode_response`] gives
+/// — without copying the body: the head is formatted into a buffer of
+/// its own, and head and body go out in vectored writes, resumed where a
+/// short write stopped. A header value is anything that displays, so a
+/// caller formats no `String` for it.
+pub fn write_response<V: Display>(
     writer: &mut impl Write,
     response: &HttpResponse,
-    extra_headers: &[(&str, String)],
+    extra_headers: &[(&str, V)],
 ) -> std::io::Result<()> {
-    writer.write_all(&encode_response(response, extra_headers))?;
+    let mut head = Vec::with_capacity(HEAD_CAPACITY);
+    write_head(&mut head, response, extra_headers);
+    let mut slices = [IoSlice::new(&head), IoSlice::new(&response.body)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::WriteZero,
+                    "the socket took no byte of the response",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
 }
 
@@ -511,6 +542,90 @@ mod tests {
         // The connection header is the caller's: none is invented.
         let bare = String::from_utf8(encode_response(&resp, &[])).unwrap();
         assert!(!bare.contains("connection"), "{bare}");
+    }
+
+    /// A socket that takes at most a few bytes per call — 1 to 7, in
+    /// turn — whether written whole or vectored, and is interrupted once.
+    struct Trickle {
+        got: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Trickle {
+        fn take(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls == 2 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = bytes.len().min(1 + self.calls % 7);
+            self.got.extend_from_slice(&bytes[..n]);
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.take(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let joined: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            self.take(&joined)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_written_a_few_bytes_at_a_time_is_its_encoding() {
+        let big = HttpResponse::json("x".repeat(10_000));
+        let empty = HttpResponse {
+            status: 404,
+            content_type: "text/plain",
+            body: Vec::new(),
+        };
+        for response in [&big, &empty, &HttpResponse::error(503, "busy")] {
+            let owned = [
+                ("connection", "keep-alive".to_owned()),
+                ("x-spotlake-request-id", "42".to_owned()),
+            ];
+            let displayed: [(&str, &dyn Display); 2] = [
+                ("connection", &"keep-alive"),
+                ("x-spotlake-request-id", &42u64),
+            ];
+            let mut socket = Trickle {
+                got: Vec::new(),
+                calls: 0,
+            };
+            write_response(&mut socket, response, &displayed).unwrap();
+            assert_eq!(socket.got, encode_response(response, &owned));
+            assert!(socket.calls > 2, "many short writes");
+
+            let mut whole = Vec::new();
+            write_response(&mut whole, response, &owned).unwrap();
+            assert_eq!(whole, encode_response(response, &owned));
+        }
+    }
+
+    #[test]
+    fn a_socket_that_takes_nothing_is_an_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_response(
+            &mut Full,
+            &HttpResponse::json("{}".to_owned()),
+            &[] as &[(&str, u64)],
+        );
+        assert_eq!(err.unwrap_err().kind(), ErrorKind::WriteZero);
     }
 
     #[test]

@@ -69,9 +69,9 @@ fn rows_json_by_tree(rows: &[Row], truncated: bool, degraded: &[String]) -> Stri
         .iter()
         .map(|row| {
             let dims = Json::Object(
-                row.dimensions
+                row.dimensions()
                     .iter()
-                    .map(|(k, v)| (k.clone(), Json::string(v)))
+                    .map(|(k, v)| (k.to_owned(), Json::string(v)))
                     .collect(),
             );
             Json::object([
@@ -98,7 +98,7 @@ fn rows_json_by_tree(rows: &[Row], truncated: bool, degraded: &[String]) -> Stri
 fn rows_csv_by_search(rows: &[Row]) -> String {
     let keys: BTreeSet<&str> = rows
         .iter()
-        .flat_map(|r| r.dimensions.iter().map(|(k, _)| k.as_str()))
+        .flat_map(|r| r.dimensions().iter().map(|(k, _)| k))
         .collect();
     let field = |f: &str| {
         if f.contains([',', '"', '\n', '\r']) {
@@ -120,7 +120,7 @@ fn rows_csv_by_search(rows: &[Row]) -> String {
         };
         out.push_str(&format!("{},{value}", row.time));
         for k in &keys {
-            let v = row.dimensions.iter().find(|(rk, _)| rk == k);
+            let v = row.dimensions().iter().find(|(rk, _)| rk == k);
             out.push_str(&format!(",{}", field(v.map_or("", |(_, v)| v))));
         }
         out.push('\n');
@@ -128,13 +128,26 @@ fn rows_csv_by_search(rows: &[Row]) -> String {
     out
 }
 
-/// Dimension sets for generated series: keys that repeat, arrive out of
-/// order or go missing; values with quotes, backslashes, control
-/// characters, CSV separators and non-ASCII text.
+/// Dimension sets for generated series, drawn from a small pool of pairs
+/// so that series share pairs and the encoders' per-pair bytes are reused
+/// across series: keys that repeat, arrive out of order or go missing;
+/// values with quotes, backslashes, control characters, CSV separators
+/// and non-ASCII text; and one value under two keys.
 fn arb_dimension_sets() -> impl Strategy<Value = Vec<Vec<(String, String)>>> {
     let key = prop_oneof![Just("az"), Just("region"), Just("k\""), Just("é")];
     let pair = (key, "[a-c\"\\\n\r\t\u{1}\u{1f},é日 ]{0,8}").prop_map(|(k, v)| (k.to_owned(), v));
-    prop::collection::vec(prop::collection::vec(pair, 0..4), 1..5)
+    let pool = prop::collection::vec(pair, 1..5).prop_map(|mut pool| {
+        for key in ["az", "region"] {
+            pool.push((key.to_owned(), "one,\"value\"".to_owned()));
+        }
+        pool
+    });
+    let sets = prop::collection::vec(prop::collection::vec(0usize..8, 0..5), 1..5);
+    (pool, sets).prop_map(|(pool, sets)| {
+        sets.iter()
+            .map(|set| set.iter().map(|&i| pool[i % pool.len()].clone()).collect())
+            .collect()
+    })
 }
 
 /// Values that take each branch of the number writer. The store refuses

@@ -23,7 +23,7 @@
 //! writes by id.
 
 use crate::error::TsError;
-use crate::record::{dimension_value, series_key, Record, Spelled};
+use crate::record::{dimension_value, pairs, series_key, Record, Spelled};
 use crate::table::{Filed, Table};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -32,12 +32,13 @@ use std::sync::Arc;
 /// A series' id in its [`SeriesBook`].
 pub type SeriesRef = u32;
 
-/// A series' dimensions as the book and the store share them.
-pub(crate) type Dimensions = Arc<[(String, String)]>;
-
 /// A record's series as [`SeriesBook::from_records`] tells them apart:
 /// measure and dimensions, borrowed.
 type SeriesName<'r> = (&'r str, &'r [(String, String)]);
+
+/// A booked series as the store files it: measure name, the shared
+/// dimension key and the dimensions ([`SeriesBook::filing`]).
+pub(crate) type Filing<'b> = (&'b str, &'b Arc<str>, &'b [(String, String)]);
 
 /// One point of a booked series: what a write batch carries per record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,16 +51,18 @@ pub struct Point {
     pub value: f64,
 }
 
-/// One booked series: spelled once, shared with the store that files it.
+/// One booked series, spelled once: the store files it under the same
+/// key allocation and the ids of its pairs in the measure's dictionary.
+/// The book keeps its own spelling, which every log record of the series
+/// spells again.
 #[derive(Debug, Clone)]
 struct Def {
     /// Index into the book's measure names.
     measure: u32,
     /// Index into the book's region names: the shard the series belongs to.
     region: u32,
-    /// The dimensions, in the order given — the store's series holds this
-    /// same allocation once filed.
-    dimensions: Dimensions,
+    /// The dimensions, in the order given.
+    dimensions: Box<[(String, String)]>,
     /// The dimension key the series is filed under.
     key: Arc<str>,
 }
@@ -95,11 +98,11 @@ impl SeriesBook {
         let region = dimension_value(&dimensions, "region").unwrap_or("none");
         let region = intern(&mut self.regions, region);
         let measure = intern(&mut self.measures, measure);
-        let key = series_key("", &dimensions).into();
+        let key = series_key("", pairs(&dimensions)).into();
         self.defs.push(Def {
             measure,
             region,
-            dimensions: dimensions.into(),
+            dimensions: dimensions.into_boxed_slice(),
             key,
         });
         self.filed.push(None);
@@ -201,9 +204,9 @@ impl SeriesBook {
         self.spelled(point).validate()
     }
 
-    /// The shared allocations of series `s` that the store files it with:
-    /// measure name, dimension key and dimensions.
-    pub(crate) fn filing(&self, s: SeriesRef) -> Option<(&str, &Arc<str>, &Dimensions)> {
+    /// What the store files series `s` with: measure name, the shared
+    /// dimension key and the dimensions.
+    pub(crate) fn filing(&self, s: SeriesRef) -> Option<Filing<'_>> {
         let def = self.def(s)?;
         let measure = self.measures.get(def.measure as usize)?;
         Some((measure, &def.key, &def.dimensions))

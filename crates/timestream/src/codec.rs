@@ -26,7 +26,10 @@ use crate::compress::{decode_series, encode_series};
 use crate::crc::crc32;
 use crate::db::Database;
 use crate::error::TsError;
-use crate::table::{Entry, Table, TableOptions, WriteMode};
+use crate::index::Dimensions;
+use crate::record::pairs;
+use crate::series::Series;
+use crate::table::{Table, TableOptions, WriteMode};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -49,12 +52,13 @@ pub(crate) fn load(path: &Path) -> Result<Database, TsError> {
 }
 
 /// One table of an archive image: its name, its options and the series
-/// to write, `(measure, series)` in [`Table::series_entries`] order. A
+/// to write, `(measure, dimensions, series)` in [`Table::series_entries`]
+/// order, each pair spelled through its measure's dictionary. A
 /// whole table, or the slice of one a shard owns.
 pub(crate) struct TableSlice<'a> {
     pub(crate) name: &'a str,
     pub(crate) options: TableOptions,
-    pub(crate) series: Vec<(&'a str, Entry<'a>)>,
+    pub(crate) series: Vec<(&'a str, Dimensions<'a>, &'a Series)>,
 }
 
 /// Serializes the database to the version-3 byte format: every series of
@@ -98,14 +102,14 @@ pub(crate) fn encode_tables(tables: &[TableSlice<'_>]) -> Result<Vec<u8>, TsErro
             None => out.push(0),
         }
         put_len(&mut out, table.series.len(), "series count")?;
-        for &(measure, s) in &table.series {
+        for &(measure, dimensions, series) in &table.series {
             put_str(&mut out, measure)?;
-            put_len(&mut out, s.dimensions.len(), "dimension count")?;
-            for (k, v) in s.dimensions.iter() {
+            put_len(&mut out, dimensions.len(), "dimension count")?;
+            for (k, v) in dimensions.iter() {
                 put_str(&mut out, k)?;
                 put_str(&mut out, v)?;
             }
-            let blob = encode_series(s.series.points());
+            let blob = encode_series(series.points());
             put_len(&mut out, blob.len(), "series blob")?;
             out.extend_from_slice(&blob);
         }
@@ -178,7 +182,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Database, TsError> {
             check_len(blob_len)?;
             let blob = c.take(blob_len as usize)?;
             let points = decode_series(blob)?;
-            table.insert_series_raw(dims.into(), &measure, points);
+            table.insert_series_raw(pairs(&dims), &measure, points);
         }
         db.insert_table_raw(name, table);
     }

@@ -52,6 +52,7 @@ mod compress;
 mod crc;
 mod db;
 mod error;
+mod index;
 mod iofault;
 mod profile;
 mod query;
@@ -66,6 +67,7 @@ pub use book::{Point, SeriesBook, SeriesRef};
 pub use codec::atomic_write;
 pub use db::Database;
 pub use error::TsError;
+pub use index::{Dimensions, PairId, Pairs};
 pub use iofault::IoFaultPlan;
 pub use profile::QueryProfile;
 pub use query::{Aggregate, Query, Row, RowKind, RowRef, RowScan, WindowRow};

@@ -1,6 +1,8 @@
 //! Read-side types: queries, rows, aggregation.
 
+use crate::index::{Dimensions, Index, PairId, Pairs, SeriesId};
 use crate::table::Entry;
+use std::fmt;
 use std::sync::Arc;
 
 /// A query over one table: a measure name, optional dimension equality
@@ -63,24 +65,92 @@ impl Query {
         (self.from, self.to)
     }
 
-    /// Whether a series with these dimensions matches the filters.
-    pub(crate) fn matches(&self, dimensions: &[(String, String)]) -> bool {
-        self.filters
-            .iter()
-            .all(|(fk, fv)| dimensions.iter().any(|(k, v)| k == fk && v == fv))
+    /// The filters as ids of `pairs`, a measure's dictionary, in order;
+    /// `None` when the dictionary lacks one, so no series of the measure
+    /// can match.
+    pub(crate) fn resolve(&self, pairs: &Pairs) -> Option<Resolved> {
+        let mut resolved = Resolved {
+            inline: [0; INLINE_FILTERS],
+            len: self.filters.len(),
+            spilled: Vec::new(),
+        };
+        let find = |(k, v): &(String, String)| pairs.find(k, v);
+        if self.filters.len() > INLINE_FILTERS {
+            resolved.spilled = self.filters.iter().map(find).collect::<Option<_>>()?;
+        } else {
+            for (slot, filter) in resolved.inline.iter_mut().zip(&self.filters) {
+                *slot = find(filter)?;
+            }
+        }
+        Some(resolved)
     }
 }
 
+/// Filters held inline by [`Resolved`]: more than a served query names.
+const INLINE_FILTERS: usize = 8;
+
+/// A query's filters resolved to pair ids of one measure
+/// ([`Query::resolve`]): inline for up to [`INLINE_FILTERS`] filters, so
+/// resolving a served query's filters allocates nothing.
+pub(crate) struct Resolved {
+    inline: [PairId; INLINE_FILTERS],
+    len: usize,
+    /// Every id, when there are more than fit inline.
+    spilled: Vec<PairId>,
+}
+
+impl Resolved {
+    /// The ids, in the order the filters were given.
+    pub(crate) fn ids(&self) -> &[PairId] {
+        match self.inline.get(..self.len) {
+            Some(inline) => inline,
+            None => &self.spilled,
+        }
+    }
+}
+
+/// Whether a series carrying the pairs `dimensions` matches every filter
+/// of `filters`, both as ids of one measure's dictionary.
+pub(crate) fn matches(filters: &[PairId], dimensions: &[PairId]) -> bool {
+    filters.iter().all(|f| dimensions.contains(f))
+}
+
 /// One query result row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Row {
     /// Timestamp of the point.
     pub time: u64,
     /// The point's value.
     pub value: f64,
-    /// Dimensions of the series the point came from, shared with the
-    /// store: a row costs a reference count, not a copy of the strings.
-    pub dimensions: Arc<[(String, String)]>,
+    /// The index of the series' measure, shared with the store: a row
+    /// costs a reference count, not a copy of its dimension strings.
+    index: Arc<Index>,
+    series: SeriesId,
+}
+
+impl Row {
+    /// Dimensions of the series the point came from.
+    pub fn dimensions(&self) -> Dimensions<'_> {
+        self.index.dimensions(self.series)
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time
+            && self.value == other.value
+            && self.dimensions() == other.dimensions()
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Row")
+            .field("time", &self.time)
+            .field("value", &self.value)
+            .field("dimensions", &self.dimensions())
+            .finish()
+    }
 }
 
 /// Which rows a row query answers with.
@@ -115,7 +185,10 @@ impl RowKind {
 /// place, and [`RowScan::into_rows`] is the `Vec<Row>` answer.
 #[derive(Debug)]
 pub struct RowScan<'a> {
-    /// The series rows may come from; a row's `series` indexes this.
+    /// The index of the measure scanned; `None` when the table has no
+    /// such measure, and so no row.
+    pub(crate) index: Option<&'a Arc<Index>>,
+    /// The series rows may come from; a row's position indexes this.
     pub(crate) series: Vec<Entry<'a>>,
     /// `(time, series position, value)` of the rows kept, in answer order.
     pub(crate) rows: Vec<(u64, usize, f64)>,
@@ -130,12 +203,9 @@ pub struct RowRef<'a> {
     pub time: u64,
     /// The point's value.
     pub value: f64,
-    /// Position of the row's series among the answer's series (below
-    /// [`RowScan::series_count`]): rows at one position share their
-    /// dimensions, so an encoder can write them once per answer.
-    pub series: usize,
-    /// Dimensions of that series.
-    pub dimensions: &'a [(String, String)],
+    /// Dimensions of the row's series, as ids of [`RowScan::pairs`]:
+    /// an encoder can write each pair once per answer.
+    pub dimensions: Dimensions<'a>,
 }
 
 impl RowScan<'_> {
@@ -159,30 +229,38 @@ impl RowScan<'_> {
         self.rows.len() < self.total
     }
 
-    /// Number of series positions a row may name.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
+    /// The dictionary of the measure scanned: every pair a row carries
+    /// has an id below its length.
+    pub fn pairs(&self) -> &Pairs {
+        self.index.map_or(Pairs::none(), |index| index.pairs())
     }
 
     /// The rows kept, in answer order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
-        self.rows.iter().map(|&(time, series, value)| RowRef {
+        self.rows.iter().map(|&(time, at, value)| RowRef {
             time,
             value,
-            series,
-            dimensions: self.series[series].dimensions,
+            dimensions: match (self.index, self.series.get(at)) {
+                (Some(index), Some(e)) => index.dimensions(e.id),
+                _ => Dimensions::none(),
+            },
         })
     }
 
-    /// The rows kept as owned [`Row`]s, each sharing its series'
-    /// dimension allocation.
+    /// The rows kept as owned [`Row`]s, each sharing its measure's index.
     pub fn into_rows(self) -> Vec<Row> {
+        let Some(index) = self.index else {
+            return Vec::new();
+        };
         self.rows
             .into_iter()
-            .map(|(time, series, value)| Row {
-                time,
-                value,
-                dimensions: Arc::clone(self.series[series].dimensions),
+            .filter_map(|(time, at, value)| {
+                Some(Row {
+                    time,
+                    value,
+                    index: Arc::clone(index),
+                    series: self.series.get(at)?.id,
+                })
             })
             .collect()
     }
@@ -306,16 +384,35 @@ mod tests {
 
     #[test]
     fn matches_requires_all_filters() {
+        let mut pairs = Pairs::default();
+        let dims: Vec<PairId> = [("a", "1"), ("b", "2"), ("c", "3")]
+            .into_iter()
+            .map(|(k, v)| pairs.intern(k, v))
+            .collect();
+        pairs.intern("a", "9");
+        let resolved = |q: Query| {
+            q.resolve(&pairs)
+                .expect("every pair is known")
+                .ids()
+                .to_vec()
+        };
         let q = Query::measure("m").filter("a", "1").filter("b", "2");
-        let dims = vec![
-            ("a".to_string(), "1".to_string()),
-            ("b".to_string(), "2".to_string()),
-            ("c".to_string(), "3".to_string()),
-        ];
-        assert!(q.matches(&dims));
+        assert!(matches(&resolved(q), &dims));
         let q2 = Query::measure("m").filter("a", "9");
-        assert!(!q2.matches(&dims));
-        assert!(Query::measure("m").matches(&dims), "no filters matches all");
+        assert!(!matches(&resolved(q2), &dims));
+        let none = resolved(Query::measure("m"));
+        assert!(matches(&none, &dims), "no filters matches all");
+        let twice = Query::measure("m").filter("a", "1").filter("a", "1");
+        assert!(matches(&resolved(twice), &dims), "a filter given twice");
+        assert!(
+            Query::measure("m")
+                .filter("a", "2")
+                .resolve(&pairs)
+                .is_none(),
+            "a pair the dictionary lacks"
+        );
+        let many = (0..=INLINE_FILTERS).fold(Query::measure("m"), |q, _| q.filter("c", "3"));
+        assert_eq!(resolved(many), vec![dims[2]; INLINE_FILTERS + 1]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Record {
     /// The canonical series key this record belongs to:
     /// `measure|k1=v1|k2=v2|...` with dimensions sorted by key.
     pub fn series_key(&self) -> String {
-        series_key(&self.measure, &self.dimensions)
+        series_key(&self.measure, pairs(&self.dimensions))
     }
 }
 
@@ -114,21 +114,24 @@ pub(crate) fn dimension_value<'d>(dims: &'d [(String, String)], key: &str) -> Op
         .map(|(_, v)| v.as_str())
 }
 
-/// Builds the canonical series key for a measure + sorted dimensions.
-pub(crate) fn series_key(measure: &str, dims: &[(String, String)]) -> String {
-    let mut key = String::new();
-    write_series_key(&mut key, measure, dims);
-    key
+/// Owned dimension pairs as the `(key, value)` borrows the store files
+/// and keys a series by.
+pub(crate) fn pairs(
+    dims: &[(String, String)],
+) -> impl ExactSizeIterator<Item = (&str, &str)> + Clone {
+    dims.iter().map(|(k, v)| (k.as_str(), v.as_str()))
 }
 
-/// [`series_key`] into a caller-owned buffer (cleared first), so a batch
-/// builds every key in one allocation.
-pub(crate) fn write_series_key(key: &mut String, measure: &str, dims: &[(String, String)]) {
-    key.clear();
-    key.reserve(
+/// Builds the canonical series key for a measure + sorted dimensions.
+pub(crate) fn series_key<'a>(
+    measure: &str,
+    dims: impl IntoIterator<Item = (&'a str, &'a str)> + Clone,
+) -> String {
+    let mut key = String::with_capacity(
         measure.len()
             + dims
-                .iter()
+                .clone()
+                .into_iter()
                 .map(|(k, v)| k.len() + v.len() + 2)
                 .sum::<usize>(),
     );
@@ -139,6 +142,7 @@ pub(crate) fn write_series_key(key: &mut String, measure: &str, dims: &[(String,
         key.push('=');
         key.push_str(v);
     }
+    key
 }
 
 #[cfg(test)]

@@ -54,10 +54,12 @@ use crate::codec::{self, Cursor, TableSlice};
 use crate::crc::crc32;
 use crate::db::Database;
 use crate::error::TsError;
+use crate::index::Dimensions;
 use crate::iofault::IoFaultPlan;
 use crate::record::{dimension_value, Record};
 use crate::recovery::{fsck, recover, RecoveryReport};
-use crate::table::{Entry, TableOptions};
+use crate::series::Series;
+use crate::table::TableOptions;
 use crate::wal::{Wal, WalStats};
 use spotlake_obs::{NoPhases, Phase, PhaseGuard, SharedPhaseSink};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -134,8 +136,9 @@ impl std::fmt::Display for ShardKey {
     }
 }
 
-/// The region whose shard owns a record — or a stored series — with
-/// these dimensions: see [`ShardKey::region_of`].
+/// The region whose shard owns a record with these dimensions — a stored
+/// series' is found the same way ([`Dimensions::get`]): see
+/// [`ShardKey::region_of`].
 fn region_in(dimensions: &[(String, String)]) -> &str {
     dimension_value(dimensions, "region").unwrap_or("none")
 }
@@ -979,9 +982,8 @@ fn merge_into(store: &mut Database, shard_db: &Database) -> Result<(), TsError> 
             store.create_table(name, table.options())?;
         }
         let dst = store.table_mut(name)?;
-        for (measure, e) in table.series_entries() {
-            let dimensions = Arc::clone(e.dimensions);
-            dst.insert_series_raw(dimensions, measure, e.series.points().to_vec());
+        for (measure, dimensions, series) in table.series_entries() {
+            dst.insert_series_raw(dimensions.iter(), measure, series.points().to_vec());
         }
     }
     Ok(())
@@ -1000,12 +1002,12 @@ fn split_by_region<'a>(
     regions: &[&str],
 ) -> Vec<Option<TableSlice<'a>>> {
     let slot: BTreeMap<&str, usize> = regions.iter().enumerate().map(|(i, r)| (*r, i)).collect();
-    let mut series: Vec<Vec<(&str, Entry<'_>)>> = vec![Vec::new(); regions.len()];
+    let mut series: Vec<Vec<(&str, Dimensions<'_>, &Series)>> = vec![Vec::new(); regions.len()];
     if let Ok(t) = store.table(table) {
-        for (measure, s) in t.series_entries() {
-            let region = region_in(s.dimensions);
+        for (measure, dimensions, s) in t.series_entries() {
+            let region = dimensions.get("region").unwrap_or("none");
             if let Some(list) = slot.get(region).and_then(|&i| series.get_mut(i)) {
-                list.push((measure, s));
+                list.push((measure, dimensions, s));
             }
         }
     }
@@ -1596,10 +1598,9 @@ mod tests {
         archive.maintain().unwrap();
         // Only the committed region's records are in the merged view.
         let rows = merged.query("sps", &Query::measure("score")).unwrap();
-        assert!(rows.iter().all(|r| r
-            .dimensions
+        assert!(rows
             .iter()
-            .any(|(k, v)| k == "region" && v == "us-test-1")));
+            .all(|r| r.dimensions().get("region") == Some("us-test-1")));
         // Restart: the torn tail was never acked, so the shard self-heals
         // without quarantine.
         drop(archive);

@@ -2,9 +2,10 @@
 
 use crate::book::{Point, SeriesBook, SeriesRef};
 use crate::error::TsError;
+use crate::index::{Dimensions, Index, SeriesId};
 use crate::profile::QueryProfile;
-use crate::query::{Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
-use crate::record::{series_key, Record};
+use crate::query::{matches, Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
+use crate::record::{pairs, series_key, Record};
 use crate::series::Series;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,10 +33,6 @@ pub struct TableOptions {
     /// are dropped.
     pub retention: Option<u64>,
 }
-
-/// A series' position in its measure's slab. Four bytes: an id is stored
-/// once per dimension of every series.
-pub(crate) type SeriesId = u32;
 
 /// Where a table files a series: its measure's position, its position in
 /// that measure's slab, and the table generation both were read under.
@@ -69,34 +66,6 @@ pub(crate) struct Applied {
 /// lands in — when a snapshot shares it — not the measure.
 pub(crate) const PAGE_SERIES: usize = 64;
 
-/// What a measure files a series under besides its points: the
-/// dimension key — what puts index hits back into key order — and the
-/// dimensions, kept for query filtering. Shared, not owned: every result
-/// row of the series and every clone of the table hold the same
-/// allocations.
-#[derive(Debug, Clone)]
-struct Filing {
-    key: Arc<str>,
-    dimensions: Arc<[(String, String)]>,
-}
-
-/// A measure's index: what each id files, the key map and the postings.
-///
-/// Ids, not dimension keys, are what the postings hold: appending an
-/// integer when a series is created costs nothing measurable at ingest,
-/// while postings of key strings kept in order cost more than the series
-/// map itself (DESIGN.md "Query-path tracing and the cost model").
-#[derive(Debug, Clone, Default)]
-struct Index {
-    /// By id.
-    filings: Vec<Filing>,
-    /// Dimension key → id. Its order is the order scans yield series in.
-    by_key: BTreeMap<Arc<str>, SeriesId>,
-    /// Dimension → value → ids of the series carrying that pair, in
-    /// creation order.
-    postings: BTreeMap<String, BTreeMap<String, Vec<SeriesId>>>,
-}
-
 /// [`PAGE_SERIES`] slots of a measure's slab, filled in id order: the
 /// last page holds empty slots past the measure's last series. Fixed in
 /// size, so a page is one allocation a lookup reaches in one step, and a
@@ -120,17 +89,17 @@ struct Measure {
     pages: Vec<Page>,
 }
 
-/// A series as a scan reads it: its dimensions and its points.
+/// A series as a scan reads it: its id in its measure and its points.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry<'a> {
-    pub(crate) dimensions: &'a Arc<[(String, String)]>,
+    pub(crate) id: SeriesId,
     pub(crate) series: &'a Series,
 }
 
 impl Measure {
     /// Number of series.
     fn len(&self) -> usize {
-        self.index.filings.len()
+        self.index.len()
     }
 
     fn series(&self, id: SeriesId) -> Option<&Series> {
@@ -147,44 +116,25 @@ impl Measure {
 
     fn entry(&self, id: SeriesId) -> Option<Entry<'_>> {
         Some(Entry {
-            dimensions: &self.index.filings.get(id as usize)?.dimensions,
+            id,
             series: self.series(id)?,
         })
     }
 
     /// The series in dimension-key order.
     fn in_key_order(&self) -> impl Iterator<Item = Entry<'_>> {
-        self.index.by_key.values().filter_map(|&id| self.entry(id))
+        self.index.in_key_order().filter_map(|id| self.entry(id))
     }
 
-    /// Files a series under a key the measure does not hold yet and
-    /// returns its id.
-    fn push(&mut self, filing: Filing, series: Series) -> SeriesId {
-        let index = Arc::make_mut(&mut self.index);
-        let id = SeriesId::try_from(index.filings.len())
-            .expect("a measure's series fit in memory, so their count fits an id");
-        for (k, v) in filing.dimensions.iter() {
-            // Looked up before inserted, as in `Table::file`: the pair
-            // almost always exists, and `entry` would clone both strings.
-            let ids = match index.postings.get_mut(k.as_str()) {
-                Some(values) => match values.get_mut(v.as_str()) {
-                    Some(ids) => ids,
-                    None => values.entry(v.clone()).or_default(),
-                },
-                None => index
-                    .postings
-                    .entry(k.clone())
-                    .or_default()
-                    .entry(v.clone())
-                    .or_default(),
-            };
-            // A series that names one pair twice is still one posting.
-            if ids.last() != Some(&id) {
-                ids.push(id);
-            }
-        }
-        index.by_key.insert(Arc::clone(&filing.key), id);
-        index.filings.push(filing);
+    /// Files a series under a key the measure does not hold yet, with
+    /// these dimensions, and returns its id.
+    fn push<'d>(
+        &mut self,
+        key: Arc<str>,
+        dimensions: impl IntoIterator<Item = (&'d str, &'d str)>,
+        series: Series,
+    ) -> SeriesId {
+        let id = Arc::make_mut(&mut self.index).file(key, dimensions);
         let slot = id as usize % PAGE_SERIES;
         if slot == 0 {
             self.pages.push(empty_page());
@@ -195,42 +145,41 @@ impl Measure {
         id
     }
 
-    /// Re-files `series` from scratch: ids are positions, so taking a
-    /// series out of the slab invalidates every posting behind it.
-    fn rebuild(series: impl IntoIterator<Item = (Filing, Series)>) -> Measure {
+    /// Files the measure's series again from scratch, in id order: ids
+    /// are positions, so taking a series out of the slab invalidates
+    /// every posting behind it, and the rebuilt dictionary drops the
+    /// pairs no series carries any more. A series `keep` refuses is left
+    /// out; series `other.0`, if given, is filed under the dimensions
+    /// `other.1` instead of its own.
+    fn refile(
+        self,
+        keep: impl Fn(&Series) -> bool,
+        other: Option<(SeriesId, Dimensions<'_>)>,
+    ) -> Measure {
+        let (index, series) = self.into_parts();
         let mut m = Measure::default();
-        for (filing, series) in series {
-            m.push(filing, series);
+        for (id, series) in (0..).zip(series) {
+            let Some(key) = index.key(id).filter(|_| keep(&series)) else {
+                continue;
+            };
+            let dimensions = match other {
+                Some((at, dimensions)) if at == id => dimensions,
+                _ => index.dimensions(id),
+            };
+            m.push(Arc::clone(key), dimensions.iter(), series);
         }
         m
     }
 
-    /// Takes the measure apart: its filings and its series, both in id
-    /// order, copying only what a snapshot still shares.
-    fn into_parts(self) -> (Vec<Filing>, Vec<Series>) {
-        let filings = Arc::unwrap_or_clone(self.index).filings;
+    /// Takes the measure apart: its index and its series in id order,
+    /// copying only the pages a snapshot still shares.
+    fn into_parts(self) -> (Arc<Index>, Vec<Series>) {
         let mut series = Vec::with_capacity(self.pages.len() * PAGE_SERIES);
         for mut page in self.pages {
             series.extend(Arc::make_mut(&mut page).iter_mut().map(std::mem::take));
         }
-        series.truncate(filings.len());
-        (filings, series)
-    }
-
-    /// The shortest posting list among `filters` — every match is on it —
-    /// or `None` when there is no filter to index by. A filter no series
-    /// carries yields the empty list.
-    fn shortest_posting(&self, filters: &[(String, String)]) -> Option<&[SeriesId]> {
-        filters
-            .iter()
-            .map(|(k, v)| {
-                self.index
-                    .postings
-                    .get(k.as_str())
-                    .and_then(|values| values.get(v.as_str()))
-                    .map_or(&[][..], Vec::as_slice)
-            })
-            .min_by_key(|ids| ids.len())
+        series.truncate(self.index.len());
+        (self.index, series)
     }
 }
 
@@ -320,7 +269,7 @@ impl Table {
     /// if the table holds it.
     pub(crate) fn locate(&self, measure: &str, key: &str) -> Option<Filed> {
         let &at = self.by_name.get(measure)?;
-        let id = *self.measures.get(at as usize)?.index.by_key.get(key)?;
+        let id = self.measures.get(at as usize)?.index.id(key)?;
         Some(Filed {
             generation: self.generation,
             measure: at,
@@ -346,7 +295,7 @@ impl Table {
 
     /// The series booked as `s`, its page copied first if a snapshot
     /// shares it: by its handle when current, else by key, filed now —
-    /// under the book's own dimension and key allocations — when the
+    /// under the book's key allocation and its pairs' ids — when the
     /// table does not hold it yet. `None` only for an id the book never
     /// gave.
     fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<&mut Series> {
@@ -365,15 +314,9 @@ impl Table {
                     }
                 };
                 let m = self.measures.get_mut(measure as usize)?;
-                let id = match m.index.by_key.get(&**key) {
-                    Some(&id) => id,
-                    None => {
-                        let filing = Filing {
-                            key: Arc::clone(key),
-                            dimensions: Arc::clone(dimensions),
-                        };
-                        m.push(filing, Series::default())
-                    }
+                let id = match m.index.id(key) {
+                    Some(id) => id,
+                    None => m.push(Arc::clone(key), pairs(dimensions), Series::default()),
                 };
                 (measure, id)
             }
@@ -547,8 +490,12 @@ impl Table {
     /// selected from the rest first.
     fn scan_range(&self, q: &Query, limit: usize, profile: &mut QueryProfile) -> RowScan<'_> {
         let (from, to) = q.time_range();
-        let mut series = self.scan_candidates(q, from, to, profile);
-        series.sort_unstable_by(|a, b| a.dimensions.cmp(b.dimensions));
+        let (index, mut series) = self.scan_candidates(q, from, to, profile);
+        if let Some(index) = index {
+            series.sort_unstable_by(|a, b| {
+                index.dimensions(a.id).cmp_spelled(&index.dimensions(b.id))
+            });
+        }
         let slices: Vec<&[(u64, f64)]> = series
             .iter()
             .map(|e| {
@@ -574,6 +521,7 @@ impl Table {
             rows.truncate(limit);
         }
         RowScan {
+            index,
             series,
             rows,
             total,
@@ -593,7 +541,7 @@ impl Table {
         profile: &mut QueryProfile,
         find: impl Fn(&Series) -> (Option<(u64, f64)>, u64),
     ) -> RowScan<'_> {
-        let series = self.scan_candidates(q, from, to, profile);
+        let (index, series) = self.scan_candidates(q, from, to, profile);
         let mut rows = Vec::with_capacity(series.len().min(limit));
         let mut total = 0;
         for (at, e) in series.iter().enumerate() {
@@ -608,6 +556,7 @@ impl Table {
             }
         }
         RowScan {
+            index,
             series,
             rows,
             total,
@@ -645,7 +594,7 @@ impl Table {
         let (from, to) = q.time_range();
         profile.observe_query(q);
         let mut windows: BTreeMap<u64, Fold> = BTreeMap::new();
-        for e in self.scan_candidates(q, from, to, profile) {
+        for e in self.scan_candidates(q, from, to, profile).1 {
             let (mut pts, chunks) = e.series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
             profile.rows_decoded += pts.len() as u64;
@@ -684,43 +633,55 @@ impl Table {
     /// Selects the series a scan must touch, in dimension-key order,
     /// tallying the ones pruned without decompression — by
     /// dimension-filter mismatch or because their time bounds are
-    /// disjoint from `[from, to]`. A filtered query tests only the series
-    /// on its shortest posting list (`series_examined`); the rest of the
-    /// measure counts as pruned without being visited.
+    /// disjoint from `[from, to]` — and returns them with the index of
+    /// their measure, if it exists. The filters are resolved to pair ids
+    /// once; a pair the measure lacks matches nothing. A filtered query
+    /// tests only the series on its shortest posting list
+    /// (`series_examined`); the rest of the measure counts as pruned
+    /// without being visited.
     fn scan_candidates<'a>(
         &'a self,
         q: &Query,
         from: u64,
         to: u64,
         profile: &mut QueryProfile,
-    ) -> Vec<Entry<'a>> {
+    ) -> (Option<&'a Arc<Index>>, Vec<Entry<'a>>) {
         let Some(measure) = self.measure(q.measure_name()) else {
-            return Vec::new();
+            return (None, Vec::new());
         };
-        let survives = |e: &Entry<'_>| q.matches(e.dimensions) && e.series.overlaps(from, to);
-        let (examined, candidates): (usize, Vec<Entry<'a>>) = match measure
-            .shortest_posting(q.filters())
-        {
-            None => (
+        let index = &measure.index;
+        let overlaps = |e: &Entry<'_>| e.series.overlaps(from, to);
+        let (examined, candidates): (usize, Vec<Entry<'a>>) = if q.filters().is_empty() {
+            (
                 measure.len(),
-                measure.in_key_order().filter(survives).collect(),
-            ),
-            Some(ids) => {
-                let filings = &measure.index.filings;
-                let mut hits: Vec<(&Arc<str>, Entry<'a>)> = ids
-                    .iter()
-                    .filter_map(|&id| Some((&filings.get(id as usize)?.key, measure.entry(id)?)))
-                    .filter(|(_, e)| survives(e))
-                    .collect();
-                hits.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                (ids.len(), hits.into_iter().map(|(_, e)| e).collect())
+                measure.in_key_order().filter(overlaps).collect(),
+            )
+        } else {
+            match q.resolve(index.pairs()) {
+                None => (0, Vec::new()),
+                Some(filters) => {
+                    let filters = filters.ids();
+                    let ids = filters
+                        .iter()
+                        .map(|&pair| index.posting(pair))
+                        .min_by_key(|ids| ids.len())
+                        .unwrap_or_default();
+                    let mut hits: Vec<(&Arc<str>, Entry<'a>)> = ids
+                        .iter()
+                        .filter(|&&id| matches(filters, index.dimensions(id).ids()))
+                        .filter_map(|&id| Some((index.key(id)?, measure.entry(id)?)))
+                        .filter(|(_, e)| overlaps(e))
+                        .collect();
+                    hits.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                    (ids.len(), hits.into_iter().map(|(_, e)| e).collect())
+                }
             }
         };
         profile.series_total += measure.len() as u64;
         profile.series_examined += examined as u64;
         profile.series_scanned += candidates.len() as u64;
         profile.series_pruned = profile.series_total - profile.series_scanned;
-        candidates
+        (Some(index), candidates)
     }
 
     /// Number of distinct series.
@@ -764,9 +725,7 @@ impl Table {
                 }
             }
             if emptied {
-                let (filings, series) = std::mem::take(m).into_parts();
-                let kept = filings.into_iter().zip(series);
-                *m = Measure::rebuild(kept.filter(|(_, s)| !s.is_empty()));
+                *m = std::mem::take(m).refile(|s| !s.is_empty(), None);
                 refiled = true;
             }
         }
@@ -796,30 +755,36 @@ impl Table {
     /// Iterates over `(measure, dimensions)` of every stored series —
     /// lets recovery re-prime freshness tracking for series that predate
     /// the crash.
-    pub fn series_dimension_sets(&self) -> impl Iterator<Item = (&str, &[(String, String)])> {
+    pub fn series_dimension_sets(&self) -> impl Iterator<Item = (&str, Dimensions<'_>)> {
         self.series_entries()
-            .map(|(measure, e)| (measure, &e.dimensions[..]))
+            .map(|(measure, dimensions, _)| (measure, dimensions))
     }
 
-    /// Iterates over `(measure, series)` pairs, measures in name order and
-    /// each measure's series in key order — the order the persistence
-    /// codec writes them in.
-    pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&str, Entry<'_>)> {
-        self.named_measures()
-            .flat_map(|(measure, m)| m.in_key_order().map(move |s| (measure, s)))
+    /// Iterates over `(measure, dimensions, series)` of every stored
+    /// series, measures in name order and each measure's series in key
+    /// order — the order the persistence codec writes them in.
+    pub(crate) fn series_entries(&self) -> impl Iterator<Item = (&str, Dimensions<'_>, &Series)> {
+        self.named_measures().flat_map(|(measure, m)| {
+            m.in_key_order()
+                .map(move |e| (measure, m.index.dimensions(e.id), e.series))
+        })
     }
 
     /// Files a whole series — how checkpoint load and a shard's admission
-    /// into the store build a table. `dimensions` is taken as the shared
-    /// allocation so a caller that already holds one passes it on. A
-    /// series already filed under the same key is replaced.
-    pub(crate) fn insert_series_raw(
+    /// into the store build a table, interning its pairs into the
+    /// measure's dictionary. A series already filed under the same key is
+    /// replaced.
+    pub(crate) fn insert_series_raw<'d, D>(
         &mut self,
-        dimensions: Arc<[(String, String)]>,
+        dimensions: D,
         measure: &str,
         points: Vec<(u64, f64)>,
-    ) {
-        let key: Arc<str> = Arc::from(series_key("", &dimensions));
+    ) where
+        D: IntoIterator<Item = (&'d str, &'d str)>,
+        D::IntoIter: Clone,
+    {
+        let dimensions = dimensions.into_iter();
+        let key: Arc<str> = Arc::from(series_key("", dimensions.clone()));
         let mut series = Series::default();
         for (t, v) in points {
             series.insert(t, v);
@@ -841,8 +806,8 @@ impl Table {
         };
         // A replaced series keeps its position — same key, same id — so
         // handles stay current.
-        let Some(&id) = m.index.by_key.get(&key) else {
-            m.push(Filing { key, dimensions }, series);
+        let Some(id) = m.index.id(&key) else {
+            m.push(key, dimensions, series);
             return;
         };
         if let Some(slot) = m.series_mut(id) {
@@ -850,12 +815,13 @@ impl Table {
         }
         // Same key, other dimensions (a value holding the key's own
         // separators): the old pairs' postings are wrong.
-        if m.index.filings.get(id as usize).map(|f| &f.dimensions) != Some(&dimensions) {
-            let (mut filings, series) = std::mem::take(m).into_parts();
-            if let Some(filing) = filings.get_mut(id as usize) {
-                filing.dimensions = dimensions;
-            }
-            *m = Measure::rebuild(filings.into_iter().zip(series));
+        let old = m.index.dimensions(id);
+        let same = old.len() == dimensions.clone().count()
+            && old.iter().zip(dimensions.clone()).all(|(a, b)| a == b);
+        if !same {
+            let mut other = Index::default();
+            let at = other.file(key, dimensions);
+            *m = std::mem::take(m).refile(|_| true, Some((id, other.dimensions(at))));
         }
     }
 }

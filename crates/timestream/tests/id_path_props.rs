@@ -344,7 +344,7 @@ impl Model {
     fn check_reads(&self, table: &Table, what: &str) -> Result<(), TestCaseError> {
         let stored = |rows: Vec<spotlake_timestream::Row>| -> Vec<Row> {
             rows.into_iter()
-                .map(|r| (r.dimensions.to_vec(), r.time, r.value))
+                .map(|r| (r.dimensions().to_vec(), r.time, r.value))
                 .collect()
         };
         for measure in MEASURES {
@@ -422,7 +422,7 @@ impl Model {
             let mut rows: Vec<Row> = table
                 .query(&Query::measure(measure))
                 .into_iter()
-                .map(|r| (r.dimensions.to_vec(), r.time, r.value))
+                .map(|r| (r.dimensions().to_vec(), r.time, r.value))
                 .collect();
             rows.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
             let want: Vec<Row> = self

@@ -12,12 +12,15 @@
 //! filters and the time range, in key order. `series_examined`, the one
 //! counter that says how the candidates were found, is held to its
 //! definition instead: the fewest series any one filter's pair is on.
+//! Rows are compared spelled out — time, value and each dimension pair as
+//! strings — and an owned row's dimensions must be the scan's, pair ids
+//! included.
 
 use proptest::prelude::*;
 use spotlake_obs::QueryCtx;
 use spotlake_timestream::{
-    recover, Aggregate, Database, Query, QueryProfile, Record, Row, TableOptions, Wal, WindowRow,
-    WriteMode,
+    recover, Aggregate, Database, Query, QueryProfile, Record, Row, RowKind, TableOptions, Wal,
+    WindowRow, WriteMode,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -45,6 +48,15 @@ fn scratch() -> PathBuf {
     ));
     std::fs::remove_dir_all(&p).ok();
     p
+}
+
+/// A row spelled out: time, value and its dimensions as strings.
+type Spelled = (u64, f64, Vec<(String, String)>);
+
+fn spelled(rows: &[Row]) -> Vec<Spelled> {
+    rows.iter()
+        .map(|r| (r.time, r.value, r.dimensions().to_vec()))
+        .collect()
 }
 
 /// One series of the reference.
@@ -145,25 +157,25 @@ impl Reference {
         hits
     }
 
-    fn query(&self, q: &Query, p: &mut QueryProfile) -> Vec<Row> {
+    fn query(&self, q: &Query, p: &mut QueryProfile) -> Vec<Spelled> {
         let (from, to) = q.time_range();
         let mut rows = Vec::new();
         for s in self.candidates(q, from, to, p) {
             let (start, end) = s.range(from, to);
             p.chunks_decompressed += chunks_touched(start, end);
             p.rows_decoded += (end - start) as u64;
-            rows.extend(s.points[start..end].iter().map(|&(time, value)| Row {
-                time,
-                value,
-                dimensions: s.dimensions.clone().into(),
-            }));
+            rows.extend(
+                s.points[start..end]
+                    .iter()
+                    .map(|&(time, value)| (time, value, s.dimensions.clone())),
+            );
         }
-        rows.sort_by(|a, b| (a.time, &a.dimensions).cmp(&(b.time, &b.dimensions)));
+        rows.sort_by(|a, b| (a.0, &a.2).cmp(&(b.0, &b.2)));
         p.rows_post_filter = rows.len() as u64;
         rows
     }
 
-    fn latest(&self, q: &Query, p: &mut QueryProfile) -> Vec<Row> {
+    fn latest(&self, q: &Query, p: &mut QueryProfile) -> Vec<Spelled> {
         let (from, to) = q.time_range();
         let mut rows = Vec::new();
         for s in self.candidates(q, from, to, p) {
@@ -171,18 +183,14 @@ impl Reference {
             if let Some(&(time, value)) = s.points[start..end].last() {
                 p.chunks_decompressed += 1;
                 p.rows_decoded += 1;
-                rows.push(Row {
-                    time,
-                    value,
-                    dimensions: s.dimensions.clone().into(),
-                });
+                rows.push((time, value, s.dimensions.clone()));
             }
         }
         p.rows_post_filter = rows.len() as u64;
         rows
     }
 
-    fn value_at(&self, q: &Query, at: u64, p: &mut QueryProfile) -> Vec<Row> {
+    fn value_at(&self, q: &Query, at: u64, p: &mut QueryProfile) -> Vec<Spelled> {
         p.from = 0;
         p.to = at;
         let mut rows = Vec::new();
@@ -190,11 +198,7 @@ impl Reference {
             if let Some(&(time, value)) = s.points.iter().rfind(|&&(t, _)| t <= at) {
                 p.chunks_decompressed += 1;
                 p.rows_decoded += 1;
-                rows.push(Row {
-                    time,
-                    value,
-                    dimensions: s.dimensions.clone().into(),
-                });
+                rows.push((time, value, s.dimensions.clone()));
             }
         }
         p.rows_post_filter = rows.len() as u64;
@@ -273,28 +277,31 @@ fn check(db: &Database, reference: &Reference, ask: &Ask) -> Result<(), TestCase
     let (rows, got) = db.query_profiled(TABLE, q, ctx).unwrap();
     let mut want = expect("query");
     prop_assert_eq!(
-        &rows,
-        &reference.query(q, &mut want),
+        spelled(&rows),
+        reference.query(q, &mut want),
         "query rows: {:?}",
         ask
     );
     prop_assert_eq!(&got, &want, "query profile: {:?}", ask);
+    owned_rows_are_the_scans(db, q, RowKind::Range, &rows)?;
 
     let (rows, got) = db.latest_profiled(TABLE, q, ctx).unwrap();
     let mut want = expect("latest");
     prop_assert_eq!(
-        &rows,
-        &reference.latest(q, &mut want),
+        spelled(&rows),
+        reference.latest(q, &mut want),
         "latest rows: {:?}",
         ask
     );
     prop_assert_eq!(&got, &want, "latest profile: {:?}", ask);
+    owned_rows_are_the_scans(db, q, RowKind::Latest, &rows)?;
 
     let (rows, got) = db.value_at_profiled(TABLE, q, ask.at, ctx).unwrap();
     let mut want = expect("value_at");
     let want_rows = reference.value_at(q, ask.at, &mut want);
-    prop_assert_eq!(&rows, &want_rows, "value_at rows: {:?}", ask);
+    prop_assert_eq!(spelled(&rows), want_rows, "value_at rows: {:?}", ask);
     prop_assert_eq!(&got, &want, "value_at profile: {:?}", ask);
+    owned_rows_are_the_scans(db, q, RowKind::At(ask.at), &rows)?;
 
     let (rows, got) = db
         .query_window_profiled(TABLE, q, ask.window, ask.agg, ctx)
@@ -304,6 +311,53 @@ fn check(db: &Database, reference: &Reference, ask: &Ask) -> Result<(), TestCase
     prop_assert_eq!(&rows, &want_rows, "window rows: {:?}", ask);
     prop_assert_eq!(&got, &want, "window profile: {:?}", ask);
     Ok(())
+}
+
+/// The owned rows of a `*_profiled` answer carry the dimensions the scan
+/// behind it reads in place: the same pairs, by the same ids.
+fn owned_rows_are_the_scans(
+    db: &Database,
+    q: &Query,
+    kind: RowKind,
+    rows: &[Row],
+) -> Result<(), TestCaseError> {
+    let (scan, _) = db
+        .scan_rows(TABLE, q, kind, usize::MAX, QueryCtx::default())
+        .unwrap();
+    prop_assert_eq!(scan.len(), rows.len());
+    for (borrowed, owned) in scan.iter().zip(rows) {
+        prop_assert_eq!((borrowed.time, borrowed.value), (owned.time, owned.value));
+        prop_assert_eq!(borrowed.dimensions, owned.dimensions());
+        prop_assert_eq!(borrowed.dimensions.ids(), owned.dimensions().ids());
+        for &id in borrowed.dimensions.ids() {
+            prop_assert!((id as usize) < scan.pairs().len());
+        }
+    }
+    Ok(())
+}
+
+/// Asks every generated case adds to its own: a filter value no series
+/// carries, a key given twice with two values, and one pair given twice.
+fn fixed_asks() -> Vec<Ask> {
+    let ask = |query: Query| Ask {
+        query,
+        at: 3 * ROUND,
+        window: ROUND,
+        agg: Aggregate::Count,
+    };
+    vec![
+        ask(Query::measure("m0").filter("instance_type", "t9")),
+        ask(Query::measure("m0")
+            .filter("region", "r0")
+            .filter("region", "r1")),
+        ask(Query::measure("m1")
+            .filter("region", "r1")
+            .filter("region", "r1")),
+        ask(Query::measure("m0")
+            .filter("az", "a1")
+            .filter("instance_type", "t0")
+            .filter("az", "a1")),
+    ]
 }
 
 /// One generated step: a batch of records, or (one step in five, where
@@ -347,7 +401,8 @@ fn asks() -> impl Strategy<Value = Vec<Ask>> {
         agg,
     );
     prop::collection::vec(ask, 1..10).prop_map(|asks| {
-        asks.into_iter()
+        let generated: Vec<Ask> = asks
+            .into_iter()
             .map(|(measure, filters, (from, to), at, window, agg)| {
                 let query = filters
                     .into_iter()
@@ -362,7 +417,8 @@ fn asks() -> impl Strategy<Value = Vec<Ask>> {
                     agg,
                 }
             })
-            .collect()
+            .collect();
+        generated.into_iter().chain(fixed_asks()).collect()
     })
 }
 

@@ -6,7 +6,7 @@
 
 use spotlake_cloud_sim::SimConfig;
 use spotlake_types::{Catalog, CatalogBuilder, SimDuration};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The workspace-wide replay seed (the paper's archive launch month).
 pub const SEED: u64 = 20_220_901;
@@ -49,4 +49,28 @@ pub fn scratch_path(suite: &str, tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&p).ok();
     std::fs::remove_file(&p).ok();
     p
+}
+
+/// The committed golden file `tests/golden/<name>.txt`.
+pub fn golden_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(format!("{name}.txt"))
+}
+
+/// The committed `tests/golden/<name>.txt`, or `None` after rewriting it
+/// with `got` under `SPOTLAKE_BLESS=1`.
+pub fn golden_or_bless(name: &str, got: &str) -> Option<String> {
+    let path = golden_path(name);
+    if std::env::var_os("SPOTLAKE_BLESS").is_some_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, got).expect("write golden file");
+        return None;
+    }
+    Some(std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}; bless it with SPOTLAKE_BLESS=1 cargo test -p spotlake",
+            path.display()
+        )
+    }))
 }

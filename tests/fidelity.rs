@@ -21,7 +21,7 @@ mod common;
 use common::{sim_config, test_catalog, GPU_MENU};
 use spotlake_cloud_sim::SimCloud;
 use spotlake_collector::{CollectorConfig, CollectorService, QueryPlanner, PRICE_TABLE, SPS_TABLE};
-use spotlake_timestream::{Database, Query};
+use spotlake_timestream::{Database, Dimensions, Query};
 use spotlake_types::{AzId, Catalog, InstanceTypeId, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,10 +52,10 @@ fn planned_pairs(catalog: &Catalog, config: &CollectorConfig) -> BTreeSet<(Insta
 }
 
 /// The value of dimension `key` on a stored row.
-fn dim<'r>(dims: &'r [(String, String)], key: &str) -> &'r str {
+fn dim<'r>(dims: Dimensions<'r>, key: &str) -> &'r str {
     dims.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+        .find(|&(k, _)| k == key)
+        .map(|(_, v)| v)
         .unwrap_or_else(|| panic!("stored row lacks `{key}`: {dims:?}"))
 }
 
@@ -71,13 +71,13 @@ fn archived_scores(
     let mut scores = BTreeMap::new();
     for row in rows {
         let ty = catalog
-            .instance_type_id(dim(&row.dimensions, "instance_type"))
+            .instance_type_id(dim(row.dimensions(), "instance_type"))
             .expect("archived types are catalog types");
         let az = catalog
-            .az_id(dim(&row.dimensions, "az"))
+            .az_id(dim(row.dimensions(), "az"))
             .expect("archived zones are catalog zones");
         let region = catalog.region(catalog.az(az).region()).code();
-        assert_eq!(dim(&row.dimensions, "region"), region, "{row:?}");
+        assert_eq!(dim(row.dimensions(), "region"), region, "{row:?}");
         assert!(
             scores.insert((ty, az), row.value).is_none(),
             "one score per pool per round: {row:?}"

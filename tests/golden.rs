@@ -39,7 +39,7 @@ use spotlake_obs::{Registry, SloSet, SloTracker};
 use spotlake_serving::server::{loadgen, LoadConfig, ServerMetrics};
 use spotlake_serving::{Server, ServerConfig, SharedArchive};
 use spotlake_timestream::{repair_shards, Database, IoFaultPlan};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Rounds per scenario: twelve simulated hours at the 30-minute tick.
 const ROUNDS: u64 = 24;
@@ -214,12 +214,6 @@ fn first_difference<'m>(got: &'m str, want: &'m str) -> Option<&'m str> {
     }
 }
 
-fn golden_path(scenario: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(format!("{scenario}.txt"))
-}
-
 /// Runs `scenario` twice, then holds the manifest against its golden
 /// file (or rewrites the file under `SPOTLAKE_BLESS=1`). `artifacts`
 /// runs the scenario in the archive directory it is given, `None` for
@@ -243,32 +237,15 @@ fn check(
         panic!("{scenario}: `{artifact}` differs between two same-seed runs");
     }
 
-    if let Some(want) = golden_or_bless(scenario, &first) {
+    if let Some(want) = common::golden_or_bless(scenario, &first) {
         if let Some(artifact) = first_difference(&first, &want) {
             panic!(
                 "{scenario}: `{artifact}` drifted from {}; if the change is meant, \
                  re-bless with SPOTLAKE_BLESS=1 and explain it in CHANGES.md",
-                golden_path(scenario).display()
+                common::golden_path(scenario).display()
             );
         }
     }
-}
-
-/// The committed `tests/golden/<name>.txt`, or `None` after rewriting it
-/// with `got` under `SPOTLAKE_BLESS=1`.
-fn golden_or_bless(name: &str, got: &str) -> Option<String> {
-    let path = golden_path(name);
-    if std::env::var_os("SPOTLAKE_BLESS").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, got).expect("write golden file");
-        return None;
-    }
-    Some(std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}; bless it with SPOTLAKE_BLESS=1 cargo test -p spotlake --test golden",
-            path.display()
-        )
-    }))
 }
 
 #[test]
@@ -434,12 +411,12 @@ fn every_metric_family_header_matches_its_golden_file() {
     headers.dedup();
     let got: String = headers.iter().map(|line| format!("{line}\n")).collect();
 
-    if let Some(want) = golden_or_bless("metric_families", &got) {
+    if let Some(want) = common::golden_or_bless("metric_families", &got) {
         let drifted = got.lines().zip(want.lines()).find(|(g, w)| g != w);
         assert!(
             drifted.is_none() && got.lines().count() == want.lines().count(),
             "metric family headers drifted from {} (first difference: {drifted:?})",
-            golden_path("metric_families").display()
+            common::golden_path("metric_families").display()
         );
     }
 }
