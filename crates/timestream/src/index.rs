@@ -9,11 +9,10 @@
 //! integers, and a row's dimensions are read from a few hundred shared
 //! strings rather than from strings of its own.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dimension pair's id in its measure's [`Pairs`].
 pub type PairId = u32;
@@ -163,23 +162,6 @@ impl<'a> Dimensions<'a> {
             .map(|(k, v)| (k.to_owned(), v.to_owned()))
             .collect()
     }
-
-    /// The pairs compared in order, each as `(key, value)` — the order
-    /// of the spelled pairs, without spelling a pair both sides share.
-    pub(crate) fn cmp_spelled(&self, other: &Dimensions<'_>) -> Ordering {
-        let same_dictionary = std::ptr::eq(self.pairs, other.pairs);
-        for (&a, &b) in self.ids.iter().zip(other.ids) {
-            if same_dictionary && a == b {
-                continue;
-            }
-            let (a, b) = (self.pairs.get(a), other.pairs.get(b));
-            match a.cmp(&b) {
-                Ordering::Equal => {}
-                unequal => return unequal,
-            }
-        }
-        self.len().cmp(&other.len())
-    }
 }
 
 impl PartialEq for Dimensions<'_> {
@@ -203,6 +185,21 @@ struct Filing {
     pairs: Range<u32>,
 }
 
+/// Each series' position in the two orders scans yield it in, by series
+/// id: a scan orders its candidates by these integers, never by strings.
+#[derive(Debug)]
+pub(crate) struct Ranks {
+    /// Position in dimension-key order — the key map's, and `/latest`'s,
+    /// `/at`'s and `/window`'s.
+    pub(crate) key: Vec<u32>,
+    /// Position in spelled order — the dimensions compared pair by pair
+    /// as `(key, value)` strings, as [`Dimensions::to_vec`] compares —
+    /// the order `/query` breaks a tie of times in. It differs from key
+    /// order where a key or value is a prefix of another: `'-'` sorts
+    /// before the key's separators `'='` and `'|'`.
+    pub(crate) spelled: Vec<u32>,
+}
+
 /// A measure's index: its pair dictionary, what each id files, the key
 /// map and the postings. A copy ([`Arc::make_mut`] when a series is
 /// created under a shared snapshot) copies pointers and integers, no
@@ -212,7 +209,7 @@ struct Filing {
 /// integer when a series is created costs nothing measurable at ingest,
 /// while postings of key strings kept in order cost more than the series
 /// map itself (DESIGN.md "Query-path tracing and the cost model").
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Index {
     pairs: Pairs,
     /// By series id.
@@ -226,6 +223,32 @@ pub(crate) struct Index {
     by_key: BTreeMap<Arc<str>, SeriesId>,
     /// Pair id → ids of the series carrying that pair, in creation order.
     postings: Vec<Vec<SeriesId>>,
+    /// Built by the first scan that orders two or more series, and reset
+    /// by [`Index::file`]: every epoch sharing this index (through its
+    /// `Arc`) reads the one table, and concurrent first scans build it
+    /// once.
+    ranks: OnceLock<Ranks>,
+    /// Times the ranks were built, for the tests that hold them to once.
+    #[cfg(test)]
+    pub(crate) builds: std::sync::atomic::AtomicUsize,
+}
+
+impl Clone for Index {
+    /// Copies everything but the ranks: a copy is made to file a series,
+    /// which resets them.
+    fn clone(&self) -> Self {
+        Index {
+            pairs: self.pairs.clone(),
+            filings: self.filings.clone(),
+            pool: self.pool.clone(),
+            unsorted: self.unsorted.clone(),
+            by_key: self.by_key.clone(),
+            postings: self.postings.clone(),
+            ranks: OnceLock::new(),
+            #[cfg(test)]
+            builds: Default::default(),
+        }
+    }
 }
 
 impl Index {
@@ -304,7 +327,52 @@ impl Index {
             self.unsorted.push(id);
         }
         self.filings.push(Filing { key, pairs });
+        self.ranks = OnceLock::new();
         id
+    }
+
+    /// The series' ranks, built on first use since the last series was
+    /// filed.
+    pub(crate) fn ranks(&self) -> &Ranks {
+        self.ranks.get_or_init(|| self.build_ranks())
+    }
+
+    /// Key order is the key map's. Spelled order compares the series'
+    /// pair ids through the pairs' own spelled ranks — integers, the
+    /// order of the `(key, value)` strings — and starts from key order,
+    /// which it almost always equals, so the stable sort mostly checks
+    /// runs it finds already sorted.
+    fn build_ranks(&self) -> Ranks {
+        #[cfg(test)]
+        self.builds
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // `order` lists each of 0..len once.
+        let rank_all = |order: &[u32]| {
+            let mut ranks = vec![0; order.len()];
+            for (rank, &id) in (0..).zip(order) {
+                if let Some(slot) = ranks.get_mut(id as usize) {
+                    *slot = rank;
+                }
+            }
+            ranks
+        };
+        let mut order: Vec<SeriesId> = self.in_key_order().collect();
+        let key = rank_all(&order);
+
+        let mut pair_order: Vec<PairId> = (0..).take(self.pairs.len()).collect();
+        pair_order.sort_unstable_by(|&a, &b| self.pairs.get(a).cmp(&self.pairs.get(b)));
+        let pair_rank = rank_all(&pair_order);
+        let spelled = |id: SeriesId| {
+            self.dimensions(id)
+                .ids()
+                .iter()
+                .map(|&pair| pair_rank.get(pair as usize).copied().unwrap_or(u32::MAX))
+        };
+        order.sort_by(|&a, &b| spelled(a).cmp(spelled(b)));
+        Ranks {
+            key,
+            spelled: rank_all(&order),
+        }
     }
 
     /// The ids of the series carrying pair `pair`, in creation order.
@@ -368,23 +436,87 @@ mod tests {
         let a = file(&mut index, "a", &[("az", "1a"), ("region", "r1")]);
         let b = file(&mut index, "b", &[("az", "1a"), ("region", "r2")]);
         let c = file(&mut index, "c", &[("az", "1a")]);
-        let (da, db, dc) = (
-            index.dimensions(a),
-            index.dimensions(b),
-            index.dimensions(c),
-        );
+        let da = index.dimensions(a);
         assert_eq!(da.get("region"), Some("r1"));
         assert_eq!(da.get("zone"), None);
-        assert_eq!(da.cmp_spelled(&db), Ordering::Less);
-        assert_eq!(dc.cmp_spelled(&da), Ordering::Less, "a prefix sorts first");
-        assert_eq!(da.cmp_spelled(&da), Ordering::Equal);
-        assert_eq!(da.cmp_spelled(&db), da.to_vec().cmp(&db.to_vec()));
+        let spelled = &index.ranks().spelled;
+        assert!(spelled[a as usize] < spelled[b as usize], "r1 < r2");
+        assert!(
+            spelled[c as usize] < spelled[a as usize],
+            "a prefix sorts first"
+        );
+        assert_ranks_spell(&index);
 
         let mut other = Index::default();
         let d = file(&mut other, "x", &[("region", "r0")]);
         let dd = other.dimensions(d);
-        assert_eq!(da.cmp_spelled(&dd), Ordering::Less, "az < region");
         assert_ne!(da, dd);
         assert_eq!(format!("{dd:?}"), r#"[("region", "r0")]"#);
+    }
+
+    /// Each rank table orders the series as its strings do: key order as
+    /// the key map, spelled order as the spelled pairs.
+    fn assert_ranks_spell(index: &Index) {
+        let ranks = index.ranks();
+        let mut by_key: Vec<SeriesId> = (0..).take(index.len()).collect();
+        by_key.sort_by_key(|&id| index.key(id).cloned());
+        let mut spelled = by_key.clone();
+        spelled.sort_by_key(|&id| index.dimensions(id).to_vec());
+        for (rank, (&k, &s)) in (0u32..).zip(by_key.iter().zip(&spelled)) {
+            assert_eq!(ranks.key[k as usize], rank, "key rank of {k}");
+            assert_eq!(ranks.spelled[s as usize], rank, "spelled rank of {s}");
+        }
+    }
+
+    #[test]
+    fn ranks_order_as_the_strings_and_filing_resets_them() {
+        let mut index = Index::default();
+        // Keys and pairs disagree: `|k=abc-d|z=1` < `|k=abc|z=1` as keys,
+        // since '-' < '|', while ("k", "abc") < ("k", "abc-d") as pairs.
+        file(&mut index, "|k=abc|z=1", &[("k", "abc"), ("z", "1")]);
+        file(&mut index, "|k=abc-d|z=1", &[("k", "abc-d"), ("z", "1")]);
+        file(&mut index, "|k=ab", &[("k", "ab")]);
+        file(&mut index, "|z=0", &[("z", "0")]);
+        assert_eq!(index.ranks().key, vec![2, 1, 0, 3]);
+        assert_eq!(index.ranks().spelled, vec![1, 2, 0, 3]);
+        assert_ranks_spell(&index);
+        let built = index.builds.load(std::sync::atomic::Ordering::Relaxed);
+        index.ranks();
+        assert_eq!(
+            index.builds.load(std::sync::atomic::Ordering::Relaxed),
+            built
+        );
+
+        // A copy leaves the ranks behind; a series filed resets them.
+        let mut copy = index.clone();
+        file(&mut copy, "|a=0", &[("a", "0")]);
+        assert_eq!(copy.ranks().key, vec![3, 2, 1, 4, 0]);
+        assert_ranks_spell(&copy);
+        assert_eq!(index.ranks().key.len(), 4, "the original keeps its own");
+    }
+
+    proptest::proptest! {
+        /// Ranks of series drawn from a few keys and values — prefixes of
+        /// each other among them, the separators too, stored in any order.
+        #[test]
+        fn ranks_are_the_string_orders(
+            series in proptest::collection::vec(
+                proptest::collection::vec((0usize..4, 0usize..6), 0..4),
+                0..20,
+            ),
+        ) {
+            const KEYS: [&str; 4] = ["k", "k-", "a", "z"];
+            const VALUES: [&str; 6] = ["abc", "abc-d", "ab", "", "abc|x", "b"];
+            let mut index = Index::default();
+            for dims in series {
+                let dims: Vec<(&str, &str)> =
+                    dims.into_iter().map(|(k, v)| (KEYS[k], VALUES[v])).collect();
+                let key = crate::record::series_key("", dims.iter().copied());
+                if index.id(&key).is_none() {
+                    index.file(Arc::from(key), dims);
+                }
+            }
+            assert_ranks_spell(&index);
+        }
     }
 }

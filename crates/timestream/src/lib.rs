@@ -54,6 +54,7 @@ mod db;
 mod error;
 mod index;
 mod iofault;
+mod merge;
 mod profile;
 mod query;
 mod record;

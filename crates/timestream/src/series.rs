@@ -18,10 +18,17 @@ pub(crate) fn chunks_touched(start: usize, end: usize) -> u64 {
 }
 
 /// A single time series, sorted by timestamp.
-#[derive(Debug, Default, PartialEq)]
+///
+/// Beside the points' allocation, in the page that holds the series, sits
+/// a copy of the last point: the bounds check and an in-range `latest`
+/// read it there, without touching the points. Only what scans read is
+/// kept there — every byte of it is paid once per series of the archive.
+#[derive(Debug, Default)]
 pub(crate) struct Series {
     /// Points, sorted by time, at most one per timestamp.
     points: Vec<(u64, f64)>,
+    /// The last of `points`; `(0, 0.0)` when there is none.
+    last: (u64, f64),
 }
 
 impl Clone for Series {
@@ -35,7 +42,16 @@ impl Clone for Series {
             points.reserve_exact(self.points.len() + 1);
             points.extend_from_slice(&self.points);
         }
-        Series { points }
+        Series {
+            points,
+            last: self.last,
+        }
+    }
+}
+
+impl PartialEq for Series {
+    fn eq(&self, other: &Self) -> bool {
+        self.points == other.points
     }
 }
 
@@ -43,20 +59,25 @@ impl Series {
     /// Inserts a point, keeping time order. A point at an existing
     /// timestamp overwrites it. Returns `true` if the series changed.
     pub(crate) fn insert(&mut self, time: u64, value: f64) -> bool {
+        let len = self.points.len();
         match self.points.binary_search_by_key(&time, |&(t, _)| t) {
             Ok(i) => {
                 if self.points[i].1 == value {
-                    false
-                } else {
-                    self.points[i].1 = value;
-                    true
+                    return false;
+                }
+                self.points[i].1 = value;
+                if i + 1 == len {
+                    self.last.1 = value;
                 }
             }
             Err(i) => {
                 self.points.insert(i, (time, value));
-                true
+                if i == len {
+                    self.last = (time, value);
+                }
             }
         }
+        true
     }
 
     /// Inserts only if the value differs from the latest point's value
@@ -71,7 +92,8 @@ impl Series {
     /// leave such a record out of a frame. `true` is conservative: an
     /// out-of-order point is decided by the insert itself.
     pub(crate) fn changepoint_may_store(&self, time: u64, value: f64) -> bool {
-        !matches!(self.points.last(), Some(&(last_t, last_v)) if time >= last_t && last_v == value)
+        let (last_t, last_v) = self.last;
+        self.points.is_empty() || time < last_t || last_v != value
     }
 
     pub(crate) fn points(&self) -> &[(u64, f64)] {
@@ -96,8 +118,12 @@ impl Series {
 
     /// The latest point at or before `at`, plus the chunks touched (one
     /// when a point is found: the lookup decodes only the page holding
-    /// it).
+    /// it). When the last point is at or before `at` it is the answer,
+    /// read without a search.
     pub(crate) fn value_at_scan(&self, at: u64) -> (Option<(u64, f64)>, u64) {
+        if !self.points.is_empty() && self.last.0 <= at {
+            return (Some(self.last), 1);
+        }
         let idx = self.points.partition_point(|&(t, _)| t <= at);
         match idx.checked_sub(1) {
             Some(i) => (Some(self.points[i]), 1),
@@ -105,14 +131,29 @@ impl Series {
         }
     }
 
+    /// The last point with `from <= t <= to`: the last point itself when
+    /// it is in range, read without touching the points; otherwise the
+    /// last of [`Series::range_scan`]'s.
+    pub(crate) fn latest_in(&self, from: u64, to: u64) -> Option<(u64, f64)> {
+        let (last, _) = self.last;
+        if self.points.is_empty() || last < from {
+            None
+        } else if last <= to {
+            Some(self.last)
+        } else {
+            self.range_scan(from, to).0.last().copied()
+        }
+    }
+
     /// Whether any stored point could fall inside `[from, to]` — the
     /// cheap bounds check that lets a scan prune this series without
-    /// touching its chunks.
+    /// touching its chunks. The first point is read only when the range
+    /// ends before the last one.
     pub(crate) fn overlaps(&self, from: u64, to: u64) -> bool {
-        match (self.points.first(), self.points.last()) {
-            (Some(&(first, _)), Some(&(last, _))) => first <= to && last >= from,
-            _ => false,
-        }
+        let (last, _) = self.last;
+        !self.points.is_empty()
+            && last >= from
+            && (last <= to || self.points.first().is_some_and(|&(first, _)| first <= to))
     }
 
     /// Drops points strictly older than `cutoff`. Returns how many were
@@ -120,6 +161,9 @@ impl Series {
     pub(crate) fn prune_before(&mut self, cutoff: u64) -> usize {
         let n = self.points.partition_point(|&(t, _)| t < cutoff);
         self.points.drain(..n);
+        if self.points.is_empty() {
+            self.last = (0, 0.0);
+        }
         n
     }
 
@@ -306,6 +350,32 @@ mod tests {
             let idx = s.points().partition_point(|&(t, _)| t <= to);
             let want = idx.checked_sub(1).map(|i| s.points()[i]);
             prop_assert_eq!(s.value_at_scan(to), (want, u64::from(want.is_some())));
+            let (pts, _) = by_search(&s, from, to);
+            prop_assert_eq!(s.latest_in(from, to), pts.last().copied());
+            prop_assert_eq!(s.overlaps(from, to), first <= to && last >= from && !s.is_empty());
+        }
+
+        /// The last point kept beside the points is their last, whatever
+        /// order the writes came in, after overwrites and after pruning —
+        /// emptied, it is the default again.
+        #[test]
+        fn the_header_is_the_last_point(
+            writes in prop::collection::vec((0u64..50, 0u8..3), 0..40),
+            cutoff in 0u64..60,
+        ) {
+            let mut s = Series::default();
+            for (t, v) in writes {
+                s.insert_changepoint(t, f64::from(v));
+                prop_assert_eq!(Some(s.last), s.points().last().copied());
+            }
+            let copy = s.clone();
+            prop_assert_eq!(copy.last, s.last);
+            s.prune_before(cutoff);
+            let want = s.points().last().copied().unwrap_or_default();
+            prop_assert_eq!(s.last, want);
+            if s.is_empty() {
+                prop_assert_eq!(s.last, Series::default().last);
+            }
         }
 
         #[test]

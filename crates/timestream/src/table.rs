@@ -3,6 +3,7 @@
 use crate::book::{Point, SeriesBook, SeriesRef};
 use crate::error::TsError;
 use crate::index::{Dimensions, Index, SeriesId};
+use crate::merge::merge;
 use crate::profile::QueryProfile;
 use crate::query::{matches, Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
 use crate::record::{pairs, series_key, Record};
@@ -87,6 +88,17 @@ struct Measure {
     /// The series by id: id `i` is slot `i % PAGE_SERIES` of page
     /// `i / PAGE_SERIES`.
     pages: Vec<Page>,
+}
+
+/// The order a scan yields its candidates in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Dimension-key order: `/latest`, `/at` and `/window`.
+    Key,
+    /// Spelled order, the dimensions compared pair by pair as
+    /// `(key, value)` strings: `/query`, whose rows order by (time,
+    /// dimensions).
+    Spelled,
 }
 
 /// A series as a scan reads it: its id in its measure and its points.
@@ -468,7 +480,7 @@ impl Table {
         let scan = match kind {
             RowKind::Range => self.scan_range(q, limit, profile),
             RowKind::Latest => self.scan_each(q, from, to, limit, profile, |series| {
-                let last = series.range_scan(from, to).0.last().copied();
+                let last = series.latest_in(from, to);
                 (last, u64::from(last.is_some()))
             }),
             RowKind::At(at) => {
@@ -482,44 +494,27 @@ impl Table {
     }
 
     /// Every in-range point of the candidates, ordered by (time,
-    /// dimensions), the first `limit` kept. Sorting the candidates by
-    /// dimensions once gives each a rank, and the points then order as
-    /// plain integers; a series holds one point per timestamp and a
+    /// dimensions), the first `limit` kept. The candidates come in
+    /// spelled order, so a candidate's position is its rank and the rows
+    /// order as integers; a series holds one point per timestamp and a
     /// measure one series per dimension set, so (time, rank) is unique.
-    /// Only the kept points are sorted: the first `limit` keys are
-    /// selected from the rest first.
+    /// Each candidate's points are already in time order: they are merged
+    /// ([`merge`]), and the merge stops at `limit`. Every candidate is
+    /// still bounded, so the answer's total and costs are whole.
     fn scan_range(&self, q: &Query, limit: usize, profile: &mut QueryProfile) -> RowScan<'_> {
         let (from, to) = q.time_range();
-        let (index, mut series) = self.scan_candidates(q, from, to, profile);
-        if let Some(index) = index {
-            series.sort_unstable_by(|a, b| {
-                index.dimensions(a.id).cmp_spelled(&index.dimensions(b.id))
-            });
-        }
-        let slices: Vec<&[(u64, f64)]> = series
-            .iter()
-            .map(|e| {
+        let (index, series) = self.scan_candidates(q, from, to, Order::Spelled, profile);
+        let mut total = 0;
+        let rows = merge(
+            series.iter().map(|e| {
                 let (pts, chunks) = e.series.range_scan(from, to);
                 profile.chunks_decompressed += chunks;
                 profile.rows_decoded += pts.len() as u64;
+                total += pts.len();
                 pts
-            })
-            .collect();
-        let total = slices.iter().map(|pts| pts.len()).sum();
-        let mut rows = Vec::with_capacity(total);
-        for (rank, pts) in slices.iter().enumerate() {
-            rows.extend(pts.iter().map(|&(time, value)| (time, rank, value)));
-        }
-        if series.len() > 1 {
-            let key = |&(time, rank, _): &(u64, usize, f64)| (time, rank);
-            if total > limit {
-                rows.select_nth_unstable_by_key(limit, key);
-            }
-            rows.truncate(limit);
-            rows.sort_unstable_by_key(key);
-        } else {
-            rows.truncate(limit);
-        }
+            }),
+            limit,
+        );
         RowScan {
             index,
             series,
@@ -541,7 +536,7 @@ impl Table {
         profile: &mut QueryProfile,
         find: impl Fn(&Series) -> (Option<(u64, f64)>, u64),
     ) -> RowScan<'_> {
-        let (index, series) = self.scan_candidates(q, from, to, profile);
+        let (index, series) = self.scan_candidates(q, from, to, Order::Key, profile);
         let mut rows = Vec::with_capacity(series.len().min(limit));
         let mut total = 0;
         for (at, e) in series.iter().enumerate() {
@@ -594,7 +589,7 @@ impl Table {
         let (from, to) = q.time_range();
         profile.observe_query(q);
         let mut windows: BTreeMap<u64, Fold> = BTreeMap::new();
-        for e in self.scan_candidates(q, from, to, profile).1 {
+        for e in self.scan_candidates(q, from, to, Order::Key, profile).1 {
             let (mut pts, chunks) = e.series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
             profile.rows_decoded += pts.len() as u64;
@@ -630,20 +625,22 @@ impl Table {
         rows
     }
 
-    /// Selects the series a scan must touch, in dimension-key order,
-    /// tallying the ones pruned without decompression — by
-    /// dimension-filter mismatch or because their time bounds are
-    /// disjoint from `[from, to]` — and returns them with the index of
-    /// their measure, if it exists. The filters are resolved to pair ids
-    /// once; a pair the measure lacks matches nothing. A filtered query
-    /// tests only the series on its shortest posting list
-    /// (`series_examined`); the rest of the measure counts as pruned
-    /// without being visited.
+    /// Selects the series a scan must touch, in `order`, tallying the
+    /// ones pruned without decompression — by dimension-filter mismatch
+    /// or because their time bounds are disjoint from `[from, to]` — and
+    /// returns them with the index of their measure, if it exists. The
+    /// filters are resolved to pair ids once; a pair the measure lacks
+    /// matches nothing. A filtered query tests only the series on its
+    /// shortest posting list (`series_examined`); the rest of the measure
+    /// counts as pruned without being visited. Candidates are ordered by
+    /// their ranks ([`Index::ranks`]), integers; a query without filters
+    /// walks the key map, already in key order.
     fn scan_candidates<'a>(
         &'a self,
         q: &Query,
         from: u64,
         to: u64,
+        order: Order,
         profile: &mut QueryProfile,
     ) -> (Option<&'a Arc<Index>>, Vec<Entry<'a>>) {
         let Some(measure) = self.measure(q.measure_name()) else {
@@ -651,32 +648,39 @@ impl Table {
         };
         let index = &measure.index;
         let overlaps = |e: &Entry<'_>| e.series.overlaps(from, to);
-        let (examined, candidates): (usize, Vec<Entry<'a>>) = if q.filters().is_empty() {
-            (
-                measure.len(),
-                measure.in_key_order().filter(overlaps).collect(),
-            )
+        // Room for every series that may be a candidate: one allocation.
+        let mut candidates = Vec::new();
+        let examined = if q.filters().is_empty() {
+            candidates.reserve_exact(measure.len());
+            candidates.extend(measure.in_key_order().filter(overlaps));
+            measure.len()
+        } else if let Some(filters) = q.resolve(index.pairs()) {
+            let filters = filters.ids();
+            let ids = filters
+                .iter()
+                .map(|&pair| index.posting(pair))
+                .min_by_key(|ids| ids.len())
+                .unwrap_or_default();
+            candidates.reserve_exact(ids.len());
+            candidates.extend(
+                ids.iter()
+                    .filter(|&&id| matches(filters, index.dimensions(id).ids()))
+                    .filter_map(|&id| measure.entry(id))
+                    .filter(overlaps),
+            );
+            ids.len()
         } else {
-            match q.resolve(index.pairs()) {
-                None => (0, Vec::new()),
-                Some(filters) => {
-                    let filters = filters.ids();
-                    let ids = filters
-                        .iter()
-                        .map(|&pair| index.posting(pair))
-                        .min_by_key(|ids| ids.len())
-                        .unwrap_or_default();
-                    let mut hits: Vec<(&Arc<str>, Entry<'a>)> = ids
-                        .iter()
-                        .filter(|&&id| matches(filters, index.dimensions(id).ids()))
-                        .filter_map(|&id| Some((index.key(id)?, measure.entry(id)?)))
-                        .filter(|(_, e)| overlaps(e))
-                        .collect();
-                    hits.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                    (ids.len(), hits.into_iter().map(|(_, e)| e).collect())
-                }
-            }
+            0
         };
+        let in_order = q.filters().is_empty() && order == Order::Key;
+        if candidates.len() > 1 && !in_order {
+            let ranks = index.ranks();
+            let ranks = match order {
+                Order::Key => &ranks.key,
+                Order::Spelled => &ranks.spelled,
+            };
+            candidates.sort_unstable_by_key(|e| ranks.get(e.id as usize).copied());
+        }
         profile.series_total += measure.len() as u64;
         profile.series_examined += examined as u64;
         profile.series_scanned += candidates.len() as u64;
@@ -909,6 +913,136 @@ mod tests {
         ));
         assert_eq!(snapshot.series_count(), n);
         assert_eq!(t.series_count(), n + 1);
+    }
+
+    /// A row spelled out: its time and its dimensions as strings.
+    type Spelled = (u64, Vec<(String, String)>);
+
+    /// Rows spelled out, in answer order.
+    fn spelled(rows: &[Row]) -> Vec<Spelled> {
+        rows.iter()
+            .map(|r| (r.time, r.dimensions().to_vec()))
+            .collect()
+    }
+
+    /// A table whose series order differently by key and by pairs: `abc`
+    /// is a prefix of `abc-d`, and `'-'` sorts before the key's `'|'`.
+    fn prefix_table() -> Table {
+        let mut t = Table::new(TableOptions::default());
+        for (time, v) in [
+            (0u64, "abc"),
+            (0, "abc-d"),
+            (600, "abc-d"),
+            (600, "abc"),
+            (600, "ab"),
+        ] {
+            let r = Record::new(time, "sps", 1.0)
+                .dimension("k", v)
+                .dimension("z", "1");
+            t.write(&r).unwrap();
+        }
+        t
+    }
+
+    /// The answers by their definitions: `/latest` in key order, `/query`
+    /// in (time, spelled pairs) order.
+    fn by_strings(t: &Table, q: &Query) -> (Vec<Spelled>, Vec<Spelled>) {
+        let mut latest: Vec<(String, Spelled)> = t
+            .series_entries()
+            .filter(|(m, _, _)| *m == q.measure_name())
+            .filter_map(|(_, dims, s)| {
+                let key = series_key("", dims.iter());
+                Some((key, (s.points().last()?.0, dims.to_vec())))
+            })
+            .collect();
+        latest.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut query: Vec<Spelled> = t
+            .series_entries()
+            .filter(|(m, _, _)| *m == q.measure_name())
+            .flat_map(|(_, dims, s)| {
+                s.points()
+                    .iter()
+                    .map(move |&(time, _)| (time, dims.to_vec()))
+            })
+            .collect();
+        query.sort();
+        (latest.into_iter().map(|(_, row)| row).collect(), query)
+    }
+
+    #[test]
+    fn latest_orders_by_key_and_query_by_spelled_pairs_where_they_differ() {
+        let mut t = prefix_table();
+        let q = Query::measure("sps");
+        let (latest, query) = by_strings(&t, &q);
+        let names = |rows: &[Spelled]| -> Vec<String> {
+            rows.iter()
+                .map(|(time, d)| format!("{time}:{}", d[0].1))
+                .collect()
+        };
+        assert_eq!(names(&latest), ["600:abc-d", "600:abc", "600:ab"]);
+        assert_eq!(
+            names(&query),
+            ["0:abc", "0:abc-d", "600:ab", "600:abc", "600:abc-d"]
+        );
+        assert_eq!(spelled(&t.latest(&q)), latest);
+        assert_eq!(spelled(&t.query(&q)), query);
+        let filtered = Query::measure("sps").filter("z", "1");
+        assert_eq!(spelled(&t.latest(&filtered)), latest);
+        assert_eq!(spelled(&t.query(&filtered)), query);
+        for limit in 0..=query.len() + 1 {
+            let mut profile = QueryProfile::default();
+            let scan = t.scan_rows(&filtered, RowKind::Range, limit, &mut profile);
+            assert_eq!(scan.total(), query.len());
+            assert_eq!(spelled(&scan.into_rows()), query[..limit.min(query.len())]);
+        }
+
+        // A series filed after the ranks were built is ranked; a snapshot
+        // taken before keeps its answer.
+        let snapshot = t.clone();
+        let r = Record::new(0, "sps", 1.0)
+            .dimension("k", "aa")
+            .dimension("z", "1");
+        t.write(&r).unwrap();
+        let (latest_after, query_after) = by_strings(&t, &q);
+        assert_eq!(names(&latest_after)[0], "0:aa");
+        assert_eq!(names(&query_after)[0], "0:aa");
+        for q in [&q, &filtered] {
+            assert_eq!(spelled(&t.latest(q)), latest_after);
+            assert_eq!(spelled(&t.query(q)), query_after);
+            assert_eq!(spelled(&snapshot.latest(q)), latest);
+            assert_eq!(spelled(&snapshot.query(q)), query);
+        }
+    }
+
+    #[test]
+    fn racing_first_scans_of_one_clone_build_the_ranks_once() {
+        let mut t = Table::new(TableOptions::default());
+        for r in 0..3 {
+            round(&mut t, r * 600, 0..3 * PAGE_SERIES);
+        }
+        let shared = t.clone();
+        let q = Query::measure("sps").between(600, u64::MAX);
+        let start = std::sync::Barrier::new(4);
+        let answers: Vec<Vec<Row>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        shared.query(&q)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(answers.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(
+            spelled(&answers[0]),
+            by_strings(&t, &q).1[3 * PAGE_SERIES..]
+        );
+        let index = &shared.measures[0].index;
+        assert!(Arc::ptr_eq(index, &t.measures[0].index), "one index");
+        assert_eq!(t.query(&q), answers[0]);
+        assert_eq!(index.builds.load(Ordering::Relaxed), 1);
     }
 
     #[test]

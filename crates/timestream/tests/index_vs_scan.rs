@@ -14,7 +14,11 @@
 //! definition instead: the fewest series any one filter's pair is on.
 //! Rows are compared spelled out — time, value and each dimension pair as
 //! strings — and an owned row's dimensions must be the scan's, pair ids
-//! included.
+//! included. Timestamps are ragged — on the round's grid, on a grid of the
+//! series' own, or anywhere in the round — and every row kind is also
+//! asked under limits around its total and inside a run of equal times:
+//! the first `limit` rows of the reference, with the whole answer's total
+//! and profile.
 
 use proptest::prelude::*;
 use spotlake_obs::QueryCtx;
@@ -37,6 +41,9 @@ const MEASURES: [&str; 3] = ["m0", "m1", "absent"];
 const KEYS: [&str; 4] = ["instance_type", "region", "az", "zone"];
 /// `none` is a value no series carries.
 const VALUES: [&str; 6] = ["t0", "t1", "r0", "r1", "a1", "none"];
+/// Instance types: `t1` is a prefix of `t1-b`, so their series' keys
+/// order one way (`'-'` < `'|'`) and their spelled pairs the other.
+const TYPES: [&str; 3] = ["t0", "t1", "t1-b"];
 
 fn scratch() -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -284,6 +291,7 @@ fn check(db: &Database, reference: &Reference, ask: &Ask) -> Result<(), TestCase
     );
     prop_assert_eq!(&got, &want, "query profile: {:?}", ask);
     owned_rows_are_the_scans(db, q, RowKind::Range, &rows)?;
+    limits_cut_the_whole_answer(db, q, RowKind::Range, &rows, &got)?;
 
     let (rows, got) = db.latest_profiled(TABLE, q, ctx).unwrap();
     let mut want = expect("latest");
@@ -295,6 +303,7 @@ fn check(db: &Database, reference: &Reference, ask: &Ask) -> Result<(), TestCase
     );
     prop_assert_eq!(&got, &want, "latest profile: {:?}", ask);
     owned_rows_are_the_scans(db, q, RowKind::Latest, &rows)?;
+    limits_cut_the_whole_answer(db, q, RowKind::Latest, &rows, &got)?;
 
     let (rows, got) = db.value_at_profiled(TABLE, q, ask.at, ctx).unwrap();
     let mut want = expect("value_at");
@@ -302,6 +311,7 @@ fn check(db: &Database, reference: &Reference, ask: &Ask) -> Result<(), TestCase
     prop_assert_eq!(spelled(&rows), want_rows, "value_at rows: {:?}", ask);
     prop_assert_eq!(&got, &want, "value_at profile: {:?}", ask);
     owned_rows_are_the_scans(db, q, RowKind::At(ask.at), &rows)?;
+    limits_cut_the_whole_answer(db, q, RowKind::At(ask.at), &rows, &got)?;
 
     let (rows, got) = db
         .query_window_profiled(TABLE, q, ask.window, ask.agg, ctx)
@@ -336,8 +346,51 @@ fn owned_rows_are_the_scans(
     Ok(())
 }
 
-/// Asks every generated case adds to its own: a filter value no series
-/// carries, a key given twice with two values, and one pair given twice.
+/// Under a limit, the scan keeps the first `limit` rows of the whole
+/// answer `rows`, and its total and profile are the whole answer's:
+/// limits 0, 1, one short of the total, the total and one past it, and
+/// one that cuts a run of equal times.
+fn limits_cut_the_whole_answer(
+    db: &Database,
+    q: &Query,
+    kind: RowKind,
+    rows: &[Row],
+    whole: &QueryProfile,
+) -> Result<(), TestCaseError> {
+    let ctx = QueryCtx {
+        trace_id: whole.trace_id,
+        tick: whole.tick,
+        request_id: whole.request_id,
+    };
+    let total = rows.len();
+    let inside_a_run = (1..total).find(|&i| rows[i - 1].time == rows[i].time);
+    let limits = [0, 1, total.saturating_sub(1), total, total + 1];
+    for limit in limits.into_iter().chain(inside_a_run) {
+        let (scan, profile) = db.scan_rows(TABLE, q, kind, limit, ctx).unwrap();
+        let kept: Vec<Spelled> = scan
+            .iter()
+            .map(|r| (r.time, r.value, r.dimensions.to_vec()))
+            .collect();
+        let want = spelled(&rows[..limit.min(total)]);
+        prop_assert_eq!(
+            kept,
+            want,
+            "{:?} limit {} of {}: {:?}",
+            kind,
+            limit,
+            total,
+            q
+        );
+        prop_assert_eq!(scan.total(), total);
+        prop_assert_eq!(scan.truncated(), limit < total);
+        prop_assert_eq!(&profile, whole, "{:?} limit {}: {:?}", kind, limit, q);
+    }
+    Ok(())
+}
+
+/// Asks every generated case adds to its own: a whole measure, a whole
+/// region, a filter value no series carries, a key given twice with two
+/// values, and one pair given twice.
 fn fixed_asks() -> Vec<Ask> {
     let ask = |query: Query| Ask {
         query,
@@ -346,6 +399,8 @@ fn fixed_asks() -> Vec<Ask> {
         agg: Aggregate::Count,
     };
     vec![
+        ask(Query::measure("m0")),
+        ask(Query::measure("m1").filter("region", "r1")),
         ask(Query::measure("m0").filter("instance_type", "t9")),
         ask(Query::measure("m0")
             .filter("region", "r0")
@@ -362,13 +417,21 @@ fn fixed_asks() -> Vec<Ask> {
 
 /// One generated step: a batch of records, or (one step in five, where
 /// the phase allows it) a retention pass.
-type Step = (u8, Vec<((usize, usize, usize), (usize, u64, bool, usize))>);
+type Step = (
+    u8,
+    Vec<((usize, usize, usize), (usize, u64, bool, usize, u8))>,
+);
 
 fn steps(max: usize) -> impl Strategy<Value = Vec<Step>> {
     // (instance type, region, az — 0: the series has none) and
-    // (measure, offset, stamped behind its round, value).
+    // (measure, offset, stamped behind its round, value, grid — below 3:
+    // the round's, so that series tie on times; 3: one of the series'
+    // own; 4: anywhere in the round).
     let series = (0usize..3, 0usize..2, 0usize..3);
-    let record = (series, (0usize..2, 0u64..4, any::<bool>(), 0usize..3));
+    let record = (
+        series,
+        (0usize..2, 0u64..4, any::<bool>(), 0usize..3, 0u8..5),
+    );
     prop::collection::vec((0u8..5, prop::collection::vec(record, 0..12)), 0..max)
 }
 
@@ -442,20 +505,27 @@ impl Rig {
             }
             let batch: Vec<Record> = raw
                 .iter()
-                .map(|&((ty, region, az), (measure, offset, late, value))| {
-                    let time = if late {
-                        now.saturating_sub(offset * ROUND + 1)
-                    } else {
-                        now + offset
-                    };
-                    let r = Record::new(time, MEASURES[measure], [1.0, 2.0, 3.0][value])
-                        .dimension("instance_type", format!("t{ty}"))
-                        .dimension("region", format!("r{region}"));
-                    match az {
-                        0 => r,
-                        az => r.dimension("az", format!("a{az}")),
-                    }
-                })
+                .map(
+                    |&((ty, region, az), (measure, offset, late, value, grid))| {
+                        let time = if late {
+                            now.saturating_sub(offset * ROUND + 1)
+                        } else {
+                            now + offset
+                        };
+                        let time = match grid {
+                            0..=2 => time,
+                            3 => time + (ty as u64 * 6 + region as u64 * 3 + az as u64) * 29,
+                            _ => time + (offset * 131 + value as u64 * 47 + ty as u64 * 7) % ROUND,
+                        };
+                        let r = Record::new(time, MEASURES[measure], [1.0, 2.0, 3.0][value])
+                            .dimension("instance_type", TYPES[ty])
+                            .dimension("region", format!("r{region}"));
+                        match az {
+                            0 => r,
+                            az => r.dimension("az", format!("a{az}")),
+                        }
+                    },
+                )
                 .collect();
             let (result, _) = wal.commit(&mut self.db, TABLE, self.options, self.round, &batch, 3);
             result.unwrap();

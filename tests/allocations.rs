@@ -80,10 +80,12 @@ fn serve(gateway: &Gateway, db: &Database, target: &str) -> HttpResponse {
     gateway.handle(db, &request, &OpsContext::none())
 }
 
-/// Rows in a row response's JSON body.
+/// Rows in a row or window response's JSON body.
 fn rows_in(response: &HttpResponse) -> u64 {
     assert_eq!(response.status, 200);
-    response.body_text().matches("\"dimensions\":").count() as u64
+    let body = response.body_text();
+    let windows = body.matches("\"window_start\":").count();
+    windows.max(body.matches("\"dimensions\":").count()) as u64
 }
 
 #[test]
@@ -107,16 +109,28 @@ fn requests_allocate_what_the_golden_file_pins() {
             format!("/window?table=sps&{pool}&window=86400"),
         ),
     ];
-    let region = "/query?table=sps&region=us-test-1";
-    let whole = "/latest?table=sps";
+    let scans = [
+        ("region /query", "/query?table=sps&region=us-test-1"),
+        ("region /latest", "/latest?table=sps&region=us-test-1"),
+        (
+            "region /window",
+            "/window?table=sps&region=us-test-1&window=3600",
+        ),
+        ("whole-table /latest", "/latest?table=sps"),
+        (
+            "whole-table /query, limit 100",
+            "/query?table=sps&limit=100",
+        ),
+    ];
     // Fill the trace ring past its capacity and create every metric
     // series the requests touch.
     for _ in 0..300 {
         for (_, target) in &point {
             serve(&gateway, db, target);
         }
-        serve(&gateway, db, region);
-        serve(&gateway, db, whole);
+        for (_, target) in scans {
+            serve(&gateway, db, target);
+        }
     }
 
     let mut got = String::new();
@@ -141,7 +155,7 @@ fn requests_allocate_what_the_golden_file_pins() {
     });
     let _ = writeln!(got, "write_response of a point response: {n}");
 
-    for (what, target) in [("region /query", region), ("whole-table /latest", whole)] {
+    for (what, target) in scans {
         let rows = rows_in(&serve(&gateway, db, target));
         let n = allocations_of(what, || serve(&gateway, db, target));
         let _ = writeln!(
