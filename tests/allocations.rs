@@ -1,16 +1,18 @@
-//! Heap allocations per served request, pinned: unlike a wall-clock
-//! time, an allocation count is the same on every machine, so a change
-//! that makes the query path allocate more shows as a diff of
-//! `tests/golden/allocations.txt`.
+//! Heap allocations per served request and per collection round, pinned:
+//! unlike a wall-clock time, an allocation count is the same on every
+//! machine, so a change that makes the query path or the write path
+//! allocate more shows as a diff of `tests/golden/allocations.txt`.
 //!
 //! A counting global allocator (forwarding to the system one) counts
 //! every allocation of this test binary, which holds this one test so no
-//! other thread allocates. Over a small seeded archive, each line is one
-//! request through `Gateway::handle`, or one response through the wire
-//! encoder and writer, after enough warm-up that the gateway's query
-//! trace ring is full and every metric series exists: what a long-running
-//! server pays per request. Each count must repeat exactly ten times
-//! before it is compared. A deliberate change re-blesses the file with
+//! other test's thread allocates. Over a small seeded archive, each
+//! request line is one request through `Gateway::handle`, or one response
+//! through the wire encoder and writer, after enough warm-up that the
+//! gateway's query trace ring is full and every metric series exists:
+//! what a long-running server pays per request. The collection line is a
+//! fixed stretch of in-memory rounds of a fresh service, its cloud steps
+//! not counted, rebuilt from the seed on each repeat. Each count must
+//! repeat exactly ten times before it is compared. A deliberate change re-blesses the file with
 //! `SPOTLAKE_BLESS=1` and gives the before and after counts in
 //! CHANGES.md.
 
@@ -22,6 +24,8 @@ mod common;
 
 use common::{golden_or_bless, sim_config, test_catalog, GPU_MENU};
 use spotlake::SpotLake;
+use spotlake_cloud_sim::SimCloud;
+use spotlake_collector::{CollectorConfig, CollectorService};
 use spotlake_serving::server::wire;
 use spotlake_serving::{Gateway, HttpRequest, HttpResponse, OpsContext};
 use spotlake_timestream::Database;
@@ -58,20 +62,48 @@ static GLOBAL: Counting = Counting;
 /// Times each count is taken; they must all agree.
 const REPEATS: usize = 10;
 
-/// Allocations `f` makes, the same on each of [`REPEATS`] calls.
-fn allocations_of<T>(what: &str, mut f: impl FnMut() -> T) -> u64 {
-    let counts: Vec<u64> = (0..REPEATS)
-        .map(|_| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            drop(f());
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        })
-        .collect();
+/// Collection rounds of a fresh service before the counted stretch, and
+/// the last round counted.
+const WARM_UP_ROUNDS: u64 = 4;
+const LAST_ROUND: u64 = 24;
+
+/// `count()`, the same on each of [`REPEATS`] calls.
+fn repeated(what: &str, mut count: impl FnMut() -> u64) -> u64 {
+    let counts: Vec<u64> = (0..REPEATS).map(|_| count()).collect();
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "{what}: allocation counts vary between repeats: {counts:?}"
     );
     counts[0]
+}
+
+/// Allocations `f` makes, the same on each of [`REPEATS`] calls.
+fn allocations_of<T>(what: &str, mut f: impl FnMut() -> T) -> u64 {
+    repeated(what, || {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        drop(f());
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    })
+}
+
+/// Allocations of collection rounds `WARM_UP_ROUNDS + 1..=LAST_ROUND` of a
+/// fresh in-memory service over the test catalog, and the points they
+/// stored.
+fn collection_rounds() -> (u64, usize) {
+    let mut cloud = SimCloud::new(test_catalog(GPU_MENU), sim_config());
+    let mut service = CollectorService::new(cloud.catalog(), CollectorConfig::default())
+        .expect("a fresh collector over the catalog");
+    let (mut allocations, mut stored) = (0, 0);
+    for round in 1..=LAST_ROUND {
+        cloud.step();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = service.collect_round(&cloud).expect("the round completes");
+        if round > WARM_UP_ROUNDS {
+            allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+            stored += report.stats.records_written;
+        }
+    }
+    (allocations, stored)
 }
 
 /// One request through the gateway.
@@ -164,6 +196,19 @@ fn requests_allocate_what_the_golden_file_pins() {
             n as f64 / rows as f64
         );
     }
+
+    let mut stored = 0;
+    let n = repeated("collection rounds", || {
+        let (allocations, points) = collection_rounds();
+        stored = points;
+        allocations
+    });
+    let _ = writeln!(
+        got,
+        "collection rounds {}-{LAST_ROUND}: {n} over {stored} stored points, {:.3} per point",
+        WARM_UP_ROUNDS + 1,
+        n as f64 / stored as f64
+    );
 
     if let Some(want) = golden_or_bless("allocations", &got) {
         assert_eq!(
