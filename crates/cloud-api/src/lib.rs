@@ -19,6 +19,13 @@
 //!   bodies) layered over every surface, so collector resilience can be
 //!   exercised reproducibly. A zero-rate plan is byte-for-byte inert.
 //!
+//! The placement-score and price answers carry the names AWS answers
+//! with, but borrowed rather than owned: an [`SpsScore`] borrows its
+//! region and zone from the cloud's catalog, and a [`PricePoint`] its
+//! instance type from the request and its zone from the catalog. A
+//! collection round then allocates per query, not per answered score or
+//! price record; a caller that keeps an answer copies its names.
+//!
 //! # Example
 //!
 //! ```

@@ -39,18 +39,34 @@ impl PriceRequest {
                 reason: "at least one instance type is required".into(),
             });
         }
+        let mut request = PriceRequest {
+            instance_types,
+            availability_zone: None,
+            start,
+            end,
+        };
+        request.set_window(start, end)?;
+        Ok(request)
+    }
+
+    /// Moves the request to the window `[start, end]`, keeping its types
+    /// and zone: a collector re-issues the same request over each new
+    /// window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ApiError::InvalidParameter`] for an inverted time range,
+    /// and leaves the window as it was.
+    pub fn set_window(&mut self, start: SimTime, end: SimTime) -> Result<(), ApiError> {
         if start > end {
             return Err(ApiError::InvalidParameter {
                 parameter: "start",
                 reason: "start time is after end time".into(),
             });
         }
-        Ok(PriceRequest {
-            instance_types,
-            availability_zone: None,
-            start,
-            end,
-        })
+        self.start = start;
+        self.end = end;
+        Ok(())
     }
 
     /// Restricts the request to a single availability zone.
@@ -60,24 +76,25 @@ impl PriceRequest {
     }
 }
 
-/// One price-change record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PricePoint {
+/// One price-change record. Its names are borrowed: the instance type
+/// from the request, the zone from the cloud's catalog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PricePoint<'a> {
     /// When the price changed.
     pub timestamp: SimTime,
     /// Instance type name.
-    pub instance_type: String,
+    pub instance_type: &'a str,
     /// Availability-zone name.
-    pub availability_zone: String,
+    pub availability_zone: &'a str,
     /// The new spot price.
     pub price: SpotPrice,
 }
 
 /// One page of price history plus an optional continuation token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PricePage {
+pub struct PricePage<'a> {
     /// The records of this page, oldest first.
-    pub records: Vec<PricePoint>,
+    pub records: Vec<PricePoint<'a>>,
     /// Pass back to [`PriceClient::describe_spot_price_history`] to fetch
     /// the next page; `None` when exhausted.
     pub next_token: Option<String>,
@@ -114,7 +131,8 @@ impl PriceClient {
 
     /// Fetches one page of spot price-change history. The effective start
     /// time is clamped to the API's 90-day lookback relative to the cloud's
-    /// current time.
+    /// current time. The records borrow their type names from `request`
+    /// and their zone names from `cloud`'s catalog.
     ///
     /// # Errors
     ///
@@ -123,12 +141,12 @@ impl PriceClient {
     /// * [`ApiError::Throttled`], [`ApiError::Timeout`], or
     ///   [`ApiError::ServiceUnavailable`] when a fault injector is
     ///   installed and fires (all retryable).
-    pub fn describe_spot_price_history(
+    pub fn describe_spot_price_history<'a>(
         &mut self,
-        cloud: &SimCloud,
-        request: &PriceRequest,
+        cloud: &'a SimCloud,
+        request: &'a PriceRequest,
         page_token: Option<&str>,
-    ) -> Result<PricePage, ApiError> {
+    ) -> Result<PricePage<'a>, ApiError> {
         let catalog = cloud.catalog();
         let offset: usize = match page_token {
             None => 0,
@@ -183,10 +201,10 @@ impl PriceClient {
 
         // Records are ordered by (timestamp, type name, zone name). Rank the
         // names once, key each record by (timestamp, type rank, zone rank)
-        // packed into one integer, order only the records of the page, and
-        // build strings for those alone. A type named twice shares its rank,
-        // so its duplicate records stay adjacent, as a sort on the names
-        // would leave them; equal keys are such duplicates, equal records.
+        // packed into one integer, and order only the records of the page,
+        // which borrow their names. A type named twice shares its rank, so
+        // its duplicate records stay adjacent, as a sort on the names would
+        // leave them; equal keys are such duplicates, equal records.
         zones.sort_by(|&a, &b| catalog.az(a).name().cmp(catalog.az(b).name()));
         let mut ranked_names: Vec<&str> =
             request.instance_types.iter().map(String::as_str).collect();
@@ -222,8 +240,8 @@ impl PriceClient {
             .iter()
             .map(|&(key, price)| PricePoint {
                 timestamp: SimTime::from_secs((key >> 64) as u64),
-                instance_type: ranked_names[(key >> 32) as u32 as usize].to_owned(),
-                availability_zone: catalog.az(zones[key as u32 as usize]).name().to_owned(),
+                instance_type: ranked_names[(key >> 32) as u32 as usize],
+                availability_zone: catalog.az(zones[key as u32 as usize]).name(),
                 price,
             })
             .collect();
@@ -262,6 +280,28 @@ mod tests {
             SimTime::EPOCH
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_moved_window_is_the_request_built_for_it() {
+        let cloud = cloud_with_history();
+        let types = || vec!["m5.large".to_owned()];
+        let mut moved = PriceRequest::new(types(), SimTime::EPOCH, SimTime::EPOCH).unwrap();
+        assert!(moved.set_window(cloud.now(), SimTime::EPOCH).is_err());
+        assert_eq!(
+            moved,
+            PriceRequest::new(types(), SimTime::EPOCH, SimTime::EPOCH).unwrap(),
+            "an inverted window leaves the request as it was"
+        );
+        let mid = SimTime::from_secs(cloud.now().as_secs() / 2);
+        moved.set_window(mid, cloud.now()).unwrap();
+        let fresh = PriceRequest::new(types(), mid, cloud.now()).unwrap();
+        assert_eq!(moved, fresh);
+        let mut client = PriceClient::new();
+        assert_eq!(
+            client.describe_spot_price_history(&cloud, &moved, None),
+            client.describe_spot_price_history(&cloud, &fresh, None)
+        );
     }
 
     #[test]

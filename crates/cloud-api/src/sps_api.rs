@@ -135,13 +135,14 @@ impl SpsRequest {
     }
 }
 
-/// One returned placement score.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpsScore {
+/// One returned placement score. Its names are the catalog's own,
+/// borrowed from the cloud that answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpsScore<'c> {
     /// Region code.
-    pub region: String,
+    pub region: &'c str,
     /// Availability-zone name, when `SingleAvailabilityZone` was set.
-    pub availability_zone: Option<String>,
+    pub availability_zone: Option<&'c str>,
     /// The aggregated placement score.
     pub score: PlacementScore,
 }
@@ -151,10 +152,19 @@ pub struct SpsScore {
 struct AccountWindow {
     /// fingerprint → first time the query was counted inside the window.
     seen: BTreeMap<String, SimTime>,
+    /// The time the window was last expired at.
+    expired_at: Option<SimTime>,
 }
 
 impl AccountWindow {
+    /// Drops the queries counted 24 hours or more before `now`. Once per
+    /// distinct `now`: a query counted at `now` cannot expire at `now`, so
+    /// a second pass at the same time would drop nothing.
     fn expire(&mut self, now: SimTime) {
+        if self.expired_at == Some(now) {
+            return;
+        }
+        self.expired_at = Some(now);
         self.seen.retain(|_, &mut t| {
             now.checked_since(t)
                 .is_none_or(|d| d < SimDuration::from_hours(24))
@@ -209,7 +219,8 @@ impl SpsClient {
     /// Results are one score per region (or per availability zone when
     /// `SingleAvailabilityZone` is set), sorted by descending score and
     /// truncated to [`MAX_RESULTS`]. Regions/zones that support none of the
-    /// requested types are omitted (the website shows them as N/A).
+    /// requested types are omitted (the website shows them as N/A). The
+    /// answers borrow their region and zone names from `cloud`'s catalog.
     ///
     /// # Errors
     ///
@@ -217,12 +228,12 @@ impl SpsClient {
     /// * [`ApiError::QueryLimitExceeded`] when the query is new to the
     ///   account's 24-hour window and the window already holds
     ///   [`UNIQUE_QUERY_LIMIT`] unique queries.
-    pub fn get_spot_placement_scores(
+    pub fn get_spot_placement_scores<'c>(
         &mut self,
-        cloud: &SimCloud,
+        cloud: &'c SimCloud,
         account: &AccountId,
         request: &SpsRequest,
-    ) -> Result<Vec<SpsScore>, ApiError> {
+    ) -> Result<Vec<SpsScore<'c>>, ApiError> {
         let catalog = cloud.catalog();
         let mut type_ids = Vec::with_capacity(request.instance_types.len());
         for name in &request.instance_types {
@@ -258,7 +269,10 @@ impl SpsClient {
 
         // Rate limiting on *unique* queries.
         let now = cloud.now();
-        let window = self.windows.entry(account.clone()).or_default();
+        let window = match self.windows.get_mut(account) {
+            Some(window) => window,
+            None => self.windows.entry(account.clone()).or_default(),
+        };
         window.expire(now);
         if !window.seen.contains_key(&request.fingerprint) {
             if window.seen.len() >= UNIQUE_QUERY_LIMIT {
@@ -271,28 +285,33 @@ impl SpsClient {
         }
 
         let count = request.target_capacity;
-        let mut results = Vec::new();
-        if request.single_availability_zone {
-            for (&region, code) in region_ids.iter().zip(&request.regions) {
+        let candidates = if request.single_availability_zone {
+            region_ids
+                .iter()
+                .map(|&region| catalog.azs_of_region(region).len())
+                .sum()
+        } else {
+            region_ids.len()
+        };
+        let mut results = Vec::with_capacity(candidates);
+        for &region in &region_ids {
+            let code = catalog.region(region).code();
+            if request.single_availability_zone {
                 for &az in catalog.azs_of_region(region) {
                     if let Some(score) = cloud.composite_score(&type_ids, az, count) {
                         results.push(SpsScore {
-                            region: code.clone(),
-                            availability_zone: Some(catalog.az(az).name().to_owned()),
+                            region: code,
+                            availability_zone: Some(catalog.az(az).name()),
                             score,
                         });
                     }
                 }
-            }
-        } else {
-            for (&region, code) in region_ids.iter().zip(&request.regions) {
-                if let Some(score) = cloud.composite_score_region(&type_ids, region, count) {
-                    results.push(SpsScore {
-                        region: code.clone(),
-                        availability_zone: None,
-                        score,
-                    });
-                }
+            } else if let Some(score) = cloud.composite_score_region(&type_ids, region, count) {
+                results.push(SpsScore {
+                    region: code,
+                    availability_zone: None,
+                    score,
+                });
             }
         }
 
@@ -301,7 +320,7 @@ impl SpsClient {
         results.sort_by(|a, b| {
             b.score
                 .cmp(&a.score)
-                .then_with(|| a.region.cmp(&b.region))
+                .then_with(|| a.region.cmp(b.region))
                 .then_with(|| a.availability_zone.cmp(&b.availability_zone))
         });
         results.truncate(MAX_RESULTS);
@@ -466,6 +485,37 @@ mod tests {
         client
             .get_spot_placement_scores(&cloud, &account, &fresh)
             .unwrap();
+    }
+
+    #[test]
+    fn a_full_window_empties_at_24h_and_refills_at_one_time() {
+        let mut cloud = small_cloud();
+        let mut client = SpsClient::new();
+        let account = AccountId::new("a");
+        let query = |n| SpsRequest::new(vec!["m5.large".into()], vec!["us-test-1".into()], n);
+        let fill = |client: &mut SpsClient, cloud: &SimCloud, from: u32| {
+            for n in from..from + UNIQUE_QUERY_LIMIT as u32 {
+                client
+                    .get_spot_placement_scores(cloud, &account, &query(n).unwrap())
+                    .unwrap();
+            }
+        };
+        fill(&mut client, &cloud, 1);
+        let counted = cloud.now();
+        while cloud.now().checked_since(counted) < Some(SimDuration::from_hours(24)) {
+            cloud.step();
+        }
+        // Every query of the window expires at once, and the window fills
+        // again, query by query, at that one time.
+        fill(&mut client, &cloud, 1_000);
+        assert_eq!(
+            client.unique_queries_used(&account, cloud.now()),
+            UNIQUE_QUERY_LIMIT
+        );
+        assert!(matches!(
+            client.get_spot_placement_scores(&cloud, &account, &query(1).unwrap()),
+            Err(ApiError::QueryLimitExceeded { .. })
+        ));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Price pages equal a reference assembler's, page by page.
 //!
 //! `PriceClient::describe_spot_price_history` orders a request's records by
-//! (timestamp, type name, zone name) through integer ranks and builds
-//! strings only for the page it returns. The reference below is the
-//! assembler it replaced: every record of the window materialised with its
-//! strings, string-sorted, then paged. Over generated catalogs, histories,
+//! (timestamp, type name, zone name) through integer ranks and names only
+//! the page it returns, with names borrowed from the request and the
+//! catalog. The reference below is the assembler it replaced: every record
+//! of the window materialised with its names, string-sorted, then paged.
+//! Pages compare by the names' text, so the reference borrows its own. Over generated catalogs, histories,
 //! windows, type lists and zone filters, every page and every continuation
 //! token must come out the same, errors included.
 
@@ -34,14 +35,14 @@ const REGIONS: [&str; 3] = ["us-test-1", "eu-test-1", "ap-test-1"];
 
 /// The string-sorting page assembler the API used before ranks: clamp the
 /// window, materialise every record, sort on the strings, then page.
-fn reference_page(
-    cloud: &SimCloud,
-    instance_types: &[String],
+fn reference_page<'a>(
+    cloud: &'a SimCloud,
+    instance_types: &'a [String],
     availability_zone: Option<&str>,
     start: SimTime,
     end: SimTime,
     page_token: Option<&str>,
-) -> Result<PricePage, ApiError> {
+) -> Result<PricePage<'a>, ApiError> {
     let catalog = cloud.catalog();
     let offset: usize = match page_token {
         None => 0,
@@ -72,8 +73,8 @@ fn reference_page(
             for &(timestamp, price) in cloud.price_history(ty, az, start, end) {
                 records.push(PricePoint {
                     timestamp,
-                    instance_type: name.clone(),
-                    availability_zone: catalog.az(az).name().to_owned(),
+                    instance_type: name,
+                    availability_zone: catalog.az(az).name(),
                     price,
                 });
             }
@@ -82,14 +83,14 @@ fn reference_page(
     records.sort_by(|a, b| {
         a.timestamp
             .cmp(&b.timestamp)
-            .then_with(|| a.instance_type.cmp(&b.instance_type))
-            .then_with(|| a.availability_zone.cmp(&b.availability_zone))
+            .then_with(|| a.instance_type.cmp(b.instance_type))
+            .then_with(|| a.availability_zone.cmp(b.availability_zone))
     });
     let page: Vec<PricePoint> = records
         .iter()
         .skip(offset)
         .take(PAGE_SIZE)
-        .cloned()
+        .copied()
         .collect();
     let next_token = if offset + page.len() < records.len() {
         Some((offset + page.len()).to_string())

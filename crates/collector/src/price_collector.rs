@@ -12,7 +12,7 @@ use crate::error::CollectError;
 use crate::retry::RetryPolicy;
 use crate::series::{type_id, zone_id, PoolSeries, SweepPoints};
 use spotlake_cloud_api::{
-    ApiError, FaultInjector, FaultPlan, FaultSurface, PriceClient, PriceRequest,
+    ApiError, FaultInjector, FaultPlan, FaultSurface, PriceClient, PricePage, PriceRequest,
 };
 use spotlake_cloud_sim::SimCloud;
 use spotlake_timestream::{Point, Record};
@@ -34,6 +34,9 @@ pub struct PriceCollector {
     last_collected: Option<SimTime>,
     batch: usize,
     type_filter: Option<Vec<String>>,
+    /// The sweep's requests, `batch` type names each, named on the first
+    /// sweep; each later sweep only moves their window.
+    requests: Option<Vec<PriceRequest>>,
     series: PoolSeries,
 }
 
@@ -44,6 +47,7 @@ impl Default for PriceCollector {
             last_collected: None,
             batch: 50,
             type_filter: None,
+            requests: None,
             series: PoolSeries::new(&["spot_price"]),
         }
     }
@@ -58,6 +62,7 @@ impl PriceCollector {
     /// Restricts collection to the named instance types.
     pub fn with_type_filter(mut self, types: Vec<String>) -> Self {
         self.type_filter = Some(types);
+        self.requests = None;
         self
     }
 
@@ -110,9 +115,11 @@ impl PriceCollector {
     /// [`PriceCollector::collect_with`] by series id: each change event
     /// becomes a point of its (type, zone) pool's series, booked the first
     /// time a sweep sees the pool; the region is the catalog's region of
-    /// the zone. A page fetch that exhausts its retries fails the sweep:
-    /// no points, the watermark kept, and the retryable error with every
-    /// retry the sweep spent, earlier pages' included.
+    /// the zone. The type names the requests carry — the filter's, or
+    /// every type of the first sweep's catalog — are named once. A page
+    /// fetch that exhausts its retries fails the sweep: no points, the
+    /// watermark kept, and the retryable error with every retry the
+    /// sweep spent, earlier pages' included.
     ///
     /// # Errors
     ///
@@ -137,19 +144,27 @@ impl PriceCollector {
         }
         let mut events = Vec::new();
 
-        let all_names: Vec<String> = match &self.type_filter {
-            Some(f) => f.clone(),
-            None => catalog.instance_types().iter().map(|t| t.name()).collect(),
-        };
+        if self.requests.is_none() {
+            let names: Vec<String> = match &self.type_filter {
+                Some(f) => f.clone(),
+                None => catalog.instance_types().iter().map(|t| t.name()).collect(),
+            };
+            let requests = names
+                .chunks(self.batch)
+                .map(|chunk| PriceRequest::new(chunk.to_vec(), from, to))
+                .collect::<Result<_, _>>()?;
+            self.requests = Some(requests);
+        }
 
-        for chunk in all_names.chunks(self.batch) {
-            let request = PriceRequest::new(chunk.to_vec(), from, to)?;
+        for request in self.requests.iter_mut().flatten() {
+            request.set_window(from, to)?;
+            let request = &*request;
             let mut token: Option<String> = None;
             loop {
                 let page = match fetch_page_with_retry(
                     &mut self.client,
                     cloud,
-                    &request,
+                    request,
                     token.as_deref(),
                     policy,
                     &mut outcome.retries,
@@ -167,8 +182,8 @@ impl PriceCollector {
                     if p.timestamp < from {
                         continue;
                     }
-                    let ty = type_id(catalog, &p.instance_type)?;
-                    let az = zone_id(catalog, Some(&p.availability_zone))?;
+                    let ty = type_id(catalog, p.instance_type)?;
+                    let az = zone_id(catalog, Some(p.availability_zone))?;
                     events.push((ty, az, p.timestamp.as_secs(), p.price.as_usd()));
                 }
                 match page.next_token {
@@ -199,14 +214,14 @@ impl PriceCollector {
     }
 }
 
-fn fetch_page_with_retry(
+fn fetch_page_with_retry<'a>(
     client: &mut PriceClient,
-    cloud: &SimCloud,
-    request: &PriceRequest,
+    cloud: &'a SimCloud,
+    request: &'a PriceRequest,
     token: Option<&str>,
     policy: &RetryPolicy,
     retries: &mut usize,
-) -> Result<spotlake_cloud_api::PricePage, ApiError> {
+) -> Result<PricePage<'a>, ApiError> {
     let mut attempt = 0;
     loop {
         attempt += 1;

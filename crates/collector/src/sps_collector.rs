@@ -519,11 +519,11 @@ fn in_catalog_ids(catalog: &Catalog, ty: &str, scores: &[SpsScore]) -> Result<Sc
     scores
         .iter()
         .map(|s| {
-            let az = zone_id(catalog, s.availability_zone.as_deref())?;
+            let az = zone_id(catalog, s.availability_zone)?;
             if catalog.region(catalog.az(az).region()).code() != s.region {
                 return Err(ApiError::UnknownEntity {
                     kind: "region of availability zone",
-                    name: s.region.clone(),
+                    name: s.region.to_owned(),
                 });
             }
             Ok((ty, az, f64::from(s.score.value())))
@@ -616,9 +616,9 @@ mod tests {
     #[test]
     fn a_score_the_catalog_cannot_place_fails_closed() {
         let cloud = cloud();
-        let score = |region: &str, az: Option<&str>| SpsScore {
-            region: region.to_owned(),
-            availability_zone: az.map(str::to_owned),
+        let score = |region: &'static str, az: Option<&'static str>| SpsScore {
+            region,
+            availability_zone: az,
             score: spotlake_types::PlacementScore::new(3).unwrap(),
         };
         let good = score("us-test-1", Some("us-test-1a"));
@@ -629,9 +629,9 @@ mod tests {
             ("m5.large", score("us-test-1", None)),
             ("m5.large", score("us-test-1", Some("us-test-1z"))),
             ("m5.large", score("eu-test-1", Some("us-test-1a"))),
-            ("m9.huge", good.clone()),
+            ("m9.huge", good),
         ] {
-            let e = in_catalog_ids(cloud.catalog(), ty, &[good.clone(), bad]).unwrap_err();
+            let e = in_catalog_ids(cloud.catalog(), ty, &[good, bad]).unwrap_err();
             assert!(matches!(e, ApiError::UnknownEntity { .. }), "{e}");
             assert!(!e.is_retryable());
         }

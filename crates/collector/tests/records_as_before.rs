@@ -55,7 +55,7 @@ fn sps_records(
                 records.push(
                     Record::new(now, "sps", f64::from(s.score.value()))
                         .dimension("instance_type", &q.instance_type)
-                        .dimension("region", &s.region)
+                        .dimension("region", s.region)
                         .dimension("az", s.availability_zone.unwrap()),
                 );
             }
@@ -112,11 +112,11 @@ fn price_records(
                 if p.timestamp < from {
                     continue;
                 }
-                let az = &p.availability_zone;
+                let az = p.availability_zone;
                 let region = &az[..az.len() - 1];
                 records.push(
                     Record::new(p.timestamp.as_secs(), "spot_price", p.price.as_usd())
-                        .dimension("instance_type", &p.instance_type)
+                        .dimension("instance_type", p.instance_type)
                         .dimension("region", region)
                         .dimension("az", az),
                 );

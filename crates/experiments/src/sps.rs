@@ -80,7 +80,7 @@ pub(crate) fn figure06(fx: &Fixtures) {
                 .expect("catalog names are valid");
             let Some(row) = scores
                 .iter()
-                .find(|s| s.availability_zone.as_deref() == Some(catalog.az(*az).name()))
+                .find(|s| s.availability_zone == Some(catalog.az(*az).name()))
             else {
                 continue; // truncated out of the top-10 for this region
             };

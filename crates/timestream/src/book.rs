@@ -7,7 +7,9 @@
 //! `(id, time, value)`, and the book remembers where the store files each
 //! series once a point of it has been applied. Writing a batch by id
 //! builds no [`Record`], formats no key, and hashes or compares no string
-//! per point.
+//! per point — validation included: a series' names are checked once, when
+//! it is booked, and a point of a valid series checks only its id and that
+//! its value is finite.
 //!
 //! Ids belong to the book, not to the store, and a book never files
 //! anything: a series is filed by the first apply of one of its points, so
@@ -51,6 +53,9 @@ pub struct Point {
     pub value: f64,
 }
 
+/// Set in [`Def::region`] when the series' names pass validation.
+const VALID: u32 = 1 << 31;
+
 /// One booked series, spelled once: the store files it under the same
 /// key allocation and the ids of its pairs in the measure's dictionary.
 /// The book keeps its own spelling, which every log record of the series
@@ -59,12 +64,29 @@ pub struct Point {
 struct Def {
     /// Index into the book's measure names.
     measure: u32,
-    /// Index into the book's region names: the shard the series belongs to.
+    /// Index into the book's region names — the shard the series belongs
+    /// to — with [`VALID`] set when its measure and dimension keys pass
+    /// validation, as checked when it was booked.
     region: u32,
     /// The dimensions, in the order given.
     dimensions: Box<[(String, String)]>,
     /// The dimension key the series is filed under.
     key: Arc<str>,
+}
+
+// The verdict rides in `region` so that a book of millions of series
+// stays at 40 bytes a series.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Def>() == 40);
+
+impl Def {
+    fn region(&self) -> usize {
+        (self.region & !VALID) as usize
+    }
+
+    fn valid(&self) -> bool {
+        self.region & VALID != 0
+    }
 }
 
 /// The series a writer books, each with one dense id. See the
@@ -87,21 +109,30 @@ impl SeriesBook {
     /// Books a series and returns its id: the next one, whether or not an
     /// earlier id names the same series. `dimensions` are taken as given;
     /// like [`Record::dimension`]'s, they should be sorted by key.
-    /// Nothing is validated here: a point of an invalid series fails as
-    /// the equivalent [`Record`] would.
+    /// Nothing is refused here: the series' names are validated once and
+    /// the verdict kept, and a point of an invalid series fails as the
+    /// equivalent [`Record`] would ([`SeriesBook::validate`]).
     ///
     /// # Panics
     ///
-    /// Panics if the book already holds `u32::MAX` series.
+    /// Panics if the book already holds `u32::MAX` series, or would name
+    /// 2^31 measures or regions.
     pub fn define(&mut self, measure: &str, dimensions: Vec<(String, String)>) -> SeriesRef {
         let id = SeriesRef::try_from(self.defs.len()).expect("a book holds fewer than 2^32 series");
         let region = dimension_value(&dimensions, "region").unwrap_or("none");
         let region = intern(&mut self.regions, region);
         let measure = intern(&mut self.measures, measure);
         let key = series_key("", pairs(&dimensions)).into();
+        let names = Spelled {
+            time: 0,
+            measure: &self.measures[measure as usize],
+            value: 0.0,
+            dimensions: &dimensions,
+        };
+        let verdict = if names.validate().is_ok() { VALID } else { 0 };
         self.defs.push(Def {
             measure,
-            region,
+            region: region | verdict,
             dimensions: dimensions.into_boxed_slice(),
             key,
         });
@@ -163,7 +194,7 @@ impl SeriesBook {
     /// [`SeriesBook::region`] as an index into the book's region names:
     /// what a commit groups points by.
     pub(crate) fn region_index(&self, s: SeriesRef) -> Option<usize> {
-        self.def(s).map(|d| d.region as usize)
+        self.def(s).map(Def::region)
     }
 
     /// The book's region names, indexed as [`SeriesBook::region_index`].
@@ -194,12 +225,18 @@ impl SeriesBook {
     }
 
     /// Validates `point` as [`Record::validate`] validates the record it
-    /// stands for; an id the book never gave is a bad record too.
+    /// stands for; an id the book never gave is a bad record too. A point
+    /// of a series whose names passed when it was booked checks only its
+    /// value; any other point takes the full check, so it fails with the
+    /// record's reason.
     pub(crate) fn validate(&self, point: &Point) -> Result<(), TsError> {
-        if self.def(point.series).is_none() {
+        let Some(def) = self.def(point.series) else {
             return Err(TsError::BadRecord {
                 reason: "series not in the book",
             });
+        };
+        if def.valid() && point.value.is_finite() {
+            return Ok(());
         }
         self.spelled(point).validate()
     }
@@ -257,7 +294,10 @@ fn intern(names: &mut Vec<String>, name: &str) -> u32 {
         names.push(name.to_owned());
         names.len() - 1
     });
-    u32::try_from(at).expect("a book names fewer than 2^32 measures and regions")
+    u32::try_from(at)
+        .ok()
+        .filter(|&at| at < VALID)
+        .expect("a book names fewer than 2^31 measures and regions")
 }
 
 #[cfg(test)]
@@ -304,6 +344,50 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 0, 2]);
         let spelled: Vec<Record> = points.iter().map(|p| book.record(p)).collect();
         assert_eq!(spelled, records);
+    }
+
+    /// A series' names are validated once, when booked: every point of
+    /// every series fails, or passes, with the reason the record it stands
+    /// for does — measure first, then value, then dimension keys.
+    #[test]
+    fn booked_validation_keeps_the_record_reasons_and_their_order() {
+        let reason = |r: Result<(), TsError>| match r {
+            Ok(()) => None,
+            Err(TsError::BadRecord { reason }) => Some(reason),
+            Err(e) => panic!("not a bad record: {e}"),
+        };
+        let key = |k: &str| vec![(k.to_owned(), "v".to_owned())];
+        let mut book = SeriesBook::new();
+        let good = book.define("m", key("k"));
+        let no_measure = book.define("", key("k"));
+        let no_key = book.define("m", key(""));
+        let neither = book.define("", key(""));
+        let at = |series, value| Point {
+            series,
+            time: 0,
+            value,
+        };
+        for series in [good, no_measure, no_key, neither] {
+            for value in [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let p = at(series, value);
+                assert_eq!(
+                    reason(book.validate(&p)),
+                    reason(book.record(&p).validate()),
+                    "{p:?}"
+                );
+            }
+        }
+        for (p, want) in [
+            (at(good, 1.0), None),
+            (at(good, f64::NAN), Some("non-finite value")),
+            (at(no_measure, f64::NAN), Some("empty measure name")),
+            (at(no_key, f64::NAN), Some("non-finite value")),
+            (at(no_key, 1.0), Some("empty dimension key")),
+            (at(neither, 1.0), Some("empty measure name")),
+            (at(4, 1.0), Some("series not in the book")),
+        ] {
+            assert_eq!(reason(book.validate(&p)), want, "{p:?}");
+        }
     }
 
     #[test]

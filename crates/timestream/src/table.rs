@@ -874,6 +874,42 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_point_fails_as_its_record_and_the_points_before_it_stay_written() {
+        let mut book = SeriesBook::new();
+        let good = book.define("sps", vec![("az".to_owned(), "az0".to_owned())]);
+        let no_measure = book.define("", vec![("az".to_owned(), "az1".to_owned())]);
+        let no_key = book.define("sps", vec![(String::new(), "az2".to_owned())]);
+        let at = |series, time, value| Point {
+            series,
+            time,
+            value,
+        };
+        for (bad, want) in [
+            (at(no_measure, 1200, 1.0), "empty measure name"),
+            (at(no_measure, 1200, f64::NAN), "empty measure name"),
+            (at(no_key, 1200, 1.0), "empty dimension key"),
+            (at(no_key, 1200, f64::NAN), "non-finite value"),
+            (at(good, 1200, f64::INFINITY), "non-finite value"),
+        ] {
+            let mut t = Table::new(TableOptions::default());
+            let points = [
+                at(good, 0, 1.0),
+                at(good, 600, 2.0),
+                bad,
+                at(good, 1800, 3.0),
+            ];
+            let err = t.write_points(&book, &points).unwrap_err();
+            assert!(
+                matches!(err, TsError::BadRecord { reason } if reason == want),
+                "{bad:?}: {err}"
+            );
+            let as_record = book.record(&bad).validate().unwrap_err();
+            assert_eq!(err.to_string(), as_record.to_string(), "{bad:?}");
+            assert_eq!(t.point_count(), 2, "{bad:?}: the points before it");
+        }
+    }
+
+    #[test]
     fn a_clone_shares_the_index_and_every_untouched_page() {
         let n = 3 * PAGE_SERIES - 20;
         let mut t = Table::new(TableOptions::default());
