@@ -9,10 +9,13 @@
 //! request line is one request through `Gateway::handle`, or one response
 //! through the wire encoder and writer, after enough warm-up that the
 //! gateway's query trace ring is full and every metric series exists:
-//! what a long-running server pays per request. The collection line is a
-//! fixed stretch of in-memory rounds of a fresh service, its cloud steps
-//! not counted, rebuilt from the seed on each repeat. Each count must
-//! repeat exactly ten times before it is compared. A deliberate change re-blesses the file with
+//! what a long-running server pays per request. The operator lines are
+//! one `SpotLake::http_get` each of `/metrics`, `/stats`, `/quality` and
+//! `/health` on the lake itself, after warm-up calls and before any row
+//! request. The collection line is a fixed stretch of in-memory rounds
+//! of a fresh service, its cloud steps not counted, rebuilt from the seed
+//! on each repeat. Each count must repeat exactly ten times before it is
+//! compared. A deliberate change re-blesses the file with
 //! `SPOTLAKE_BLESS=1` and gives the before and after counts in
 //! CHANGES.md.
 
@@ -128,6 +131,22 @@ fn requests_allocate_what_the_golden_file_pins() {
         .build()
         .expect("pipeline builds");
     lake.run_rounds(24).expect("rounds complete");
+    // The operator endpoints, through the lake's own gateway and
+    // collector state, after warm-up calls have created their series;
+    // counted before the row requests below fill the store's query
+    // histograms.
+    let mut operator = String::new();
+    let targets = ["/metrics", "/stats", "/quality", "/health"];
+    for _ in 0..3 {
+        for target in targets {
+            lake.http_get(target).expect("the target parses");
+        }
+    }
+    for target in targets {
+        let n = allocations_of(target, || lake.http_get(target).expect("the target parses"));
+        let _ = writeln!(operator, "operator {target}: {n}");
+    }
+
     let db = lake.archive();
     let gateway = Gateway::new();
 
@@ -196,6 +215,8 @@ fn requests_allocate_what_the_golden_file_pins() {
             n as f64 / rows as f64
         );
     }
+
+    got.push_str(&operator);
 
     let mut stored = 0;
     let n = repeated("collection rounds", || {
