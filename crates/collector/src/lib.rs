@@ -55,6 +55,7 @@ mod retry;
 mod series;
 mod service;
 mod sps_collector;
+mod trace;
 
 pub use accounts::AccountPool;
 pub use advisor_collector::{AdvisorCollector, AdvisorOutcome};

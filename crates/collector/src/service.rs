@@ -26,11 +26,12 @@ use crate::price_collector::PriceCollector;
 use crate::retry::{BreakerState, CircuitBreaker, RetryPolicy};
 use crate::series::SweepPoints;
 use crate::sps_collector::{ShardQueue, SpsCollector, SpsScores};
+use crate::trace::{CollectorTrace, RoundOutcome};
 use spotlake_cloud_api::FaultPlan;
 use spotlake_cloud_sim::SimCloud;
 use spotlake_obs::{
-    names, Clock, HealthReport, ManualClock, NoPhases, Phase, PhaseGuard, PhaseSink, QualityKey,
-    QualityMonitor, QualityReport, Readiness, Registry, SharedPhaseSink, TraceJournal,
+    names, HealthReport, NoPhases, Phase, PhaseGuard, PhaseSink, QualityKey, QualityMonitor,
+    QualityReport, Readiness, Registry, SharedPhaseSink, TraceRing,
 };
 use spotlake_timestream::{
     Database, IoFaultPlan, Point, RecoveryReport, SeriesBook, SeriesRef, ShardFaultConfig,
@@ -204,12 +205,8 @@ pub struct CollectorService {
     /// `spotlake_api_*` families). The store keeps its own registry on
     /// [`Database`].
     metrics: Registry,
-    /// Structured record of rounds and dataset outcomes, keyed on
-    /// sim-ticks via `clock`.
-    journal: TraceJournal,
-    /// The service's injected clock, advanced to the cloud's tick at the
-    /// start of every round — no wall clock anywhere.
-    clock: ManualClock,
+    /// The newest rounds and dataset outcomes, keyed on sim-ticks.
+    journal: TraceRing<CollectorTrace>,
     /// Running totals across all rounds this service has executed.
     totals: CollectStats,
     /// Per-(dataset × pool-key) coverage/staleness tracking, fed from the
@@ -310,13 +307,12 @@ impl CollectorService {
         }
 
         let metrics = Registry::new();
-        let mut journal = TraceJournal::new();
+        let mut journal = TraceRing::default();
         // The cloud advances one tick per round, so a live key is
         // expected every tick; any larger delta is a coverage gap.
         let mut quality = QualityMonitor::new(1);
         let recovery = archive.as_ref().map(ShardedArchive::recovery);
         let start_tick = recovery.and_then(|r| r.last_tick).unwrap_or(0);
-        let clock = ManualClock::new(start_tick);
         let (dead_letter_file, dead_letters) = match &config.wal_dir {
             Some(dir) => {
                 let (file, letters) = DeadLetterFile::open(dir);
@@ -329,7 +325,10 @@ impl CollectorService {
             // committed tick, so post-restart staleness and gaps measure
             // from the crash point instead of silently resetting.
             prime_quality(&mut quality, &db, start_tick);
-            record_recovery_observations(&metrics, &mut journal, &clock, r);
+            record_recovery_observations(&metrics, r);
+            if r.recovered_anything() {
+                journal.push(CollectorTrace::Recovery(r.clone()));
+            }
         }
 
         Ok(CollectorService {
@@ -350,7 +349,6 @@ impl CollectorService {
             last_health: None,
             metrics,
             journal,
-            clock,
             totals: CollectStats::default(),
             quality,
             coverage: Dataset::ALL.map(CoverageKeys::new),
@@ -428,8 +426,9 @@ impl CollectorService {
         &self.metrics
     }
 
-    /// The structured trace journal of every round executed so far.
-    pub fn journal(&self) -> &TraceJournal {
+    /// The trace journal of the newest rounds (and startup recovery),
+    /// rendered on demand.
+    pub fn journal(&self) -> &TraceRing<CollectorTrace> {
         &self.journal
     }
 
@@ -581,8 +580,17 @@ impl CollectorService {
     /// Returns [`CollectError`] only for the non-retryable class above.
     pub fn collect_round(&mut self, cloud: &SimCloud) -> Result<RoundReport, CollectError> {
         let tick = cloud.ticks();
-        self.clock.set(tick);
-        let span = self.journal.begin_span(self.clock.now(), "round");
+        let round = self.run_round(cloud, tick);
+        if round.is_err() {
+            // The journal shows a round that began and never ended.
+            self.journal.push(CollectorTrace::Round(tick, None));
+        }
+        round
+    }
+
+    /// [`CollectorService::collect_round`], less the journal record of a
+    /// round that returns `Err`.
+    fn run_round(&mut self, cloud: &SimCloud, tick: u64) -> Result<RoundReport, CollectError> {
         let mut stats = CollectStats {
             rounds: 1,
             ..CollectStats::default()
@@ -628,11 +636,6 @@ impl CollectorService {
         let phases = Arc::clone(&self.store.phases);
         let observe = PhaseGuard::enter(&*phases, Phase::MetricsJournal);
         self.record_round_observations(cloud, &stats, &health);
-        self.journal
-            .span_attr(span, "degraded", health.is_degraded().to_string());
-        self.journal
-            .span_attr(span, "records_written", stats.records_written.to_string());
-        self.journal.end_span(span, self.clock.now());
         drop(observe);
         self.last_health = Some(health.clone());
         Ok(RoundReport { stats, health })
@@ -667,6 +670,7 @@ impl CollectorService {
         stats: &CollectStats,
         health: &RoundHealth,
     ) {
+        let mut breakers = [None; 3];
         let m = &self.metrics;
         m.counter_add(names::COLLECTOR_ROUNDS_TOTAL, &[], 1);
         m.counter_add(
@@ -714,19 +718,15 @@ impl CollectorService {
             m.histogram_record(names::COLLECTOR_ROUND_OPS, &labels, ops as f64);
             let breaker = self.breaker_state(dataset);
             m.gauge_set(names::COLLECTOR_BREAKER_STATE, &labels, breaker.as_gauge());
-            self.journal.event(
-                self.clock.now(),
-                "dataset",
-                &[
-                    ("dataset", dataset.name().to_owned()),
-                    ("status", d.status.as_str().to_owned()),
-                    ("records", d.records.to_string()),
-                    ("retries", d.retries.to_string()),
-                    ("failed_queries", d.failed_queries.to_string()),
-                    ("breaker", breaker.as_str().to_owned()),
-                ],
-            );
+            breakers[dataset as usize] = Some(breaker);
         }
+        let outcome = RoundOutcome {
+            health: health.clone(),
+            breakers,
+            records_written: stats.records_written,
+        };
+        self.journal
+            .push(CollectorTrace::Round(health.tick, Some(outcome)));
 
         // Per-account unique-query budget consumption (50/24 h limit).
         let mut fault_counts = Vec::new();
@@ -1208,15 +1208,8 @@ fn prime_quality(quality: &mut QualityMonitor, db: &Database, tick: u64) {
     }
 }
 
-/// Exports what recovery did: `spotlake_recovery_*` metric families and
-/// (when anything was recovered) a `recovery` span in the trace journal,
-/// stamped at the last committed tick.
-fn record_recovery_observations(
-    metrics: &Registry,
-    journal: &mut TraceJournal,
-    clock: &ManualClock,
-    recovery: &RecoveryReport,
-) {
+/// Exports what recovery did as the `spotlake_recovery_*` metric families.
+fn record_recovery_observations(metrics: &Registry, recovery: &RecoveryReport) {
     metrics.counter_set(
         names::RECOVERY_FRAMES_REPLAYED_TOTAL,
         &[],
@@ -1247,26 +1240,6 @@ fn record_recovery_observations(
         &[],
         if recovery.checkpoint_loaded { 1.0 } else { 0.0 },
     );
-    if recovery.recovered_anything() {
-        let span = journal.begin_span(clock.now(), "recovery");
-        journal.span_attr(
-            span,
-            "frames_replayed",
-            recovery.frames_replayed.to_string(),
-        );
-        journal.span_attr(
-            span,
-            "rounds_recovered",
-            recovery.rounds_recovered.to_string(),
-        );
-        journal.span_attr(
-            span,
-            "bytes_truncated",
-            recovery.bytes_truncated.to_string(),
-        );
-        journal.span_attr(span, "point_count", recovery.point_count.to_string());
-        journal.end_span(span, clock.now());
-    }
 }
 
 /// What [`Store::commit`] stored.
@@ -2020,10 +1993,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An SPS collector whose plan has one slot naming a type the cloud
+    /// lacks, so its round returns `Err`.
+    fn broken_sps(cloud: &SimCloud) -> SpsCollector {
+        let mut plan = QueryPlanner::default().plan(cloud.catalog(), None);
+        plan.push(crate::planner::PlannedQuery {
+            instance_type: "m9.huge".to_owned(),
+            regions: vec!["us-test-1".to_owned()],
+            expected_results: 3,
+        });
+        let pool = AccountPool::with_size(AccountPool::required_accounts(plan.len()));
+        SpsCollector::new(plan, &pool, 1).unwrap()
+    }
+
     #[test]
     fn a_round_aborted_by_sps_loses_no_price_sweep() {
-        use crate::planner::PlannedQuery;
-        use crate::sps_collector::SpsCollector;
         use spotlake_types::SimTime;
 
         let mut cloud = cloud();
@@ -2054,17 +2038,9 @@ mod tests {
             assert!(rounds < 200, "no price moved in {rounds} rounds");
         }
 
-        // The aborted round: one plan slot names a type the cloud lacks,
-        // so SPS fails closed while the price lane has already swept.
-        let mut plan = QueryPlanner::default().plan(cloud.catalog(), None);
-        plan.push(PlannedQuery {
-            instance_type: "m9.huge".to_owned(),
-            regions: vec!["us-test-1".to_owned()],
-            expected_results: 3,
-        });
-        let pool = AccountPool::with_size(AccountPool::required_accounts(plan.len()));
-        let broken = SpsCollector::new(plan, &pool, 1).unwrap();
-        let planned = service.sps.replace(broken);
+        // The aborted round: SPS fails closed while the price lane has
+        // already swept.
+        let planned = service.sps.replace(broken_sps(&cloud));
         let err = service.collect_round(&cloud).unwrap_err();
         assert!(
             matches!(
@@ -2107,5 +2083,215 @@ mod tests {
                 catalog.az(az).name()
             );
         }
+    }
+
+    /// One line the journal's string builder appended: a span (its end,
+    /// `None` while open) or an event.
+    enum Line {
+        Span(u64, Option<u64>, &'static str, Vec<(&'static str, String)>),
+        Event(u64, &'static str, Vec<(&'static str, String)>),
+    }
+
+    /// The lines the builder appended for one round that returned
+    /// `report`: its closed span, then one event per collected dataset,
+    /// each breaker as it stands after the round.
+    fn round_lines(service: &CollectorService, report: &RoundReport) -> Vec<Line> {
+        let h = &report.health;
+        let mut lines = vec![Line::Span(
+            h.tick,
+            Some(h.tick),
+            "round",
+            vec![
+                ("degraded", h.is_degraded().to_string()),
+                ("records_written", report.stats.records_written.to_string()),
+            ],
+        )];
+        for dataset in Dataset::ALL.into_iter().filter(|&d| service.enabled(d)) {
+            let d = h.dataset(dataset);
+            lines.push(Line::Event(
+                h.tick,
+                "dataset",
+                vec![
+                    ("dataset", dataset.name().to_owned()),
+                    ("status", d.status.as_str().to_owned()),
+                    ("records", d.records.to_string()),
+                    ("retries", d.retries.to_string()),
+                    ("failed_queries", d.failed_queries.to_string()),
+                    (
+                        "breaker",
+                        service.breaker_state(dataset).as_str().to_owned(),
+                    ),
+                ],
+            ));
+        }
+        lines
+    }
+
+    /// `lines` written with `JournalWriter`, numbered from `first_seq`.
+    fn render_lines(first_seq: u64, lines: &[Line]) -> String {
+        let mut out = spotlake_obs::JournalWriter::new(lines.len());
+        fn borrow<'a>(attrs: &'a [(&'static str, String)]) -> Vec<(&'static str, &'a str)> {
+            attrs.iter().map(|(k, v)| (*k, v.as_str())).collect()
+        }
+        for (seq, line) in (first_seq..).zip(lines) {
+            match line {
+                Line::Span(start, end, name, attrs) => {
+                    out.span(seq, *start, *end, name, None, &mut borrow(attrs));
+                }
+                Line::Event(tick, name, attrs) => out.event(seq, *tick, name, &mut borrow(attrs)),
+            }
+        }
+        out.finish()
+    }
+
+    /// Runs `rounds` rounds, returning the lines the builder appended.
+    fn run_with_lines(
+        service: &mut CollectorService,
+        cloud: &mut SimCloud,
+        rounds: u64,
+    ) -> Vec<Line> {
+        let mut lines = Vec::new();
+        for _ in 0..rounds {
+            cloud.step();
+            let report = service.collect_round(cloud).unwrap();
+            lines.extend(round_lines(service, &report));
+        }
+        lines
+    }
+
+    #[test]
+    fn the_journal_renders_clean_and_degraded_rounds_as_the_builder_did() {
+        let configs = [
+            CollectorConfig {
+                collect_advisor: false,
+                ..CollectorConfig::default()
+            },
+            CollectorConfig {
+                faults: Some(FaultPlan::uniform(7, 0.15)),
+                ..CollectorConfig::default()
+            },
+        ];
+        for config in configs {
+            let mut cloud = cloud();
+            let mut service = CollectorService::new(cloud.catalog(), config).unwrap();
+            let mut lines = run_with_lines(&mut service, &mut cloud, 12);
+            service.force_breaker_open(Dataset::Price, cloud.ticks() + 1);
+            lines.extend(run_with_lines(&mut service, &mut cloud, 2));
+            let journal = service.journal().render();
+            assert_eq!(journal, render_lines(0, &lines));
+            assert!(journal.contains("\"breaker\":\"open\""), "{journal}");
+            assert!(journal.contains("\"status\":\"skipped\""), "{journal}");
+        }
+    }
+
+    #[test]
+    fn the_journal_renders_a_degraded_round_under_faults() {
+        let mut cloud = cloud();
+        let config = CollectorConfig {
+            faults: Some(FaultPlan::uniform(20_220_901, 0.2)),
+            ..CollectorConfig::default()
+        };
+        let mut service = CollectorService::new(cloud.catalog(), config).unwrap();
+        let lines = run_with_lines(&mut service, &mut cloud, 10);
+        let journal = service.journal().render();
+        assert_eq!(journal, render_lines(0, &lines));
+        assert!(journal.contains("\"degraded\":\"true\""), "{journal}");
+        assert!(journal.contains("\"degraded\":\"false\""), "{journal}");
+        assert!(journal.contains("\"status\":\"degraded\""), "{journal}");
+    }
+
+    #[test]
+    fn an_aborted_round_stays_an_open_span_and_keeps_the_last_health() {
+        let mut cloud = cloud();
+        let mut service =
+            CollectorService::new(cloud.catalog(), CollectorConfig::default()).unwrap();
+        let mut lines = run_with_lines(&mut service, &mut cloud, 2);
+        let completed = service.last_health().unwrap().clone();
+
+        let planned = service.sps.replace(broken_sps(&cloud));
+        cloud.step();
+        service.collect_round(&cloud).unwrap_err();
+        lines.push(Line::Span(cloud.ticks(), None, "round", Vec::new()));
+        let last = service.last_health().unwrap();
+        assert_eq!(
+            (last.tick, last.sps.records, last.price.records),
+            (
+                completed.tick,
+                completed.sps.records,
+                completed.price.records
+            ),
+            "an aborted round leaves the last completed round's health"
+        );
+
+        service.sps = planned;
+        lines.extend(run_with_lines(&mut service, &mut cloud, 1));
+        let journal = service.journal().render();
+        assert_eq!(journal, render_lines(0, &lines));
+        assert!(journal.contains("\"seq\":8,\"start\":3,\"end\":null,\"name\":\"round\"}"));
+        assert_eq!(service.last_health().unwrap().tick, cloud.ticks());
+    }
+
+    #[test]
+    fn a_restarted_service_journals_its_recovery_first() {
+        let dir = wal_tempdir("recovery-lines");
+        let mut cloud = cloud();
+        let mut service = CollectorService::new(cloud.catalog(), durable_config(&dir)).unwrap();
+        run_with_lines(&mut service, &mut cloud, 3);
+        drop(service);
+
+        let mut restarted = CollectorService::new(cloud.catalog(), durable_config(&dir)).unwrap();
+        let r = restarted.recovery_report().unwrap().clone();
+        let tick = r.last_tick.unwrap();
+        let mut lines = vec![Line::Span(
+            tick,
+            Some(tick),
+            "recovery",
+            vec![
+                ("frames_replayed", r.frames_replayed.to_string()),
+                ("rounds_recovered", r.rounds_recovered.to_string()),
+                ("bytes_truncated", r.bytes_truncated.to_string()),
+                ("point_count", r.point_count.to_string()),
+            ],
+        )];
+        lines.extend(run_with_lines(&mut restarted, &mut cloud, 2));
+        let journal = restarted.journal().render();
+        assert_eq!(journal, render_lines(0, &lines));
+        assert!(journal.contains("\"name\":\"recovery\""), "{journal}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn past_capacity_the_journal_keeps_the_newest_rounds_and_numbers_on() {
+        use spotlake_obs::{TraceJournal, TRACE_RING_CAPACITY as CAP};
+        let mut cloud = cloud();
+        let mut service =
+            CollectorService::new(cloud.catalog(), CollectorConfig::default()).unwrap();
+        let extra = 5;
+        let lines = run_with_lines(&mut service, &mut cloud, (CAP + extra) as u64);
+        assert_eq!(service.journal().len(), CAP);
+
+        // A round is its span and three dataset events: the first `extra`
+        // rounds' lines are gone, and numbering goes on past them.
+        let dropped = 4 * extra;
+        let text = service.journal().render();
+        assert_eq!(text, render_lines(dropped as u64, &lines[dropped..]));
+        let mut body = text.lines();
+        let header = body.next().unwrap();
+        let after = body.clone().count();
+        assert_eq!(after, 4 * CAP);
+        assert!(
+            header.ends_with(&format!("\"entries\":{after}}}")),
+            "{header}"
+        );
+        for (seq, line) in (dropped..).zip(body) {
+            assert!(line.contains(&format!("\"seq\":{seq},")), "{line}");
+        }
+        assert!(text.lines().nth(1).unwrap().contains(&format!(
+            "\"start\":{},\"end\":{0},\"name\":\"round\"",
+            extra + 1
+        )));
+        let parsed = TraceJournal::parse(&text).unwrap();
+        assert_eq!(parsed.len(), 4 * CAP);
+        assert_eq!(parsed.render(), text);
     }
 }

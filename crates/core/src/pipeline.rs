@@ -226,8 +226,8 @@ impl SpotLake {
         spotlake_obs::Registry::render_merged(registries)
     }
 
-    /// Renders the collector's trace journal as JSON lines (the CLI's
-    /// `--trace` path).
+    /// Renders the collector's trace journal — its newest 1 024 rounds —
+    /// as JSON lines (the CLI's `--trace` path).
     pub fn trace_text(&self) -> String {
         self.collector.journal().render()
     }

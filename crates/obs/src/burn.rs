@@ -272,7 +272,6 @@ impl BurnTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ManualClock};
 
     fn policy() -> BurnPolicy {
         BurnPolicy::default()
@@ -280,11 +279,11 @@ mod tests {
 
     #[test]
     fn clean_stream_never_alerts_and_keeps_full_budget() {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let mut t = BurnTracker::new(0.99, policy());
         for seq in 0..50 {
-            clock.advance(100_000);
-            assert_eq!(t.observe(seq, clock.now(), 10.0, 0.0), None);
+            now += 100_000;
+            assert_eq!(t.observe(seq, now, 10.0, 0.0), None);
         }
         assert_eq!(t.state(), AlertState::Ok);
         assert_eq!(t.fast_burn(), 0.0);
@@ -294,11 +293,11 @@ mod tests {
 
     #[test]
     fn total_outage_pages_immediately_and_recovers_after_the_window() {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let mut t = BurnTracker::new(0.99, policy());
-        clock.advance(100_000);
+        now += 100_000;
         let tr = t
-            .observe(0, clock.now(), 0.0, 10.0)
+            .observe(0, now, 0.0, 10.0)
             .expect("100% bad at 100x budget speed must page");
         assert_eq!(tr.from, AlertState::Ok);
         assert_eq!(tr.to, AlertState::Page);
@@ -312,8 +311,8 @@ mod tests {
         // of both windows the state returns to Ok (one transition).
         let mut recovered = Vec::new();
         for seq in 1..80 {
-            clock.advance(100_000);
-            if let Some(tr) = t.observe(seq, clock.now(), 10.0, 0.0) {
+            now += 100_000;
+            if let Some(tr) = t.observe(seq, now, 10.0, 0.0) {
                 recovered.push(tr);
             }
         }
@@ -332,11 +331,11 @@ mod tests {
     fn moderate_burn_warns_without_paging() {
         // 5% bad at a 1% allowance is a 5x burn: above warn (2x/1x),
         // below page on the fast window (10x).
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let mut t = BurnTracker::new(0.99, policy());
         for seq in 0..30 {
-            clock.advance(100_000);
-            t.observe(seq, clock.now(), 19.0, 1.0);
+            now += 100_000;
+            t.observe(seq, now, 19.0, 1.0);
         }
         assert_eq!(t.state(), AlertState::Warning);
         assert!(
@@ -351,16 +350,16 @@ mod tests {
     fn page_requires_both_windows() {
         // A long healthy history keeps the slow window below page level
         // when a short burst goes bad: warning (slow >= 1x) but no page.
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let mut t = BurnTracker::new(0.9, policy());
         for seq in 0..48 {
-            clock.advance(100_000);
-            t.observe(seq, clock.now(), 10.0, 0.0);
+            now += 100_000;
+            t.observe(seq, now, 10.0, 0.0);
         }
         assert_eq!(t.state(), AlertState::Ok);
         for seq in 48..52 {
-            clock.advance(100_000);
-            t.observe(seq, clock.now(), 0.0, 10.0);
+            now += 100_000;
+            t.observe(seq, now, 0.0, 10.0);
         }
         // Fast window (1s ≈ 10 steps) is ~40% bad → burn 4 < 10;
         // slow window (5s) is ~8% bad → burn 0.8 < 1. Still Ok.

@@ -1,24 +1,19 @@
-//! Structured trace journal: spans and events keyed on simulation ticks.
-//!
-//! The journal is the narrative complement to the registry's aggregates —
-//! *what happened, in order*, with enough structure to grep. Entries are
-//! appended in execution order and rendered as JSON lines with sorted
-//! attribute keys, so a replay under a fixed seed produces a byte-identical
-//! journal.
+//! Structured trace journal: the narrative complement to the registry's
+//! aggregates — *what happened, in order*. A [`TraceRing`] keeps the
+//! newest typed records a component appends (the collector's rounds, the
+//! gateway's queries), keyed on simulation ticks, and formats nothing
+//! until it renders them through a [`JournalWriter`] as JSON lines with
+//! sorted attribute keys: a replay under a fixed seed renders the same
+//! bytes.
 //!
 //! The rendered document is versioned: the first line is a header record
 //! (`{"kind":"header","schema":"spotlake-trace","version":2,...}`) and
 //! [`TraceJournal::parse`] refuses documents whose schema or version does
 //! not match, so an old reader never silently misinterprets a new journal.
-//! Spans may nest: [`TraceJournal::begin_child_span`] links a stage span to
-//! its parent by entry sequence number.
-//!
-//! [`JournalWriter`] writes the same lines for a caller that keeps its own
-//! typed records and renders them on demand — the gateway's ring of query
-//! traces, whose records render as a root span plus one child per cost
-//! stage without a string being formatted when a query is recorded.
+//! A child span names its parent by entry sequence number.
 
 use crate::json;
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -30,27 +25,116 @@ pub const JOURNAL_SCHEMA: &str = "spotlake-trace";
 /// incompatibly; [`TraceJournal::parse`] rejects any other version.
 pub const JOURNAL_VERSION: u64 = 2;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum EntryKind {
-    Event,
-    Span {
-        end: Option<u64>,
-        /// Sequence number of the parent span's entry, for child spans.
-        parent: Option<u64>,
-    },
+/// How many records a [`TraceRing`] keeps.
+pub const TRACE_RING_CAPACITY: usize = 1024;
+
+/// A typed record a [`TraceRing`] keeps: it knows how many journal
+/// entries it renders as, and writes them.
+pub trait TraceRecord {
+    /// Journal entries the record renders as.
+    fn entries(&self) -> u64;
+
+    /// Writes the record's entries, the first numbered `seq`.
+    fn write(&self, seq: u64, out: &mut JournalWriter);
 }
 
+/// The newest [`TRACE_RING_CAPACITY`] records of a trace, the oldest
+/// dropped to make room, rendered as a journal document only when asked.
+/// Entries are numbered by a sequence that counts every entry ever
+/// pushed, so a child's `parent` names its root even after older records
+/// are gone; below capacity the numbering starts at 0.
+#[derive(Debug, Clone)]
+pub struct TraceRing<R> {
+    records: VecDeque<R>,
+    /// `seq` of the oldest kept record's first entry.
+    first_seq: u64,
+}
+
+impl<R> Default for TraceRing<R> {
+    fn default() -> Self {
+        TraceRing {
+            records: VecDeque::new(),
+            first_seq: 0,
+        }
+    }
+}
+
+impl<R: TraceRecord> TraceRing<R> {
+    /// Keeps `record`, dropping the oldest when the ring is full.
+    pub fn push(&mut self, record: R) {
+        if self.records.len() == TRACE_RING_CAPACITY {
+            if let Some(oldest) = self.records.pop_front() {
+                self.first_seq += oldest.entries();
+            }
+        }
+        self.records.push_back(record);
+    }
+
+    /// The newest record, if any.
+    pub fn newest(&self) -> Option<&R> {
+        self.records.back()
+    }
+
+    /// Records kept now.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether no record is kept.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Renders the kept records as a journal document.
+    pub fn render(&self) -> String {
+        render(self.first_seq, &self.records)
+    }
+}
+
+/// Writes `records` after a header announcing their entries, numbered
+/// on from `first_seq`.
+fn render<'a, R: TraceRecord + 'a>(
+    first_seq: u64,
+    records: impl IntoIterator<Item = &'a R, IntoIter: Clone>,
+) -> String {
+    let records = records.into_iter();
+    let entries: u64 = records.clone().map(R::entries).sum();
+    let mut out = JournalWriter::new(entries as usize);
+    let mut seq = first_seq;
+    for record in records {
+        record.write(seq, &mut out);
+        seq += record.entries();
+    }
+    out.finish()
+}
+
+/// One parsed journal line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
     tick: u64,
     name: String,
-    kind: EntryKind,
+    /// A span's `end` and `parent`; `None` for an event.
+    span: Option<(Option<u64>, Option<u64>)>,
     attrs: Vec<(String, String)>,
 }
 
-/// Handle to an open span returned by [`TraceJournal::begin_span`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanId(usize);
+impl TraceRecord for Entry {
+    fn entries(&self) -> u64 {
+        1
+    }
+
+    fn write(&self, seq: u64, out: &mut JournalWriter) {
+        let mut attrs: Vec<(&str, &str)> = self
+            .attrs
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        match self.span {
+            None => out.event(seq, self.tick, &self.name, &mut attrs),
+            Some((end, parent)) => out.span(seq, self.tick, end, &self.name, parent, &mut attrs),
+        }
+    }
+}
 
 /// Errors from [`TraceJournal::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,111 +174,37 @@ impl fmt::Display for JournalError {
 
 impl Error for JournalError {}
 
-/// An append-only journal of spans and events.
+/// A parsed journal document: its entries as read, whatever record
+/// wrote them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceJournal {
     entries: Vec<Entry>,
-    /// `seq` of the first entry: 0, unless parsed from a document whose
-    /// older entries were dropped (the gateway's ring of query traces).
+    /// `seq` of the first entry: past 0 in a document whose older
+    /// entries a [`TraceRing`] dropped.
     first_seq: u64,
 }
 
 impl TraceJournal {
-    /// Creates an empty journal.
-    pub fn new() -> Self {
-        TraceJournal::default()
-    }
-
-    /// Records a point-in-time event at `tick` with the given attributes.
-    pub fn event(&mut self, tick: u64, name: &str, attrs: &[(&str, String)]) {
-        self.entries.push(Entry {
-            tick,
-            name: name.to_owned(),
-            kind: EntryKind::Event,
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), v.clone()))
-                .collect(),
-        });
-    }
-
-    /// Opens a span starting at `tick`. Close it with
-    /// [`TraceJournal::end_span`]; attach attributes with
-    /// [`TraceJournal::span_attr`].
-    pub fn begin_span(&mut self, tick: u64, name: &str) -> SpanId {
-        self.push_span(tick, name, None)
-    }
-
-    /// Opens a span nested under `parent` — the rendered entry carries a
-    /// `parent` field with the parent's sequence number.
-    pub fn begin_child_span(&mut self, tick: u64, name: &str, parent: SpanId) -> SpanId {
-        self.push_span(tick, name, Some(self.first_seq + parent.0 as u64))
-    }
-
-    fn push_span(&mut self, tick: u64, name: &str, parent: Option<u64>) -> SpanId {
-        self.entries.push(Entry {
-            tick,
-            name: name.to_owned(),
-            kind: EntryKind::Span { end: None, parent },
-            attrs: Vec::new(),
-        });
-        SpanId(self.entries.len() - 1)
-    }
-
-    /// Attaches an attribute to an open (or closed) span.
-    pub fn span_attr(&mut self, span: SpanId, key: &str, value: String) {
-        if let Some(entry) = self.entries.get_mut(span.0) {
-            entry.attrs.push((key.to_owned(), value));
-        }
-    }
-
-    /// Closes a span at `tick`.
-    pub fn end_span(&mut self, span: SpanId, tick: u64) {
-        if let Some(entry) = self.entries.get_mut(span.0) {
-            if let EntryKind::Span { end, .. } = &mut entry.kind {
-                *end = Some(tick);
-            }
-        }
-    }
-
     /// Number of journal entries (the header record is not an entry).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the journal is empty.
+    /// Whether the document holds no entry.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Renders the journal as JSON lines: a schema/version header record
-    /// first, then one entry per line in append order. Attribute keys are
-    /// sorted, strings escaped — the output is a deterministic function of
-    /// the recorded entries.
+    /// Renders the document again, byte for byte as it was parsed.
     pub fn render(&self) -> String {
-        let mut out = JournalWriter::new(self.entries.len());
-        for (seq, entry) in (self.first_seq..).zip(&self.entries) {
-            let mut attrs: Vec<(&str, &str)> = entry
-                .attrs
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            match entry.kind {
-                EntryKind::Event => out.event(seq, entry.tick, &entry.name, &mut attrs),
-                EntryKind::Span { end, parent } => {
-                    out.span(seq, entry.tick, end, &entry.name, parent, &mut attrs);
-                }
-            }
-        }
-        out.finish()
+        render(self.first_seq, &self.entries)
     }
 
-    /// Parses a document produced by [`TraceJournal::render`] or a
-    /// [`JournalWriter`].
+    /// Parses a document a [`JournalWriter`] wrote.
     ///
     /// The first line must be a header record naming this schema and
     /// version; anything else is rejected rather than misread. The parser
-    /// only accepts the exact line shape `render` emits (it is a format
+    /// only accepts the exact line shape the writer emits (it is a format
     /// check as much as a reader). Entries are numbered on from the first
     /// entry's `seq`, so a document whose oldest entries were dropped
     /// renders back byte for byte.
@@ -219,7 +229,7 @@ impl TraceJournal {
             return Err(JournalError::VersionMismatch { schema, version });
         }
 
-        let mut journal = TraceJournal::new();
+        let mut journal = TraceJournal::default();
         for (idx, line) in lines {
             let lineno = idx + 1;
             if line.is_empty() {
@@ -239,43 +249,29 @@ impl TraceJournal {
                 Some(_) => return Err(malformed("attrs is not an object")),
                 None => Vec::new(),
             };
-            match field_str(&fields, "kind") {
-                Some("event") => {
-                    let tick = field_u64(&fields, "tick").ok_or_else(|| malformed("no tick"))?;
-                    let name = field_str(&fields, "name").ok_or_else(|| malformed("no name"))?;
-                    let borrowed: Vec<(&str, String)> =
-                        attrs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-                    journal.event(tick, name, &borrowed);
-                }
-                Some("span") => {
-                    let start = field_u64(&fields, "start").ok_or_else(|| malformed("no start"))?;
-                    let name = field_str(&fields, "name").ok_or_else(|| malformed("no name"))?;
-                    let parent = field_u64(&fields, "parent");
-                    let span = journal.push_span(start, name, parent);
-                    for (k, v) in attrs {
-                        journal.span_attr(span, &k, v);
-                    }
-                    if let Some(end) = field_u64(&fields, "end") {
-                        journal.end_span(span, end);
-                    }
-                }
-                Some(other) => {
-                    return Err(JournalError::Malformed {
-                        line: lineno,
-                        detail: format!("unknown kind {other:?}"),
-                    })
-                }
+            let span = (field_u64(&fields, "end"), field_u64(&fields, "parent"));
+            let (tick, span) = match field_str(&fields, "kind") {
+                Some("event") => (field_u64(&fields, "tick"), None),
+                Some("span") => (field_u64(&fields, "start"), Some(span)),
+                Some(other) => return Err(malformed(&format!("unknown kind {other:?}"))),
                 None => return Err(malformed("no kind field")),
-            }
+            };
+            journal.entries.push(Entry {
+                tick: tick.ok_or_else(|| malformed("no tick or start"))?,
+                name: field_str(&fields, "name")
+                    .ok_or_else(|| malformed("no name"))?
+                    .to_owned(),
+                span,
+                attrs,
+            });
         }
         Ok(journal)
     }
 }
 
-/// Writes a journal document line by line in [`TraceJournal::render`]'s
-/// format: the header first, then entries in the order they are written.
-/// The caller numbers the entries; `seq` and `parent` are written as
-/// given.
+/// Writes a journal document line by line: the header first, then
+/// entries in the order they are written. The caller numbers the
+/// entries; `seq` and `parent` are written as given.
 #[derive(Debug)]
 pub struct JournalWriter {
     out: String,
@@ -317,12 +313,10 @@ impl JournalWriter {
             self.out,
             "{{\"kind\":\"span\",\"seq\":{seq},\"start\":{start},\"end\":"
         );
-        match end {
-            Some(end) => {
-                let _ = write!(self.out, "{end}");
-            }
-            None => self.out.push_str("null"),
-        }
+        let _ = match end {
+            Some(end) => write!(self.out, "{end}"),
+            None => self.out.write_str("null"),
+        };
         self.out.push_str(",\"name\":");
         json::write_string(&mut self.out, name);
         if let Some(parent) = parent {
@@ -453,94 +447,148 @@ fn parse_line_fields(line: &str, lineno: usize) -> Result<Vec<(String, Field)>, 
 mod tests {
     use super::*;
 
+    /// A test record: a `round` span and one `dataset` event per dataset.
+    struct Round {
+        tick: u64,
+        datasets: u64,
+    }
+
+    impl TraceRecord for Round {
+        fn entries(&self) -> u64 {
+            1 + self.datasets
+        }
+
+        fn write(&self, seq: u64, out: &mut JournalWriter) {
+            let tick = Some(self.tick);
+            out.span(
+                seq,
+                self.tick,
+                tick,
+                "round",
+                None,
+                &mut [("degraded", "false")],
+            );
+            for i in 1..=self.datasets {
+                let records = (10 * i).to_string();
+                out.event(seq + i, self.tick, "dataset", &mut [("records", &records)]);
+            }
+        }
+    }
+
     #[test]
     fn events_and_spans_render_in_order_after_the_header() {
-        let mut j = TraceJournal::new();
-        let span = j.begin_span(3, "round");
-        j.event(
-            3,
-            "dataset",
-            &[("dataset", "sps".into()), ("records", "12".into())],
-        );
-        j.span_attr(span, "degraded", "false".into());
-        j.end_span(span, 3);
-        let text = j.render();
+        let mut ring = TraceRing::default();
+        assert!(ring.is_empty());
+        ring.push(Round {
+            tick: 3,
+            datasets: 1,
+        });
+        ring.push(Round {
+            tick: 4,
+            datasets: 0,
+        });
+        let text = ring.render();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "header + 2 entries");
-        assert!(
-            lines[0]
-                .starts_with("{\"kind\":\"header\",\"schema\":\"spotlake-trace\",\"version\":2"),
-            "{}",
-            lines[0]
+        assert_eq!(
+            lines,
+            [
+                "{\"kind\":\"header\",\"schema\":\"spotlake-trace\",\"version\":2,\"entries\":3}",
+                "{\"kind\":\"span\",\"seq\":0,\"start\":3,\"end\":3,\"name\":\"round\",\"attrs\":{\"degraded\":\"false\"}}",
+                "{\"kind\":\"event\",\"seq\":1,\"tick\":3,\"name\":\"dataset\",\"attrs\":{\"records\":\"10\"}}",
+                "{\"kind\":\"span\",\"seq\":2,\"start\":4,\"end\":4,\"name\":\"round\",\"attrs\":{\"degraded\":\"false\"}}",
+            ]
         );
-        assert!(lines[1]
-            .starts_with("{\"kind\":\"span\",\"seq\":0,\"start\":3,\"end\":3,\"name\":\"round\""));
-        assert!(lines[1].contains("\"attrs\":{\"degraded\":\"false\"}"));
-        assert!(lines[2].contains("\"dataset\":\"sps\""));
-        assert!(lines[2].contains("\"records\":\"12\""));
-        assert_eq!(j.len(), 2);
-        assert!(!j.is_empty());
+        assert_eq!((ring.len(), ring.newest().map(|r| r.tick)), (2, Some(4)));
+        assert_eq!(TraceJournal::parse(&text).expect("parses").len(), 3);
+    }
+
+    #[test]
+    fn a_full_ring_drops_the_oldest_and_numbers_on() {
+        let mut ring = TraceRing::default();
+        let pushed = TRACE_RING_CAPACITY as u64 + 5;
+        for tick in 0..pushed {
+            ring.push(Round {
+                tick,
+                datasets: tick % 3,
+            });
+        }
+        assert_eq!(ring.len(), TRACE_RING_CAPACITY);
+        let text = ring.render();
+        let mut lines = text.lines();
+        let header = lines.next().expect("header");
+        let kept: u64 = (5..pushed).map(|tick| 1 + tick % 3).sum();
+        assert!(
+            header.ends_with(&format!("\"entries\":{kept}}}")),
+            "{header}"
+        );
+        let dropped: u64 = (0..5).map(|tick| 1 + tick % 3).sum();
+        for (seq, line) in (dropped..).zip(lines) {
+            assert!(line.contains(&format!("\"seq\":{seq},")), "{line}");
+        }
+        assert_eq!(text.lines().count() as u64, 1 + kept);
+        let parsed = TraceJournal::parse(&text).expect("parses");
+        assert_eq!(parsed.len() as u64, kept);
+        assert_eq!(parsed.render(), text, "a trimmed document round-trips");
     }
 
     #[test]
     fn unclosed_span_renders_null_end() {
-        let mut j = TraceJournal::new();
-        j.begin_span(1, "open");
-        assert!(j.render().contains("\"end\":null"));
+        let mut out = JournalWriter::new(1);
+        out.span(0, 1, None, "open", None, &mut []);
+        assert!(out.finish().ends_with(
+            "{\"kind\":\"span\",\"seq\":0,\"start\":1,\"end\":null,\"name\":\"open\"}\n"
+        ));
     }
 
     #[test]
     fn child_spans_carry_their_parent_seq() {
-        let mut j = TraceJournal::new();
-        let root = j.begin_span(5, "query");
-        let child = j.begin_child_span(5, "scan", root);
-        j.end_span(child, 5);
-        j.end_span(root, 5);
-        let text = j.render();
+        let mut out = JournalWriter::new(2);
+        out.span(0, 5, Some(5), "query", None, &mut []);
+        out.span(1, 5, Some(5), "scan", Some(0), &mut []);
+        let text = out.finish();
         assert!(
-            text.contains("\"seq\":1,\"start\":5,\"end\":5,\"name\":\"scan\",\"parent\":0"),
+            text.contains("\"seq\":1,\"start\":5,\"end\":5,\"name\":\"scan\",\"parent\":0}"),
             "{text}"
         );
     }
 
     #[test]
     fn attrs_render_sorted_regardless_of_insertion_order() {
-        let mut a = TraceJournal::new();
-        a.event(0, "e", &[("z", "1".into()), ("a", "2".into())]);
-        let mut b = TraceJournal::new();
-        b.event(0, "e", &[("a", "2".into()), ("z", "1".into())]);
-        assert_eq!(a.render(), b.render());
-        assert!(a.render().contains("{\"a\":\"2\",\"z\":\"1\"}"));
+        let render = |attrs: &mut [(&str, &str)]| {
+            let mut out = JournalWriter::new(1);
+            out.event(0, 0, "e", attrs);
+            out.finish()
+        };
+        let sorted = render(&mut [("a", "2"), ("z", "1")]);
+        assert_eq!(render(&mut [("z", "1"), ("a", "2")]), sorted);
+        assert!(sorted.contains("{\"a\":\"2\",\"z\":\"1\"}"));
     }
 
     #[test]
     fn strings_are_json_escaped() {
-        let mut j = TraceJournal::new();
-        j.event(0, "weird\"name", &[("k", "line\nbreak\\\u{1}".into())]);
-        let text = j.render();
+        let mut out = JournalWriter::new(1);
+        out.event(0, 0, "weird\"name", &mut [("k", "line\nbreak\\\u{1}")]);
+        let text = out.finish();
         assert!(text.contains("weird\\\"name"));
         assert!(text.contains("line\\nbreak\\\\\\u0001"));
     }
 
     #[test]
     fn render_parse_round_trips_byte_identically() {
-        let mut j = TraceJournal::new();
-        let root = j.begin_span(2, "query");
-        let child = j.begin_child_span(2, "scan", root);
-        j.span_attr(child, "rows", "14".into());
-        j.end_span(child, 2);
-        j.event(
+        let mut out = JournalWriter::new(4);
+        out.span(0, 2, Some(4), "query", None, &mut [("trace", "7")]);
+        out.span(1, 2, Some(2), "scan", Some(0), &mut [("rows", "14")]);
+        out.event(
+            2,
             3,
             "odd \"названия\"",
-            &[("k", "v\nwith\tescapes\\".into()), ("a", "1".into())],
+            &mut [("k", "v\nwith\tescapes\\"), ("a", "1")],
         );
-        j.span_attr(root, "trace", "7".into());
-        j.end_span(root, 4);
-        j.begin_span(9, "open-ended");
-        let rendered = j.render();
+        out.span(3, 9, None, "open-ended", None, &mut []);
+        let rendered = out.finish();
         let parsed = TraceJournal::parse(&rendered).expect("parses");
         assert_eq!(parsed.render(), rendered, "round-trip is byte-identical");
-        assert_eq!(parsed.len(), j.len());
+        assert_eq!(parsed.len(), 4);
     }
 
     #[test]

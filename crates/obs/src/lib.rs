@@ -14,14 +14,11 @@
 //! * [`names`] — the one declaration of every `spotlake_*` family: a
 //!   typed constant holding its name and help, which is all a recording
 //!   call passes.
-//! * [`TraceJournal`] — a structured journal of spans and events keyed on
-//!   *simulation ticks*, rendered as JSON lines with sorted attribute
-//!   keys. [`JournalWriter`] writes the same lines from a caller's own
-//!   typed records (the gateway's bounded ring of query traces).
-//! * [`Clock`] — the only way instrumented components learn what time it
-//!   is. Production wiring drives a [`ManualClock`] from the simulator's
-//!   tick counter; tests inject whatever they like. Nothing in this
-//!   crate (or its users' instrumentation) reads the wall clock.
+//! * [`TraceRing`] — the newest [`TRACE_RING_CAPACITY`] typed trace
+//!   records keyed on *simulation ticks*, rendered on demand through a
+//!   [`JournalWriter`] as JSON lines with sorted attribute keys: the
+//!   collector's rounds and the gateway's queries. [`TraceJournal`]
+//!   parses such a document back.
 //! * [`HealthReport`] — a neutral readiness model (ready / degraded /
 //!   unhealthy per component) that lets the collector describe breaker
 //!   and round state to the gateway without the gateway reverse-engineering
@@ -59,18 +56,22 @@
 //! # Example
 //!
 //! ```
-//! use spotlake_obs::names::{COLLECTOR_ROUNDS_TOTAL, COLLECTOR_ROUND_OPS};
-//! use spotlake_obs::{ManualClock, Clock, Registry, TraceJournal};
+//! use spotlake_obs::names::COLLECTOR_ROUNDS_TOTAL;
+//! use spotlake_obs::{JournalWriter, Registry, TraceRecord, TraceRing};
 //!
-//! let clock = ManualClock::new(3);
 //! let registry = Registry::new();
 //! registry.counter_add(COLLECTOR_ROUNDS_TOTAL, &[], 1);
-//! registry.histogram_record(COLLECTOR_ROUND_OPS, &[("dataset", "sps")], 7.0);
 //!
-//! let mut journal = TraceJournal::new();
-//! let span = journal.begin_span(clock.now(), "round");
-//! journal.event(clock.now(), "dataset", &[("dataset", "sps".into())]);
-//! journal.end_span(span, clock.now());
+//! // A round kept as its tick, formatted only when the journal renders.
+//! struct Round(u64);
+//! impl TraceRecord for Round {
+//!     fn entries(&self) -> u64 { 1 }
+//!     fn write(&self, seq: u64, out: &mut JournalWriter) {
+//!         out.span(seq, self.0, Some(self.0), "round", None, &mut [("dataset", "sps")]);
+//!     }
+//! }
+//! let mut journal = TraceRing::default();
+//! journal.push(Round(3));
 //!
 //! let rounds = format!("{} 1\n", COLLECTOR_ROUNDS_TOTAL.name);
 //! assert!(registry.render().contains(&rounds));
@@ -81,7 +82,6 @@
 #![warn(missing_docs)]
 
 mod burn;
-mod clock;
 mod flight;
 mod health;
 mod journal;
@@ -96,11 +96,11 @@ mod telemetry;
 mod topn;
 
 pub use burn::{AlertState, AlertTransition, BurnPolicy, BurnTracker};
-pub use clock::{Clock, ManualClock};
 pub use flight::{FlightEntry, FlightRecorder, QueryCtx};
 pub use health::{ComponentHealth, HealthReport, Readiness};
 pub use journal::{
-    JournalError, JournalWriter, SpanId, TraceJournal, JOURNAL_SCHEMA, JOURNAL_VERSION,
+    JournalError, JournalWriter, TraceJournal, TraceRecord, TraceRing, JOURNAL_SCHEMA,
+    JOURNAL_VERSION, TRACE_RING_CAPACITY,
 };
 pub use lifecycle::{PhaseSpan, RequestRecord, RequestRecorder, REQUEST_PHASES};
 pub use phase::{NoPhases, Phase, PhaseGuard, PhaseSink, SharedPhaseSink};

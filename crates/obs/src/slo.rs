@@ -604,25 +604,24 @@ fn pick_exemplars(records: &[RequestRecord], signal: &SloSignal) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ManualClock};
     use crate::lifecycle::PhaseSpan;
     use crate::registry::Registry;
     use crate::telemetry::TelemetryRecorder;
 
     /// Drives a registry through `rounds` of traffic (10 good requests
     /// per round, plus 10 worker 503s per round from `bad_from` on),
-    /// sampling every 200ms of manual-clock time.
+    /// sampling every 200ms of stamped time.
     fn availability_run(rounds: u64, bad_from: u64) -> Vec<TelemetrySample> {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let registry = Registry::new();
         let recorder = TelemetryRecorder::new(rounds as usize);
         for round in 0..rounds {
-            clock.advance(200_000);
+            now += 200_000;
             registry.counter_add(names::SERVER_REQUESTS_TOTAL, &[("status", "200")], 10);
             if round >= bad_from {
                 registry.counter_add(names::SERVER_REQUESTS_TOTAL, &[("status", "503")], 10);
             }
-            recorder.sample(clock.now(), [&registry]);
+            recorder.sample(now, [&registry]);
         }
         recorder.snapshot()
     }
@@ -676,7 +675,7 @@ mod tests {
 
     #[test]
     fn gauge_and_quantile_objectives_trip_on_their_ceilings() {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let registry = Registry::new();
         let recorder = TelemetryRecorder::new(16);
         registry.histogram_record(
@@ -686,8 +685,8 @@ mod tests {
         );
         registry.gauge_set(names::SERVER_QUEUE_DEPTH, &[], 50.0);
         for _ in 0..8 {
-            clock.advance(200_000);
-            recorder.sample(clock.now(), [&registry]);
+            now += 200_000;
+            recorder.sample(now, [&registry]);
         }
         let (tracker, _) = feed(&recorder.snapshot());
         let report = tracker.report();
@@ -708,16 +707,16 @@ mod tests {
 
     #[test]
     fn shed_rate_objective_burns_on_admission_sheds() {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let registry = Registry::new();
         let recorder = TelemetryRecorder::new(16);
         for round in 0..8u64 {
-            clock.advance(200_000);
+            now += 200_000;
             registry.counter_add(names::SERVER_CONNECTIONS_TOTAL, &[], 10);
             if round >= 2 {
                 registry.counter_add(names::SERVER_SHED_TOTAL, &[], 8);
             }
-            recorder.sample(clock.now(), [&registry]);
+            recorder.sample(now, [&registry]);
         }
         let (tracker, transitions) = feed(&recorder.snapshot());
         assert!(

@@ -11,8 +11,8 @@
 //!
 //! Like everything in this crate, the recorder itself never reads a
 //! clock: the caller stamps each sample with `at_micros` (the serving
-//! layer passes elapsed wall micros since server start; tests drive a
-//! [`ManualClock`](crate::ManualClock)). Two runs feeding identical
+//! layer passes elapsed wall micros since server start; tests pass
+//! fixed steps). Two runs feeding identical
 //! registries and timestamps produce byte-identical JSONL.
 
 use crate::json;
@@ -256,7 +256,6 @@ impl TelemetryRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ManualClock};
     use crate::names::{Counter, Gauge, Histogram};
 
     const ROUNDS: Counter = Counter {
@@ -287,11 +286,11 @@ mod tests {
     #[test]
     fn sampling_under_an_injected_clock_is_deterministic() {
         let run = || {
-            let clock = ManualClock::new(0);
+            let mut now = 0;
             let recorder = TelemetryRecorder::new(8);
             for tick in 1..=4u64 {
-                clock.advance(250);
-                recorder.sample(clock.now(), [&registry_at(tick)]);
+                now += 250;
+                recorder.sample(now, [&registry_at(tick)]);
             }
             recorder.render_jsonl()
         };
@@ -389,11 +388,11 @@ mod tests {
     /// timestamps intact.
     #[test]
     fn wraparound_keeps_the_newest_samples_under_manual_clock() {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let recorder = TelemetryRecorder::new(4);
         for tick in 1..=10u64 {
-            clock.advance(250);
-            recorder.sample(clock.now(), [&registry_at(tick)]);
+            now += 250;
+            recorder.sample(now, [&registry_at(tick)]);
         }
         assert_eq!(recorder.samples_taken(), 10);
         assert_eq!(recorder.evicted(), 6);
@@ -407,11 +406,11 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_through_parse() {
-        let clock = ManualClock::new(0);
+        let mut now = 0;
         let recorder = TelemetryRecorder::new(8);
         for tick in 1..=3u64 {
-            clock.advance(250);
-            recorder.sample(clock.now(), [&registry_at(tick)]);
+            now += 250;
+            recorder.sample(now, [&registry_at(tick)]);
         }
         let parsed =
             TelemetrySample::parse_jsonl(&recorder.render_jsonl()).expect("round-trip parse");

@@ -5,8 +5,10 @@ use crate::http::{status_label, HttpRequest, HttpResponse};
 use crate::json::{self, Json};
 use crate::ops::OpsContext;
 use crate::pairs::EncodedPairs;
-use crate::traces::QueryTraces;
-use spotlake_obs::{names, FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry};
+use crate::traces::QueryTrace;
+use spotlake_obs::{
+    names, AlertTransition, FlightEntry, FlightRecorder, QueryCtx, Readiness, Registry, TraceRing,
+};
 use spotlake_timestream::{
     Aggregate, Database, PairId, Query, QueryProfile, RowKind, RowScan, TsError,
 };
@@ -79,7 +81,7 @@ const ENDPOINTS: [&str; 13] = [
 pub struct Gateway {
     http: Registry,
     flight: FlightRecorder,
-    traces: Mutex<QueryTraces>,
+    traces: Mutex<TraceRing<QueryTrace>>,
     /// The next row query's trace id.
     next_trace_id: AtomicU64,
 }
@@ -116,12 +118,15 @@ impl Gateway {
         lock(&self.traces).render()
     }
 
-    /// Keeps one event among the query traces — how the serving engine
-    /// records SLO alert transitions alongside the queries, so
+    /// Keeps one SLO alert transition among the query traces, so
     /// `/debug/traces` shows alerts in stream order with the traffic
     /// that caused them.
-    pub fn record_event(&self, tick: u64, name: &str, attrs: &[(&str, String)]) {
-        lock(&self.traces).push_event(tick, name, attrs);
+    pub fn record_alert(&self, tick: u64, objective: &str, transition: &AlertTransition) {
+        lock(&self.traces).push(QueryTrace::Alert {
+            tick,
+            objective: objective.to_owned(),
+            transition: *transition,
+        });
     }
 
     /// Routes a request, recording it in the gateway's registry.
@@ -255,7 +260,11 @@ impl Gateway {
         } else {
             response
         };
-        lock(&self.traces).push_query(profile, query, cost);
+        lock(&self.traces).push(QueryTrace::Query {
+            profile,
+            query,
+            cost,
+        });
         response
     }
 
@@ -665,6 +674,7 @@ fn store_error(e: TsError) -> HttpResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spotlake_obs::{AlertState, JournalWriter};
     use spotlake_timestream::{Record, TableOptions};
 
     fn archive() -> Database {
@@ -1025,55 +1035,62 @@ mod tests {
         assert!(dump.body_text().contains("spotlake-trace"));
     }
 
-    /// What `complete` appended to the gateway's journal before query
-    /// traces were kept as records: a root span and one child span per
-    /// cost stage, every attribute formatted on the spot.
-    fn append_query_spans(
-        traces: &mut spotlake_obs::TraceJournal,
+    /// Writes what `complete` appended to the gateway's journal before
+    /// query traces were kept as records: a root span, then one child
+    /// span per run of one stage's counters, every attribute formatted on
+    /// the spot. Returns the next free `seq`.
+    fn write_query_spans(
+        out: &mut JournalWriter,
+        seq: u64,
         profile: &QueryProfile,
         query: &str,
         cost: u64,
-    ) {
-        let root = traces.begin_span(profile.tick, "query");
-        traces.span_attr(root, "trace_id", profile.trace_id.to_string());
-        traces.span_attr(root, "request_id", profile.request_id.to_string());
-        traces.span_attr(root, "op", profile.op.to_owned());
-        traces.span_attr(root, "table", profile.table.clone());
-        traces.span_attr(root, "query", query.to_owned());
-        traces.span_attr(root, "cost", cost.to_string());
-        let mut current: Option<(&str, spotlake_obs::SpanId)> = None;
+    ) -> u64 {
+        let tick = profile.tick;
+        let (trace_id, request_id) = (profile.trace_id.to_string(), profile.request_id.to_string());
+        let mut root = vec![
+            ("trace_id", trace_id.as_str()),
+            ("request_id", &request_id),
+            ("op", profile.op),
+            ("table", &profile.table),
+            ("query", query),
+        ];
+        let cost = cost.to_string();
+        root.push(("cost", &cost));
+        out.span(seq, tick, Some(tick), "query", None, &mut root);
+        let mut runs: Vec<(&str, Vec<(&str, String)>)> = Vec::new();
         for (stage, name, value) in profile.stages() {
-            let span = match current {
-                Some((open, span)) if open == stage => span,
-                _ => {
-                    if let Some((_, open)) = current {
-                        traces.end_span(open, profile.tick);
-                    }
-                    let span = traces.begin_child_span(profile.tick, stage, root);
-                    current = Some((stage, span));
-                    span
-                }
-            };
-            traces.span_attr(span, name, value.to_string());
+            match runs.last_mut() {
+                Some((open, attrs)) if *open == stage => attrs.push((name, value.to_string())),
+                _ => runs.push((stage, vec![(name, value.to_string())])),
+            }
         }
-        if let Some((_, open)) = current {
-            traces.end_span(open, profile.tick);
+        for (child, (stage, attrs)) in (seq + 1..).zip(&runs) {
+            let mut attrs: Vec<(&str, &str)> =
+                attrs.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            out.span(child, tick, Some(tick), stage, Some(seq), &mut attrs);
         }
-        traces.end_span(root, profile.tick);
+        seq + 1 + runs.len() as u64
+    }
+
+    /// An SLO alert transition, as the serving engine records it.
+    fn page_alert(seq: u64) -> AlertTransition {
+        AlertTransition {
+            seq,
+            at_micros: 1500,
+            from: AlertState::Ok,
+            to: AlertState::Page,
+            fast_burn: 14.4,
+            slow_burn: 6.123456,
+        }
     }
 
     #[test]
     fn query_traces_below_capacity_render_the_old_journal_byte_for_byte() {
         let db = archive();
         let gateway = Gateway::new();
-        let mut reference = spotlake_obs::TraceJournal::new();
-        let alert = [
-            ("at_micros", "1500".to_owned()),
-            ("fast_burn", "14.4000".to_owned()),
-            ("from", "ok".to_owned()),
-            ("objective", "availability".to_owned()),
-            ("to", "page".to_owned()),
-        ];
+        // The records kept, in order.
+        let mut held = Vec::new();
         let paths = [
             "/query?table=sps",
             "/query?table=sps&instance_type=m5.large&format=csv",
@@ -1099,20 +1116,63 @@ mod tests {
                 if gateway.flight().observed() == before {
                     continue; // not a row query the store answered
                 }
-                let traces = lock(&gateway.traces);
-                let (profile, query, cost) = traces.newest_query().expect("a query record");
-                assert_eq!(query, request.path_and_query());
-                assert_eq!(cost, profile.cost());
-                append_query_spans(&mut reference, profile, &request.path_and_query(), cost);
+                let newest = lock(&gateway.traces).newest().cloned();
+                let Some(QueryTrace::Query {
+                    profile,
+                    query,
+                    cost,
+                }) = &newest
+                else {
+                    panic!("a query record");
+                };
+                assert_eq!(*query, request.path_and_query());
+                assert_eq!(*cost, profile.cost());
+                held.extend(newest);
             }
-            gateway.record_event(tick, "slo_alert", &alert);
-            reference.event(tick, "slo_alert", &alert);
+            gateway.record_alert(tick, "availability", &page_alert(round));
+            held.extend(lock(&gateway.traces).newest().cloned());
         }
         let rendered = gateway.query_trace_text();
         assert_eq!(gateway.flight().observed(), 16);
-        assert_eq!(rendered, reference.render());
-        assert!(rendered.starts_with(
-            "{\"kind\":\"header\",\"schema\":\"spotlake-trace\",\"version\":2,\"entries\":114}\n"
+
+        let mut reference = JournalWriter::new(114);
+        let mut seq = 0;
+        for entry in &held {
+            match entry {
+                QueryTrace::Query {
+                    profile,
+                    query,
+                    cost,
+                } => {
+                    seq = write_query_spans(&mut reference, seq, profile, query, *cost);
+                }
+                QueryTrace::Alert {
+                    tick,
+                    objective,
+                    transition: t,
+                } => {
+                    let (at_micros, sample_seq) = (t.at_micros.to_string(), t.seq.to_string());
+                    let fast_burn = format!("{:.4}", t.fast_burn);
+                    let slow_burn = format!("{:.4}", t.slow_burn);
+                    let mut attrs = [
+                        ("at_micros", at_micros.as_str()),
+                        ("fast_burn", &fast_burn),
+                        ("from", t.from.as_str()),
+                        ("objective", objective),
+                        ("sample_seq", &sample_seq),
+                        ("slow_burn", &slow_burn),
+                        ("to", t.to.as_str()),
+                    ];
+                    reference.event(seq, *tick, "slo_alert", &mut attrs);
+                    seq += 1;
+                }
+            }
+        }
+        assert_eq!(seq, 114);
+        assert_eq!(rendered, reference.finish());
+        assert!(rendered.contains(
+            "\"attrs\":{\"at_micros\":\"1500\",\"fast_burn\":\"14.4000\",\"from\":\"ok\",\
+             \"objective\":\"availability\",\"sample_seq\":\"1\",\"slow_burn\":\"6.1235\",\"to\":\"page\"}"
         ));
         assert_eq!(
             spotlake_obs::TraceJournal::parse(&rendered)
@@ -1139,7 +1199,7 @@ mod tests {
 
     #[test]
     fn query_traces_keep_only_the_newest_capacity_queries() {
-        use crate::traces::QUERY_TRACE_CAPACITY as CAP;
+        use spotlake_obs::TRACE_RING_CAPACITY as CAP;
         let db = archive();
         let gateway = Gateway::new();
         let ops = OpsContext::none();
@@ -1212,7 +1272,7 @@ mod tests {
                         assert_eq!(response.status, 200, "{path}");
                     }
                     if t == 0 {
-                        gateway.record_event(1, "slo_alert", &[("to", "page".to_owned())]);
+                        gateway.record_alert(1, "availability", &page_alert(0));
                     }
                 });
             }

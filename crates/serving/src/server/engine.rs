@@ -860,19 +860,9 @@ fn take_sample(state: &ServerState, telemetry: &TelemetryRecorder) {
             state
                 .metrics
                 .slo_transition(objective, transition.to.as_str());
-            state.gateway.record_event(
-                state.tick,
-                "slo_alert",
-                &[
-                    ("at_micros", transition.at_micros.to_string()),
-                    ("fast_burn", format!("{:.4}", transition.fast_burn)),
-                    ("from", transition.from.as_str().to_owned()),
-                    ("objective", objective.clone()),
-                    ("sample_seq", transition.seq.to_string()),
-                    ("slow_burn", format!("{:.4}", transition.slow_burn)),
-                    ("to", transition.to.as_str().to_owned()),
-                ],
-            );
+            state
+                .gateway
+                .record_alert(state.tick, objective, transition);
         }
     }
 }
