@@ -1047,16 +1047,16 @@ mod tests {
         cost: u64,
     ) -> u64 {
         let tick = profile.tick;
-        let (trace_id, request_id) = (profile.trace_id.to_string(), profile.request_id.to_string());
-        let mut root = vec![
+        let trace_id = profile.trace_id.to_string();
+        let (request_id, cost) = (profile.request_id.to_string(), cost.to_string());
+        let mut root = [
             ("trace_id", trace_id.as_str()),
             ("request_id", &request_id),
             ("op", profile.op),
             ("table", &profile.table),
             ("query", query),
+            ("cost", &cost),
         ];
-        let cost = cost.to_string();
-        root.push(("cost", &cost));
         out.span(seq, tick, Some(tick), "query", None, &mut root);
         let mut runs: Vec<(&str, Vec<(&str, String)>)> = Vec::new();
         for (stage, name, value) in profile.stages() {
