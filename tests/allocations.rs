@@ -12,10 +12,15 @@
 //! what a long-running server pays per request. The operator lines are
 //! one `SpotLake::http_get` each of `/metrics`, `/stats`, `/quality` and
 //! `/health` on the lake itself, after warm-up calls and before any row
-//! request. The collection line is a fixed stretch of in-memory rounds
-//! of a fresh service, its cloud steps not counted, rebuilt from the seed
-//! on each repeat. Each count must repeat exactly ten times before it is
-//! compared. A deliberate change re-blesses the file with
+//! request. The collection lines are stretches of in-memory rounds of a
+//! fresh service, their cloud steps not counted, rebuilt from the seed on
+//! each repeat: rounds 1-4, which book every series the catalog has, in
+//! allocations and bytes requested per booked series, and rounds 5-24,
+//! which book none, per stored point. The durable line is one round of a
+//! fresh service writing its sharded archive to a temp directory, after
+//! the same four rounds of warm-up: what a round pays to spell, log and
+//! fsync its frames. Each count must repeat exactly ten times before it
+//! is compared. A deliberate change re-blesses the file with
 //! `SPOTLAKE_BLESS=1` and gives the before and after counts in
 //! CHANGES.md.
 
@@ -33,16 +38,21 @@ use spotlake_serving::server::wire;
 use spotlake_serving::{Gateway, HttpRequest, HttpResponse, OpsContext};
 use spotlake_timestream::Database;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Debug;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested: each allocation's size, and each reallocation's new
+/// size.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -54,6 +64,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -71,42 +82,110 @@ const WARM_UP_ROUNDS: u64 = 4;
 const LAST_ROUND: u64 = 24;
 
 /// `count()`, the same on each of [`REPEATS`] calls.
-fn repeated(what: &str, mut count: impl FnMut() -> u64) -> u64 {
-    let counts: Vec<u64> = (0..REPEATS).map(|_| count()).collect();
+fn repeated<T: PartialEq + Debug>(what: &str, mut count: impl FnMut() -> T) -> T {
+    let mut counts: Vec<T> = (0..REPEATS).map(|_| count()).collect();
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "{what}: allocation counts vary between repeats: {counts:?}"
     );
-    counts[0]
+    counts.swap_remove(0)
+}
+
+/// Allocations and bytes requested so far, by every thread.
+fn counters() -> (u64, u64) {
+    (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
+
+/// What was allocated between two [`counters`] readings.
+fn since(before: (u64, u64)) -> (u64, u64) {
+    let now = counters();
+    (now.0 - before.0, now.1 - before.1)
 }
 
 /// Allocations `f` makes, the same on each of [`REPEATS`] calls.
 fn allocations_of<T>(what: &str, mut f: impl FnMut() -> T) -> u64 {
     repeated(what, || {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = counters();
         drop(f());
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        since(before).0
     })
 }
 
-/// Allocations of collection rounds `WARM_UP_ROUNDS + 1..=LAST_ROUND` of a
-/// fresh in-memory service over the test catalog, and the points they
-/// stored.
-fn collection_rounds() -> (u64, usize) {
+/// What collection rounds of a fresh service allocate.
+#[derive(Debug, PartialEq)]
+struct Collection {
+    /// Rounds 1..=`WARM_UP_ROUNDS`: allocations and bytes requested.
+    booking: (u64, u64),
+    /// Series in the store after them: each series they booked, since
+    /// every one is filed by its first point.
+    booked: usize,
+    /// Rounds `WARM_UP_ROUNDS + 1..=LAST_ROUND`: allocations.
+    rounds: u64,
+    /// Points those rounds stored.
+    stored: usize,
+}
+
+/// Collection rounds 1..=`LAST_ROUND` of a fresh in-memory service over
+/// the test catalog, counted in two stretches.
+fn collection_rounds() -> Collection {
     let mut cloud = SimCloud::new(test_catalog(GPU_MENU), sim_config());
     let mut service = CollectorService::new(cloud.catalog(), CollectorConfig::default())
         .expect("a fresh collector over the catalog");
-    let (mut allocations, mut stored) = (0, 0);
+    let mut booking = (0, 0);
+    let (mut rounds, mut stored) = (0, 0);
     for round in 1..=LAST_ROUND {
         cloud.step();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = counters();
         let report = service.collect_round(&cloud).expect("the round completes");
+        let (allocations, bytes) = since(before);
         if round > WARM_UP_ROUNDS {
-            allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+            rounds += allocations;
             stored += report.stats.records_written;
+        } else {
+            booking = (booking.0 + allocations, booking.1 + bytes);
         }
     }
-    (allocations, stored)
+    let db = service.database();
+    let booked = db
+        .table_names()
+        .into_iter()
+        .filter_map(|name| db.table(name).ok())
+        .map(|t| t.series_count())
+        .sum();
+    Collection {
+        booking,
+        booked,
+        rounds,
+        stored,
+    }
+}
+
+/// Allocations of durable round `WARM_UP_ROUNDS + 1` of a fresh service
+/// over the test catalog writing its sharded archive under a new temp
+/// directory, and the points it stored.
+fn durable_round(repeat: usize) -> (u64, usize) {
+    let dir = common::scratch_path("allocations", &format!("durable-{repeat}"));
+    let mut cloud = SimCloud::new(test_catalog(GPU_MENU), sim_config());
+    let config = CollectorConfig {
+        wal_dir: Some(dir.clone()),
+        ..CollectorConfig::default()
+    };
+    let mut service =
+        CollectorService::new(cloud.catalog(), config).expect("a fresh durable collector");
+    for _ in 0..WARM_UP_ROUNDS {
+        cloud.step();
+        service.collect_round(&cloud).expect("the round completes");
+    }
+    cloud.step();
+    let before = counters();
+    let report = service.collect_round(&cloud).expect("the round completes");
+    let (allocations, _) = since(before);
+    drop(service);
+    std::fs::remove_dir_all(&dir).ok();
+    (allocations, report.stats.records_written)
 }
 
 /// One request through the gateway.
@@ -218,15 +297,33 @@ fn requests_allocate_what_the_golden_file_pins() {
 
     got.push_str(&operator);
 
-    let mut stored = 0;
-    let n = repeated("collection rounds", || {
-        let (allocations, points) = collection_rounds();
-        stored = points;
-        allocations
+    let c = repeated("collection rounds", collection_rounds);
+    let (allocations, bytes) = c.booking;
+    let _ = writeln!(
+        got,
+        "collection rounds 1-{WARM_UP_ROUNDS}: {allocations} allocations, {bytes} B over {} \
+         booked series, {:.3} and {:.1} B per series",
+        c.booked,
+        allocations as f64 / c.booked as f64,
+        bytes as f64 / c.booked as f64
+    );
+    let _ = writeln!(
+        got,
+        "collection rounds {}-{LAST_ROUND}: {} over {} stored points, {:.3} per point",
+        WARM_UP_ROUNDS + 1,
+        c.rounds,
+        c.stored,
+        c.rounds as f64 / c.stored as f64
+    );
+
+    let mut repeat = 0;
+    let (n, stored) = repeated("durable round", || {
+        repeat += 1;
+        durable_round(repeat)
     });
     let _ = writeln!(
         got,
-        "collection rounds {}-{LAST_ROUND}: {n} over {stored} stored points, {:.3} per point",
+        "durable collection round {}: {n} over {stored} stored points, {:.3} per point",
         WARM_UP_ROUNDS + 1,
         n as f64 / stored as f64
     );
