@@ -20,8 +20,8 @@ use spotlake_types::{AzId, Catalog, InstanceTypeId, RegionId};
 /// A pool no round has observed yet.
 const UNSEEN: SeriesRef = SeriesRef::MAX;
 
-/// One dataset's series, each with one dense id. See the
-/// [module docs](self).
+/// One dataset's series, each with one dense id, and which pool's series
+/// each id is: booked when a round first observes the pool.
 #[derive(Debug, Clone)]
 pub struct PoolSeries {
     /// The measures of a pool's series, in booking order: a pool's ids
@@ -66,16 +66,16 @@ impl PoolSeries {
         az: AzId,
     ) -> SeriesRef {
         let zones = catalog.azs().len();
-        self.first_id(catalog, ty, zones, usize::from(az.0), || {
+        self.first_id(catalog, ty, zones, usize::from(az.0), |book, measure| {
             let zone = catalog.az(az);
-            vec![
-                ("az".to_owned(), zone.name().to_owned()),
-                ("instance_type".to_owned(), catalog.ty(ty).name()),
-                (
-                    "region".to_owned(),
-                    catalog.region(zone.region()).code().to_owned(),
-                ),
-            ]
+            book.define(
+                measure,
+                [
+                    ("az", zone.name()),
+                    ("instance_type", catalog.ty(ty).name().as_str()),
+                    ("region", catalog.region(zone.region()).code()),
+                ],
+            )
         })
     }
 
@@ -88,25 +88,28 @@ impl PoolSeries {
         ty: InstanceTypeId,
         region: RegionId,
     ) -> SeriesRef {
-        let regions = catalog.regions().len();
-        self.first_id(catalog, ty, regions, usize::from(region.0), || {
-            vec![
-                ("instance_type".to_owned(), catalog.ty(ty).name()),
-                (
-                    "region".to_owned(),
-                    catalog.region(region).code().to_owned(),
-                ),
-            ]
+        let (regions, at) = (catalog.regions().len(), usize::from(region.0));
+        self.first_id(catalog, ty, regions, at, |book, measure| {
+            book.define(
+                measure,
+                [
+                    ("instance_type", catalog.ty(ty).name().as_str()),
+                    ("region", catalog.region(region).code()),
+                ],
+            )
         })
     }
 
+    /// The id of the first series of pool (`ty`, `location`): booked now,
+    /// if no round saw the pool before, by `define` for the first measure
+    /// and over the same dimensions for the others.
     fn first_id(
         &mut self,
         catalog: &Catalog,
         ty: InstanceTypeId,
         locations: usize,
         location: usize,
-        dimensions: impl FnOnce() -> Vec<(String, String)>,
+        define: impl FnOnce(&mut SeriesBook, &str) -> SeriesRef,
     ) -> SeriesRef {
         let pools = catalog.instance_types().len() * locations;
         if self.locations != locations || self.first.len() != pools {
@@ -120,15 +123,15 @@ impl PoolSeries {
         match self.first.get(slot) {
             Some(&id) if id != UNSEEN => id,
             _ => {
-                let dimensions = dimensions();
-                let mut booked = None;
-                for m in self.measures {
-                    let id = self.book.define(m, dimensions.clone());
-                    booked.get_or_insert(id);
+                let Some((first, others)) = self.measures.split_first() else {
+                    return UNSEEN;
+                };
+                let id = define(&mut self.book, first);
+                for m in others {
+                    self.book.define_sharing(m, id);
                 }
-                let id = booked.unwrap_or(UNSEEN);
-                if let Some(first) = self.first.get_mut(slot) {
-                    *first = id;
+                if let Some(slot) = self.first.get_mut(slot) {
+                    *slot = id;
                 }
                 id
             }

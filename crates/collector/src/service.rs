@@ -1174,7 +1174,7 @@ impl CoverageKeys {
                 .ok()
                 .and_then(|s| book.dimensions(s))
                 .unwrap_or_default();
-            write_coverage_key(&mut key, dims.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            write_coverage_key(&mut key, dims.iter());
             self.keys.push(quality.key(self.dataset.name(), &key));
         }
     }

@@ -93,6 +93,14 @@ impl Pairs {
     fn key(&self, id: PairId) -> &str {
         self.get(id).map_or("", |(k, _)| k)
     }
+
+    /// Whether the keys of pairs `ids` strictly increase: sorted, none
+    /// repeated.
+    pub(crate) fn keys_increase(&self, ids: &[PairId]) -> bool {
+        ids.iter()
+            .zip(ids.iter().skip(1))
+            .all(|(&a, &b)| self.key(a) < self.key(b))
+    }
 }
 
 /// A series' dimensions, borrowed from its measure's index: the ids of
@@ -106,6 +114,12 @@ pub struct Dimensions<'a> {
 }
 
 impl<'a> Dimensions<'a> {
+    /// Pairs `ids` of `pairs`, in this order; `sorted` says whether their
+    /// keys strictly increase ([`Pairs::keys_increase`]).
+    pub(crate) fn new(pairs: &'a Pairs, ids: &'a [PairId], sorted: bool) -> Self {
+        Dimensions { pairs, ids, sorted }
+    }
+
     /// No dimension.
     pub(crate) fn none() -> Dimensions<'static> {
         Dimensions {
@@ -161,6 +175,13 @@ impl<'a> Dimensions<'a> {
         self.iter()
             .map(|(k, v)| (k.to_owned(), v.to_owned()))
             .collect()
+    }
+}
+
+impl Default for Dimensions<'_> {
+    /// No dimension.
+    fn default() -> Self {
+        Dimensions::none()
     }
 }
 
@@ -282,11 +303,7 @@ impl Index {
         let ids = filing
             .and_then(|f| self.pool.get(f.pairs.start as usize..f.pairs.end as usize))
             .unwrap_or(&[]);
-        Dimensions {
-            pairs: &self.pairs,
-            ids,
-            sorted: self.unsorted.binary_search(&id).is_err(),
-        }
+        Dimensions::new(&self.pairs, ids, self.unsorted.binary_search(&id).is_err())
     }
 
     /// Files a series under a key the index does not hold yet, with

@@ -1,6 +1,7 @@
 //! Records: the write-side unit.
 
 use crate::error::TsError;
+use crate::index::Dimensions;
 
 /// One data point: time (seconds since the epoch), a measure name, a value,
 /// and free-form dimensions.
@@ -61,7 +62,7 @@ impl Record {
             time: self.time,
             measure: &self.measure,
             value: self.value,
-            dimensions: &self.dimensions,
+            dimensions: Dims::Record(&self.dimensions),
         }
     }
 
@@ -80,7 +81,35 @@ pub(crate) struct Spelled<'a> {
     pub(crate) time: u64,
     pub(crate) measure: &'a str,
     pub(crate) value: f64,
-    pub(crate) dimensions: &'a [(String, String)],
+    pub(crate) dimensions: Dims<'a>,
+}
+
+/// A record's dimensions, in the order given: a [`Record`]'s own pairs,
+/// or a booked series' pair ids and the book's dictionary that spells
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Dims<'a> {
+    Record(&'a [(String, String)]),
+    Book(Dimensions<'a>),
+}
+
+impl<'a> Dims<'a> {
+    /// Number of pairs.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Dims::Record(dims) => dims.len(),
+            Dims::Book(dims) => dims.len(),
+        }
+    }
+
+    /// The pairs as `(key, value)`, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> + Clone + 'a {
+        let (record, book) = match *self {
+            Dims::Record(dims) => (dims, None),
+            Dims::Book(dims) => (&[][..], Some(dims)),
+        };
+        pairs(record).chain(book.into_iter().flat_map(|dims| dims.iter()))
+    }
 }
 
 impl Spelled<'_> {

@@ -384,7 +384,8 @@ pub struct ShardCommitOutcome {
 }
 
 /// An archive sharded by dataset × region, each shard an independent
-/// WAL + checkpoint fault domain. See the [module docs](self).
+/// WAL + checkpoint fault domain in `root/shard-<dataset>-<region>/`, and
+/// every shard's committed watermark in `root/shards.map`.
 #[derive(Debug)]
 pub struct ShardedArchive {
     root: PathBuf,
@@ -592,20 +593,20 @@ impl ShardedArchive {
     }
 
     /// Commits one dataset's round batch of `book`'s points into `store`,
-    /// fanned out to its region shards, [`IN_FLIGHT`] at a time — the
+    /// fanned out to its region shards, `IN_FLIGHT` at a time — the
     /// steps of [`Wal::commit`], spread over the shards:
     ///
     /// 1. the batch is grouped by the region each series belongs to
     ///    ([`SeriesBook::region`]), in batch order within a group;
     /// 2. every shard's slice is filtered down to what changes state
-    ///    against `store` as it is before the batch ([`Database::delta`];
+    ///    against `store` as it is before the batch (`Database::delta`;
     ///    read-only, so all shards at once);
     /// 3. each shard appends what it kept to its own WAL — each point
     ///    spelled as its record, from the book — and fsyncs, absorbing
     ///    transient faults up to `max_attempts` tries;
     /// 4. as each shard's thread is joined — in key order, while the
     ///    shards behind it are still syncing — what it logged is applied
-    ///    to `store` by series handle ([`Database::apply_logged`]), filing
+    ///    to `store` by series handle (`Database::apply_logged`), filing
     ///    the series that are new.
     ///
     /// Handles stay current through step 4 because a commit only appends

@@ -6,7 +6,7 @@ use crate::index::{Dimensions, Index, SeriesId};
 use crate::merge::merge;
 use crate::profile::QueryProfile;
 use crate::query::{matches, Aggregate, Fold, Query, Row, RowKind, RowScan, WindowRow};
-use crate::record::{pairs, series_key, Record};
+use crate::record::{series_key, Record};
 use crate::series::Series;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -328,7 +328,7 @@ impl Table {
                 let m = self.measures.get_mut(measure as usize)?;
                 let id = match m.index.id(key) {
                     Some(id) => id,
-                    None => m.push(Arc::clone(key), pairs(dimensions), Series::default()),
+                    None => m.push(Arc::clone(key), dimensions.iter(), Series::default()),
                 };
                 (measure, id)
             }

@@ -160,11 +160,11 @@ impl Wal {
     /// Commits one batch durably: log what changes state, then apply it.
     ///
     /// Three steps, the same ones a sharded commit runs per shard
-    /// ([`crate::ShardedArchive::commit`]): [`Database::delta`] picks the
+    /// ([`crate::ShardedArchive::commit`]): `Database::delta` picks the
     /// records that change state and resolves their series against `db`
     /// as it is before the batch, keeping everything it is not sure
-    /// about; [`Wal::log`] appends them as one frame (transient faults
-    /// retried up to `max_attempts` tries); and [`Database::apply_logged`]
+    /// about; `Wal::log` appends them as one frame (transient faults
+    /// retried up to `max_attempts` tries); and `Database::apply_logged`
     /// applies them by series id, bypassing the write throttle — once the
     /// frame is fsynced the batch *is* committed, and memory must match
     /// what replay rebuilds. Applying the logged records leaves `db`
@@ -470,7 +470,7 @@ fn encode_payload<'r>(
         codec::put_str(out, r.measure)?;
         codec::put_u64(out, r.value.to_bits());
         codec::put_len(out, r.dimensions.len(), "dimension count")?;
-        for (k, v) in r.dimensions {
+        for (k, v) in r.dimensions.iter() {
             codec::put_str(out, k)?;
             codec::put_str(out, v)?;
         }
