@@ -307,9 +307,9 @@ impl Table {
 
     /// The series booked as `s`, its page copied first if a snapshot
     /// shares it: by its handle when current, else by key, filed now —
-    /// under the book's key allocation and its pairs' ids — when the
-    /// table does not hold it yet. `None` only for an id the book never
-    /// gave.
+    /// under the book's key allocation, its pairs read from the book's
+    /// dictionary and interned in the measure's — when the table does not
+    /// hold it yet. `None` only for an id the book never gave.
     fn file(&mut self, book: &SeriesBook, s: SeriesRef) -> Option<&mut Series> {
         let (measure, id) = match book.handle(self, s).map(|f| (f.measure, f.id)) {
             Some(at) => at,
